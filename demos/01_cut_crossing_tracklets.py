@@ -20,12 +20,12 @@ for a, b in zip(walker_a, walker_b):
 tracklets = group_tracklets(walker_a + walker_b)
 print(f"\nbefore cutting: {len(tracklets)} tracklets")
 for t in tracklets:
-    print(f"  tracklet {t.id}: frames {t.first_frame}-{t.last_frame}")
+    print(f"  tracklet {t.id}: frames {t.start.frame}-{t.end.frame}")
 
 fragments = cut_tracklets(tracklets, cut_threshold=0.5)
 print(f"\nafter cutting at IoU >= 0.5: {len(fragments)} fragments")
 for t in fragments:
-    print(f"  fragment {t.id}: frames {t.first_frame}-{t.last_frame}")
+    print(f"  fragment {t.id}: frames {t.start.frame}-{t.end.frame}")
 
 print(
     "\nThe overlap first reaches 0.5 at frame 9 and stays high through frame 11,"

@@ -11,7 +11,6 @@ from .associator import (
     SuccessorVar,
     build_domains,
     dump_candidates,
-    solve,
     solve_with_stats,
     stitch,
     validate_assignment,
@@ -32,12 +31,11 @@ from .evaluation import (
     mota,
     report_row,
 )
-from .interpolate import fill_all_gaps, fill_gaps
+from .interpolate import fill_gaps
 from .mot_io import (
     Detection,
     ParseError,
     SequenceMeta,
-    group_tracklets,
     load_tracks,
     parse_tracks,
     read_seqinfo,
@@ -57,7 +55,6 @@ from .scoring import (
     predicted_box,
     score_pair,
     score_stop,
-    stop_score,
 )
 from .synth import (
     CorruptionConfig,
@@ -73,6 +70,7 @@ from .tracklets import (
     Tracklet,
     build_endpoints,
     cut_tracklets,
+    group_tracklets,
     iou,
     iou_matrix,
     make_tracklet,
@@ -86,7 +84,6 @@ __all__ = [
     "SuccessorVar",
     "build_domains",
     "dump_candidates",
-    "solve",
     "solve_with_stats",
     "stitch",
     "validate_assignment",
@@ -102,12 +99,10 @@ __all__ = [
     "idf1",
     "mota",
     "report_row",
-    "fill_all_gaps",
     "fill_gaps",
     "Detection",
     "ParseError",
     "SequenceMeta",
-    "group_tracklets",
     "load_tracks",
     "parse_tracks",
     "read_seqinfo",
@@ -126,7 +121,6 @@ __all__ = [
     "predicted_box",
     "score_pair",
     "score_stop",
-    "stop_score",
     "CorruptionConfig",
     "CorruptionLog",
     "ScenarioConfig",
@@ -138,6 +132,7 @@ __all__ = [
     "Tracklet",
     "build_endpoints",
     "cut_tracklets",
+    "group_tracklets",
     "iou",
     "iou_matrix",
     "make_tracklet",

@@ -76,9 +76,8 @@ def build_domains(
             if t.end.frame < s.start.frame:
                 table[s.id] = score_pair(t, s, cfg, meta)
         table[STOP] = score_stop(t, cfg)
-        m = marginals({cand: ps.product for cand, ps in table.items()})
-        domain_marginals = {cand: m[cand] for cand in table if cand in m}
-        out.append(SuccessorVar(t.id, domain_marginals, table))
+        products = {cand: ps.product for cand, ps in table.items()}
+        out.append(SuccessorVar(t.id, marginals(products), table))
     return out
 
 
@@ -137,14 +136,11 @@ class _VarState:
         trail.clear()
 
 
-def solve(succ_vars: Sequence[SuccessorVar]) -> dict:
-    """Find the first feasible assignment under max-marginal depth-first search."""
-    assignment, _ = solve_with_stats(succ_vars)
-    return assignment
-
-
 def solve_with_stats(succ_vars: Sequence[SuccessorVar]) -> tuple[dict, SolveStats]:
-    """Like :func:`solve` but also reports node and backtrack counts."""
+    """Find the first feasible assignment under max-marginal depth-first search.
+
+    Also reports the node and backtrack counts of the search.
+    """
     states = {}
     for var in succ_vars:
         if var.tracklet_id in states:

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import evaluation, mot_io, synth
-from .config import PipelineConfig, load_pipeline_config, read_kv
+from .config import PipelineConfig, load_pipeline_config, load_scenario
 from .pipeline import refine_detections
 
 
@@ -63,13 +64,9 @@ def _cmd_refine(args) -> int:
         cfg.cutter_enabled = False
     if args.no_interp:
         cfg.interp_enabled = False
-    dump = open(args.dump_candidates, "w", encoding="utf-8") if args.dump_candidates else None
-    try:
+    with mot_io.atomic_writer(args.dump_candidates) if args.dump_candidates else nullcontext() as dump:
         refined, summary = refine_detections(detections, meta, cfg, candidate_dump=dump)
-    finally:
-        if dump is not None:
-            dump.close()
-    mot_io.save_tracks(refined, args.output)
+        mot_io.save_tracks(refined, args.output)
     print(summary.format(), end="")
     return 0
 
@@ -81,57 +78,6 @@ def _cmd_eval(args) -> int:
     print(evaluation.format_report(args.seq_name, scores), end="")
     print(evaluation.report_row(args.seq_name, scores))
     return 0
-
-
-_SCENARIO_KEYS = {
-    "scene.num_objects": ("num_objects", int),
-    "scene.num_frames": ("num_frames", int),
-    "scene.fps": ("fps", float),
-    "scene.width": ("img_width", int),
-    "scene.height": ("img_height", int),
-    "scene.crossings": ("crossings", int),
-    "scene.turn_rate": ("turn_rate", float),
-    "scene.min_speed": ("min_speed", float),
-    "scene.max_speed": ("max_speed", float),
-    "scene.seed": ("seed", int),
-}
-
-_CORRUPTION_KEYS = {
-    "corrupt.fragment_prob": ("fragment_prob", float),
-    "corrupt.swap_prob": ("swap_prob", float),
-    "corrupt.dropout": ("dropout", float),
-    "corrupt.random_cuts": ("random_cuts_per_track", int),
-    "corrupt.crossing_iou": ("crossing_iou", float),
-    "corrupt.seed": ("seed", int),
-}
-
-
-def load_scenario(path: str | Path) -> tuple[synth.ScenarioConfig, synth.CorruptionConfig]:
-    """Read a scenario file into generation and corruption configs."""
-    values = read_kv(path)
-    scene_kwargs = {}
-    corrupt_kwargs = {}
-    gap_lo = gap_hi = 0
-    for key, value in values.items():
-        if key in _SCENARIO_KEYS:
-            name, cast = _SCENARIO_KEYS[key]
-            scene_kwargs[name] = cast(value)
-        elif key in _CORRUPTION_KEYS:
-            name, cast = _CORRUPTION_KEYS[key]
-            corrupt_kwargs[name] = cast(value)
-        elif key == "corrupt.gap_min":
-            gap_lo = int(value)
-        elif key == "corrupt.gap_max":
-            gap_hi = int(value)
-        else:
-            raise ValueError(f"{path}: unknown key {key!r}")
-    for required in ("num_objects", "num_frames"):
-        if required not in scene_kwargs:
-            raise ValueError(f"{path}: missing scene.{required}")
-    return (
-        synth.ScenarioConfig(**scene_kwargs),
-        synth.CorruptionConfig(gap_frames=(gap_lo, max(gap_lo, gap_hi)), **corrupt_kwargs),
-    )
 
 
 def _cmd_synth(args) -> int:

@@ -1,4 +1,4 @@
-"""Pipeline configuration and its flat key=value file format.
+"""Pipeline and scenario configuration in the flat key=value file format.
 
 The shipped defaults enable the time-distance, predicted-IOU and
 predicted-center-distance constraints, the cutter at an overlap threshold of
@@ -6,6 +6,7 @@ predicted-center-distance constraints, the cutter at an overlap threshold of
 predicted-IOU ``t50``/``t0`` thresholds are written as IOU values (the familiar
 form); internally they become the distance ``1 - IOU`` so every constraint
 shares the same score machinery. ``tend`` values are always raw distances.
+Scenario files (``scene.*`` and ``corrupt.*`` keys) configure ``synth``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .mot_io import atomic_writer
 from .scoring import ConstraintKind, ScoreConfig
+from .synth import CorruptionConfig, ScenarioConfig
 
 
 @dataclass
@@ -143,4 +146,56 @@ def format_pipeline_config(cfg: PipelineConfig) -> str:
 
 
 def save_pipeline_config(cfg: PipelineConfig, path: str | Path) -> None:
-    Path(path).write_text(format_pipeline_config(cfg), encoding="utf-8")
+    with atomic_writer(path) as f:
+        f.write(format_pipeline_config(cfg))
+
+
+_SCENARIO_KEYS = {
+    "scene.num_objects": ("num_objects", int),
+    "scene.num_frames": ("num_frames", int),
+    "scene.fps": ("fps", float),
+    "scene.width": ("img_width", int),
+    "scene.height": ("img_height", int),
+    "scene.crossings": ("crossings", int),
+    "scene.turn_rate": ("turn_rate", float),
+    "scene.min_speed": ("min_speed", float),
+    "scene.max_speed": ("max_speed", float),
+    "scene.seed": ("seed", int),
+}
+
+_CORRUPTION_KEYS = {
+    "corrupt.fragment_prob": ("fragment_prob", float),
+    "corrupt.swap_prob": ("swap_prob", float),
+    "corrupt.dropout": ("dropout", float),
+    "corrupt.random_cuts": ("random_cuts_per_track", int),
+    "corrupt.crossing_iou": ("crossing_iou", float),
+    "corrupt.seed": ("seed", int),
+}
+
+
+def load_scenario(path: str | Path) -> tuple[ScenarioConfig, CorruptionConfig]:
+    """Read a scenario file into generation and corruption configs."""
+    values = read_kv(path)
+    scene_kwargs = {}
+    corrupt_kwargs = {}
+    gap_lo = gap_hi = 0
+    for key, value in values.items():
+        if key in _SCENARIO_KEYS:
+            name, cast = _SCENARIO_KEYS[key]
+            scene_kwargs[name] = cast(value)
+        elif key in _CORRUPTION_KEYS:
+            name, cast = _CORRUPTION_KEYS[key]
+            corrupt_kwargs[name] = cast(value)
+        elif key == "corrupt.gap_min":
+            gap_lo = int(value)
+        elif key == "corrupt.gap_max":
+            gap_hi = int(value)
+        else:
+            raise ValueError(f"{path}: unknown key {key!r}")
+    for required in ("num_objects", "num_frames"):
+        if required not in scene_kwargs:
+            raise ValueError(f"{path}: missing scene.{required}")
+    return (
+        ScenarioConfig(**scene_kwargs),
+        CorruptionConfig(gap_frames=(gap_lo, max(gap_lo, gap_hi)), **corrupt_kwargs),
+    )

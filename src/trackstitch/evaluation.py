@@ -91,13 +91,18 @@ def clear_frame_matchings(
     return out
 
 
-def mota(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float = 0.5) -> float:
-    """Multi-object tracking accuracy: 1 - (FP + FN + IDSW) / total_gt. At most 1."""
+def _clear_totals(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float) -> tuple[float, int, int, int]:
+    """MOTA with the FP, FN and IDSW totals it is computed from."""
     records = clear_frame_matchings(gt, pred, iou_threshold)
     fp = sum(r.false_positives for r in records)
     fn = sum(r.false_negatives for r in records)
     idsw = sum(r.id_switches for r in records)
-    return 1.0 - (fp + fn + idsw) / len(gt)
+    return 1.0 - (fp + fn + idsw) / len(gt), fp, fn, idsw
+
+
+def mota(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float = 0.5) -> float:
+    """Multi-object tracking accuracy: 1 - (FP + FN + IDSW) / total_gt. At most 1."""
+    return _clear_totals(gt, pred, iou_threshold)[0]
 
 
 def idf1(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float = 0.5) -> float:
@@ -146,12 +151,9 @@ def evaluate_sequence(
     pred: Sequence[Detection],
     iou_threshold: float = 0.5,
 ) -> SequenceScores:
-    records = clear_frame_matchings(gt, pred, iou_threshold)
-    fp = sum(r.false_positives for r in records)
-    fn = sum(r.false_negatives for r in records)
-    idsw = sum(r.id_switches for r in records)
+    mota_value, fp, fn, idsw = _clear_totals(gt, pred, iou_threshold)
     return SequenceScores(
-        mota=1.0 - (fp + fn + idsw) / len(gt),
+        mota=mota_value,
         idf1=idf1(gt, pred, iou_threshold),
         false_positives=fp,
         false_negatives=fn,

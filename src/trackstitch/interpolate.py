@@ -40,7 +40,3 @@ def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> list[Detect
         out.append(trajectory[-1])
     return out
 
-
-def fill_all_gaps(trajectories: Sequence[Sequence[Detection]], max_gap_size: int) -> list[list[Detection]]:
-    """Apply :func:`fill_gaps` to each trajectory independently."""
-    return [fill_gaps(t, max_gap_size) for t in trajectories]

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
-
-from . import tracklets as _tracklets
+from typing import Iterable, Iterator, TextIO
 
 
 class ParseError(ValueError):
@@ -105,18 +104,10 @@ def parse_tracks(stream: TextIO | str) -> list[Detection]:
         if len(fields) < 7:
             raise ParseError(f"line {lineno}: expected at least 7 fields, got {len(fields)}")
         try:
-            frame = _parse_int(fields[0])
-            track_id = _parse_int(fields[1])
-            x, y, w, h, conf = (float(f) for f in fields[2:7])
+            det = Detection(_parse_int(fields[0]), _parse_int(fields[1]), *map(float, fields[2:7]))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        if frame < 1:
-            raise ParseError(f"line {lineno}: frame must be >= 1, got {frame}")
-        if track_id < 1:
-            raise ParseError(f"line {lineno}: id must be >= 1, got {track_id}")
-        if w <= 0 or h <= 0:
-            raise ParseError(f"line {lineno}: box size must be positive, got w={w}, h={h}")
-        detections.append(Detection(frame, track_id, x, y, w, h, conf))
+        detections.append(det)
     return detections
 
 
@@ -150,36 +141,28 @@ def load_tracks(path: str | Path) -> list[Detection]:
         return parse_tracks(f)
 
 
-def save_tracks(detections: Iterable[Detection], path: str | Path) -> None:
-    """Save atomically: the file appears only once fully written."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(write_tracks(detections), encoding="utf-8")
-    tmp.replace(path)
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for text writing so that it appears only once fully written.
 
-
-def group_tracklets(
-    detections: Iterable[Detection],
-    endpoint_window: int = 6,
-    endpoint_min_len: int = 10,
-) -> list[_tracklets.Tracklet]:
-    """Partition detections by track id into frame-sorted tracklets.
-
-    A track id observed twice in the same frame is a data error. Endpoint
-    summaries are computed with the given averaging window (see
-    :func:`trackstitch.tracklets.build_endpoints`).
+    The block writes to a sibling ``.tmp`` file, which is renamed into place
+    when the block completes and removed when it raises.
     """
-    groups: dict[int, list[Detection]] = {}
-    for det in detections:
-        groups.setdefault(det.track_id, []).append(det)
-    out = []
-    for tid in sorted(groups):
-        dets = sorted(groups[tid], key=lambda d: d.frame)
-        for a, b in zip(dets, dets[1:]):
-            if a.frame == b.frame:
-                raise ValueError(f"({tid},{a.frame}) duplicated: track {tid} has two detections in frame {a.frame}")
-        out.append(_tracklets.make_tracklet(tid, dets, endpoint_window, endpoint_min_len))
-    return out
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_tracks(detections: Iterable[Detection], path: str | Path) -> None:
+    """Write detections to ``path`` via :func:`atomic_writer`."""
+    with atomic_writer(path) as f:
+        write_tracks(detections, f)
 
 
 _SEQINFO_KEYS = {"frameRate": "fps", "imWidth": "img_width", "imHeight": "img_height", "seqLength": "num_frames"}
@@ -226,4 +209,5 @@ def write_seqinfo(meta: SequenceMeta, path: str | Path, name: str = "synthetic")
         f"imWidth={meta.img_width}\n"
         f"imHeight={meta.img_height}\n"
     )
-    Path(path).write_text(text, encoding="utf-8")
+    with atomic_writer(path) as f:
+        f.write(text)

@@ -11,11 +11,11 @@ import time
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from .associator import build_domains, dump_candidates, solve, stitch
+from .associator import build_domains, dump_candidates, solve_with_stats, stitch
 from .config import PipelineConfig
 from .interpolate import fill_gaps
-from .mot_io import Detection, SequenceMeta, group_tracklets
-from .tracklets import cut_tracklets
+from .mot_io import Detection, SequenceMeta
+from .tracklets import cut_tracklets, group_tracklets
 
 
 @dataclass
@@ -69,7 +69,7 @@ def refine_detections(
     summary.tracklets_associated = len(tracklets)
 
     succ_vars = build_domains(tracklets, cfg.scores, meta)
-    assignment = solve(succ_vars)
+    assignment, _ = solve_with_stats(succ_vars)
     if candidate_dump is not None:
         dump_candidates(succ_vars, cfg.scores, candidate_dump)
     summary.links = sum(1 for cand in assignment.values() if cand is not None)

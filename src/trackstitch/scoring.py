@@ -19,7 +19,7 @@ resolutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Hashable, Mapping
 
@@ -115,13 +115,6 @@ def gaussian_score(c: float, params: ConstraintParams, lower: float = 1e-6, uppe
     return min(max(raw, lower), upper)
 
 
-def stop_score(kind: ConstraintKind, cfg: ScoreConfig) -> float:
-    """Score of the STOP candidate under one constraint: tend scored, never filtered."""
-    params = cfg.params[kind]
-    unfiltered = ConstraintParams(params.enabled, params.t50, params.tend, t0=None)
-    return gaussian_score(params.tend, unfiltered, cfg.lower, cfg.upper)
-
-
 def _angle_between(u: tuple[float, float], v: tuple[float, float]) -> float:
     # unsigned angle in [0, pi]; zero vectors carry no direction evidence
     if (u[0] == 0 and u[1] == 0) or (v[0] == 0 and v[1] == 0):
@@ -191,10 +184,13 @@ def score_pair(t: Tracklet, s: Tracklet, cfg: ScoreConfig, meta: SequenceMeta) -
 
 
 def score_stop(t: Tracklet, cfg: ScoreConfig) -> PairScores:
-    """Score the STOP candidate: every enabled constraint contributes its tend score."""
-    scores = {kind: stop_score(kind, cfg) for kind in cfg.enabled_kinds}
+    """Score the STOP candidate: every enabled constraint scores its ``tend``, never filtered by ``t0``."""
+    scores = {}
     product = 1.0
-    for value in scores.values():
+    for kind in cfg.enabled_kinds:
+        params = replace(cfg.params[kind], t0=None)
+        value = gaussian_score(params.tend, params, cfg.lower, cfg.upper)
+        scores[kind] = value
         product *= value
     return PairScores(t.id, None, scores, product)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mot_io import Detection, SequenceMeta
+from .mot_io import Detection, SequenceMeta, atomic_writer
 from .tracklets import iou
 
 
@@ -118,7 +118,8 @@ class CorruptionLog:
             lines.append(f"drop\t{d.source}\t{d.frame}\t\t\t")
         for f in self.fragments:
             lines.append(f"fragment\t{f.source}\t{f.first_frame}-{f.last_frame}\t\t{f.id}\t")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_writer(path) as stream:
+            stream.write("\n".join(lines) + "\n")
 
 
 def _feasible_start(extent: float, size: float, disp: np.ndarray) -> tuple[float, float]:

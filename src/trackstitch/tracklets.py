@@ -47,17 +47,13 @@ class Tracklet:
     def __len__(self) -> int:
         return len(self.detections)
 
-    @property
-    def first_frame(self) -> int:
-        return self.start.frame
-
-    @property
-    def last_frame(self) -> int:
-        return self.end.frame
-
 
 def iou(box_a: Box, box_b: Box) -> float:
-    """Intersection over union of two (x, y, w, h) boxes; 1 identical, 0 disjoint."""
+    """Intersection over union of two (x, y, w, h) boxes, in [0, 1]; 0 disjoint.
+
+    Rounding can push the raw ratio of two (near-)identical boxes a few ulps
+    past 1, which would make the distance ``1 - iou`` negative; it is clamped.
+    """
     ax, ay, aw, ah = box_a
     bx, by, bw, bh = box_b
     iw = min(ax + aw, bx + bw) - max(ax, bx)
@@ -65,11 +61,11 @@ def iou(box_a: Box, box_b: Box) -> float:
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
-    return inter / (aw * ah + bw * bh - inter)
+    return min(inter / (aw * ah + bw * bh - inter), 1.0)
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (N, 4) and (M, 4) arrays of (x, y, w, h) boxes."""
+    """Pairwise IoU between two (N, 4) and (M, 4) arrays of (x, y, w, h) boxes, clamped like :func:`iou`."""
     boxes_a = np.asarray(boxes_a, dtype=float).reshape(-1, 4)
     boxes_b = np.asarray(boxes_b, dtype=float).reshape(-1, 4)
     if boxes_a.size == 0 or boxes_b.size == 0:
@@ -83,7 +79,7 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
     areas = boxes_a[:, 2] * boxes_a[:, 3]
     areas_b = boxes_b[:, 2] * boxes_b[:, 3]
-    return inter / (areas[:, None] + areas_b - inter)
+    return np.minimum(inter / (areas[:, None] + areas_b - inter), 1.0)
 
 
 def _mean_box(dets: Sequence) -> Box:
@@ -146,6 +142,30 @@ def make_tracklet(tid: int, detections: Sequence, window: int = 6, min_len: int 
     return Tracklet(tid, tuple(detections), start, end)
 
 
+def group_tracklets(
+    detections: Iterable,
+    endpoint_window: int = 6,
+    endpoint_min_len: int = 10,
+) -> list[Tracklet]:
+    """Partition detections by track id into frame-sorted tracklets.
+
+    A track id observed twice in the same frame is a data error. Endpoint
+    summaries are computed with the given averaging window (see
+    :func:`build_endpoints`).
+    """
+    groups: dict[int, list] = {}
+    for det in detections:
+        groups.setdefault(det.track_id, []).append(det)
+    out = []
+    for tid in sorted(groups):
+        dets = sorted(groups[tid], key=lambda d: d.frame)
+        for a, b in zip(dets, dets[1:]):
+            if a.frame == b.frame:
+                raise ValueError(f"({tid},{a.frame}) duplicated: track {tid} has two detections in frame {a.frame}")
+        out.append(make_tracklet(tid, dets, endpoint_window, endpoint_min_len))
+    return out
+
+
 def cut_tracklets(
     tracklets: Iterable[Tracklet],
     cut_threshold: float,
@@ -190,7 +210,7 @@ def cut_tracklets(
     next_id = max((t.id for t in tracklets), default=0) + 1
     out = []
     for idx, t in enumerate(tracklets):
-        cuts = sorted(f for f in cut_frames.get(idx, ()) if f > t.first_frame)
+        cuts = sorted(f for f in cut_frames.get(idx, ()) if f > t.start.frame)
         if not cuts:
             out.append(t)
             continue

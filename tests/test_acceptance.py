@@ -15,18 +15,17 @@ from trackstitch.associator import (
     STOP,
     SuccessorVar,
     build_domains,
-    solve,
     solve_with_stats,
     validate_assignment,
 )
 from trackstitch.config import PipelineConfig
 from trackstitch.evaluation import idf1, mota
 from trackstitch.interpolate import fill_gaps
-from trackstitch.mot_io import Detection, SequenceMeta, group_tracklets, load_tracks
+from trackstitch.mot_io import Detection, SequenceMeta, load_tracks
 from trackstitch.pipeline import refine_detections
 from trackstitch.scoring import ConstraintKind, ConstraintParams, ScoreConfig, gaussian_score, marginals
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
-from trackstitch.tracklets import cut_tracklets, make_tracklet
+from trackstitch.tracklets import cut_tracklets, group_tracklets, make_tracklet
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
@@ -104,7 +103,7 @@ def test_hard_constraints():
     rng = np.random.default_rng(103)
     for _ in range(1000):
         tracklets = random_tracklets(rng, 50)
-        assignment = solve(build_domains(tracklets, ScoreConfig(), META))
+        assignment, _ = solve_with_stats(build_domains(tracklets, ScoreConfig(), META))
         assert len(assignment) == len(tracklets)  # complete
         validate_assignment(assignment, tracklets)  # Eq-style checks: alldifferent + temporal
         non_stop = [v for v in assignment.values() if v is not STOP]
@@ -203,7 +202,7 @@ def test_cutter_correctness():
     assert hot == [9, 10, 11]
 
     fragments = cut_tracklets(group_tracklets(a + b), 0.5)
-    spans = sorted((t.first_frame, t.last_frame) for t in fragments)
+    spans = sorted((t.start.frame, t.end.frame) for t in fragments)
     assert spans == [(1, 8), (1, 8), (9, 20), (9, 20)]  # one cut per tracklet, at frame 9
 
     key = lambda d: (d.frame, d.x, d.y, d.w, d.h, d.conf)

@@ -5,7 +5,6 @@ from trackstitch.associator import (
     STOP,
     SuccessorVar,
     build_domains,
-    solve,
     solve_with_stats,
     stitch,
     validate_assignment,
@@ -110,7 +109,7 @@ class TestBuildDomains:
 class TestSolve:
     def test_single_tracklet_stops(self):
         tls = [tracklet(1, 1, 10)]
-        assignment = solve(build_domains(tls, ScoreConfig(), META))
+        assignment, _ = solve_with_stats(build_domains(tls, ScoreConfig(), META))
         assert assignment == {1: STOP}
 
     def test_two_tracklets_within_tend_link(self):
@@ -119,7 +118,7 @@ class TestSolve:
         for kind in ConstraintKind:
             cfg.params[kind].enabled = kind is ConstraintKind.TIME_DISTANCE
         tls = [tracklet(1, 1, 10), tracklet(2, 12, 22)]
-        assignment = solve(build_domains(tls, cfg, META))
+        assignment, _ = solve_with_stats(build_domains(tls, cfg, META))
         assert assignment == {1: 2, 2: STOP}
 
     def test_two_tracklets_beyond_tend_stop(self):
@@ -127,7 +126,7 @@ class TestSolve:
         for kind in ConstraintKind:
             cfg.params[kind].enabled = kind is ConstraintKind.TIME_DISTANCE
         tls = [tracklet(1, 1, 10), tracklet(2, 16, 26)]  # td = 5 > tend = 3
-        assignment = solve(build_domains(tls, cfg, META))
+        assignment, _ = solve_with_stats(build_domains(tls, cfg, META))
         assert assignment == {1: STOP, 2: STOP}
 
     def test_alldifferent_steers_weaker_predecessor_to_stop(self):
@@ -135,7 +134,7 @@ class TestSolve:
         v1 = SuccessorVar(1, {3: 0.9 / 0.901, STOP: 0.001 / 0.901})
         v2 = SuccessorVar(2, {3: 0.2 / 0.201, STOP: 0.001 / 0.201})
         v3 = SuccessorVar(3, {STOP: 1.0})
-        assignment = solve([v1, v2, v3])
+        assignment, _ = solve_with_stats([v1, v2, v3])
         assert assignment == {1: 3, 2: STOP, 3: STOP}
 
     def test_engineered_backtrack_still_feasible(self):
@@ -152,7 +151,7 @@ class TestSolve:
         x = SuccessorVar(1, {10: 0.9})
         y = SuccessorVar(2, {10: 0.3})
         with pytest.raises(RuntimeError, match="no feasible"):
-            solve([x, y])
+            solve_with_stats([x, y])
 
     def test_matches_greedy_oracle_on_random_instances(self):
         rng = np.random.default_rng(21)
@@ -167,15 +166,15 @@ class TestSolve:
         rng = np.random.default_rng(22)
         for _ in range(100):
             tls = random_instance(rng, n_max=30)
-            assignment = solve(build_domains(tls, ScoreConfig(), META))
+            assignment, _ = solve_with_stats(build_domains(tls, ScoreConfig(), META))
             assert len(assignment) == len(tls)
             validate_assignment(assignment, tls)
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
         tls = random_instance(rng, n_max=20)
-        a = solve(build_domains(tls, ScoreConfig(), META))
-        b = solve(build_domains(tls, ScoreConfig(), META))
+        a, _ = solve_with_stats(build_domains(tls, ScoreConfig(), META))
+        b, _ = solve_with_stats(build_domains(tls, ScoreConfig(), META))
         assert a == b
 
 
@@ -183,14 +182,14 @@ class TestStitch:
     def test_chain_walk(self):
         tls = [tracklet(1, 1, 10), tracklet(2, 12, 20), tracklet(3, 1, 8, y0=50.0)]
         out = stitch({1: 2, 2: STOP, 3: STOP}, tls)
-        spans = sorted((t.first_frame, t.last_frame) for t in out)
+        spans = sorted((t.start.frame, t.end.frame) for t in out)
         assert spans == [(1, 8), (1, 20)]
         assert [t.id for t in out] == [1, 2]
 
     def test_all_stop_is_identity_modulo_ids(self):
         tls = [tracklet(1, 1, 10), tracklet(2, 12, 20)]
         out = stitch({1: STOP, 2: STOP}, tls)
-        assert [(t.first_frame, t.last_frame) for t in out] == [(1, 10), (12, 20)]
+        assert [(t.start.frame, t.end.frame) for t in out] == [(1, 10), (12, 20)]
 
     def test_four_chain_has_monotone_frames(self):
         tls = [tracklet(i, 10 * i, 10 * i + 8) for i in range(1, 5)]

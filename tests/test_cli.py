@@ -144,3 +144,20 @@ def test_unknown_scenario_key(tmp_path, capsys):
     code = main(["synth", str(scenario), "--out-dir", str(tmp_path / "o")])
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_refine_duplicate_frame_id_leaves_no_dump(tmp_path, capsys):
+    bad = tmp_path / "dup.txt"
+    bad.write_text("1,1,0,0,10,10,1,-1,-1,-1\n1,1,5,5,10,10,1,-1,-1,-1\n")
+    out = tmp_path / "out.txt"
+    dump = tmp_path / "candidates.tsv"
+    code = main(
+        [
+            "refine", str(bad), str(out),
+            "--fps", "30", "--width", "100", "--height", "100",
+            "--dump-candidates", str(dump),
+        ]
+    )
+    assert code == 1
+    assert "duplicated" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.txt"]

@@ -7,7 +7,6 @@ from trackstitch.mot_io import (
     Detection,
     ParseError,
     SequenceMeta,
-    group_tracklets,
     parse_tracks,
     read_seqinfo,
     write_tracks,
@@ -80,29 +79,6 @@ def test_round_trip_random_detections():
     back = parse_tracks(write_tracks(dets))
     key = lambda d: (d.frame, d.track_id, d.x, d.y, d.w, d.h, d.conf)
     assert sorted(map(key, back)) == sorted(map(key, dets))
-
-
-def test_group_partitions_by_id():
-    dets = [
-        Detection(1, 1, 0, 0, 5, 5, 1),
-        Detection(2, 1, 0, 0, 5, 5, 1),
-        Detection(1, 2, 20, 20, 5, 5, 1),
-    ]
-    tls = group_tracklets(dets)
-    assert sorted((t.id, len(t)) for t in tls) == [(1, 2), (2, 1)]
-    assert sum(len(t) for t in tls) == len(dets)
-
-
-def test_group_sorts_frames():
-    dets = [Detection(f, 7, 0, 0, 5, 5, 1) for f in (3, 5, 4)]
-    (t,) = group_tracklets(dets)
-    assert [d.frame for d in t.detections] == [3, 4, 5]
-
-
-def test_group_rejects_duplicate_frame():
-    dets = [Detection(3, 7, 0, 0, 5, 5, 1), Detection(3, 7, 1, 1, 5, 5, 1)]
-    with pytest.raises(ValueError, match=r"\(7,3\) duplicated"):
-        group_tracklets(dets)
 
 
 def test_detection_invariants():

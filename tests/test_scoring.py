@@ -13,7 +13,6 @@ from trackstitch.scoring import (
     pair_distance,
     predicted_box,
     score_stop,
-    stop_score,
 )
 from trackstitch.tracklets import make_tracklet
 
@@ -67,33 +66,37 @@ class TestGaussianScore:
             gaussian_score(-0.1, ConstraintParams(True, 1.0, 3.0))
 
 
+def stop_scores(cfg):
+    return score_stop(tracklet(1, [1]), cfg).scores
+
+
 class TestStopScore:
     def test_table_defaults(self):
         # td: exp(-ln2 * (3/1)^2) = 2^-9
-        assert stop_score(ConstraintKind.TIME_DISTANCE, ScoreConfig()) == pytest.approx(2**-9, abs=1e-15)
+        assert stop_scores(ScoreConfig())[ConstraintKind.TIME_DISTANCE] == pytest.approx(2**-9, abs=1e-15)
 
     def test_tend_at_t50_gives_half(self):
         cfg = ScoreConfig()
         cfg.params[ConstraintKind.TIME_DISTANCE].tend = cfg.params[ConstraintKind.TIME_DISTANCE].t50
-        assert stop_score(ConstraintKind.TIME_DISTANCE, cfg) == pytest.approx(0.5, abs=1e-12)
+        assert stop_scores(cfg)[ConstraintKind.TIME_DISTANCE] == pytest.approx(0.5, abs=1e-12)
 
     def test_huge_tend_clamps_to_lower(self):
         cfg = ScoreConfig()
         cfg.params[ConstraintKind.TIME_DISTANCE].tend = 1e6
-        assert stop_score(ConstraintKind.TIME_DISTANCE, cfg) == cfg.lower
+        assert stop_scores(cfg)[ConstraintKind.TIME_DISTANCE] == cfg.lower
 
     def test_stop_ignores_t0(self):
         cfg = ScoreConfig()
         p = cfg.params[ConstraintKind.TIME_DISTANCE]
         p.t0 = 2.0
         p.tend = 3.0  # beyond t0, but STOP is never filtered
-        assert stop_score(ConstraintKind.TIME_DISTANCE, cfg) == pytest.approx(2**-9, abs=1e-15)
+        assert stop_scores(cfg)[ConstraintKind.TIME_DISTANCE] == pytest.approx(2**-9, abs=1e-15)
 
     def test_predicted_constraints_clamp_at_table_tend(self):
         # piou_end = pcd_end = 2 are raw distances far past t50: score bottoms out at L
         cfg = ScoreConfig()
-        assert stop_score(ConstraintKind.PREDICTED_IOU, cfg) == cfg.lower
-        assert stop_score(ConstraintKind.PREDICTED_CENTER_DISTANCE, cfg) == cfg.lower
+        assert stop_scores(cfg)[ConstraintKind.PREDICTED_IOU] == cfg.lower
+        assert stop_scores(cfg)[ConstraintKind.PREDICTED_CENTER_DISTANCE] == cfg.lower
 
     def test_score_stop_multiplies_enabled_constraints(self):
         cfg = ScoreConfig()  # td, piou, pcd enabled
@@ -156,6 +159,12 @@ class TestPairDistance:
         s2 = tracklet(2, [5, 6], x0=20.0, vx=5.0)
         assert pair_distance(ConstraintKind.PREDICTED_IOU, t2, s2, META) == 0.0
         assert pair_distance(ConstraintKind.PREDICTED_CENTER_DISTANCE, t2, s2, META) == 0.0
+
+    def test_piou_distance_of_identical_float_boxes_is_zero(self):
+        # the raw IoU of this box with itself rounds a few ulps above 1
+        t = tracklet(1, [1], x0=10.1, y0=20.3, w=30.7, h=40.9)
+        s = tracklet(2, [3], x0=10.1, y0=20.3, w=30.7, h=40.9)
+        assert pair_distance(ConstraintKind.PREDICTED_IOU, t, s, META) == 0.0
 
     def test_piou_distance_in_unit_range(self):
         rng = np.random.default_rng(13)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from trackstitch.mot_io import Detection, group_tracklets
-from trackstitch.tracklets import build_endpoints, cut_tracklets, iou, iou_matrix, make_tracklet
+from trackstitch.mot_io import Detection
+from trackstitch.tracklets import build_endpoints, cut_tracklets, group_tracklets, iou, iou_matrix, make_tracklet
 
 
 def boxes_track(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
@@ -28,6 +28,15 @@ class TestIou:
             assert iou(a, b) == pytest.approx(iou(b, a), abs=0)
             assert 0.0 <= iou(a, b) <= 1.0
 
+    def test_identical_float_boxes_never_exceed_one(self):
+        # unclamped, rounding puts the IoU of each of these boxes with itself above 1
+        for box in [(10.1, 20.3, 30.7, 40.9), (617.3, 201.9, 41.7, 88.3)]:
+            assert iou(box, box) == 1.0
+            assert iou_matrix([box], [box])[0, 0] == 1.0
+        boxes = np.random.default_rng(5).uniform(0.5, 60, size=(500, 4))
+        assert max(iou(tuple(b), tuple(b)) for b in boxes) <= 1.0
+        assert iou_matrix(boxes, boxes).max() <= 1.0
+
     def test_matrix_agrees_with_scalar(self):
         rng = np.random.default_rng(4)
         A = rng.uniform(0.5, 40, size=(6, 4))
@@ -36,6 +45,29 @@ class TestIou:
         for i in range(6):
             for j in range(5):
                 assert m[i, j] == pytest.approx(iou(tuple(A[i]), tuple(B[j])), abs=1e-12)
+
+
+def test_group_partitions_by_id():
+    dets = [
+        Detection(1, 1, 0, 0, 5, 5, 1),
+        Detection(2, 1, 0, 0, 5, 5, 1),
+        Detection(1, 2, 20, 20, 5, 5, 1),
+    ]
+    tls = group_tracklets(dets)
+    assert sorted((t.id, len(t)) for t in tls) == [(1, 2), (2, 1)]
+    assert sum(len(t) for t in tls) == len(dets)
+
+
+def test_group_sorts_frames():
+    dets = [Detection(f, 7, 0, 0, 5, 5, 1) for f in (3, 5, 4)]
+    (t,) = group_tracklets(dets)
+    assert [d.frame for d in t.detections] == [3, 4, 5]
+
+
+def test_group_rejects_duplicate_frame():
+    dets = [Detection(3, 7, 0, 0, 5, 5, 1), Detection(3, 7, 1, 1, 5, 5, 1)]
+    with pytest.raises(ValueError, match=r"\(7,3\) duplicated"):
+        group_tracklets(dets)
 
 
 class TestEndpoints:
@@ -98,19 +130,19 @@ class TestCutter:
             boxes_track(1, range(1, 21)) + boxes_track(2, range(1, 21), y0=100.0)
         )
         out = cut_tracklets(tls, 0.5)
-        assert sorted((t.first_frame, t.last_frame) for t in out) == [(1, 20), (1, 20)]
+        assert sorted((t.start.frame, t.end.frame) for t in out) == [(1, 20), (1, 20)]
 
     def test_single_frame_coincidence_cuts_both(self):
         a = boxes_track(1, range(1, 21), x0=0.0)
         b = boxes_track(2, range(1, 21), y0=100.0)
         b[9] = Detection(10, 2, 0.0, 0.0, 10.0, 10.0, 1.0)  # coincide at frame 10 only
         out = cut_tracklets(group_tracklets(a + b), 0.5)
-        assert sorted((t.first_frame, t.last_frame) for t in out) == [(1, 9), (1, 9), (10, 20), (10, 20)]
+        assert sorted((t.start.frame, t.end.frame) for t in out) == [(1, 9), (1, 9), (10, 20), (10, 20)]
 
     def test_sustained_overlap_cuts_once_on_rising_edge(self):
         out = cut_tracklets(self.crossing_tracklets(), 0.5)
         # overlap >= 0.5 during frames 9-11; one cut per tracklet at frame 9
-        assert sorted((t.first_frame, t.last_frame) for t in out) == [(1, 8), (1, 8), (9, 20), (9, 20)]
+        assert sorted((t.start.frame, t.end.frame) for t in out) == [(1, 8), (1, 8), (9, 20), (9, 20)]
 
     def test_preserves_detection_multiset(self):
         tls = self.crossing_tracklets()
