@@ -6,18 +6,22 @@ that start strictly after i ends, plus a per-variable STOP sentinel meaning
 solution: successors are pairwise distinct (STOP excepted, each variable owns
 its own), and a successor must start after its predecessor ends.
 
-The search is depth-first, always binding the unbound (variable, value) pair
+The search is one loop that always binds the unbound (variable, value) pair
 with the highest marginal. Binding a non-STOP value removes it from the other
-domains (forward checking) and the affected marginals are renormalized over
-the surviving candidates. A wiped-out domain backtracks and forbids the pair
-that caused it. STOP can never be removed, so domains built here always admit
-a solution and the search in practice never backtracks; the machinery exists
-for hand-built instances.
+unbound domains (forward checking), and the affected marginals are
+renormalized over the surviving candidates. Every removal goes onto one trail,
+and every bound pair onto a stack of choices that records where the trail
+stood before its removals. When an unbound domain is wiped out, the search
+backtracks: it pops the latest choice, undoes the trail back to that mark,
+unbinds the pair and forbids it with one more removal on the trail. A wipe-out
+with no choice left to retract means the instance has no solution. Forward
+checking never removes STOP, so domains built here always admit a solution and
+the search in practice never backtracks; the machinery exists for hand-built
+instances.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
@@ -47,6 +51,13 @@ class SuccessorVar:
 
 @dataclass
 class SolveStats:
+    """Search effort of one solve.
+
+    ``nodes`` is the root plus one per (variable, value) pair bound, retracted
+    pairs included. ``backtracks`` is the number of pairs retracted after a
+    wipe-out and then forbidden.
+    """
+
     nodes: int = 0
     backtracks: int = 0
 
@@ -91,10 +102,9 @@ class _VarState:
     survivor is its attached value divided by the survivors' total.
     """
 
-    __slots__ = ("vid", "order", "attached", "removed", "total", "shrunk", "best_idx")
+    __slots__ = ("order", "attached", "removed", "total", "shrunk", "best_idx")
 
     def __init__(self, var: SuccessorVar):
-        self.vid = var.tracklet_id
         self.attached = dict(var.marginals)
         self.order = sorted(
             self.attached,
@@ -127,13 +137,12 @@ class _VarState:
             self.best_idx += 1
 
     @staticmethod
-    def undo(trail: list) -> None:
-        for state, cand, total, shrunk, best_idx in reversed(trail):
+    def undo(trail: list, mark: int) -> None:
+        """Undo the removals recorded after position ``mark``, latest first."""
+        while len(trail) > mark:
+            state, cand, total, shrunk, best_idx = trail.pop()
             state.removed.discard(cand)
-            state.total = total
-            state.shrunk = shrunk
-            state.best_idx = best_idx
-        trail.clear()
+            state.total, state.shrunk, state.best_idx = total, shrunk, best_idx
 
 
 def solve_with_stats(succ_vars: Sequence[SuccessorVar]) -> tuple[dict, SolveStats]:
@@ -150,9 +159,10 @@ def solve_with_stats(succ_vars: Sequence[SuccessorVar]) -> tuple[dict, SolveStat
         states[var.tracklet_id] = _VarState(var)
 
     assignment: dict = {}
-    stats = SolveStats()
-
-    def select():
+    stats = SolveStats(nodes=1)
+    trail: list = []  # removals, in the order they were made
+    choices: list = []  # (vid, cand, trail length before its removals) per bound pair
+    while len(assignment) < len(states):
         # highest marginal among unbound variables; ties to the smaller
         # variable id (within a variable the order array already breaks ties)
         best = None
@@ -160,48 +170,29 @@ def solve_with_stats(succ_vars: Sequence[SuccessorVar]) -> tuple[dict, SolveStat
             if vid in assignment:
                 continue
             if st.empty():
-                return "wipeout"
+                best = None
+                break
             m = st.best_marginal()
             if best is None or m > best[0] or (m == best[0] and vid < best[1]):
                 best = (m, vid, st.best())
-        return best
-
-    def search() -> bool:
-        stats.nodes += 1
-        local_trail: list = []
-        while True:
-            sel = select()
-            if sel is None:
-                return True
-            if sel == "wipeout":
-                _VarState.undo(local_trail)
-                return False
-            _, vid, cand = sel
-            assignment[vid] = cand
-            child_trail: list = []
-            wiped = False
-            if cand is not STOP:
-                for wid, wst in states.items():
-                    if wid in assignment or cand in wst.removed or cand not in wst.attached:
-                        continue
-                    wst.remove(cand, child_trail)
-                    if wst.empty():
-                        wiped = True
-            if not wiped and search():
-                return True
-            stats.backtracks += 1
-            _VarState.undo(child_trail)
+        if best is None:
+            # an unbound domain is empty: retract the latest choice and forbid it
+            if not choices:
+                raise RuntimeError("no feasible assignment; domains without STOP are not solvable")
+            vid, cand, mark = choices.pop()
+            _VarState.undo(trail, mark)
             del assignment[vid]
-            states[vid].remove(cand, local_trail)  # forbid the failed pair at this node
-
-    depth = len(states) + 50
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * depth))
-    try:
-        if not search():
-            raise RuntimeError("no feasible assignment; domains without STOP are not solvable")
-    finally:
-        sys.setrecursionlimit(old_limit)
+            states[vid].remove(cand, trail)
+            stats.backtracks += 1
+            continue
+        _, vid, cand = best
+        choices.append((vid, cand, len(trail)))
+        assignment[vid] = cand
+        stats.nodes += 1
+        if cand is not STOP:
+            for wid, wst in states.items():
+                if wid not in assignment and cand in wst.attached and cand not in wst.removed:
+                    wst.remove(cand, trail)
     return assignment, stats
 
 

@@ -40,7 +40,7 @@ def _by_frame(dets: Iterable[Detection]) -> dict[int, dict[int, Detection]]:
     return frames
 
 
-def _boxes(dets: Sequence[Detection]) -> np.ndarray:
+def _boxes(dets: Iterable[Detection]) -> np.ndarray:
     return np.array([[d.x, d.y, d.w, d.h] for d in dets], dtype=float).reshape(-1, 4)
 
 
@@ -60,21 +60,22 @@ def clear_frame_matchings(
     for frame in sorted(set(gt_frames) | set(pred_frames)):
         g = gt_frames.get(frame, {})
         p = pred_frames.get(frame, {})
+        g_row = {gid: r for r, gid in enumerate(g)}
+        p_col = {pid: c for c, pid in enumerate(p)}
+        m = iou_matrix(_boxes(g.values()), _boxes(p.values()))
         matches: dict[int, int] = {}
         # keep last frame's pairs while they still overlap
         for gid, pid in prev.items():
-            if gid in g and pid in p:
-                m = iou_matrix(_boxes([g[gid]]), _boxes([p[pid]]))[0, 0]
-                if m >= iou_threshold:
-                    matches[gid] = pid
+            if gid in g and pid in p and m[g_row[gid], p_col[pid]] >= iou_threshold:
+                matches[gid] = pid
         rest_g = [gid for gid in g if gid not in matches]
         used = set(matches.values())
         rest_p = [pid for pid in p if pid not in used]
         if rest_g and rest_p:
-            m = iou_matrix(_boxes([g[i] for i in rest_g]), _boxes([p[j] for j in rest_p]))
-            rows, cols = linear_sum_assignment(-m)
+            rest = m[np.ix_([g_row[i] for i in rest_g], [p_col[j] for j in rest_p])]
+            rows, cols = linear_sum_assignment(-rest)
             for r, c in zip(rows, cols):
-                if m[r, c] >= iou_threshold:
+                if rest[r, c] >= iou_threshold:
                     matches[rest_g[r]] = rest_p[c]
         switches = sum(1 for gid, pid in matches.items() if last_match.get(gid, pid) != pid)
         last_match.update(matches)
@@ -122,12 +123,11 @@ def idf1(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: floa
         p = pred_frames.get(frame)
         if not p:
             continue
-        g_list, p_list = list(g.values()), list(p.values())
-        m = iou_matrix(_boxes(g_list), _boxes(p_list))
-        for a, gd in enumerate(g_list):
-            for b, pd in enumerate(p_list):
-                if m[a, b] >= iou_threshold:
-                    overlap[g_index[gd.track_id], p_index[pd.track_id]] += 1
+        m = iou_matrix(_boxes(g.values()), _boxes(p.values()))
+        hit_g, hit_p = np.nonzero(m >= iou_threshold)
+        g_rows = np.array([g_index[gid] for gid in g])
+        p_cols = np.array([p_index[pid] for pid in p])
+        np.add.at(overlap, (g_rows[hit_g], p_cols[hit_p]), 1)
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
     return 2.0 * idtp / (len(gt) + len(pred))

@@ -196,11 +196,9 @@ def cut_tracklets(
             continue
         boxes = np.array([[d.x, d.y, d.w, d.h] for _, d in entries])
         matrix = iou_matrix(boxes, boxes)
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                ti, tj = entries[i][0], entries[j][0]
-                if ti == tj or matrix[i, j] < cut_threshold:
-                    continue
+        for i, j in zip(*np.nonzero(np.triu(matrix >= cut_threshold, 1))):
+            ti, tj = entries[i][0], entries[j][0]
+            if ti != tj:
                 pair = (min(ti, tj), max(ti, tj))
                 if last_overlap.get(pair) != frame - 1:  # rising edge only
                     cut_frames.setdefault(ti, set()).add(frame)

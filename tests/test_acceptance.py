@@ -287,3 +287,28 @@ def test_determinism(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert load_tracks(outs[0])  # non-trivial output
     ok("determinism: synth and refine outputs byte-identical across reruns")
+
+
+def test_crossing_and_swap():
+    """30 objects, 600 frames, 10 crossings, swaps, fragments, dropout: refine completes intact."""
+    from collections import Counter
+
+    cfg = PipelineConfig()
+    key = lambda d: (d.frame, d.x, d.y, d.w, d.h, d.conf)
+    for seed in (1, 2):  # both raised "distance must be nonnegative" before IoU was clamped
+        gt, meta = generate(ScenarioConfig(num_objects=30, num_frames=600, crossings=10, seed=seed))
+        corrupted, log = corrupt(gt, CorruptionConfig(swap_prob=0.5, fragment_prob=0.5, dropout=0.02, seed=seed))
+        assert log.swaps and log.fragments and log.drops
+        refined, summary = refine_detections(corrupted, meta, cfg)
+
+        tracklets = cut_tracklets(
+            group_tracklets(corrupted, cfg.endpoint_window, cfg.endpoint_min_len),
+            cfg.cut_threshold, cfg.endpoint_window, cfg.endpoint_min_len,
+        )
+        assignment, _ = solve_with_stats(build_domains(tracklets, cfg.scores, meta))
+        assert sorted(assignment) == sorted(t.id for t in tracklets)
+        validate_assignment(assignment, tracklets)
+
+        assert Counter(map(key, corrupted)) <= Counter(map(key, refined))
+        assert len(refined) == len(corrupted) + summary.detections_interpolated
+    ok("crossing and swap: seeds 1 and 2 refine without error, constraints hold, detections kept")

@@ -211,3 +211,108 @@ class TestStitch:
         out = stitch({5: 9, 9: STOP}, tls)
         assert out[0].id == 1
         assert {d.track_id for d in out[0].detections} == {1}
+
+
+def copying_search(succ_vars):
+    """Reference depth-first search that copies the domains at every node.
+
+    It binds the pair with the highest marginal (ties to the smaller variable
+    id, then the within-variable order, STOP last), removes a bound non-STOP
+    value from the other unbound domains, and on a wiped-out domain retracts
+    the latest pair and forbids it. Returns the assignment, or None when there
+    is none, and the number of retracted pairs.
+    """
+    backtracks = 0
+
+    def search(domains, shrunk, assignment):
+        nonlocal backtracks
+        domains = {vid: dict(dom) for vid, dom in domains.items()}
+        shrunk = dict(shrunk)
+        while True:
+            unbound = [vid for vid in domains if vid not in assignment]
+            if any(not domains[vid] for vid in unbound):
+                return None
+            if not unbound:
+                return assignment
+            best = None
+            for vid in unbound:
+                total = sum(domains[vid].values()) if shrunk[vid] else 1.0
+                for cand, weight in domains[vid].items():
+                    key = (-(weight / total), vid, cand is STOP, cand if cand is not STOP else 0)
+                    if best is None or key < best[0]:
+                        best = (key, vid, cand)
+            _, vid, cand = best
+            child = {wid: dict(dom) for wid, dom in domains.items()}
+            child_shrunk = dict(shrunk)
+            if cand is not STOP:
+                for wid in unbound:
+                    if wid != vid and cand in child[wid]:
+                        del child[wid][cand]
+                        child_shrunk[wid] = True
+            found = search(child, child_shrunk, {**assignment, vid: cand})
+            if found is not None:
+                return found
+            backtracks += 1
+            del domains[vid][cand]
+            shrunk[vid] = True
+
+    domains = {v.tracklet_id: dict(v.marginals) for v in succ_vars}
+    return search(domains, dict.fromkeys(domains, False), {}), backtracks
+
+
+def hand_built_instance(rng):
+    # marginals are multiples of 1/64, so every total the solver keeps is exact;
+    # candidates share a small pool, and about half the domains lack STOP
+    n = int(rng.integers(2, 7))
+    pool = np.arange(100, 101 + n)
+    succ_vars = []
+    for vid in range(1, n + 1):
+        cands = rng.choice(pool, size=int(rng.integers(1, 4)), replace=False)
+        dom = {int(c): int(rng.integers(1, 65)) / 64 for c in cands}
+        if rng.random() < 0.5:
+            dom[STOP] = int(rng.integers(1, 65)) / 64
+        succ_vars.append(SuccessorVar(vid, dom))
+    return succ_vars
+
+
+class TestSearch:
+    def test_backtracking_matches_copying_reference(self):
+        rng = np.random.default_rng(31)
+        multi_backtrack = infeasible = 0
+        for _ in range(2000):
+            succ_vars = hand_built_instance(rng)
+            expected, backtracks = copying_search(succ_vars)
+            if expected is None:
+                infeasible += 1
+                with pytest.raises(RuntimeError, match="no feasible"):
+                    solve_with_stats(succ_vars)
+                continue
+            got, stats = solve_with_stats(succ_vars)
+            assert got == expected
+            assert stats.backtracks == backtracks
+            multi_backtrack += backtracks > 1
+        assert multi_backtrack >= 50 and infeasible >= 50
+
+    def test_leaves_no_global_state(self, monkeypatch):
+        # a chain of 3000 variables, solved under a recursion limit of 100
+        # that the solver may neither need nor change
+        import sys
+
+        n = 3000
+        succ_vars = [SuccessorVar(i, {i + 1: 0.75, STOP: 0.25}) for i in range(1, n)]
+        succ_vars.append(SuccessorVar(n, {STOP: 1.0}))
+        set_limit = sys.setrecursionlimit
+        old_limit = sys.getrecursionlimit()
+
+        def refuse(limit):
+            raise AssertionError(f"solver changed the recursion limit to {limit}")
+
+        set_limit(100)
+        try:
+            monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+            assignment, stats = solve_with_stats(succ_vars)
+            assert sys.getrecursionlimit() == 100
+        finally:
+            set_limit(old_limit)
+        assert assignment == {**{i: i + 1 for i in range(1, n)}, n: STOP}
+        assert (stats.nodes, stats.backtracks) == (n + 1, 0)
