@@ -22,7 +22,7 @@ instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .mot_io import SequenceMeta
@@ -219,7 +219,8 @@ def stitch(
     """Concatenate successor chains into trajectories with fresh ids.
 
     Chains are walked from every tracklet that is nobody's successor; each
-    chain's detections get one fresh trajectory id, numbered from 1.
+    chain's detections get one fresh trajectory id, numbered from 1 in the
+    order of the returned list.
     """
     by_id = {t.id: t for t in tracklets}
     claimed = {cand for cand in assignment.values() if cand is not STOP}
@@ -238,7 +239,7 @@ def stitch(
                 raise ValueError(f"assignment contains a cycle through tracklet {cur}")
             visited.add(cur)
             chain.append(by_id[cur])
-        dets = [replace(d, track_id=next_id) for t in chain for d in t.detections]
+        dets = [d.relabeled(next_id) for t in chain for d in t.detections]
         trajectories.append(make_tracklet(next_id, dets, endpoint_window, endpoint_min_len))
         consumed += len(chain)
         next_id += 1

@@ -5,17 +5,19 @@ A track file is plain text, one detection per line:
     frame,id,x,y,w,h,conf,x3d,y3d,z3d
 
 (x, y) is the top-left corner in pixels, (w, h) the box size. Fields past
-``conf`` are ignored on input and written as ``-1``. Sequence metadata comes
-from a seqinfo-style ``key=value`` file (``frameRate``, ``imWidth``,
-``imHeight``, ``seqLength``).
+``conf`` are ignored on input and written as ``-1``; non-finite values are
+rejected. Sequence metadata comes from a seqinfo-style ``key=value`` file
+(``frameRate``, ``imWidth``, ``imHeight``, ``seqLength``).
 """
 
 from __future__ import annotations
 
 import io
-import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from math import isfinite, sqrt
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -24,7 +26,7 @@ class ParseError(ValueError):
     """A track or seqinfo file could not be parsed; message carries the line number."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One bounding-box observation at one frame, with an identity label."""
 
@@ -43,6 +45,16 @@ class Detection:
             raise ValueError(f"track_id must be >= 1, got {self.track_id}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box size must be positive, got w={self.w}, h={self.h}")
+        if not (
+            isfinite(self.x) and isfinite(self.y) and isfinite(self.w) and isfinite(self.h) and isfinite(self.conf)
+        ):
+            raise ValueError(
+                f"box and conf must be finite, got x={self.x}, y={self.y}, w={self.w}, h={self.h}, conf={self.conf}"
+            )
+
+    def relabeled(self, track_id: int) -> Detection:
+        """The same observation under another identity label."""
+        return Detection(self.frame, track_id, self.x, self.y, self.w, self.h, self.conf)
 
     @property
     def box(self) -> tuple[float, float, float, float]:
@@ -73,7 +85,7 @@ class SequenceMeta:
     @property
     def diagonal(self) -> float:
         """Image diagonal in pixels."""
-        return math.sqrt(self.img_width**2 + self.img_height**2)
+        return sqrt(self.img_width**2 + self.img_height**2)
 
 
 def _parse_int(text: str) -> int:
@@ -86,51 +98,65 @@ def _parse_int(text: str) -> int:
         return int(value)
 
 
+def _parse_fields(line: str, lineno: int) -> Detection:
+    """Parse one line from its stripped fields; raises the line's ParseError."""
+    fields = [f.strip() for f in line.split(",")]
+    try:
+        return Detection(_parse_int(fields[0]), _parse_int(fields[1]), *map(float, fields[2:7]))
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def parse_tracks(stream: TextIO | str) -> list[Detection]:
     """Parse a MOTChallenge track file into detections, in file order.
 
     Accepts an open text stream or the file content as a string. Raises
-    :class:`ParseError` naming the offending line on malformed input or on a
-    non-positive box size.
+    :class:`ParseError` naming the offending line on malformed input, on a
+    non-positive box size or on a non-finite value.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     detections = []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = raw.split(",")
         if len(fields) < 7:
+            if not raw.strip():
+                continue
             raise ParseError(f"line {lineno}: expected at least 7 fields, got {len(fields)}")
+        # int and float ignore surrounding whitespace themselves; ids such as
+        # "3.0" and every error go through the stripped fields
         try:
-            det = Detection(_parse_int(fields[0]), _parse_int(fields[1]), *map(float, fields[2:7]))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+            det = Detection(
+                int(fields[0]), int(fields[1]),
+                float(fields[2]), float(fields[3]), float(fields[4]), float(fields[5]), float(fields[6]),
+            )
+        except ValueError:
+            det = _parse_fields(raw, lineno)
         detections.append(det)
     return detections
 
 
-def _fmt(value: float) -> str:
-    # integral values print without a decimal point; repr round-trips the rest
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
+# A float's repr ends in ".0" exactly when it is integral and below 1e16 in
+# magnitude (repr switches to exponent notation there), and every value field
+# is followed by a comma. The format drops that ".0" below 1e15 only, so the
+# substitution skips a ".0" after 16 digits; "-0.0" prints as "0", so its sign
+# goes first.
+_POINT_ZERO = re.compile(r"\.0,(?<!\d{16}\.0,)")
 
 
 def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) -> str:
     """Write detections in MOTChallenge format, sorted by (frame, id).
 
-    Returns the text; also writes it to ``stream`` when given.
+    Integral values print without a decimal point below 1e15 in magnitude;
+    every other value prints as its shortest round-trip repr. Returns the
+    text; also writes it to ``stream`` when given.
     ``parse_tracks(write_tracks(D))`` reproduces D up to ordering.
     """
-    lines = []
-    for d in sorted(detections, key=lambda d: (d.frame, d.track_id)):
-        lines.append(
-            f"{d.frame},{d.track_id},{_fmt(d.x)},{_fmt(d.y)},"
-            f"{_fmt(d.w)},{_fmt(d.h)},{_fmt(d.conf)},-1,-1,-1"
-        )
-    text = "\n".join(lines) + ("\n" if lines else "")
+    text = "".join([
+        f"{d.frame},{d.track_id},{d.x!r},{d.y!r},{d.w!r},{d.h!r},{d.conf!r},-1,-1,-1\n"
+        for d in sorted(detections, key=attrgetter("frame", "track_id"))
+    ])
+    text = _POINT_ZERO.sub(",", text.replace("-0.0,", "0.0,"))
     if stream is not None:
         stream.write(text)
     return text
@@ -198,6 +224,13 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
         img_height=int(values["img_height"]),
         num_frames=int(values["num_frames"]),
     )
+
+
+def _fmt(value: float) -> str:
+    # the rule write_tracks applies to a whole file at once
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
 
 
 def write_seqinfo(meta: SequenceMeta, path: str | Path, name: str = "synthetic") -> None:

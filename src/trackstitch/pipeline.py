@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence, TextIO
 
 from .associator import build_domains, dump_candidates, solve_with_stats, stitch
@@ -78,12 +79,14 @@ def refine_detections(
 
     out: list[Detection] = []
     for traj in trajectories:
-        dets = list(traj.detections)
         if cfg.interp_enabled:
-            filled = fill_gaps(dets, cfg.max_gap_size)
-            summary.detections_interpolated += len(filled) - len(dets)
-            dets = filled
-        out.extend(dets)
-    out.sort(key=lambda d: (d.frame, d.track_id))
+            filled = fill_gaps(traj.detections, cfg.max_gap_size)
+            summary.detections_interpolated += len(filled) - len(traj)
+            out.extend(filled)
+        else:
+            out.extend(traj.detections)
+    # stitch numbers trajectories in list order and keeps each frame-sorted,
+    # so a stable sort by frame orders the whole output by (frame, id)
+    out.sort(key=attrgetter("frame"))
     summary.wall_time_s = time.perf_counter() - started
     return out, summary

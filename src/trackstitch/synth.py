@@ -10,7 +10,8 @@ while logging every event so tests can check that the pipeline undoes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -270,7 +271,7 @@ def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[list[Detect
     log = CorruptionLog()
 
     containers: dict[int, list[Detection]] = {}
-    for det in sorted(gt, key=lambda d: (d.track_id, d.frame)):
+    for det in sorted(gt, key=attrgetter("track_id", "frame")):
         containers.setdefault(det.track_id, []).append(det)
 
     events = find_crossings(containers, cfg.crossing_iou)
@@ -349,7 +350,7 @@ def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[list[Detect
             if piece is None:
                 piece_ids.append(None)
                 continue
-            relabeled = [replace(d, track_id=next_id) for d in piece]
+            relabeled = [d.relabeled(next_id) for d in piece]
             out.extend(relabeled)
             log.fragments.append(FragmentRecord(next_id, cid, relabeled[0].frame, relabeled[-1].frame))
             piece_ids.append(next_id)
@@ -361,5 +362,5 @@ def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[list[Detect
             if left is not None and right is not None:
                 log.cuts.append(CutRecord(cid, boundary[0], boundary[1], left, right))
 
-    out.sort(key=lambda d: (d.frame, d.track_id))
+    out.sort(key=attrgetter("frame", "track_id"))
     return out, log

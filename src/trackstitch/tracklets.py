@@ -9,7 +9,8 @@ inside each end instead of using the end box itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -158,7 +159,7 @@ def group_tracklets(
         groups.setdefault(det.track_id, []).append(det)
     out = []
     for tid in sorted(groups):
-        dets = sorted(groups[tid], key=lambda d: d.frame)
+        dets = sorted(groups[tid], key=attrgetter("frame"))
         for a, b in zip(dets, dets[1:]):
             if a.frame == b.frame:
                 raise ValueError(f"({tid},{a.frame}) duplicated: track {tid} has two detections in frame {a.frame}")
@@ -221,7 +222,7 @@ def cut_tracklets(
                 bound = next(bounds, None)
             pieces[-1].append(det)
         for piece in pieces:
-            dets = [replace(d, track_id=next_id) for d in piece]
+            dets = [d.relabeled(next_id) for d in piece]
             out.append(make_tracklet(next_id, dets, window, min_len))
             next_id += 1
     return out

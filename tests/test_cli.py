@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from trackstitch.cli import main
 from trackstitch.mot_io import load_tracks
 
@@ -104,6 +106,19 @@ def test_refine_parse_error_no_partial_output(tmp_path, capsys):
     assert code == 1
     assert "line 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["61,3,inf,20,30,40,1,-1,-1,-1", "61,3,10,20,nan,40,1,-1,-1,-1", "61,3,10,20,30,40,-inf"])
+def test_refine_non_finite_value_is_a_line_error(tmp_path, capsys, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1,1,0,0,10,10,1,-1,-1,-1\n2,1,1,0,10,10,1,-1,-1,-1\n" + line + "\n")
+    out = tmp_path / "out.txt"
+    code = main(["refine", str(bad), str(out), "--fps", "30", "--width", "100", "--height", "100"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
 
 
 def test_eval_gt_against_itself(tmp_path, capsys):

@@ -1,7 +1,13 @@
+import copy
+import dataclasses
 import io
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackstitch.mot_io import (
     Detection,
@@ -42,6 +48,106 @@ def test_parse_ignores_trailing_fields_and_blank_lines():
     dets = parse_tracks("1,2,10,20,30,40,0.5,7,8,9,extra\n\n2,2,11,21,30,40,0.5,-1,-1,-1\n")
     assert [d.frame for d in dets] == [1, 2]
     assert dets[0].conf == 0.5
+
+
+PARSE_ERRORS = [
+    ("short line", "1,2,3\n", "line 1: expected at least 7 fields, got 3"),
+    ("fractional frame", "3.5,2,10,20,30,40,1\n", "line 1: not an integer: '3.5'"),
+    ("word id", "1,one,10,20,30,40,1\n", "line 1: could not convert string to float: 'one'"),
+    ("garbage float", "1,2,10,2o,30,40,1\n", "line 1: could not convert string to float: '2o'"),
+    ("empty float", "1,2,10,20,30,40,\n", "line 1: could not convert string to float: ''"),
+    ("zero width", "1,2,10,20,0,40,1\n", "line 1: box size must be positive, got w=0.0, h=40.0"),
+    ("zero id", "1,0,10,20,30,40,1\n", "line 1: track_id must be >= 1, got 0"),
+    ("padded frame", " 3.5 ,2,10,20,30,40,1\n", "line 1: not an integer: '3.5'"),
+    ("padded float", "1, 2 , 10 , x y ,30,40,1\n", "line 1: could not convert string to float: 'x y'"),
+    ("padded height", "1,2,10,20,30, -4 ,1\n", "line 1: box size must be positive, got w=30.0, h=-4.0"),
+    ("padded commas", " , , \n", "line 1: expected at least 7 fields, got 3"),
+    (
+        "after blank and CRLF lines",
+        "1,2,10,20,30,40,1,-1\r\n \t \r\n\n1,2,3,4\r\n",
+        "line 4: expected at least 7 fields, got 4",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", [c[1:] for c in PARSE_ERRORS], ids=[c[0] for c in PARSE_ERRORS])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_tracks(text)
+    assert str(info.value) == message
+
+
+def test_parse_accepts_padding_blank_lines_and_crlf():
+    text = " 1 , 2 ,10, 20 ,30,40 , 0.5 \r\n   \r\n\t\n2,3.0,1e1,20,30,40,1,-1,-1,-1\r\n"
+    assert parse_tracks(text) == [Detection(1, 2, 10, 20, 30, 40, 0.5), Detection(2, 3, 10, 20, 30, 40, 1)]
+
+
+@pytest.mark.parametrize("column", range(2, 7))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_values(column, value):
+    fields = "4,5,10,20,30,40,1,-1,-1,-1".split(",")
+    fields[column] = value
+    text = "1,1,10,20,30,40,1,-1,-1,-1\n2,1,10,20,30,40,1,-1,-1,-1\n" + ",".join(fields) + "\n"
+    with pytest.raises(ParseError, match=r"^line 3: "):
+        parse_tracks(text)
+
+
+def test_detection_contract():
+    d = Detection(3, 7, 1.5, -2.0, 10.25, 20.0, 0.75)
+    same = Detection(3, 7, 1.5, -2.0, 10.25, 20.0, 0.75)
+    assert d == same and hash(d) == hash(same)
+    assert d != Detection(3, 8, 1.5, -2.0, 10.25, 20.0, 0.75)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.x = 0.0
+    for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert clone == d and hash(clone) == hash(d)
+    moved = d.relabeled(12)
+    assert moved.track_id == 12
+    assert dataclasses.replace(moved, track_id=d.track_id) == d
+    with pytest.raises(ValueError):
+        d.relabeled(0)
+
+
+def _fmt(value):
+    # the track writer's number format: integral values below 1e15 without a
+    # decimal point, everything else as repr
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
+def test_write_matches_number_format():
+    rng = np.random.default_rng(7)
+    mags = 10.0 ** rng.uniform(-20, 20, size=(2000, 5))
+    values = mags * rng.choice([-1.0, 1.0], size=mags.shape)
+    values[::3] = np.round(values[::3])  # integral values at every magnitude
+    edges = [-0.0, 0.0, 1e15 - 1, 1e15, -1e15, 5e15, -5e15, 1e16, float(2**53), 1e-5, 9999999999999998.0, 0.5]
+    rows = [[float(v) for v in row] for row in values]
+    rows += [[e, -e, abs(e) or 1.0, abs(e) or 2.0, e] for e in edges]
+    rows += [[3, -4, 5, 6, 1], [0, 0, 2**53, 10**16, -1]]  # int fields
+    dets = []
+    for k, (x, y, w, h, conf) in enumerate(rows):
+        # positive, nonzero sizes: the magnitude survives, only the sign changes
+        w, h = abs(w) or 1.0, abs(h) or 1.0
+        dets.append(Detection(k + 1, 1 + k % 3, x, y, w, h, conf))
+    expected = "".join(
+        f"{d.frame},{d.track_id},{_fmt(d.x)},{_fmt(d.y)},{_fmt(d.w)},{_fmt(d.h)},{_fmt(d.conf)},-1,-1,-1\n"
+        for d in dets
+    )
+    assert write_tracks(dets) == expected
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+detections = st.builds(
+    Detection, st.integers(1, 10**6), st.integers(1, 10**6), finite, finite, positive, positive, finite
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(detections, max_size=30))
+def test_write_parse_round_trip(dets):
+    assert Counter(parse_tracks(write_tracks(dets))) == Counter(dets)
 
 
 def test_write_single_detection():
@@ -86,6 +192,13 @@ def test_detection_invariants():
         Detection(0, 1, 0, 0, 5, 5, 1)
     with pytest.raises(ValueError):
         Detection(1, 1, 0, 0, -5, 5, 1)
+
+
+@pytest.mark.parametrize("field", ["x", "y", "w", "h", "conf"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_detection_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(Detection(1, 1, 0, 0, 5, 5, 1), **{field: value})
 
 
 def test_sequence_meta_diagonal():

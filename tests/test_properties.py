@@ -4,7 +4,8 @@ Scenarios come from ``generate`` + ``corrupt`` with crossings, identity swaps,
 fragmentation and dropout, run with the cutter on and off. Whatever the
 scenario, refining must not raise, the association must satisfy its hard
 constraints, every input detection must come out exactly once (plus the
-interpolated ones), and a rerun must give byte-identical output.
+interpolated ones) in (frame, id) order, and a rerun must give byte-identical
+output.
 """
 
 from collections import Counter
@@ -63,6 +64,7 @@ def test_refine_invariants(seq, cutter):
     detections, meta = seq
     cfg = PipelineConfig(cutter_enabled=cutter)
     refined, summary = refine_detections(detections, meta, cfg)
+    assert refined == sorted(refined, key=lambda d: (d.frame, d.track_id))
 
     tracklets = group_tracklets(detections, cfg.endpoint_window, cfg.endpoint_min_len)
     if cutter:
