@@ -22,11 +22,13 @@ instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
+import numpy as np
+
 from .mot_io import SequenceMeta
-from .scoring import ScoreConfig, marginals, score_pair, score_stop
+from .scoring import ConstraintKind, EndpointArrays, PairScores, ScoreConfig, marginals, score_columns, stop_scores
 from .tracklets import Tracklet, make_tracklet
 
 # STOP sentinel: None in domains and assignments means "trajectory ends here".
@@ -36,17 +38,51 @@ Candidate = int | None
 Assignment = dict[int, Candidate]
 
 
+@dataclass(frozen=True, eq=False)
+class _ScoreColumns:
+    """The scores of every admissible pair of one :func:`build_domains` call.
+
+    Edges are grouped by predecessor; each variable holds the slice of its own.
+    """
+
+    kinds: tuple[ConstraintKind, ...]
+    successors: np.ndarray  # successor id per edge
+    scores: np.ndarray  # (len(kinds), edges), one row per constraint
+    products: np.ndarray
+    stop_scores: dict  # STOP scores the same for every predecessor
+    stop_product: float
+
+    def pair_scores(self, predecessor: int, edges: slice) -> dict:
+        table = {}
+        for cand, scores, product in zip(
+            self.successors[edges].tolist(), self.scores[:, edges].T.tolist(), self.products[edges].tolist()
+        ):
+            table[cand] = PairScores(predecessor, cand, dict(zip(self.kinds, scores)), product)
+        table[STOP] = PairScores(predecessor, STOP, dict(self.stop_scores), self.stop_product)
+        return table
+
+
 @dataclass
 class SuccessorVar:
     """One tracklet's successor domain with marginals (and scores, for dumps)."""
 
     tracklet_id: int
     marginals: dict  # candidate -> marginal; insertion order = domain order
-    pair_scores: dict | None = None  # candidate -> PairScores, incl. filtered ones
+    columns: _ScoreColumns | None = field(default=None, repr=False, compare=False)
+    edges: slice | None = field(default=None, repr=False, compare=False)  # this variable's columns
 
     @property
     def domain(self) -> tuple:
         return tuple(self.marginals)
+
+    @property
+    def pair_scores(self) -> dict | None:
+        """Candidate -> PairScores, hard-filtered candidates and STOP included.
+
+        Built from the score columns on each read; None for a variable not
+        made by :func:`build_domains`.
+        """
+        return None if self.columns is None else self.columns.pair_scores(self.tracklet_id, self.edges)
 
 
 @dataclass
@@ -69,6 +105,7 @@ def build_domains(
 ) -> list[SuccessorVar]:
     """Score every temporally admissible pair and attach normalized marginals.
 
+    All pairs are scored in one columnar pass (:func:`score_columns`).
     Candidates hard-filtered to a zero product (t0 active) are dropped from
     the domain but kept in ``pair_scores`` for inspection. STOP is always in
     the domain.
@@ -80,15 +117,20 @@ def build_domains(
         if t.id in seen:
             raise ValueError(f"duplicate tracklet id {t.id}")
         seen.add(t.id)
+    kinds = tuple(cfg.enabled_kinds)
+    ends = EndpointArrays.of(ordered)
+    # row-major order: predecessors by id, each one's successors by id
+    pred, succ = np.nonzero(ends.end_frame[:, None] < ends.start_frame[None, :])
+    scores, products = score_columns(ends, pred, succ, cfg, meta, kinds)
+    columns = _ScoreColumns(kinds, ends.ids[succ], scores, products, *stop_scores(cfg, kinds))
+    bounds = np.searchsorted(pred, np.arange(len(ordered) + 1)).tolist()
+    successors, edge_products = columns.successors.tolist(), products.tolist()
     out = []
-    for t in ordered:
-        table: dict = {}
-        for s in ordered:
-            if t.end.frame < s.start.frame:
-                table[s.id] = score_pair(t, s, cfg, meta)
-        table[STOP] = score_stop(t, cfg)
-        products = {cand: ps.product for cand, ps in table.items()}
-        out.append(SuccessorVar(t.id, marginals(products), table))
+    for row, t in enumerate(ordered):
+        lo, hi = bounds[row], bounds[row + 1]
+        table = dict(zip(successors[lo:hi], edge_products[lo:hi]))
+        table[STOP] = columns.stop_product
+        out.append(SuccessorVar(t.id, marginals(table), columns, slice(lo, hi)))
     return out
 
 

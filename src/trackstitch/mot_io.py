@@ -148,12 +148,14 @@ def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) 
     """Write detections in MOTChallenge format, sorted by (frame, id).
 
     Integral values print without a decimal point below 1e15 in magnitude;
-    every other value prints as its shortest round-trip repr. Returns the
+    every other value prints as its shortest round-trip repr. Fields are
+    formatted with ``format(v, "")``, which equals ``repr(v)`` for Python
+    numbers and prints numpy scalars as plain numbers. Returns the
     text; also writes it to ``stream`` when given.
     ``parse_tracks(write_tracks(D))`` reproduces D up to ordering.
     """
     text = "".join([
-        f"{d.frame},{d.track_id},{d.x!r},{d.y!r},{d.w!r},{d.h!r},{d.conf!r},-1,-1,-1\n"
+        f"{d.frame},{d.track_id},{d.x},{d.y},{d.w},{d.h},{d.conf},-1,-1,-1\n"
         for d in sorted(detections, key=attrgetter("frame", "track_id"))
     ])
     text = _POINT_ZERO.sub(",", text.replace("-0.0,", "0.0,"))

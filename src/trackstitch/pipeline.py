@@ -24,6 +24,9 @@ class RefineSummary:
     tracklets_in: int = 0
     cuts_made: int = 0
     tracklets_associated: int = 0
+    candidate_edges: int = 0  # temporally admissible (tracklet, later tracklet) pairs scored
+    solver_nodes: int = 0
+    solver_backtracks: int = 0
     links: int = 0
     trajectories_out: int = 0
     detections_in: int = 0
@@ -35,6 +38,9 @@ class RefineSummary:
             f"tracklets in: {self.tracklets_in}\n"
             f"cuts made: {self.cuts_made}\n"
             f"tracklets associated: {self.tracklets_associated}\n"
+            f"candidate edges: {self.candidate_edges}\n"
+            f"solver nodes: {self.solver_nodes}\n"
+            f"solver backtracks: {self.solver_backtracks}\n"
             f"links formed: {self.links}\n"
             f"trajectories out: {self.trajectories_out}\n"
             f"detections in: {self.detections_in}\n"
@@ -70,7 +76,9 @@ def refine_detections(
     summary.tracklets_associated = len(tracklets)
 
     succ_vars = build_domains(tracklets, cfg.scores, meta)
-    assignment, _ = solve_with_stats(succ_vars)
+    summary.candidate_edges = sum(var.edges.stop - var.edges.start for var in succ_vars)
+    assignment, stats = solve_with_stats(succ_vars)
+    summary.solver_nodes, summary.solver_backtracks = stats.nodes, stats.backtracks
     if candidate_dump is not None:
         dump_candidates(succ_vars, cfg.scores, candidate_dump)
     summary.links = sum(1 for cand in assignment.values() if cand is not None)

@@ -65,22 +65,26 @@ def iou(box_a: Box, box_b: Box) -> float:
     return min(inter / (aw * ah + bw * bh - inter), 1.0)
 
 
+def iou_pairs(boxes_a, boxes_b) -> np.ndarray:
+    """Element-wise IoU of two box stacks ``(x, y, w, h)`` of broadcastable arrays, clamped like :func:`iou`.
+
+    Each stack holds one array per box column (a ``(4, ...)`` array or a
+    4-tuple). Equals :func:`iou` bit for bit on every pair of boxes with
+    positive sizes.
+    """
+    ax, ay, aw, ah = boxes_a
+    bx, by, bw, bh = boxes_b
+    iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    return np.minimum(inter / (aw * ah + bw * bh - inter), 1.0)
+
+
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (N, 4) and (M, 4) arrays of (x, y, w, h) boxes, clamped like :func:`iou`."""
     boxes_a = np.asarray(boxes_a, dtype=float).reshape(-1, 4)
     boxes_b = np.asarray(boxes_b, dtype=float).reshape(-1, 4)
-    if boxes_a.size == 0 or boxes_b.size == 0:
-        return np.zeros((boxes_a.shape[0], boxes_b.shape[0]))
-    ax1, ay1 = boxes_a[:, 0], boxes_a[:, 1]
-    ax2, ay2 = ax1 + boxes_a[:, 2], ay1 + boxes_a[:, 3]
-    bx1, by1 = boxes_b[:, 0], boxes_b[:, 1]
-    bx2, by2 = bx1 + boxes_b[:, 2], by1 + boxes_b[:, 3]
-    iw = np.minimum(ax2[:, None], bx2) - np.maximum(ax1[:, None], bx1)
-    ih = np.minimum(ay2[:, None], by2) - np.maximum(ay1[:, None], by1)
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    areas = boxes_a[:, 2] * boxes_a[:, 3]
-    areas_b = boxes_b[:, 2] * boxes_b[:, 3]
-    return np.minimum(inter / (areas[:, None] + areas_b - inter), 1.0)
+    return iou_pairs(boxes_a.T[:, :, None], boxes_b.T[:, None, :])
 
 
 def _mean_box(dets: Sequence) -> Box:

@@ -1,3 +1,6 @@
+import io
+import math
+
 import numpy as np
 import pytest
 
@@ -5,13 +8,23 @@ from trackstitch.associator import (
     STOP,
     SuccessorVar,
     build_domains,
+    dump_candidates,
     solve_with_stats,
     stitch,
     validate_assignment,
 )
 from trackstitch.mot_io import Detection, SequenceMeta
-from trackstitch.scoring import ConstraintKind, ScoreConfig
-from trackstitch.tracklets import make_tracklet
+from trackstitch.scoring import (
+    ConstraintKind,
+    PairScores,
+    ScoreConfig,
+    gaussian_score,
+    marginals,
+    predicted_box,
+    score_pair,
+    score_stop,
+)
+from trackstitch.tracklets import iou, make_tracklet
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
@@ -316,3 +329,168 @@ class TestSearch:
             set_limit(old_limit)
         assert assignment == {**{i: i + 1 for i in range(1, n)}, n: STOP}
         assert (stats.nodes, stats.backtracks) == (n + 1, 0)
+
+
+def scalar_distance(kind, t, s, meta):
+    """Each constraint's distance written pair by pair on plain floats, as the scoring model defines it."""
+    gap = s.start.frame - t.end.frame
+    if kind is ConstraintKind.TIME_DISTANCE:
+        return gap * (30.0 / meta.fps)
+    u, v = t.end.velocity, s.start.velocity
+    if kind is ConstraintKind.ANGLE_DIFFERENCE:
+        if (u[0] == 0 and u[1] == 0) or (v[0] == 0 and v[1] == 0):
+            return 0.0
+        return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), u[0] * v[0] + u[1] * v[1])
+    if kind is ConstraintKind.SPEED_NORM_DIFFERENCE:
+        return abs(math.hypot(*v) - math.hypot(*u)) * (meta.fps / 30.0) / meta.diagonal
+    x, y, w, h = t.end.box
+    px, py = x + u[0] * gap, y + u[1] * gap
+    if kind is ConstraintKind.PREDICTED_IOU:
+        return 1.0 - iou((px, py, w, h), s.start.box)
+    sx, sy = s.start.center
+    return math.hypot(px + w / 2.0 - sx, py + h / 2.0 - sy) / meta.diagonal
+
+
+def scalar_domains(tracklets, cfg, meta):
+    """build_domains pair by pair: (id, marginals, candidate -> PairScores) per predecessor."""
+    ordered = sorted(tracklets, key=lambda t: t.id)
+    out = []
+    for t in ordered:
+        table = {s.id: score_pair(t, s, cfg, meta) for s in ordered if t.end.frame < s.start.frame}
+        table[STOP] = score_stop(t, cfg)
+        out.append((t.id, marginals({cand: ps.product for cand, ps in table.items()}), table))
+    return out
+
+
+def scalar_dump(reference, kinds):
+    """The candidate TSV of ``dump_candidates``, written from the scalar reference."""
+    rows = [["predecessor", "candidate"] + [k.value for k in kinds] + ["product", "marginal"]]
+    for tid, marg, table in reference:
+        for cand, ps in table.items():
+            rows.append(
+                [str(tid), "STOP" if cand is STOP else str(cand)]
+                + [repr(ps.scores[k]) for k in kinds]
+                + [repr(ps.product), repr(marg.get(cand, 0.0))]
+            )
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+T50_RANGES = {
+    ConstraintKind.TIME_DISTANCE: (0.5, 4.0),
+    ConstraintKind.ANGLE_DIFFERENCE: (0.1, 1.0),
+    ConstraintKind.SPEED_NORM_DIFFERENCE: (0.001, 0.02),
+    ConstraintKind.PREDICTED_IOU: (0.05, 0.6),
+    ConstraintKind.PREDICTED_CENTER_DISTANCE: (0.005, 0.05),
+}
+
+
+def random_score_config(rng):
+    # every constraint on, t0 on about 40 % of them, lower down to 1e-12
+    cfg = ScoreConfig(lower=float(rng.choice([1e-12, 1e-6, 0.01, 0.3])), upper=float(rng.choice([1 - 1e-6, 0.9])))
+    for kind, (lo, hi) in T50_RANGES.items():
+        p = cfg.params[kind]
+        p.enabled = True
+        p.t50 = float(rng.uniform(lo, hi))
+        p.t0 = float(p.t50 * rng.uniform(1.1, 3.0)) if rng.random() < 0.4 else None
+    return cfg
+
+
+def random_tracklet_set(rng, n):
+    """Tracklets with single detections, standing and moving objects, frame gaps and resumed paths."""
+    out = []
+    for tid in rng.permutation(np.arange(1, n + 1)).tolist():
+        length = int(rng.choice([1, 1, 2, 3, 6, 12]))
+        offsets = np.concatenate([[0], np.cumsum(rng.integers(1, 3, size=length - 1))]).tolist()
+        first = int(rng.integers(1, 80))
+        vx, vy = (0.0, 0.0) if rng.random() < 0.3 else rng.uniform(-4, 4, size=2).tolist()
+        if out and rng.random() < 0.4:
+            # resume a tracklet's predicted path: small predicted-box distances
+            prev = out[int(rng.integers(len(out)))]
+            first = prev.end.frame + int(rng.integers(1, 5))
+            x0, y0 = predicted_box(prev, first)[:2]
+            w, h = prev.end.box[2:]
+        else:
+            x0, y0 = rng.uniform(0, 300, size=2).tolist()
+            w, h = rng.uniform(10, 60, size=2).tolist()
+        dets = [Detection(first + k, tid, x0 + vx * k, y0 + vy * k, w, h, 1.0) for k in offsets]
+        out.append(make_tracklet(tid, dets))
+    return out
+
+
+class TestColumnarScoring:
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(41)
+        seen = {"filtered": 0, "clamped": 0, "live": 0}
+        for case in range(120):
+            cfg = random_score_config(rng)
+            meta = SequenceMeta(fps=[15, 30, 50][case % 3], img_width=640, img_height=480, num_frames=200)
+            tls = random_tracklet_set(rng, int(rng.integers(0, 25)))
+            reference = scalar_domains(tls, cfg, meta)
+            got = build_domains(tls, cfg, meta)
+            assert [v.tracklet_id for v in got] == [tid for tid, _, _ in reference]
+            by_id = {t.id: t for t in tls}
+            for var, (tid, marg, table) in zip(got, reference):
+                assert list(var.marginals.items()) == list(marg.items())
+                got_table = var.pair_scores
+                assert list(got_table) == list(table)
+                for cand, ps in table.items():
+                    assert (got_table[cand].predecessor, got_table[cand].successor) == (tid, cand)
+                    assert list(got_table[cand].scores.items()) == list(ps.scores.items())
+                    assert got_table[cand].product == ps.product
+                    if cand is STOP:
+                        continue
+                    for kind, value in ps.scores.items():
+                        c = scalar_distance(kind, by_id[tid], by_id[cand], meta)
+                        assert value == gaussian_score(c, cfg.params[kind], cfg.lower, cfg.upper)
+                        key = "filtered" if value == 0.0 else "clamped" if value == cfg.lower else "live"
+                        seen[key] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_empty_input(self):
+        assert build_domains([], ScoreConfig(), META) == []
+
+    def test_dump_matches_scalar_reference(self):
+        cfg = ScoreConfig()
+        cfg.params[ConstraintKind.TIME_DISTANCE].t0 = 10.0
+        # 3 resumes 1 thirty frames later: past t0, so its row is filtered
+        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20, x0=11.0), tracklet(3, 40, 50, x0=39.0), tracklet(4, 15, 15)]
+        stream = io.StringIO()
+        succ_vars = build_domains(tls, cfg, META)
+        dump_candidates(succ_vars, cfg, stream)
+        text = stream.getvalue()
+        assert text == scalar_dump(scalar_domains(tls, cfg, META), cfg.enabled_kinds)
+        rows = [line.split("\t") for line in text.splitlines()[1:]]
+        assert ["1", "3"] in [row[:2] for row in rows if row[-1] == "0.0" and row[-2] == "0.0"]
+        assert sum(row[1] == "STOP" for row in rows) == len(tls)
+
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            cfg = random_score_config(rng)
+            tls = random_tracklet_set(rng, int(rng.integers(1, 15)))
+            stream = io.StringIO()
+            dump_candidates(build_domains(tls, cfg, META), cfg, stream)
+            assert stream.getvalue() == scalar_dump(scalar_domains(tls, cfg, META), cfg.enabled_kinds)
+
+    def test_pair_scores_count_every_admissible_pair(self):
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            tls = random_tracklet_set(rng, int(rng.integers(1, 20)))
+            for var in build_domains(tls, ScoreConfig(), META):
+                t = next(t for t in tls if t.id == var.tracklet_id)
+                assert len(var.pair_scores) - 1 == sum(t.end.frame < s.start.frame for s in tls)
+
+    def test_pair_scores_built_only_when_read(self, monkeypatch):
+        built = []
+        init = PairScores.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PairScores, "__init__", counting_init)
+        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20), tracklet(3, 25, 30)]
+        succ_vars = build_domains(tls, ScoreConfig(), META)
+        assert built == []
+        table = succ_vars[0].pair_scores
+        assert list(table) == [2, 3, STOP]
+        assert len(built) == 3

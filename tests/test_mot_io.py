@@ -150,6 +150,17 @@ def test_write_parse_round_trip(dets):
     assert Counter(parse_tracks(write_tracks(dets))) == Counter(dets)
 
 
+def test_write_numpy_scalars_as_plain_numbers():
+    # every value is exactly representable, so each parses back to float(v)
+    det = Detection(
+        np.int64(3), np.int64(7), np.float64(1.5), np.float32(-2.25), np.int64(40), np.float32(8.0), np.float64(0.5)
+    )
+    text = write_tracks([det])
+    assert text == "3,7,1.5,-2.25,40,8,0.5,-1,-1,-1\n"
+    (back,) = parse_tracks(text)
+    assert back == Detection(3, 7, 1.5, -2.25, 40.0, 8.0, 0.5)
+
+
 def test_write_single_detection():
     assert write_tracks([Detection(1, 2, 10, 20, 30, 40, 1)]) == "1,2,10,20,30,40,1,-1,-1,-1\n"
 

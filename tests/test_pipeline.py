@@ -1,8 +1,9 @@
 from trackstitch.config import PipelineConfig
-from trackstitch.mot_io import SequenceMeta
+from trackstitch.mot_io import Detection, SequenceMeta
 from trackstitch.pipeline import refine_detections
 from trackstitch.scoring import ConstraintKind
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
+from trackstitch.tracklets import cut_tracklets, group_tracklets
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=200)
 
@@ -97,3 +98,36 @@ def test_candidate_dump_is_tsv(tmp_path):
     assert header[:2] == ["predecessor", "candidate"]
     assert header[-2:] == ["product", "marginal"]
     assert any(line.split("\t")[1] == "STOP" for line in lines[1:])
+
+
+def test_summary_reports_candidate_edges_and_solver_effort():
+    # tracklets 1: frames 1-5, 2: 7-9, 3: 8-12; admissible pairs (1, 2) and (1, 3)
+    spans = ((1, range(1, 6)), (2, range(7, 10)), (3, range(8, 13)))
+    dets = [Detection(f, tid, 10.0 * tid, 0.0, 10.0, 10.0, 1.0) for tid, frames in spans for f in frames]
+    cfg = PipelineConfig()
+    cfg.cutter_enabled = False
+    _, summary = refine_detections(dets, META, cfg)
+    assert summary.candidate_edges == 2
+    assert summary.solver_nodes == 1 + 3  # the root plus one bind per tracklet
+    assert summary.solver_backtracks == 0
+    text = summary.format()
+    assert "candidate edges: 2\n" in text
+    assert "solver nodes: 4\n" in text
+    assert "solver backtracks: 0\n" in text
+
+
+def test_summary_counts_match_the_tracklets_refined():
+    gt, corrupted, log, meta = fragmented_sequence()
+    cfg = PipelineConfig()
+    _, summary = refine_detections(corrupted, meta, cfg)
+    tracklets = cut_tracklets(
+        group_tracklets(corrupted, cfg.endpoint_window, cfg.endpoint_min_len),
+        cfg.cut_threshold,
+        cfg.endpoint_window,
+        cfg.endpoint_min_len,
+    )
+    assert summary.tracklets_associated == len(tracklets)
+    assert summary.candidate_edges == sum(t.end.frame < s.start.frame for t in tracklets for s in tracklets)
+    assert summary.candidate_edges > 0
+    assert summary.solver_nodes == 1 + len(tracklets)
+    assert summary.solver_backtracks == 0

@@ -9,6 +9,7 @@ from trackstitch.scoring import (
     ConstraintParams,
     ScoreConfig,
     gaussian_score,
+    gaussian_scores,
     marginals,
     pair_distance,
     predicted_box,
@@ -64,6 +65,41 @@ class TestGaussianScore:
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
             gaussian_score(-0.1, ConstraintParams(True, 1.0, 3.0))
+
+
+def plain_score(c, p, lower, upper):
+    """The bounded Gaussian with no shortcut: the reference for the clamp masks."""
+    if p.t0 is not None and c >= p.t0:
+        return 0.0
+    return min(max(math.exp(-math.log(2.0) * (c / p.t50) ** 2), lower), upper)
+
+
+class TestGaussianScores:
+    def test_matches_plain_formula_around_the_clamp_and_t0(self):
+        # distances packed around the ratio where the Gaussian meets L, and around t0
+        rng = np.random.default_rng(15)
+        for lower in (1e-300, 1e-12, 1e-6, 0.01, 0.3, 0.49):
+            for t0 in (None, 2.0, 7.0):
+                p = ConstraintParams(True, 0.7, 3.0, t0=t0)
+                edge = p.t50 * math.sqrt(-math.log2(lower))
+                c = np.concatenate([
+                    edge * (1 + rng.uniform(-0.05, 0.05, size=2000)),
+                    edge * np.nextafter(1.0, [0.0, 2.0]),
+                    rng.uniform(0, 3 * edge, size=500),
+                    [0.0, p.t50, t0 or 1.0, np.nextafter(t0 or 1.0, 0.0), 1e100],
+                ])
+                expected = [plain_score(v, p, lower, 0.9) for v in c.tolist()]
+                assert [gaussian_score(v, p, lower, 0.9) for v in c.tolist()] == expected
+                assert gaussian_scores(c, p, lower, 0.9).tolist() == expected
+
+    def test_clamps_where_the_square_would_overflow(self):
+        p = ConstraintParams(True, 1.0, 3.0)
+        assert gaussian_score(1e200, p, 1e-6) == 1e-6
+        assert gaussian_scores(np.array([1e200]), p, 1e-6).tolist() == [1e-6]
+
+    def test_rejects_negative_distance(self):
+        with pytest.raises(ValueError):
+            gaussian_scores(np.array([0.5, -0.1]), ConstraintParams(True, 1.0, 3.0))
 
 
 def stop_scores(cfg):
