@@ -34,6 +34,7 @@ from .evaluation import (
 from .interpolate import fill_gaps
 from .mot_io import (
     Detection,
+    DetectionTable,
     ParseError,
     SequenceMeta,
     load_tracks,
@@ -101,6 +102,7 @@ __all__ = [
     "report_row",
     "fill_gaps",
     "Detection",
+    "DetectionTable",
     "ParseError",
     "SequenceMeta",
     "load_tracks",

@@ -27,9 +27,9 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .mot_io import SequenceMeta
+from .mot_io import DetectionTable, SequenceMeta
 from .scoring import ConstraintKind, EndpointArrays, PairScores, ScoreConfig, marginals, score_columns, stop_scores
-from .tracklets import Tracklet, make_tracklet
+from .tracklets import Tracklet, make_tracklets
 
 # STOP sentinel: None in domains and assignments means "trajectory ends here".
 STOP = None
@@ -260,15 +260,14 @@ def stitch(
 ) -> list[Tracklet]:
     """Concatenate successor chains into trajectories with fresh ids.
 
-    Chains are walked from every tracklet that is nobody's successor; each
-    chain's detections get one fresh trajectory id, numbered from 1 in the
-    order of the returned list.
+    Chains are walked from every tracklet that is nobody's successor, in id
+    order; each chain's detections get one fresh trajectory id, numbered from 1
+    in the order of the returned list. The trajectories are consecutive slices
+    of one table, each in chain order (frame order, for a valid assignment).
     """
     by_id = {t.id: t for t in tracklets}
     claimed = {cand for cand in assignment.values() if cand is not STOP}
-    trajectories = []
-    next_id = 1
-    consumed = 0
+    chains = []
     for head in sorted(by_id):
         if head in claimed:
             continue
@@ -281,13 +280,13 @@ def stitch(
                 raise ValueError(f"assignment contains a cycle through tracklet {cur}")
             visited.add(cur)
             chain.append(by_id[cur])
-        dets = [d.relabeled(next_id) for t in chain for d in t.detections]
-        trajectories.append(make_tracklet(next_id, dets, endpoint_window, endpoint_min_len))
-        consumed += len(chain)
-        next_id += 1
-    if consumed != len(by_id):
+        chains.append(chain)
+    if sum(map(len, chains)) != len(by_id):
         raise ValueError("assignment does not partition the tracklets into chains")
-    return trajectories
+    sizes = [sum(len(t) for t in chain) for chain in chains]
+    rows = DetectionTable.concat(t.detections for chain in chains for t in chain)
+    rows = rows.relabeled(np.repeat(np.arange(1, len(chains) + 1), sizes))
+    return make_tracklets(rows, np.cumsum([0, *sizes]).tolist(), endpoint_window, endpoint_min_len)
 
 
 def dump_candidates(succ_vars: Iterable[SuccessorVar], cfg: ScoreConfig, stream: TextIO) -> None:

@@ -47,12 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sequence_meta(args, detections) -> mot_io.SequenceMeta:
+def _sequence_meta(args, detections: mot_io.DetectionTable) -> mot_io.SequenceMeta:
     if args.seqinfo:
         return mot_io.read_seqinfo(args.seqinfo)
     if args.fps is None or args.width is None or args.height is None:
         raise ValueError("provide --seqinfo or all of --fps/--width/--height")
-    num_frames = max((d.frame for d in detections), default=1)
+    num_frames = detections.frame.max().item() if len(detections) else 1
     return mot_io.SequenceMeta(args.fps, args.width, args.height, num_frames)
 
 

@@ -10,13 +10,13 @@ globally, maximizing identity-consistent detection matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .mot_io import Detection
-from .tracklets import iou_matrix
+from .mot_io import Detection, DetectionTable
+from .tracklets import iou_matrix, run_bounds
 
 
 @dataclass
@@ -30,18 +30,39 @@ class FrameMatching:
     id_switches: int
 
 
-def _by_frame(dets: Iterable[Detection]) -> dict[int, dict[int, Detection]]:
-    frames: dict[int, dict[int, Detection]] = {}
-    for d in dets:
-        per = frames.setdefault(d.frame, {})
-        if d.track_id in per:
-            raise ValueError(f"id {d.track_id} appears twice in frame {d.frame}")
-        per[d.track_id] = d
-    return frames
+def _check_iou_threshold(iou_threshold: float) -> None:
+    # a threshold of 0 or less would match boxes that do not overlap at all
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
 
 
-def _boxes(dets: Iterable[Detection]) -> np.ndarray:
-    return np.array([[d.x, d.y, d.w, d.h] for d in dets], dtype=float).reshape(-1, 4)
+@dataclass(frozen=True)
+class _Frames:
+    """One sequence's detections grouped by frame, each frame's rows in input order."""
+
+    ids: list  # track id per row, rows sorted by frame
+    boxes: np.ndarray  # (x, y, w, h) per row
+    spans: dict  # frame -> (start, stop) of its rows, frames ascending
+
+    @classmethod
+    def of(cls, detections: Sequence[Detection]) -> _Frames:
+        rows = DetectionTable.of(detections)
+        by_key = np.lexsort((rows.track_id, rows.frame))
+        same = (np.diff(rows.frame[by_key]) == 0) & (np.diff(rows.track_id[by_key]) == 0)
+        if same.any():
+            # the first row, in input order, whose (frame, id) came before
+            row = by_key[1:][same].min()
+            raise ValueError(f"id {rows.track_id[row]} appears twice in frame {rows.frame[row]}")
+        order = np.argsort(rows.frame, kind="stable")
+        frames = rows.frame[order]
+        bounds = run_bounds(frames)
+        spans = {frames[lo].item(): (lo, hi) for lo, hi in zip(bounds, bounds[1:])}
+        return cls(rows.track_id[order].tolist(), rows.boxes[order], spans)
+
+    def at(self, frame: int) -> tuple[list, np.ndarray]:
+        """The ids and boxes of one frame; empty where the frame has no detection."""
+        lo, hi = self.spans.get(frame, (0, 0))
+        return self.ids[lo:hi], self.boxes[lo:hi]
 
 
 def clear_frame_matchings(
@@ -50,23 +71,24 @@ def clear_frame_matchings(
     iou_threshold: float = 0.5,
 ) -> list[FrameMatching]:
     """Run the per-frame CLEAR matching and return one record per frame."""
+    _check_iou_threshold(iou_threshold)
     if not gt:
         raise ValueError("ground truth is empty; metrics are undefined")
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
+    gt_frames = _Frames.of(gt)
+    pred_frames = _Frames.of(pred)
     prev: dict[int, int] = {}
     last_match: dict[int, int] = {}
     out = []
-    for frame in sorted(set(gt_frames) | set(pred_frames)):
-        g = gt_frames.get(frame, {})
-        p = pred_frames.get(frame, {})
+    for frame in sorted(gt_frames.spans.keys() | pred_frames.spans.keys()):
+        g, g_boxes = gt_frames.at(frame)
+        p, p_boxes = pred_frames.at(frame)
         g_row = {gid: r for r, gid in enumerate(g)}
         p_col = {pid: c for c, pid in enumerate(p)}
-        m = iou_matrix(_boxes(g.values()), _boxes(p.values()))
+        m = iou_matrix(g_boxes, p_boxes)
         matches: dict[int, int] = {}
         # keep last frame's pairs while they still overlap
         for gid, pid in prev.items():
-            if gid in g and pid in p and m[g_row[gid], p_col[pid]] >= iou_threshold:
+            if gid in g_row and pid in p_col and m[g_row[gid], p_col[pid]] >= iou_threshold:
                 matches[gid] = pid
         rest_g = [gid for gid in g if gid not in matches]
         used = set(matches.values())
@@ -108,29 +130,26 @@ def mota(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: floa
 
 def idf1(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float = 0.5) -> float:
     """Identity F1: detection matches consistent under the best global id mapping."""
+    _check_iou_threshold(iou_threshold)
     if not gt:
         raise ValueError("ground truth is empty; metrics are undefined")
     if not pred:
         return 0.0
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
-    gt_ids = sorted({d.track_id for d in gt})
-    pred_ids = sorted({d.track_id for d in pred})
-    g_index = {gid: i for i, gid in enumerate(gt_ids)}
-    p_index = {pid: j for j, pid in enumerate(pred_ids)}
+    gt_frames = _Frames.of(gt)
+    pred_frames = _Frames.of(pred)
+    gt_ids, g_index = np.unique(gt_frames.ids, return_inverse=True)
+    pred_ids, p_index = np.unique(pred_frames.ids, return_inverse=True)
     overlap = np.zeros((len(gt_ids), len(pred_ids)))
-    for frame, g in gt_frames.items():
-        p = pred_frames.get(frame)
-        if not p:
+    for frame, (lo, hi) in gt_frames.spans.items():
+        plo, phi = pred_frames.spans.get(frame, (0, 0))
+        if plo == phi:
             continue
-        m = iou_matrix(_boxes(g.values()), _boxes(p.values()))
+        m = iou_matrix(gt_frames.boxes[lo:hi], pred_frames.boxes[plo:phi])
         hit_g, hit_p = np.nonzero(m >= iou_threshold)
-        g_rows = np.array([g_index[gid] for gid in g])
-        p_cols = np.array([p_index[pid] for pid in p])
-        np.add.at(overlap, (g_rows[hit_g], p_cols[hit_p]), 1)
+        np.add.at(overlap, (g_index[lo:hi][hit_g], p_index[plo:phi][hit_p]), 1)
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
-    return 2.0 * idtp / (len(gt) + len(pred))
+    return float(2.0 * idtp / (len(gt) + len(pred)))
 
 
 @dataclass
@@ -151,6 +170,8 @@ def evaluate_sequence(
     pred: Sequence[Detection],
     iou_threshold: float = 0.5,
 ) -> SequenceScores:
+    """MOTA, IDF1 and the CLEAR counts of one sequence; ``iou_threshold`` must lie in (0, 1]."""
+    _check_iou_threshold(iou_threshold)
     mota_value, fp, fn, idsw = _clear_totals(gt, pred, iou_threshold)
     return SequenceScores(
         mota=mota_value,

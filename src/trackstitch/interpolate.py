@@ -11,32 +11,54 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .mot_io import Detection
+import numpy as np
+
+from .mot_io import Detection, DetectionTable
 
 
-def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> list[Detection]:
-    """Fill every gap of size < max_gap_size in one frame-sorted trajectory."""
+def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> DetectionTable:
+    """Fill every gap of size < max_gap_size in frame-sorted trajectories.
+
+    ``trajectory`` holds one trajectory, or several one after the other: each
+    run of rows with one track id is a trajectory, and its frames must
+    strictly increase. Inserted rows follow the left edge of their gap, and
+    every value is computed with the same float operations, in the same order,
+    as one scalar formula per inserted detection.
+    """
     if max_gap_size < 1:
         raise ValueError(f"max_gap_size must be positive, got {max_gap_size}")
-    out: list[Detection] = []
-    for left, right in zip(trajectory, trajectory[1:]):
-        if right.frame <= left.frame:
-            raise ValueError(f"trajectory frames must be strictly increasing at frame {left.frame}")
-        out.append(left)
-        size = right.frame - left.frame - 1
-        if size < 1 or size >= max_gap_size:
-            continue
-        (lx, ly), (rx, ry) = left.center, right.center
-        span = right.frame - left.frame
-        for k in range(1, size + 1):
-            a = k / span
-            cx, cy = lx + (rx - lx) * a, ly + (ry - ly) * a
-            w = left.w + (right.w - left.w) * a
-            h = left.h + (right.h - left.h) * a
-            out.append(
-                Detection(left.frame + k, left.track_id, cx - w / 2.0, cy - h / 2.0, w, h, conf=1.0)
-            )
-    if trajectory:
-        out.append(trajectory[-1])
-    return out
+    rows = DetectionTable.of(trajectory)
+    frame, track_id, x, y, w, h, _ = rows.columns
+    same = track_id[1:] == track_id[:-1]
+    span = np.diff(frame)
+    backwards = np.flatnonzero(same & (span <= 0))
+    if len(backwards):
+        raise ValueError(f"trajectory frames must be strictly increasing at frame {frame[backwards[0]]}")
+    gaps = np.flatnonzero(same & (span >= 2) & (span <= max_gap_size))  # 1 <= span - 1 < max_gap_size
+    if not len(gaps):
+        return rows
 
+    sizes = span[gaps] - 1
+    left = np.repeat(gaps, sizes)
+    right = left + 1
+    k = np.arange(len(left)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
+    a = k / span[left]
+    lx, ly = x[left] + w[left] / 2.0, y[left] + h[left] / 2.0
+    rx, ry = x[right] + w[right] / 2.0, y[right] + h[right] / 2.0
+    cx, cy = lx + (rx - lx) * a, ly + (ry - ly) * a
+    fw = w[left] + (w[right] - w[left]) * a
+    fh = h[left] + (h[right] - h[left]) * a
+    filled = (frame[left] + k, track_id[left], cx - fw / 2.0, cy - fh / 2.0, fw, fh, np.ones(len(left)))
+
+    # each kept row moves down by the rows inserted before it
+    shift = np.zeros(len(rows), dtype=np.int64)
+    shift[gaps + 1] = sizes
+    kept_at = np.arange(len(rows)) + np.cumsum(shift)
+    filled_at = kept_at[left] + k
+    columns = []
+    for kept, new in zip(rows.columns, filled):
+        column = np.empty(len(rows) + len(left), dtype=kept.dtype)
+        column[kept_at] = kept
+        column[filled_at] = new
+        columns.append(column)
+    return DetectionTable(*columns)

@@ -6,7 +6,8 @@ A track file is plain text, one detection per line:
 
 (x, y) is the top-left corner in pixels, (w, h) the box size. Fields past
 ``conf`` are ignored on input and written as ``-1``; non-finite values are
-rejected. Sequence metadata comes from a seqinfo-style ``key=value`` file
+rejected. A parsed file is a :class:`DetectionTable`, one numpy column per
+field. Sequence metadata comes from a seqinfo-style ``key=value`` file
 (``frameRate``, ``imWidth``, ``imHeight``, ``seqLength``).
 """
 
@@ -19,7 +20,9 @@ from dataclasses import dataclass
 from math import isfinite, sqrt
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -65,6 +68,116 @@ class Detection:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
 
+_FIELDS = ("frame", "track_id", "x", "y", "w", "h", "conf")
+_DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, np.float64, np.float64)
+
+
+class DetectionTable(Sequence[Detection]):
+    """Detections as seven numpy columns, one row per detection.
+
+    ``frame`` and ``track_id`` are int64 columns; ``x``, ``y``, ``w``, ``h``
+    and ``conf`` are float64 columns. All columns are read-only. The table is a
+    read-only sequence of :class:`Detection`: indexing or iterating builds a
+    Detection only when it is read, and a slice is a table over views of the
+    same columns. Like a list, a table compares equal to a list or tuple of
+    the same detections in the same order, and ``+`` concatenates.
+
+    The constructor copies its arguments and checks every row the way
+    :class:`Detection` does.
+    """
+
+    __slots__ = _FIELDS
+
+    def __init__(self, frame, track_id, x, y, w, h, conf):
+        columns = [np.array(c, dtype=t).reshape(-1) for c, t in zip((frame, track_id, x, y, w, h, conf), _DTYPES)]
+        if len({len(c) for c in columns}) > 1:
+            raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+        frame, track_id, x, y, w, h, conf = columns
+        bad = (frame < 1) | (track_id < 1) | ~(w > 0) | ~(h > 0) | ~np.isfinite(np.stack(columns[2:])).all(axis=0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            try:
+                Detection(*(c[row].item() for c in columns))
+            except ValueError as exc:  # the message of the row's own check
+                raise ValueError(f"row {row}: {exc}") from None
+        self._assign(columns)
+
+    def _assign(self, columns) -> None:
+        for name, column in zip(_FIELDS, columns):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def _wrap(cls, columns) -> DetectionTable:
+        """A table over columns known to be valid and of the right dtypes: no copy, no checks."""
+        table = object.__new__(cls)
+        table._assign(columns)
+        return table
+
+    @classmethod
+    def of(cls, detections: Iterable[Detection]) -> DetectionTable:
+        """``detections`` itself if it is a table, else a table of its rows in order."""
+        if isinstance(detections, DetectionTable):
+            return detections
+        rows = list(detections)
+        return cls._wrap([np.array(list(map(attrgetter(n), rows)), dtype=t) for n, t in zip(_FIELDS, _DTYPES)])
+
+    @classmethod
+    def concat(cls, tables: Iterable[DetectionTable]) -> DetectionTable:
+        """The rows of ``tables``, one after the other."""
+        tables = list(tables)
+        if not tables:
+            return cls.of(())
+        return cls._wrap([np.concatenate(columns) for columns in zip(*(t.columns for t in tables))])
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The seven columns in field order."""
+        return (self.frame, self.track_id, self.x, self.y, self.w, self.h, self.conf)
+
+    @property
+    def boxes(self) -> np.ndarray:
+        """An (N, 4) array of (x, y, w, h) rows."""
+        return np.stack((self.x, self.y, self.w, self.h), axis=1)
+
+    def take(self, index) -> DetectionTable:
+        """The rows selected by an integer array or boolean mask, in its order."""
+        return DetectionTable._wrap([c[index] for c in self.columns])
+
+    def relabeled(self, track_id) -> DetectionTable:
+        """The same rows under other identity labels: one id for every row, or an array with one per row."""
+        ids = np.empty(len(self), dtype=np.int64)
+        ids[:] = track_id
+        if len(ids) and ids.min() < 1:
+            raise ValueError(f"track_id must be >= 1, got {ids.min()}")
+        return DetectionTable._wrap([self.frame, ids, self.x, self.y, self.w, self.h, self.conf])
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DetectionTable._wrap([c[index] for c in self.columns])
+        return Detection(*(c[index].item() for c in self.columns))
+
+    def __iter__(self) -> Iterator[Detection]:
+        return map(Detection, *(c.tolist() for c in self.columns))
+
+    def __add__(self, other: Iterable[Detection]) -> DetectionTable:
+        """The rows of this table followed by those of ``other``, a table or detections."""
+        return DetectionTable.concat([self, DetectionTable.of(other)])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, DetectionTable):
+            return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DetectionTable({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class SequenceMeta:
     """Frame rate and image geometry of one video sequence."""
@@ -107,17 +220,9 @@ def _parse_fields(line: str, lineno: int) -> Detection:
         raise ParseError(f"line {lineno}: {exc}") from None
 
 
-def parse_tracks(stream: TextIO | str) -> list[Detection]:
-    """Parse a MOTChallenge track file into detections, in file order.
-
-    Accepts an open text stream or the file content as a string. Raises
-    :class:`ParseError` naming the offending line on malformed input, on a
-    non-positive box size or on a non-finite value.
-    """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    detections = []
-    for lineno, raw in enumerate(stream, start=1):
+def _parse_lines(text: str) -> Iterator[Detection]:
+    """The detections of ``text`` line by line; raises the first bad line's ParseError."""
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
         fields = raw.split(",")
         if len(fields) < 7:
             if not raw.strip():
@@ -132,8 +237,45 @@ def parse_tracks(stream: TextIO | str) -> list[Detection]:
             )
         except ValueError:
             det = _parse_fields(raw, lineno)
-        detections.append(det)
-    return detections
+        if max(det.frame, det.track_id) >= 2**63:
+            raise ParseError(f"line {lineno}: frame and track_id must be below 2**63, got {det.frame}, {det.track_id}")
+        yield det
+
+
+def _read_columns(text: str) -> DetectionTable | None:
+    """All of ``text`` in one ``np.loadtxt`` pass, or None where only the line parser can tell what it holds.
+
+    ``np.loadtxt`` converts a number exactly as ``float()`` does, but rejects
+    some spellings ``float()`` accepts (``1_0``) and every malformed line; frames
+    and ids are read as floats and must be integral and below 2**53, where a
+    float64 still holds every integer. A line that breaks any rule sends the
+    whole file to the line parser, which accepts or names it.
+    """
+    if not text.strip():
+        return DetectionTable.of(())  # loadtxt warns on empty input
+    try:
+        values = np.loadtxt(text.split("\n"), delimiter=",", usecols=range(7), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    ids = values[:, :2]
+    if not (np.isfinite(values).all() and (ids == np.floor(ids)).all() and (ids < 2**53).all()):
+        return None
+    try:
+        return DetectionTable(*ids.T.astype(np.int64), *values[:, 2:].T)
+    except ValueError:
+        return None
+
+
+def parse_tracks(stream: TextIO | str) -> DetectionTable:
+    """Parse a MOTChallenge track file into a detection table, rows in file order.
+
+    Accepts an open text stream or the file content as a string. Raises
+    :class:`ParseError` naming the offending line on malformed input, on a
+    non-positive box size or on a non-finite value.
+    """
+    text = stream if isinstance(stream, str) else stream.read()
+    table = _read_columns(text)
+    return table if table is not None else DetectionTable.of(_parse_lines(text))
 
 
 # A float's repr ends in ".0" exactly when it is integral and below 1e16 in
@@ -148,23 +290,26 @@ def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) 
     """Write detections in MOTChallenge format, sorted by (frame, id).
 
     Integral values print without a decimal point below 1e15 in magnitude;
-    every other value prints as its shortest round-trip repr. Fields are
-    formatted with ``format(v, "")``, which equals ``repr(v)`` for Python
-    numbers and prints numpy scalars as plain numbers. Returns the
-    text; also writes it to ``stream`` when given.
-    ``parse_tracks(write_tracks(D))`` reproduces D up to ordering.
+    every other value prints as its shortest round-trip repr. A table's
+    columns print as Python numbers; the fields of other detections print with
+    ``str``, which equals ``repr`` for Python numbers and prints numpy scalars
+    as plain numbers. Returns the text; also writes it to ``stream`` when
+    given. ``parse_tracks(write_tracks(D))`` reproduces D up to ordering.
     """
-    text = "".join([
-        f"{d.frame},{d.track_id},{d.x},{d.y},{d.w},{d.h},{d.conf},-1,-1,-1\n"
-        for d in sorted(detections, key=attrgetter("frame", "track_id"))
-    ])
+    if isinstance(detections, DetectionTable):
+        order = np.lexsort((detections.track_id, detections.frame))
+        columns = [c[order].tolist() for c in detections.columns]
+    else:
+        rows = sorted(detections, key=attrgetter("frame", "track_id"))
+        columns = [list(map(attrgetter(name), rows)) for name in _FIELDS]
+    text = "".join(map("%s,%s,%s,%s,%s,%s,%s,-1,-1,-1\n".__mod__, zip(*columns)))
     text = _POINT_ZERO.sub(",", text.replace("-0.0,", "0.0,"))
     if stream is not None:
         stream.write(text)
     return text
 
 
-def load_tracks(path: str | Path) -> list[Detection]:
+def load_tracks(path: str | Path) -> DetectionTable:
     with open(path, encoding="utf-8") as f:
         return parse_tracks(f)
 

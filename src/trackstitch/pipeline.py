@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Sequence, TextIO
+
+import numpy as np
 
 from .associator import build_domains, dump_candidates, solve_with_stats, stitch
 from .config import PipelineConfig
 from .interpolate import fill_gaps
-from .mot_io import Detection, SequenceMeta
+from .mot_io import Detection, DetectionTable, SequenceMeta
 from .tracklets import cut_tracklets, group_tracklets
 
 
@@ -54,21 +55,24 @@ def refine_detections(
     meta: SequenceMeta,
     cfg: PipelineConfig | None = None,
     candidate_dump: TextIO | None = None,
-) -> tuple[list[Detection], RefineSummary]:
+) -> tuple[DetectionTable, RefineSummary]:
     """Run cutter, associator and interpolation over one sequence's detections.
 
-    Returns the refined detections sorted by (frame, id) and a summary of what
-    each phase did.
+    ``detections`` is a table, used as it is, or any sequence of detections,
+    converted to a table once. Returns the refined detections as a new table
+    sorted by (frame, id), with float64 values, and a summary of what each
+    phase did.
     """
     cfg = cfg or PipelineConfig()
     cfg.validate()
     started = time.perf_counter()
-    summary = RefineSummary(detections_in=len(detections))
-    if not detections:
+    table = DetectionTable.of(detections)
+    summary = RefineSummary(detections_in=len(table))
+    if not len(table):
         summary.wall_time_s = time.perf_counter() - started
-        return [], summary
+        return table, summary
 
-    tracklets = group_tracklets(detections, cfg.endpoint_window, cfg.endpoint_min_len)
+    tracklets = group_tracklets(table, cfg.endpoint_window, cfg.endpoint_min_len)
     summary.tracklets_in = len(tracklets)
     if cfg.cutter_enabled:
         tracklets = cut_tracklets(tracklets, cfg.cut_threshold, cfg.endpoint_window, cfg.endpoint_min_len)
@@ -85,16 +89,13 @@ def refine_detections(
     trajectories = stitch(assignment, tracklets, cfg.endpoint_window, cfg.endpoint_min_len)
     summary.trajectories_out = len(trajectories)
 
-    out: list[Detection] = []
-    for traj in trajectories:
-        if cfg.interp_enabled:
-            filled = fill_gaps(traj.detections, cfg.max_gap_size)
-            summary.detections_interpolated += len(filled) - len(traj)
-            out.extend(filled)
-        else:
-            out.extend(traj.detections)
+    out = DetectionTable.concat(traj.detections for traj in trajectories)
+    if cfg.interp_enabled:
+        filled = fill_gaps(out, cfg.max_gap_size)
+        summary.detections_interpolated = len(filled) - len(out)
+        out = filled
     # stitch numbers trajectories in list order and keeps each frame-sorted,
     # so a stable sort by frame orders the whole output by (frame, id)
-    out.sort(key=attrgetter("frame"))
+    out = out.take(np.argsort(out.frame, kind="stable"))
     summary.wall_time_s = time.perf_counter() - started
     return out, summary

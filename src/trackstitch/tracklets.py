@@ -1,7 +1,8 @@
 """Tracklet modeling: endpoint summaries and overlap-triggered cutting.
 
-A tracklet is a frame-sorted run of detections sharing one id, summarized at
-both ends by a representative box and a center velocity. The first and last
+A tracklet is a frame-sorted run of detections sharing one id, held as a
+slice of a :class:`~trackstitch.mot_io.DetectionTable` and summarized at both
+ends by a representative box and a center velocity. The first and last
 boxes of a tracklet tend to be the least trustworthy (the track usually broke
 there), so for long tracklets the summaries average a window of boxes just
 inside each end instead of using the end box itself.
@@ -10,10 +11,11 @@ inside each end instead of using the end box itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .mot_io import Detection, DetectionTable
 
 Box = tuple[float, float, float, float]
 
@@ -34,10 +36,14 @@ class EndpointSummary:
 
 @dataclass(frozen=True)
 class Tracklet:
-    """A frame-sorted run of same-id detections plus its two endpoint summaries."""
+    """A frame-sorted run of same-id detections plus its two endpoint summaries.
+
+    ``detections`` is a table, usually a slice of a larger one; its rows become
+    :class:`Detection` objects only when read.
+    """
 
     id: int
-    detections: tuple
+    detections: DetectionTable
     start: EndpointSummary
     end: EndpointSummary
 
@@ -87,29 +93,80 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     return iou_pairs(boxes_a.T[:, :, None], boxes_b.T[:, None, :])
 
 
-def _mean_box(dets: Sequence) -> Box:
-    return (
-        float(np.mean([d.x for d in dets])),
-        float(np.mean([d.y for d in dets])),
-        float(np.mean([d.w for d in dets])),
-        float(np.mean([d.h for d in dets])),
-    )
+def _window_means(columns: Sequence[np.ndarray], starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.mean`` of each column over each window ``[starts[k], starts[k] + lengths[k])``, shape (columns, windows).
+
+    The windows of one length are gathered into one C-contiguous matrix; its
+    mean along axis 1 sums and rounds every row exactly as ``np.mean`` does on
+    that window alone.
+    """
+    out = np.empty((len(columns), len(starts)))
+    for length in np.unique(lengths).tolist():
+        pick = np.flatnonzero(lengths == length)
+        idx = starts[pick, None] + np.arange(length)
+        for row, column in zip(out, columns):
+            row[pick] = np.mean(column[idx], axis=1)
+    return out
 
 
-def _mean_velocity(dets: Sequence) -> tuple[float, float]:
-    # per-step displacement over per-step frame delta, averaged; robust to
-    # internal frame gaps
-    vxs, vys = [], []
-    for a, b in zip(dets, dets[1:]):
-        dt = b.frame - a.frame
-        (ax, ay), (bx, by) = a.center, b.center
-        vxs.append((bx - ax) / dt)
-        vys.append((by - ay) / dt)
-    return (float(np.mean(vxs)), float(np.mean(vys)))
+def _window_velocities(rows: DetectionTable, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean per-step center velocity over each window of rows, shape (2, windows).
+
+    Each step is the center displacement between consecutive rows over their
+    frame delta, which keeps the velocity right across internal frame gaps.
+    """
+    out = np.empty((2, len(starts)))
+    steps = np.maximum(lengths - 1, 0)
+    for length in np.unique(steps).tolist():
+        pick = np.flatnonzero(steps == length)
+        before = starts[pick, None] + np.arange(length)
+        after = before + 1
+        dt = rows.frame[after] - rows.frame[before]
+        for row, pos, size in zip(out, (rows.x, rows.y), (rows.w, rows.h)):
+            centers_before = pos[before] + size[before] / 2.0
+            centers_after = pos[after] + size[after] / 2.0
+            row[pick] = np.mean((centers_after - centers_before) / dt, axis=1)
+    return out
+
+
+def _summaries(
+    rows: DetectionTable, bounds: Sequence[int], window: int, min_len: int
+) -> list[tuple[EndpointSummary, EndpointSummary]]:
+    """The endpoint summaries of every run ``rows[bounds[k]:bounds[k + 1]]`` (see :func:`build_endpoints`)."""
+    lo = np.asarray(bounds[:-1], dtype=np.int64)
+    n = np.diff(np.asarray(bounds, dtype=np.int64))
+    last = lo + n - 1
+    long_runs = n >= min_len
+    # head rows[1:1 + window] and tail rows[n - 1 - window:n - 1], cut by list slicing rules
+    tail = n - 1 - window
+    tail = np.where(tail < 0, np.maximum(tail + n, 0), tail)
+    start_at = lo + np.where(long_runs, 1, 0)
+    start_len = np.where(long_runs, np.minimum(window, n - 1), np.minimum(n, 2))
+    end_at = lo + np.where(long_runs, tail, np.maximum(n - 2, 0))
+    end_len = np.where(long_runs, np.maximum(n - 1 - tail, 0), np.minimum(n, 2))
+
+    boxes = (rows.x, rows.y, rows.w, rows.h)
+    start_box = np.stack([c[lo] for c in boxes])
+    end_box = np.stack([c[last] for c in boxes])
+    start_box[:, long_runs] = _window_means(boxes, start_at[long_runs], start_len[long_runs])
+    end_box[:, long_runs] = _window_means(boxes, end_at[long_runs], end_len[long_runs])
+    start_velocity = np.zeros((2, len(n)))  # a single detection does not move
+    end_velocity = np.zeros((2, len(n)))
+    moving = n >= 2
+    start_velocity[:, moving] = _window_velocities(rows, start_at[moving], start_len[moving])
+    end_velocity[:, moving] = _window_velocities(rows, end_at[moving], end_len[moving])
+
+    return [
+        (EndpointSummary(f0, tuple(b0), tuple(v0)), EndpointSummary(f1, tuple(b1), tuple(v1)))
+        for f0, b0, v0, f1, b1, v1 in zip(
+            rows.frame[lo].tolist(), start_box.T.tolist(), start_velocity.T.tolist(),
+            rows.frame[last].tolist(), end_box.T.tolist(), end_velocity.T.tolist(),
+        )
+    ]
 
 
 def build_endpoints(
-    detections: Sequence,
+    detections: Sequence[Detection],
     window: int = 6,
     min_len: int = 10,
 ) -> tuple[EndpointSummary, EndpointSummary]:
@@ -120,55 +177,59 @@ def build_endpoints(
     the end summary mirrors this with the ``window`` boxes preceding the last.
     Shorter runs fall back to the end boxes themselves, with the velocity taken
     between the two outermost detections (zero for a single detection).
+    Windows are cut with list slicing rules, and each mean is ``np.mean`` over
+    the window's values in row order.
     """
-    if not detections:
+    rows = DetectionTable.of(detections)
+    if not len(rows):
         raise ValueError("cannot summarize an empty detection list")
-    n = len(detections)
-    first, last = detections[0], detections[-1]
-    if n >= min_len:
-        head = detections[1 : 1 + window]
-        tail = detections[n - 1 - window : n - 1]
-        start = EndpointSummary(first.frame, _mean_box(head), _mean_velocity(head))
-        end = EndpointSummary(last.frame, _mean_box(tail), _mean_velocity(tail))
-    elif n >= 2:
-        v_start = _mean_velocity(detections[:2])
-        v_end = _mean_velocity(detections[-2:])
-        start = EndpointSummary(first.frame, first.box, v_start)
-        end = EndpointSummary(last.frame, last.box, v_end)
-    else:
-        start = EndpointSummary(first.frame, first.box, (0.0, 0.0))
-        end = EndpointSummary(last.frame, last.box, (0.0, 0.0))
-    return start, end
+    return _summaries(rows, [0, len(rows)], window, min_len)[0]
 
 
-def make_tracklet(tid: int, detections: Sequence, window: int = 6, min_len: int = 10) -> Tracklet:
+def make_tracklet(tid: int, detections: Sequence[Detection], window: int = 6, min_len: int = 10) -> Tracklet:
     """Build a tracklet from frame-sorted detections, computing its endpoint summaries."""
-    start, end = build_endpoints(detections, window, min_len)
-    return Tracklet(tid, tuple(detections), start, end)
+    rows = DetectionTable.of(detections)
+    return Tracklet(tid, rows, *build_endpoints(rows, window, min_len))
+
+
+def make_tracklets(rows: DetectionTable, bounds: Sequence[int], window: int = 6, min_len: int = 10) -> list[Tracklet]:
+    """One tracklet per frame-sorted run ``rows[bounds[k]:bounds[k + 1]]``, named by the run's track id.
+
+    The endpoint summaries of all runs are computed together, equal to
+    :func:`make_tracklet` on each run.
+    """
+    ids = rows.track_id[bounds[:-1]].tolist()
+    summaries = _summaries(rows, bounds, window, min_len)
+    return [Tracklet(tid, rows[lo:hi], *ends) for tid, lo, hi, ends in zip(ids, bounds, bounds[1:], summaries)]
+
+
+def run_bounds(keys: np.ndarray) -> list[int]:
+    """The row bounds of the runs of equal values in ``keys``: run k is ``[bounds[k], bounds[k + 1])``."""
+    if not len(keys):
+        return [0]
+    return [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
 
 
 def group_tracklets(
-    detections: Iterable,
+    detections: Iterable[Detection],
     endpoint_window: int = 6,
     endpoint_min_len: int = 10,
 ) -> list[Tracklet]:
-    """Partition detections by track id into frame-sorted tracklets.
+    """Partition detections by track id into frame-sorted tracklets, in id order.
 
     A track id observed twice in the same frame is a data error. Endpoint
     summaries are computed with the given averaging window (see
-    :func:`build_endpoints`).
+    :func:`build_endpoints`). The tracklets are consecutive slices of one
+    table sorted by (id, frame).
     """
-    groups: dict[int, list] = {}
-    for det in detections:
-        groups.setdefault(det.track_id, []).append(det)
-    out = []
-    for tid in sorted(groups):
-        dets = sorted(groups[tid], key=attrgetter("frame"))
-        for a, b in zip(dets, dets[1:]):
-            if a.frame == b.frame:
-                raise ValueError(f"({tid},{a.frame}) duplicated: track {tid} has two detections in frame {a.frame}")
-        out.append(make_tracklet(tid, dets, endpoint_window, endpoint_min_len))
-    return out
+    table = DetectionTable.of(detections)
+    rows = table.take(np.lexsort((table.frame, table.track_id)))
+    ids, frames = rows.track_id, rows.frame
+    doubled = np.flatnonzero((ids[1:] == ids[:-1]) & (frames[1:] == frames[:-1]))
+    if len(doubled):
+        tid, frame = ids[doubled[0]].item(), frames[doubled[0]].item()
+        raise ValueError(f"({tid},{frame}) duplicated: track {tid} has two detections in frame {frame}")
+    return make_tracklets(rows, run_bounds(ids), endpoint_window, endpoint_min_len)
 
 
 def cut_tracklets(
@@ -188,21 +249,23 @@ def cut_tracklets(
     above the existing maximum; untouched tracklets keep theirs.
     """
     tracklets = list(tracklets)
-    by_frame: dict[int, list[tuple[int, object]]] = {}
-    for idx, t in enumerate(tracklets):
-        for det in t.detections:
-            by_frame.setdefault(det.frame, []).append((idx, det))
+    rows = DetectionTable.concat(t.detections for t in tracklets)
+    # one stable sort by frame keeps each frame's boxes in tracklet order
+    order = np.argsort(rows.frame, kind="stable")
+    frames = rows.frame[order]
+    owners = np.repeat(np.arange(len(tracklets)), [len(t) for t in tracklets])[order].tolist()
+    boxes = rows.boxes[order]
 
     cut_frames: dict[int, set[int]] = {}
     last_overlap: dict[tuple[int, int], int] = {}  # tracklet-index pair -> last overlapping frame
-    for frame in sorted(by_frame):
-        entries = by_frame[frame]
-        if len(entries) < 2:
+    bounds = run_bounds(frames)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo < 2:
             continue
-        boxes = np.array([[d.x, d.y, d.w, d.h] for _, d in entries])
-        matrix = iou_matrix(boxes, boxes)
+        frame = frames[lo].item()
+        matrix = iou_matrix(boxes[lo:hi], boxes[lo:hi])
         for i, j in zip(*np.nonzero(np.triu(matrix >= cut_threshold, 1))):
-            ti, tj = entries[i][0], entries[j][0]
+            ti, tj = owners[lo + i], owners[lo + j]
             if ti != tj:
                 pair = (min(ti, tj), max(ti, tj))
                 if last_overlap.get(pair) != frame - 1:  # rising edge only
@@ -210,23 +273,26 @@ def cut_tracklets(
                     cut_frames.setdefault(tj, set()).add(frame)
                 last_overlap[pair] = frame
 
-    next_id = max((t.id for t in tracklets), default=0) + 1
-    out = []
+    # the fragments of all cut tracklets, as runs of one relabeled table
+    pieces, sizes, piece_count = [], [], {}
     for idx, t in enumerate(tracklets):
         cuts = sorted(f for f in cut_frames.get(idx, ()) if f > t.start.frame)
-        if not cuts:
+        if cuts:
+            # every cut frame is one of the tracklet's own frames, so no piece is empty
+            splits = [0, *np.searchsorted(t.detections.frame, cuts).tolist(), len(t)]
+            pieces.append(t.detections)
+            sizes += np.diff(splits).tolist()
+            piece_count[idx] = len(splits) - 1
+    if not pieces:
+        return tracklets
+    first_id = max(t.id for t in tracklets) + 1
+    piece_ids = np.repeat(np.arange(first_id, first_id + len(sizes)), sizes)
+    piece_rows = DetectionTable.concat(pieces).relabeled(piece_ids)
+    fragments = iter(make_tracklets(piece_rows, np.cumsum([0, *sizes]).tolist(), window, min_len))
+    out = []
+    for idx, t in enumerate(tracklets):
+        if idx in piece_count:
+            out.extend(next(fragments) for _ in range(piece_count[idx]))
+        else:
             out.append(t)
-            continue
-        pieces: list[list] = [[]]
-        bounds = iter(cuts)
-        bound = next(bounds)
-        for det in t.detections:
-            while bound is not None and det.frame >= bound:
-                pieces.append([])
-                bound = next(bounds, None)
-            pieces[-1].append(det)
-        for piece in pieces:
-            dets = [d.relabeled(next_id) for d in piece]
-            out.append(make_tracklet(next_id, dets, window, min_len))
-            next_id += 1
     return out

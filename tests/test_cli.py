@@ -176,3 +176,13 @@ def test_refine_duplicate_frame_id_leaves_no_dump(tmp_path, capsys):
     assert code == 1
     assert "duplicated" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.txt"]
+
+
+@pytest.mark.parametrize("threshold", ["0", "1.5"])
+def test_eval_rejects_iou_threshold_outside_unit_interval(tmp_path, capsys, threshold):
+    out_dir = run_synth(tmp_path, capsys)
+    gt = str(out_dir / "gt.txt")
+    assert main(["eval", gt, gt, "--iou-thresh", threshold]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: iou_threshold must lie in (0, 1]")
+    assert captured.out == ""

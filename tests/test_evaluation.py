@@ -107,3 +107,47 @@ def test_rejects_duplicate_ids_in_frame():
     bad = GT + [Detection(1, 1, 50.0, 50.0, 10.0, 10.0, 1.0)]
     with pytest.raises(ValueError, match="twice"):
         mota(bad, GT)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+def test_rejects_iou_threshold_outside_unit_interval(threshold):
+    far = [Detection(d.frame, d.track_id, d.x + 700.0, d.y, d.w, d.h, d.conf) for d in GT]
+    for metric in (clear_frame_matchings, idf1, mota, evaluate_sequence):
+        with pytest.raises(ValueError, match=r"iou_threshold must lie in \(0, 1\]"):
+            metric(GT, far, threshold)
+
+
+def test_iou_threshold_one_accepts_exact_boxes():
+    assert evaluate_sequence(GT, GT, 1.0).mota == 1.0
+
+
+def test_idf1_is_a_python_float():
+    assert type(idf1(GT, GT)) is float
+    assert type(idf1(GT, [])) is float
+    assert type(evaluate_sequence(GT, relabel(GT, {1: 5})).idf1) is float
+
+
+def test_rows_of_a_frame_keep_their_input_order():
+    # two gt and two predicted boxes coincide: every IoU is 1, so the matching
+    # pairs them in the order the rows were given
+    gt = [Detection(1, 2, 0.0, 0.0, 10.0, 10.0, 1.0), Detection(1, 1, 0.0, 0.0, 10.0, 10.0, 1.0)]
+    pred = [Detection(1, 5, 0.0, 0.0, 10.0, 10.0, 1.0), Detection(1, 6, 0.0, 0.0, 10.0, 10.0, 1.0)]
+    assert clear_frame_matchings(gt, pred)[0].matches == [(1, 6), (2, 5)]
+    assert clear_frame_matchings(gt, pred[::-1])[0].matches == [(1, 5), (2, 6)]
+
+
+def test_tables_score_like_lists():
+    from trackstitch.mot_io import DetectionTable
+
+    rng = np.random.default_rng(8)
+    pred = [d for d in relabel(GT, {1: 3}) if rng.random() > 0.2] + track(9, range(2, 6), y0=50.0)
+    rng.shuffle(pred)
+    as_lists = evaluate_sequence(GT, pred)
+    assert evaluate_sequence(DetectionTable.of(GT), DetectionTable.of(pred)) == as_lists
+    assert clear_frame_matchings(DetectionTable.of(GT), DetectionTable.of(pred)) == clear_frame_matchings(GT, pred)
+
+
+def test_duplicate_message_names_the_first_repeat_in_input_order():
+    bad = GT + [Detection(4, 2, 0.0, 0.0, 5.0, 5.0, 1.0), Detection(2, 1, 0.0, 0.0, 5.0, 5.0, 1.0)]
+    with pytest.raises(ValueError, match=r"^id 2 appears twice in frame 4$"):
+        idf1(bad, GT)

@@ -80,3 +80,50 @@ def test_rejects_duplicate_frames():
 def test_rejects_nonpositive_max_gap():
     with pytest.raises(ValueError):
         fill_gaps([det(1)], 0)
+
+
+def _reference_fill(trajectory, max_gap_size):
+    """One scalar formula per inserted detection."""
+    out = []
+    for left, right in zip(trajectory, trajectory[1:]):
+        out.append(left)
+        span = right.frame - left.frame
+        if not 2 <= span <= max_gap_size:
+            continue
+        (lx, ly), (rx, ry) = left.center, right.center
+        for k in range(1, span):
+            a = k / span
+            cx, cy = lx + (rx - lx) * a, ly + (ry - ly) * a
+            w = left.w + (right.w - left.w) * a
+            h = left.h + (right.h - left.h) * a
+            out.append(Detection(left.frame + k, left.track_id, cx - w / 2.0, cy - h / 2.0, w, h, conf=1.0))
+    return out + list(trajectory[-1:])
+
+
+def test_matches_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        frames = np.sort(rng.choice(np.arange(1, 400), size=int(rng.integers(1, 60)), replace=False)).tolist()
+        scale = 10.0 ** rng.integers(-3, 4)
+        traj = [
+            det(f, x=float(rng.uniform(-500, 500) * scale), y=float(rng.uniform(-500, 500) * scale),
+                w=float(rng.uniform(0.1, 90) * scale), h=float(rng.uniform(0.1, 90) * scale))
+            for f in frames
+        ]
+        gap = int(rng.integers(1, 50))
+        got, expected = fill_gaps(traj, gap), _reference_fill(traj, gap)
+        assert [tuple(map(repr, (d.frame, d.track_id, d.x, d.y, d.w, d.h, d.conf))) for d in got] == [
+            tuple(map(repr, (d.frame, d.track_id, float(d.x), float(d.y), float(d.w), float(d.h), float(d.conf))))
+            for d in expected
+        ]
+
+
+def test_fills_each_track_id_run_of_a_table_separately():
+    a = [det(1), det(4, x=30.0)]
+    b = [det(2, tid=2), det(5, tid=2, x=9.0)]
+    c = [det(1, tid=3), det(3, tid=3)]
+    together = fill_gaps(a + b + c, 10)
+    assert together == [*fill_gaps(a, 10), *fill_gaps(b, 10), *fill_gaps(c, 10)]
+    assert len(together) == 6 + 2 + 2 + 1  # nothing is filled between runs
+    with pytest.raises(ValueError, match="strictly increasing at frame 5"):
+        fill_gaps(a + [det(5, tid=2), det(5, tid=2)], 10)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import io
 import pickle
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from trackstitch.mot_io import (
     read_seqinfo,
     write_tracks,
 )
+from trackstitch.mot_io import DetectionTable
 
 
 def test_parse_single_line():
@@ -229,3 +231,191 @@ def test_read_seqinfo_missing_key(tmp_path):
     path.write_text("frameRate=25\n")
     with pytest.raises(ParseError, match="missing"):
         read_seqinfo(path)
+
+
+def _reference_parse(text):
+    """The line-by-line parser the fast path must agree with."""
+
+    def parse_int(field):
+        try:
+            return int(field)
+        except ValueError:
+            value = float(field)
+            if not value.is_integer():
+                raise ValueError(f"not an integer: {field!r}")
+            return int(value)
+
+    out = []
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        fields = [f.strip() for f in raw.split(",")]
+        if len(fields) < 7:
+            if not raw.strip():
+                continue
+            raise ParseError(f"line {lineno}: expected at least 7 fields, got {len(fields)}")
+        try:
+            out.append(Detection(parse_int(fields[0]), parse_int(fields[1]), *map(float, fields[2:7])))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return out
+
+
+def _outcome(parse, text):
+    try:
+        return [tuple(map(repr, dataclasses.astuple(d))) for d in parse(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+GOOD = "1,1,10.5,20,30,40,0.9,-1,-1,-1\n"
+FAST_PATH_CORPUS = [
+    "# a comment line\n",
+    "1_0,2,10,20,30,40,1\n",
+    "1,2,1_0.5,20,30,40,1\n",
+    "0x10,2,10,20,30,40,1\n",
+    "1,2,0x10,20,30,40,1\n",
+    " 1 , 2 , 10 , 20 , 30 , 40 , 1 \n",
+    "\t1\t,2,10,20,30,40,1\x0c\n",
+    "1,\xa02,10,20,30,40,1\n",
+    "﻿1,2,10,20,30,40,1\n",
+    "1,3.0,10,20,30,40,1\n",
+    "1e3,2,10,20,30,40,1\n",
+    f"1,{2**53 + 1},10,20,30,40,1\n",
+    f"{2**53 + 1},1,10,20,30,40,1\n",
+    f"1,{2**53},10,20,30,40,1\n",
+    f"1,{2**53 - 1},10,20,30,40,1\n",
+    "1,9007199254740993.0,10,20,30,40,1\n",
+    "3.5,2,10,20,30,40,1\n",
+    "0,2,10,20,30,40,1\n",
+    "1e-400,2,10,20,30,40,1\n",
+    "1,-2,10,20,30,40,1\n",
+    "1,2,10,20,0,40,1\n",
+    "1,2,10,20,30,-0.0,1\n",
+    "1,2,1 0,20,30,40,1\n",
+    "+1,2,+10,.5,5.,6e0,7E+1\n",
+    "1,2,-0,-0.0,1e-320,5e-324,1e308\n",
+    "1,2,10,20,30,40,1e999\n",
+    '1,2,"10",20,30,40,1\n',
+    "1,2,10,20,30,40\n",
+    "1,2,10,20,30,40,\n",
+    "1,2,10,20,30,40,1,\n",
+    "1,2,10,20,30,40,1,,,\n",
+    "1,2,10,20,30,40,1,-1,-1,-1\n2,2,10,20,30,40,1\n3,2,10,20,30,40,1,8,9,10,11,12\n",
+    "1,2,10,20,30,40,1\r\n2,2,10,20,30,40,1\r\n",
+    "1,2,10,20,30,40,1\r2,2,10,20,30,40,1\n",
+    "1,2,10,20,30,40,1,x\ry\n",
+    "1,2,10,20,30,40,1 2,2,10,20,30,40,1\n",
+    "\n\n1,2,10,20,30,40,1\n\n",
+    "  \t \n1,2,10,20,30,40,1\n",
+    "1,2,10,20,30,40,1\n   ",
+    "1,2,10,20,30,40,1",
+    "1,2,3\n",
+    "",
+    "\n",
+    " \r\n\t\n",
+]
+FAST_PATH_CORPUS += [
+    ",".join(value if k == column else f for k, f in enumerate("4,5,10,20,30,40,1".split(","))) + "\n"
+    for column in range(7)
+    for value in ("nan", "NaN", "inf", "infinity", "-Infinity")
+]
+
+
+@pytest.mark.parametrize("text", FAST_PATH_CORPUS)
+def test_parse_fast_path_matches_line_parser(text):
+    # alone, and between well-formed lines so that line numbers shift
+    for whole in (text, GOOD + text + ("" if text.endswith("\n") or not text else "\n") + GOOD):
+        assert _outcome(parse_tracks, whole) == _outcome(_reference_parse, whole)
+        assert _outcome(parse_tracks, io.StringIO(whole)) == _outcome(_reference_parse, whole)
+
+
+def test_parse_empty_input_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in ("", "\n", " \n\t\r\n"):
+            assert len(parse_tracks(text)) == 0
+
+
+def test_parse_rejects_frame_and_id_beyond_int64():
+    with pytest.raises(ParseError, match=r"^line 2: frame and track_id must be below 2\*\*63"):
+        parse_tracks(GOOD + f"{2**63},1,10,20,30,40,1\n")
+
+
+def test_parse_fast_path_rounds_like_float(detections_built):
+    # 100k numbers: random bit patterns (every magnitude, subnormals), short
+    # decimals and 20-digit spellings that are not shortest reprs
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2**64, size=61_000, dtype=np.uint64).view(np.float64)
+    pool = [repr(v) for v in bits[np.isfinite(bits)].tolist()]
+    pool += [repr(round(v, int(d))) for v, d in zip(rng.uniform(-1e4, 1e4, 25_000).tolist(), rng.integers(0, 8, 25_000))]
+    pool += [f"{v:.20e}" for v in rng.uniform(-1e3, 1e3, 15_000).tolist()]
+    pool = pool[: len(pool) - len(pool) % 5]
+    rows = np.array(pool).reshape(-1, 5)
+    sizes = np.where(np.char.startswith(rows[:, 2:4], "-"), np.char.lstrip(rows[:, 2:4], "-"), rows[:, 2:4])
+    sizes[np.array([[float(s) == 0.0 for s in row] for row in sizes])] = "1"
+    rows[:, 2:4] = sizes
+    text = "".join(f"{k + 1},7,{','.join(row)},-1,-1,-1\n" for k, row in enumerate(rows.tolist()))
+    table = parse_tracks(text)
+    assert not detections_built  # read in one pass, no Detection built
+    assert len(rows) * 5 >= 100_000
+    for k, column in enumerate((table.x, table.y, table.w, table.h, table.conf)):
+        expected = np.array([float(s) for s in rows[:, k].tolist()])
+        assert np.array_equal(column.view(np.int64), expected.view(np.int64))
+
+
+def test_detection_table_contract():
+    dets = [Detection(2, 1, 1.5, 2.0, 3.0, 4.0, 0.5), Detection(1, 3, -1.0, 0.0, 1.0, 1.0, 1.0)]
+    table = DetectionTable.of(dets)
+    assert DetectionTable.of(table) is table
+    assert table == dets and table == tuple(dets) and table != dets[:1] and table != dets[::-1]
+    assert table == DetectionTable(*zip(*[dataclasses.astuple(d) for d in dets]))
+    assert len(table) == 2 and table[1] == dets[1] and table[-1] == dets[1] and list(table) == dets
+    assert table.frame.dtype == np.int64 and table.x.dtype == np.float64
+    assert type(table[0].x) is float and type(table[0].frame) is int
+    part = table[1:]
+    assert isinstance(part, DetectionTable) and part == dets[1:] and np.shares_memory(part.x, table.x)
+    for column in table.columns:
+        with pytest.raises(ValueError):
+            column[0] = 1
+    assert table.relabeled(9).track_id.tolist() == [9, 9]
+    assert table.relabeled([4, 5]) == [dataclasses.replace(d, track_id=t) for d, t in zip(dets, (4, 5))]
+    with pytest.raises(ValueError, match="track_id must be >= 1"):
+        table.relabeled(0)
+    assert DetectionTable.concat([table, part]) == dets + dets[1:]
+    assert len(DetectionTable.concat([])) == 0
+    assert table.take(np.array([1, 0])) == dets[::-1]
+    assert table.boxes.tolist() == [list(d.box) for d in dets]
+    with pytest.raises(TypeError):
+        hash(table)
+
+
+def test_detection_table_checks_rows_like_detection():
+    with pytest.raises(ValueError, match=r"^row 1: box size must be positive, got w=0.0, h=1.0$"):
+        DetectionTable([1, 2], [1, 1], [0, 0], [0, 0], [1, 0], [1, 1], [1, 1])
+    with pytest.raises(ValueError, match=r"^row 0: frame must be >= 1, got 0$"):
+        DetectionTable([0], [1], [0], [0], [1], [1], [1])
+    with pytest.raises(ValueError, match=r"^row 0: box and conf must be finite"):
+        DetectionTable([1], [1], [0], [0], [1], [1], [float("nan")])
+    with pytest.raises(ValueError, match="differ in length"):
+        DetectionTable([1, 2], [1], [0], [0], [1], [1], [1])
+    source = np.array([1.0, 2.0])
+    table = DetectionTable([1, 2], [1, 1], source, source, source, source, source)
+    source[0] = 5.0  # the table holds its own copy
+    assert table.x.tolist() == [1.0, 2.0]
+
+
+def test_write_table_matches_write_of_its_rows():
+    rng = np.random.default_rng(3)
+    n = 500
+    table = DetectionTable(
+        rng.integers(1, 50, n), rng.integers(1, 9, n), [round(v, k % 4) for k, v in enumerate(rng.uniform(-50, 500, n))],
+        rng.uniform(-50, 500, n), rng.uniform(0.5, 80, n), np.round(rng.uniform(1, 80, n)), rng.choice([-1.0, 1.0, 0.5], n),
+    )
+    assert write_tracks(table) == write_tracks(list(table))
+    assert parse_tracks(write_tracks(table)) == sorted(table, key=lambda d: (d.frame, d.track_id))
+
+
+def test_detection_table_concatenates_like_a_list():
+    dets = [Detection(1, 1, 0.0, 0.0, 1.0, 1.0, 1.0), Detection(2, 1, 1.0, 0.0, 1.0, 1.0, 1.0)]
+    table = DetectionTable.of(dets)
+    assert table[:1] + table[1:] == dets
+    assert isinstance(table + dets, DetectionTable) and table + dets == dets + dets

@@ -1,3 +1,5 @@
+import numpy as np
+
 from trackstitch.config import PipelineConfig
 from trackstitch.mot_io import Detection, SequenceMeta
 from trackstitch.pipeline import refine_detections
@@ -131,3 +133,34 @@ def test_summary_counts_match_the_tracklets_refined():
     assert summary.candidate_edges > 0
     assert summary.solver_nodes == 1 + len(tracklets)
     assert summary.solver_backtracks == 0
+
+
+def test_parsed_tables_build_no_detection_objects(detections_built):
+    from trackstitch.evaluation import evaluate_sequence
+    from trackstitch.mot_io import DetectionTable, parse_tracks, write_tracks
+
+    # crossings make the cutter cut; dropped frames make interpolation fill
+    gt, meta = generate(ScenarioConfig(num_objects=8, num_frames=150, crossings=3, seed=1))
+    corrupted, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, random_cuts_per_track=1, gap_frames=(1, 3), seed=1))
+    tracker, truth = parse_tracks(write_tracks(corrupted)), parse_tracks(write_tracks(gt))
+    before = [column.copy() for column in tracker.columns]
+    del detections_built[:]
+
+    out, summary = refine_detections(tracker, meta, PipelineConfig())
+    assert not detections_built
+    scores = evaluate_sequence(truth, out)
+    assert not detections_built
+
+    assert isinstance(out, DetectionTable) and out.x.dtype == np.float64
+    assert summary.cuts_made > 0 and summary.detections_interpolated > 0 and scores.idf1 > 0.5
+    # no layer wrote into the caller's columns
+    assert all(np.array_equal(a, b) for a, b in zip(before, tracker.columns))
+    assert out == refine_detections(list(tracker), meta, PipelineConfig())[0]
+
+
+def test_refine_output_values_are_float64():
+    dets = [Detection(f, 1, 5, 7, 10, 10, 1) for f in (1, 2, 4)]
+    out, summary = refine_detections(dets, META)
+    assert summary.detections_interpolated == 1
+    assert out == [Detection(f, 1, 5.0, 7.0, 10.0, 10.0, 1.0) for f in (1, 2, 3, 4)]
+    assert all(type(v) is float for d in out for v in (d.x, d.y, d.w, d.h, d.conf))

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from trackstitch.mot_io import Detection
 from trackstitch.tracklets import build_endpoints, cut_tracklets, group_tracklets, iou, iou_matrix, make_tracklet
+from trackstitch.mot_io import DetectionTable
+from trackstitch.tracklets import make_tracklets
 
 
 def boxes_track(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
@@ -170,3 +174,74 @@ class TestCutter:
         assert len(ids) == len(set(ids))
         for t in out:
             assert all(d.track_id == t.id for d in t.detections)
+
+
+def _reference_endpoints(dets, window, min_len):
+    """Endpoint summaries computed from a list of Detection objects, one np.mean per value list."""
+
+    def mean_box(part):
+        return tuple(float(np.mean([getattr(d, k) for d in part])) for k in "xywh")
+
+    def mean_velocity(part):
+        steps = [
+            ((b.x + b.w / 2.0 - (a.x + a.w / 2.0)) / (b.frame - a.frame),
+             (b.y + b.h / 2.0 - (a.y + a.h / 2.0)) / (b.frame - a.frame))
+            for a, b in zip(part, part[1:])
+        ]
+        return (float(np.mean([s[0] for s in steps])), float(np.mean([s[1] for s in steps])))
+
+    n = len(dets)
+    first, last = dets[0], dets[-1]
+    if n >= min_len:
+        head, tail = dets[1 : 1 + window], dets[n - 1 - window : n - 1]
+        return (
+            (first.frame, mean_box(head), mean_velocity(head)),
+            (last.frame, mean_box(tail), mean_velocity(tail)),
+        )
+    if n >= 2:
+        return (
+            (first.frame, first.box, mean_velocity(dets[:2])),
+            (last.frame, last.box, mean_velocity(dets[-2:])),
+        )
+    return ((first.frame, first.box, (0.0, 0.0)), (last.frame, last.box, (0.0, 0.0)))
+
+
+def _summary(end):
+    return (end.frame, end.box, end.velocity)
+
+
+def test_endpoints_of_table_slices_equal_detection_list_endpoints():
+    # repr compares every float exactly, nan included (a window of one step or none)
+    rng = np.random.default_rng(17)
+    for trial in range(150):
+        window = int(rng.integers(1, 14))
+        min_len = int(rng.integers(2, 16))
+        runs = []
+        for tid in range(1, int(rng.integers(1, 12)) + 1):
+            n = int(rng.choice([1, 2, 3, min_len - 1, min_len, min_len + 1, window, window + 1, 40]))
+            frames = np.sort(rng.choice(np.arange(1, 200), size=max(n, 1), replace=False))
+            scale = 10.0 ** rng.integers(-3, 4)
+            runs.append([
+                Detection(int(f), tid, *(rng.uniform(-500, 500, 2) * scale).tolist(),
+                          *(rng.uniform(0.5, 80, 2) * scale).tolist(), 1.0)
+                for f in frames
+            ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # means of empty windows, as in the reference
+            tracklets = group_tracklets([d for run in runs for d in run], window, min_len)
+            assert len(tracklets) == len(runs)
+            for t, run in zip(tracklets, runs):
+                expected = _reference_endpoints(run, window, min_len)
+                assert repr((_summary(t.start), _summary(t.end))) == repr(expected), (trial, window, min_len, len(run))
+                assert repr(tuple(map(_summary, build_endpoints(run, window, min_len)))) == repr(expected)
+                assert t.detections == run
+
+
+def test_make_tracklets_equals_make_tracklet_per_run():
+    rows = DetectionTable.of(
+        boxes_track(1, range(1, 30), vx=1.5) + boxes_track(2, [3]) + boxes_track(3, [5, 9, 10], vy=-2.0)
+    )
+    bounds = [0, 29, 30, 33]
+    together = make_tracklets(rows, bounds, 4, 5)
+    assert together == [make_tracklet(tid, rows[lo:hi], 4, 5) for tid, lo, hi in zip((1, 2, 3), bounds, bounds[1:])]
+    assert make_tracklets(rows[:0], [0]) == []
