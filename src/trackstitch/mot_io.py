@@ -188,8 +188,8 @@ class SequenceMeta:
     num_frames: int
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not (isfinite(self.fps) and self.fps > 0):
+            raise ValueError(f"fps must be finite and positive, got {self.fps}")
         if self.img_width < 1 or self.img_height < 1:
             raise ValueError("image dimensions must be positive")
         if self.num_frames < 1:
@@ -278,32 +278,52 @@ def parse_tracks(stream: TextIO | str) -> DetectionTable:
     return table if table is not None else DetectionTable.of(_parse_lines(text))
 
 
-# A float's repr ends in ".0" exactly when it is integral and below 1e16 in
-# magnitude (repr switches to exponent notation there), and every value field
-# is followed by a comma. The format drops that ".0" below 1e15 only, so the
-# substitution skips a ".0" after 16 digits; "-0.0" prints as "0", so its sign
-# goes first.
+# The list path of write_tracks formats whole rows with "%s" and then fixes
+# the integral values in the text. A float's repr ends in ".0" exactly when it
+# is integral and below 1e16 in magnitude (repr switches to exponent notation
+# there), and every value field is followed by a comma. The format drops that
+# ".0" below 1e15 only, so the substitution skips a ".0" after 16 digits;
+# "-0.0" prints as "0", so its sign goes first.
 _POINT_ZERO = re.compile(r"\.0,(?<!\d{16}\.0,)")
+
+# what follows each of the seven columns on a line
+_SEPARATORS = (",",) * 6 + (",-1,-1,-1\n",)
+
+
+def _column_tokens(column: np.ndarray, sep: str) -> list[str]:
+    """Every value of ``column`` as printed, followed by ``sep``; each distinct value is formatted once."""
+    values, inverse = np.unique(column, return_inverse=True)  # -0.0 and 0.0 fall together and both print 0
+    text = list(map(repr, values.tolist()))
+    if column.dtype.kind == "f":
+        whole = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e15))
+        for k, value in zip(whole.tolist(), values[whole].astype(np.int64).tolist()):
+            text[k] = repr(value)
+    return np.array([t + sep for t in text], dtype=object)[inverse].tolist()
 
 
 def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) -> str:
     """Write detections in MOTChallenge format, sorted by (frame, id).
 
-    Integral values print without a decimal point below 1e15 in magnitude;
-    every other value prints as its shortest round-trip repr. A table's
-    columns print as Python numbers; the fields of other detections print with
-    ``str``, which equals ``repr`` for Python numbers and prints numpy scalars
-    as plain numbers. Returns the text; also writes it to ``stream`` when
-    given. ``parse_tracks(write_tracks(D))`` reproduces D up to ordering.
+    Every value prints by one rule: an integral value below 1e15 in magnitude
+    prints without a decimal point (``-0.0`` as ``0``), any other value as its
+    shortest round-trip repr. A table formats each distinct value of a column
+    once and gathers the tokens back by row. The fields of other detections
+    print with ``str``, which equals ``repr`` for Python numbers and prints
+    numpy scalars as plain numbers. Returns the text; also writes it to
+    ``stream`` when given. ``parse_tracks(write_tracks(D))`` reproduces D up
+    to ordering.
     """
     if isinstance(detections, DetectionTable):
         order = np.lexsort((detections.track_id, detections.frame))
-        columns = [c[order].tolist() for c in detections.columns]
+        tokens: list[str | None] = [None] * (len(_FIELDS) * len(detections))
+        for k, (column, sep) in enumerate(zip(detections.columns, _SEPARATORS)):
+            tokens[k :: len(_FIELDS)] = _column_tokens(column[order], sep)
+        text = "".join(tokens)
     else:
         rows = sorted(detections, key=attrgetter("frame", "track_id"))
         columns = [list(map(attrgetter(name), rows)) for name in _FIELDS]
-    text = "".join(map("%s,%s,%s,%s,%s,%s,%s,-1,-1,-1\n".__mod__, zip(*columns)))
-    text = _POINT_ZERO.sub(",", text.replace("-0.0,", "0.0,"))
+        text = "".join(map("%s,%s,%s,%s,%s,%s,%s,-1,-1,-1\n".__mod__, zip(*columns)))
+        text = _POINT_ZERO.sub(",", text.replace("-0.0,", "0.0,"))
     if stream is not None:
         stream.write(text)
     return text
@@ -338,16 +358,24 @@ def save_tracks(detections: Iterable[Detection], path: str | Path) -> None:
         write_tracks(detections, f)
 
 
-_SEQINFO_KEYS = {"frameRate": "fps", "imWidth": "img_width", "imHeight": "img_height", "seqLength": "num_frames"}
+# seqinfo key -> (SequenceMeta field, parser of its value)
+_SEQINFO_KEYS = {
+    "frameRate": ("fps", float),
+    "imWidth": ("img_width", _parse_int),
+    "imHeight": ("img_height", _parse_int),
+    "seqLength": ("num_frames", _parse_int),
+}
 
 
 def read_seqinfo(path: str | Path) -> SequenceMeta:
     """Read sequence metadata from a seqinfo-style key=value file.
 
     Section headers (``[Sequence]``), comments and unknown keys are ignored;
-    ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required.
+    ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required,
+    and the last three must be integers (``1920.0`` is one). Raises
+    :class:`ParseError` naming the line of a bad value.
     """
-    values: dict[str, float] = {}
+    values: dict[str, float | int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -358,23 +386,19 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
             key, _, value = line.partition("=")
             key = key.strip()
             if key in _SEQINFO_KEYS:
+                field, parse = _SEQINFO_KEYS[key]
                 try:
-                    values[_SEQINFO_KEYS[key]] = float(value.strip())
-                except ValueError:
+                    values[field] = parse(value.strip())
+                except ValueError:  # also a non-finite or fractional integer
                     raise ParseError(f"line {lineno}: bad value for {key}: {value.strip()!r}") from None
-    missing = [k for k, v in _SEQINFO_KEYS.items() if v not in values]
+    missing = [k for k, (field, _) in _SEQINFO_KEYS.items() if field not in values]
     if missing:
         raise ParseError(f"seqinfo file {path} is missing keys: {', '.join(missing)}")
-    return SequenceMeta(
-        fps=values["fps"],
-        img_width=int(values["img_width"]),
-        img_height=int(values["img_height"]),
-        num_frames=int(values["num_frames"]),
-    )
+    return SequenceMeta(**values)
 
 
 def _fmt(value: float) -> str:
-    # the rule write_tracks applies to a whole file at once
+    # the number rule of write_tracks, for one value
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

@@ -186,3 +186,53 @@ def test_eval_rejects_iou_threshold_outside_unit_interval(tmp_path, capsys, thre
     captured = capsys.readouterr()
     assert captured.err.startswith("error: iou_threshold must lie in (0, 1]")
     assert captured.out == ""
+
+
+THREE_ROWS = "1,1,0,0,10,10,1,-1,-1,-1\n2,1,1,0,10,10,1,-1,-1,-1\n5,2,4,0,10,10,1,-1,-1,-1\n"
+
+
+def assert_one_line_error(tmp_path, capsys, argv, expected):
+    code = main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {expected}\n"
+    assert not (tmp_path / "out.txt").exists() and not (tmp_path / "out.txt.tmp").exists()
+
+
+@pytest.mark.parametrize("fps", ["nan", "inf"])
+def test_refine_rejects_non_finite_fps_flag(tmp_path, capsys, fps):
+    tracks = tmp_path / "tracks.txt"
+    tracks.write_text(THREE_ROWS)
+    argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--fps", fps, "--width", "100", "--height", "100"]
+    assert_one_line_error(tmp_path, capsys, argv, f"fps must be finite and positive, got {fps}")
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("frameRate=nan", "fps must be finite and positive, got nan"),
+        ("frameRate=inf", "fps must be finite and positive, got inf"),
+        ("imWidth=inf", "line 2: bad value for imWidth: 'inf'"),
+        ("imWidth=1920.7", "line 2: bad value for imWidth: '1920.7'"),
+        ("seqLength=1.5", "line 2: bad value for seqLength: '1.5'"),
+    ],
+)
+def test_refine_rejects_bad_seqinfo_values(tmp_path, capsys, line, expected):
+    tracks = tmp_path / "tracks.txt"
+    tracks.write_text(THREE_ROWS)
+    fields = dict(kv.split("=") for kv in ["frameRate=30", "imWidth=100", "imHeight=100", "seqLength=10"])
+    key, value = line.split("=")
+    fields[key] = value
+    seqinfo = tmp_path / "seqinfo.ini"
+    seqinfo.write_text("[Sequence]\n" + f"{line}\n" + "".join(f"{k}={v}\n" for k, v in fields.items() if k != key))
+    argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
+    assert_one_line_error(tmp_path, capsys, argv, expected)
+
+
+def test_refine_accepts_integral_seqinfo_spellings(tmp_path, capsys):
+    tracks = tmp_path / "tracks.txt"
+    tracks.write_text(THREE_ROWS)
+    seqinfo = tmp_path / "seqinfo.ini"
+    seqinfo.write_text("frameRate=30.0\nimWidth=100.0\nimHeight=1e2\nseqLength=10.0\n")
+    assert main(["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]) == 0
+    assert "links formed: 1" in capsys.readouterr().out

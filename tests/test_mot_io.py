@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trackstitch.mot_io import (
     Detection,
@@ -226,6 +227,40 @@ def test_read_seqinfo(tmp_path):
     assert (meta.fps, meta.img_width, meta.img_height, meta.num_frames) == (25, 1280, 720, 600)
 
 
+@pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), 0.0, -5.0])
+def test_sequence_meta_rejects_non_finite_or_non_positive_fps(fps):
+    with pytest.raises(ValueError, match="^fps must be finite and positive, got "):
+        SequenceMeta(fps=fps, img_width=10, img_height=10, num_frames=10)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_read_seqinfo_rejects_non_finite_frame_rate(tmp_path, value):
+    path = tmp_path / "seqinfo.ini"
+    path.write_text(f"frameRate={value}\nseqLength=600\nimWidth=1280\nimHeight=720\n")
+    with pytest.raises(ValueError, match=f"^fps must be finite and positive, got {value}$"):
+        read_seqinfo(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, lineno",
+    [("imWidth", "inf", 4), ("imWidth", "1920.7", 4), ("seqLength", "1.5", 3), ("imHeight", "nan", 5), ("imHeight", "1e400", 5)],
+)
+def test_read_seqinfo_rejects_non_integer_sizes(tmp_path, key, value, lineno):
+    fields = {"frameRate": "25", "seqLength": "600", "imWidth": "1280", "imHeight": "720", key: value}
+    path = tmp_path / "seqinfo.ini"
+    path.write_text("[Sequence]\n" + "".join(f"{k}={v}\n" for k, v in fields.items()))
+    with pytest.raises(ParseError, match=f"^line {lineno}: bad value for {key}: '{value}'$"):
+        read_seqinfo(path)
+
+
+def test_read_seqinfo_accepts_integral_spellings(tmp_path):
+    path = tmp_path / "seqinfo.ini"
+    path.write_text("frameRate=29.97\nseqLength=6e2\nimWidth=1920.0\nimHeight= 1080 \n")
+    meta = read_seqinfo(path)
+    assert (meta.fps, meta.img_width, meta.img_height, meta.num_frames) == (29.97, 1920, 1080, 600)
+    assert all(type(v) is int for v in (meta.img_width, meta.img_height, meta.num_frames))
+
+
 def test_read_seqinfo_missing_key(tmp_path):
     path = tmp_path / "seqinfo.ini"
     path.write_text("frameRate=25\n")
@@ -419,3 +454,94 @@ def test_detection_table_concatenates_like_a_list():
     table = DetectionTable.of(dets)
     assert table[:1] + table[1:] == dets
     assert isinstance(table + dets, DetectionTable) and table + dets == dets + dets
+
+
+def _assert_writes_like_its_rows(table):
+    """The table writer against the row writer, and the stream against the returned text."""
+    text = write_tracks(table)
+    assert text == write_tracks(list(table))
+    stream = io.StringIO()
+    assert write_tracks(table, stream) == text
+    assert stream.getvalue() == text
+    return text
+
+
+def _finite_bit_patterns(rng, n):
+    values = rng.integers(0, 2**64, size=3 * n, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)][:n]
+
+
+def test_write_table_matches_rows_on_random_bit_patterns():
+    rng = np.random.default_rng(11)
+    n = 3000
+    x, y, w, h, conf = (_finite_bit_patterns(rng, n) for _ in range(5))
+    w, h = (np.where(v == 0, 1.0, np.abs(v)) for v in (w, h))
+    _assert_writes_like_its_rows(DetectionTable(rng.integers(1, 200, n), rng.integers(1, 20, n), x, y, w, h, conf))
+
+
+def test_write_table_prints_signed_zeros_as_zero():
+    x = [0.0, -0.0, -0.0, 0.0, 1.5, -0.0]
+    table = DetectionTable(range(1, 7), [1] * 6, x, [0.0] * 6, [1.0] * 6, [1.0] * 6, [-0.0] * 6)
+    text = _assert_writes_like_its_rows(table)
+    assert [line.split(",")[2] for line in text.splitlines()] == ["0", "0", "0", "0", "1.5", "0"]
+    assert "-0" not in text
+
+
+def test_write_table_integral_values_around_1e15():
+    edges = [1e15 - 1, 1e15, 1e15 + 1, 1e16, 2.0**53, 2.0**53 + 2, 999999999999999.5, 123.0, 1e300]
+    values = edges + [-v for v in edges]
+    n = len(values)
+    table = DetectionTable(range(1, n + 1), [1] * n, values, values[::-1], [abs(v) for v in values], [1.0] * n, values)
+    text = _assert_writes_like_its_rows(table)
+    assert text.splitlines()[:4] == [
+        "1,1,999999999999999,-1e+300,999999999999999,1,999999999999999,-1,-1,-1",
+        "2,1,1000000000000000.0,-123,1000000000000000.0,1,1000000000000000.0,-1,-1,-1",
+        "3,1,1000000000000001.0,-999999999999999.5,1000000000000001.0,1,1000000000000001.0,-1,-1,-1",
+        "4,1,1e+16,-9007199254740994.0,1e+16,1,1e+16,-1,-1,-1",
+    ]
+
+
+def test_write_table_matches_rows_on_subnormals():
+    tiny = np.nextafter(0.0, 1.0)
+    values = [tiny, -tiny, tiny * 3, 2.2250738585072e-308, -1e-310, 5e-324]
+    n = len(values)
+    text = _assert_writes_like_its_rows(
+        DetectionTable(range(1, n + 1), [1] * n, values, values, np.abs(values), np.abs(values), values)
+    )
+    assert text.splitlines()[0] == "1,1,5e-324,5e-324,5e-324,5e-324,5e-324,-1,-1,-1"
+
+
+def test_write_table_matches_rows_with_many_repeated_values():
+    rng = np.random.default_rng(5)
+    n = 5000
+    pool = np.array([0.5, 1.0, -0.0, 0.1, 1e15, 7.0, 2.0**60, 1 / 3])
+    x, y, w, h, conf = (rng.choice(pool, n) for _ in range(5))
+    w, h = np.where(w > 0, w, 2.0), np.where(h > 0, h, 3.0)
+    _assert_writes_like_its_rows(DetectionTable(rng.integers(1, 4, n), rng.integers(1, 3, n), x, y, w, h, conf))
+
+
+def test_write_table_matches_rows_with_ids_up_to_int64_max():
+    big = [2**63 - 1, 2**62, 2**53 + 1, 1, 10**15, 10**16]
+    n = len(big)
+    table = DetectionTable(big, big[::-1], [0.5] * n, [1.0] * n, [1.0] * n, [1.0] * n, [1.0] * n)
+    text = _assert_writes_like_its_rows(table)
+    assert text.splitlines()[-1] == f"{2**63 - 1},{10**16},0.5,1,1,1,1,-1,-1,-1"
+
+
+def test_write_empty_table():
+    assert _assert_writes_like_its_rows(DetectionTable.of(())) == ""
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 25))
+    ids = hnp.arrays(np.int64, n, elements=st.integers(1, 2**63 - 1))
+    values = hnp.arrays(np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False))
+    sizes = hnp.arrays(np.float64, n, elements=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return DetectionTable(draw(ids), draw(ids), draw(values), draw(values), draw(sizes), draw(sizes), draw(values))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tables())
+def test_write_table_matches_rows_on_generated_columns(table):
+    _assert_writes_like_its_rows(table)
