@@ -358,9 +358,16 @@ def save_tracks(detections: Iterable[Detection], path: str | Path) -> None:
         write_tracks(detections, f)
 
 
+def _parse_fps(text: str) -> float:
+    value = float(text)
+    if not (isfinite(value) and value > 0):
+        raise ValueError(f"not a finite positive rate: {text!r}")
+    return value
+
+
 # seqinfo key -> (SequenceMeta field, parser of its value)
 _SEQINFO_KEYS = {
-    "frameRate": ("fps", float),
+    "frameRate": ("fps", _parse_fps),
     "imWidth": ("img_width", _parse_int),
     "imHeight": ("img_height", _parse_int),
     "seqLength": ("num_frames", _parse_int),
@@ -371,9 +378,10 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
     """Read sequence metadata from a seqinfo-style key=value file.
 
     Section headers (``[Sequence]``), comments and unknown keys are ignored;
-    ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required,
-    and the last three must be integers (``1920.0`` is one). Raises
-    :class:`ParseError` naming the line of a bad value.
+    ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required;
+    the frame rate must be finite and positive, and the last three must be
+    integers (``1920.0`` is one). Raises :class:`ParseError` naming the line
+    of a bad value.
     """
     values: dict[str, float | int] = {}
     with open(path, encoding="utf-8") as f:
@@ -389,7 +397,7 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
                 field, parse = _SEQINFO_KEYS[key]
                 try:
                     values[field] = parse(value.strip())
-                except ValueError:  # also a non-finite or fractional integer
+                except ValueError:  # also a non-finite or fractional integer, or a rate <= 0
                     raise ParseError(f"line {lineno}: bad value for {key}: {value.strip()!r}") from None
     missing = [k for k, (field, _) in _SEQINFO_KEYS.items() if field not in values]
     if missing:

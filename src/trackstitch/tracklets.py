@@ -232,6 +232,53 @@ def group_tracklets(
     return make_tracklets(rows, run_bounds(ids), endpoint_window, endpoint_min_len)
 
 
+# most candidate pairs scored at once: the temporaries take about 100 bytes
+# per pair, and at this size they stay in the processor's cache
+_PAIR_CHUNK = 1 << 15
+
+
+def _sweep(frames: np.ndarray, x: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort rows by (frame, x) and find, for each, the first row of its frame at or right of its ``right``.
+
+    Returns ``order`` and ``ends``: row ``order[k]`` is the k-th in (frame, x)
+    order, and ``ends[k]`` is the position of the first row of its frame with
+    ``x >= right[order[k]]``, or the end of its frame if there is none. Both
+    edges are replaced by their ranks among all edges, so that (frame, edge)
+    becomes one exact integer key, and one binary search finds every end.
+    """
+    n = len(x)
+    frame_rank = np.unique(frames, return_inverse=True)[1]
+    edges, edge_rank = np.unique(np.concatenate((x, right)), return_inverse=True)
+    base = frame_rank * len(edges)
+    start_key = base + edge_rank[:n]
+    order = np.argsort(start_key)
+    ends = np.searchsorted(start_key[order], (base + edge_rank[n:])[order])
+    return order, ends
+
+
+def _overlapping_pairs(boxes: np.ndarray, ends: np.ndarray, cut_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The position pairs ``(i, j)``, ``i < j < ends[i]``, whose boxes reach ``iou >= cut_threshold``.
+
+    ``boxes`` is a (4, N) array of (x, y, w, h) rows; the pairs are scored in
+    chunks of at most ``_PAIR_CHUNK`` pairs (or one row's, if more).
+    """
+    counts = np.maximum(ends - np.arange(len(ends)) - 1, 0)
+    totals = np.cumsum(counts)
+    hits_i, hits_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    lo = 0
+    while lo < len(ends):
+        done = totals[lo] - counts[lo]
+        hi = max(int(np.searchsorted(totals, done + _PAIR_CHUNK, side="right")), lo + 1)
+        sizes = counts[lo:hi]
+        # position lo + k is paired with positions lo + k + 1 ... lo + k + sizes[k]
+        j = np.arange(totals[hi - 1] - done) + np.repeat(np.arange(lo + 1, hi + 1) - (totals[lo:hi] - sizes - done), sizes)
+        hit = iou_pairs(np.repeat(boxes[:, lo:hi], sizes, axis=1), boxes.take(j, axis=1)) >= cut_threshold
+        hits_i.append(np.repeat(np.arange(lo, hi), sizes)[hit])
+        hits_j.append(j[hit])
+        lo = hi
+    return np.concatenate(hits_i), np.concatenate(hits_j)
+
+
 def cut_tracklets(
     tracklets: Iterable[Tracklet],
     cut_threshold: float,
@@ -240,38 +287,44 @@ def cut_tracklets(
 ) -> list[Tracklet]:
     """Cut tracklets wherever two of them start overlapping strongly.
 
-    Frames are scanned in increasing order; whenever two detections from
-    distinct tracklets reach ``iou >= cut_threshold`` the two tracklets are cut
-    so that the overlapping detections begin new fragments. A pair that was
-    already overlapping in the immediately preceding frame does not trigger
-    again: one sustained overlap event means one cut per tracklet, at the frame
-    where the overlap first appears. Fragments of a cut tracklet get fresh ids
-    above the existing maximum; untouched tracklets keep theirs.
+    Whenever two detections from distinct tracklets in one frame reach
+    ``iou >= cut_threshold`` (which must lie in (0, 1]) the two tracklets are
+    cut so that the overlapping detections begin new fragments. A pair that
+    was already overlapping in the immediately preceding frame does not
+    trigger again: one sustained overlap event means one cut per tracklet, at
+    the frame where the overlap first appears. Fragments of a cut tracklet get
+    fresh ids above the existing maximum; untouched tracklets keep theirs.
+
+    The overlapping pairs are found in one sweep over all detections sorted
+    by (frame, x): a detection is scored only against the later ones of its
+    frame that start left of its right edge, which include every pair with a
+    positive intersection. The candidates are scored in bounded chunks, and
+    the result does not depend on the chunk size.
     """
+    if not (0.0 < cut_threshold <= 1.0):
+        raise ValueError(f"cutter threshold must lie in (0, 1], got {cut_threshold}")
     tracklets = list(tracklets)
     rows = DetectionTable.concat(t.detections for t in tracklets)
-    # one stable sort by frame keeps each frame's boxes in tracklet order
-    order = np.argsort(rows.frame, kind="stable")
+    order, ends = _sweep(rows.frame, rows.x, rows.x + rows.w)
     frames = rows.frame[order]
-    owners = np.repeat(np.arange(len(tracklets)), [len(t) for t in tracklets])[order].tolist()
-    boxes = rows.boxes[order]
+    owners = np.repeat(np.arange(len(tracklets)), [len(t) for t in tracklets])[order]
+    boxes = np.stack([column[order] for column in (rows.x, rows.y, rows.w, rows.h)])
+    i, j = _overlapping_pairs(boxes, ends, cut_threshold)
 
+    # one row per (tracklet pair, frame) with a hit, sorted; a hit is a rising
+    # edge unless the same pair also had one in the frame before. A pair with
+    # two hits in one frame (a tracklet that repeats a frame) cuts there
+    # anyway: the second hit finds the pair overlapping in this frame, not in
+    # the one before.
+    ti, tj = owners[i], owners[j]
+    pair_frames = np.stack([np.minimum(ti, tj), np.maximum(ti, tj), frames[i]], axis=1)
+    hits, repeats = np.unique(pair_frames[ti != tj], axis=0, return_counts=True)
+    continued = np.zeros(len(hits), dtype=bool)
+    continued[1:] = (hits[1:, 0] == hits[:-1, 0]) & (hits[1:, 1] == hits[:-1, 1]) & (hits[1:, 2] - 1 == hits[:-1, 2])
     cut_frames: dict[int, set[int]] = {}
-    last_overlap: dict[tuple[int, int], int] = {}  # tracklet-index pair -> last overlapping frame
-    bounds = run_bounds(frames)
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi - lo < 2:
-            continue
-        frame = frames[lo].item()
-        matrix = iou_matrix(boxes[lo:hi], boxes[lo:hi])
-        for i, j in zip(*np.nonzero(np.triu(matrix >= cut_threshold, 1))):
-            ti, tj = owners[lo + i], owners[lo + j]
-            if ti != tj:
-                pair = (min(ti, tj), max(ti, tj))
-                if last_overlap.get(pair) != frame - 1:  # rising edge only
-                    cut_frames.setdefault(ti, set()).add(frame)
-                    cut_frames.setdefault(tj, set()).add(frame)
-                last_overlap[pair] = frame
+    for a, b, frame in hits[~continued | (repeats > 1)].tolist():
+        cut_frames.setdefault(a, set()).add(frame)
+        cut_frames.setdefault(b, set()).add(frame)
 
     # the fragments of all cut tracklets, as runs of one relabeled table
     pieces, sizes, piece_count = [], [], {}

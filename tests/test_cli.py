@@ -210,8 +210,8 @@ def test_refine_rejects_non_finite_fps_flag(tmp_path, capsys, fps):
 @pytest.mark.parametrize(
     "line, expected",
     [
-        ("frameRate=nan", "fps must be finite and positive, got nan"),
-        ("frameRate=inf", "fps must be finite and positive, got inf"),
+        ("frameRate=nan", "line 2: bad value for frameRate: 'nan'"),
+        ("frameRate=inf", "line 2: bad value for frameRate: 'inf'"),
         ("imWidth=inf", "line 2: bad value for imWidth: 'inf'"),
         ("imWidth=1920.7", "line 2: bad value for imWidth: '1920.7'"),
         ("seqLength=1.5", "line 2: bad value for seqLength: '1.5'"),

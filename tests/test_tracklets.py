@@ -1,12 +1,16 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trackstitch.tracklets as tracklets_module
 from trackstitch.mot_io import Detection
 from trackstitch.tracklets import build_endpoints, cut_tracklets, group_tracklets, iou, iou_matrix, make_tracklet
 from trackstitch.mot_io import DetectionTable
-from trackstitch.tracklets import make_tracklets
+from trackstitch.tracklets import make_tracklets, run_bounds
 
 
 def boxes_track(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
@@ -245,3 +249,215 @@ def test_make_tracklets_equals_make_tracklet_per_run():
     together = make_tracklets(rows, bounds, 4, 5)
     assert together == [make_tracklet(tid, rows[lo:hi], 4, 5) for tid, lo, hi in zip((1, 2, 3), bounds, bounds[1:])]
     assert make_tracklets(rows[:0], [0]) == []
+
+
+def _reference_cut(tracklets, cut_threshold, window=6, min_len=10):
+    """The per-frame cutter: one IoU matrix per frame, and the last overlapping frame of each pair in a dict."""
+    tracklets = list(tracklets)
+    rows = DetectionTable.concat(t.detections for t in tracklets)
+    order = np.argsort(rows.frame, kind="stable")
+    frames = rows.frame[order]
+    owners = np.repeat(np.arange(len(tracklets)), [len(t) for t in tracklets])[order].tolist()
+    boxes = rows.boxes[order]
+
+    cut_frames = {}
+    last_overlap = {}
+    bounds = run_bounds(frames)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo < 2:
+            continue
+        frame = frames[lo].item()
+        matrix = iou_matrix(boxes[lo:hi], boxes[lo:hi])
+        for i, j in zip(*np.nonzero(np.triu(matrix >= cut_threshold, 1))):
+            ti, tj = owners[lo + i], owners[lo + j]
+            if ti != tj:
+                pair = (min(ti, tj), max(ti, tj))
+                if last_overlap.get(pair) != frame - 1:
+                    cut_frames.setdefault(ti, set()).add(frame)
+                    cut_frames.setdefault(tj, set()).add(frame)
+                last_overlap[pair] = frame
+
+    pieces, sizes, piece_count = [], [], {}
+    for idx, t in enumerate(tracklets):
+        cuts = sorted(f for f in cut_frames.get(idx, ()) if f > t.start.frame)
+        if cuts:
+            splits = [0, *np.searchsorted(t.detections.frame, cuts).tolist(), len(t)]
+            pieces.append(t.detections)
+            sizes += np.diff(splits).tolist()
+            piece_count[idx] = len(splits) - 1
+    if not pieces:
+        return tracklets
+    first_id = max(t.id for t in tracklets) + 1
+    piece_ids = np.repeat(np.arange(first_id, first_id + len(sizes)), sizes)
+    piece_rows = DetectionTable.concat(pieces).relabeled(piece_ids)
+    fragments = iter(make_tracklets(piece_rows, np.cumsum([0, *sizes]).tolist(), window, min_len))
+    out = []
+    for idx, t in enumerate(tracklets):
+        if idx in piece_count:
+            out.extend(next(fragments) for _ in range(piece_count[idx]))
+        else:
+            out.append(t)
+    return out
+
+
+def _assert_same_cut(got, want):
+    assert [t.id for t in got] == [t.id for t in want]
+    assert [repr((t.start, t.end)) for t in got] == [repr((t.start, t.end)) for t in want]
+    assert all(a.detections == b.detections for a, b in zip(got, want))
+
+
+# (x offset, x unit, y unit): small integers, far from zero, and subnormal multiples
+_GRIDS = [(0.0, 1.0, 1.0), (0.0, 0.1, 0.1), (1e15, 1.0, 1.0), (0.0, 5e-324, 1.0), (-3.5e15, 0.5, 7.0)]
+
+
+def _grid_tracklets(tracks, grid, window, min_len):
+    """Tracklets from ``(tid, [(frame, gx, gy, gw, gh, nudge), ...])`` on one of ``_GRIDS``.
+
+    Boxes on a coarse grid are often identical, share x or touch exactly;
+    ``nudge`` adds the smallest subnormal to x. Frames are sorted, and a frame
+    may repeat, as in a hand-built tracklet.
+    """
+    offset, unit, y_unit = _GRIDS[grid]
+    out = []
+    for tid, rows in tracks:
+        dets = [
+            Detection(f, tid, offset + gx * unit + nudge * 5e-324, gy * y_unit, gw * unit, gh * y_unit, 1.0)
+            for f, gx, gy, gw, gh, nudge in sorted(rows)
+        ]
+        out.append(make_tracklet(tid, dets, window, min_len))
+    return out
+
+
+def _random_tracks(rng):
+    tracks = []
+    for tid in rng.choice(np.arange(1, 40), size=int(rng.integers(2, 9)), replace=False).tolist():
+        frames = rng.choice(np.arange(1, 25), size=int(rng.integers(1, 15)), replace=False).tolist()
+        rows = [
+            (f, int(rng.integers(0, 4)) * 5, int(rng.integers(0, 3)) * 5, int(rng.integers(1, 3)) * 5,
+             int(rng.integers(1, 3)) * 5, int(rng.random() < 0.1))
+            for f in frames
+        ]
+        if rng.random() < 0.3:
+            rows.append(rows[int(rng.integers(len(rows)))])  # a repeated frame
+        tracks.append((tid, rows))
+    return tracks
+
+
+def _cut_both(tracklets, threshold, window, min_len):
+    return cut_tracklets(tracklets, threshold, window, min_len), _reference_cut(tracklets, threshold, window, min_len)
+
+
+# 0/0 areas of subnormal boxes and means over empty endpoint windows warn
+quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@quiet
+@pytest.mark.parametrize("threshold", [1.0, 0.5, 1e-12])
+def test_cut_matches_per_frame_loop(threshold):
+    rng = np.random.default_rng(int(threshold * 1000) + 5)
+    cuts = 0
+    for trial in range(150):
+        window, min_len = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        tracklets = _grid_tracklets(_random_tracks(rng), trial % len(_GRIDS), window, min_len)
+        got, want = _cut_both(tracklets, threshold, window, min_len)
+        _assert_same_cut(got, want)
+        cuts += len(want) - len(tracklets)
+    assert cuts > 0
+
+
+@quiet
+def test_cut_on_continuous_coordinates_matches_per_frame_loop():
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        scale = 10.0 ** int(rng.integers(-3, 16))
+        dets = [
+            Detection(int(f), tid, *(rng.uniform(0, 100, 2) * scale).tolist(), *(rng.uniform(20, 60, 2) * scale).tolist(), 1.0)
+            for tid in range(1, 7) for f in range(1, 31)
+        ]
+        tracklets = group_tracklets(dets, 3, 5)
+        _assert_same_cut(*_cut_both(tracklets, float(rng.choice([1.0, 0.5, 1e-12, 0.3])), 3, 5))
+
+
+@quiet
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_cut_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    rng = np.random.default_rng(8)
+    inputs = [_grid_tracklets(_random_tracks(rng), k % len(_GRIDS), 2, 4) for k in range(40)]
+    monkeypatch.setattr(tracklets_module, "_PAIR_CHUNK", chunk)
+    for tracklets in inputs:
+        _assert_same_cut(*_cut_both(tracklets, 0.5, 2, 4))
+
+
+@st.composite
+def grid_tracks(draw):
+    tracks = []
+    for tid in draw(st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True)):
+        rows = draw(st.lists(
+            st.tuples(st.integers(1, 12), st.integers(0, 3), st.integers(0, 2), st.integers(1, 3), st.integers(1, 3), st.integers(0, 1)),
+            min_size=1, max_size=10,
+        ))
+        tracks.append((tid, [(f, gx * 5, gy * 5, gw * 5, gh * 5, nudge) for f, gx, gy, gw, gh, nudge in rows]))
+    return tracks
+
+
+@quiet
+@given(grid_tracks(), st.integers(0, len(_GRIDS) - 1), st.sampled_from([1.0, 0.5, 1e-12]), st.integers(1, 4), st.integers(2, 6))
+@settings(max_examples=150, deadline=None)
+def test_cut_matches_per_frame_loop_property(tracks, grid, threshold, window, min_len):
+    tracklets = _grid_tracklets(tracks, grid, window, min_len)
+    _assert_same_cut(*_cut_both(tracklets, threshold, window, min_len))
+
+
+def test_sweep_finds_the_first_row_of_the_frame_at_or_past_each_right_edge():
+    rng = np.random.default_rng(3)
+    for trial in range(200):
+        n = int(rng.integers(0, 40))
+        frames = rng.integers(1, 5, n) * (2**40 if trial % 3 == 0 else 1)
+        x = rng.choice([-0.0, 0.0, 5.0, 10.0, 1e15, 1e15 + 0.125, 5e-324, -3.0], n)
+        right = x + rng.choice([5.0, 5e-324, 0.125, 1e300], n)
+        order, ends = tracklets_module._sweep(frames, x, right)
+        keys = list(zip(frames[order].tolist(), x[order].tolist()))
+        assert keys == sorted(keys)
+        for k, row in enumerate(order.tolist()):
+            later = [p for p in range(len(order)) if frames[order[p]] == frames[row] and x[order[p]] >= right[row]]
+            same_frame = np.flatnonzero(frames[order] == frames[row])
+            assert ends[k] == (later[0] if later else same_frame[-1] + 1)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_cut_rejects_threshold_outside_unit_interval(threshold):
+    tracklets = group_tracklets(boxes_track(1, range(1, 5)) + boxes_track(2, range(1, 5)))
+    with pytest.raises(ValueError, match=r"^cutter threshold must lie in \(0, 1\], got "):
+        cut_tracklets(tracklets, threshold)
+
+
+@quiet
+def test_cut_pair_overlapping_twice_in_a_frame_cuts_there():
+    # tracklet 2 repeats frame 2, so the pair overlaps twice there; the second
+    # overlap follows one in the same frame, not in the frame before, and cuts
+    box = (0.0, 0.0, 5.0, 5.0, 1.0)
+    a = make_tracklet(1, [Detection(1, 1, *box), Detection(2, 1, *box)])
+    b = make_tracklet(2, [Detection(1, 2, *box), Detection(2, 2, *box), Detection(2, 2, *box)])
+    out = cut_tracklets([a, b], 0.5)
+    assert [(t.id, t.detections.frame.tolist()) for t in out] == [(3, [1]), (4, [2]), (5, [1]), (6, [2, 2])]
+
+
+def test_cut_memory_is_bounded_on_a_frame_stack():
+    # 200 frames of 300 boxes that share one x, stacked in y, so every same-frame
+    # pair is a candidate; the stack alternates between 20 frames apart and 20
+    # overlapping (neighbours at IoU 7/13), so every overlap block cuts
+    frames = np.tile(np.arange(1, 201), 300)
+    ids = np.repeat(np.arange(1, 301), 200)
+    spacing = np.where((frames - 1) // 20 % 2 == 0, 12.0, 3.0)
+    n = len(frames)
+    table = DetectionTable(frames, ids, np.full(n, 50.0), (ids - 1) * spacing, np.full(n, 10.0), np.full(n, 10.0), np.ones(n))
+    tracklets = make_tracklets(table, list(range(0, n + 1, 200)))
+    tracemalloc.start()
+    try:
+        out = cut_tracklets(tracklets, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert len(out) == 300 * 6
+    _assert_same_cut(out, _reference_cut(tracklets, 0.5))
