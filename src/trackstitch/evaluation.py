@@ -1,10 +1,27 @@
 """Desk-scale tracking metrics: MOTA and IDF1 against a ground truth.
 
-MOTA follows the CLEAR protocol: per-frame matching that carries over the
-previous frame's pairs while they still overlap, completes with an optimal
-bipartite matching on the rest, and accumulates false positives, misses and
-identity switches. IDF1 matches ground-truth and predicted trajectory ids
-globally, maximizing identity-consistent detection matches.
+Both metrics start from the same *hits*: every pair of a ground-truth row and
+a predicted row of one frame whose boxes reach ``iou >= iou_threshold``. One
+sweep over both sets of rows finds them all
+(:func:`~trackstitch.tracklets.same_frame_overlaps`), and each hit's IoU is
+bit-identical to its :func:`~trackstitch.tracklets.iou_matrix` entry.
+
+MOTA follows the CLEAR protocol (Bernardin & Stiefelhagen, 2008). The frames
+that hold a ground-truth or a predicted row are numbered ``0..K-1``. Each
+frame keeps the previous frame's pairs while they still hit, completes the
+matching on the rows left over with the Hungarian step, and counts false
+positives, misses and identity switches. A kept pair therefore stays matched
+exactly while it hits in consecutive numbered frames: a match made at frame
+``k0`` lasts to the end of that pair's run of hits, a *match run*. A frame
+takes the Hungarian step only where both a ground-truth row and a predicted
+row are left over by the runs alive there; Python visits only those frames,
+and the runs carry every other one. The Hungarian step matches the rest rows
+with the largest summed IoU, and keeps the pairs at ``iou >= iou_threshold``.
+The true positives are the summed run lengths, and a run is an identity
+switch when the previous run of its ground-truth id had another predicted id.
+
+IDF1 matches ground-truth and predicted trajectory ids globally, maximizing
+identity-consistent detection matches: the hits counted per id pair.
 """
 
 from __future__ import annotations
@@ -16,7 +33,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .mot_io import Detection, DetectionTable
-from .tracklets import iou_matrix, run_bounds
+from .tracklets import iou_matrix, same_frame_overlaps
 
 
 @dataclass
@@ -38,11 +55,11 @@ def _check_iou_threshold(iou_threshold: float) -> None:
 
 @dataclass(frozen=True)
 class _Frames:
-    """One sequence's detections grouped by frame, each frame's rows in input order."""
+    """One sequence's detections sorted by frame, each frame's rows in input order."""
 
-    ids: list  # track id per row, rows sorted by frame
-    boxes: np.ndarray  # (x, y, w, h) per row
-    spans: dict  # frame -> (start, stop) of its rows, frames ascending
+    frame: np.ndarray  # frame per row, ascending
+    ids: np.ndarray  # track id per row
+    boxes: np.ndarray  # (4, N) stack of the x, y, w, h columns
 
     @classmethod
     def of(cls, detections: Sequence[Detection]) -> _Frames:
@@ -54,15 +71,121 @@ class _Frames:
             row = by_key[1:][same].min()
             raise ValueError(f"id {rows.track_id[row]} appears twice in frame {rows.frame[row]}")
         order = np.argsort(rows.frame, kind="stable")
-        frames = rows.frame[order]
-        bounds = run_bounds(frames)
-        spans = {frames[lo].item(): (lo, hi) for lo, hi in zip(bounds, bounds[1:])}
-        return cls(rows.track_id[order].tolist(), rows.boxes[order], spans)
+        return cls(rows.frame[order], rows.track_id[order], np.stack((rows.x, rows.y, rows.w, rows.h))[:, order])
 
-    def at(self, frame: int) -> tuple[list, np.ndarray]:
-        """The ids and boxes of one frame; empty where the frame has no detection."""
-        lo, hi = self.spans.get(frame, (0, 0))
-        return self.ids[lo:hi], self.boxes[lo:hi]
+
+@dataclass(frozen=True)
+class _Hits:
+    """The checked ground-truth and predicted rows of one sequence and their hits."""
+
+    gt: _Frames
+    pred: _Frames
+    g: np.ndarray  # ground-truth row of each hit
+    p: np.ndarray  # predicted row of each hit
+
+    @classmethod
+    def of(cls, gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float) -> _Hits:
+        _check_iou_threshold(iou_threshold)
+        if not gt:
+            raise ValueError("ground truth is empty; metrics are undefined")
+        gt_frames, pred_frames = _Frames.of(gt), _Frames.of(pred)
+        n = len(gt_frames.ids)
+        frames = np.concatenate((gt_frames.frame, pred_frames.frame))
+        i, j = same_frame_overlaps(frames, np.concatenate((gt_frames.boxes, pred_frames.boxes), axis=1), iou_threshold)
+        # the ground-truth rows come first, so a cross pair has i < n <= j
+        cross = (i < n) & (j >= n)
+        return cls(gt_frames, pred_frames, i[cross], j[cross] - n)
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """CLEAR's matches as runs: ``gid[r]`` is matched to ``pid[r]`` in frames ``first[r]..last[r]``.
+
+    Frames are counted in ``frames``, the frames holding a ground-truth or a
+    predicted row; ``n_gt``, ``n_pred`` and ``matched`` hold each one's row
+    counts and match count.
+    """
+
+    frames: np.ndarray
+    n_gt: np.ndarray
+    n_pred: np.ndarray
+    matched: np.ndarray
+    gid: np.ndarray
+    pid: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    switch: np.ndarray  # run r is an identity switch
+
+
+def _aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[r], ..., starts[r] + lengths[r] - 1``, one after the other."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _next_contested(k: int, matched: np.ndarray, n_gt: np.ndarray, n_pred: np.ndarray) -> int:
+    """The first frame at or after ``k`` where a ground-truth and a predicted row are left unmatched, else ``len(matched)``.
+
+    The frames are searched in blocks of doubling size.
+    """
+    size = 16
+    while k < len(matched):
+        block = slice(k, k + size)
+        contested = np.flatnonzero((n_gt[block] > matched[block]) & (n_pred[block] > matched[block]))
+        if len(contested):
+            return k + int(contested[0])
+        k, size = k + size, 2 * size
+    return len(matched)
+
+
+def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
+    """Run the CLEAR matching as match runs (see the module docstring)."""
+    gt, pred = hits.gt, hits.pred
+    frames = np.union1d(gt.frame, pred.frame)
+    g_lo, g_hi = np.searchsorted(gt.frame, frames), np.searchsorted(gt.frame, frames, side="right")
+    p_lo, p_hi = np.searchsorted(pred.frame, frames), np.searchsorted(pred.frame, frames, side="right")
+    n_gt, n_pred = g_hi - g_lo, p_hi - p_lo
+
+    # the hits sorted by (gt id, predicted id, frame): the hits of one id pair
+    # in consecutive frames form a run of hits, and each learns where its run ends
+    k = np.searchsorted(frames, gt.frame[hits.g])
+    order = np.lexsort((k, pred.ids[hits.p], gt.ids[hits.g]))
+    g, p, k = hits.g[order], hits.p[order], k[order]
+    gid, pid = gt.ids[g], pred.ids[p]
+    opens = np.ones(len(k), dtype=bool)
+    opens[1:] = (gid[1:] != gid[:-1]) | (pid[1:] != pid[:-1]) | (k[1:] != k[:-1] + 1)
+    starts = np.flatnonzero(opens)
+    sizes = np.diff(np.append(starts, len(k)))
+    run_end = np.repeat(starts + sizes - 1, sizes)
+    # a hit is found by its (gt row, predicted row) key
+    key = g * len(pred.ids) + p
+    by_key = np.argsort(key)
+    key = key[by_key]
+
+    matched = np.zeros(len(frames), dtype=np.int64)
+    g_taken, p_taken = np.zeros(len(gt.ids), dtype=bool), np.zeros(len(pred.ids), dtype=bool)
+    opened = [np.empty(0, dtype=np.int64)]  # the hits that open a match run
+    f = _next_contested(0, matched, n_gt, n_pred)
+    while f < len(frames):
+        g_rows = g_lo[f] + np.flatnonzero(~g_taken[g_lo[f]:g_hi[f]])
+        p_rows = p_lo[f] + np.flatnonzero(~p_taken[p_lo[f]:p_hi[f]])
+        m = iou_matrix(gt.boxes[:, g_rows].T, pred.boxes[:, p_rows].T)
+        rows, cols = linear_sum_assignment(-m)
+        keep = m[rows, cols] >= iou_threshold
+        at = by_key[np.searchsorted(key, g_rows[rows[keep]] * len(pred.ids) + p_rows[cols[keep]])]
+        # each new match holds to the end of its run of hits
+        run = _aranges(at, run_end[at] - at + 1)
+        g_taken[g[run]] = p_taken[p[run]] = True
+        np.add.at(matched, k[run], 1)
+        opened.append(at)
+        f = _next_contested(f + 1, matched, n_gt, n_pred)
+
+    at = np.concatenate(opened)
+    gid, pid, first, last = gid[at], pid[at], k[at], k[run_end[at]]
+    # a run switches when the previous run of its gt id had another predicted id
+    order = np.lexsort((first, gid))
+    switch = np.zeros(len(gid), dtype=bool)
+    switch[order[1:]] = (gid[order[1:]] == gid[order[:-1]]) & (pid[order[1:]] != pid[order[:-1]])
+    return _Runs(frames, n_gt, n_pred, matched, gid, pid, first, last, switch)
 
 
 def clear_frame_matchings(
@@ -70,86 +193,52 @@ def clear_frame_matchings(
     pred: Sequence[Detection],
     iou_threshold: float = 0.5,
 ) -> list[FrameMatching]:
-    """Run the per-frame CLEAR matching and return one record per frame."""
-    _check_iou_threshold(iou_threshold)
-    if not gt:
-        raise ValueError("ground truth is empty; metrics are undefined")
-    gt_frames = _Frames.of(gt)
-    pred_frames = _Frames.of(pred)
-    prev: dict[int, int] = {}
-    last_match: dict[int, int] = {}
-    out = []
-    for frame in sorted(gt_frames.spans.keys() | pred_frames.spans.keys()):
-        g, g_boxes = gt_frames.at(frame)
-        p, p_boxes = pred_frames.at(frame)
-        g_row = {gid: r for r, gid in enumerate(g)}
-        p_col = {pid: c for c, pid in enumerate(p)}
-        m = iou_matrix(g_boxes, p_boxes)
-        matches: dict[int, int] = {}
-        # keep last frame's pairs while they still overlap
-        for gid, pid in prev.items():
-            if gid in g_row and pid in p_col and m[g_row[gid], p_col[pid]] >= iou_threshold:
-                matches[gid] = pid
-        rest_g = [gid for gid in g if gid not in matches]
-        used = set(matches.values())
-        rest_p = [pid for pid in p if pid not in used]
-        if rest_g and rest_p:
-            rest = m[np.ix_([g_row[i] for i in rest_g], [p_col[j] for j in rest_p])]
-            rows, cols = linear_sum_assignment(-rest)
-            for r, c in zip(rows, cols):
-                if rest[r, c] >= iou_threshold:
-                    matches[rest_g[r]] = rest_p[c]
-        switches = sum(1 for gid, pid in matches.items() if last_match.get(gid, pid) != pid)
-        last_match.update(matches)
-        out.append(
-            FrameMatching(
-                frame,
-                sorted(matches.items()),
-                false_positives=len(p) - len(matches),
-                false_negatives=len(g) - len(matches),
-                id_switches=switches,
-            )
+    """Run the CLEAR matching and return one record per frame holding a ground-truth or a predicted row."""
+    runs = _clear_runs(_Hits.of(gt, pred, iou_threshold), iou_threshold)
+    length = runs.last - runs.first + 1
+    k = _aranges(runs.first, length)
+    gid, pid = np.repeat(runs.gid, length), np.repeat(runs.pid, length)
+    order = np.lexsort((gid, k))
+    pairs = list(zip(gid[order].tolist(), pid[order].tolist()))
+    bounds = np.concatenate(([0], np.cumsum(runs.matched))).tolist()
+    switches = np.bincount(runs.first[runs.switch], minlength=len(runs.frames))
+    return [
+        FrameMatching(frame, pairs[lo:hi], false_positives=fp, false_negatives=fn, id_switches=sw)
+        for frame, lo, hi, fp, fn, sw in zip(
+            runs.frames.tolist(), bounds, bounds[1:], (runs.n_pred - runs.matched).tolist(),
+            (runs.n_gt - runs.matched).tolist(), switches.tolist(),
         )
-        prev = matches
-    return out
+    ]
 
 
-def _clear_totals(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float) -> tuple[float, int, int, int]:
+def _clear_totals(hits: _Hits, iou_threshold: float) -> tuple[float, int, int, int]:
     """MOTA with the FP, FN and IDSW totals it is computed from."""
-    records = clear_frame_matchings(gt, pred, iou_threshold)
-    fp = sum(r.false_positives for r in records)
-    fn = sum(r.false_negatives for r in records)
-    idsw = sum(r.id_switches for r in records)
-    return 1.0 - (fp + fn + idsw) / len(gt), fp, fn, idsw
+    runs = _clear_runs(hits, iou_threshold)
+    tp = int(runs.matched.sum())
+    fp, fn, idsw = len(hits.pred.ids) - tp, len(hits.gt.ids) - tp, int(runs.switch.sum())
+    return 1.0 - (fp + fn + idsw) / len(hits.gt.ids), fp, fn, idsw
+
+
+def _idf1(hits: _Hits) -> float:
+    if not len(hits.pred.ids):
+        return 0.0
+    gt_ids, g_index = np.unique(hits.gt.ids, return_inverse=True)
+    pred_ids, p_index = np.unique(hits.pred.ids, return_inverse=True)
+    overlap = np.zeros((len(gt_ids), len(pred_ids)))
+    np.add.at(overlap, (g_index[hits.g], p_index[hits.p]), 1)
+    rows, cols = linear_sum_assignment(-overlap)
+    idtp = overlap[rows, cols].sum()
+    return float(2.0 * idtp / (len(hits.gt.ids) + len(hits.pred.ids)))
 
 
 def mota(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float = 0.5) -> float:
     """Multi-object tracking accuracy: 1 - (FP + FN + IDSW) / total_gt. At most 1."""
-    return _clear_totals(gt, pred, iou_threshold)[0]
+    return _clear_totals(_Hits.of(gt, pred, iou_threshold), iou_threshold)[0]
 
 
 def idf1(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float = 0.5) -> float:
     """Identity F1: detection matches consistent under the best global id mapping."""
-    _check_iou_threshold(iou_threshold)
-    if not gt:
-        raise ValueError("ground truth is empty; metrics are undefined")
-    if not pred:
-        return 0.0
-    gt_frames = _Frames.of(gt)
-    pred_frames = _Frames.of(pred)
-    gt_ids, g_index = np.unique(gt_frames.ids, return_inverse=True)
-    pred_ids, p_index = np.unique(pred_frames.ids, return_inverse=True)
-    overlap = np.zeros((len(gt_ids), len(pred_ids)))
-    for frame, (lo, hi) in gt_frames.spans.items():
-        plo, phi = pred_frames.spans.get(frame, (0, 0))
-        if plo == phi:
-            continue
-        m = iou_matrix(gt_frames.boxes[lo:hi], pred_frames.boxes[plo:phi])
-        hit_g, hit_p = np.nonzero(m >= iou_threshold)
-        np.add.at(overlap, (g_index[lo:hi][hit_g], p_index[plo:phi][hit_p]), 1)
-    rows, cols = linear_sum_assignment(-overlap)
-    idtp = overlap[rows, cols].sum()
-    return float(2.0 * idtp / (len(gt) + len(pred)))
+    return _idf1(_Hits.of(gt, pred, iou_threshold))
 
 
 @dataclass
@@ -171,11 +260,11 @@ def evaluate_sequence(
     iou_threshold: float = 0.5,
 ) -> SequenceScores:
     """MOTA, IDF1 and the CLEAR counts of one sequence; ``iou_threshold`` must lie in (0, 1]."""
-    _check_iou_threshold(iou_threshold)
-    mota_value, fp, fn, idsw = _clear_totals(gt, pred, iou_threshold)
+    hits = _Hits.of(gt, pred, iou_threshold)
+    mota_value, fp, fn, idsw = _clear_totals(hits, iou_threshold)
     return SequenceScores(
         mota=mota_value,
-        idf1=idf1(gt, pred, iou_threshold),
+        idf1=_idf1(hits),
         false_positives=fp,
         false_negatives=fn,
         id_switches=idsw,

@@ -256,12 +256,20 @@ def _sweep(frames: np.ndarray, x: np.ndarray, right: np.ndarray) -> tuple[np.nda
     return order, ends
 
 
-def _overlapping_pairs(boxes: np.ndarray, ends: np.ndarray, cut_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """The position pairs ``(i, j)``, ``i < j < ends[i]``, whose boxes reach ``iou >= cut_threshold``.
+def same_frame_overlaps(frames: np.ndarray, boxes: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The row pairs ``(i, j)``, ``i < j``, of one frame whose boxes reach ``iou >= threshold`` (> 0).
 
-    ``boxes`` is a (4, N) array of (x, y, w, h) rows; the pairs are scored in
-    chunks of at most ``_PAIR_CHUNK`` pairs (or one row's, if more).
+    ``frames`` holds each row's frame and ``boxes`` is a (4, N) stack of the
+    (x, y, w, h) columns. The rows are swept in (frame, x) order (see
+    :func:`_sweep`): a row is scored only against the later rows of its frame
+    that start left of its right edge, which include every pair with a
+    positive intersection. The candidates are scored by :func:`iou_pairs` in
+    chunks of at most ``_PAIR_CHUNK`` pairs (or one row's, if more), so each
+    hit's IoU is bit-identical to its :func:`iou_matrix` entry, and the result
+    does not depend on the chunk size. The pairs come in sweep order.
     """
+    order, ends = _sweep(frames, boxes[0], boxes[0] + boxes[2])
+    boxes = boxes[:, order]
     counts = np.maximum(ends - np.arange(len(ends)) - 1, 0)
     totals = np.cumsum(counts)
     hits_i, hits_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -272,11 +280,12 @@ def _overlapping_pairs(boxes: np.ndarray, ends: np.ndarray, cut_threshold: float
         sizes = counts[lo:hi]
         # position lo + k is paired with positions lo + k + 1 ... lo + k + sizes[k]
         j = np.arange(totals[hi - 1] - done) + np.repeat(np.arange(lo + 1, hi + 1) - (totals[lo:hi] - sizes - done), sizes)
-        hit = iou_pairs(np.repeat(boxes[:, lo:hi], sizes, axis=1), boxes.take(j, axis=1)) >= cut_threshold
+        hit = iou_pairs(np.repeat(boxes[:, lo:hi], sizes, axis=1), boxes.take(j, axis=1)) >= threshold
         hits_i.append(np.repeat(np.arange(lo, hi), sizes)[hit])
         hits_j.append(j[hit])
         lo = hi
-    return np.concatenate(hits_i), np.concatenate(hits_j)
+    i, j = order[np.concatenate(hits_i)], order[np.concatenate(hits_j)]
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def cut_tracklets(
@@ -295,29 +304,23 @@ def cut_tracklets(
     the frame where the overlap first appears. Fragments of a cut tracklet get
     fresh ids above the existing maximum; untouched tracklets keep theirs.
 
-    The overlapping pairs are found in one sweep over all detections sorted
-    by (frame, x): a detection is scored only against the later ones of its
-    frame that start left of its right edge, which include every pair with a
-    positive intersection. The candidates are scored in bounded chunks, and
-    the result does not depend on the chunk size.
+    The overlapping pairs are found by :func:`same_frame_overlaps` in one
+    sweep over all detections.
     """
     if not (0.0 < cut_threshold <= 1.0):
         raise ValueError(f"cutter threshold must lie in (0, 1], got {cut_threshold}")
     tracklets = list(tracklets)
     rows = DetectionTable.concat(t.detections for t in tracklets)
-    order, ends = _sweep(rows.frame, rows.x, rows.x + rows.w)
-    frames = rows.frame[order]
-    owners = np.repeat(np.arange(len(tracklets)), [len(t) for t in tracklets])[order]
-    boxes = np.stack([column[order] for column in (rows.x, rows.y, rows.w, rows.h)])
-    i, j = _overlapping_pairs(boxes, ends, cut_threshold)
+    i, j = same_frame_overlaps(rows.frame, np.stack((rows.x, rows.y, rows.w, rows.h)), cut_threshold)
+    owners = np.repeat(np.arange(len(tracklets)), [len(t) for t in tracklets])
 
     # one row per (tracklet pair, frame) with a hit, sorted; a hit is a rising
     # edge unless the same pair also had one in the frame before. A pair with
     # two hits in one frame (a tracklet that repeats a frame) cuts there
     # anyway: the second hit finds the pair overlapping in this frame, not in
-    # the one before.
+    # the one before. The owners ascend with the rows, so i < j gives ti <= tj.
     ti, tj = owners[i], owners[j]
-    pair_frames = np.stack([np.minimum(ti, tj), np.maximum(ti, tj), frames[i]], axis=1)
+    pair_frames = np.stack([ti, tj, rows.frame[i]], axis=1)
     hits, repeats = np.unique(pair_frames[ti != tj], axis=0, return_counts=True)
     continued = np.zeros(len(hits), dtype=bool)
     continued[1:] = (hits[1:, 0] == hits[:-1, 0]) & (hits[1:, 1] == hits[:-1, 1]) & (hits[1:, 2] - 1 == hits[:-1, 2])

@@ -151,3 +151,218 @@ def test_duplicate_message_names_the_first_repeat_in_input_order():
     bad = GT + [Detection(4, 2, 0.0, 0.0, 5.0, 5.0, 1.0), Detection(2, 1, 0.0, 0.0, 5.0, 5.0, 1.0)]
     with pytest.raises(ValueError, match=r"^id 2 appears twice in frame 4$"):
         idf1(bad, GT)
+
+
+# --- the CLEAR runs and the shared hits against a per-frame reference ---
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+
+import trackstitch.evaluation as evaluation_module
+import trackstitch.tracklets as tracklets_module
+from trackstitch.evaluation import FrameMatching, SequenceScores
+from trackstitch.tracklets import iou_matrix
+
+THRESHOLDS = [1.0, 0.5, 1e-9]
+
+
+def _by_frame(gt, pred):
+    frames = {}
+    for side, rows in enumerate((gt, pred)):
+        for d in rows:
+            frames.setdefault(d.frame, ([], []))[side].append(d)
+    return {f: frames[f] for f in sorted(frames)}
+
+
+def _iou(g, p):
+    return iou_matrix([(d.x, d.y, d.w, d.h) for d in g], [(d.x, d.y, d.w, d.h) for d in p])
+
+
+def reference_records(gt, pred, threshold):
+    """CLEAR one frame at a time: keep the previous frame's pairs that still hit, then match the rest."""
+    prev, last_match, out = {}, {}, []
+    for frame, (g, p) in _by_frame(gt, pred).items():
+        g_ids, p_ids = [d.track_id for d in g], [d.track_id for d in p]
+        m = _iou(g, p)
+        matches = {
+            gid: pid for gid, pid in prev.items()
+            if gid in g_ids and pid in p_ids and m[g_ids.index(gid), p_ids.index(pid)] >= threshold
+        }
+        rest_g = [r for r, gid in enumerate(g_ids) if gid not in matches]
+        rest_p = [c for c, pid in enumerate(p_ids) if pid not in matches.values()]
+        if rest_g and rest_p:
+            rest = m[np.ix_(rest_g, rest_p)]
+            for r, c in zip(*linear_sum_assignment(-rest)):
+                if rest[r, c] >= threshold:
+                    matches[g_ids[rest_g[r]]] = p_ids[rest_p[c]]
+        switches = sum(1 for gid, pid in matches.items() if last_match.get(gid, pid) != pid)
+        last_match.update(matches)
+        out.append(FrameMatching(frame, sorted(matches.items()), len(p) - len(matches), len(g) - len(matches), switches))
+        prev = matches
+    return out
+
+
+def reference_scores(gt, pred, threshold):
+    records = reference_records(gt, pred, threshold)
+    fp = sum(r.false_positives for r in records)
+    fn = sum(r.false_negatives for r in records)
+    idsw = sum(r.id_switches for r in records)
+    g_ids = sorted({d.track_id for d in gt})
+    p_ids = sorted({d.track_id for d in pred})
+    overlap = np.zeros((len(g_ids), len(p_ids)))
+    for g, p in _by_frame(gt, pred).values():
+        for r, c in zip(*np.nonzero(_iou(g, p) >= threshold)):
+            overlap[g_ids.index(g[r].track_id), p_ids.index(p[c].track_id)] += 1
+    idtp = overlap[linear_sum_assignment(-overlap)].sum() if pred else 0.0
+    return SequenceScores(
+        mota=1.0 - (fp + fn + idsw) / len(gt),
+        idf1=float(2.0 * idtp / (len(gt) + len(pred))),
+        false_positives=fp,
+        false_negatives=fn,
+        id_switches=idsw,
+        num_gt=len(gt),
+        num_pred=len(pred),
+    )
+
+
+def assert_like_reference(gt, pred, threshold):
+    expected = reference_records(gt, pred, threshold)
+    records = clear_frame_matchings(gt, pred, threshold)
+    assert records == expected
+    assert all(type(v) is int for r in records for v in (r.frame, *(i for pair in r.matches for i in pair)))
+    scores = reference_scores(gt, pred, threshold)
+    assert evaluate_sequence(gt, pred, threshold) == scores
+    assert mota(gt, pred, threshold) == scores.mota
+    assert idf1(gt, pred, threshold) == scores.idf1
+
+
+def contest_every_frame(gt, pred):
+    """One far gt and one far prediction in every frame, so that every frame takes the Hungarian step."""
+    frames = sorted({d.frame for d in gt} | {d.frame for d in pred})
+    far_gt = [Detection(f, 99, 1000.0, 0.0, 10.0, 10.0, 1.0) for f in frames]
+    far_pred = [Detection(f, 99, 2000.0, 0.0, 10.0, 10.0, 1.0) for f in frames]
+    return gt + far_gt, pred + far_pred
+
+
+def random_scene(rng):
+    """gt objects on a 2.5-pixel grid (equal x and identical boxes are common) with frame gaps,
+    gt-only and prediction-only frames, predicted ids that change hands, shifted boxes and clutter."""
+    frames = np.sort(rng.choice(np.arange(1, 30), int(rng.integers(1, 16)), replace=False)).tolist()
+    n_ids = int(rng.integers(1, 5))
+    x0 = rng.choice([0.0, 2.5, 5.0, 7.5], n_ids)
+    vx = rng.choice([0.0, 0.0, 2.5, -2.5], n_ids)
+    pids = list(range(11, 11 + n_ids + 2))
+    gt, pred = [], []
+    for f in frames:
+        side = rng.choice(["both", "both", "both", "gt", "pred"])
+        if rng.random() < 0.2:  # two predicted ids trade places
+            a, b = rng.choice(len(pids), 2, replace=False)
+            pids[a], pids[b] = pids[b], pids[a]
+        for k in range(n_ids):
+            if rng.random() < 0.2:
+                continue
+            x = float(x0[k] + vx[k] * f)
+            if side != "pred":
+                gt.append(Detection(f, k + 1, x, 0.0, 10.0, 10.0, 1.0))
+            if side != "gt" and rng.random() < 0.85:
+                dx = float(rng.choice([0.0, 0.0, 2.5, -2.5, 5.0]))
+                pred.append(Detection(f, pids[k], x + dx, 0.0, 10.0, 10.0, 1.0))
+        if side != "gt" and rng.random() < 0.3:
+            pred.append(Detection(f, pids[n_ids], float(rng.choice([0.0, 2.5, 5.0, 40.0])), 0.0, 10.0, 10.0, 1.0))
+    if not gt:
+        gt = [Detection(frames[0], 1, 0.0, 0.0, 10.0, 10.0, 1.0)]
+    if rng.random() < 0.1:
+        pred = []
+    if rng.random() < 0.25:
+        gt, pred = contest_every_frame(gt, pred)
+    # input order decides ties, so shuffle it
+    return [gt[i] for i in rng.permutation(len(gt))], [pred[i] for i in rng.permutation(len(pred))]
+
+
+def test_clear_and_idf1_match_the_per_frame_reference():
+    rng = np.random.default_rng(2008)
+    for _ in range(200):
+        gt, pred = random_scene(rng)
+        for threshold in THRESHOLDS:
+            assert_like_reference(gt, pred, threshold)
+
+
+_row = st.tuples(
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 2.5, 5.0, 7.5, 10.0]),
+    st.sampled_from([0.0, 5.0]),
+    st.sampled_from([5.0, 10.0]),
+)
+
+
+def _detections(rows):
+    return [Detection(f, tid, x, y, w, w, 1.0) for f, tid, x, y, w in rows]
+
+
+@given(
+    st.lists(_row, min_size=1, max_size=24, unique_by=lambda r: r[:2]),
+    st.lists(_row, max_size=24, unique_by=lambda r: r[:2]),
+    st.sampled_from(THRESHOLDS),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_clear_and_idf1_match_the_per_frame_reference_property(gt_rows, pred_rows, threshold, contested):
+    gt, pred = _detections(gt_rows), _detections(pred_rows)
+    if contested:
+        gt, pred = contest_every_frame(gt, pred)
+    assert_like_reference(gt, pred, threshold)
+
+
+def test_carry_over_spans_frames_that_no_row_holds():
+    # frame 1 pairs 1-11 and 2-12; from frame 3 on the crossed pairs overlap
+    # more, but the kept pairs still hit, so they stay; frame 2 holds no row
+    # and does not break the carry-over
+    def boxes(f, x1, x2, tids):
+        return [Detection(f, tids[0], x1, 0.0, 10.0, 10.0, 1.0), Detection(f, tids[1], x2, 0.0, 10.0, 10.0, 1.0)]
+
+    gt = [d for f in (1, 3, 4) for d in boxes(f, 0.0, 4.0, (1, 2))]
+    pred = boxes(1, 0.0, 4.0, (11, 12)) + [d for f in (3, 4) for d in boxes(f, 3.0, 1.0, (11, 12))]
+    records = clear_frame_matchings(gt, pred)
+    assert [(r.frame, r.matches, r.id_switches) for r in records] == [(f, [(1, 11), (2, 12)], 0) for f in (1, 3, 4)]
+    assert records == reference_records(gt, pred, 0.5)
+    # a frame that holds only gt rows breaks it: frame 3 matches afresh
+    gt_only = gt + boxes(2, 0.0, 4.0, (1, 2))
+    assert [r.id_switches for r in clear_frame_matchings(gt_only, pred)] == [0, 0, 2, 0]
+    assert clear_frame_matchings(gt_only, pred) == reference_records(gt_only, pred, 0.5)
+
+
+def test_a_gt_id_back_under_its_old_prediction_is_no_switch():
+    gt = track(1, [1, 2, 5, 6, 8, 9])
+    pred = [Detection(d.frame, 7 if d.frame < 8 else 8, d.x, d.y, d.w, d.h, d.conf) for d in gt if d.frame != 5]
+    assert [r.id_switches for r in clear_frame_matchings(gt, pred)] == [0, 0, 0, 0, 1, 0]
+    assert clear_frame_matchings(gt, pred) == reference_records(gt, pred, 0.5)
+
+
+def test_idf1_checks_the_ground_truth_before_an_empty_prediction():
+    bad = GT + [Detection(1, 1, 50.0, 50.0, 10.0, 10.0, 1.0)]
+    with pytest.raises(ValueError, match=r"^id 1 appears twice in frame 1$"):
+        idf1(bad, [])
+
+
+def test_matching_is_one_sweep_and_hungarian_only_where_a_frame_needs_it(monkeypatch):
+    hungarian, ious = [], []
+    solve, score = evaluation_module.linear_sum_assignment, tracklets_module.iou_pairs
+
+    def counted_solve(*args, **kwargs):
+        hungarian.append(None)
+        return solve(*args, **kwargs)
+
+    def counted_score(*args):
+        ious.append(None)
+        return score(*args)
+
+    monkeypatch.setattr(evaluation_module, "linear_sum_assignment", counted_solve)
+    monkeypatch.setattr(tracklets_module, "iou_pairs", counted_score)
+    gt = track(1, range(1, 201), step=3.0) + track(2, range(1, 201), step=3.0, y0=100.0) + track(3, range(1, 201), step=0.0, y0=200.0)
+    assert evaluate_sequence(gt, gt) == SequenceScores(1.0, 1.0, 0, 0, 0, 600, 600)
+    # CLEAR's first frame and IDF1's global matching
+    assert len(hungarian) == 2
+    # one chunk of the sweep and the first frame's matrix
+    assert len(ious) == 2

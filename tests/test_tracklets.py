@@ -424,6 +424,19 @@ def test_sweep_finds_the_first_row_of_the_frame_at_or_past_each_right_edge():
             assert ends[k] == (later[0] if later else same_frame[-1] + 1)
 
 
+def test_same_frame_overlaps_finds_every_pair_of_a_frame_at_the_threshold():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(0, 30))
+        frames = rng.integers(1, 4, n)
+        boxes = np.stack([rng.choice([0.0, 2.5, 5.0, 7.5], n), rng.choice([0.0, 2.5], n), rng.choice([5.0, 10.0], n), rng.choice([5.0, 10.0], n)])
+        threshold = [1.0, 0.5, 1e-9][trial % 3]
+        i, j = tracklets_module.same_frame_overlaps(frames, boxes, threshold)
+        matrix = iou_matrix(boxes.T, boxes.T)
+        expected = {(a, b) for a in range(n) for b in range(a + 1, n) if frames[a] == frames[b] and matrix[a, b] >= threshold}
+        assert sorted(zip(i.tolist(), j.tolist())) == sorted(expected)
+
+
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan"), float("inf")])
 def test_cut_rejects_threshold_outside_unit_interval(threshold):
     tracklets = group_tracklets(boxes_track(1, range(1, 5)) + boxes_track(2, range(1, 5)))
