@@ -15,8 +15,9 @@ exactly while it hits in consecutive numbered frames: a match made at frame
 ``k0`` lasts to the end of that pair's run of hits, a *match run*. A frame
 takes the Hungarian step only where both a ground-truth row and a predicted
 row are left over by the runs alive there; Python visits only those frames,
-and the runs carry every other one. The Hungarian step matches the rest rows
-with the largest summed IoU, and keeps the pairs at ``iou >= iou_threshold``.
+and the runs carry every other one. The Hungarian step matches only pairs at
+``iou >= iou_threshold``: it maximizes the number of matches first and their
+summed IoU second, as the CLEAR MOT definition and py-motmetrics do.
 The true positives are the summed run lengths, and a run is an identity
 switch when the previous run of its ground-truth id had another predicted id.
 
@@ -169,8 +170,11 @@ def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
         g_rows = g_lo[f] + np.flatnonzero(~g_taken[g_lo[f]:g_hi[f]])
         p_rows = p_lo[f] + np.flatnonzero(~p_taken[p_lo[f]:p_hi[f]])
         m = iou_matrix(gt.boxes[:, g_rows].T, pred.boxes[:, p_rows].T)
-        rows, cols = linear_sum_assignment(-m)
-        keep = m[rows, cols] >= iou_threshold
+        # any allowed pair outweighs the summed IoU of a full matching, so the
+        # most matches win, and the summed IoU breaks ties between them
+        allowed = m >= iou_threshold
+        rows, cols = linear_sum_assignment(np.where(allowed, m + min(m.shape) + 1, 0.0), maximize=True)
+        keep = allowed[rows, cols]
         at = by_key[np.searchsorted(key, g_rows[rows[keep]] * len(pred.ids) + p_rows[cols[keep]])]
         # each new match holds to the end of its run of hits
         run = _aranges(at, run_end[at] - at + 1)

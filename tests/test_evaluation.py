@@ -193,7 +193,9 @@ def reference_records(gt, pred, threshold):
         rest_p = [c for c, pid in enumerate(p_ids) if pid not in matches.values()]
         if rest_g and rest_p:
             rest = m[np.ix_(rest_g, rest_p)]
-            for r, c in zip(*linear_sum_assignment(-rest)):
+            # pairs under the threshold may not match; the most matches, then the largest summed IoU
+            weight = np.where(rest >= threshold, rest + min(rest.shape) + 1, 0.0)
+            for r, c in zip(*linear_sum_assignment(weight, maximize=True)):
                 if rest[r, c] >= threshold:
                     matches[g_ids[rest_g[r]]] = p_ids[rest_p[c]]
         switches = sum(1 for gid, pid in matches.items() if last_match.get(gid, pid) != pid)
@@ -366,3 +368,15 @@ def test_matching_is_one_sweep_and_hungarian_only_where_a_frame_needs_it(monkeyp
     assert len(hungarian) == 2
     # one chunk of the sweep and the first frame's matrix
     assert len(ious) == 2
+
+
+def test_hungarian_step_matches_only_pairs_at_the_threshold():
+    # IoUs: gt 1 - pred 11 is 0.6, both crossed pairs 0.449, gt 2 - pred 12 is 0;
+    # the crossed pairs sum higher but may not match, so 1-11 is the one match
+    gt = [Detection(1, 1, 0.0, 0.0, 10.0, 10.0, 1.0), Detection(1, 2, 6.3, 0.0, 10.0, 10.0, 1.0)]
+    pred = [Detection(1, 11, 2.5, 0.0, 10.0, 10.0, 1.0), Detection(1, 12, -3.8, 0.0, 10.0, 10.0, 1.0)]
+    assert clear_frame_matchings(gt, pred) == [FrameMatching(1, [(1, 11)], 1, 1, 0)]
+    assert clear_frame_matchings(gt, pred) == reference_records(gt, pred, 0.5)
+    scores = evaluate_sequence(gt, pred)
+    assert (scores.mota, scores.false_positives, scores.false_negatives) == (0.0, 1, 1)
+    assert scores.idf1 == 0.5
