@@ -72,7 +72,7 @@ class _Frames:
             row = by_key[1:][same].min()
             raise ValueError(f"id {rows.track_id[row]} appears twice in frame {rows.frame[row]}")
         order = np.argsort(rows.frame, kind="stable")
-        return cls(rows.frame[order], rows.track_id[order], np.stack((rows.x, rows.y, rows.w, rows.h))[:, order])
+        return cls(rows.frame[order], rows.track_id[order], rows.boxes[order].T)
 
 
 @dataclass(frozen=True)
