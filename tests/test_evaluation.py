@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import trackstitch.evaluation as evaluation_module
+import trackstitch.tracklets as tracklets_module
 from trackstitch.evaluation import (
+    FrameMatching,
+    SequenceScores,
     clear_frame_matchings,
     evaluate_sequence,
     format_report,
@@ -10,6 +17,7 @@ from trackstitch.evaluation import (
     report_row,
 )
 from trackstitch.mot_io import Detection
+from trackstitch.tracklets import iou_matrix
 
 
 def track(tid, frames, x0=0.0, step=12.0, y0=0.0):
@@ -154,15 +162,6 @@ def test_duplicate_message_names_the_first_repeat_in_input_order():
 
 
 # --- the CLEAR runs and the shared hits against a per-frame reference ---
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
-
-import trackstitch.evaluation as evaluation_module
-import trackstitch.tracklets as tracklets_module
-from trackstitch.evaluation import FrameMatching, SequenceScores
-from trackstitch.tracklets import iou_matrix
 
 THRESHOLDS = [1.0, 0.5, 1e-9]
 
