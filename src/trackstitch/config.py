@@ -174,11 +174,16 @@ _CORRUPTION_KEYS = {
 
 
 def load_scenario(path: str | Path) -> tuple[ScenarioConfig, CorruptionConfig]:
-    """Read a scenario file into generation and corruption configs."""
+    """Read a scenario file into generation and corruption configs.
+
+    ``corrupt.gap_min`` and ``corrupt.gap_max`` bound the gap deleted at each
+    cut; without ``gap_max`` every gap is ``gap_min`` frames. The corruption
+    config is validated, and an invalid one raises ``ValueError`` naming the file.
+    """
     values = read_kv(path)
     scene_kwargs = {}
     corrupt_kwargs = {}
-    gap_lo = gap_hi = 0
+    gap_lo, gap_hi = 0, None
     for key, value in values.items():
         if key in _SCENARIO_KEYS:
             name, cast = _SCENARIO_KEYS[key]
@@ -195,7 +200,9 @@ def load_scenario(path: str | Path) -> tuple[ScenarioConfig, CorruptionConfig]:
     for required in ("num_objects", "num_frames"):
         if required not in scene_kwargs:
             raise ValueError(f"{path}: missing scene.{required}")
-    return (
-        ScenarioConfig(**scene_kwargs),
-        CorruptionConfig(gap_frames=(gap_lo, max(gap_lo, gap_hi)), **corrupt_kwargs),
-    )
+    corruption = CorruptionConfig(gap_frames=(gap_lo, gap_lo if gap_hi is None else gap_hi), **corrupt_kwargs)
+    try:
+        corruption.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return ScenarioConfig(**scene_kwargs), corruption

@@ -31,10 +31,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .mot_io import Detection, DetectionTable
 from .tracklets import iou_matrix, same_frame_overlaps
+
+
+def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.optimize.linear_sum_assignment``, imported on the first call.
+
+    Importing scipy takes most of the package's import time, and only the
+    evaluation needs it, so ``import trackstitch`` and ``refine`` run without it.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost, maximize=maximize)
 
 
 @dataclass

@@ -5,20 +5,24 @@ optionally aimed pairwise at common points to force crossings) on a pixel
 canvas. ``corrupt`` degrades such a ground truth the way real trackers do:
 it fragments trajectories, swaps identities at crossings and drops detections,
 while logging every event so tests can check that the pipeline undoes them.
+
+Both return a :class:`~trackstitch.mot_io.DetectionTable` and work on
+columns: ``corrupt`` keeps each trajectory as an array of row indices, and
+``find_crossings`` finds every overlapping pair of one frame with the same
+sweep the cutter and the evaluation use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .mot_io import Detection, SequenceMeta, atomic_writer
-from .tracklets import iou
+from .mot_io import Detection, DetectionTable, SequenceMeta, atomic_writer
+from .tracklets import iou_pairs, run_bounds, same_frame_overlaps
 
 
 class ScenarioError(ValueError):
@@ -68,6 +72,8 @@ class CorruptionConfig:
             raise ValueError(f"gap_frames must satisfy 0 <= lo <= hi, got {self.gap_frames}")
         if self.random_cuts_per_track < 0:
             raise ValueError("random_cuts_per_track must be nonnegative")
+        if not 0.0 < self.crossing_iou <= 1.0:
+            raise ValueError(f"crossing_iou must lie in (0, 1], got {self.crossing_iou}")
 
 
 @dataclass
@@ -133,27 +139,9 @@ def _feasible_start(extent: float, size: float, disp: np.ndarray) -> tuple[float
     return (lo, hi)
 
 
-def generate(cfg: ScenarioConfig) -> tuple[list[Detection], SequenceMeta]:
-    """Build ground-truth detections for the configured scenario.
-
-    Objects move at constant speed (rotated by ``turn_rate`` each frame when
-    set). The first ``2 * crossings`` objects are aimed pairwise at a common
-    point so their boxes coincide at one frame. Trajectories stay at least one
-    pixel inside the canvas; when a sampled velocity cannot fit it is re-drawn,
-    and as a last resort the path is clamped at the borders.
-    """
-    if cfg.num_objects < 1 or cfg.num_frames < 1:
-        raise ScenarioError("need at least one object and one frame")
-    if 2 * cfg.crossings > cfg.num_objects:
-        raise ScenarioError(f"{cfg.crossings} crossings need {2 * cfg.crossings} objects, have {cfg.num_objects}")
+def _plan_paths(cfg: ScenarioConfig, rng: np.random.Generator) -> list[tuple[float, float, float, float, np.ndarray]]:
+    """Size, start center and displacement path of every object, in object order: (w, h, cx, cy, disp)."""
     W, H, T = cfg.img_width, cfg.img_height, cfg.num_frames
-    if W - 2 <= _MAX_W or H - 2 <= _MAX_H:
-        raise ScenarioError(f"canvas {W}x{H} cannot hold objects up to {_MAX_W:.0f}x{_MAX_H:.0f}")
-    if cfg.num_objects * _MAX_W * _MAX_H > 0.5 * W * H:
-        raise ScenarioError(f"{cfg.num_objects} objects is too many for a {W}x{H} canvas")
-    rng = np.random.default_rng(cfg.seed)
-
-    detections: list[Detection] = []
     pending_cross = []  # (object index, partner index) scheduling
     for k in range(cfg.crossings):
         pending_cross.append((2 * k, 2 * k + 1))
@@ -219,14 +207,40 @@ def generate(cfg: ScenarioConfig) -> tuple[list[Detection], SequenceMeta]:
         if not placed:
             raise ScenarioError(f"could not construct a crossing for objects {a + 1} and {b + 1}")
 
-    for obj in range(cfg.num_objects):
-        w, h, cx, cy, disp = plans[obj]
-        for t in range(T):
-            x = float(np.clip(cx + disp[t, 0], 1 + w / 2, W - 1 - w / 2))
-            y = float(np.clip(cy + disp[t, 1], 1 + h / 2, H - 1 - h / 2))
-            detections.append(Detection(t + 1, obj + 1, x - w / 2, y - h / 2, w, h, conf=1.0))
+    return [plans[obj] for obj in range(cfg.num_objects)]
+
+
+def generate(cfg: ScenarioConfig) -> tuple[DetectionTable, SequenceMeta]:
+    """Build the ground truth of the configured scenario as a detection table.
+
+    Objects move at constant speed (rotated by ``turn_rate`` each frame when
+    set). The first ``2 * crossings`` objects are aimed pairwise at a common
+    point so their boxes coincide at one frame. Trajectories stay at least one
+    pixel inside the canvas; when a sampled velocity cannot fit it is re-drawn,
+    and as a last resort the path is clamped at the borders. The rows run
+    object by object (track ids 1..n), each object's in frame order.
+    """
+    if cfg.num_objects < 1 or cfg.num_frames < 1:
+        raise ScenarioError("need at least one object and one frame")
+    if 2 * cfg.crossings > cfg.num_objects:
+        raise ScenarioError(f"{cfg.crossings} crossings need {2 * cfg.crossings} objects, have {cfg.num_objects}")
+    W, H, T = cfg.img_width, cfg.img_height, cfg.num_frames
+    if W - 2 <= _MAX_W or H - 2 <= _MAX_H:
+        raise ScenarioError(f"canvas {W}x{H} cannot hold objects up to {_MAX_W:.0f}x{_MAX_H:.0f}")
+    if cfg.num_objects * _MAX_W * _MAX_H > 0.5 * W * H:
+        raise ScenarioError(f"{cfg.num_objects} objects is too many for a {W}x{H} canvas")
+    w, h, cx, cy, disp = zip(*_plan_paths(cfg, np.random.default_rng(cfg.seed)))
+    # every object's center path at once, clipped one pixel inside the canvas
+    half = np.stack((w, h), axis=1)[:, None, :] / 2.0
+    centers = np.stack((cx, cy), axis=1)[:, None, :] + np.stack(disp)
+    corners = np.clip(centers, 1 + half, np.array([W, H]) - 1 - half) - half
+    n = cfg.num_objects
+    gt = DetectionTable(
+        np.tile(np.arange(1, T + 1), n), np.repeat(np.arange(1, n + 1), T),
+        corners[:, :, 0], corners[:, :, 1], np.repeat(w, T), np.repeat(h, T), np.ones(n * T),
+    )
     meta = SequenceMeta(fps=cfg.fps, img_width=W, img_height=H, num_frames=T)
-    return detections, meta
+    return gt, meta
 
 
 def _displacements(speed: float, theta: float, turn_rate: float, num_frames: int) -> np.ndarray:
@@ -238,68 +252,105 @@ def _displacements(speed: float, theta: float, turn_rate: float, num_frames: int
     return disp
 
 
-def find_crossings(trajectories: dict[int, list[Detection]], iou_threshold: float) -> list[tuple[int, int, int]]:
-    """Peak-overlap frames of every pairwise crossing: (id_a, id_b, frame)."""
-    events = []
+def _crossings(rows: DetectionTable, owners: np.ndarray, iou_threshold: float) -> list[tuple[int, int, int]]:
+    """The crossing events of rows grouped by owner, owners ascending; see :func:`find_crossings`."""
+    boxes = rows.boxes.T
+    i, j = same_frame_overlaps(rows.frame, boxes, iou_threshold)
+    # an owner that repeats a frame is looked up by its last row there
+    n = len(rows)
+    by_frame = np.lexsort((np.arange(n), rows.frame, owners))
+    last = np.ones(n, dtype=bool)
+    last[by_frame[:-1]] = (owners[by_frame[1:]] != owners[by_frame[:-1]]) | (
+        rows.frame[by_frame[1:]] != rows.frame[by_frame[:-1]]
+    )
+    # owners ascend with the rows, so i < j makes owner a = owners[i] the lower id and j a row of b
+    keep = (owners[i] != owners[j]) & last[i]
+    i, j = i[keep], j[keep]
+    a, b = owners[i], owners[j]
+    by_run = np.lexsort((j, a))
+    i, j, a, b = i[by_run], j[by_run], a[by_run], b[by_run]
+    # a run is a stretch of consecutive rows of b that hit the same a
+    starts = np.ones(len(j), dtype=bool)
+    starts[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (j[1:] != j[:-1] + 1)
+    run = np.cumsum(starts) - 1
+    # the peak of a run: the highest IoU, the earliest frame among equals
+    frame = rows.frame[j]
+    by_peak = np.lexsort((frame, -iou_pairs(boxes[:, i], boxes[:, j]), run))
+    first = np.ones(len(run), dtype=bool)
+    first[1:] = run[by_peak[1:]] != run[by_peak[:-1]]
+    peak = by_peak[first]
+    events = peak[np.lexsort((b[peak], a[peak], frame[peak]))]
+    return list(zip(a[events].tolist(), b[events].tolist(), frame[events].tolist()))
+
+
+def find_crossings(trajectories: dict[int, Sequence[Detection]], iou_threshold: float) -> list[tuple[int, int, int]]:
+    """Peak-overlap frames of every pairwise crossing: (id_a, id_b, frame), id_a < id_b, sorted by frame, then ids.
+
+    The ids are the keys of ``trajectories``. A crossing is a run of
+    consecutive detections of b, in list order, each of which reaches
+    ``iou >= iou_threshold`` with a's detection in its frame; where a repeats a
+    frame, its last detection there counts. The event frame is the run's
+    highest IoU, the earliest such frame on a plateau. All same-frame pairs are
+    found by one :func:`~trackstitch.tracklets.same_frame_overlaps` sweep.
+    Raises ``ValueError`` unless ``iou_threshold`` lies in (0, 1].
+    """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"crossing IoU threshold must lie in (0, 1], got {iou_threshold}")
     ids = sorted(trajectories)
-    for i, a in enumerate(ids):
-        frames_a = {d.frame: d for d in trajectories[a]}
-        for b in ids[i + 1 :]:
-            run: list[tuple[float, int]] = []
-            for d in trajectories[b]:
-                da = frames_a.get(d.frame)
-                value = iou(da.box, d.box) if da else 0.0
-                if value >= iou_threshold:
-                    run.append((value, d.frame))
-                elif run:
-                    events.append((a, b, max(run, key=lambda e: (e[0], -e[1]))[1]))
-                    run = []
-            if run:
-                events.append((a, b, max(run, key=lambda e: (e[0], -e[1]))[1]))
-    events.sort(key=lambda e: (e[2], e[0], e[1]))
-    return events
+    tables = [DetectionTable.of(trajectories[k]) for k in ids]
+    owners = np.repeat(np.array(ids, dtype=np.int64), [len(t) for t in tables])
+    return _crossings(DetectionTable.concat(tables), owners, iou_threshold)
 
 
-def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[list[Detection], CorruptionLog]:
+def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[DetectionTable, CorruptionLog]:
     """Degrade a ground truth into tracker-like output, logging every event.
 
     Output track ids are always fresh (1..n, one per final fragment), so even
     an uncorrupted pass looks like a tracker run rather than the ground truth.
+    The output is a table sorted by (frame, track_id). Each ground-truth track
+    becomes a container, an array of row indices in frame order: swaps
+    exchange the tails of two containers, and cuts split a container into
+    pieces. The random draws come in a fixed order, so the result is
+    deterministic per seed.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     log = CorruptionLog()
 
-    containers: dict[int, list[Detection]] = {}
-    for det in sorted(gt, key=attrgetter("track_id", "frame")):
-        containers.setdefault(det.track_id, []).append(det)
-
-    events = find_crossings(containers, cfg.crossing_iou)
+    table = DetectionTable.of(gt)
+    rows = table.take(np.lexsort((table.frame, table.track_id)))
+    bounds = run_bounds(rows.track_id)
+    containers = {
+        cid: np.arange(lo, hi) for cid, lo, hi in zip(rows.track_id[bounds[:-1]].tolist(), bounds, bounds[1:])
+    }
+    events = _crossings(rows, rows.track_id, cfg.crossing_iou)
 
     # identity swaps: exchange the tails of the two participants
-    for a, b, frame in events:
-        if cfg.swap_prob > 0 and rng.random() < cfg.swap_prob:
-            head_a = [d for d in containers[a] if d.frame < frame]
-            tail_a = [d for d in containers[a] if d.frame >= frame]
-            head_b = [d for d in containers[b] if d.frame < frame]
-            tail_b = [d for d in containers[b] if d.frame >= frame]
-            containers[a] = head_a + tail_b
-            containers[b] = head_b + tail_a
-            log.swaps.append(SwapRecord(a, b, frame))
+    if cfg.swap_prob > 0:
+        for (a, b, frame), draw in zip(events, rng.random(len(events)).tolist()):
+            if draw < cfg.swap_prob:
+                rows_a, rows_b = containers[a], containers[b]
+                at_a = np.searchsorted(rows.frame[rows_a], frame)
+                at_b = np.searchsorted(rows.frame[rows_b], frame)
+                containers[a] = np.concatenate((rows_a[:at_a], rows_b[at_b:]))
+                containers[b] = np.concatenate((rows_b[:at_b], rows_a[at_a:]))
+                log.swaps.append(SwapRecord(a, b, frame))
 
     # collect cut points per container
     cut_points: dict[int, list[tuple[int, int]]] = {cid: [] for cid in containers}
-    for a, b, frame in events:
-        for cid in (a, b):
-            if cfg.fragment_prob > 0 and rng.random() < cfg.fragment_prob:
-                gap = int(rng.integers(cfg.gap_frames[0], cfg.gap_frames[1] + 1))
-                cut_points[cid].append((frame, gap))
-    for cid in sorted(containers):
-        dets = containers[cid]
-        if cfg.random_cuts_per_track < 1 or len(dets) < 3:
+    if cfg.fragment_prob > 0:
+        for a, b, frame in events:
+            for cid in (a, b):
+                if rng.random() < cfg.fragment_prob:
+                    gap = int(rng.integers(cfg.gap_frames[0], cfg.gap_frames[1] + 1))
+                    cut_points[cid].append((frame, gap))
+    order = sorted(containers)
+    for cid in order:
+        frames = rows.frame[containers[cid]]
+        if cfg.random_cuts_per_track < 1 or len(frames) < 3:
             continue
         margin = max(5, cfg.gap_frames[1] + 2)
-        lo, hi = dets[0].frame + margin, dets[-1].frame - margin
+        lo, hi = frames[0].item() + margin, frames[-1].item() - margin
         if hi <= lo:
             continue
         chosen: list[int] = []
@@ -313,54 +364,59 @@ def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[list[Detect
             gap = int(rng.integers(cfg.gap_frames[0], cfg.gap_frames[1] + 1))
             cut_points[cid].append((f, gap))
 
-    # apply cuts, then dropout, then assign fresh output ids
-    out: list[Detection] = []
-    next_id = 1
-    for cid in sorted(containers):
-        dets = containers[cid]
-        pieces: list[list[Detection]] = [[]]
-        cut_meta: list[tuple[int, int]] = []  # aligned with the boundary after piece k
-        by_cut_frame: dict[int, int] = {}  # coinciding cuts collapse to the widest gap
+    # split every container into pieces at its cuts and delete the gap rows
+    # after each cut; the pieces of all containers are numbered in order
+    picked, piece_of = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    piece_owner: list[int] = []  # the container of each piece
+    splits: list[tuple[int, int, int, int]] = []  # (container, frame, gap, piece left of it) per splitting cut
+    for cid in order:
+        widest: dict[int, int] = {}  # coinciding cuts collapse to the widest gap
         for f, gap in cut_points[cid]:
-            by_cut_frame[f] = max(gap, by_cut_frame.get(f, 0))
-        cuts = sorted(by_cut_frame.items())
-        it = iter(cuts)
-        cut = next(it, None)
-        for det in dets:
-            while cut is not None and det.frame >= cut[0]:
-                pieces.append([])
-                cut_meta.append(cut)
-                cut = next(it, None)
-            if cut_meta and cut_meta[-1][0] <= det.frame < cut_meta[-1][0] + cut_meta[-1][1]:
-                continue  # falls inside the gap deleted by the latest cut
-            pieces[-1].append(det)
+            widest[f] = max(gap, widest.get(f, 0))
+        cut_frames = np.array(sorted(widest), dtype=np.int64)
+        gaps = np.array([widest[f] for f in cut_frames.tolist()], dtype=np.int64)
+        idx = containers[cid]
+        frames = rows.frame[idx]
+        # a row's piece counts the cuts at or before its frame, and the row is
+        # deleted inside the gap of the latest of them; a cut after the last
+        # row splits nothing
+        piece = np.searchsorted(cut_frames, frames, side="right")
+        keep = frames >= np.concatenate(([0], cut_frames + gaps))[piece]
+        first_piece = len(piece_owner)
+        picked.append(idx[keep])
+        piece_of.append(first_piece + piece[keep])
+        used = int(piece[-1]) if len(piece) else 0
+        used_cuts = zip(cut_frames[:used].tolist(), gaps.tolist())
+        splits += [(cid, f, gap, first_piece + k) for k, (f, gap) in enumerate(used_cuts)]
+        piece_owner += [cid] * (used + 1)
+    picked, piece_of = np.concatenate(picked), np.concatenate(piece_of)
+    owner = np.array(piece_owner, dtype=np.int64)
 
-        kept_pieces: list[list[Detection] | None] = []
-        for piece in pieces:
-            kept = []
-            for det in piece:
-                if cfg.dropout > 0 and rng.random() < cfg.dropout:
-                    log.drops.append(DropRecord(cid, det.frame))
-                else:
-                    kept.append(det)
-            kept_pieces.append(kept or None)
+    # dropout: one draw per row left, in container and row order
+    if cfg.dropout > 0:
+        dropped = rng.random(len(picked)) < cfg.dropout
+        log.drops = [
+            DropRecord(c, f) for c, f in zip(owner[piece_of[dropped]].tolist(), rows.frame[picked[dropped]].tolist())
+        ]
+        picked, piece_of = picked[~dropped], piece_of[~dropped]
 
-        piece_ids: list[int | None] = []
-        for piece in kept_pieces:
-            if piece is None:
-                piece_ids.append(None)
-                continue
-            relabeled = [d.relabeled(next_id) for d in piece]
-            out.extend(relabeled)
-            log.fragments.append(FragmentRecord(next_id, cid, relabeled[0].frame, relabeled[-1].frame))
-            piece_ids.append(next_id)
-            next_id += 1
-
-        # a cut record needs both of its immediate neighbors to have survived
-        for k, boundary in enumerate(cut_meta):
-            left, right = piece_ids[k], piece_ids[k + 1]
-            if left is not None and right is not None:
-                log.cuts.append(CutRecord(cid, boundary[0], boundary[1], left, right))
-
-    out.sort(key=attrgetter("frame", "track_id"))
-    return out, log
+    # fresh ids 1..n for the pieces that kept a row, in piece order; 0 marks an empty piece
+    sizes = np.bincount(piece_of, minlength=len(owner))
+    ids = np.where(sizes > 0, np.cumsum(sizes > 0), 0)
+    full = np.flatnonzero(sizes)
+    last = np.cumsum(sizes)[full] - 1  # the rows of a piece are consecutive
+    first = last - sizes[full] + 1
+    frames = rows.frame[picked]
+    log.fragments = [
+        FragmentRecord(*record)
+        for record in zip(ids[full].tolist(), owner[full].tolist(), frames[first].tolist(), frames[last].tolist())
+    ]
+    # a cut record needs both of its immediate neighbors to have survived
+    id_of = ids.tolist()
+    log.cuts = [
+        CutRecord(cid, f, gap, id_of[left], id_of[left + 1])
+        for cid, f, gap, left in splits
+        if id_of[left] and id_of[left + 1]
+    ]
+    out = rows.take(picked).relabeled(ids[piece_of])
+    return out.take(np.lexsort((out.track_id, out.frame))), log

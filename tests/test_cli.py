@@ -236,3 +236,13 @@ def test_refine_accepts_integral_seqinfo_spellings(tmp_path, capsys):
     seqinfo.write_text("frameRate=30.0\nimWidth=100.0\nimHeight=1e2\nseqLength=10.0\n")
     assert main(["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]) == 0
     assert "links formed: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "1.5"])
+def test_synth_rejects_crossing_iou_outside_unit_interval(tmp_path, capsys, value):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO + f"corrupt.crossing_iou = {value}\n")
+    assert main(["synth", str(scenario), "--out-dir", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {scenario}: crossing_iou must lie in (0, 1], got {float(value)}\n"
+    assert captured.out == "" and not (tmp_path / "o").exists()

@@ -4,6 +4,7 @@ from trackstitch.config import (
     PipelineConfig,
     format_pipeline_config,
     load_pipeline_config,
+    load_scenario,
     save_pipeline_config,
 )
 from trackstitch.scoring import ConstraintKind
@@ -87,3 +88,28 @@ def test_format_is_a_flat_kv_file():
         if line.startswith("#") or not line.strip():
             continue
         assert "=" in line
+
+
+def write_scenario(tmp_path, *lines):
+    path = tmp_path / "scenario.cfg"
+    path.write_text("\n".join(("scene.num_objects = 2", "scene.num_frames = 10", *lines)) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("value", ["0", "-0.2", "1.5", "nan"])
+def test_scenario_rejects_crossing_iou_outside_unit_interval(tmp_path, value):
+    path = write_scenario(tmp_path, f"corrupt.crossing_iou = {value}")
+    with pytest.raises(ValueError, match=r"crossing_iou must lie in \(0, 1\], got "):
+        load_scenario(path)
+    _, corruption = load_scenario(write_scenario(tmp_path, "corrupt.crossing_iou = 1"))
+    assert corruption.crossing_iou == 1.0
+
+
+def test_scenario_gap_bounds(tmp_path):
+    assert load_scenario(write_scenario(tmp_path))[1].gap_frames == (0, 0)
+    assert load_scenario(write_scenario(tmp_path, "corrupt.gap_min = 2"))[1].gap_frames == (2, 2)
+    assert load_scenario(write_scenario(tmp_path, "corrupt.gap_max = 3"))[1].gap_frames == (0, 3)
+    assert load_scenario(write_scenario(tmp_path, "corrupt.gap_min = 1", "corrupt.gap_max = 3"))[1].gap_frames == (1, 3)
+    # an explicit gap_max below gap_min is an error, not raised to gap_min
+    with pytest.raises(ValueError, match=r"gap_frames must satisfy 0 <= lo <= hi, got \(3, 1\)"):
+        load_scenario(write_scenario(tmp_path, "corrupt.gap_min = 3", "corrupt.gap_max = 1"))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,3 +384,22 @@ def test_hungarian_step_matches_only_pairs_at_the_threshold():
     scores = evaluate_sequence(gt, pred)
     assert (scores.mota, scores.false_positives, scores.false_negatives) == (0.0, 1, 1)
     assert scores.idf1 == 0.5
+
+
+def test_import_and_refine_leave_scipy_unloaded():
+    # scipy serves the evaluation's assignment steps only, and is imported on their first call
+    probe = (
+        "import sys\n"
+        "import trackstitch as ts\n"
+        "gt, meta = ts.generate(ts.ScenarioConfig(num_objects=4, num_frames=60, crossings=1, seed=1))\n"
+        "tracker, _ = ts.corrupt(gt, ts.CorruptionConfig(random_cuts_per_track=1, swap_prob=1.0, seed=1))\n"
+        "ts.refine_detections(ts.parse_tracks(ts.write_tracks(tracker)), meta)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "ts.evaluate_sequence(gt, tracker)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(evaluation_module.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

@@ -1,0 +1,356 @@
+"""The columnar synth against per-detection reference copies of itself.
+
+``reference_generate``, ``reference_find_crossings`` and ``reference_corrupt``
+build one ``Detection`` at a time, score one box pair at a time with the scalar
+``iou`` and walk each trajectory in Python. ``generate``, ``find_crossings``
+and ``corrupt`` must give the same rows and the same log records, draw for
+draw, on generated scenarios and on small hand-built ones with plateaus,
+missing and repeated frames and lists out of frame order.
+"""
+
+from operator import attrgetter
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
+
+from trackstitch.mot_io import Detection
+from trackstitch.synth import (
+    CorruptionConfig,
+    CorruptionLog,
+    CutRecord,
+    DropRecord,
+    FragmentRecord,
+    ScenarioConfig,
+    ScenarioError,
+    SwapRecord,
+    _plan_paths,
+    corrupt,
+    find_crossings,
+    generate,
+)
+from trackstitch.tracklets import iou
+
+
+def reference_generate(cfg):
+    """The ground truth of ``generate``, one Detection per object and frame from the same path plans."""
+    W, H = cfg.img_width, cfg.img_height
+    detections = []
+    for obj, (w, h, cx, cy, disp) in enumerate(_plan_paths(cfg, np.random.default_rng(cfg.seed))):
+        for t in range(cfg.num_frames):
+            x = float(np.clip(cx + disp[t, 0], 1 + w / 2, W - 1 - w / 2))
+            y = float(np.clip(cy + disp[t, 1], 1 + h / 2, H - 1 - h / 2))
+            detections.append(Detection(t + 1, obj + 1, x - w / 2, y - h / 2, w, h, conf=1.0))
+    return detections
+
+
+def reference_find_crossings(trajectories, iou_threshold):
+    events = []
+    ids = sorted(trajectories)
+    for i, a in enumerate(ids):
+        frames_a = {d.frame: d for d in trajectories[a]}
+        for b in ids[i + 1 :]:
+            run = []
+            for d in trajectories[b]:
+                da = frames_a.get(d.frame)
+                value = iou(da.box, d.box) if da else 0.0
+                if value >= iou_threshold:
+                    run.append((value, d.frame))
+                elif run:
+                    events.append((a, b, max(run, key=lambda e: (e[0], -e[1]))[1]))
+                    run = []
+            if run:
+                events.append((a, b, max(run, key=lambda e: (e[0], -e[1]))[1]))
+    events.sort(key=lambda e: (e[2], e[0], e[1]))
+    return events
+
+
+def reference_corrupt(gt, cfg):
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+    log = CorruptionLog()
+
+    containers = {}
+    for det in sorted(gt, key=attrgetter("track_id", "frame")):
+        containers.setdefault(det.track_id, []).append(det)
+
+    events = reference_find_crossings(containers, cfg.crossing_iou)
+
+    for a, b, frame in events:
+        if cfg.swap_prob > 0 and rng.random() < cfg.swap_prob:
+            head_a = [d for d in containers[a] if d.frame < frame]
+            tail_a = [d for d in containers[a] if d.frame >= frame]
+            head_b = [d for d in containers[b] if d.frame < frame]
+            tail_b = [d for d in containers[b] if d.frame >= frame]
+            containers[a] = head_a + tail_b
+            containers[b] = head_b + tail_a
+            log.swaps.append(SwapRecord(a, b, frame))
+
+    cut_points = {cid: [] for cid in containers}
+    for a, b, frame in events:
+        for cid in (a, b):
+            if cfg.fragment_prob > 0 and rng.random() < cfg.fragment_prob:
+                gap = int(rng.integers(cfg.gap_frames[0], cfg.gap_frames[1] + 1))
+                cut_points[cid].append((frame, gap))
+    for cid in sorted(containers):
+        dets = containers[cid]
+        if cfg.random_cuts_per_track < 1 or len(dets) < 3:
+            continue
+        margin = max(5, cfg.gap_frames[1] + 2)
+        lo, hi = dets[0].frame + margin, dets[-1].frame - margin
+        if hi <= lo:
+            continue
+        chosen = []
+        for _ in range(cfg.random_cuts_per_track):
+            for _ in range(100):
+                f = int(rng.integers(lo, hi + 1))
+                if all(abs(f - other) >= margin for other in chosen):
+                    chosen.append(f)
+                    break
+        for f in sorted(chosen):
+            gap = int(rng.integers(cfg.gap_frames[0], cfg.gap_frames[1] + 1))
+            cut_points[cid].append((f, gap))
+
+    out = []
+    next_id = 1
+    for cid in sorted(containers):
+        dets = containers[cid]
+        pieces = [[]]
+        cut_meta = []
+        by_cut_frame = {}
+        for f, gap in cut_points[cid]:
+            by_cut_frame[f] = max(gap, by_cut_frame.get(f, 0))
+        it = iter(sorted(by_cut_frame.items()))
+        cut = next(it, None)
+        for det in dets:
+            while cut is not None and det.frame >= cut[0]:
+                pieces.append([])
+                cut_meta.append(cut)
+                cut = next(it, None)
+            if cut_meta and cut_meta[-1][0] <= det.frame < cut_meta[-1][0] + cut_meta[-1][1]:
+                continue
+            pieces[-1].append(det)
+
+        kept_pieces = []
+        for piece in pieces:
+            kept = []
+            for det in piece:
+                if cfg.dropout > 0 and rng.random() < cfg.dropout:
+                    log.drops.append(DropRecord(cid, det.frame))
+                else:
+                    kept.append(det)
+            kept_pieces.append(kept or None)
+
+        piece_ids = []
+        for piece in kept_pieces:
+            if piece is None:
+                piece_ids.append(None)
+                continue
+            relabeled = [d.relabeled(next_id) for d in piece]
+            out.extend(relabeled)
+            log.fragments.append(FragmentRecord(next_id, cid, relabeled[0].frame, relabeled[-1].frame))
+            piece_ids.append(next_id)
+            next_id += 1
+
+        for k, boundary in enumerate(cut_meta):
+            left, right = piece_ids[k], piece_ids[k + 1]
+            if left is not None and right is not None:
+                log.cuts.append(CutRecord(cid, boundary[0], boundary[1], left, right))
+
+    out.sort(key=attrgetter("frame", "track_id"))
+    return out, log
+
+
+def assert_same_corruption(gt, cfg):
+    out, log = corrupt(gt, cfg)
+    expected, expected_log = reference_corrupt(list(gt), cfg)
+    assert out == expected
+    assert log.cuts == expected_log.cuts
+    assert log.swaps == expected_log.swaps
+    assert log.drops == expected_log.drops
+    assert log.fragments == expected_log.fragments
+    return log
+
+
+def box_track(track_id, frames, xs, w=10.0):
+    return [Detection(f, track_id, float(x), 0.0, w, 10.0, 1.0) for f, x in zip(frames, xs)]
+
+
+# --- generate ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ScenarioConfig(num_objects=1, num_frames=1, seed=1),
+        ScenarioConfig(num_objects=6, num_frames=200, crossings=3, seed=4),
+        ScenarioConfig(num_objects=5, num_frames=120, turn_rate=0.03, seed=8),
+        # paths too fast for the canvas fall back to a clamped slowest path
+        ScenarioConfig(num_objects=3, num_frames=300, img_width=320, img_height=240, min_speed=6, max_speed=9, seed=2),
+    ],
+)
+def test_generate_matches_the_per_detection_loop(cfg):
+    gt, meta = generate(cfg)
+    assert gt == reference_generate(cfg)
+    assert meta.num_frames == cfg.num_frames and len(gt) == cfg.num_objects * cfg.num_frames
+
+
+# --- find_crossings ---------------------------------------------------------
+
+
+def test_plateau_peak_is_the_earliest_frame_of_the_run():
+    a = box_track(1, range(1, 11), [20, 15, 10, 5, 5, 5, 5, 10, 15, 20])
+    b = box_track(2, range(1, 11), [5] * 10)
+    assert find_crossings({1: a, 2: b}, 0.3) == reference_find_crossings({1: a, 2: b}, 0.3) == [(1, 2, 4)]
+
+
+def test_a_missing_frame_splits_a_run():
+    a = box_track(1, [1, 2, 3, 5, 6], [0, 1, 0, 0, 1])
+    b = box_track(2, range(1, 7), [0] * 6)
+    assert find_crossings({1: a, 2: b}, 0.5) == reference_find_crossings({1: a, 2: b}, 0.5) == [(1, 2, 1), (1, 2, 5)]
+
+
+def test_runs_follow_list_order_not_frame_order():
+    a = box_track(1, range(1, 7), [0] * 6)
+    b = box_track(2, [4, 1, 2, 6, 3, 5], [0, 2, 30, 1, 1, 30])
+    # runs: list positions 0-1 (frames 4, 1) and 3-4 (frames 6, 3, equal IoU: the earlier frame wins)
+    events = find_crossings({1: a, 2: b}, 0.5)
+    assert events == reference_find_crossings({1: a, 2: b}, 0.5) == [(1, 2, 3), (1, 2, 4)]
+
+
+def test_a_repeated_frame_of_the_lower_id_is_looked_up_by_its_last_row():
+    a = box_track(1, [1, 2, 2, 3], [0, 0, 50, 0])  # the second row of frame 2 is far away
+    b = box_track(2, [1, 2, 3], [0, 0, 0])
+    events = find_crossings({1: a, 2: b}, 0.5)
+    assert events == reference_find_crossings({1: a, 2: b}, 0.5) == [(1, 2, 1), (1, 2, 3)]
+    # a repeated frame of the higher id scores each of its rows
+    assert find_crossings({1: b, 2: a}, 0.5) == reference_find_crossings({1: b, 2: a}, 0.5) == [(1, 2, 1), (1, 2, 3)]
+
+
+def test_dict_keys_name_the_trajectories():
+    a = box_track(7, range(1, 4), [0, 0, 0])
+    b = box_track(7, range(1, 4), [0, 1, 2])
+    assert find_crossings({9: a, 3: b}, 0.5) == reference_find_crossings({9: a, 3: b}, 0.5) == [(3, 9, 1)]
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+def test_find_crossings_rejects_a_threshold_outside_the_unit_interval(threshold):
+    a = box_track(1, [1], [0])
+    with pytest.raises(ValueError, match=r"crossing IoU threshold must lie in \(0, 1\]"):
+        find_crossings({1: a, 2: a}, threshold)
+
+
+@st.composite
+def trajectory_dicts(draw):
+    ids = draw(st.lists(st.integers(-3, 9), min_size=0, max_size=5, unique=True))
+    out = {}
+    for tid in ids:
+        rows = draw(
+            st.lists(
+                st.tuples(st.integers(1, 10), st.sampled_from([0.0, 2.0, 4.0, 5.0, 10.0, 0.1]), st.sampled_from([10.0, 8.0])),
+                max_size=12,
+            )
+        )
+        out[tid] = [Detection(f, draw(st.integers(1, 3)), x, 0.0, w, 10.0, 1.0) for f, x, w in rows]
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(trajectories=trajectory_dicts(), threshold=st.one_of(st.sampled_from([0.3, 0.5, 0.6, 1.0]), st.floats(0.01, 1.0)))
+def test_find_crossings_matches_the_pairwise_loop(trajectories, threshold):
+    assert find_crossings(trajectories, threshold) == reference_find_crossings(trajectories, threshold)
+
+
+# --- corrupt ----------------------------------------------------------------
+
+
+CROSSING_GT = ScenarioConfig(num_objects=8, num_frames=150, crossings=3, seed=1)
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    [
+        CorruptionConfig(seed=1),
+        CorruptionConfig(swap_prob=1.0, seed=2),
+        CorruptionConfig(fragment_prob=1.0, gap_frames=(1, 3), seed=3),
+        CorruptionConfig(swap_prob=0.5, fragment_prob=0.5, dropout=0.05, gap_frames=(0, 2), seed=4),
+        CorruptionConfig(dropout=0.05, seed=5),
+        CorruptionConfig(dropout=1.0, random_cuts_per_track=2, seed=6),
+        CorruptionConfig(random_cuts_per_track=3, gap_frames=(2, 5), seed=7),
+        CorruptionConfig(swap_prob=1.0, fragment_prob=1.0, random_cuts_per_track=2, gap_frames=(1, 3), seed=8),
+        CorruptionConfig(fragment_prob=1.0, crossing_iou=0.05, gap_frames=(0, 3), seed=9),
+    ],
+    ids=lambda c: f"seed{c.seed}",
+)
+def test_corrupt_matches_the_per_detection_reference(corruption):
+    gt, _ = generate(CROSSING_GT)
+    assert_same_corruption(gt, corruption)
+
+
+def test_coinciding_cuts_collapse_to_the_widest_gap():
+    # three tracks coincide at frame 10, so each takes two cuts there
+    frames = range(1, 21)
+    gt = box_track(1, frames, [2.0 * f for f in frames]) + box_track(2, frames, [40.0 - 2.0 * f for f in frames])
+    gt += box_track(3, frames, [20.0] * 20)
+    cfg = CorruptionConfig(fragment_prob=1.0, gap_frames=(0, 4), seed=12)
+    log = assert_same_corruption(gt, cfg)
+    assert [(c.source, c.frame) for c in log.cuts] == [(1, 10), (2, 10), (3, 10)]
+    assert len(find_crossings({1: gt[:20], 2: gt[20:40], 3: gt[40:]}, cfg.crossing_iou)) == 3
+
+
+def test_corrupt_of_nothing_is_an_empty_table():
+    out, log = corrupt([], CorruptionConfig(dropout=0.5, random_cuts_per_track=2, seed=1))
+    assert len(out) == 0 and log == CorruptionLog()
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(2, 8))
+    scene = ScenarioConfig(
+        num_objects=n,
+        num_frames=draw(st.integers(10, 160)),
+        img_width=1280,
+        img_height=720,
+        crossings=draw(st.integers(0, n // 2)),
+        turn_rate=draw(st.sampled_from([0.0, 0.02])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    try:
+        gt, _ = generate(scene)
+    except ScenarioError:
+        reject()
+    return gt
+
+
+@st.composite
+def hand_built(draw):
+    """Up to four tracks on a few boxes of one row, so crossings, plateaus and repeated frames are common."""
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(1, 30), st.integers(1, 4), st.sampled_from([0.0, 3.0, 5.0, 10.0, 40.0])),
+            max_size=60,
+        )
+    )
+    return [Detection(f, tid, x, 0.0, 10.0, 10.0, 1.0) for f, tid, x in rows]
+
+
+@st.composite
+def corruptions(draw):
+    gap_lo = draw(st.integers(0, 3))
+    probability = st.one_of(st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.floats(0.0, 1.0))
+    return CorruptionConfig(
+        fragment_prob=draw(probability),
+        swap_prob=draw(probability),
+        dropout=draw(probability),
+        random_cuts_per_track=draw(st.integers(0, 3)),
+        gap_frames=(gap_lo, gap_lo + draw(st.integers(0, 3))),
+        crossing_iou=draw(st.one_of(st.sampled_from([0.3, 0.5, 1.0]), st.floats(0.01, 1.0))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gt=st.one_of(scenarios(), hand_built()), cfg=corruptions())
+def test_corrupt_matches_the_reference_on_drawn_inputs(gt, cfg):
+    assert_same_corruption(gt, cfg)
