@@ -69,7 +69,6 @@ from .synth import (
 from .tracklets import (
     EndpointSummary,
     Tracklet,
-    build_endpoints,
     cut_tracklets,
     group_tracklets,
     iou,
@@ -132,7 +131,6 @@ __all__ = [
     "generate",
     "EndpointSummary",
     "Tracklet",
-    "build_endpoints",
     "cut_tracklets",
     "group_tracklets",
     "iou",

@@ -22,6 +22,7 @@ instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -142,6 +143,11 @@ class _VarState:
     uniformly, so this order never changes. The attached marginals are used
     verbatim until the domain first shrinks; from then on the marginal of a
     survivor is its attached value divided by the survivors' total.
+
+    A removal subtracts its marginal from the total while that keeps at least
+    half of it. A candidate holding more than half of the remaining mass is
+    re-summed away instead, over the survivors in domain order: subtracting
+    it would leave only rounding residue, or 0.
     """
 
     __slots__ = ("order", "attached", "removed", "total", "shrunk", "best_idx")
@@ -170,7 +176,7 @@ class _VarState:
     def remove(self, cand, trail: list) -> None:
         trail.append((self, cand, self.total, self.shrunk, self.best_idx))
         self.removed.add(cand)
-        if self.shrunk:
+        if self.shrunk and self.attached[cand] <= self.total / 2:
             self.total -= self.attached[cand]
         else:
             self.total = sum(self.attached[c] for c in self.attached if c not in self.removed)
@@ -190,7 +196,8 @@ class _VarState:
 def solve_with_stats(succ_vars: Sequence[SuccessorVar]) -> tuple[dict, SolveStats]:
     """Find the first feasible assignment under max-marginal depth-first search.
 
-    Also reports the node and backtrack counts of the search.
+    Every marginal must be finite and positive. Also reports the node and
+    backtrack counts of the search.
     """
     states = {}
     for var in succ_vars:
@@ -198,7 +205,11 @@ def solve_with_stats(succ_vars: Sequence[SuccessorVar]) -> tuple[dict, SolveStat
             raise ValueError(f"duplicate variable for tracklet {var.tracklet_id}")
         if not var.marginals:
             raise ValueError(f"variable {var.tracklet_id} has an empty domain")
-        states[var.tracklet_id] = _VarState(var)
+        state = _VarState(var)
+        # a NaN or an infinity makes the total non-finite
+        if not (min(state.attached.values()) > 0 and math.isfinite(state.total)):
+            raise ValueError(f"variable {var.tracklet_id} has a marginal that is not finite and positive")
+        states[var.tracklet_id] = state
 
     assignment: dict = {}
     stats = SolveStats(nodes=1)

@@ -64,24 +64,21 @@ def read_kv(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _to_file_form(kind: ConstraintKind, threshold: float) -> float:
-    return 1.0 - threshold if kind is ConstraintKind.PREDICTED_IOU else threshold
-
-
-def _from_file_form(kind: ConstraintKind, value: float) -> float:
+def _file_form(kind: ConstraintKind, value: float) -> float:
+    """A threshold as the file writes it, or back: ``1 - value`` for predicted IOU, its own inverse."""
     return 1.0 - value if kind is ConstraintKind.PREDICTED_IOU else value
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    """Load a config file over the defaults; unknown keys are errors."""
+    """Load a config file over the defaults; an unknown key or an invalid value is an error naming the file."""
     cfg = PipelineConfig()
     values = read_kv(path)
-    for key, value in values.items():
-        try:
+    try:
+        for key, value in values.items():
             _apply(cfg, key, value)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    cfg.validate()
+        cfg.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return cfg
 
 
@@ -94,11 +91,11 @@ def _apply(cfg: PipelineConfig, key: str, value: str) -> None:
         if name == "enabled":
             params.enabled = _parse_bool(value, key)
         elif name == "t50":
-            params.t50 = _from_file_form(kind, float(value))
+            params.t50 = _file_form(kind, float(value))
         elif name == "tend":
             params.tend = float(value)
         elif name == "t0":
-            params.t0 = None if value.lower() == "none" else _from_file_form(kind, float(value))
+            params.t0 = None if value.lower() == "none" else _file_form(kind, float(value))
         else:
             raise ValueError(f"unknown key {key!r}")
     elif key == "bounds.L":
@@ -131,9 +128,9 @@ def format_pipeline_config(cfg: PipelineConfig) -> str:
         p = cfg.scores.params[kind]
         key = kind.value
         lines.append(f"{key}.enabled = {'true' if p.enabled else 'false'}")
-        lines.append(f"{key}.t50 = {_to_file_form(kind, p.t50)!r}")
+        lines.append(f"{key}.t50 = {_file_form(kind, p.t50)!r}")
         lines.append(f"{key}.tend = {p.tend!r}")
-        lines.append(f"{key}.t0 = {'none' if p.t0 is None else repr(_to_file_form(kind, p.t0))}")
+        lines.append(f"{key}.t0 = {'none' if p.t0 is None else repr(_file_form(kind, p.t0))}")
     lines += [
         f"cutter.enabled = {'true' if cfg.cutter_enabled else 'false'}",
         f"cutter.t_tc = {cfg.cut_threshold!r}",

@@ -14,7 +14,6 @@ field. Sequence metadata comes from a seqinfo-style ``key=value`` file
 from __future__ import annotations
 
 import io
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import isfinite, sqrt
@@ -54,10 +53,6 @@ class Detection:
             raise ValueError(
                 f"box and conf must be finite, got x={self.x}, y={self.y}, w={self.w}, h={self.h}, conf={self.conf}"
             )
-
-    def relabeled(self, track_id: int) -> Detection:
-        """The same observation under another identity label."""
-        return Detection(self.frame, track_id, self.x, self.y, self.w, self.h, self.conf)
 
     @property
     def box(self) -> tuple[float, float, float, float]:
@@ -211,9 +206,8 @@ def _parse_int(text: str) -> int:
         return int(value)
 
 
-def _parse_fields(line: str, lineno: int) -> Detection:
+def _parse_fields(fields: list[str], lineno: int) -> Detection:
     """Parse one line from its stripped fields; raises the line's ParseError."""
-    fields = [f.strip() for f in line.split(",")]
     try:
         return Detection(_parse_int(fields[0]), _parse_int(fields[1]), *map(float, fields[2:7]))
     except ValueError as exc:
@@ -223,20 +217,12 @@ def _parse_fields(line: str, lineno: int) -> Detection:
 def _parse_lines(text: str) -> Iterator[Detection]:
     """The detections of ``text`` line by line; raises the first bad line's ParseError."""
     for lineno, raw in enumerate(io.StringIO(text), start=1):
-        fields = raw.split(",")
+        fields = [f.strip() for f in raw.split(",")]
         if len(fields) < 7:
             if not raw.strip():
                 continue
             raise ParseError(f"line {lineno}: expected at least 7 fields, got {len(fields)}")
-        # int and float ignore surrounding whitespace themselves; ids such as
-        # "3.0" and every error go through the stripped fields
-        try:
-            det = Detection(
-                int(fields[0]), int(fields[1]),
-                float(fields[2]), float(fields[3]), float(fields[4]), float(fields[5]), float(fields[6]),
-            )
-        except ValueError:
-            det = _parse_fields(raw, lineno)
+        det = _parse_fields(fields, lineno)
         if max(det.frame, det.track_id) >= 2**63:
             raise ParseError(f"line {lineno}: frame and track_id must be below 2**63, got {det.frame}, {det.track_id}")
         yield det
@@ -278,14 +264,6 @@ def parse_tracks(stream: TextIO | str) -> DetectionTable:
     return table if table is not None else DetectionTable.of(_parse_lines(text))
 
 
-# The list path of write_tracks formats whole rows with "%s" and then fixes
-# the integral values in the text. A float's repr ends in ".0" exactly when it
-# is integral and below 1e16 in magnitude (repr switches to exponent notation
-# there), and every value field is followed by a comma. The format drops that
-# ".0" below 1e15 only, so the substitution skips a ".0" after 16 digits;
-# "-0.0" prints as "0", so its sign goes first.
-_POINT_ZERO = re.compile(r"\.0,(?<!\d{16}\.0,)")
-
 # what follows each of the seven columns on a line
 _SEPARATORS = (",",) * 6 + (",-1,-1,-1\n",)
 
@@ -304,26 +282,20 @@ def _column_tokens(column: np.ndarray, sep: str) -> list[str]:
 def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) -> str:
     """Write detections in MOTChallenge format, sorted by (frame, id).
 
-    Every value prints by one rule: an integral value below 1e15 in magnitude
-    prints without a decimal point (``-0.0`` as ``0``), any other value as its
-    shortest round-trip repr. A table formats each distinct value of a column
-    once and gathers the tokens back by row. The fields of other detections
-    print with ``str``, which equals ``repr`` for Python numbers and prints
-    numpy scalars as plain numbers. Returns the text; also writes it to
-    ``stream`` when given. ``parse_tracks(write_tracks(D))`` reproduces D up
-    to ordering.
+    The detections are written as the columns of ``DetectionTable.of``, so
+    every value field prints its float64 value by one rule: an integral value
+    below 1e15 in magnitude prints without a decimal point (``-0.0`` as
+    ``0``), any other value as its shortest round-trip repr. Each distinct
+    value of a column is formatted once, and the tokens are gathered back by
+    row. Returns the text; also writes it to ``stream`` when given.
+    ``parse_tracks(write_tracks(D))`` reproduces D up to ordering.
     """
-    if isinstance(detections, DetectionTable):
-        order = np.lexsort((detections.track_id, detections.frame))
-        tokens: list[str | None] = [None] * (len(_FIELDS) * len(detections))
-        for k, (column, sep) in enumerate(zip(detections.columns, _SEPARATORS)):
-            tokens[k :: len(_FIELDS)] = _column_tokens(column[order], sep)
-        text = "".join(tokens)
-    else:
-        rows = sorted(detections, key=attrgetter("frame", "track_id"))
-        columns = [list(map(attrgetter(name), rows)) for name in _FIELDS]
-        text = "".join(map("%s,%s,%s,%s,%s,%s,%s,-1,-1,-1\n".__mod__, zip(*columns)))
-        text = _POINT_ZERO.sub(",", text.replace("-0.0,", "0.0,"))
+    table = DetectionTable.of(detections)
+    order = np.lexsort((table.track_id, table.frame))
+    tokens: list[str | None] = [None] * (len(_FIELDS) * len(table))
+    for k, (column, sep) in enumerate(zip(table.columns, _SEPARATORS)):
+        tokens[k :: len(_FIELDS)] = _column_tokens(column[order], sep)
+    text = "".join(tokens)
     if stream is not None:
         stream.write(text)
     return text
@@ -405,18 +377,12 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
     return SequenceMeta(**values)
 
 
-def _fmt(value: float) -> str:
-    # the number rule of write_tracks, for one value
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
 def write_seqinfo(meta: SequenceMeta, path: str | Path, name: str = "synthetic") -> None:
+    (frame_rate,) = _column_tokens(np.array([meta.fps], dtype=np.float64), "")  # the number rule of write_tracks
     text = (
         "[Sequence]\n"
         f"name={name}\n"
-        f"frameRate={_fmt(meta.fps)}\n"
+        f"frameRate={frame_rate}\n"
         f"seqLength={meta.num_frames}\n"
         f"imWidth={meta.img_width}\n"
         f"imHeight={meta.img_height}\n"

@@ -73,12 +73,16 @@ class ConstraintParams:
     t0: float | None = None
 
     def validate(self, name: str = "") -> None:
-        prefix = f"{name}: " if name else ""
-        if self.t50 <= 0:
+        """Raise ValueError unless ``t50`` and ``tend`` are positive and ``t0`` exceeds ``t50``; NaN fails each check.
+
+        ``name`` prefixes the config key, as in ``td.t50``.
+        """
+        prefix = f"{name}." if name else ""
+        if not self.t50 > 0:
             raise ValueError(f"{prefix}t50 must be positive, got {self.t50}")
-        if self.tend <= 0:
+        if not self.tend > 0:
             raise ValueError(f"{prefix}tend must be positive, got {self.tend}")
-        if self.t0 is not None and self.t0 <= self.t50:
+        if self.t0 is not None and not self.t0 > self.t50:
             raise ValueError(f"{prefix}t0 must exceed t50, got t0={self.t0} <= t50={self.t50}")
 
 

@@ -56,27 +56,20 @@ class Tracklet:
 
 
 def iou(box_a: Box, box_b: Box) -> float:
-    """Intersection over union of two (x, y, w, h) boxes, in [0, 1]; 0 disjoint.
+    """Intersection over union of two (x, y, w, h) boxes with positive sizes, in [0, 1]; 0 when disjoint.
 
-    Rounding can push the raw ratio of two (near-)identical boxes a few ulps
-    past 1, which would make the distance ``1 - iou`` negative; it is clamped.
+    One pair of :func:`iou_pairs`.
     """
-    ax, ay, aw, ah = box_a
-    bx, by, bw, bh = box_b
-    iw = min(ax + aw, bx + bw) - max(ax, bx)
-    ih = min(ay + ah, by + bh) - max(ay, by)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return min(inter / (aw * ah + bw * bh - inter), 1.0)
+    return float(iou_pairs(np.asarray(box_a, dtype=float), np.asarray(box_b, dtype=float)))
 
 
 def iou_pairs(boxes_a, boxes_b) -> np.ndarray:
-    """Element-wise IoU of two box stacks ``(x, y, w, h)`` of broadcastable arrays, clamped like :func:`iou`.
+    """Element-wise IoU of two box stacks ``(x, y, w, h)`` of broadcastable arrays, in [0, 1].
 
     Each stack holds one array per box column (a ``(4, ...)`` array or a
-    4-tuple). Equals :func:`iou` bit for bit on every pair of boxes with
-    positive sizes.
+    4-tuple), and every box must have a positive size. Rounding can push the
+    raw ratio of two (near-)identical boxes a few ulps past 1, which would
+    make the distance ``1 - iou`` negative; it is clamped.
     """
     ax, ay, aw, ah = boxes_a
     bx, by, bw, bh = boxes_b
@@ -87,7 +80,7 @@ def iou_pairs(boxes_a, boxes_b) -> np.ndarray:
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (N, 4) and (M, 4) arrays of (x, y, w, h) boxes, clamped like :func:`iou`."""
+    """Pairwise IoU between two (N, 4) and (M, 4) arrays of (x, y, w, h) boxes, as :func:`iou_pairs` scores them."""
     boxes_a = np.asarray(boxes_a, dtype=float).reshape(-1, 4)
     boxes_b = np.asarray(boxes_b, dtype=float).reshape(-1, 4)
     return iou_pairs(boxes_a.T[:, :, None], boxes_b.T[:, None, :])
@@ -132,7 +125,7 @@ def _window_velocities(rows: DetectionTable, starts: np.ndarray, lengths: np.nda
 def _summaries(
     rows: DetectionTable, bounds: Sequence[int], window: int, min_len: int
 ) -> list[tuple[EndpointSummary, EndpointSummary]]:
-    """The endpoint summaries of every run ``rows[bounds[k]:bounds[k + 1]]`` (see :func:`build_endpoints`)."""
+    """The endpoint summaries of every run ``rows[bounds[k]:bounds[k + 1]]`` (see :func:`make_tracklets`)."""
     lo = np.asarray(bounds[:-1], dtype=np.int64)
     n = np.diff(np.asarray(bounds, dtype=np.int64))
     last = lo + n - 1
@@ -165,12 +158,16 @@ def _summaries(
     ]
 
 
-def build_endpoints(
-    detections: Sequence[Detection],
-    window: int = 6,
-    min_len: int = 10,
-) -> tuple[EndpointSummary, EndpointSummary]:
-    """Summarize a frame-sorted detection run at both ends.
+def make_tracklet(tid: int, detections: Sequence[Detection], window: int = 6, min_len: int = 10) -> Tracklet:
+    """Build a tracklet from frame-sorted detections, computing its endpoint summaries (see :func:`make_tracklets`)."""
+    rows = DetectionTable.of(detections)
+    if not len(rows):
+        raise ValueError("tracklet must contain at least one detection")
+    return Tracklet(tid, rows, *_summaries(rows, [0, len(rows)], window, min_len)[0])
+
+
+def make_tracklets(rows: DetectionTable, bounds: Sequence[int], window: int = 6, min_len: int = 10) -> list[Tracklet]:
+    """One tracklet per frame-sorted run ``rows[bounds[k]:bounds[k + 1]]``, named by the run's track id.
 
     For runs of at least ``min_len`` detections the start summary averages the
     ``window`` boxes following the first one (and the velocities between them);
@@ -178,25 +175,8 @@ def build_endpoints(
     Shorter runs fall back to the end boxes themselves, with the velocity taken
     between the two outermost detections (zero for a single detection).
     Windows are cut with list slicing rules, and each mean is ``np.mean`` over
-    the window's values in row order.
-    """
-    rows = DetectionTable.of(detections)
-    if not len(rows):
-        raise ValueError("cannot summarize an empty detection list")
-    return _summaries(rows, [0, len(rows)], window, min_len)[0]
-
-
-def make_tracklet(tid: int, detections: Sequence[Detection], window: int = 6, min_len: int = 10) -> Tracklet:
-    """Build a tracklet from frame-sorted detections, computing its endpoint summaries."""
-    rows = DetectionTable.of(detections)
-    return Tracklet(tid, rows, *build_endpoints(rows, window, min_len))
-
-
-def make_tracklets(rows: DetectionTable, bounds: Sequence[int], window: int = 6, min_len: int = 10) -> list[Tracklet]:
-    """One tracklet per frame-sorted run ``rows[bounds[k]:bounds[k + 1]]``, named by the run's track id.
-
-    The endpoint summaries of all runs are computed together, equal to
-    :func:`make_tracklet` on each run.
+    the window's values in row order. The summaries of all runs are computed
+    together, equal to :func:`make_tracklet` on each run.
     """
     ids = rows.track_id[bounds[:-1]].tolist()
     summaries = _summaries(rows, bounds, window, min_len)
@@ -219,7 +199,7 @@ def group_tracklets(
 
     A track id observed twice in the same frame is a data error. Endpoint
     summaries are computed with the given averaging window (see
-    :func:`build_endpoints`). The tracklets are consecutive slices of one
+    :func:`make_tracklets`). The tracklets are consecutive slices of one
     table sorted by (id, frame).
     """
     table = DetectionTable.of(detections)

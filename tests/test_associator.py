@@ -166,6 +166,23 @@ class TestSolve:
         with pytest.raises(RuntimeError, match="no feasible"):
             solve_with_stats([x, y])
 
+    def test_removing_the_dominant_candidate_keeps_a_positive_total(self):
+        # 3 loses 11 (a re-sum to 1.0 + 1e-20 == 1.0), then 10, which held
+        # all of that total: subtracting it would leave 0 for STOP's 1e-20
+        v1 = SuccessorVar(1, {11: 1.0})
+        v2 = SuccessorVar(2, {10: 1.0})
+        v3 = SuccessorVar(3, marginals({10: 1.0, 11: 0.5, STOP: 1e-20}))
+        assignment, stats = solve_with_stats([v1, v2, v3])
+        assert assignment == {1: 11, 2: 10, 3: STOP}
+        assert stats.backtracks == 0
+
+    @pytest.mark.parametrize(
+        "bad", [{10: 0.0, STOP: 0.0}, {10: math.nan, STOP: 1.0}, {10: math.inf, STOP: 1.0}, {10: -0.5, STOP: 1.5}]
+    )
+    def test_rejects_marginals_that_are_not_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="^variable 2 has a marginal that is not finite and positive$"):
+            solve_with_stats([SuccessorVar(1, {10: 1.0}), SuccessorVar(2, bad)])
+
     def test_matches_greedy_oracle_on_random_instances(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
@@ -288,7 +305,33 @@ def hand_built_instance(rng):
     return succ_vars
 
 
+def dominant_instance(rng):
+    # marginals normalized from weights that span 1e-20 to 1, one of them
+    # dominant per domain, so the solver's totals are inexact; a small shared
+    # pool makes a domain often lose its dominant candidate after another one.
+    # Every domain holds STOP, so every instance is solvable
+    n = int(rng.integers(2, 9))
+    pool = np.arange(100, 100 + max(2, n // 3))
+    succ_vars = []
+    for vid in range(1, n + 1):
+        cands = rng.choice(pool, size=int(rng.integers(1, min(len(pool), 3) + 1)), replace=False).tolist()
+        weights = {c: 10.0 ** rng.uniform(-20, 0) for c in [*cands, STOP]}
+        weights[cands[int(rng.integers(len(cands)))] if rng.random() < 0.9 else STOP] = 1.0
+        succ_vars.append(SuccessorVar(vid, marginals(weights)))
+    return succ_vars
+
+
 class TestSearch:
+    def test_dominant_candidates_never_raise(self):
+        rng = np.random.default_rng(37)
+        for _ in range(3000):
+            succ_vars = dominant_instance(rng)
+            assignment, _ = solve_with_stats(succ_vars)
+            assert sorted(assignment) == [v.tracklet_id for v in succ_vars]
+            linked = [c for c in assignment.values() if c is not STOP]
+            assert len(set(linked)) == len(linked)
+            assert all(assignment[v.tracklet_id] in v.marginals for v in succ_vars)
+
     def test_backtracking_matches_copying_reference(self):
         rng = np.random.default_rng(31)
         multi_backtrack = infeasible = 0

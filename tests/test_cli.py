@@ -246,3 +246,48 @@ def test_synth_rejects_crossing_iou_outside_unit_interval(tmp_path, capsys, valu
     captured = capsys.readouterr()
     assert captured.err == f"error: {scenario}: crossing_iou must lie in (0, 1], got {float(value)}\n"
     assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+CROSSING_SCENARIO = """
+scene.num_objects = 30
+scene.num_frames = 600
+scene.crossings = 10
+scene.seed = 2
+corrupt.swap_prob = 0.5
+corrupt.fragment_prob = 0.5
+corrupt.dropout = 0.02
+corrupt.seed = 2
+"""
+
+
+def test_refine_with_the_angle_constraint_on_a_crossing_scenario(tmp_path, capsys):
+    # in this run a domain loses the candidate that held nearly all of its
+    # remaining mass, which once left the solver dividing by a total of 0
+    scenario = tmp_path / "crossing.cfg"
+    scenario.write_text(CROSSING_SCENARIO)
+    seq = tmp_path / "seq"
+    assert main(["synth", str(scenario), "--out-dir", str(seq)]) == 0
+    config = tmp_path / "angle.cfg"
+    config.write_text("ad.enabled = true\n")
+    out = tmp_path / "out.txt"
+    argv = ["refine", str(seq / "tracker.txt"), str(out), "--seqinfo", str(seq / "seqinfo.ini")]
+    assert main(argv + ["--config", str(config)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(load_tracks(out)) >= len(load_tracks(seq / "tracker.txt"))
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("td.t50 = nan", "td.t50 must be positive, got nan"),
+        ("td.tend = nan", "td.tend must be positive, got nan"),
+        ("piou.t0 = nan", "piou.t0 must exceed t50, got t0=nan <= t50=0.25"),
+    ],
+)
+def test_refine_rejects_nan_thresholds_in_the_config(tmp_path, capsys, line, expected):
+    tracks = tmp_path / "tracks.txt"
+    tracks.write_text(THREE_ROWS)
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(line + "\n")
+    argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--fps", "30", "--width", "100", "--height", "100"]
+    assert_one_line_error(tmp_path, capsys, argv + ["--config", str(config)], f"{config}: {expected}")

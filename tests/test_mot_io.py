@@ -104,11 +104,11 @@ def test_detection_contract():
         d.x = 0.0
     for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
         assert clone == d and hash(clone) == hash(d)
-    moved = d.relabeled(12)
+    moved = dataclasses.replace(d, track_id=12)
     assert moved.track_id == 12
     assert dataclasses.replace(moved, track_id=d.track_id) == d
     with pytest.raises(ValueError):
-        d.relabeled(0)
+        dataclasses.replace(d, track_id=0)
 
 
 def _fmt(value):
@@ -119,6 +119,15 @@ def _fmt(value):
     return repr(value)
 
 
+def _reference_write(dets):
+    """The track writer one value at a time: rows by (frame, id), each value field as its float64 value."""
+    rows = sorted(dets, key=lambda d: (d.frame, d.track_id))
+    return "".join(
+        f"{d.frame},{d.track_id},{','.join(_fmt(float(v)) for v in (d.x, d.y, d.w, d.h, d.conf))},-1,-1,-1\n"
+        for d in rows
+    )
+
+
 def test_write_matches_number_format():
     rng = np.random.default_rng(7)
     mags = 10.0 ** rng.uniform(-20, 20, size=(2000, 5))
@@ -127,17 +136,15 @@ def test_write_matches_number_format():
     edges = [-0.0, 0.0, 1e15 - 1, 1e15, -1e15, 5e15, -5e15, 1e16, float(2**53), 1e-5, 9999999999999998.0, 0.5]
     rows = [[float(v) for v in row] for row in values]
     rows += [[e, -e, abs(e) or 1.0, abs(e) or 2.0, e] for e in edges]
-    rows += [[3, -4, 5, 6, 1], [0, 0, 2**53, 10**16, -1]]  # int fields
+    rows += [[3, -4, 5, 6, 1], [0, 0, 2**53, 10**16, -1]]  # int fields print their float64 value
     dets = []
     for k, (x, y, w, h, conf) in enumerate(rows):
         # positive, nonzero sizes: the magnitude survives, only the sign changes
         w, h = abs(w) or 1.0, abs(h) or 1.0
         dets.append(Detection(k + 1, 1 + k % 3, x, y, w, h, conf))
-    expected = "".join(
-        f"{d.frame},{d.track_id},{_fmt(d.x)},{_fmt(d.y)},{_fmt(d.w)},{_fmt(d.h)},{_fmt(d.conf)},-1,-1,-1\n"
-        for d in dets
-    )
-    assert write_tracks(dets) == expected
+    text = write_tracks(dets)
+    assert text == _reference_write(dets)
+    assert text.splitlines()[-1].endswith(",0,0,9007199254740992.0,1e+16,-1,-1,-1,-1")
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -445,7 +452,7 @@ def test_write_table_matches_write_of_its_rows():
         rng.integers(1, 50, n), rng.integers(1, 9, n), [round(v, k % 4) for k, v in enumerate(rng.uniform(-50, 500, n))],
         rng.uniform(-50, 500, n), rng.uniform(0.5, 80, n), np.round(rng.uniform(1, 80, n)), rng.choice([-1.0, 1.0, 0.5], n),
     )
-    assert write_tracks(table) == write_tracks(list(table))
+    assert write_tracks(table) == _reference_write(table)
     assert parse_tracks(write_tracks(table)) == sorted(table, key=lambda d: (d.frame, d.track_id))
 
 
@@ -457,9 +464,10 @@ def test_detection_table_concatenates_like_a_list():
 
 
 def _assert_writes_like_its_rows(table):
-    """The table writer against the row writer, and the stream against the returned text."""
+    """The table writer against the one-value-at-a-time rule, its rows as a list, and the stream."""
     text = write_tracks(table)
-    assert text == write_tracks(list(table))
+    assert text == _reference_write(table)
+    assert write_tracks(list(table)) == text
     stream = io.StringIO()
     assert write_tracks(table, stream) == text
     assert stream.getvalue() == text

@@ -1,11 +1,11 @@
-"""Property tests: the default pipeline on generated tracker-like input.
+"""Property tests: the pipeline on generated tracker-like input.
 
 Scenarios come from ``generate`` + ``corrupt`` with crossings, identity swaps,
-fragmentation and dropout, run with the cutter on and off. Whatever the
-scenario, refining must not raise, the association must satisfy its hard
-constraints, every input detection must come out exactly once (plus the
-interpolated ones) in (frame, id) order, and a rerun must give byte-identical
-output.
+fragmentation and dropout, run with the cutter on and off, under the default
+constraints and with all five enabled. Whatever the scenario, refining must
+not raise, the association must satisfy its hard constraints, every input
+detection must come out exactly once (plus the interpolated ones) in
+(frame, id) order, and a rerun must give byte-identical output.
 """
 
 from collections import Counter
@@ -58,11 +58,13 @@ def tracker_outputs(draw):
     return detections, meta
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seq=tracker_outputs(), cutter=st.booleans())
-def test_refine_invariants(seq, cutter):
+@settings(max_examples=80, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seq=tracker_outputs(), cutter=st.booleans(), every_constraint=st.booleans())
+def test_refine_invariants(seq, cutter, every_constraint):
     detections, meta = seq
     cfg = PipelineConfig(cutter_enabled=cutter)
+    for params in cfg.scores.params.values():
+        params.enabled |= every_constraint
     refined, summary = refine_detections(detections, meta, cfg)
     assert refined == sorted(refined, key=lambda d: (d.frame, d.track_id))
 

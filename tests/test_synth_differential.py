@@ -8,6 +8,7 @@ draw, on generated scenarios and on small hand-built ones with plateaus,
 missing and repeated frames and lists out of frame order.
 """
 
+import dataclasses
 from operator import attrgetter
 
 import numpy as np
@@ -147,7 +148,7 @@ def reference_corrupt(gt, cfg):
             if piece is None:
                 piece_ids.append(None)
                 continue
-            relabeled = [d.relabeled(next_id) for d in piece]
+            relabeled = [dataclasses.replace(d, track_id=next_id) for d in piece]
             out.extend(relabeled)
             log.fragments.append(FragmentRecord(next_id, cid, relabeled[0].frame, relabeled[-1].frame))
             piece_ids.append(next_id)

@@ -8,13 +8,25 @@ from hypothesis import strategies as st
 
 import trackstitch.tracklets as tracklets_module
 from trackstitch.mot_io import Detection
-from trackstitch.tracklets import build_endpoints, cut_tracklets, group_tracklets, iou, iou_matrix, make_tracklet
+from trackstitch.tracklets import cut_tracklets, group_tracklets, iou, iou_matrix, iou_pairs, make_tracklet
 from trackstitch.mot_io import DetectionTable
 from trackstitch.tracklets import make_tracklets, run_bounds
 
 
 def boxes_track(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
     return [Detection(f, tid, x0 + vx * (f - frames[0]), y0 + vy * (f - frames[0]), w, h, 1.0) for f in frames]
+
+
+def _scalar_iou(box_a, box_b):
+    # the IoU formula in plain Python floats, the reference for iou_pairs
+    ax, ay, aw, ah = box_a
+    bx, by, bw, bh = box_b
+    iw = min(ax + aw, bx + bw) - max(ax, bx)
+    ih = min(ay + ah, by + bh) - max(ay, by)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return min(inter / (aw * ah + bw * bh - inter), 1.0)
 
 
 class TestIou:
@@ -44,6 +56,19 @@ class TestIou:
         boxes = np.random.default_rng(5).uniform(0.5, 60, size=(500, 4))
         assert max(iou(tuple(b), tuple(b)) for b in boxes) <= 1.0
         assert iou_matrix(boxes, boxes).max() <= 1.0
+
+    def test_pairs_equal_plain_python_formula_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        n = 20_000
+        a = rng.uniform(0.5, 60, size=(4, n))
+        b = a + rng.choice([0.0, 1e-9, 0.5, 3.0, 40.0], size=(4, n)) * rng.uniform(-1, 1, size=(4, n))
+        b[2:] = np.abs(b[2:]) + 0.25
+        b[:, ::7] = a[:, ::7]  # identical boxes, where rounding reaches past 1
+        b[0, 1::7] = a[0, 1::7] + a[2, 1::7]  # touching edges
+        expected = [_scalar_iou(p, q) for p, q in zip(a.T.tolist(), b.T.tolist())]
+        assert iou_pairs(a, b).tolist() == expected
+        assert [iou(p, q) for p, q in zip(a.T[:500].tolist(), b.T[:500].tolist())] == expected[:500]
+        assert 0.0 in expected and 1.0 in expected
 
     def test_matrix_agrees_with_scalar(self):
         rng = np.random.default_rng(4)
@@ -78,29 +103,34 @@ def test_group_rejects_duplicate_frame():
         group_tracklets(dets)
 
 
+def _ends(detections, window=6, min_len=10):
+    t = make_tracklet(1, detections, window, min_len)
+    return t.start, t.end
+
+
 class TestEndpoints:
     def test_single_detection(self):
-        start, end = build_endpoints([Detection(5, 1, 0, 0, 10, 10, 1)])
+        start, end = _ends([Detection(5, 1, 0, 0, 10, 10, 1)])
         assert start.frame == 5 and end.frame == 5
         assert start.box == (0, 0, 10, 10)
         assert start.velocity == (0.0, 0.0) and end.velocity == (0.0, 0.0)
 
     def test_two_detections_velocity(self):
         dets = [Detection(1, 1, 0, 0, 10, 10, 1), Detection(2, 1, 3, 0, 10, 10, 1)]
-        start, end = build_endpoints(dets)
+        start, end = _ends(dets)
         assert start.velocity == (3.0, 0.0)
         assert end.velocity == (3.0, 0.0)
         assert start.box == (0, 0, 10, 10) and end.box == (3, 0, 10, 10)
 
     def test_short_track_uses_edge_boxes(self):
         dets = boxes_track(1, range(1, 9), vx=2.0)  # 8 < 10: no averaging
-        start, end = build_endpoints(dets)
+        start, end = _ends(dets)
         assert start.box == dets[0].box
         assert end.box == dets[-1].box
 
     def test_long_track_averages_window(self):
         dets = boxes_track(1, range(1, 13), vx=2.0)  # 12 detections
-        start, end = build_endpoints(dets)
+        start, end = _ends(dets)
         # positions 2..7 have x = 2..12, mean 7 (the box "at position 4.5")
         assert start.box == pytest.approx((7.0, 0.0, 10.0, 10.0), abs=1e-12)
         assert start.velocity == pytest.approx((2.0, 0.0), abs=0)
@@ -116,7 +146,7 @@ class TestEndpoints:
             if len(frames) < 10:
                 continue
             dets = [Detection(int(f), 1, 100 + vx * f, 100 + vy * f, 8, 8, 1) for f in frames]
-            start, end = build_endpoints(dets)
+            start, end = _ends(dets)
             assert start.velocity == pytest.approx((vx, vy), abs=1e-9)
             assert end.velocity == pytest.approx((vx, vy), abs=1e-9)
 
@@ -237,7 +267,7 @@ def test_endpoints_of_table_slices_equal_detection_list_endpoints():
             for t, run in zip(tracklets, runs):
                 expected = _reference_endpoints(run, window, min_len)
                 assert repr((_summary(t.start), _summary(t.end))) == repr(expected), (trial, window, min_len, len(run))
-                assert repr(tuple(map(_summary, build_endpoints(run, window, min_len)))) == repr(expected)
+                assert repr(tuple(map(_summary, _ends(run, window, min_len)))) == repr(expected)
                 assert t.detections == run
 
 
