@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .mot_io import atomic_writer
-from .scoring import ConstraintKind, ScoreConfig
+from .scoring import ConstraintKind, ScoreConfig, file_form
 from .synth import CorruptionConfig, ScenarioConfig
+from .tracklets import check_window
 
 
 @dataclass
@@ -37,8 +38,7 @@ class PipelineConfig:
             raise ValueError(f"cutter threshold must lie in (0, 1], got {self.cut_threshold}")
         if self.max_gap_size < 1:
             raise ValueError(f"max gap size must be positive, got {self.max_gap_size}")
-        if self.endpoint_window < 1 or self.endpoint_min_len < 2:
-            raise ValueError("endpoint window must be >= 1 and min length >= 2")
+        check_window(self.endpoint_window, self.endpoint_min_len, ("endpoints.window", "endpoints.min_len"))
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -48,6 +48,13 @@ def _parse_bool(value: str, key: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise ValueError(f"{key}: expected a boolean, got {value!r}")
+
+
+def _parse_number(value: str, key: str, cast: type = float) -> int | float:
+    try:
+        return cast(value)
+    except ValueError:
+        raise ValueError(f"{key}: expected {'an integer' if cast is int else 'a number'}, got {value!r}") from None
 
 
 def read_kv(path: str | Path) -> dict[str, str]:
@@ -62,11 +69,6 @@ def read_kv(path: str | Path) -> dict[str, str]:
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
-
-
-def _file_form(kind: ConstraintKind, value: float) -> float:
-    """A threshold as the file writes it, or back: ``1 - value`` for predicted IOU, its own inverse."""
-    return 1.0 - value if kind is ConstraintKind.PREDICTED_IOU else value
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
@@ -91,29 +93,29 @@ def _apply(cfg: PipelineConfig, key: str, value: str) -> None:
         if name == "enabled":
             params.enabled = _parse_bool(value, key)
         elif name == "t50":
-            params.t50 = _file_form(kind, float(value))
+            params.t50 = file_form(kind, _parse_number(value, key))
         elif name == "tend":
-            params.tend = float(value)
+            params.tend = _parse_number(value, key)
         elif name == "t0":
-            params.t0 = None if value.lower() == "none" else _file_form(kind, float(value))
+            params.t0 = None if value.lower() == "none" else file_form(kind, _parse_number(value, key))
         else:
             raise ValueError(f"unknown key {key!r}")
     elif key == "bounds.L":
-        cfg.scores.lower = float(value)
+        cfg.scores.lower = _parse_number(value, key)
     elif key == "bounds.U":
-        cfg.scores.upper = float(value)
+        cfg.scores.upper = _parse_number(value, key)
     elif key == "cutter.enabled":
         cfg.cutter_enabled = _parse_bool(value, key)
     elif key == "cutter.t_tc":
-        cfg.cut_threshold = float(value)
+        cfg.cut_threshold = _parse_number(value, key)
     elif key == "interp.enabled":
         cfg.interp_enabled = _parse_bool(value, key)
     elif key == "interp.max_gap":
-        cfg.max_gap_size = int(value)
+        cfg.max_gap_size = _parse_number(value, key, int)
     elif key == "endpoints.window":
-        cfg.endpoint_window = int(value)
+        cfg.endpoint_window = _parse_number(value, key, int)
     elif key == "endpoints.min_len":
-        cfg.endpoint_min_len = int(value)
+        cfg.endpoint_min_len = _parse_number(value, key, int)
     else:
         raise ValueError(f"unknown key {key!r}")
 
@@ -128,9 +130,9 @@ def format_pipeline_config(cfg: PipelineConfig) -> str:
         p = cfg.scores.params[kind]
         key = kind.value
         lines.append(f"{key}.enabled = {'true' if p.enabled else 'false'}")
-        lines.append(f"{key}.t50 = {_file_form(kind, p.t50)!r}")
+        lines.append(f"{key}.t50 = {file_form(kind, p.t50)!r}")
         lines.append(f"{key}.tend = {p.tend!r}")
-        lines.append(f"{key}.t0 = {'none' if p.t0 is None else repr(_file_form(kind, p.t0))}")
+        lines.append(f"{key}.t0 = {'none' if p.t0 is None else repr(file_form(kind, p.t0))}")
     lines += [
         f"cutter.enabled = {'true' if cfg.cutter_enabled else 'false'}",
         f"cutter.t_tc = {cfg.cut_threshold!r}",
@@ -174,32 +176,36 @@ def load_scenario(path: str | Path) -> tuple[ScenarioConfig, CorruptionConfig]:
     """Read a scenario file into generation and corruption configs.
 
     ``corrupt.gap_min`` and ``corrupt.gap_max`` bound the gap deleted at each
-    cut; without ``gap_max`` every gap is ``gap_min`` frames. The corruption
-    config is validated, and an invalid one raises ``ValueError`` naming the file.
+    cut; without ``gap_max`` every gap is ``gap_min`` frames. Both configs are
+    validated. An unknown or missing key, a value that does not parse or an
+    invalid config raises ``ValueError`` naming the file (``ScenarioError``
+    for an invalid scene).
     """
     values = read_kv(path)
     scene_kwargs = {}
     corrupt_kwargs = {}
     gap_lo, gap_hi = 0, None
-    for key, value in values.items():
-        if key in _SCENARIO_KEYS:
-            name, cast = _SCENARIO_KEYS[key]
-            scene_kwargs[name] = cast(value)
-        elif key in _CORRUPTION_KEYS:
-            name, cast = _CORRUPTION_KEYS[key]
-            corrupt_kwargs[name] = cast(value)
-        elif key == "corrupt.gap_min":
-            gap_lo = int(value)
-        elif key == "corrupt.gap_max":
-            gap_hi = int(value)
-        else:
-            raise ValueError(f"{path}: unknown key {key!r}")
-    for required in ("num_objects", "num_frames"):
-        if required not in scene_kwargs:
-            raise ValueError(f"{path}: missing scene.{required}")
-    corruption = CorruptionConfig(gap_frames=(gap_lo, gap_lo if gap_hi is None else gap_hi), **corrupt_kwargs)
     try:
+        for key, value in values.items():
+            if key in _SCENARIO_KEYS:
+                name, cast = _SCENARIO_KEYS[key]
+                scene_kwargs[name] = _parse_number(value, key, cast)
+            elif key in _CORRUPTION_KEYS:
+                name, cast = _CORRUPTION_KEYS[key]
+                corrupt_kwargs[name] = _parse_number(value, key, cast)
+            elif key == "corrupt.gap_min":
+                gap_lo = _parse_number(value, key, int)
+            elif key == "corrupt.gap_max":
+                gap_hi = _parse_number(value, key, int)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        for required in ("num_objects", "num_frames"):
+            if required not in scene_kwargs:
+                raise ValueError(f"missing scene.{required}")
+        scenario = ScenarioConfig(**scene_kwargs)
+        scenario.validate()
+        corruption = CorruptionConfig(gap_frames=(gap_lo, gap_lo if gap_hi is None else gap_hi), **corrupt_kwargs)
         corruption.validate()
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return ScenarioConfig(**scene_kwargs), corruption
+        raise type(exc)(f"{path}: {exc}") from None
+    return scenario, corruption

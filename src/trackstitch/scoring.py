@@ -72,18 +72,28 @@ class ConstraintParams:
     tend: float
     t0: float | None = None
 
-    def validate(self, name: str = "") -> None:
+    def validate(self, kind: ConstraintKind | None = None) -> None:
         """Raise ValueError unless ``t50`` and ``tend`` are positive and ``t0`` exceeds ``t50``; NaN fails each check.
 
-        ``name`` prefixes the config key, as in ``td.t50``.
+        With a ``kind``, the message names the config key, as in ``td.t50``,
+        and gives the thresholds in the form the config file writes them (see
+        :func:`file_form`).
         """
-        prefix = f"{name}." if name else ""
+        key = f"{kind.value}." if kind else ""
+        iou = kind is ConstraintKind.PREDICTED_IOU
         if not self.t50 > 0:
-            raise ValueError(f"{prefix}t50 must be positive, got {self.t50}")
+            raise ValueError(f"{key}t50 must be {'below 1' if iou else 'positive'}, got {file_form(kind, self.t50)}")
         if not self.tend > 0:
-            raise ValueError(f"{prefix}tend must be positive, got {self.tend}")
+            raise ValueError(f"{key}tend must be positive, got {self.tend}")
         if self.t0 is not None and not self.t0 > self.t50:
-            raise ValueError(f"{prefix}t0 must exceed t50, got t0={self.t0} <= t50={self.t50}")
+            t0, t50 = file_form(kind, self.t0), file_form(kind, self.t50)
+            rule = f"lie below t50, got t0={t0} >= t50={t50}" if iou else f"exceed t50, got t0={t0} <= t50={t50}"
+            raise ValueError(f"{key}t0 must {rule}")
+
+
+def file_form(kind: ConstraintKind | None, value: float) -> float:
+    """A threshold as the config file writes it, or back: ``1 - value`` for predicted IOU, its own inverse."""
+    return 1.0 - value if kind is ConstraintKind.PREDICTED_IOU else value
 
 
 def _default_params() -> dict[ConstraintKind, ConstraintParams]:
@@ -113,7 +123,7 @@ class ScoreConfig:
         for kind in ConstraintKind:
             if kind not in self.params:
                 raise ValueError(f"missing parameters for {kind.value}")
-            self.params[kind].validate(kind.value)
+            self.params[kind].validate(kind)
 
     @property
     def enabled_kinds(self) -> list[ConstraintKind]:

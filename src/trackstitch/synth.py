@@ -49,6 +49,22 @@ class ScenarioConfig:
     max_speed: float = 1.5
     seed: int = 0
 
+    def validate(self) -> None:
+        """Raise :class:`ScenarioError` unless the objects fit the canvas and the motion is finite; NaN fails each check."""
+        n, W, H = self.num_objects, self.img_width, self.img_height
+        if n < 1 or self.num_frames < 1:
+            raise ScenarioError("need at least one object and one frame")
+        if not 0 <= 2 * self.crossings <= n:
+            raise ScenarioError(f"crossings must lie in [0, {n // 2}] for {n} objects, got {self.crossings}")
+        if W - 2 <= _MAX_W or H - 2 <= _MAX_H:
+            raise ScenarioError(f"canvas {W}x{H} cannot hold objects up to {_MAX_W:.0f}x{_MAX_H:.0f}")
+        if n * _MAX_W * _MAX_H > 0.5 * W * H:
+            raise ScenarioError(f"{n} objects is too many for a {W}x{H} canvas")
+        if not 0.0 <= self.min_speed <= self.max_speed < math.inf:
+            raise ScenarioError(f"speeds must be finite with 0 <= min_speed <= max_speed, got {self.min_speed} and {self.max_speed}")
+        if not math.isfinite(self.turn_rate):
+            raise ScenarioError(f"turn_rate must be finite, got {self.turn_rate}")
+
 
 @dataclass
 class CorruptionConfig:
@@ -220,15 +236,8 @@ def generate(cfg: ScenarioConfig) -> tuple[DetectionTable, SequenceMeta]:
     and as a last resort the path is clamped at the borders. The rows run
     object by object (track ids 1..n), each object's in frame order.
     """
-    if cfg.num_objects < 1 or cfg.num_frames < 1:
-        raise ScenarioError("need at least one object and one frame")
-    if 2 * cfg.crossings > cfg.num_objects:
-        raise ScenarioError(f"{cfg.crossings} crossings need {2 * cfg.crossings} objects, have {cfg.num_objects}")
+    cfg.validate()
     W, H, T = cfg.img_width, cfg.img_height, cfg.num_frames
-    if W - 2 <= _MAX_W or H - 2 <= _MAX_H:
-        raise ScenarioError(f"canvas {W}x{H} cannot hold objects up to {_MAX_W:.0f}x{_MAX_H:.0f}")
-    if cfg.num_objects * _MAX_W * _MAX_H > 0.5 * W * H:
-        raise ScenarioError(f"{cfg.num_objects} objects is too many for a {W}x{H} canvas")
     w, h, cx, cy, disp = zip(*_plan_paths(cfg, np.random.default_rng(cfg.seed)))
     # every object's center path at once, clipped one pixel inside the canvas
     half = np.stack((w, h), axis=1)[:, None, :] / 2.0

@@ -86,68 +86,53 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     return iou_pairs(boxes_a.T[:, :, None], boxes_b.T[:, None, :])
 
 
-def _window_means(columns: Sequence[np.ndarray], starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``np.mean`` of each column over each window ``[starts[k], starts[k] + lengths[k])``, shape (columns, windows).
+def check_window(window: int, min_len: int, names: tuple[str, str] = ("window", "min_len")) -> None:
+    """Raise ValueError, naming both values by ``names``, unless ``2 <= window < min_len`` (see :func:`make_tracklets`)."""
+    if not 2 <= window < min_len:
+        w, m = names
+        raise ValueError(f"{w} must satisfy 2 <= {w} < {m}, got {w}={window}, {m}={min_len}")
 
-    The windows of one length are gathered into one C-contiguous matrix; its
-    mean along axis 1 sums and rounds every row exactly as ``np.mean`` does on
-    that window alone.
+
+def _window_means(columns: Sequence[np.ndarray], starts: np.ndarray, length: int) -> np.ndarray:
+    """``np.mean`` of each column over each window ``[starts[k], starts[k] + length)``, shape (columns, windows).
+
+    The windows are gathered into one C-contiguous matrix; its mean along
+    axis 1 sums and rounds every row exactly as ``np.mean`` does on that
+    window alone.
     """
-    out = np.empty((len(columns), len(starts)))
-    for length in np.unique(lengths).tolist():
-        pick = np.flatnonzero(lengths == length)
-        idx = starts[pick, None] + np.arange(length)
-        for row, column in zip(out, columns):
-            row[pick] = np.mean(column[idx], axis=1)
-    return out
-
-
-def _window_velocities(rows: DetectionTable, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Mean per-step center velocity over each window of rows, shape (2, windows).
-
-    Each step is the center displacement between consecutive rows over their
-    frame delta, which keeps the velocity right across internal frame gaps.
-    """
-    out = np.empty((2, len(starts)))
-    steps = np.maximum(lengths - 1, 0)
-    for length in np.unique(steps).tolist():
-        pick = np.flatnonzero(steps == length)
-        before = starts[pick, None] + np.arange(length)
-        after = before + 1
-        dt = rows.frame[after] - rows.frame[before]
-        for row, pos, size in zip(out, (rows.x, rows.y), (rows.w, rows.h)):
-            centers_before = pos[before] + size[before] / 2.0
-            centers_after = pos[after] + size[after] / 2.0
-            row[pick] = np.mean((centers_after - centers_before) / dt, axis=1)
-    return out
+    idx = starts[:, None] + np.arange(length)
+    return np.stack([np.mean(column[idx], axis=1) for column in columns])
 
 
 def _summaries(
     rows: DetectionTable, bounds: Sequence[int], window: int, min_len: int
 ) -> list[tuple[EndpointSummary, EndpointSummary]]:
     """The endpoint summaries of every run ``rows[bounds[k]:bounds[k + 1]]`` (see :func:`make_tracklets`)."""
+    check_window(window, min_len)
     lo = np.asarray(bounds[:-1], dtype=np.int64)
     n = np.diff(np.asarray(bounds, dtype=np.int64))
     last = lo + n - 1
-    long_runs = n >= min_len
-    # head rows[1:1 + window] and tail rows[n - 1 - window:n - 1], cut by list slicing rules
-    tail = n - 1 - window
-    tail = np.where(tail < 0, np.maximum(tail + n, 0), tail)
-    start_at = lo + np.where(long_runs, 1, 0)
-    start_len = np.where(long_runs, np.minimum(window, n - 1), np.minimum(n, 2))
-    end_at = lo + np.where(long_runs, tail, np.maximum(n - 2, 0))
-    end_len = np.where(long_runs, np.maximum(n - 1 - tail, 0), np.minimum(n, 2))
+    # step k is the center motion from row k to row k + 1 over their frame
+    # delta; a step from one run into the next is never read, and its delta
+    # is set to 1 so that it cannot divide by zero
+    dt = np.diff(rows.frame)
+    dt[lo[1:] - 1] = 1
+    steps = np.stack([np.diff(pos + size / 2.0) / dt for pos, size in ((rows.x, rows.w), (rows.y, rows.h))])
 
     boxes = (rows.x, rows.y, rows.w, rows.h)
     start_box = np.stack([c[lo] for c in boxes])
     end_box = np.stack([c[last] for c in boxes])
-    start_box[:, long_runs] = _window_means(boxes, start_at[long_runs], start_len[long_runs])
-    end_box[:, long_runs] = _window_means(boxes, end_at[long_runs], end_len[long_runs])
     start_velocity = np.zeros((2, len(n)))  # a single detection does not move
     end_velocity = np.zeros((2, len(n)))
     moving = n >= 2
-    start_velocity[:, moving] = _window_velocities(rows, start_at[moving], start_len[moving])
-    end_velocity[:, moving] = _window_velocities(rows, end_at[moving], end_len[moving])
+    start_velocity[:, moving] = steps[:, lo[moving]]
+    end_velocity[:, moving] = steps[:, last[moving] - 1]
+    long_runs = n >= min_len
+    head, tail = lo[long_runs] + 1, last[long_runs] - window
+    start_box[:, long_runs] = _window_means(boxes, head, window)
+    end_box[:, long_runs] = _window_means(boxes, tail, window)
+    start_velocity[:, long_runs] = _window_means(steps, head, window - 1)
+    end_velocity[:, long_runs] = _window_means(steps, tail, window - 1)
 
     return [
         (EndpointSummary(f0, tuple(b0), tuple(v0)), EndpointSummary(f1, tuple(b1), tuple(v1)))
@@ -169,14 +154,16 @@ def make_tracklet(tid: int, detections: Sequence[Detection], window: int = 6, mi
 def make_tracklets(rows: DetectionTable, bounds: Sequence[int], window: int = 6, min_len: int = 10) -> list[Tracklet]:
     """One tracklet per frame-sorted run ``rows[bounds[k]:bounds[k + 1]]``, named by the run's track id.
 
-    For runs of at least ``min_len`` detections the start summary averages the
-    ``window`` boxes following the first one (and the velocities between them);
-    the end summary mirrors this with the ``window`` boxes preceding the last.
-    Shorter runs fall back to the end boxes themselves, with the velocity taken
-    between the two outermost detections (zero for a single detection).
-    Windows are cut with list slicing rules, and each mean is ``np.mean`` over
-    the window's values in row order. The summaries of all runs are computed
-    together, equal to :func:`make_tracklet` on each run.
+    The window must satisfy ``2 <= window < min_len`` (else ``ValueError``),
+    so that a run of at least ``min_len`` detections holds its window plus the
+    end detection, and the window holds a step. Such a run's start summary averages the
+    ``window`` boxes following the first one, and the steps between them; the
+    end summary mirrors this with the ``window`` boxes preceding the last.
+    Shorter runs keep their end boxes, with the single step at each edge as
+    velocity (zero for a single detection). A step is the center displacement
+    between consecutive rows over their frame delta, and each mean is
+    ``np.mean`` in row order. The summaries of all runs are computed together,
+    equal to :func:`make_tracklet` on each run.
     """
     ids = rows.track_id[bounds[:-1]].tolist()
     summaries = _summaries(rows, bounds, window, min_len)
@@ -289,6 +276,7 @@ def cut_tracklets(
     """
     if not (0.0 < cut_threshold <= 1.0):
         raise ValueError(f"cutter threshold must lie in (0, 1], got {cut_threshold}")
+    check_window(window, min_len)
     tracklets = list(tracklets)
     rows = DetectionTable.concat(t.detections for t in tracklets)
     i, j = same_frame_overlaps(rows.frame, np.stack((rows.x, rows.y, rows.w, rows.h)), cut_threshold)

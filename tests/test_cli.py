@@ -281,7 +281,7 @@ def test_refine_with_the_angle_constraint_on_a_crossing_scenario(tmp_path, capsy
     [
         ("td.t50 = nan", "td.t50 must be positive, got nan"),
         ("td.tend = nan", "td.tend must be positive, got nan"),
-        ("piou.t0 = nan", "piou.t0 must exceed t50, got t0=nan <= t50=0.25"),
+        ("piou.t0 = nan", "piou.t0 must lie below t50, got t0=nan >= t50=0.75"),
     ],
 )
 def test_refine_rejects_nan_thresholds_in_the_config(tmp_path, capsys, line, expected):
@@ -291,3 +291,64 @@ def test_refine_rejects_nan_thresholds_in_the_config(tmp_path, capsys, line, exp
     config.write_text(line + "\n")
     argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--fps", "30", "--width", "100", "--height", "100"]
     assert_one_line_error(tmp_path, capsys, argv + ["--config", str(config)], f"{config}: {expected}")
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("piou.t0 = 0.8", "piou.t0 must lie below t50, got t0=0.8 >= t50=0.75"),
+        ("piou.t50 = 1", "piou.t50 must be below 1, got 1.0"),
+        ("td.t50 = abc", "td.t50: expected a number, got 'abc'"),
+        ("interp.max_gap = 1.5", "interp.max_gap: expected an integer, got '1.5'"),
+        ("endpoints.window = six", "endpoints.window: expected an integer, got 'six'"),
+        ("endpoints.window = 12", "endpoints.window must satisfy 2 <= endpoints.window < endpoints.min_len, got endpoints.window=12, endpoints.min_len=10"),
+        ("endpoints.window = 1", "endpoints.window must satisfy 2 <= endpoints.window < endpoints.min_len, got endpoints.window=1, endpoints.min_len=10"),
+        ("endpoints.min_len = 2", "endpoints.window must satisfy 2 <= endpoints.window < endpoints.min_len, got endpoints.window=6, endpoints.min_len=2"),
+    ],
+)
+def test_refine_config_errors_name_the_file_and_the_key(tmp_path, capsys, line, expected):
+    tracks = tmp_path / "tracks.txt"
+    tracks.write_text(THREE_ROWS)
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(line + "\n")
+    argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--fps", "30", "--width", "100", "--height", "100"]
+    assert_one_line_error(tmp_path, capsys, argv + ["--config", str(config)], f"{config}: {expected}")
+
+
+# one object at x = 10 * frame, tracked as id 1 on frames 1-12 and id 2 on frames 15-39
+BROKEN_TRACK = "".join(f"{f},{1 if f <= 12 else 2},{10 * f},100,10,10,1,-1,-1,-1\n" for f in [*range(1, 13), *range(15, 40)])
+
+
+@pytest.mark.parametrize("window, min_len", [*((window, 10) for window in range(2, 10)), (2, 3), (11, 12), (12, 13)])
+def test_refine_links_a_broken_track_at_every_valid_window(tmp_path, capsys, window, min_len):
+    tracks = tmp_path / "tracks.txt"
+    tracks.write_text(BROKEN_TRACK)
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(f"endpoints.window = {window}\nendpoints.min_len = {min_len}\n")
+    out = tmp_path / "out.txt"
+    argv = ["refine", str(tracks), str(out), "--fps", "30", "--width", "640", "--height", "480", "--config", str(config)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "links formed: 1\n" in captured.out and captured.err == ""
+    refined = load_tracks(out)
+    assert set(refined.track_id.tolist()) == {1} and len(refined) == 39
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("scene.num_objects = abc", "scene.num_objects: expected an integer, got 'abc'"),
+        ("corrupt.gap_min = x", "corrupt.gap_min: expected an integer, got 'x'"),
+        ("corrupt.dropout = lots", "corrupt.dropout: expected a number, got 'lots'"),
+        ("scene.min_speed = 5", "speeds must be finite with 0 <= min_speed <= max_speed, got 5.0 and 1.5"),
+        ("scene.turn_rate = nan", "turn_rate must be finite, got nan"),
+        ("scene.crossings = -1", "crossings must lie in [0, 3] for 6 objects, got -1"),
+    ],
+)
+def test_synth_scenario_errors_name_the_file(tmp_path, capsys, line, expected):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO + line + "\n")
+    assert main(["synth", str(scenario), "--out-dir", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {scenario}: {expected}\n"
+    assert captured.out == "" and not (tmp_path / "o").exists()

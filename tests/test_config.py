@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from trackstitch.config import (
@@ -7,7 +9,10 @@ from trackstitch.config import (
     load_scenario,
     save_pipeline_config,
 )
-from trackstitch.scoring import ConstraintKind
+from trackstitch.mot_io import SequenceMeta
+from trackstitch.pipeline import refine_detections
+from trackstitch.scoring import ConstraintKind, ConstraintParams
+from trackstitch.synth import ScenarioError
 
 
 def test_defaults_match_shipped_table():
@@ -113,3 +118,31 @@ def test_scenario_gap_bounds(tmp_path):
     # an explicit gap_max below gap_min is an error, not raised to gap_min
     with pytest.raises(ValueError, match=r"gap_frames must satisfy 0 <= lo <= hi, got \(3, 1\)"):
         load_scenario(write_scenario(tmp_path, "corrupt.gap_min = 3", "corrupt.gap_max = 1"))
+
+
+@pytest.mark.parametrize("window, min_len", [(12, 10), (1, 10), (6, 2), (10, 10)])
+def test_endpoint_window_outside_the_rule_rejected(window, min_len):
+    message = (
+        "endpoints.window must satisfy 2 <= endpoints.window < endpoints.min_len,"
+        f" got endpoints.window={window}, endpoints.min_len={min_len}"
+    )
+    cfg = PipelineConfig(endpoint_window=window, endpoint_min_len=min_len)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cfg.validate()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refine_detections([], SequenceMeta(30.0, 100, 100, 1), cfg)
+
+
+def test_piou_thresholds_reported_in_iou_form():
+    with pytest.raises(ValueError, match=r"^piou\.t0 must lie below t50, got t0=0\.8 >= t50=0\.75$"):
+        ConstraintParams(True, 0.25, 2.0, 1.0 - 0.8).validate(ConstraintKind.PREDICTED_IOU)
+    # without a kind the thresholds are the distances themselves
+    with pytest.raises(ValueError, match=r"^t0 must exceed t50, got t0=0\.2 <= t50=0\.25$"):
+        ConstraintParams(True, 0.25, 2.0, 0.2).validate()
+
+
+def test_scenario_with_speeds_out_of_order_names_the_file(tmp_path):
+    path = write_scenario(tmp_path, "scene.min_speed = 5", "scene.max_speed = 1")
+    message = f"{path}: speeds must be finite with 0 <= min_speed <= max_speed, got 5.0 and 1.0"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        load_scenario(path)

@@ -62,6 +62,25 @@ class TestGenerate:
         with pytest.raises(ScenarioError):
             generate(ScenarioConfig(num_objects=1, num_frames=10, img_width=50, img_height=50, seed=1))
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"min_speed": 5.0, "max_speed": 1.0}, r"^speeds must be finite with 0 <= min_speed <= max_speed, got 5\.0 and 1\.0$"),
+            ({"min_speed": -0.5}, r"got -0\.5 and 1\.5$"),
+            ({"min_speed": float("nan")}, r"got nan and 1\.5$"),
+            ({"max_speed": float("inf")}, r"got 0\.3 and inf$"),
+            ({"turn_rate": float("nan")}, r"^turn_rate must be finite, got nan$"),
+            ({"turn_rate": float("-inf")}, r"^turn_rate must be finite, got -inf$"),
+            ({"crossings": -1}, r"^crossings must lie in \[0, 2\] for 4 objects, got -1$"),
+        ],
+    )
+    def test_invalid_motion_rejected(self, kw, message):
+        cfg = ScenarioConfig(num_objects=4, num_frames=10, seed=1, **kw)
+        with pytest.raises(ScenarioError, match=message):
+            cfg.validate()
+        with pytest.raises(ScenarioError, match=message):
+            generate(cfg)
+
 
 class TestCorrupt:
     def make_gt(self, **kw):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackstitch.tracklets as tracklets_module
+from trackstitch.associator import STOP, stitch
 from trackstitch.mot_io import Detection
 from trackstitch.tracklets import cut_tracklets, group_tracklets, iou, iou_matrix, iou_pairs, make_tracklet
 from trackstitch.mot_io import DetectionTable
@@ -245,11 +246,11 @@ def _summary(end):
 
 
 def test_endpoints_of_table_slices_equal_detection_list_endpoints():
-    # repr compares every float exactly, nan included (a window of one step or none)
+    # repr compares every float exactly
     rng = np.random.default_rng(17)
     for trial in range(150):
-        window = int(rng.integers(1, 14))
-        min_len = int(rng.integers(2, 16))
+        window = int(rng.integers(2, 14))
+        min_len = int(rng.integers(window + 1, 16))
         runs = []
         for tid in range(1, int(rng.integers(1, 12)) + 1):
             n = int(rng.choice([1, 2, 3, min_len - 1, min_len, min_len + 1, window, window + 1, 40]))
@@ -260,15 +261,53 @@ def test_endpoints_of_table_slices_equal_detection_list_endpoints():
                           *(rng.uniform(0.5, 80, 2) * scale).tolist(), 1.0)
                 for f in frames
             ])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # means of empty windows, as in the reference
-            tracklets = group_tracklets([d for run in runs for d in run], window, min_len)
-            assert len(tracklets) == len(runs)
-            for t, run in zip(tracklets, runs):
-                expected = _reference_endpoints(run, window, min_len)
-                assert repr((_summary(t.start), _summary(t.end))) == repr(expected), (trial, window, min_len, len(run))
-                assert repr(tuple(map(_summary, _ends(run, window, min_len)))) == repr(expected)
-                assert t.detections == run
+        tracklets = group_tracklets([d for run in runs for d in run], window, min_len)
+        assert len(tracklets) == len(runs)
+        for t, run in zip(tracklets, runs):
+            expected = _reference_endpoints(run, window, min_len)
+            assert repr((_summary(t.start), _summary(t.end))) == repr(expected), (trial, window, min_len, len(run))
+            assert repr(tuple(map(_summary, _ends(run, window, min_len)))) == repr(expected)
+            assert t.detections == run
+
+
+def _runs(lengths):
+    """Runs of the given lengths, one id each, moving 2 px per frame; the table and its bounds."""
+    dets = [d for tid, n in enumerate(lengths, 1) for d in boxes_track(tid, range(1, n + 1), vx=2.0)]
+    return DetectionTable.of(dets), np.cumsum([0, *lengths]).tolist()
+
+
+def test_make_tracklets_accepts_exactly_the_windows_from_2_below_min_len():
+    for window in range(-1, 14):
+        for min_len in range(0, 16):
+            rows, bounds = _runs([1, 2, 3, max(min_len - 1, 1), max(min_len, 1), min_len + 1, 20])
+            if not 2 <= window < min_len:
+                with pytest.raises(ValueError, match=rf"^window must satisfy 2 <= window < min_len, got window={window}, min_len={min_len}$"):
+                    make_tracklets(rows, bounds, window, min_len)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tracklets = make_tracklets(rows, bounds, window, min_len)
+            # every window holds a step, so every run that moves has the velocity of its steps
+            for t in tracklets:
+                expected = (2.0, 0.0) if len(t) > 1 else (0.0, 0.0)
+                assert t.start.velocity == expected and t.end.velocity == expected, (window, min_len, len(t))
+
+
+@pytest.mark.parametrize("window, min_len", [(1, 10), (0, 10), (10, 10), (12, 10), (6, 2), (2, 2)])
+def test_every_tracklet_builder_rejects_a_window_outside_the_rule(window, min_len):
+    dets = boxes_track(1, range(1, 21)) + boxes_track(2, range(1, 21), y0=100.0)
+    rows, bounds = _runs([20, 20])
+    tracklets = group_tracklets(dets)
+    builders = [
+        lambda: make_tracklet(1, dets[:20], window, min_len),
+        lambda: make_tracklets(rows, bounds, window, min_len),
+        lambda: group_tracklets(dets, window, min_len),
+        lambda: cut_tracklets(tracklets, 0.5, window, min_len),  # no overlap, so nothing is cut
+        lambda: stitch({1: STOP, 2: STOP}, tracklets, window, min_len),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match=rf"^window must satisfy 2 <= window < min_len, got window={window}, min_len={min_len}$"):
+            build()
 
 
 def test_make_tracklets_equals_make_tracklet_per_run():
@@ -377,7 +416,8 @@ def _cut_both(tracklets, threshold, window, min_len):
     return cut_tracklets(tracklets, threshold, window, min_len), _reference_cut(tracklets, threshold, window, min_len)
 
 
-# 0/0 areas of subnormal boxes and means over empty endpoint windows warn
+# 0/0 areas of subnormal boxes warn, and so do the velocities of hand-built
+# tracklets that repeat a frame (a step over a frame delta of 0)
 quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
@@ -387,7 +427,8 @@ def test_cut_matches_per_frame_loop(threshold):
     rng = np.random.default_rng(int(threshold * 1000) + 5)
     cuts = 0
     for trial in range(150):
-        window, min_len = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        window = int(rng.integers(2, 5))
+        min_len = int(rng.integers(window + 1, 7))
         tracklets = _grid_tracklets(_random_tracks(rng), trial % len(_GRIDS), window, min_len)
         got, want = _cut_both(tracklets, threshold, window, min_len)
         _assert_same_cut(got, want)
@@ -430,10 +471,15 @@ def grid_tracks(draw):
     return tracks
 
 
+# the (window, min_len) pairs that make_tracklets accepts, up to a min_len of 6
+valid_windows = st.integers(2, 5).flatmap(lambda window: st.tuples(st.just(window), st.integers(window + 1, 6)))
+
+
 @quiet
-@given(grid_tracks(), st.integers(0, len(_GRIDS) - 1), st.sampled_from([1.0, 0.5, 1e-12]), st.integers(1, 4), st.integers(2, 6))
+@given(grid_tracks(), st.integers(0, len(_GRIDS) - 1), st.sampled_from([1.0, 0.5, 1e-12]), valid_windows)
 @settings(max_examples=150, deadline=None)
-def test_cut_matches_per_frame_loop_property(tracks, grid, threshold, window, min_len):
+def test_cut_matches_per_frame_loop_property(tracks, grid, threshold, windows):
+    window, min_len = windows
     tracklets = _grid_tracklets(tracks, grid, window, min_len)
     _assert_same_cut(*_cut_both(tracklets, threshold, window, min_len))
 
