@@ -7,6 +7,7 @@ order, and fills the remaining trajectory gaps by linear interpolation.
 
 from .associator import (
     STOP,
+    Domains,
     SolveStats,
     SuccessorVar,
     build_domains,
@@ -69,6 +70,7 @@ from .synth import (
 from .tracklets import (
     EndpointSummary,
     Tracklet,
+    Tracklets,
     cut_tracklets,
     group_tracklets,
     iou,
@@ -80,6 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "STOP",
+    "Domains",
     "SolveStats",
     "SuccessorVar",
     "build_domains",
@@ -131,6 +134,7 @@ __all__ = [
     "generate",
     "EndpointSummary",
     "Tracklet",
+    "Tracklets",
     "cut_tracklets",
     "group_tracklets",
     "iou",

@@ -35,9 +35,9 @@ class PipelineConfig:
     def validate(self) -> None:
         self.scores.validate()
         if not (0.0 < self.cut_threshold <= 1.0):
-            raise ValueError(f"cutter threshold must lie in (0, 1], got {self.cut_threshold}")
+            raise ValueError(f"cutter.t_tc must lie in (0, 1], got {self.cut_threshold}")
         if self.max_gap_size < 1:
-            raise ValueError(f"max gap size must be positive, got {self.max_gap_size}")
+            raise ValueError(f"interp.max_gap must be positive, got {self.max_gap_size}")
         check_window(self.endpoint_window, self.endpoint_min_len, ("endpoints.window", "endpoints.min_len"))
 
 

@@ -79,17 +79,17 @@ def refine_detections(
         summary.cuts_made = len(tracklets) - summary.tracklets_in
     summary.tracklets_associated = len(tracklets)
 
-    succ_vars = build_domains(tracklets, cfg.scores, meta)
-    summary.candidate_edges = sum(var.edges.stop - var.edges.start for var in succ_vars)
-    assignment, stats = solve_with_stats(succ_vars)
+    domains = build_domains(tracklets, cfg.scores, meta)
+    summary.candidate_edges = domains.edge_count
+    assignment, stats = solve_with_stats(domains)
     summary.solver_nodes, summary.solver_backtracks = stats.nodes, stats.backtracks
     if candidate_dump is not None:
-        dump_candidates(succ_vars, cfg.scores, candidate_dump)
+        dump_candidates(domains, cfg.scores, candidate_dump)
     summary.links = sum(1 for cand in assignment.values() if cand is not None)
     trajectories = stitch(assignment, tracklets, cfg.endpoint_window, cfg.endpoint_min_len)
     summary.trajectories_out = len(trajectories)
 
-    out = DetectionTable.concat(traj.detections for traj in trajectories)
+    out = trajectories.rows
     if cfg.interp_enabled:
         filled = fill_gaps(out, cfg.max_gap_size)
         summary.detections_interpolated = len(filled) - len(out)

@@ -27,8 +27,11 @@ functions need not: measured on 10**6 random inputs against ``math`` on an
 AVX-512 host, ``np.exp`` differs in 4.7 % of results, ``np.arctan2`` in
 7.4 %, ``np.hypot`` in 0.6 %, and numpy's ``x ** 2`` (computed as ``x * x``)
 differs from Python's ``x ** 2`` in 0.08 %. So ``math.hypot``, ``math.atan2``
-and :func:`gaussian_score` are applied to plain floats; masks that cannot
-change a bit (``t0`` filtering, the lower clamp) keep those calls few.
+and the Gaussian's ``math.exp`` are applied to plain floats; masks that
+cannot change a bit (``t0`` filtering, the lower clamp) keep those calls few.
+``np.hypot`` and ``np.arctan2`` only pick out the pairs whose distance lies
+so far beyond both that its last bits cannot matter (see
+:func:`pair_distances`).
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .mot_io import SequenceMeta
-from .tracklets import Tracklet, iou_pairs
+from .tracklets import EndpointArrays, Tracklet, iou_pairs
 
 REFERENCE_FPS = 30.0
 
@@ -117,9 +120,9 @@ class ScoreConfig:
 
     def validate(self) -> None:
         if not (0.0 < self.lower < 0.5):
-            raise ValueError(f"L must lie in (0, 0.5), got {self.lower}")
+            raise ValueError(f"bounds.L must lie in (0, 0.5), got {self.lower}")
         if not (0.5 < self.upper < 1.0):
-            raise ValueError(f"U must lie in (0.5, 1), got {self.upper}")
+            raise ValueError(f"bounds.U must lie in (0.5, 1), got {self.upper}")
         for kind in ConstraintKind:
             if kind not in self.params:
                 raise ValueError(f"missing parameters for {kind.value}")
@@ -153,43 +156,12 @@ def gaussian_score(c: float, params: ConstraintParams, lower: float = 1e-6, uppe
     ratio = c / params.t50
     if ratio > _clamp_ratio(lower):
         return min(lower, upper)  # also where ratio ** 2 would overflow
-    raw = math.exp(-_LN2 * ratio**2)
-    return min(max(raw, lower), upper)
+    return _gaussians([ratio], lower, upper)[0].item()
 
 
-@dataclass(frozen=True)
-class EndpointArrays:
-    """The endpoint state of a tracklet sequence as columns, one row per tracklet.
-
-    Boxes are (x, y, w, h) rows, velocities (vx, vy) rows in pixels/frame, and
-    speeds their ``math.hypot`` norms.
-    """
-
-    ids: np.ndarray
-    start_frame: np.ndarray
-    end_frame: np.ndarray
-    start_box: np.ndarray
-    end_box: np.ndarray
-    start_velocity: np.ndarray
-    end_velocity: np.ndarray
-    start_speed: np.ndarray
-    end_speed: np.ndarray
-
-    @classmethod
-    def of(cls, tracklets: Sequence[Tracklet]) -> EndpointArrays:
-        starts = [t.start for t in tracklets]
-        ends = [t.end for t in tracklets]
-        return cls(
-            ids=np.array([t.id for t in tracklets], dtype=np.int64),
-            start_frame=np.array([e.frame for e in starts], dtype=np.int64),
-            end_frame=np.array([e.frame for e in ends], dtype=np.int64),
-            start_box=np.array([e.box for e in starts], dtype=float).reshape(-1, 4),
-            end_box=np.array([e.box for e in ends], dtype=float).reshape(-1, 4),
-            start_velocity=np.array([e.velocity for e in starts], dtype=float).reshape(-1, 2),
-            end_velocity=np.array([e.velocity for e in ends], dtype=float).reshape(-1, 2),
-            start_speed=np.array([math.hypot(*e.velocity) for e in starts], dtype=float),
-            end_speed=np.array([math.hypot(*e.velocity) for e in ends], dtype=float),
-        )
+def _gaussians(ratios: list[float], lower: float, upper: float) -> np.ndarray:
+    """The clamped Gaussian of :func:`gaussian_score` at each ``ratio = c / t50``, from ``math.exp`` of Python floats."""
+    return np.minimum(np.maximum(np.array([math.exp(-_LN2 * r**2) for r in ratios], dtype=float), lower), upper)
 
 
 def _check_gap(t: Tracklet, s: Tracklet) -> None:
@@ -203,56 +175,87 @@ def _check_gap(t: Tracklet, s: Tracklet) -> None:
 _FIRST, _SECOND = np.array([0]), np.array([1])
 
 
+def _columns(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The rows ``index`` of a (tracklets, k) array as a C-contiguous (k, pairs) stack of columns.
+
+    ``take`` gathers many times faster than ``[index]`` does here, and every
+    column it returns is contiguous for the element-wise arithmetic.
+    """
+    return rows.T.take(index, axis=1)
+
+
 def _predicted_boxes(ends: EndpointArrays, pred: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    # end box translated by dt frames of end velocity, size unchanged
-    boxes = ends.end_box[pred]
-    boxes[:, :2] += ends.end_velocity[pred] * dt[:, None]
+    # end box translated by dt frames of end velocity, size unchanged; (4, pairs) columns
+    boxes = _columns(ends.end_box, pred)
+    boxes[:2] += _columns(ends.end_velocity, pred) * dt
     return boxes
 
 
 def predicted_box(t: Tracklet, target_frame: int) -> tuple[float, float, float, float]:
     """End box of ``t`` translated to ``target_frame`` by its end velocity, size unchanged."""
     box = _predicted_boxes(EndpointArrays.of([t]), _FIRST, np.array([target_frame - t.end.frame]))
-    return tuple(box[0].tolist())
+    return tuple(box[:, 0].tolist())
 
 
-def _angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Unsigned angle in [0, pi] between matching (x, y) rows of ``u`` and ``v``.
+# np.hypot and np.arctan2 round within a few ulps of math.hypot and
+# math.atan2; a value this far beyond a bound lies beyond it by either
+_MARGIN = 1e-9
 
-    Zero vectors carry no direction evidence: their angle is 0.
+
+def _exact_up_to(approx: np.ndarray, exact: Callable[..., float], args: Sequence[np.ndarray], bound: float) -> np.ndarray:
+    """``approx``, with every value not clearly beyond ``bound`` recomputed as ``exact`` of the ``args`` columns."""
+    redo = ~(approx > bound * (1 + _MARGIN))
+    approx[redo] = np.fromiter(map(exact, *(a[redo].tolist() for a in args)), dtype=float, count=np.count_nonzero(redo))
+    return approx
+
+
+def _angle_between(u: np.ndarray, v: np.ndarray, exact_up_to: float = math.inf) -> np.ndarray:
+    """Unsigned angle in [0, pi] between the vectors of two (x, y) stacks ``u`` and ``v``.
+
+    Zero vectors carry no direction evidence: their angle is 0. Angles
+    above ``exact_up_to`` may be off by a few ulps (see :func:`pair_distances`).
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
-    moving = (u != 0).any(axis=-1) & (v != 0).any(axis=-1)
+    cross = u[0] * v[1] - u[1] * v[0]
+    dot = u[0] * v[0] + u[1] * v[1]
+    moving = (u != 0).any(axis=0) & (v != 0).any(axis=0)
     angle = np.zeros(cross.shape)
-    angle[moving] = [math.atan2(y, x) for y, x in zip(np.abs(cross[moving]).tolist(), dot[moving].tolist())]
+    y, x = np.abs(cross[moving]), dot[moving]
+    angle[moving] = _exact_up_to(np.arctan2(y, x), math.atan2, (y, x), exact_up_to)
     return angle
 
 
 def pair_distances(
-    kind: ConstraintKind, ends: EndpointArrays, pred: np.ndarray, succ: np.ndarray, meta: SequenceMeta
+    kind: ConstraintKind,
+    ends: EndpointArrays,
+    pred: np.ndarray,
+    succ: np.ndarray,
+    meta: SequenceMeta,
+    exact_up_to: float = math.inf,
 ) -> np.ndarray:
     """One constraint's distance for every pair of rows (``pred[e]``, ``succ[e]``) of ``ends``.
 
     Every successor must start strictly after its predecessor ends; this is
-    not checked here.
+    not checked here. Every distance up to ``exact_up_to`` is the plain
+    Python float formula's, bit for bit; one beyond it may be a few ulps off,
+    but lies beyond it as well, which is all :func:`score_columns` asks of a
+    distance that scores the clamp or 0. This spares the per-pair
+    ``math.hypot`` and ``math.atan2`` calls on far pairs.
     """
     gap = ends.start_frame[succ] - ends.end_frame[pred]
     if kind is ConstraintKind.TIME_DISTANCE:
         return gap * (REFERENCE_FPS / meta.fps)
     if kind is ConstraintKind.ANGLE_DIFFERENCE:
-        return _angle_between(ends.end_velocity[pred], ends.start_velocity[succ])
+        return _angle_between(_columns(ends.end_velocity, pred), _columns(ends.start_velocity, succ), exact_up_to)
     if kind is ConstraintKind.SPEED_NORM_DIFFERENCE:
         return np.abs(ends.start_speed[succ] - ends.end_speed[pred]) * (meta.fps / REFERENCE_FPS) / meta.diagonal
-    projected = _predicted_boxes(ends, pred, gap)
+    projected, start = _predicted_boxes(ends, pred, gap), _columns(ends.start_box, succ)
     if kind is ConstraintKind.PREDICTED_IOU:
-        return 1.0 - iou_pairs(projected.T, ends.start_box[succ].T)
+        return 1.0 - iou_pairs(projected, start)
     if kind is ConstraintKind.PREDICTED_CENTER_DISTANCE:
-        start = ends.start_box[succ]
-        dx = (projected[:, 0] + projected[:, 2] / 2.0) - (start[:, 0] + start[:, 2] / 2.0)
-        dy = (projected[:, 1] + projected[:, 3] / 2.0) - (start[:, 1] + start[:, 3] / 2.0)
-        return np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())], dtype=float) / meta.diagonal
+        dx = (projected[0] + projected[2] / 2.0) - (start[0] + start[2] / 2.0)
+        dy = (projected[1] + projected[3] / 2.0) - (start[1] + start[3] / 2.0)
+        return _exact_up_to(np.hypot(dx, dy), math.hypot, (dx, dy), exact_up_to * meta.diagonal) / meta.diagonal
     raise ValueError(f"unknown constraint kind: {kind}")
 
 
@@ -275,6 +278,8 @@ def gaussian_scores(
     rest are scored once per distinct value.
     """
     c = np.asarray(c, dtype=float)
+    if (c < 0).any():
+        raise ValueError(f"distance must be nonnegative, got {c[c < 0][0]}")
     out = np.full(c.shape, min(lower, upper))
     live = ~(c / params.t50 > _clamp_ratio(lower))
     if params.t0 is not None:
@@ -282,9 +287,13 @@ def gaussian_scores(
         out[filtered] = 0.0
         live &= ~filtered
     values, inverse = np.unique(c[live], return_inverse=True)
-    scored = [gaussian_score(v, params, lower, upper) for v in values.tolist()]
-    out[live] = np.array(scored, dtype=float)[inverse]
+    out[live] = _gaussians((values / params.t50).tolist(), lower, upper)[inverse]
     return out
+
+
+def _decided_beyond(params: ConstraintParams, lower: float) -> float:
+    """The distance beyond which a score is 0 or the clamp, whatever its last bits (see :func:`gaussian_scores`)."""
+    return max(params.t50 * _clamp_ratio(lower), params.t0 or 0.0)
 
 
 def score_columns(
@@ -304,7 +313,9 @@ def score_columns(
     scores = np.empty((len(kinds), len(pred)))
     products = np.ones(len(pred))
     for row, kind in zip(scores, kinds):
-        row[:] = gaussian_scores(pair_distances(kind, ends, pred, succ, meta), cfg.params[kind], cfg.lower, cfg.upper)
+        params = cfg.params[kind]
+        distances = pair_distances(kind, ends, pred, succ, meta, _decided_beyond(params, cfg.lower))
+        row[:] = gaussian_scores(distances, params, cfg.lower, cfg.upper)
         products *= row
     return scores, products
 
@@ -358,5 +369,18 @@ def marginals(products: Mapping[Hashable, float]) -> dict[Hashable, float]:
     surviving = {cand: p for cand, p in products.items() if p > 0}
     if not surviving:
         raise ValueError("all candidate products are zero; domains must retain STOP")
-    total = sum(surviving.values())
+    total = left_sums(np.array(list(surviving.values()), dtype=float), (0, len(surviving))).item()
     return {cand: p / total for cand, p in surviving.items()}
+
+
+def left_sums(values: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
+    """The sum of each segment ``values[offsets[k]:offsets[k + 1]]``, added left to right; 0 for an empty one.
+
+    Every total that normalizes marginals is rounded this way, as a plain
+    loop of ``+`` rounds it, so that marginals are the same bits on every
+    Python and numpy version: ``np.add.reduce`` sums pairwise, and the
+    builtin ``sum`` is compensated from Python 3.12 on. ``np.cumsum`` adds
+    in order.
+    """
+    bounds = np.asarray(offsets).tolist()
+    return np.array([values[lo:hi].cumsum()[-1] if hi > lo else 0.0 for lo, hi in zip(bounds, bounds[1:])], dtype=float)

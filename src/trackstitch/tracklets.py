@@ -1,16 +1,23 @@
 """Tracklet modeling: endpoint summaries and overlap-triggered cutting.
 
-A tracklet is a frame-sorted run of detections sharing one id, held as a
-slice of a :class:`~trackstitch.mot_io.DetectionTable` and summarized at both
-ends by a representative box and a center velocity. The first and last
-boxes of a tracklet tend to be the least trustworthy (the track usually broke
-there), so for long tracklets the summaries average a window of boxes just
-inside each end instead of using the end box itself.
+A tracklet is a frame-sorted run of detections sharing one id, and is
+summarized at both ends by a representative box and a center velocity. The
+first and last boxes of a tracklet tend to be the least trustworthy (the track
+usually broke there), so for long tracklets the summaries average a window of
+boxes just inside each end instead of using the end box itself.
+
+One sequence's tracklets are a :class:`Tracklets`: the runs of one
+:class:`~trackstitch.mot_io.DetectionTable`, with their endpoint summaries as
+columns (:class:`EndpointArrays`). A :class:`Tracklet` object, holding a slice
+of the table, is built only when one is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,6 +100,62 @@ def check_window(window: int, min_len: int, names: tuple[str, str] = ("window", 
         raise ValueError(f"{w} must satisfy 2 <= {w} < {m}, got {w}={window}, {m}={min_len}")
 
 
+@dataclass(frozen=True)
+class EndpointArrays:
+    """The endpoint state of a tracklet sequence as columns, one row per tracklet.
+
+    Boxes are (x, y, w, h) rows, velocities (vx, vy) rows in pixels/frame, and
+    speeds their ``math.hypot`` norms, computed on first read.
+    """
+
+    ids: np.ndarray
+    start_frame: np.ndarray
+    end_frame: np.ndarray
+    start_box: np.ndarray
+    end_box: np.ndarray
+    start_velocity: np.ndarray
+    end_velocity: np.ndarray
+
+    @classmethod
+    def of(cls, tracklets: Sequence[Tracklet]) -> EndpointArrays:
+        """The summaries the tracklet objects carry."""
+        starts = [t.start for t in tracklets]
+        ends = [t.end for t in tracklets]
+        return cls(
+            ids=np.array([t.id for t in tracklets], dtype=np.int64),
+            start_frame=np.array([e.frame for e in starts], dtype=np.int64),
+            end_frame=np.array([e.frame for e in ends], dtype=np.int64),
+            start_box=np.array([e.box for e in starts], dtype=float).reshape(-1, 4),
+            end_box=np.array([e.box for e in ends], dtype=float).reshape(-1, 4),
+            start_velocity=np.array([e.velocity for e in starts], dtype=float).reshape(-1, 2),
+            end_velocity=np.array([e.velocity for e in ends], dtype=float).reshape(-1, 2),
+        )
+
+    @cached_property
+    def start_speed(self) -> np.ndarray:
+        return _norms(self.start_velocity)
+
+    @cached_property
+    def end_speed(self) -> np.ndarray:
+        return _norms(self.end_velocity)
+
+    def summaries(self, k: int) -> tuple[EndpointSummary, EndpointSummary]:
+        """The start and end summaries of row ``k``."""
+        start, end = (
+            EndpointSummary(frame[k].item(), tuple(box[k].tolist()), tuple(velocity[k].tolist()))
+            for frame, box, velocity in (
+                (self.start_frame, self.start_box, self.start_velocity),
+                (self.end_frame, self.end_box, self.end_velocity),
+            )
+        )
+        return start, end
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """The ``math.hypot`` norm of each (x, y) row."""
+    return np.fromiter(map(math.hypot, *vectors.T.tolist()), dtype=float, count=len(vectors))
+
+
 def _window_means(columns: Sequence[np.ndarray], starts: np.ndarray, length: int) -> np.ndarray:
     """``np.mean`` of each column over each window ``[starts[k], starts[k] + length)``, shape (columns, windows).
 
@@ -104,13 +167,10 @@ def _window_means(columns: Sequence[np.ndarray], starts: np.ndarray, length: int
     return np.stack([np.mean(column[idx], axis=1) for column in columns])
 
 
-def _summaries(
-    rows: DetectionTable, bounds: Sequence[int], window: int, min_len: int
-) -> list[tuple[EndpointSummary, EndpointSummary]]:
-    """The endpoint summaries of every run ``rows[bounds[k]:bounds[k + 1]]`` (see :func:`make_tracklets`)."""
-    check_window(window, min_len)
-    lo = np.asarray(bounds[:-1], dtype=np.int64)
-    n = np.diff(np.asarray(bounds, dtype=np.int64))
+def _endpoints(rows: DetectionTable, bounds: np.ndarray, ids: np.ndarray, window: int, min_len: int) -> EndpointArrays:
+    """The endpoint columns of every run ``rows[bounds[k]:bounds[k + 1]]`` (see :func:`make_tracklets`)."""
+    lo = bounds[:-1]
+    n = np.diff(bounds)
     last = lo + n - 1
     # step k is the center motion from row k to row k + 1 over their frame
     # delta; a step from one run into the next is never read, and its delta
@@ -133,25 +193,87 @@ def _summaries(
     end_box[:, long_runs] = _window_means(boxes, tail, window)
     start_velocity[:, long_runs] = _window_means(steps, head, window - 1)
     end_velocity[:, long_runs] = _window_means(steps, tail, window - 1)
+    return EndpointArrays(
+        ids=ids,
+        start_frame=rows.frame[lo],
+        end_frame=rows.frame[last],
+        start_box=start_box.T.copy(),
+        end_box=end_box.T.copy(),
+        start_velocity=start_velocity.T.copy(),
+        end_velocity=end_velocity.T.copy(),
+    )
 
-    return [
-        (EndpointSummary(f0, tuple(b0), tuple(v0)), EndpointSummary(f1, tuple(b1), tuple(v1)))
-        for f0, b0, v0, f1, b1, v1 in zip(
-            rows.frame[lo].tolist(), start_box.T.tolist(), start_velocity.T.tolist(),
-            rows.frame[last].tolist(), end_box.T.tolist(), end_velocity.T.tolist(),
-        )
-    ]
+
+class Tracklets(Sequence[Tracklet]):
+    """One sequence's tracklets as columns: the runs ``rows[bounds[k]:bounds[k + 1]]`` of one table.
+
+    Tracklet k is named ``ids[k]``. Its endpoint summaries are the row k of
+    :attr:`ends`, which are either given or computed, on first read, from
+    the rows with ``window`` and ``min_len`` (see :func:`make_tracklets`).
+    Indexing or iterating builds a :class:`Tracklet` only when it is read,
+    as a :class:`DetectionTable` does for :class:`Detection`; like a list,
+    the sequence compares equal to a list or tuple of the same tracklets.
+    """
+
+    __slots__ = ("rows", "bounds", "ids", "window", "min_len", "_ends")
+
+    def __init__(
+        self,
+        rows: DetectionTable,
+        bounds,
+        ids,
+        window: int | None = None,
+        min_len: int | None = None,
+        ends: EndpointArrays | None = None,
+    ):
+        if ends is None:
+            check_window(window, min_len)
+        self.rows = rows
+        self.bounds = np.asarray(bounds, dtype=np.int64)
+        self.ids = np.asarray(ids, dtype=np.int64)
+        if (np.diff(self.bounds) < 1).any():
+            raise ValueError("tracklet must contain at least one detection")
+        self.window, self.min_len, self._ends = window, min_len, ends
+
+    @classmethod
+    def of(cls, tracklets: Iterable[Tracklet]) -> Tracklets:
+        """``tracklets`` itself if it is a Tracklets, else the tracklets in order, with the summaries they carry."""
+        if isinstance(tracklets, Tracklets):
+            return tracklets
+        tracklets = list(tracklets)
+        rows = DetectionTable.concat(t.detections for t in tracklets)
+        ends = EndpointArrays.of(tracklets)
+        return cls(rows, np.cumsum([0, *map(len, tracklets)]), ends.ids, ends=ends)
+
+    @property
+    def ends(self) -> EndpointArrays:
+        if self._ends is None:
+            self._ends = _endpoints(self.rows, self.bounds, self.ids, self.window, self.min_len)
+        return self._ends
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k: int) -> Tracklet:
+        k = range(len(self))[operator.index(k)]
+        return Tracklet(self.ids[k].item(), self.rows[self.bounds[k] : self.bounds[k + 1]], *self.ends.summaries(k))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Tracklets, list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Tracklets({list(self)!r})"
 
 
 def make_tracklet(tid: int, detections: Sequence[Detection], window: int = 6, min_len: int = 10) -> Tracklet:
     """Build a tracklet from frame-sorted detections, computing its endpoint summaries (see :func:`make_tracklets`)."""
     rows = DetectionTable.of(detections)
-    if not len(rows):
-        raise ValueError("tracklet must contain at least one detection")
-    return Tracklet(tid, rows, *_summaries(rows, [0, len(rows)], window, min_len)[0])
+    return Tracklets(rows, [0, len(rows)], [tid], window, min_len)[0]
 
 
-def make_tracklets(rows: DetectionTable, bounds: Sequence[int], window: int = 6, min_len: int = 10) -> list[Tracklet]:
+def make_tracklets(rows: DetectionTable, bounds: Sequence[int], window: int = 6, min_len: int = 10) -> Tracklets:
     """One tracklet per frame-sorted run ``rows[bounds[k]:bounds[k + 1]]``, named by the run's track id.
 
     The window must satisfy ``2 <= window < min_len`` (else ``ValueError``),
@@ -163,11 +285,10 @@ def make_tracklets(rows: DetectionTable, bounds: Sequence[int], window: int = 6,
     velocity (zero for a single detection). A step is the center displacement
     between consecutive rows over their frame delta, and each mean is
     ``np.mean`` in row order. The summaries of all runs are computed together,
-    equal to :func:`make_tracklet` on each run.
+    on first read, equal to :func:`make_tracklet` on each run.
     """
-    ids = rows.track_id[bounds[:-1]].tolist()
-    summaries = _summaries(rows, bounds, window, min_len)
-    return [Tracklet(tid, rows[lo:hi], *ends) for tid, lo, hi, ends in zip(ids, bounds, bounds[1:], summaries)]
+    bounds = np.asarray(bounds, dtype=np.int64)
+    return Tracklets(rows, bounds, rows.track_id[bounds[:-1]], window, min_len)
 
 
 def run_bounds(keys: np.ndarray) -> list[int]:
@@ -181,13 +302,13 @@ def group_tracklets(
     detections: Iterable[Detection],
     endpoint_window: int = 6,
     endpoint_min_len: int = 10,
-) -> list[Tracklet]:
+) -> Tracklets:
     """Partition detections by track id into frame-sorted tracklets, in id order.
 
     A track id observed twice in the same frame is a data error. Endpoint
     summaries are computed with the given averaging window (see
-    :func:`make_tracklets`). The tracklets are consecutive slices of one
-    table sorted by (id, frame).
+    :func:`make_tracklets`). The tracklets are the runs of one table sorted
+    by (id, frame).
     """
     table = DetectionTable.of(detections)
     rows = table.take(np.lexsort((table.frame, table.track_id)))
@@ -260,7 +381,7 @@ def cut_tracklets(
     cut_threshold: float,
     window: int = 6,
     min_len: int = 10,
-) -> list[Tracklet]:
+) -> Tracklets:
     """Cut tracklets wherever two of them start overlapping strongly.
 
     Whenever two detections from distinct tracklets in one frame reach
@@ -269,18 +390,21 @@ def cut_tracklets(
     was already overlapping in the immediately preceding frame does not
     trigger again: one sustained overlap event means one cut per tracklet, at
     the frame where the overlap first appears. Fragments of a cut tracklet get
-    fresh ids above the existing maximum; untouched tracklets keep theirs.
+    fresh ids above the existing maximum, in order; untouched tracklets keep
+    their ids and summaries, and fragments are summarized with ``window`` and
+    ``min_len``.
 
     The overlapping pairs are found by :func:`same_frame_overlaps` in one
-    sweep over all detections.
+    sweep over all detections. The rows stay as they are: a cut only adds a
+    run bound and relabels the fragments' rows.
     """
     if not (0.0 < cut_threshold <= 1.0):
         raise ValueError(f"cutter threshold must lie in (0, 1], got {cut_threshold}")
     check_window(window, min_len)
-    tracklets = list(tracklets)
-    rows = DetectionTable.concat(t.detections for t in tracklets)
+    tracklets = Tracklets.of(tracklets)
+    rows, bounds = tracklets.rows, tracklets.bounds
     i, j = same_frame_overlaps(rows.frame, np.stack((rows.x, rows.y, rows.w, rows.h)), cut_threshold)
-    owners = np.repeat(np.arange(len(tracklets)), [len(t) for t in tracklets])
+    owners = np.repeat(np.arange(len(tracklets)), np.diff(bounds))
 
     # one row per (tracklet pair, frame) with a hit, sorted; a hit is a rising
     # edge unless the same pair also had one in the frame before. A pair with
@@ -288,35 +412,37 @@ def cut_tracklets(
     # anyway: the second hit finds the pair overlapping in this frame, not in
     # the one before. The owners ascend with the rows, so i < j gives ti <= tj.
     ti, tj = owners[i], owners[j]
-    pair_frames = np.stack([ti, tj, rows.frame[i]], axis=1)
-    hits, repeats = np.unique(pair_frames[ti != tj], axis=0, return_counts=True)
+    other = ti != tj
+    i, j = i[other], j[other]
+    hits, first, repeats = np.unique(
+        np.stack([ti[other], tj[other], rows.frame[i]], axis=1), axis=0, return_index=True, return_counts=True
+    )
     continued = np.zeros(len(hits), dtype=bool)
     continued[1:] = (hits[1:, 0] == hits[:-1, 0]) & (hits[1:, 1] == hits[:-1, 1]) & (hits[1:, 2] - 1 == hits[:-1, 2])
-    cut_frames: dict[int, set[int]] = {}
-    for a, b, frame in hits[~continued | (repeats > 1)].tolist():
-        cut_frames.setdefault(a, set()).add(frame)
-        cut_frames.setdefault(b, set()).add(frame)
+    rising = first[~continued | (repeats > 1)]
 
-    # the fragments of all cut tracklets, as runs of one relabeled table
-    pieces, sizes, piece_count = [], [], {}
-    for idx, t in enumerate(tracklets):
-        cuts = sorted(f for f in cut_frames.get(idx, ()) if f > t.start.frame)
-        if cuts:
-            # every cut frame is one of the tracklet's own frames, so no piece is empty
-            splits = [0, *np.searchsorted(t.detections.frame, cuts).tolist(), len(t)]
-            pieces.append(t.detections)
-            sizes += np.diff(splits).tolist()
-            piece_count[idx] = len(splits) - 1
-    if not pieces:
+    # a tracklet is cut before the first of its rows in the hit's frame; a
+    # cut at its own first row splits nothing
+    starts_frame = np.ones(len(rows), dtype=bool)
+    starts_frame[1:] = (owners[1:] != owners[:-1]) | (rows.frame[1:] != rows.frame[:-1])
+    frame_start = np.maximum.accumulate(np.where(starts_frame, np.arange(len(rows)), 0))
+    cuts = np.setdiff1d(frame_start[np.concatenate((i[rising], j[rising]))], bounds)
+    if not len(cuts):
         return tracklets
-    first_id = max(t.id for t in tracklets) + 1
-    piece_ids = np.repeat(np.arange(first_id, first_id + len(sizes)), sizes)
-    piece_rows = DetectionTable.concat(pieces).relabeled(piece_ids)
-    fragments = iter(make_tracklets(piece_rows, np.cumsum([0, *sizes]).tolist(), window, min_len))
-    out = []
-    for idx, t in enumerate(tracklets):
-        if idx in piece_count:
-            out.extend(next(fragments) for _ in range(piece_count[idx]))
-        else:
-            out.append(t)
+
+    new_bounds = np.union1d(bounds, cuts)
+    run_owner = owners[new_bounds[:-1]]
+    cut = np.zeros(len(tracklets), dtype=bool)
+    cut[owners[cuts]] = True
+    fragment = cut[run_owner]
+    ids = tracklets.ids[run_owner]
+    ids[fragment] = np.arange(fragment.sum()) + tracklets.ids.max() + 1
+    sizes = np.diff(new_bounds)
+    track_id = np.where(np.repeat(fragment, sizes), np.repeat(ids, sizes), rows.track_id)
+    out = Tracklets(rows.relabeled(track_id), new_bounds, ids, window, min_len)
+    if (tracklets.window, tracklets.min_len) != (window, min_len):
+        # the untouched tracklets' summaries came with them
+        ends, kept = out.ends, ~fragment
+        for column in fields(EndpointArrays):
+            getattr(ends, column.name)[kept] = getattr(tracklets.ends, column.name)[run_owner[kept]]
     return out

@@ -537,3 +537,162 @@ class TestColumnarScoring:
         table = succ_vars[0].pair_scores
         assert list(table) == [2, 3, STOP]
         assert len(built) == 3
+
+
+def plain_sum(values):
+    """A left-to-right loop of +, the rounding every solver total keeps."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class ObjectState:
+    """One variable's search state as per-variable objects: the solver before its state became columns."""
+
+    def __init__(self, var):
+        self.attached = dict(var.marginals)
+        self.order = sorted(self.attached, key=lambda c: (-self.attached[c], c is STOP, c if c is not STOP else 0))
+        self.removed = set()
+        self.total = plain_sum(self.attached.values())
+        self.shrunk = False
+        self.best_idx = 0
+
+    def empty(self):
+        return len(self.removed) == len(self.order)
+
+    def best_marginal(self):
+        value = self.attached[self.order[self.best_idx]]
+        return value / self.total if self.shrunk else value
+
+    def remove(self, cand, trail):
+        trail.append((self, cand, self.total, self.shrunk, self.best_idx))
+        self.removed.add(cand)
+        if self.shrunk and self.attached[cand] <= self.total / 2:
+            self.total -= self.attached[cand]
+        else:
+            self.total = plain_sum(self.attached[c] for c in self.attached if c not in self.removed)
+            self.shrunk = True
+        while self.best_idx < len(self.order) and self.order[self.best_idx] in self.removed:
+            self.best_idx += 1
+
+
+def object_search(succ_vars):
+    """The max-marginal search over ObjectState variables, scanning every variable per bind."""
+    states = {var.tracklet_id: ObjectState(var) for var in succ_vars}
+    assignment, trail, choices = {}, [], []
+    nodes = 1
+    backtracks = 0
+    while len(assignment) < len(states):
+        best = None
+        for vid, st in states.items():
+            if vid in assignment:
+                continue
+            if st.empty():
+                best = None
+                break
+            m = st.best_marginal()
+            if best is None or m > best[0] or (m == best[0] and vid < best[1]):
+                best = (m, vid, st.order[st.best_idx])
+        if best is None:
+            if not choices:
+                return None, nodes, backtracks
+            vid, cand, mark = choices.pop()
+            while len(trail) > mark:
+                state, removed, total, shrunk, best_idx = trail.pop()
+                state.removed.discard(removed)
+                state.total, state.shrunk, state.best_idx = total, shrunk, best_idx
+            del assignment[vid]
+            states[vid].remove(cand, trail)
+            backtracks += 1
+            continue
+        _, vid, cand = best
+        choices.append((vid, cand, len(trail)))
+        assignment[vid] = cand
+        nodes += 1
+        if cand is not STOP:
+            for wid, wst in states.items():
+                if wid not in assignment and cand in wst.attached and cand not in wst.removed:
+                    wst.remove(cand, trail)
+    return assignment, nodes, backtracks
+
+
+def crossing_domains(seed):
+    """build_domains of a cut crossing scene: crossings, swaps and fragments, as in the bench's crossing workload."""
+    from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
+    from trackstitch.tracklets import cut_tracklets, group_tracklets
+
+    gt, meta = generate(ScenarioConfig(num_objects=20, num_frames=300, crossings=6, seed=seed))
+    tracker, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, fragment_prob=0.5, dropout=0.02, seed=seed))
+    cfg = ScoreConfig()
+    cfg.params[ConstraintKind.ANGLE_DIFFERENCE].enabled = seed % 2 == 0
+    return build_domains(cut_tracklets(group_tracklets(tracker), 0.5), cfg, meta)
+
+
+class TestColumnSolver:
+    def assert_same_search(self, succ_vars):
+        expected, nodes, backtracks = object_search(succ_vars)
+        if expected is None:
+            with pytest.raises(RuntimeError, match="no feasible"):
+                solve_with_stats(succ_vars)
+            return
+        got, stats = solve_with_stats(succ_vars)
+        assert list(got.items()) == list(expected.items())  # bind order too
+        assert (stats.nodes, stats.backtracks) == (nodes, backtracks)
+
+    def test_matches_object_search_on_random_instances(self):
+        rng = np.random.default_rng(51)
+        for _ in range(200):
+            self.assert_same_search(build_domains(random_instance(rng, n_max=30), ScoreConfig(), META))
+
+    def test_matches_object_search_on_hand_built_instances(self):
+        rng = np.random.default_rng(52)
+        for _ in range(1000):
+            self.assert_same_search(dominant_instance(rng))
+            self.assert_same_search(hand_built_instance(rng))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_object_search_on_crossing_scenes(self, seed):
+        domains = crossing_domains(seed)
+        assert len(domains) > 50
+        self.assert_same_search(domains)
+        self.assert_same_search(list(domains))  # the same variables, converted on entry
+
+    def test_stop_only_variables_bind_in_id_order(self):
+        succ_vars = [SuccessorVar(vid, {STOP: 1.0}) for vid in (5, 3, 9, 1)]
+        got, stats = solve_with_stats(succ_vars)
+        assert list(got.items()) == [(1, STOP), (3, STOP), (5, STOP), (9, STOP)]
+        assert (stats.nodes, stats.backtracks) == (5, 0)
+
+    def test_domains_read_as_successor_vars(self):
+        tls = [tracklet(1, 1, 10), tracklet(2, 12, 22), tracklet(3, 25, 30)]
+        domains = build_domains(tls, ScoreConfig(), META)
+        assert len(domains) == 3 and domains.edge_count == 3
+        assert [var.tracklet_id for var in domains] == [1, 2, 3]
+        assert domains[-1] == domains[2] == SuccessorVar(3, {STOP: 1.0})
+        assert domains == list(domains) and domains != list(domains)[:2]
+        with pytest.raises(IndexError):
+            domains[3]
+
+    def test_conversion_checks_variables_in_input_order(self):
+        with pytest.raises(ValueError, match="^duplicate variable for tracklet 2$"):
+            solve_with_stats([SuccessorVar(2, {STOP: 1.0}), SuccessorVar(2, {STOP: 1.0}), SuccessorVar(1, {})])
+        with pytest.raises(ValueError, match="^variable 1 has an empty domain$"):
+            solve_with_stats([SuccessorVar(2, {STOP: 1.0}), SuccessorVar(1, {}), SuccessorVar(3, {STOP: -1.0})])
+
+
+class TestUnknownIds:
+    def test_validate_assignment_names_an_unknown_successor(self):
+        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20)]
+        with pytest.raises(ValueError, match="^assignment names unknown tracklet 99$"):
+            validate_assignment({1: 99, 2: None}, tls)
+
+    def test_validate_assignment_names_an_unknown_predecessor(self):
+        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20)]
+        with pytest.raises(ValueError, match="^assignment names unknown tracklet 7$"):
+            validate_assignment({1: STOP, 7: STOP}, tls)
+
+    def test_stitch_names_an_unknown_successor(self):
+        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20)]
+        with pytest.raises(ValueError, match="^assignment names unknown tracklet 99$"):
+            stitch({1: 99, 2: STOP}, tls)

@@ -304,6 +304,11 @@ def test_refine_rejects_nan_thresholds_in_the_config(tmp_path, capsys, line, exp
         ("endpoints.window = 12", "endpoints.window must satisfy 2 <= endpoints.window < endpoints.min_len, got endpoints.window=12, endpoints.min_len=10"),
         ("endpoints.window = 1", "endpoints.window must satisfy 2 <= endpoints.window < endpoints.min_len, got endpoints.window=1, endpoints.min_len=10"),
         ("endpoints.min_len = 2", "endpoints.window must satisfy 2 <= endpoints.window < endpoints.min_len, got endpoints.window=6, endpoints.min_len=2"),
+        ("cutter.t_tc = 1.5", "cutter.t_tc must lie in (0, 1], got 1.5"),
+        ("cutter.t_tc = 0", "cutter.t_tc must lie in (0, 1], got 0.0"),
+        ("interp.max_gap = 0", "interp.max_gap must be positive, got 0"),
+        ("bounds.L = 0.7", "bounds.L must lie in (0, 0.5), got 0.7"),
+        ("bounds.U = 0.2", "bounds.U must lie in (0.5, 1), got 0.2"),
     ],
 )
 def test_refine_config_errors_name_the_file_and_the_key(tmp_path, capsys, line, expected):

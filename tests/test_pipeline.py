@@ -164,3 +164,41 @@ def test_refine_output_values_are_float64():
     assert summary.detections_interpolated == 1
     assert out == [Detection(f, 1, 5.0, 7.0, 10.0, 10.0, 1.0) for f in (1, 2, 3, 4)]
     assert all(type(v) is float for d in out for v in (d.x, d.y, d.w, d.h, d.conf))
+
+
+def test_parsed_tables_build_no_tracklet_or_domain_objects(monkeypatch):
+    import trackstitch.tracklets as tracklets_module
+    from trackstitch.associator import SuccessorVar
+    from trackstitch.mot_io import parse_tracks, write_tracks
+    from trackstitch.scoring import PairScores
+    from trackstitch.tracklets import EndpointSummary, Tracklet
+
+    gt, meta = generate(ScenarioConfig(num_objects=8, num_frames=150, crossings=3, seed=1))
+    corrupted, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, random_cuts_per_track=1, gap_frames=(1, 3), seed=1))
+    tracker = parse_tracks(write_tracks(corrupted))
+    built, summaries = [], []
+
+    def counting(function, log, entry):
+        def counted(*args, **kwargs):
+            log.append(entry(*args))
+            return function(*args, **kwargs)
+
+        return counted
+
+    for cls in (Tracklet, EndpointSummary, SuccessorVar, PairScores):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__, built, lambda self, *_: type(self).__name__))
+    # _endpoints(rows, bounds, ...) summarizes len(bounds) - 1 runs
+    monkeypatch.setattr(
+        tracklets_module, "_endpoints", counting(tracklets_module._endpoints, summaries, lambda rows, bounds, *_: len(bounds) - 1)
+    )
+
+    for cutter in (True, False):
+        cfg = PipelineConfig()
+        cfg.cutter_enabled = cutter
+        del summaries[:]
+        _, summary = refine_detections(tracker, meta, cfg)
+        assert built == []
+        # the endpoint columns are computed once, for the tracklets associated:
+        # neither the grouped tracklets the cutter splits nor the trajectories pay for them
+        assert summaries == [summary.tracklets_associated]
+        assert summary.links > 0 and (summary.cuts_made > 0) == cutter

@@ -10,6 +10,7 @@ from trackstitch.scoring import (
     ScoreConfig,
     gaussian_score,
     gaussian_scores,
+    left_sums,
     marginals,
     pair_distance,
     predicted_box,
@@ -259,3 +260,46 @@ class TestMarginals:
             assert order == sorted(scaled, key=scaled.get)
             for k in base:
                 assert scaled[k] == pytest.approx(base[k], rel=1e-9)
+
+    def test_total_is_summed_left_to_right(self):
+        # ten products of 0.1 add up to 0.9999999999999999 left to right, but to
+        # 1.0 in a compensated sum (the builtin sum from Python 3.12 on) and in
+        # numpy's pairwise np.sum
+        assert math.fsum([0.1] * 10) == np.sum(np.full(10, 0.1)) == 1.0
+        m = marginals({k: 0.1 for k in range(10)})
+        assert list(m.values()) == [0.1 / 0.9999999999999999] * 10
+        assert m[0] != 0.1
+
+    def test_left_sums_add_each_segment_in_order(self):
+        rng = np.random.default_rng(16)
+        values = 10.0 ** rng.uniform(-20, 0, size=500)
+        offsets = np.unique(np.concatenate(([0, 500], rng.integers(0, 500, size=40))))
+        offsets = np.insert(offsets, 3, offsets[3])  # an empty segment
+        expected = []
+        for lo, hi in zip(offsets, offsets[1:]):
+            total = 0.0
+            for value in values[lo:hi].tolist():
+                total += value
+            expected.append(total)
+        assert left_sums(values, offsets).tolist() == expected
+        assert left_sums(np.full(10, 0.1), [0, 10]).tolist() == [0.9999999999999999]
+
+
+@pytest.mark.parametrize("kind", [ConstraintKind.ANGLE_DIFFERENCE, ConstraintKind.PREDICTED_CENTER_DISTANCE])
+def test_distances_are_exact_up_to_the_bound_and_beyond_it_past_there(kind):
+    from trackstitch.scoring import pair_distances
+    from trackstitch.tracklets import EndpointArrays
+
+    rng = np.random.default_rng(17)
+    n = 60
+    boxes = np.column_stack([rng.uniform(0, 1800, (n, 2)), rng.uniform(5, 80, (n, 2))])
+    velocities = rng.uniform(-5, 5, (n, 2)) * (rng.random((n, 1)) < 0.8)  # some standing
+    frames = rng.integers(1, 500, n)
+    ends = EndpointArrays(np.arange(1, n + 1), frames, frames, boxes, boxes.copy(), velocities, velocities[::-1].copy())
+    pred, succ = np.nonzero(frames[:, None] < frames[None, :])
+    exact = pair_distances(kind, ends, pred, succ, META)
+    for bound in np.quantile(exact, [0.0, 0.1, 0.5, 0.9]).tolist():
+        got = pair_distances(kind, ends, pred, succ, META, bound)
+        near = exact <= bound * (1 + 1e-6)
+        assert got[near].tolist() == exact[near].tolist()
+        assert (got[~near] > bound).all() and np.allclose(got[~near], exact[~near], rtol=1e-14, atol=0)

@@ -11,7 +11,7 @@ from trackstitch.associator import STOP, stitch
 from trackstitch.mot_io import Detection
 from trackstitch.tracklets import cut_tracklets, group_tracklets, iou, iou_matrix, iou_pairs, make_tracklet
 from trackstitch.mot_io import DetectionTable
-from trackstitch.tracklets import make_tracklets, run_bounds
+from trackstitch.tracklets import Tracklets, make_tracklets, run_bounds
 
 
 def boxes_track(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
@@ -286,7 +286,7 @@ def test_make_tracklets_accepts_exactly_the_windows_from_2_below_min_len():
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                tracklets = make_tracklets(rows, bounds, window, min_len)
+                tracklets = list(make_tracklets(rows, bounds, window, min_len))  # summaries are computed on read
             # every window holds a step, so every run that moves has the velocity of its steps
             for t in tracklets:
                 expected = (2.0, 0.0) if len(t) > 1 else (0.0, 0.0)
@@ -550,3 +550,29 @@ def test_cut_memory_is_bounded_on_a_frame_stack():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert len(out) == 300 * 6
     _assert_same_cut(out, _reference_cut(tracklets, 0.5))
+
+
+class TestTrackletColumns:
+    def test_reads_like_a_list_of_tracklets(self):
+        rows, bounds = _runs([3, 12, 1])
+        tracklets = make_tracklets(rows, bounds, 4, 5)
+        as_list = [make_tracklet(tid, rows[lo:hi], 4, 5) for tid, lo, hi in zip((1, 2, 3), bounds, bounds[1:])]
+        assert len(tracklets) == 3 and tracklets == as_list and tracklets == tuple(as_list)
+        assert tracklets[-1] == tracklets[2] == as_list[2]
+        assert tracklets != as_list[:2]
+        with pytest.raises(IndexError):
+            tracklets[3]
+        assert Tracklets.of(tracklets) is tracklets
+        assert Tracklets.of(as_list) == as_list
+
+    def test_cut_keeps_the_summaries_of_untouched_tracklets(self):
+        # tracklets summarized over a window of 2 and cut with a window of 6:
+        # the fragments get the cut's summaries, the untouched tracklet keeps its own
+        a = boxes_track(1, range(1, 21), vx=1.0)
+        b = [Detection(f, 2, 20.0 - f, 0.0, 10.0, 10.0, 1.0) for f in range(1, 21)]
+        c = boxes_track(3, range(1, 21), vx=0.5, y0=100.0)
+        for tracklets in (group_tracklets(a + b + c, 2, 3), [make_tracklet(t, d, 2, 3) for t, d in ((1, a), (2, b), (3, c))]):
+            out = cut_tracklets(tracklets, 0.5, 6, 10)
+            assert [t.id for t in out] == [4, 5, 6, 7, 3]
+            assert out[4] == list(tracklets)[2]
+            assert [out[k] for k in range(4)] == list(make_tracklets(out.rows, out.bounds[:5], 6, 10))
