@@ -53,10 +53,6 @@ from .scoring import (
     ScoreConfig,
     gaussian_score,
     marginals,
-    pair_distance,
-    predicted_box,
-    score_pair,
-    score_stop,
 )
 from .synth import (
     CorruptionConfig,
@@ -121,10 +117,6 @@ __all__ = [
     "ScoreConfig",
     "gaussian_score",
     "marginals",
-    "pair_distance",
-    "predicted_box",
-    "score_pair",
-    "score_stop",
     "CorruptionConfig",
     "CorruptionLog",
     "ScenarioConfig",

@@ -397,9 +397,9 @@ def stitch(
     Chains are walked from every tracklet that is nobody's successor, in id
     order; each chain's detections get one fresh trajectory id, numbered from 1
     in the order of the returned sequence. The trajectories are the runs of
-    one table, each in chain order (frame order, for a valid assignment), and
-    are summarized on first read. An id in the assignment that names no
-    tracklet raises ValueError.
+    one table, each in chain order, and are summarized on first read. An id
+    in the assignment that names no tracklet, or a chain whose frames do not
+    increase strictly (see :class:`Tracklets`), raises ValueError.
     """
     tracklets = Tracklets.of(tracklets)
     position = _positions(assignment, tracklets)

@@ -185,10 +185,10 @@ class SequenceMeta:
     def __post_init__(self):
         if not (isfinite(self.fps) and self.fps > 0):
             raise ValueError(f"fps must be finite and positive, got {self.fps}")
-        if self.img_width < 1 or self.img_height < 1:
-            raise ValueError("image dimensions must be positive")
-        if self.num_frames < 1:
-            raise ValueError(f"num_frames must be positive, got {self.num_frames}")
+        for name in ("img_width", "img_height", "num_frames"):
+            value = getattr(self, name)
+            if not (value >= 1 and float(value).is_integer()):  # NaN fails the first test, inf the second
+                raise ValueError(f"{name} must be a positive integer, got {value}")
 
     @property
     def diagonal(self) -> float:

@@ -68,10 +68,6 @@ def refine_detections(
     started = time.perf_counter()
     table = DetectionTable.of(detections)
     summary = RefineSummary(detections_in=len(table))
-    if not len(table):
-        summary.wall_time_s = time.perf_counter() - started
-        return table, summary
-
     tracklets = group_tracklets(table, cfg.endpoint_window, cfg.endpoint_min_len)
     summary.tracklets_in = len(tracklets)
     if cfg.cutter_enabled:

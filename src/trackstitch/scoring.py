@@ -16,9 +16,9 @@ set of thresholds works across sequences with different frame rates and
 resolutions.
 
 Every constraint is computed once, as a column over many (predecessor,
-successor) pairs of an :class:`EndpointArrays` table (:func:`score_columns`);
-the single-pair functions :func:`pair_distance` and :func:`score_pair` are
-one-row calls into the same columns.
+successor) pairs of an :class:`EndpointArrays` table (:func:`score_columns`),
+and the geometry that several constraints read is gathered once per call
+(:class:`EndpointPairs`).
 
 Numerics: scores are bit-identical to scoring each pair with plain Python
 floats. numpy's ``+ - * /``, ``abs``, ``min``/``max``, comparisons and
@@ -39,12 +39,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .mot_io import SequenceMeta
-from .tracklets import EndpointArrays, Tracklet, iou_pairs
+from .tracklets import EndpointArrays, iou_pairs
 
 REFERENCE_FPS = 30.0
 
@@ -142,37 +143,8 @@ def _clamp_ratio(lower: float) -> float:
 
 
 def gaussian_score(c: float, params: ConstraintParams, lower: float = 1e-6, upper: float = 1.0 - 1e-6) -> float:
-    """Score a distance ``c >= 0``: a clamped Gaussian worth 0.5 at ``t50``.
-
-    The Gaussian is exp(-c^2 / (2 sigma^2)) with sigma = t50 / sqrt(2 ln 2),
-    which puts the half-height point exactly at ``t50``. The raw value is
-    clamped into [lower, upper]; if ``t0`` is set, any distance at or beyond
-    it scores exactly 0.
-    """
-    if c < 0:
-        raise ValueError(f"distance must be nonnegative, got {c}")
-    if params.t0 is not None and c >= params.t0:
-        return 0.0
-    ratio = c / params.t50
-    if ratio > _clamp_ratio(lower):
-        return min(lower, upper)  # also where ratio ** 2 would overflow
-    return _gaussians([ratio], lower, upper)[0].item()
-
-
-def _gaussians(ratios: list[float], lower: float, upper: float) -> np.ndarray:
-    """The clamped Gaussian of :func:`gaussian_score` at each ``ratio = c / t50``, from ``math.exp`` of Python floats."""
-    return np.minimum(np.maximum(np.array([math.exp(-_LN2 * r**2) for r in ratios], dtype=float), lower), upper)
-
-
-def _check_gap(t: Tracklet, s: Tracklet) -> None:
-    if s.start.frame <= t.end.frame:
-        raise ValueError(
-            f"successor must start after predecessor ends: "
-            f"t ends at {t.end.frame}, s starts at {s.start.frame}"
-        )
-
-
-_FIRST, _SECOND = np.array([0]), np.array([1])
+    """The score of one distance ``c >= 0``: one value of :func:`gaussian_scores`."""
+    return gaussian_scores(np.array([c], dtype=float), params, lower, upper)[0].item()
 
 
 def _columns(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -184,17 +156,36 @@ def _columns(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
     return rows.T.take(index, axis=1)
 
 
-def _predicted_boxes(ends: EndpointArrays, pred: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    # end box translated by dt frames of end velocity, size unchanged; (4, pairs) columns
-    boxes = _columns(ends.end_box, pred)
-    boxes[:2] += _columns(ends.end_velocity, pred) * dt
-    return boxes
+class EndpointPairs:
+    """The row pairs (``pred[e]``, ``succ[e]``) of ``ends``, with the geometry the constraints read.
 
+    Each part is gathered on first read and kept, so constraints that share
+    one (the predicted-box constraints share the projected end boxes and the
+    successors' start boxes) compute it once.
+    """
 
-def predicted_box(t: Tracklet, target_frame: int) -> tuple[float, float, float, float]:
-    """End box of ``t`` translated to ``target_frame`` by its end velocity, size unchanged."""
-    box = _predicted_boxes(EndpointArrays.of([t]), _FIRST, np.array([target_frame - t.end.frame]))
-    return tuple(box[:, 0].tolist())
+    def __init__(self, ends: EndpointArrays, pred: np.ndarray, succ: np.ndarray):
+        self.ends, self.pred, self.succ = ends, pred, succ
+
+    @cached_property
+    def gap(self) -> np.ndarray:
+        """Frames from each predecessor's end to its successor's start."""
+        return self.ends.start_frame[self.succ] - self.ends.end_frame[self.pred]
+
+    @cached_property
+    def end_velocity(self) -> np.ndarray:
+        return _columns(self.ends.end_velocity, self.pred)
+
+    @cached_property
+    def projected(self) -> np.ndarray:
+        """The end box translated by ``gap`` frames of end velocity, size unchanged; (4, pairs) columns."""
+        boxes = _columns(self.ends.end_box, self.pred)
+        boxes[:2] += self.end_velocity * self.gap
+        return boxes
+
+    @cached_property
+    def start_box(self) -> np.ndarray:
+        return _columns(self.ends.start_box, self.succ)
 
 
 # np.hypot and np.arctan2 round within a few ulps of math.hypot and
@@ -227,13 +218,11 @@ def _angle_between(u: np.ndarray, v: np.ndarray, exact_up_to: float = math.inf) 
 
 def pair_distances(
     kind: ConstraintKind,
-    ends: EndpointArrays,
-    pred: np.ndarray,
-    succ: np.ndarray,
+    pairs: EndpointPairs,
     meta: SequenceMeta,
     exact_up_to: float = math.inf,
 ) -> np.ndarray:
-    """One constraint's distance for every pair of rows (``pred[e]``, ``succ[e]``) of ``ends``.
+    """One constraint's distance for every pair of ``pairs``.
 
     Every successor must start strictly after its predecessor ends; this is
     not checked here. Every distance up to ``exact_up_to`` is the plain
@@ -242,14 +231,14 @@ def pair_distances(
     distance that scores the clamp or 0. This spares the per-pair
     ``math.hypot`` and ``math.atan2`` calls on far pairs.
     """
-    gap = ends.start_frame[succ] - ends.end_frame[pred]
+    ends, pred, succ = pairs.ends, pairs.pred, pairs.succ
     if kind is ConstraintKind.TIME_DISTANCE:
-        return gap * (REFERENCE_FPS / meta.fps)
+        return pairs.gap * (REFERENCE_FPS / meta.fps)
     if kind is ConstraintKind.ANGLE_DIFFERENCE:
-        return _angle_between(_columns(ends.end_velocity, pred), _columns(ends.start_velocity, succ), exact_up_to)
+        return _angle_between(pairs.end_velocity, _columns(ends.start_velocity, succ), exact_up_to)
     if kind is ConstraintKind.SPEED_NORM_DIFFERENCE:
         return np.abs(ends.start_speed[succ] - ends.end_speed[pred]) * (meta.fps / REFERENCE_FPS) / meta.diagonal
-    projected, start = _predicted_boxes(ends, pred, gap), _columns(ends.start_box, succ)
+    projected, start = pairs.projected, pairs.start_box
     if kind is ConstraintKind.PREDICTED_IOU:
         return 1.0 - iou_pairs(projected, start)
     if kind is ConstraintKind.PREDICTED_CENTER_DISTANCE:
@@ -259,35 +248,30 @@ def pair_distances(
     raise ValueError(f"unknown constraint kind: {kind}")
 
 
-def pair_distance(kind: ConstraintKind, t: Tracklet, s: Tracklet, meta: SequenceMeta) -> float:
-    """The characteristic distance of one constraint for predecessor t and successor s.
-
-    Requires s to start strictly after t ends.
-    """
-    _check_gap(t, s)
-    return float(pair_distances(kind, EndpointArrays.of([t, s]), _FIRST, _SECOND, meta)[0])
-
-
 def gaussian_scores(
     c: np.ndarray, params: ConstraintParams, lower: float = 1e-6, upper: float = 1.0 - 1e-6
 ) -> np.ndarray:
-    """:func:`gaussian_score` of every distance in the array ``c``, bit for bit.
+    """Score every distance ``>= 0`` in the array ``c``: a clamped Gaussian worth 0.5 at ``t50``.
 
-    Distances at or beyond ``t0`` score 0, and those whose ``c / t50`` puts
-    the Gaussian safely below ``lower`` score the clamp, without a call; the
-    rest are scored once per distinct value.
+    The Gaussian is exp(-c^2 / (2 sigma^2)) with sigma = t50 / sqrt(2 ln 2),
+    which puts the half-height point exactly at ``t50``. The raw value is
+    clamped into [lower, upper]; if ``t0`` is set, any distance at or beyond
+    it scores exactly 0. Those distances, and the ones whose ``c / t50`` puts
+    the Gaussian safely below ``lower``, are scored without a call; the rest
+    once per distinct value, by ``math.exp`` of a Python float.
     """
     c = np.asarray(c, dtype=float)
     if (c < 0).any():
         raise ValueError(f"distance must be nonnegative, got {c[c < 0][0]}")
     out = np.full(c.shape, min(lower, upper))
-    live = ~(c / params.t50 > _clamp_ratio(lower))
+    live = ~(c / params.t50 > _clamp_ratio(lower))  # the clamp, also where ratio ** 2 would overflow
     if params.t0 is not None:
         filtered = c >= params.t0
         out[filtered] = 0.0
         live &= ~filtered
     values, inverse = np.unique(c[live], return_inverse=True)
-    out[live] = _gaussians((values / params.t50).tolist(), lower, upper)[inverse]
+    raw = np.array([math.exp(-_LN2 * r**2) for r in (values / params.t50).tolist()], dtype=float)
+    out[live] = np.minimum(np.maximum(raw, lower), upper)[inverse]
     return out
 
 
@@ -312,9 +296,10 @@ def score_columns(
     """
     scores = np.empty((len(kinds), len(pred)))
     products = np.ones(len(pred))
+    pairs = EndpointPairs(ends, pred, succ)
     for row, kind in zip(scores, kinds):
         params = cfg.params[kind]
-        distances = pair_distances(kind, ends, pred, succ, meta, _decided_beyond(params, cfg.lower))
+        distances = pair_distances(kind, pairs, meta, _decided_beyond(params, cfg.lower))
         row[:] = gaussian_scores(distances, params, cfg.lower, cfg.upper)
         products *= row
     return scores, products
@@ -328,14 +313,6 @@ class PairScores:
     successor: int | None  # None means STOP
     scores: dict[ConstraintKind, float]
     product: float
-
-
-def score_pair(t: Tracklet, s: Tracklet, cfg: ScoreConfig, meta: SequenceMeta) -> PairScores:
-    """Score a candidate successor under every enabled constraint."""
-    _check_gap(t, s)
-    kinds = cfg.enabled_kinds
-    scores, products = score_columns(EndpointArrays.of([t, s]), _FIRST, _SECOND, cfg, meta, kinds)
-    return PairScores(t.id, s.id, dict(zip(kinds, scores[:, 0].tolist())), float(products[0]))
 
 
 def stop_scores(cfg: ScoreConfig, kinds: Sequence[ConstraintKind]) -> tuple[dict[ConstraintKind, float], float]:
@@ -352,11 +329,6 @@ def stop_scores(cfg: ScoreConfig, kinds: Sequence[ConstraintKind]) -> tuple[dict
         scores[kind] = value
         product *= value
     return scores, product
-
-
-def score_stop(t: Tracklet, cfg: ScoreConfig) -> PairScores:
-    """Score the STOP candidate of ``t`` under every enabled constraint (see :func:`stop_scores`)."""
-    return PairScores(t.id, None, *stop_scores(cfg, cfg.enabled_kinds))
 
 
 def marginals(products: Mapping[Hashable, float]) -> dict[Hashable, float]:

@@ -207,9 +207,11 @@ def _endpoints(rows: DetectionTable, bounds: np.ndarray, ids: np.ndarray, window
 class Tracklets(Sequence[Tracklet]):
     """One sequence's tracklets as columns: the runs ``rows[bounds[k]:bounds[k + 1]]`` of one table.
 
-    Tracklet k is named ``ids[k]``. Its endpoint summaries are the row k of
-    :attr:`ends`, which are either given or computed, on first read, from
-    the rows with ``window`` and ``min_len`` (see :func:`make_tracklets`).
+    Tracklet k is named ``ids[k]``, and its frames must increase strictly
+    (else ValueError: a frame given twice, or one going back). Its endpoint
+    summaries are the row k of :attr:`ends`, which are either given or
+    computed, on first read, from the rows with ``window`` and ``min_len``
+    (see :func:`make_tracklets`).
     Indexing or iterating builds a :class:`Tracklet` only when it is read,
     as a :class:`DetectionTable` does for :class:`Detection`; like a list,
     the sequence compares equal to a list or tuple of the same tracklets.
@@ -233,6 +235,16 @@ class Tracklets(Sequence[Tracklet]):
         self.ids = np.asarray(ids, dtype=np.int64)
         if (np.diff(self.bounds) < 1).any():
             raise ValueError("tracklet must contain at least one detection")
+        lo = self.bounds[0]
+        steps = np.diff(rows.frame[lo : self.bounds[-1]])
+        steps[self.bounds[1:-1] - lo - 1] = 1  # a step from one run into the next
+        back = lo + np.flatnonzero(steps < 1)
+        if len(back):
+            tid = self.ids[np.searchsorted(self.bounds, back[0], side="right") - 1].item()
+            prev, frame = rows.frame[back[0] : back[0] + 2].tolist()
+            if frame == prev:
+                raise ValueError(f"({tid},{frame}) duplicated: track {tid} has two detections in frame {frame}")
+            raise ValueError(f"track {tid} goes back in time: frame {frame} follows frame {prev}")
         self.window, self.min_len, self._ends = window, min_len, ends
 
     @classmethod
@@ -268,7 +280,7 @@ class Tracklets(Sequence[Tracklet]):
 
 
 def make_tracklet(tid: int, detections: Sequence[Detection], window: int = 6, min_len: int = 10) -> Tracklet:
-    """Build a tracklet from frame-sorted detections, computing its endpoint summaries (see :func:`make_tracklets`)."""
+    """Build a tracklet from detections in strictly increasing frames, computing its endpoint summaries (see :func:`make_tracklets`)."""
     rows = DetectionTable.of(detections)
     return Tracklets(rows, [0, len(rows)], [tid], window, min_len)[0]
 
@@ -305,19 +317,14 @@ def group_tracklets(
 ) -> Tracklets:
     """Partition detections by track id into frame-sorted tracklets, in id order.
 
-    A track id observed twice in the same frame is a data error. Endpoint
-    summaries are computed with the given averaging window (see
-    :func:`make_tracklets`). The tracklets are the runs of one table sorted
-    by (id, frame).
+    A track id observed twice in the same frame is a data error (see
+    :class:`Tracklets`). Endpoint summaries are computed with the given
+    averaging window (see :func:`make_tracklets`). The tracklets are the runs
+    of one table sorted by (id, frame).
     """
     table = DetectionTable.of(detections)
     rows = table.take(np.lexsort((table.frame, table.track_id)))
-    ids, frames = rows.track_id, rows.frame
-    doubled = np.flatnonzero((ids[1:] == ids[:-1]) & (frames[1:] == frames[:-1]))
-    if len(doubled):
-        tid, frame = ids[doubled[0]].item(), frames[doubled[0]].item()
-        raise ValueError(f"({tid},{frame}) duplicated: track {tid} has two detections in frame {frame}")
-    return make_tracklets(rows, run_bounds(ids), endpoint_window, endpoint_min_len)
+    return make_tracklets(rows, run_bounds(rows.track_id), endpoint_window, endpoint_min_len)
 
 
 # most candidate pairs scored at once: the temporaries take about 100 bytes
@@ -406,27 +413,21 @@ def cut_tracklets(
     i, j = same_frame_overlaps(rows.frame, np.stack((rows.x, rows.y, rows.w, rows.h)), cut_threshold)
     owners = np.repeat(np.arange(len(tracklets)), np.diff(bounds))
 
-    # one row per (tracklet pair, frame) with a hit, sorted; a hit is a rising
-    # edge unless the same pair also had one in the frame before. A pair with
-    # two hits in one frame (a tracklet that repeats a frame) cuts there
-    # anyway: the second hit finds the pair overlapping in this frame, not in
-    # the one before. The owners ascend with the rows, so i < j gives ti <= tj.
+    # one hit per (tracklet pair, frame), as a tracklet holds one row per
+    # frame; sorted, a hit is a rising edge unless the same pair also had one
+    # in the frame before. The owners ascend with the rows, so i < j gives
+    # ti <= tj.
     ti, tj = owners[i], owners[j]
     other = ti != tj
     i, j = i[other], j[other]
-    hits, first, repeats = np.unique(
-        np.stack([ti[other], tj[other], rows.frame[i]], axis=1), axis=0, return_index=True, return_counts=True
-    )
+    hits, first = np.unique(np.stack([ti[other], tj[other], rows.frame[i]], axis=1), axis=0, return_index=True)
     continued = np.zeros(len(hits), dtype=bool)
     continued[1:] = (hits[1:, 0] == hits[:-1, 0]) & (hits[1:, 1] == hits[:-1, 1]) & (hits[1:, 2] - 1 == hits[:-1, 2])
-    rising = first[~continued | (repeats > 1)]
+    rising = first[~continued]
 
-    # a tracklet is cut before the first of its rows in the hit's frame; a
-    # cut at its own first row splits nothing
-    starts_frame = np.ones(len(rows), dtype=bool)
-    starts_frame[1:] = (owners[1:] != owners[:-1]) | (rows.frame[1:] != rows.frame[:-1])
-    frame_start = np.maximum.accumulate(np.where(starts_frame, np.arange(len(rows)), 0))
-    cuts = np.setdiff1d(frame_start[np.concatenate((i[rising], j[rising]))], bounds)
+    # a tracklet is cut before its row in the hit's frame; a cut at its own
+    # first row splits nothing
+    cuts = np.setdiff1d(np.concatenate((i[rising], j[rising])), bounds)
     if not len(cuts):
         return tracklets
 

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,6 @@ from trackstitch.scoring import (
     ScoreConfig,
     gaussian_score,
     marginals,
-    predicted_box,
-    score_pair,
-    score_stop,
 )
 from trackstitch.tracklets import iou, make_tracklet
 
@@ -394,14 +392,33 @@ def scalar_distance(kind, t, s, meta):
     return math.hypot(px + w / 2.0 - sx, py + h / 2.0 - sy) / meta.diagonal
 
 
+def scalar_scores(distances, cfg, kinds):
+    """Each constraint's score of its distance and, in ``kinds`` order, their product."""
+    scores, product = {}, 1.0
+    for kind, c in zip(kinds, distances):
+        scores[kind] = gaussian_score(c, cfg.params[kind], cfg.lower, cfg.upper)
+        product *= scores[kind]
+    return scores, product
+
+
 def scalar_domains(tracklets, cfg, meta):
-    """build_domains pair by pair: (id, marginals, candidate -> PairScores) per predecessor."""
+    """build_domains pair by pair on plain floats: (id, marginals, candidate -> (scores, product)) per predecessor.
+
+    STOP scores each constraint's ``tend``, never filtered by ``t0``.
+    """
+    kinds = cfg.enabled_kinds
+    stop_cfg = replace(cfg, params={k: replace(p, t0=None) for k, p in cfg.params.items()})
+    stop = scalar_scores([cfg.params[k].tend for k in kinds], stop_cfg, kinds)
     ordered = sorted(tracklets, key=lambda t: t.id)
     out = []
     for t in ordered:
-        table = {s.id: score_pair(t, s, cfg, meta) for s in ordered if t.end.frame < s.start.frame}
-        table[STOP] = score_stop(t, cfg)
-        out.append((t.id, marginals({cand: ps.product for cand, ps in table.items()}), table))
+        table = {
+            s.id: scalar_scores([scalar_distance(k, t, s, meta) for k in kinds], cfg, kinds)
+            for s in ordered
+            if t.end.frame < s.start.frame
+        }
+        table[STOP] = stop
+        out.append((t.id, marginals({cand: product for cand, (_, product) in table.items()}), table))
     return out
 
 
@@ -409,11 +426,11 @@ def scalar_dump(reference, kinds):
     """The candidate TSV of ``dump_candidates``, written from the scalar reference."""
     rows = [["predecessor", "candidate"] + [k.value for k in kinds] + ["product", "marginal"]]
     for tid, marg, table in reference:
-        for cand, ps in table.items():
+        for cand, (scores, product) in table.items():
             rows.append(
                 [str(tid), "STOP" if cand is STOP else str(cand)]
-                + [repr(ps.scores[k]) for k in kinds]
-                + [repr(ps.product), repr(marg.get(cand, 0.0))]
+                + [repr(scores[k]) for k in kinds]
+                + [repr(product), repr(marg.get(cand, 0.0))]
             )
     return "".join("\t".join(row) + "\n" for row in rows)
 
@@ -450,7 +467,9 @@ def random_tracklet_set(rng, n):
             # resume a tracklet's predicted path: small predicted-box distances
             prev = out[int(rng.integers(len(out)))]
             first = prev.end.frame + int(rng.integers(1, 5))
-            x0, y0 = predicted_box(prev, first)[:2]
+            # the end box moved by the end velocity, as the predicted-box constraints project it
+            gap = first - prev.end.frame
+            x0, y0 = (p + v * gap for p, v in zip(prev.end.box, prev.end.velocity))
             w, h = prev.end.box[2:]
         else:
             x0, y0 = rng.uniform(0, 300, size=2).tolist()
@@ -471,20 +490,17 @@ class TestColumnarScoring:
             reference = scalar_domains(tls, cfg, meta)
             got = build_domains(tls, cfg, meta)
             assert [v.tracklet_id for v in got] == [tid for tid, _, _ in reference]
-            by_id = {t.id: t for t in tls}
             for var, (tid, marg, table) in zip(got, reference):
                 assert list(var.marginals.items()) == list(marg.items())
                 got_table = var.pair_scores
                 assert list(got_table) == list(table)
-                for cand, ps in table.items():
+                for cand, (scores, product) in table.items():
                     assert (got_table[cand].predecessor, got_table[cand].successor) == (tid, cand)
-                    assert list(got_table[cand].scores.items()) == list(ps.scores.items())
-                    assert got_table[cand].product == ps.product
+                    assert list(got_table[cand].scores.items()) == list(scores.items())
+                    assert got_table[cand].product == product
                     if cand is STOP:
                         continue
-                    for kind, value in ps.scores.items():
-                        c = scalar_distance(kind, by_id[tid], by_id[cand], meta)
-                        assert value == gaussian_score(c, cfg.params[kind], cfg.lower, cfg.upper)
+                    for value in scores.values():
                         key = "filtered" if value == 0.0 else "clamped" if value == cfg.lower else "live"
                         seen[key] += 1
         assert min(seen.values()) >= 100, seen
@@ -696,3 +712,13 @@ class TestUnknownIds:
         tls = [tracklet(1, 1, 10), tracklet(2, 12, 20)]
         with pytest.raises(ValueError, match="^assignment names unknown tracklet 99$"):
             stitch({1: 99, 2: STOP}, tls)
+
+
+def test_stitch_rejects_a_chain_that_goes_back_in_time():
+    # 2 starts at frame 5, before 1 ends, and 3 in the frame where 2 ends;
+    # the trajectories are numbered by chain, from 1
+    tls = [tracklet(1, 1, 10), tracklet(2, 5, 20), tracklet(3, 20, 25)]
+    with pytest.raises(ValueError, match=r"^track 1 goes back in time: frame 5 follows frame 10$"):
+        stitch({1: 2, 2: STOP, 3: STOP}, tls)
+    with pytest.raises(ValueError, match=r"^\(2,20\) duplicated: track 2 has two detections in frame 20$"):
+        stitch({1: STOP, 2: 3, 3: STOP}, tls)

@@ -98,6 +98,17 @@ def test_refine_empty_input(tmp_path, capsys):
     assert "tracklets in: 0" in capsys.readouterr().out
 
 
+def test_refine_empty_input_dumps_the_candidate_header(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    out, dump = tmp_path / "out.txt", tmp_path / "candidates.tsv"
+    flags = ["--fps", "30", "--width", "100", "--height", "100", "--dump-candidates", str(dump)]
+    assert main(["refine", str(empty), str(out), *flags]) == 0
+    assert out.read_text() == ""
+    assert dump.read_text() == "predecessor\tcandidate\ttd\tpiou\tpcd\tproduct\tmarginal\n"
+    assert "solver nodes: 1\n" in capsys.readouterr().out  # the root node, as in every solve
+
+
 def test_refine_parse_error_no_partial_output(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1,1,0,0,10,10,1,-1,-1,-1\n1,2,nonsense\n")

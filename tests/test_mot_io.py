@@ -240,6 +240,15 @@ def test_sequence_meta_rejects_non_finite_or_non_positive_fps(fps):
         SequenceMeta(fps=fps, img_width=10, img_height=10, num_frames=10)
 
 
+@pytest.mark.parametrize("field", ["img_width", "img_height", "num_frames"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0, -3, 2.5])
+def test_sequence_meta_rejects_a_size_that_is_not_a_positive_integer(field, value):
+    sizes = {"img_width": 10, "img_height": 10, "num_frames": 10, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be a positive integer, got {value}$"):
+        SequenceMeta(fps=30, **sizes)
+    SequenceMeta(fps=30, **{**sizes, field: 7.0})  # an integral float is an integer
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "0", "-5"])
 def test_read_seqinfo_rejects_non_finite_frame_rate(tmp_path, value):
     path = tmp_path / "seqinfo.ini"

@@ -3,20 +3,23 @@ import math
 import numpy as np
 import pytest
 
+import trackstitch.scoring as scoring_module
+from trackstitch.associator import STOP, build_domains
 from trackstitch.mot_io import Detection, SequenceMeta
 from trackstitch.scoring import (
     ConstraintKind,
     ConstraintParams,
+    EndpointPairs,
     ScoreConfig,
     gaussian_score,
     gaussian_scores,
     left_sums,
     marginals,
-    pair_distance,
-    predicted_box,
-    score_stop,
+    pair_distances,
+    score_columns,
+    stop_scores,
 )
-from trackstitch.tracklets import make_tracklet
+from trackstitch.tracklets import EndpointArrays, make_tracklet
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
@@ -103,44 +106,53 @@ class TestGaussianScores:
             gaussian_scores(np.array([0.5, -0.1]), ConstraintParams(True, 1.0, 3.0))
 
 
-def stop_scores(cfg):
-    return score_stop(tracklet(1, [1]), cfg).scores
+def stop_table(cfg):
+    return stop_scores(cfg, cfg.enabled_kinds)[0]
 
 
 class TestStopScore:
     def test_table_defaults(self):
         # td: exp(-ln2 * (3/1)^2) = 2^-9
-        assert stop_scores(ScoreConfig())[ConstraintKind.TIME_DISTANCE] == pytest.approx(2**-9, abs=1e-15)
+        assert stop_table(ScoreConfig())[ConstraintKind.TIME_DISTANCE] == pytest.approx(2**-9, abs=1e-15)
 
     def test_tend_at_t50_gives_half(self):
         cfg = ScoreConfig()
         cfg.params[ConstraintKind.TIME_DISTANCE].tend = cfg.params[ConstraintKind.TIME_DISTANCE].t50
-        assert stop_scores(cfg)[ConstraintKind.TIME_DISTANCE] == pytest.approx(0.5, abs=1e-12)
+        assert stop_table(cfg)[ConstraintKind.TIME_DISTANCE] == pytest.approx(0.5, abs=1e-12)
 
     def test_huge_tend_clamps_to_lower(self):
         cfg = ScoreConfig()
         cfg.params[ConstraintKind.TIME_DISTANCE].tend = 1e6
-        assert stop_scores(cfg)[ConstraintKind.TIME_DISTANCE] == cfg.lower
+        assert stop_table(cfg)[ConstraintKind.TIME_DISTANCE] == cfg.lower
 
     def test_stop_ignores_t0(self):
         cfg = ScoreConfig()
         p = cfg.params[ConstraintKind.TIME_DISTANCE]
         p.t0 = 2.0
         p.tend = 3.0  # beyond t0, but STOP is never filtered
-        assert stop_scores(cfg)[ConstraintKind.TIME_DISTANCE] == pytest.approx(2**-9, abs=1e-15)
+        assert stop_table(cfg)[ConstraintKind.TIME_DISTANCE] == pytest.approx(2**-9, abs=1e-15)
 
     def test_predicted_constraints_clamp_at_table_tend(self):
         # piou_end = pcd_end = 2 are raw distances far past t50: score bottoms out at L
         cfg = ScoreConfig()
-        assert stop_scores(cfg)[ConstraintKind.PREDICTED_IOU] == cfg.lower
-        assert stop_scores(cfg)[ConstraintKind.PREDICTED_CENTER_DISTANCE] == cfg.lower
+        assert stop_table(cfg)[ConstraintKind.PREDICTED_IOU] == cfg.lower
+        assert stop_table(cfg)[ConstraintKind.PREDICTED_CENTER_DISTANCE] == cfg.lower
 
     def test_score_stop_multiplies_enabled_constraints(self):
         cfg = ScoreConfig()  # td, piou, pcd enabled
-        ps = score_stop(tracklet(1, range(1, 4)), cfg)
-        assert ps.successor is None
+        scores, product = stop_scores(cfg, cfg.enabled_kinds)
+        assert list(scores) == cfg.enabled_kinds
         expected = (2**-9) * cfg.lower * cfg.lower
-        assert ps.product == pytest.approx(expected, rel=1e-12)
+        assert product == pytest.approx(expected, rel=1e-12)
+
+
+def pair_distance(kind, t, s, meta):
+    """The distance of one pair, predecessor t and successor s, through :func:`pair_distances`."""
+    return pair_distances(kind, one_pair(t, s), meta).item()
+
+
+def one_pair(t, s):
+    return EndpointPairs(EndpointArrays.of([t, s]), np.array([0]), np.array([1]))
 
 
 class TestPairDistance:
@@ -191,7 +203,7 @@ class TestPairDistance:
         # end box (0,0,10,10) moving (5,0); successor starts 2 frames later at (10,0)
         t = tracklet(1, [1, 2], vx=5.0)
         s = tracklet(2, [4, 5], x0=20.0, vx=5.0)
-        assert predicted_box(t, 4) == (15.0, 0.0, 10.0, 10.0)
+        assert one_pair(t, s).projected[:, 0].tolist() == [15.0, 0.0, 10.0, 10.0]
         t2 = tracklet(1, [1, 2, 3], vx=5.0)  # ends at frame 3, box (10,0)
         s2 = tracklet(2, [5, 6], x0=20.0, vx=5.0)
         assert pair_distance(ConstraintKind.PREDICTED_IOU, t2, s2, META) == 0.0
@@ -212,17 +224,18 @@ class TestPairDistance:
             assert 0.0 <= d <= 1.0
             assert pair_distance(ConstraintKind.PREDICTED_CENTER_DISTANCE, t, s, META) >= 0.0
 
+    # pair_distances does not check that a successor starts after its
+    # predecessor ends; build_domains scores only such pairs
     def test_requires_temporal_order(self):
         t = tracklet(1, range(1, 11))
         s = tracklet(2, range(5, 15))
-        with pytest.raises(ValueError, match="must start after"):
-            pair_distance(ConstraintKind.TIME_DISTANCE, t, s, META)
+        assert [list(var.pair_scores) for var in build_domains([t, s], ScoreConfig(), META)] == [[STOP], [STOP]]
 
     def test_equal_end_and_start_frame_rejected(self):
         t = tracklet(1, range(1, 11))
         s = tracklet(2, range(10, 20))
-        with pytest.raises(ValueError):
-            pair_distance(ConstraintKind.TIME_DISTANCE, t, s, META)
+        u = tracklet(3, range(11, 20))
+        assert [list(var.pair_scores) for var in build_domains([t, s, u], ScoreConfig(), META)] == [[3, STOP], [STOP], [STOP]]
 
 
 class TestMarginals:
@@ -287,19 +300,40 @@ class TestMarginals:
 
 @pytest.mark.parametrize("kind", [ConstraintKind.ANGLE_DIFFERENCE, ConstraintKind.PREDICTED_CENTER_DISTANCE])
 def test_distances_are_exact_up_to_the_bound_and_beyond_it_past_there(kind):
-    from trackstitch.scoring import pair_distances
-    from trackstitch.tracklets import EndpointArrays
-
     rng = np.random.default_rng(17)
     n = 60
     boxes = np.column_stack([rng.uniform(0, 1800, (n, 2)), rng.uniform(5, 80, (n, 2))])
     velocities = rng.uniform(-5, 5, (n, 2)) * (rng.random((n, 1)) < 0.8)  # some standing
     frames = rng.integers(1, 500, n)
     ends = EndpointArrays(np.arange(1, n + 1), frames, frames, boxes, boxes.copy(), velocities, velocities[::-1].copy())
-    pred, succ = np.nonzero(frames[:, None] < frames[None, :])
-    exact = pair_distances(kind, ends, pred, succ, META)
+    pairs = EndpointPairs(ends, *np.nonzero(frames[:, None] < frames[None, :]))
+    exact = pair_distances(kind, pairs, META)
     for bound in np.quantile(exact, [0.0, 0.1, 0.5, 0.9]).tolist():
-        got = pair_distances(kind, ends, pred, succ, META, bound)
+        got = pair_distances(kind, pairs, META, bound)
         near = exact <= bound * (1 + 1e-6)
         assert got[near].tolist() == exact[near].tolist()
         assert (got[~near] > bound).all() and np.allclose(got[~near], exact[~near], rtol=1e-14, atol=0)
+
+
+def test_score_columns_gathers_each_pair_part_once(monkeypatch):
+    # all five constraints read the end and start velocities and boxes; each
+    # is gathered once, and the projected boxes are computed once
+    gathered = []
+    columns = scoring_module._columns
+
+    def counting_columns(rows, index):
+        gathered.append(rows.shape[1])
+        return columns(rows, index)
+
+    monkeypatch.setattr(scoring_module, "_columns", counting_columns)
+    cfg = ScoreConfig()
+    for params in cfg.params.values():
+        params.enabled = True
+    tls = [tracklet(1, range(1, 11), vx=2.0), tracklet(2, range(12, 22), x0=24.0, vx=2.0), tracklet(3, range(25, 30), vy=1.0)]
+    ends = EndpointArrays.of(tls)
+    pred, succ = np.array([0, 0, 1]), np.array([1, 2, 2])
+    scores, products = score_columns(ends, pred, succ, cfg, META, cfg.enabled_kinds)
+    assert sorted(gathered) == [2, 2, 4, 4]
+    for k, (p, q) in enumerate(zip(pred, succ)):
+        single, product = score_columns(ends, p[None], q[None], cfg, META, cfg.enabled_kinds)
+        assert single[:, 0].tolist() == scores[:, k].tolist() and product.tolist() == [products[k]]

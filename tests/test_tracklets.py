@@ -11,7 +11,7 @@ from trackstitch.associator import STOP, stitch
 from trackstitch.mot_io import Detection
 from trackstitch.tracklets import cut_tracklets, group_tracklets, iou, iou_matrix, iou_pairs, make_tracklet
 from trackstitch.mot_io import DetectionTable
-from trackstitch.tracklets import Tracklets, make_tracklets, run_bounds
+from trackstitch.tracklets import Tracklet, Tracklets, make_tracklets, run_bounds
 
 
 def boxes_track(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
@@ -383,8 +383,8 @@ def _grid_tracklets(tracks, grid, window, min_len):
     """Tracklets from ``(tid, [(frame, gx, gy, gw, gh, nudge), ...])`` on one of ``_GRIDS``.
 
     Boxes on a coarse grid are often identical, share x or touch exactly;
-    ``nudge`` adds the smallest subnormal to x. Frames are sorted, and a frame
-    may repeat, as in a hand-built tracklet.
+    ``nudge`` adds the smallest subnormal to x. Frames are distinct, and sorted
+    here.
     """
     offset, unit, y_unit = _GRIDS[grid]
     out = []
@@ -406,8 +406,6 @@ def _random_tracks(rng):
              int(rng.integers(1, 3)) * 5, int(rng.random() < 0.1))
             for f in frames
         ]
-        if rng.random() < 0.3:
-            rows.append(rows[int(rng.integers(len(rows)))])  # a repeated frame
         tracks.append((tid, rows))
     return tracks
 
@@ -416,8 +414,7 @@ def _cut_both(tracklets, threshold, window, min_len):
     return cut_tracklets(tracklets, threshold, window, min_len), _reference_cut(tracklets, threshold, window, min_len)
 
 
-# 0/0 areas of subnormal boxes warn, and so do the velocities of hand-built
-# tracklets that repeat a frame (a step over a frame delta of 0)
+# 0/0 areas of subnormal boxes warn
 quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
@@ -465,7 +462,7 @@ def grid_tracks(draw):
     for tid in draw(st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True)):
         rows = draw(st.lists(
             st.tuples(st.integers(1, 12), st.integers(0, 3), st.integers(0, 2), st.integers(1, 3), st.integers(1, 3), st.integers(0, 1)),
-            min_size=1, max_size=10,
+            min_size=1, max_size=10, unique_by=lambda row: row[0],  # one row per frame
         ))
         tracks.append((tid, [(f, gx * 5, gy * 5, gw * 5, gh * 5, nudge) for f, gx, gy, gw, gh, nudge in rows]))
     return tracks
@@ -520,15 +517,34 @@ def test_cut_rejects_threshold_outside_unit_interval(threshold):
         cut_tracklets(tracklets, threshold)
 
 
-@quiet
-def test_cut_pair_overlapping_twice_in_a_frame_cuts_there():
-    # tracklet 2 repeats frame 2, so the pair overlaps twice there; the second
-    # overlap follows one in the same frame, not in the frame before, and cuts
+def test_cut_rejects_a_hand_built_tracklet_that_repeats_a_frame():
+    # a tracklet holds one row per frame, so a pair of tracklets overlaps at
+    # most once in a frame; one built by hand with a repeated frame is
+    # rejected where the tracklets become columns
     box = (0.0, 0.0, 5.0, 5.0, 1.0)
     a = make_tracklet(1, [Detection(1, 1, *box), Detection(2, 1, *box)])
-    b = make_tracklet(2, [Detection(1, 2, *box), Detection(2, 2, *box), Detection(2, 2, *box)])
-    out = cut_tracklets([a, b], 0.5)
-    assert [(t.id, t.detections.frame.tolist()) for t in out] == [(3, [1]), (4, [2]), (5, [1]), (6, [2, 2])]
+    b = make_tracklet(2, [Detection(1, 2, *box), Detection(2, 2, *box)])
+    b = Tracklet(2, DetectionTable.of([*b.detections, Detection(2, 2, *box)]), b.start, b.end)
+    with pytest.raises(ValueError, match=r"^\(2,2\) duplicated: track 2 has two detections in frame 2$"):
+        cut_tracklets([a, b], 0.5)
+
+
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        ([1, 2, 2], r"^\(7,2\) duplicated: track 7 has two detections in frame 2$"),
+        ([5, 2], r"^track 7 goes back in time: frame 2 follows frame 5$"),
+        ([1, 3, 4, 4, 2], r"^\(7,4\) duplicated: track 7 has two detections in frame 4$"),
+    ],
+    ids=["repeated", "going back", "first fault named"],
+)
+def test_tracklet_frames_must_increase_strictly(frames, message):
+    dets = [Detection(f, 7, 0.0, 0.0, 5.0, 5.0, 1.0) for f in frames]
+    with pytest.raises(ValueError, match=message):
+        make_tracklet(7, dets)
+    rows = DetectionTable.of(boxes_track(1, [1, 2]) + dets + boxes_track(3, [1]))
+    with pytest.raises(ValueError, match=message):
+        make_tracklets(rows, [0, 2, 2 + len(dets), 3 + len(dets)])
 
 
 def test_cut_memory_is_bounded_on_a_frame_stack():
