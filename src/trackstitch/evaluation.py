@@ -1,10 +1,11 @@
 """Desk-scale tracking metrics: MOTA and IDF1 against a ground truth.
 
 Both metrics start from the same *hits*: every pair of a ground-truth row and
-a predicted row of one frame whose boxes reach ``iou >= iou_threshold``. One
-sweep over both sets of rows finds them all
-(:func:`~trackstitch.tracklets.same_frame_overlaps`), and each hit's IoU is
-bit-identical to its :func:`~trackstitch.tracklets.iou_matrix` entry.
+a predicted row of one frame whose boxes reach ``iou >= iou_threshold``. Each
+side is one :class:`~trackstitch.mot_io.DetectionTable` sorted by frame, a
+frame's rows in input order. One sweep over the two tables joined
+(:func:`~trackstitch.tracklets.same_frame_overlaps`) finds every hit with its
+IoU, bit-identical to its :func:`~trackstitch.tracklets.iou_matrix` entry.
 
 MOTA follows the CLEAR protocol (Bernardin & Stiefelhagen, 2008). The frames
 that hold a ground-truth or a predicted row are numbered ``0..K-1``. Each
@@ -64,33 +65,24 @@ def _check_iou_threshold(iou_threshold: float) -> None:
         raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
 
 
-@dataclass(frozen=True)
-class _Frames:
-    """One sequence's detections sorted by frame, each frame's rows in input order."""
-
-    frame: np.ndarray  # frame per row, ascending
-    ids: np.ndarray  # track id per row
-    boxes: np.ndarray  # (4, N) stack of the x, y, w, h columns
-
-    @classmethod
-    def of(cls, detections: Sequence[Detection]) -> _Frames:
-        rows = DetectionTable.of(detections)
-        by_key = np.lexsort((rows.track_id, rows.frame))
-        same = (np.diff(rows.frame[by_key]) == 0) & (np.diff(rows.track_id[by_key]) == 0)
-        if same.any():
-            # the first row, in input order, whose (frame, id) came before
-            row = by_key[1:][same].min()
-            raise ValueError(f"id {rows.track_id[row]} appears twice in frame {rows.frame[row]}")
-        order = np.argsort(rows.frame, kind="stable")
-        return cls(rows.frame[order], rows.track_id[order], rows.boxes[order].T)
+def _by_frame(detections: Sequence[Detection]) -> DetectionTable:
+    """The detections as a table sorted by frame, a frame's rows in input order; ValueError if an id repeats in a frame."""
+    rows = DetectionTable.of(detections)
+    by_key = np.lexsort((rows.track_id, rows.frame))
+    same = (np.diff(rows.frame[by_key]) == 0) & (np.diff(rows.track_id[by_key]) == 0)
+    if same.any():
+        # the first row, in input order, whose (frame, id) came before
+        row = by_key[1:][same].min()
+        raise ValueError(f"id {rows.track_id[row]} appears twice in frame {rows.frame[row]}")
+    return rows.take(np.argsort(rows.frame, kind="stable"))
 
 
 @dataclass(frozen=True)
 class _Hits:
-    """The checked ground-truth and predicted rows of one sequence and their hits."""
+    """The checked ground-truth and predicted rows of one sequence, each sorted by frame, and their hits."""
 
-    gt: _Frames
-    pred: _Frames
+    gt: DetectionTable
+    pred: DetectionTable
     g: np.ndarray  # ground-truth row of each hit
     p: np.ndarray  # predicted row of each hit
 
@@ -99,13 +91,12 @@ class _Hits:
         _check_iou_threshold(iou_threshold)
         if not gt:
             raise ValueError("ground truth is empty; metrics are undefined")
-        gt_frames, pred_frames = _Frames.of(gt), _Frames.of(pred)
-        n = len(gt_frames.ids)
-        frames = np.concatenate((gt_frames.frame, pred_frames.frame))
-        i, j = same_frame_overlaps(frames, np.concatenate((gt_frames.boxes, pred_frames.boxes), axis=1), iou_threshold)
+        gt, pred = _by_frame(gt), _by_frame(pred)
+        i, j, _ = same_frame_overlaps(DetectionTable.concat((gt, pred)), iou_threshold)
         # the ground-truth rows come first, so a cross pair has i < n <= j
+        n = len(gt)
         cross = (i < n) & (j >= n)
-        return cls(gt_frames, pred_frames, i[cross], j[cross] - n)
+        return cls(gt, pred, i[cross], j[cross] - n)
 
 
 @dataclass(frozen=True)
@@ -159,33 +150,34 @@ def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
     # the hits sorted by (gt id, predicted id, frame): the hits of one id pair
     # in consecutive frames form a run of hits, and each learns where its run ends
     k = np.searchsorted(frames, gt.frame[hits.g])
-    order = np.lexsort((k, pred.ids[hits.p], gt.ids[hits.g]))
+    order = np.lexsort((k, pred.track_id[hits.p], gt.track_id[hits.g]))
     g, p, k = hits.g[order], hits.p[order], k[order]
-    gid, pid = gt.ids[g], pred.ids[p]
+    gid, pid = gt.track_id[g], pred.track_id[p]
     opens = np.ones(len(k), dtype=bool)
     opens[1:] = (gid[1:] != gid[:-1]) | (pid[1:] != pid[:-1]) | (k[1:] != k[:-1] + 1)
     starts = np.flatnonzero(opens)
     sizes = np.diff(np.append(starts, len(k)))
     run_end = np.repeat(starts + sizes - 1, sizes)
     # a hit is found by its (gt row, predicted row) key
-    key = g * len(pred.ids) + p
+    key = g * len(pred) + p
     by_key = np.argsort(key)
     key = key[by_key]
 
     matched = np.zeros(len(frames), dtype=np.int64)
-    g_taken, p_taken = np.zeros(len(gt.ids), dtype=bool), np.zeros(len(pred.ids), dtype=bool)
+    g_taken, p_taken = np.zeros(len(gt), dtype=bool), np.zeros(len(pred), dtype=bool)
+    g_boxes, p_boxes = gt.boxes, pred.boxes
     opened = [np.empty(0, dtype=np.int64)]  # the hits that open a match run
     f = _next_contested(0, matched, n_gt, n_pred)
     while f < len(frames):
         g_rows = g_lo[f] + np.flatnonzero(~g_taken[g_lo[f]:g_hi[f]])
         p_rows = p_lo[f] + np.flatnonzero(~p_taken[p_lo[f]:p_hi[f]])
-        m = iou_matrix(gt.boxes[:, g_rows].T, pred.boxes[:, p_rows].T)
+        m = iou_matrix(g_boxes[g_rows], p_boxes[p_rows])
         # any allowed pair outweighs the summed IoU of a full matching, so the
         # most matches win, and the summed IoU breaks ties between them
         allowed = m >= iou_threshold
         rows, cols = linear_sum_assignment(np.where(allowed, m + min(m.shape) + 1, 0.0), maximize=True)
         keep = allowed[rows, cols]
-        at = by_key[np.searchsorted(key, g_rows[rows[keep]] * len(pred.ids) + p_rows[cols[keep]])]
+        at = by_key[np.searchsorted(key, g_rows[rows[keep]] * len(pred) + p_rows[cols[keep]])]
         # each new match holds to the end of its run of hits
         run = _aranges(at, run_end[at] - at + 1)
         g_taken[g[run]] = p_taken[p[run]] = True
@@ -229,20 +221,20 @@ def _clear_totals(hits: _Hits, iou_threshold: float) -> tuple[float, int, int, i
     """MOTA with the FP, FN and IDSW totals it is computed from."""
     runs = _clear_runs(hits, iou_threshold)
     tp = int(runs.matched.sum())
-    fp, fn, idsw = len(hits.pred.ids) - tp, len(hits.gt.ids) - tp, int(runs.switch.sum())
-    return 1.0 - (fp + fn + idsw) / len(hits.gt.ids), fp, fn, idsw
+    fp, fn, idsw = len(hits.pred) - tp, len(hits.gt) - tp, int(runs.switch.sum())
+    return 1.0 - (fp + fn + idsw) / len(hits.gt), fp, fn, idsw
 
 
 def _idf1(hits: _Hits) -> float:
-    if not len(hits.pred.ids):
+    if not len(hits.pred):
         return 0.0
-    gt_ids, g_index = np.unique(hits.gt.ids, return_inverse=True)
-    pred_ids, p_index = np.unique(hits.pred.ids, return_inverse=True)
+    gt_ids, g_index = np.unique(hits.gt.track_id, return_inverse=True)
+    pred_ids, p_index = np.unique(hits.pred.track_id, return_inverse=True)
     overlap = np.zeros((len(gt_ids), len(pred_ids)))
     np.add.at(overlap, (g_index[hits.g], p_index[hits.p]), 1)
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
-    return float(2.0 * idtp / (len(hits.gt.ids) + len(hits.pred.ids)))
+    return float(2.0 * idtp / (len(hits.gt) + len(hits.pred)))
 
 
 def mota(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float = 0.5) -> float:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .mot_io import Detection, DetectionTable, SequenceMeta, atomic_writer
-from .tracklets import iou_pairs, run_bounds, same_frame_overlaps
+from .tracklets import run_bounds, same_frame_overlaps
 
 
 class ScenarioError(ValueError):
@@ -87,7 +87,7 @@ class CorruptionConfig:
         if lo < 0 or hi < lo:
             raise ValueError(f"gap_frames must satisfy 0 <= lo <= hi, got {self.gap_frames}")
         if self.random_cuts_per_track < 0:
-            raise ValueError("random_cuts_per_track must be nonnegative")
+            raise ValueError(f"random_cuts_per_track must be nonnegative, got {self.random_cuts_per_track}")
         if not 0.0 < self.crossing_iou <= 1.0:
             raise ValueError(f"crossing_iou must lie in (0, 1], got {self.crossing_iou}")
 
@@ -263,8 +263,7 @@ def _displacements(speed: float, theta: float, turn_rate: float, num_frames: int
 
 def _crossings(rows: DetectionTable, owners: np.ndarray, iou_threshold: float) -> list[tuple[int, int, int]]:
     """The crossing events of rows grouped by owner, owners ascending; see :func:`find_crossings`."""
-    boxes = rows.boxes.T
-    i, j = same_frame_overlaps(rows.frame, boxes, iou_threshold)
+    i, j, iou = same_frame_overlaps(rows, iou_threshold)
     # an owner that repeats a frame is looked up by its last row there
     n = len(rows)
     by_frame = np.lexsort((np.arange(n), rows.frame, owners))
@@ -274,17 +273,17 @@ def _crossings(rows: DetectionTable, owners: np.ndarray, iou_threshold: float) -
     )
     # owners ascend with the rows, so i < j makes owner a = owners[i] the lower id and j a row of b
     keep = (owners[i] != owners[j]) & last[i]
-    i, j = i[keep], j[keep]
-    a, b = owners[i], owners[j]
+    j, iou = j[keep], iou[keep]
+    a, b = owners[i[keep]], owners[j]
     by_run = np.lexsort((j, a))
-    i, j, a, b = i[by_run], j[by_run], a[by_run], b[by_run]
+    j, iou, a, b = j[by_run], iou[by_run], a[by_run], b[by_run]
     # a run is a stretch of consecutive rows of b that hit the same a
     starts = np.ones(len(j), dtype=bool)
     starts[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (j[1:] != j[:-1] + 1)
     run = np.cumsum(starts) - 1
     # the peak of a run: the highest IoU, the earliest frame among equals
     frame = rows.frame[j]
-    by_peak = np.lexsort((frame, -iou_pairs(boxes[:, i], boxes[:, j]), run))
+    by_peak = np.lexsort((frame, -iou, run))
     first = np.ones(len(run), dtype=bool)
     first[1:] = run[by_peak[1:]] != run[by_peak[:-1]]
     peak = by_peak[first]

@@ -228,11 +228,13 @@ class Tracklets(Sequence[Tracklet]):
         min_len: int | None = None,
         ends: EndpointArrays | None = None,
     ):
-        if ends is None:
-            check_window(window, min_len)
+        # the slots are set first, so that an instance whose checks raised has a repr
         self.rows = rows
         self.bounds = np.asarray(bounds, dtype=np.int64)
         self.ids = np.asarray(ids, dtype=np.int64)
+        self.window, self.min_len, self._ends = window, min_len, ends
+        if ends is None:
+            check_window(window, min_len)
         if (np.diff(self.bounds) < 1).any():
             raise ValueError("tracklet must contain at least one detection")
         lo = self.bounds[0]
@@ -245,7 +247,6 @@ class Tracklets(Sequence[Tracklet]):
             if frame == prev:
                 raise ValueError(f"({tid},{frame}) duplicated: track {tid} has two detections in frame {frame}")
             raise ValueError(f"track {tid} goes back in time: frame {frame} follows frame {prev}")
-        self.window, self.min_len, self._ends = window, min_len, ends
 
     @classmethod
     def of(cls, tracklets: Iterable[Tracklet]) -> Tracklets:
@@ -351,23 +352,24 @@ def _sweep(frames: np.ndarray, x: np.ndarray, right: np.ndarray) -> tuple[np.nda
     return order, ends
 
 
-def same_frame_overlaps(frames: np.ndarray, boxes: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """The row pairs ``(i, j)``, ``i < j``, of one frame whose boxes reach ``iou >= threshold`` (> 0).
+def same_frame_overlaps(rows: DetectionTable, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row pairs ``(i, j)``, ``i < j``, of one frame whose boxes reach ``iou >= threshold`` (> 0), and their IoUs.
 
-    ``frames`` holds each row's frame and ``boxes`` is a (4, N) stack of the
-    (x, y, w, h) columns. The rows are swept in (frame, x) order (see
-    :func:`_sweep`): a row is scored only against the later rows of its frame
-    that start left of its right edge, which include every pair with a
-    positive intersection. The candidates are scored by :func:`iou_pairs` in
-    chunks of at most ``_PAIR_CHUNK`` pairs (or one row's, if more), so each
-    hit's IoU is bit-identical to its :func:`iou_matrix` entry, and the result
-    does not depend on the chunk size. The pairs come in sweep order.
+    The rows are swept in (frame, x) order (see :func:`_sweep`): a row is
+    scored only against the later rows of its frame that start left of its
+    right edge, which include every pair with a positive intersection. The
+    candidates are gathered as whole rows of one C-contiguous (N, 4) array of
+    the swept boxes and scored by :func:`iou_pairs` in chunks of at most
+    ``_PAIR_CHUNK`` pairs (or one row's, if more). The formula is symmetric
+    bit for bit, so each returned IoU is bit-identical to its
+    :func:`iou_matrix` entry, and the result does not depend on the chunk
+    size. Returns ``(i, j, iou)``, the pairs in sweep order.
     """
-    order, ends = _sweep(frames, boxes[0], boxes[0] + boxes[2])
-    boxes = boxes[:, order]
+    order, ends = _sweep(rows.frame, rows.x, rows.x + rows.w)
+    boxes = rows.boxes[order]
     counts = np.maximum(ends - np.arange(len(ends)) - 1, 0)
     totals = np.cumsum(counts)
-    hits_i, hits_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    hits_i, hits_j, hits_iou = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
     lo = 0
     while lo < len(ends):
         done = totals[lo] - counts[lo]
@@ -375,12 +377,14 @@ def same_frame_overlaps(frames: np.ndarray, boxes: np.ndarray, threshold: float)
         sizes = counts[lo:hi]
         # position lo + k is paired with positions lo + k + 1 ... lo + k + sizes[k]
         j = np.arange(totals[hi - 1] - done) + np.repeat(np.arange(lo + 1, hi + 1) - (totals[lo:hi] - sizes - done), sizes)
-        hit = iou_pairs(np.repeat(boxes[:, lo:hi], sizes, axis=1), boxes.take(j, axis=1)) >= threshold
+        iou = iou_pairs(np.repeat(boxes[lo:hi], sizes, axis=0).T, boxes[j].T)
+        hit = iou >= threshold
         hits_i.append(np.repeat(np.arange(lo, hi), sizes)[hit])
         hits_j.append(j[hit])
+        hits_iou.append(iou[hit])
         lo = hi
     i, j = order[np.concatenate(hits_i)], order[np.concatenate(hits_j)]
-    return np.minimum(i, j), np.maximum(i, j)
+    return np.minimum(i, j), np.maximum(i, j), np.concatenate(hits_iou)
 
 
 def cut_tracklets(
@@ -410,7 +414,7 @@ def cut_tracklets(
     check_window(window, min_len)
     tracklets = Tracklets.of(tracklets)
     rows, bounds = tracklets.rows, tracklets.bounds
-    i, j = same_frame_overlaps(rows.frame, np.stack((rows.x, rows.y, rows.w, rows.h)), cut_threshold)
+    i, j, _ = same_frame_overlaps(rows, cut_threshold)
     owners = np.repeat(np.arange(len(tracklets)), np.diff(bounds))
 
     # one hit per (tracklet pair, frame), as a tracklet holds one row per

@@ -146,3 +146,10 @@ def test_scenario_with_speeds_out_of_order_names_the_file(tmp_path):
     message = f"{path}: speeds must be finite with 0 <= min_speed <= max_speed, got 5.0 and 1.0"
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         load_scenario(path)
+
+
+def test_scenario_with_negative_random_cuts_names_the_file_and_the_value(tmp_path):
+    path = write_scenario(tmp_path, "corrupt.random_cuts = -1")
+    message = f"{path}: random_cuts_per_track must be nonnegative, got -1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_scenario(path)

@@ -503,11 +503,17 @@ def test_same_frame_overlaps_finds_every_pair_of_a_frame_at_the_threshold():
         n = int(rng.integers(0, 30))
         frames = rng.integers(1, 4, n)
         boxes = np.stack([rng.choice([0.0, 2.5, 5.0, 7.5], n), rng.choice([0.0, 2.5], n), rng.choice([5.0, 10.0], n), rng.choice([5.0, 10.0], n)])
+        if trial % 2:  # boxes off the dyadic grid, whose IoUs round
+            boxes *= rng.uniform(0.9, 1.1, (4, n))
+        rows = DetectionTable(frames, np.arange(1, n + 1), *boxes, np.ones(n))
         threshold = [1.0, 0.5, 1e-9][trial % 3]
-        i, j = tracklets_module.same_frame_overlaps(frames, boxes, threshold)
+        i, j, ious = tracklets_module.same_frame_overlaps(rows, threshold)
         matrix = iou_matrix(boxes.T, boxes.T)
-        expected = {(a, b) for a in range(n) for b in range(a + 1, n) if frames[a] == frames[b] and matrix[a, b] >= threshold}
-        assert sorted(zip(i.tolist(), j.tolist())) == sorted(expected)
+        expected = {(a, b): matrix[a, b].item() for a in range(n) for b in range(a + 1, n) if frames[a] == frames[b] and matrix[a, b] >= threshold}
+        found = dict(zip(zip(i.tolist(), j.tolist()), ious.tolist()))
+        assert len(found) == len(i)
+        # repr compares every float exactly
+        assert repr(sorted(found.items())) == repr(sorted(expected.items()))
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan"), float("inf")])
@@ -545,6 +551,17 @@ def test_tracklet_frames_must_increase_strictly(frames, message):
     rows = DetectionTable.of(boxes_track(1, [1, 2]) + dets + boxes_track(3, [1]))
     with pytest.raises(ValueError, match=message):
         make_tracklets(rows, [0, 2, 2 + len(dets), 3 + len(dets)])
+
+
+# the summaries of a repeated frame divide by its zero frame step
+@quiet
+@pytest.mark.parametrize("frames, window", [([1, 2], 1), ([1, 2, 2], 6), ([5, 2], 6)], ids=["window", "repeated", "going back"])
+def test_repr_of_tracklets_whose_checks_raised_returns(frames, window):
+    rows = DetectionTable.of([Detection(f, 7, 0.0, 0.0, 5.0, 5.0, 1.0) for f in frames])
+    tracklets = Tracklets.__new__(Tracklets)
+    with pytest.raises(ValueError):
+        tracklets.__init__(rows, [0, len(rows)], [7], window, 10)
+    assert repr(tracklets).startswith("Tracklets([Tracklet(id=7, detections=DetectionTable([Detection(frame=")
 
 
 def test_cut_memory_is_bounded_on_a_frame_stack():
