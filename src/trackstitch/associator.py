@@ -34,8 +34,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .mot_io import SequenceMeta
-from .scoring import ConstraintKind, PairScores, ScoreConfig, left_sums, score_columns, stop_scores
+from .mot_io import SequenceMeta, _column_tokens
+from .scoring import PairScores, ScoreConfig, left_sums, score_columns, stop_scores
 from .tracklets import Tracklet, Tracklets, run_bounds
 
 # STOP sentinel: None in domains and assignments means "trajectory ends here".
@@ -45,38 +45,13 @@ Candidate = int | None
 Assignment = dict[int, Candidate]
 
 
-@dataclass(frozen=True, eq=False)
-class _ScoreColumns:
-    """The scores of every admissible pair of one :func:`build_domains` call.
-
-    Edges are grouped by predecessor; each variable holds the slice of its own.
-    """
-
-    kinds: tuple[ConstraintKind, ...]
-    successors: np.ndarray  # successor id per edge
-    scores: np.ndarray  # (len(kinds), edges), one row per constraint
-    products: np.ndarray
-    stop_scores: dict  # STOP scores the same for every predecessor
-    stop_product: float
-
-    def pair_scores(self, predecessor: int, edges: slice) -> dict:
-        table = {}
-        for cand, scores, product in zip(
-            self.successors[edges].tolist(), self.scores[:, edges].T.tolist(), self.products[edges].tolist()
-        ):
-            table[cand] = PairScores(predecessor, cand, dict(zip(self.kinds, scores)), product)
-        table[STOP] = PairScores(predecessor, STOP, dict(self.stop_scores), self.stop_product)
-        return table
-
-
 @dataclass
 class SuccessorVar:
-    """One tracklet's successor domain with marginals (and scores, for dumps)."""
+    """One tracklet's successor domain with marginals, and the :class:`Domains` it was read from, if any."""
 
     tracklet_id: int
-    marginals: dict  # candidate -> marginal; insertion order = domain order
-    columns: _ScoreColumns | None = field(default=None, repr=False, compare=False)
-    edges: slice | None = field(default=None, repr=False, compare=False)  # this variable's columns
+    marginals: dict  # candidate -> marginal, of the candidates with a positive product, in domain order
+    domains: Domains | None = field(default=None, repr=False, compare=False)
 
     @property
     def domain(self) -> tuple:
@@ -84,12 +59,17 @@ class SuccessorVar:
 
     @property
     def pair_scores(self) -> dict | None:
-        """Candidate -> PairScores, hard-filtered candidates and STOP included.
+        """Candidate -> PairScores of every entry of the row, hard-filtered and STOP included, built on each read.
 
-        Built from the score columns on each read; None for a variable not
-        made by :func:`build_domains`.
+        None for a variable not read from a :func:`build_domains` table.
         """
-        return None if self.columns is None else self.columns.pair_scores(self.tracklet_id, self.edges)
+        table = self.domains
+        if table is None or table.kinds is None:
+            return None
+        k = np.searchsorted(table.ids, self.tracklet_id)
+        entries = np.arange(table.offsets[k], table.offsets[k + 1])
+        rows = zip(table._candidates(entries), table.scores[:, entries].T.tolist(), table.products[entries].tolist())
+        return {cand: PairScores(self.tracklet_id, cand, dict(zip(table.kinds, s)), p) for cand, s, p in rows}
 
 
 @dataclass
@@ -106,22 +86,24 @@ class SolveStats:
 
 
 class Domains(Sequence[SuccessorVar]):
-    """Successor variables as columns, in ascending id order.
+    """The candidate table: successor variables as columns, in ascending id order.
 
-    Variable k is tracklet ``ids[k]``; its domain is the entries
+    Variable k is tracklet ``ids[k]``; its row is the entries
     ``[offsets[k], offsets[k + 1])`` in domain order, each a candidate id
-    (``stop`` marks STOP, whose id entry is 0) and its marginal. Indexing or
-    iterating builds a :class:`SuccessorVar` only when it is read, with its
-    slice ``[edge_bounds[k], edge_bounds[k + 1])`` of the score columns when
-    :func:`build_domains` made it. Like a list, the sequence compares equal
-    to a list or tuple of the same variables.
+    (``stop`` marks STOP, whose id entry is 0), its product and its marginal.
+    :func:`build_domains` keeps a hard-filtered pair at product 0 and adds the
+    ``kinds`` and their ``(len(kinds), entries)`` ``scores``; a hand-built
+    table (:meth:`of`) has its marginals for products. Indexing or iterating
+    builds a :class:`SuccessorVar` of the entries with a positive product
+    only when it is read. Like a list, the sequence compares equal to a list
+    or tuple of the same variables.
     """
 
-    __slots__ = ("ids", "offsets", "candidates", "stop", "marginals", "columns", "edge_bounds")
+    __slots__ = ("ids", "offsets", "candidates", "stop", "marginals", "products", "kinds", "scores")
 
-    def __init__(self, ids, offsets, candidates, stop, marginals, columns=None, edge_bounds=None):
+    def __init__(self, ids, offsets, candidates, stop, marginals, products=None, kinds=None, scores=None):
         self.ids, self.offsets, self.candidates, self.stop, self.marginals = ids, offsets, candidates, stop, marginals
-        self.columns, self.edge_bounds = columns, edge_bounds
+        self.products, self.kinds, self.scores = marginals if products is None else products, kinds, scores
 
     @classmethod
     def of(cls, succ_vars: Iterable[SuccessorVar]) -> Domains:
@@ -157,17 +139,19 @@ class Domains(Sequence[SuccessorVar]):
     @property
     def edge_count(self) -> int:
         """The number of scored (tracklet, later tracklet) pairs; 0 for hand-built domains."""
-        return 0 if self.columns is None else len(self.columns.successors)
+        return 0 if self.kinds is None else len(self.stop) - len(self)
+
+    def _candidates(self, entries: np.ndarray) -> list[Candidate]:
+        return [STOP if stop else cand for cand, stop in zip(self.candidates[entries].tolist(), self.stop[entries].tolist())]
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, k: int) -> SuccessorVar:
         k = range(len(self))[operator.index(k)]
-        lo, hi = self.offsets[k], self.offsets[k + 1]
-        cands = [STOP if stop else cand for cand, stop in zip(self.candidates[lo:hi].tolist(), self.stop[lo:hi].tolist())]
-        edges = None if self.edge_bounds is None else slice(*self.edge_bounds[k : k + 2].tolist())
-        return SuccessorVar(self.ids[k].item(), dict(zip(cands, self.marginals[lo:hi].tolist())), self.columns, edges)
+        lo = self.offsets[k]
+        live = lo + np.flatnonzero(self.products[lo : self.offsets[k + 1]] > 0)
+        return SuccessorVar(self.ids[k].item(), dict(zip(self._candidates(live), self.marginals[live].tolist())), self)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Domains, list, tuple)):
@@ -183,11 +167,11 @@ def build_domains(
     """Score every temporally admissible pair and attach normalized marginals.
 
     All pairs are scored in one columnar pass (:func:`score_columns`) over
-    the tracklets' endpoint columns. A domain holds the candidates with a
-    positive product, successors by id, then STOP; each marginal is its
-    product over the domain's total, summed in that order. Candidates
-    hard-filtered to a zero product (t0 active) are dropped from the domain
-    but kept in ``pair_scores`` for inspection.
+    the tracklets' endpoint columns. A row holds every later-starting
+    candidate, by id, then STOP; each marginal is its product over the row's
+    total, summed in that order. A candidate hard-filtered to a zero product
+    (t0 active) keeps its entry and scores, with marginal 0, and is left out
+    of the variable's ``marginals``.
     """
     cfg.validate()
     tracklets = Tracklets.of(tracklets)
@@ -201,36 +185,32 @@ def build_domains(
     # row-major order: predecessors by id, each one's successors by id
     pred, succ = np.nonzero(ends.end_frame[by_id][:, None] < ends.start_frame[by_id][None, :])
     scores, products = score_columns(ends, by_id[pred], by_id[succ], cfg, meta, kinds)
-    columns = _ScoreColumns(kinds, ids[succ], scores, products, *stop_scores(cfg, kinds))
+    stop_by_kind, stop_product = stop_scores(cfg, kinds)
 
-    # every edge, then one STOP per variable, ordered by variable (stably, so
-    # STOP comes last); the entries with a zero product drop out
-    n = len(ids)
-    entry_var = np.concatenate((pred, np.arange(n)))
-    order = np.argsort(entry_var, kind="stable")
-    weights = np.concatenate((products, np.full(n, columns.stop_product)))[order]
-    order = order[weights > 0]
-    weights = weights[weights > 0]
-    counts = np.bincount(entry_var[order], minlength=n)
-    if not counts.all():
+    rows_end = np.searchsorted(pred, np.arange(1, len(ids) + 1))  # each variable's STOP goes after its last edge
+    offsets = np.concatenate(([0], rows_end)) + np.arange(len(ids) + 1)
+    products = np.insert(products, rows_end, stop_product)
+    totals = left_sums(products, offsets)
+    if not (totals > 0).all():
         raise ValueError("all candidate products are zero; domains must retain STOP")
-    offsets = np.concatenate(([0], np.cumsum(counts)))
     return Domains(
         ids,
         offsets,
-        np.concatenate((columns.successors, np.zeros(n, dtype=np.int64)))[order],
-        order >= len(pred),
-        weights / np.repeat(left_sums(weights, offsets), counts),
-        columns,
-        np.searchsorted(pred, np.arange(n + 1)),
+        np.insert(ids[succ], rows_end, 0),
+        np.insert(np.zeros(len(pred), dtype=bool), rows_end, True),
+        products / np.repeat(totals, np.diff(offsets)),
+        products,
+        kinds,
+        np.insert(scores, rows_end, np.array([stop_by_kind[k] for k in kinds])[:, None], axis=1),
     )
 
 
 class _Search:
     """The state of one solve, as arrays over a :class:`Domains`' variables and entries.
 
-    Each variable prefers its surviving entries by marginal, then by ``tie``:
-    candidate id, STOP after every id. Renormalization rescales all
+    Hard-filtered entries (product 0) start removed and add an exact 0 to
+    every total. Each variable prefers its surviving entries by marginal, then
+    by ``tie``: candidate id, STOP after every id. Renormalization rescales all
     survivors of a domain uniformly, so this preference never changes.
     ``best[v]`` is variable v's preferred surviving entry and ``best_value[v]``
     its attached marginal (+inf once the domain is empty); a removal looks
@@ -256,7 +236,7 @@ class _Search:
         self.var = np.repeat(np.arange(len(domains)), counts)
         last = np.iinfo(np.int64).max
         self.tie = np.where(domains.stop, last, domains.candidates)
-        self.alive = np.ones(len(self.var), dtype=bool)
+        self.alive = domains.products > 0
         self.total = np.full(len(domains), -1.0)
         # each domain's one entry with its largest marginal and, among those, the smallest tie
         top = marginals == np.repeat(np.maximum.reduceat(marginals, offsets[:-1]), counts)
@@ -265,8 +245,8 @@ class _Search:
         self.best_value = marginals[self.best]
         self.key = self.best_value.copy()
         self.bound = np.zeros(len(domains), dtype=bool)
-        # the non-STOP entries grouped by candidate, for forward checking
-        held = np.flatnonzero(~domains.stop)
+        # the live non-STOP entries grouped by candidate, for forward checking
+        held = np.flatnonzero(self.alive & ~domains.stop)
         self.holders = held[np.argsort(domains.candidates[held])]
         by_candidate = domains.candidates[self.holders]
         bounds = run_bounds(by_candidate)
@@ -430,19 +410,23 @@ def stitch(
     return Tracklets(rows, bounds, traj_ids, endpoint_window, endpoint_min_len)
 
 
-def dump_candidates(succ_vars: Iterable[SuccessorVar], cfg: ScoreConfig, stream: TextIO) -> None:
-    """Write the candidate table (scores, products, marginals) as TSV."""
-    kinds = cfg.enabled_kinds
-    header = ["predecessor", "candidate"] + [k.value for k in kinds] + ["product", "marginal"]
+def dump_candidates(domains: Domains, stream: TextIO) -> None:
+    """Write the candidate table of :func:`build_domains` as TSV, one row per entry in table order.
+
+    A row holds the predecessor, the candidate (``STOP`` for STOP), each
+    enabled constraint's score, the product and the marginal (0 if
+    hard-filtered), each distinct value of a column formatted once by its
+    repr. Raises ValueError for hand-built domains, which carry no scores.
+    """
+    if domains.kinds is None:
+        raise ValueError("hand-built domains carry no scores to dump")
+    header = ["predecessor", "candidate"] + [k.value for k in domains.kinds] + ["product", "marginal"]
     stream.write("\t".join(header) + "\n")
-    for var in succ_vars:
-        table = var.pair_scores or {cand: None for cand in var.marginals}
-        for cand, ps in table.items():
-            cells = [str(var.tracklet_id), "STOP" if cand is STOP else str(cand)]
-            if ps is not None:
-                cells += [repr(ps.scores.get(k, float("nan"))) for k in kinds]
-                cells.append(repr(ps.product))
-            else:
-                cells += ["" for _ in kinds] + [""]
-            cells.append(repr(var.marginals.get(cand, 0.0)))
-            stream.write("\t".join(cells) + "\n")
+    predecessors = np.repeat(domains.ids, np.diff(domains.offsets))
+    columns = [predecessors, domains.candidates, *domains.scores, domains.products, domains.marginals]
+    tokens: list[str | None] = [None] * (len(columns) * len(domains.stop))
+    for k, column in enumerate(columns):
+        tokens[k :: len(columns)] = _column_tokens(column, "\n" if k == len(columns) - 1 else "\t", whole_as_int=False)
+    for entry in np.flatnonzero(domains.stop).tolist():
+        tokens[entry * len(columns) + 1] = "STOP\t"
+    stream.write("".join(tokens))

@@ -11,6 +11,7 @@ Scenario files (``scene.*`` and ``corrupt.*`` keys) configure ``synth``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,8 @@ class PipelineConfig:
         self.scores.validate()
         if not (0.0 < self.cut_threshold <= 1.0):
             raise ValueError(f"cutter.t_tc must lie in (0, 1], got {self.cut_threshold}")
+        if not isinstance(self.max_gap_size, numbers.Integral):
+            raise ValueError(f"interp.max_gap must be an integer, got {self.max_gap_size}")
         if self.max_gap_size < 1:
             raise ValueError(f"interp.max_gap must be positive, got {self.max_gap_size}")
         check_window(self.endpoint_window, self.endpoint_min_len, ("endpoints.window", "endpoints.min_len"))

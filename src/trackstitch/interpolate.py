@@ -9,6 +9,7 @@ conf = 1.
 
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,8 @@ def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> DetectionTa
     every value is computed with the same float operations, in the same order,
     as one scalar formula per inserted detection.
     """
+    if not isinstance(max_gap_size, numbers.Integral):
+        raise ValueError(f"max_gap_size must be an integer, got {max_gap_size}")
     if max_gap_size < 1:
         raise ValueError(f"max_gap_size must be positive, got {max_gap_size}")
     rows = DetectionTable.of(trajectory)

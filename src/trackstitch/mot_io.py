@@ -268,11 +268,11 @@ def parse_tracks(stream: TextIO | str) -> DetectionTable:
 _SEPARATORS = (",",) * 6 + (",-1,-1,-1\n",)
 
 
-def _column_tokens(column: np.ndarray, sep: str) -> list[str]:
-    """Every value of ``column`` as printed, followed by ``sep``; each distinct value is formatted once."""
+def _column_tokens(column: np.ndarray, sep: str, whole_as_int: bool = True) -> list[str]:
+    """Every value of ``column`` as printed, then ``sep``; each distinct value is formatted once, by repr alone unless ``whole_as_int``."""
     values, inverse = np.unique(column, return_inverse=True)  # -0.0 and 0.0 fall together and both print 0
     text = list(map(repr, values.tolist()))
-    if column.dtype.kind == "f":
+    if whole_as_int and column.dtype.kind == "f":
         whole = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e15))
         for k, value in zip(whole.tolist(), values[whole].astype(np.int64).tolist()):
             text[k] = repr(value)

@@ -80,7 +80,7 @@ def refine_detections(
     assignment, stats = solve_with_stats(domains)
     summary.solver_nodes, summary.solver_backtracks = stats.nodes, stats.backtracks
     if candidate_dump is not None:
-        dump_candidates(domains, cfg.scores, candidate_dump)
+        dump_candidates(domains, candidate_dump)
     summary.links = sum(1 for cand in assignment.values() if cand is not None)
     trajectories = stitch(assignment, tracklets, cfg.endpoint_window, cfg.endpoint_min_len)
     summary.trajectories_out = len(trajectories)

@@ -15,10 +15,11 @@ of the table, is built only when one is read.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,9 +95,12 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
 
 
 def check_window(window: int, min_len: int, names: tuple[str, str] = ("window", "min_len")) -> None:
-    """Raise ValueError, naming both values by ``names``, unless ``2 <= window < min_len`` (see :func:`make_tracklets`)."""
+    """Raise ValueError, naming both values by ``names``, unless both are integers and ``2 <= window < min_len`` (see :func:`make_tracklets`)."""
+    w, m = names
+    for name, value in zip(names, (window, min_len)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value}")
     if not 2 <= window < min_len:
-        w, m = names
         raise ValueError(f"{w} must satisfy 2 <= {w} < {m}, got {w}={window}, {m}={min_len}")
 
 
@@ -266,6 +270,10 @@ class Tracklets(Sequence[Tracklet]):
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __iter__(self) -> Iterator[Tracklet]:
+        # Sequence.__iter__ would end at an IndexError raised while summarizing
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, k: int) -> Tracklet:
         k = range(len(self))[operator.index(k)]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 
 from trackstitch.associator import (
     STOP,
+    Domains,
     SuccessorVar,
     build_domains,
     dump_candidates,
@@ -515,7 +517,7 @@ class TestColumnarScoring:
         tls = [tracklet(1, 1, 10), tracklet(2, 12, 20, x0=11.0), tracklet(3, 40, 50, x0=39.0), tracklet(4, 15, 15)]
         stream = io.StringIO()
         succ_vars = build_domains(tls, cfg, META)
-        dump_candidates(succ_vars, cfg, stream)
+        dump_candidates(succ_vars, stream)
         text = stream.getvalue()
         assert text == scalar_dump(scalar_domains(tls, cfg, META), cfg.enabled_kinds)
         rows = [line.split("\t") for line in text.splitlines()[1:]]
@@ -527,7 +529,7 @@ class TestColumnarScoring:
             cfg = random_score_config(rng)
             tls = random_tracklet_set(rng, int(rng.integers(1, 15)))
             stream = io.StringIO()
-            dump_candidates(build_domains(tls, cfg, META), cfg, stream)
+            dump_candidates(build_domains(tls, cfg, META), stream)
             assert stream.getvalue() == scalar_dump(scalar_domains(tls, cfg, META), cfg.enabled_kinds)
 
     def test_pair_scores_count_every_admissible_pair(self):
@@ -553,6 +555,41 @@ class TestColumnarScoring:
         table = succ_vars[0].pair_scores
         assert list(table) == [2, 3, STOP]
         assert len(built) == 3
+
+    def test_rows_keep_hard_filtered_entries(self):
+        cfg = ScoreConfig()
+        cfg.params[ConstraintKind.TIME_DISTANCE].t0 = 10.0
+        # 3 resumes 1 thirty frames later: past t0, so it stays in the row with product 0
+        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20, x0=11.0), tracklet(3, 40, 50, x0=39.0)]
+        domains = build_domains(tls, cfg, META)
+        assert domains.edge_count == 3 and len(domains.products) == 6
+        assert list(domains[0].pair_scores) == [2, 3, STOP] and domains[0].pair_scores[3].product == 0.0
+        assert list(domains[0].marginals) == [2, STOP]
+
+    @pytest.mark.parametrize(
+        "seed, t0, digest",
+        [
+            (1, False, "970d52b2c8cd0e58ef9027ff1a1397947d04abbbd23f3209001d51a86e6c0db8"),
+            (2, True, "d96792050964a914954fcbdb0372e3a22de54da5663caada3f6a4f4af12dc5aa"),
+        ],
+        ids=["default", "t0"],
+    )
+    def test_dump_bytes_are_pinned_on_crossing_scenes(self, seed, t0, digest):
+        # the bytes of the dump as written one variable and one pair at a time
+        tracklets, meta = crossing_scene(seed)
+        cfg = ScoreConfig()
+        if t0:
+            cfg.params[ConstraintKind.TIME_DISTANCE].t0 = 20.0
+            cfg.params[ConstraintKind.PREDICTED_CENTER_DISTANCE].t0 = 0.1
+        domains = build_domains(tracklets, cfg, meta)
+        assert (domains.products == 0).any() == t0
+        stream = io.StringIO()
+        dump_candidates(domains, stream)
+        assert hashlib.sha256(stream.getvalue().encode()).hexdigest() == digest
+
+    def test_dump_rejects_hand_built_domains(self):
+        with pytest.raises(ValueError, match="^hand-built domains carry no scores to dump$"):
+            dump_candidates(Domains.of([SuccessorVar(1, {STOP: 1.0})]), io.StringIO())
 
 
 def plain_sum(values):
@@ -633,16 +670,22 @@ def object_search(succ_vars):
     return assignment, nodes, backtracks
 
 
-def crossing_domains(seed):
-    """build_domains of a cut crossing scene: crossings, swaps and fragments, as in the bench's crossing workload."""
+def crossing_scene(seed):
+    """The cut tracklets of a crossing scene, with crossings, swaps and fragments as in the bench's crossing workload."""
     from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
     from trackstitch.tracklets import cut_tracklets, group_tracklets
 
     gt, meta = generate(ScenarioConfig(num_objects=20, num_frames=300, crossings=6, seed=seed))
     tracker, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, fragment_prob=0.5, dropout=0.02, seed=seed))
+    return cut_tracklets(group_tracklets(tracker), 0.5), meta
+
+
+def crossing_domains(seed):
+    """build_domains of a crossing scene, the angle constraint on for even seeds."""
+    tracklets, meta = crossing_scene(seed)
     cfg = ScoreConfig()
     cfg.params[ConstraintKind.ANGLE_DIFFERENCE].enabled = seed % 2 == 0
-    return build_domains(cut_tracklets(group_tracklets(tracker), 0.5), cfg, meta)
+    return build_domains(tracklets, cfg, meta)
 
 
 class TestColumnSolver:
@@ -660,6 +703,16 @@ class TestColumnSolver:
         rng = np.random.default_rng(51)
         for _ in range(200):
             self.assert_same_search(build_domains(random_instance(rng, n_max=30), ScoreConfig(), META))
+
+    def test_matches_object_search_on_filtered_domains(self):
+        # random configs set t0 on about 40 % of the constraints, so some entries start out removed
+        rng = np.random.default_rng(53)
+        filtered = 0
+        for _ in range(200):
+            domains = build_domains(random_tracklet_set(rng, int(rng.integers(1, 25))), random_score_config(rng), META)
+            filtered += int((domains.products == 0).sum())
+            self.assert_same_search(domains)
+        assert filtered > 100
 
     def test_matches_object_search_on_hand_built_instances(self):
         rng = np.random.default_rng(52)

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from trackstitch.config import (
@@ -118,6 +119,24 @@ def test_scenario_gap_bounds(tmp_path):
     # an explicit gap_max below gap_min is an error, not raised to gap_min
     with pytest.raises(ValueError, match=r"gap_frames must satisfy 0 <= lo <= hi, got \(3, 1\)"):
         load_scenario(write_scenario(tmp_path, "corrupt.gap_min = 3", "corrupt.gap_max = 1"))
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (dict(max_gap_size=float("nan")), "interp.max_gap must be an integer, got nan"),
+        (dict(max_gap_size=5.0), "interp.max_gap must be an integer, got 5.0"),
+        (dict(endpoint_window=3.0), "endpoints.window must be an integer, got 3.0"),
+        (dict(endpoint_min_len=10.0), "endpoints.min_len must be an integer, got 10.0"),
+    ],
+)
+def test_integer_settings_reject_other_values(settings, message):
+    cfg = PipelineConfig(**settings)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cfg.validate()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refine_detections([], SequenceMeta(30.0, 100, 100, 1), cfg)
+    PipelineConfig(max_gap_size=np.int64(5), endpoint_window=np.int64(3), endpoint_min_len=np.int64(10)).validate()
 
 
 @pytest.mark.parametrize("window, min_len", [(12, 10), (1, 10), (6, 2), (10, 10)])

@@ -82,6 +82,13 @@ def test_rejects_nonpositive_max_gap():
         fill_gaps([det(1)], 0)
 
 
+@pytest.mark.parametrize("max_gap_size", [float("nan"), 5.0])
+def test_rejects_a_max_gap_that_is_not_an_integer(max_gap_size):
+    with pytest.raises(ValueError, match=rf"^max_gap_size must be an integer, got {max_gap_size}$"):
+        fill_gaps([det(1), det(3)], max_gap_size)
+    assert len(fill_gaps([det(1), det(3)], np.int64(5))) == 3
+
+
 def _reference_fill(trajectory, max_gap_size):
     """One scalar formula per inserted detection."""
     out = []

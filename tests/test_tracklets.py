@@ -310,6 +310,25 @@ def test_every_tracklet_builder_rejects_a_window_outside_the_rule(window, min_le
             build()
 
 
+@pytest.mark.parametrize("window, min_len, name", [(3.0, 10, "window"), (3, float("nan"), "min_len")])
+def test_every_tracklet_builder_rejects_a_window_that_is_not_an_integer(window, min_len, name):
+    dets = boxes_track(1, range(1, 21)) + boxes_track(2, range(1, 21), y0=100.0)
+    rows, bounds = _runs([20, 20])
+    tracklets = group_tracklets(dets)
+    builders = [
+        lambda: make_tracklet(1, dets[:20], window, min_len),
+        lambda: make_tracklets(rows, bounds, window, min_len),
+        lambda: group_tracklets(dets, window, min_len),
+        lambda: cut_tracklets(tracklets, 0.5, window, min_len),
+        lambda: stitch({1: STOP, 2: STOP}, tracklets, window, min_len),
+    ]
+    value = window if name == "window" else min_len
+    for build in builders:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            build()
+    assert len(make_tracklets(rows, bounds, np.int64(3), np.int64(10))) == 2
+
+
 def test_make_tracklets_equals_make_tracklet_per_run():
     rows = DetectionTable.of(
         boxes_track(1, range(1, 30), vx=1.5) + boxes_track(2, [3]) + boxes_track(3, [5, 9, 10], vy=-2.0)
@@ -562,6 +581,20 @@ def test_repr_of_tracklets_whose_checks_raised_returns(frames, window):
     with pytest.raises(ValueError):
         tracklets.__init__(rows, [0, len(rows)], [7], window, 10)
     assert repr(tracklets).startswith("Tracklets([Tracklet(id=7, detections=DetectionTable([Detection(frame=")
+
+
+def test_iteration_surfaces_an_index_error_from_the_summaries():
+    # the empty second run fails the check, and summarizing it raises
+    # IndexError, which must not read as the end of the sequence
+    rows = DetectionTable.of(boxes_track(1, [1, 2, 3]))
+    tracklets = Tracklets.__new__(Tracklets)
+    with pytest.raises(ValueError, match="^tracklet must contain at least one detection$"):
+        tracklets.__init__(rows, [0, 3, 3], [1, 2], 2, 3)
+    assert len(tracklets) == 2
+    with pytest.raises(IndexError):
+        list(tracklets)
+    with pytest.raises(IndexError):
+        repr(tracklets)
 
 
 def test_cut_memory_is_bounded_on_a_frame_stack():
