@@ -3,9 +3,10 @@
 Both metrics start from the same *hits*: every pair of a ground-truth row and
 a predicted row of one frame whose boxes reach ``iou >= iou_threshold``. Each
 side is one :class:`~trackstitch.mot_io.DetectionTable` sorted by frame, a
-frame's rows in input order. One sweep over the two tables joined
-(:func:`~trackstitch.tracklets.same_frame_overlaps`) finds every hit with its
-IoU, bit-identical to its :func:`~trackstitch.tracklets.iou_matrix` entry.
+frame's rows in input order. One sweep across the two tables
+(:func:`~trackstitch.tracklets.cross_overlaps`) finds every hit with its IoU,
+bit-identical to its :func:`~trackstitch.tracklets.iou_matrix` entry; it
+scores no pair of two ground-truth or two predicted rows.
 
 MOTA follows the CLEAR protocol (Bernardin & Stiefelhagen, 2008). The frames
 that hold a ground-truth or a predicted row are numbered ``0..K-1``. Each
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .mot_io import Detection, DetectionTable
-from .tracklets import iou_matrix, same_frame_overlaps
+from .tracklets import aranges, cross_overlaps, iou_matrix, run_bounds
 
 
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -92,11 +93,8 @@ class _Hits:
         if not gt:
             raise ValueError("ground truth is empty; metrics are undefined")
         gt, pred = _by_frame(gt), _by_frame(pred)
-        i, j, _ = same_frame_overlaps(DetectionTable.concat((gt, pred)), iou_threshold)
-        # the ground-truth rows come first, so a cross pair has i < n <= j
-        n = len(gt)
-        cross = (i < n) & (j >= n)
-        return cls(gt, pred, i[cross], j[cross] - n)
+        g, p, _ = cross_overlaps(gt, pred, iou_threshold)
+        return cls(gt, pred, g, p)
 
 
 @dataclass(frozen=True)
@@ -119,11 +117,6 @@ class _Runs:
     switch: np.ndarray  # run r is an identity switch
 
 
-def _aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[r], ..., starts[r] + lengths[r] - 1``, one after the other."""
-    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-
-
 def _next_contested(k: int, matched: np.ndarray, n_gt: np.ndarray, n_pred: np.ndarray) -> int:
     """The first frame at or after ``k`` where a ground-truth and a predicted row are left unmatched, else ``len(matched)``.
 
@@ -142,7 +135,8 @@ def _next_contested(k: int, matched: np.ndarray, n_gt: np.ndarray, n_pred: np.nd
 def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
     """Run the CLEAR matching as match runs (see the module docstring)."""
     gt, pred = hits.gt, hits.pred
-    frames = np.union1d(gt.frame, pred.frame)
+    # each side's distinct frames: the first row of each run of its sorted frames
+    frames = np.union1d(gt.frame[run_bounds(gt.frame)[:-1]], pred.frame[run_bounds(pred.frame)[:-1]])
     g_lo, g_hi = np.searchsorted(gt.frame, frames), np.searchsorted(gt.frame, frames, side="right")
     p_lo, p_hi = np.searchsorted(pred.frame, frames), np.searchsorted(pred.frame, frames, side="right")
     n_gt, n_pred = g_hi - g_lo, p_hi - p_lo
@@ -179,9 +173,11 @@ def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
         keep = allowed[rows, cols]
         at = by_key[np.searchsorted(key, g_rows[rows[keep]] * len(pred) + p_rows[cols[keep]])]
         # each new match holds to the end of its run of hits
-        run = _aranges(at, run_end[at] - at + 1)
+        run = aranges(at, run_end[at] - at + 1)
         g_taken[g[run]] = p_taken[p[run]] = True
-        np.add.at(matched, k[run], 1)
+        # the runs start at frame f or later
+        counts = np.bincount(k[run] - f)
+        matched[f:f + len(counts)] += counts
         opened.append(at)
         f = _next_contested(f + 1, matched, n_gt, n_pred)
 
@@ -202,7 +198,7 @@ def clear_frame_matchings(
     """Run the CLEAR matching and return one record per frame holding a ground-truth or a predicted row."""
     runs = _clear_runs(_Hits.of(gt, pred, iou_threshold), iou_threshold)
     length = runs.last - runs.first + 1
-    k = _aranges(runs.first, length)
+    k = aranges(runs.first, length)
     gid, pid = np.repeat(runs.gid, length), np.repeat(runs.pid, length)
     order = np.lexsort((gid, k))
     pairs = list(zip(gid[order].tolist(), pid[order].tolist()))
@@ -230,8 +226,9 @@ def _idf1(hits: _Hits) -> float:
         return 0.0
     gt_ids, g_index = np.unique(hits.gt.track_id, return_inverse=True)
     pred_ids, p_index = np.unique(hits.pred.track_id, return_inverse=True)
-    overlap = np.zeros((len(gt_ids), len(pred_ids)))
-    np.add.at(overlap, (g_index[hits.g], p_index[hits.p]), 1)
+    shape = (len(gt_ids), len(pred_ids))
+    overlap = np.bincount(g_index[hits.g] * shape[1] + p_index[hits.p], minlength=shape[0] * shape[1])
+    overlap = overlap.reshape(shape).astype(float)
     rows, cols = linear_sum_assignment(-overlap)
     idtp = overlap[rows, cols].sum()
     return float(2.0 * idtp / (len(hits.gt) + len(hits.pred)))

@@ -341,23 +341,66 @@ def group_tracklets(
 _PAIR_CHUNK = 1 << 15
 
 
+def aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[r], ..., starts[r] + lengths[r] - 1``, one after the other."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _keys(frame_rank: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The complex sort keys ``frame_rank + x * 1j`` of rows: numpy orders them by frame rank, then by x.
+
+    The parts are set directly, so an x of ``inf`` keeps its real part (the
+    product ``1j * inf`` has a NaN one). Ranks, not frames, make the real part:
+    a frame of 2**53 or more would round in a float.
+    """
+    keys = np.empty(len(x), dtype=complex)
+    keys.real = frame_rank
+    keys.imag = x
+    return keys
+
+
 def _sweep(frames: np.ndarray, x: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort rows by (frame, x) and find, for each, the first row of its frame at or right of its ``right``.
 
     Returns ``order`` and ``ends``: row ``order[k]`` is the k-th in (frame, x)
-    order, and ``ends[k]`` is the position of the first row of its frame with
-    ``x >= right[order[k]]``, or the end of its frame if there is none. Both
-    edges are replaced by their ranks among all edges, so that (frame, edge)
-    becomes one exact integer key, and one binary search finds every end.
+    order, rows of equal keys in input order, and ``ends[k]`` is the position
+    of the first row of its frame with ``x >= right[order[k]]``, or the end of
+    its frame if there is none. (frame rank, edge) is one exact complex key
+    (see :func:`_keys`), so one stable sort orders the rows and one binary
+    search finds every end.
     """
-    n = len(x)
     frame_rank = np.unique(frames, return_inverse=True)[1]
-    edges, edge_rank = np.unique(np.concatenate((x, right)), return_inverse=True)
-    base = frame_rank * len(edges)
-    start_key = base + edge_rank[:n]
-    order = np.argsort(start_key)
-    ends = np.searchsorted(start_key[order], (base + edge_rank[n:])[order])
+    start_key = _keys(frame_rank, x)
+    order = np.argsort(start_key, kind="stable")
+    ends = np.searchsorted(start_key[order], _keys(frame_rank, right)[order])
     return order, ends
+
+
+def _range_hits(boxes: np.ndarray, lo: np.ndarray, hi: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs ``(k, j)``, ``lo[k] <= j < hi[k]``, of rows of the (N, 4) array ``boxes`` at ``iou >= threshold``, and their IoUs.
+
+    The candidates are gathered as whole rows of ``boxes`` and scored by
+    :func:`iou_pairs` in chunks of at most ``_PAIR_CHUNK`` pairs (or one row's,
+    if more). The formula is symmetric bit for bit, so each IoU is
+    bit-identical to its :func:`iou_matrix` entry, and the result does not
+    depend on the chunk size. The pairs come by ``k``, then ``j``.
+    """
+    counts = np.maximum(hi - lo, 0)
+    totals = np.cumsum(counts)
+    hits_k, hits_j, hits_iou = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    first = 0
+    while first < len(counts):
+        done = totals[first] - counts[first]
+        last = max(int(np.searchsorted(totals, done + _PAIR_CHUNK, side="right")), first + 1)
+        sizes = counts[first:last]
+        j = aranges(lo[first:last], sizes)
+        iou = iou_pairs(np.repeat(boxes[first:last], sizes, axis=0).T, boxes[j].T)
+        hit = iou >= threshold
+        hits_k.append(np.repeat(np.arange(first, last), sizes)[hit])
+        hits_j.append(j[hit])
+        hits_iou.append(iou[hit])
+        first = last
+    return np.concatenate(hits_k), np.concatenate(hits_j), np.concatenate(hits_iou)
 
 
 def same_frame_overlaps(rows: DetectionTable, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -366,33 +409,43 @@ def same_frame_overlaps(rows: DetectionTable, threshold: float) -> tuple[np.ndar
     The rows are swept in (frame, x) order (see :func:`_sweep`): a row is
     scored only against the later rows of its frame that start left of its
     right edge, which include every pair with a positive intersection. The
-    candidates are gathered as whole rows of one C-contiguous (N, 4) array of
-    the swept boxes and scored by :func:`iou_pairs` in chunks of at most
-    ``_PAIR_CHUNK`` pairs (or one row's, if more). The formula is symmetric
-    bit for bit, so each returned IoU is bit-identical to its
-    :func:`iou_matrix` entry, and the result does not depend on the chunk
-    size. Returns ``(i, j, iou)``, the pairs in sweep order.
+    swept boxes are scored by :func:`_range_hits`, so each IoU is
+    bit-identical to its :func:`iou_matrix` entry. Returns ``(i, j, iou)``,
+    the pairs in sweep order.
     """
     order, ends = _sweep(rows.frame, rows.x, rows.x + rows.w)
-    boxes = rows.boxes[order]
-    counts = np.maximum(ends - np.arange(len(ends)) - 1, 0)
-    totals = np.cumsum(counts)
-    hits_i, hits_j, hits_iou = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    lo = 0
-    while lo < len(ends):
-        done = totals[lo] - counts[lo]
-        hi = max(int(np.searchsorted(totals, done + _PAIR_CHUNK, side="right")), lo + 1)
-        sizes = counts[lo:hi]
-        # position lo + k is paired with positions lo + k + 1 ... lo + k + sizes[k]
-        j = np.arange(totals[hi - 1] - done) + np.repeat(np.arange(lo + 1, hi + 1) - (totals[lo:hi] - sizes - done), sizes)
-        iou = iou_pairs(np.repeat(boxes[lo:hi], sizes, axis=0).T, boxes[j].T)
-        hit = iou >= threshold
-        hits_i.append(np.repeat(np.arange(lo, hi), sizes)[hit])
-        hits_j.append(j[hit])
-        hits_iou.append(iou[hit])
-        lo = hi
-    i, j = order[np.concatenate(hits_i)], order[np.concatenate(hits_j)]
-    return np.minimum(i, j), np.maximum(i, j), np.concatenate(hits_iou)
+    k, j, iou = _range_hits(rows.boxes[order], np.arange(1, len(ends) + 1), ends, threshold)
+    i, j = order[k], order[j]
+    return np.minimum(i, j), np.maximum(i, j), iou
+
+
+def cross_overlaps(a: DetectionTable, b: DetectionTable, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of a row ``i`` of ``a`` and a row ``j`` of ``b`` in one frame whose boxes reach ``iou >= threshold`` (> 0), and their IoUs.
+
+    The rows of both sides are swept together in (frame, x) order (see
+    :func:`_sweep`), a row of ``a`` before the rows of ``b`` at its key. A row
+    of ``a`` is scored against the rows of ``b`` of its frame that start in
+    ``[x, x + w)``, and a row of ``b`` against the rows of ``a`` that start in
+    ``(x, x + w)``: every pair with a positive intersection is scored exactly
+    once, and no pair of one side. The swept boxes of ``a``, then of ``b``,
+    are scored by :func:`_range_hits`, so each IoU is bit-identical to its
+    :func:`iou_matrix` entry. Returns ``(i, j, iou)``.
+    """
+    n = len(a)
+    x = np.concatenate((a.x, b.x))
+    order, ends = _sweep(np.concatenate((a.frame, b.frame)), x, x + np.concatenate((a.w, b.w)))
+    from_a = order < n
+    # the rows of a, and of b, before each position
+    a_before = np.concatenate(([0], np.cumsum(from_a)))
+    b_before = np.arange(len(order) + 1) - a_before
+    lo = np.where(from_a, b_before[:-1] + n, a_before[1:])
+    hi = np.where(from_a, b_before[ends] + n, a_before[ends])
+    # the sides' swept rows, those of a first
+    side = np.concatenate((np.flatnonzero(from_a), np.flatnonzero(~from_a)))
+    rows = order[side]
+    k, j, iou = _range_hits(np.concatenate((a.boxes, b.boxes))[rows], lo[side], hi[side], threshold)
+    k_in_a = k < n
+    return rows[np.where(k_in_a, k, j)], rows[np.where(k_in_a, j, k)] - n, iou
 
 
 def cut_tracklets(

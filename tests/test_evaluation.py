@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -384,6 +385,28 @@ def test_hungarian_step_matches_only_pairs_at_the_threshold():
     scores = evaluate_sequence(gt, pred)
     assert (scores.mota, scores.false_positives, scores.false_negatives) == (0.0, 1, 1)
     assert scores.idf1 == 0.5
+
+
+@pytest.mark.parametrize(
+    "seed, source, digest",
+    [
+        (1, "tracker", "c47840edcf32226a8d79e446025eb6d2d2532e425e318d7ecffb5cc76828894a"),
+        (1, "refined", "7e9658d4389e19fbaa8f601eab6c3f4594fa095097e7422863f9503bd1186af1"),
+        (2, "tracker", "a806d5664603b3cbff8d6df91884aa68e6597a712a6342aaadd9abb576a979a0"),
+        (2, "refined", "8b6f8245fa4c35c09981326d025c193725db58fb33f6c3e213c9afd6518e0dc1"),
+    ],
+)
+def test_scores_and_matchings_are_pinned_on_crossing_scenes(seed, source, digest):
+    # every bit of the scores and the per-frame records on a scene of the
+    # bench's crossing workload, the tracker's output and its refined output
+    from trackstitch import CorruptionConfig, ScenarioConfig, corrupt, generate, refine_detections
+
+    gt, meta = generate(ScenarioConfig(num_objects=30, num_frames=600, crossings=10, seed=seed))
+    pred, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, fragment_prob=0.5, dropout=0.02, gap_frames=(1, 3), seed=seed))
+    if source == "refined":
+        pred, _ = refine_detections(pred, meta)
+    text = repr([(evaluate_sequence(gt, pred, t), clear_frame_matchings(gt, pred, t)) for t in (0.3, 0.5, 0.9)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_import_and_refine_leave_scipy_unloaded():

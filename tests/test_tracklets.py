@@ -502,11 +502,20 @@ def test_cut_matches_per_frame_loop_property(tracks, grid, threshold, windows):
 
 def test_sweep_finds_the_first_row_of_the_frame_at_or_past_each_right_edge():
     rng = np.random.default_rng(3)
-    for trial in range(200):
+    overflowed = 0
+    for trial in range(300):
         n = int(rng.integers(0, 40))
-        frames = rng.integers(1, 5, n) * (2**40 if trial % 3 == 0 else 1)
-        x = rng.choice([-0.0, 0.0, 5.0, 10.0, 1e15, 1e15 + 0.125, 5e-324, -3.0], n)
-        right = x + rng.choice([5.0, 5e-324, 0.125, 1e300], n)
+        frames = rng.integers(1, 5, n)
+        if trial % 3 == 0:
+            frames *= 2**40
+        elif trial % 3 == 1:
+            # frames 1 apart that round to one float
+            frames += 2**62
+        x = rng.choice([-0.0, 0.0, 5.0, 10.0, 1e15, 1e15 + 0.125, 5e-324, -3.0, 1e308], n)
+        with np.errstate(over="ignore"):
+            # 1e308 + 1e308 overflows to inf
+            right = x + rng.choice([5.0, 5e-324, 0.125, 1e300, 1e308], n)
+        overflowed += int(np.isinf(right).any())
         order, ends = tracklets_module._sweep(frames, x, right)
         keys = list(zip(frames[order].tolist(), x[order].tolist()))
         assert keys == sorted(keys)
@@ -514,6 +523,7 @@ def test_sweep_finds_the_first_row_of_the_frame_at_or_past_each_right_edge():
             later = [p for p in range(len(order)) if frames[order[p]] == frames[row] and x[order[p]] >= right[row]]
             same_frame = np.flatnonzero(frames[order] == frames[row])
             assert ends[k] == (later[0] if later else same_frame[-1] + 1)
+    assert overflowed > 10
 
 
 def test_same_frame_overlaps_finds_every_pair_of_a_frame_at_the_threshold():
@@ -529,6 +539,39 @@ def test_same_frame_overlaps_finds_every_pair_of_a_frame_at_the_threshold():
         i, j, ious = tracklets_module.same_frame_overlaps(rows, threshold)
         matrix = iou_matrix(boxes.T, boxes.T)
         expected = {(a, b): matrix[a, b].item() for a in range(n) for b in range(a + 1, n) if frames[a] == frames[b] and matrix[a, b] >= threshold}
+        found = dict(zip(zip(i.tolist(), j.tolist()), ious.tolist()))
+        assert len(found) == len(i)
+        # repr compares every float exactly
+        assert repr(sorted(found.items())) == repr(sorted(expected.items()))
+
+
+def _random_side(rng, n, frames, off_grid):
+    """n rows of frames drawn from ``frames``, boxes on a 2.5-pixel grid (x = -0.0 included), or scaled off it."""
+    boxes = np.stack([
+        rng.choice([-0.0, 0.0, 2.5, 5.0, 7.5], n), rng.choice([0.0, 2.5], n), rng.choice([5.0, 10.0], n), rng.choice([5.0, 10.0], n),
+    ])
+    if off_grid:  # boxes whose IoUs round
+        boxes *= rng.uniform(0.9, 1.1, (4, n))
+    return DetectionTable(rng.choice(frames, n), np.arange(1, n + 1), *boxes, np.ones(n))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 15])
+def test_cross_overlaps_finds_every_pair_of_the_two_sides_once(monkeypatch, chunk):
+    monkeypatch.setattr(tracklets_module, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    for trial in range(150):
+        # either side may be empty, and frames 1 and 4 hold one side's rows only
+        n_a = 0 if trial % 10 == 0 else int(rng.integers(0, 25))
+        n_b = 0 if trial % 10 == 1 else int(rng.integers(0, 25))
+        a = _random_side(rng, n_a, [1, 2, 3], trial % 2)
+        b = _random_side(rng, n_b, [2, 3, 4], trial % 2)
+        threshold = [1.0, 0.5, 1e-9][trial % 3]
+        i, j, ious = tracklets_module.cross_overlaps(a, b, threshold)
+        matrix = iou_matrix(a.boxes, b.boxes)
+        expected = {
+            (p, q): matrix[p, q].item()
+            for p in range(n_a) for q in range(n_b) if a.frame[p] == b.frame[q] and matrix[p, q] >= threshold
+        }
         found = dict(zip(zip(i.tolist(), j.tolist()), ious.tolist()))
         assert len(found) == len(i)
         # repr compares every float exactly
