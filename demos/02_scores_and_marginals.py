@@ -15,7 +15,7 @@ from trackstitch import (
     SequenceMeta,
     build_domains,
     gaussian_score,
-    make_tracklet,
+    group_tracklets,
 )
 
 meta = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=300)
@@ -23,15 +23,15 @@ cfg = ScoreConfig()
 
 
 def fragment(tid, first, last, x0, vx=2.0, y0=100.0):
-    dets = [Detection(f, tid, x0 + vx * (f - first), y0, 30.0, 60.0, 1.0) for f in range(first, last + 1)]
-    return make_tracklet(tid, dets)
+    return [Detection(f, tid, x0 + vx * (f - first), y0, 30.0, 60.0, 1.0) for f in range(first, last + 1)]
 
 
 same_object_head = fragment(1, 1, 100, x0=50.0)
 same_object_tail = fragment(2, 103, 200, x0=50.0 + 2.0 * 102)  # resumes on the same path
 far_away = fragment(3, 103, 200, x0=1500.0, y0=800.0)
 
-succ_vars = build_domains([same_object_head, same_object_tail, far_away], cfg, meta)
+tracklets = group_tracklets(same_object_head + same_object_tail + far_away)
+succ_vars = build_domains(tracklets, cfg, meta)
 var = succ_vars[0]  # successor variable of fragment 1
 
 print("candidate table of fragment 1:")

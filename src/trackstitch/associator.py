@@ -36,7 +36,7 @@ import numpy as np
 
 from .mot_io import SequenceMeta, _column_tokens
 from .scoring import PairScores, ScoreConfig, left_sums, score_columns, stop_scores
-from .tracklets import Tracklet, Tracklets, run_bounds
+from .tracklets import Tracklets, run_bounds
 
 # STOP sentinel: None in domains and assignments means "trajectory ends here".
 STOP = None
@@ -160,7 +160,7 @@ class Domains(Sequence[SuccessorVar]):
 
 
 def build_domains(
-    tracklets: Sequence[Tracklet],
+    tracklets: Tracklets,
     cfg: ScoreConfig,
     meta: SequenceMeta,
 ) -> Domains:
@@ -174,13 +174,9 @@ def build_domains(
     of the variable's ``marginals``.
     """
     cfg.validate()
-    tracklets = Tracklets.of(tracklets)
     ends = tracklets.ends
     by_id = np.argsort(ends.ids, kind="stable")
     ids = ends.ids[by_id]
-    repeated = np.flatnonzero(ids[1:] == ids[:-1])
-    if len(repeated):
-        raise ValueError(f"duplicate tracklet id {ids[repeated[0]]}")
     kinds = tuple(cfg.enabled_kinds)
     # row-major order: predecessors by id, each one's successors by id
     pred, succ = np.nonzero(ends.end_frame[by_id][:, None] < ends.start_frame[by_id][None, :])
@@ -350,9 +346,8 @@ def _positions(assignment: Assignment, tracklets: Tracklets) -> dict[int, int]:
     return position
 
 
-def validate_assignment(assignment: Assignment, tracklets: Sequence[Tracklet]) -> None:
+def validate_assignment(assignment: Assignment, tracklets: Tracklets) -> None:
     """Check the two hard constraints; raises ValueError on violation or on an unknown tracklet id."""
-    tracklets = Tracklets.of(tracklets)
     position = _positions(assignment, tracklets)
     start, end = tracklets.ends.start_frame.tolist(), tracklets.ends.end_frame.tolist()
     seen = set()
@@ -368,7 +363,7 @@ def validate_assignment(assignment: Assignment, tracklets: Sequence[Tracklet]) -
 
 def stitch(
     assignment: Assignment,
-    tracklets: Sequence[Tracklet],
+    tracklets: Tracklets,
     endpoint_window: int = 6,
     endpoint_min_len: int = 10,
 ) -> Tracklets:
@@ -377,11 +372,11 @@ def stitch(
     Chains are walked from every tracklet that is nobody's successor, in id
     order; each chain's detections get one fresh trajectory id, numbered from 1
     in the order of the returned sequence. The trajectories are the runs of
-    one table, each in chain order, and are summarized on first read. An id
+    one table, each in chain order, and are summarized on first read with
+    ``endpoint_window`` and ``endpoint_min_len``. An id
     in the assignment that names no tracklet, or a chain whose frames do not
     increase strictly (see :class:`Tracklets`), raises ValueError.
     """
-    tracklets = Tracklets.of(tracklets)
     position = _positions(assignment, tracklets)
     claimed = {cand for cand in assignment.values() if cand is not STOP}
     chains = []

@@ -50,7 +50,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """Raise :class:`ScenarioError` unless the objects fit the canvas and the motion is finite; NaN fails each check."""
+        """Raise :class:`ScenarioError` unless the objects fit the canvas, the motion and frame rate are finite and the seed is nonnegative; NaN fails each check."""
         n, W, H = self.num_objects, self.img_width, self.img_height
         if n < 1 or self.num_frames < 1:
             raise ScenarioError("need at least one object and one frame")
@@ -64,6 +64,10 @@ class ScenarioConfig:
             raise ScenarioError(f"speeds must be finite with 0 <= min_speed <= max_speed, got {self.min_speed} and {self.max_speed}")
         if not math.isfinite(self.turn_rate):
             raise ScenarioError(f"turn_rate must be finite, got {self.turn_rate}")
+        if not 0.0 < self.fps < math.inf:
+            raise ScenarioError(f"fps must be finite and positive, got {self.fps}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -90,6 +94,8 @@ class CorruptionConfig:
             raise ValueError(f"random_cuts_per_track must be nonnegative, got {self.random_cuts_per_track}")
         if not 0.0 < self.crossing_iou <= 1.0:
             raise ValueError(f"crossing_iou must lie in (0, 1], got {self.crossing_iou}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

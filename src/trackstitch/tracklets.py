@@ -8,8 +8,9 @@ boxes just inside each end instead of using the end box itself.
 
 One sequence's tracklets are a :class:`Tracklets`: the runs of one
 :class:`~trackstitch.mot_io.DetectionTable`, with their endpoint summaries as
-columns (:class:`EndpointArrays`). A :class:`Tracklet` object, holding a slice
-of the table, is built only when one is read.
+columns (:class:`EndpointArrays`), always computed from those rows. It is the
+only form in which functions take tracklets. A :class:`Tracklet` object,
+holding a slice of the table, is a read-side view built only when one is read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -54,10 +55,6 @@ class Tracklet:
     detections: DetectionTable
     start: EndpointSummary
     end: EndpointSummary
-
-    def __post_init__(self):
-        if not self.detections:
-            raise ValueError("tracklet must contain at least one detection")
 
     def __len__(self) -> int:
         return len(self.detections)
@@ -119,21 +116,6 @@ class EndpointArrays:
     end_box: np.ndarray
     start_velocity: np.ndarray
     end_velocity: np.ndarray
-
-    @classmethod
-    def of(cls, tracklets: Sequence[Tracklet]) -> EndpointArrays:
-        """The summaries the tracklet objects carry."""
-        starts = [t.start for t in tracklets]
-        ends = [t.end for t in tracklets]
-        return cls(
-            ids=np.array([t.id for t in tracklets], dtype=np.int64),
-            start_frame=np.array([e.frame for e in starts], dtype=np.int64),
-            end_frame=np.array([e.frame for e in ends], dtype=np.int64),
-            start_box=np.array([e.box for e in starts], dtype=float).reshape(-1, 4),
-            end_box=np.array([e.box for e in ends], dtype=float).reshape(-1, 4),
-            start_velocity=np.array([e.velocity for e in starts], dtype=float).reshape(-1, 2),
-            end_velocity=np.array([e.velocity for e in ends], dtype=float).reshape(-1, 2),
-        )
 
     @cached_property
     def start_speed(self) -> np.ndarray:
@@ -211,10 +193,10 @@ def _endpoints(rows: DetectionTable, bounds: np.ndarray, ids: np.ndarray, window
 class Tracklets(Sequence[Tracklet]):
     """One sequence's tracklets as columns: the runs ``rows[bounds[k]:bounds[k + 1]]`` of one table.
 
-    Tracklet k is named ``ids[k]``, and its frames must increase strictly
-    (else ValueError: a frame given twice, or one going back). Its endpoint
-    summaries are the row k of :attr:`ends`, which are either given or
-    computed, on first read, from the rows with ``window`` and ``min_len``
+    Tracklet k is named ``ids[k]``, one id per run and no id twice, and its
+    frames must increase strictly (else ValueError: a frame given twice, or
+    one going back). Its endpoint summaries are the row k of :attr:`ends`,
+    computed on first read from the rows with ``window`` and ``min_len``
     (see :func:`make_tracklets`).
     Indexing or iterating builds a :class:`Tracklet` only when it is read,
     as a :class:`DetectionTable` does for :class:`Detection`; like a list,
@@ -223,22 +205,19 @@ class Tracklets(Sequence[Tracklet]):
 
     __slots__ = ("rows", "bounds", "ids", "window", "min_len", "_ends")
 
-    def __init__(
-        self,
-        rows: DetectionTable,
-        bounds,
-        ids,
-        window: int | None = None,
-        min_len: int | None = None,
-        ends: EndpointArrays | None = None,
-    ):
+    def __init__(self, rows: DetectionTable, bounds, ids, window: int, min_len: int):
         # the slots are set first, so that an instance whose checks raised has a repr
         self.rows = rows
         self.bounds = np.asarray(bounds, dtype=np.int64)
         self.ids = np.asarray(ids, dtype=np.int64)
-        self.window, self.min_len, self._ends = window, min_len, ends
-        if ends is None:
-            check_window(window, min_len)
+        self.window, self.min_len, self._ends = window, min_len, None
+        check_window(window, min_len)
+        if len(self.ids) != len(self.bounds) - 1:
+            raise ValueError(f"{len(self.ids)} ids for {len(self.bounds) - 1} runs")
+        by_id = np.sort(self.ids)
+        repeated = np.flatnonzero(by_id[1:] == by_id[:-1])
+        if len(repeated):
+            raise ValueError(f"duplicate tracklet id {by_id[repeated[0]]}")
         if (np.diff(self.bounds) < 1).any():
             raise ValueError("tracklet must contain at least one detection")
         lo = self.bounds[0]
@@ -251,16 +230,6 @@ class Tracklets(Sequence[Tracklet]):
             if frame == prev:
                 raise ValueError(f"({tid},{frame}) duplicated: track {tid} has two detections in frame {frame}")
             raise ValueError(f"track {tid} goes back in time: frame {frame} follows frame {prev}")
-
-    @classmethod
-    def of(cls, tracklets: Iterable[Tracklet]) -> Tracklets:
-        """``tracklets`` itself if it is a Tracklets, else the tracklets in order, with the summaries they carry."""
-        if isinstance(tracklets, Tracklets):
-            return tracklets
-        tracklets = list(tracklets)
-        rows = DetectionTable.concat(t.detections for t in tracklets)
-        ends = EndpointArrays.of(tracklets)
-        return cls(rows, np.cumsum([0, *map(len, tracklets)]), ends.ids, ends=ends)
 
     @property
     def ends(self) -> EndpointArrays:
@@ -449,7 +418,7 @@ def cross_overlaps(a: DetectionTable, b: DetectionTable, threshold: float) -> tu
 
 
 def cut_tracklets(
-    tracklets: Iterable[Tracklet],
+    tracklets: Tracklets,
     cut_threshold: float,
     window: int = 6,
     min_len: int = 10,
@@ -463,8 +432,8 @@ def cut_tracklets(
     trigger again: one sustained overlap event means one cut per tracklet, at
     the frame where the overlap first appears. Fragments of a cut tracklet get
     fresh ids above the existing maximum, in order; untouched tracklets keep
-    their ids and summaries, and fragments are summarized with ``window`` and
-    ``min_len``.
+    their ids. Every output tracklet, untouched ones included, is summarized
+    from its rows with ``window`` and ``min_len``.
 
     The overlapping pairs are found by :func:`same_frame_overlaps` in one
     sweep over all detections. The rows stay as they are: a cut only adds a
@@ -473,7 +442,6 @@ def cut_tracklets(
     if not (0.0 < cut_threshold <= 1.0):
         raise ValueError(f"cutter threshold must lie in (0, 1], got {cut_threshold}")
     check_window(window, min_len)
-    tracklets = Tracklets.of(tracklets)
     rows, bounds = tracklets.rows, tracklets.bounds
     i, j, _ = same_frame_overlaps(rows, cut_threshold)
     owners = np.repeat(np.arange(len(tracklets)), np.diff(bounds))
@@ -494,7 +462,7 @@ def cut_tracklets(
     # first row splits nothing
     cuts = np.setdiff1d(np.concatenate((i[rising], j[rising])), bounds)
     if not len(cuts):
-        return tracklets
+        return Tracklets(rows, bounds, tracklets.ids, window, min_len)
 
     new_bounds = np.union1d(bounds, cuts)
     run_owner = owners[new_bounds[:-1]]
@@ -505,10 +473,4 @@ def cut_tracklets(
     ids[fragment] = np.arange(fragment.sum()) + tracklets.ids.max() + 1
     sizes = np.diff(new_bounds)
     track_id = np.where(np.repeat(fragment, sizes), np.repeat(ids, sizes), rows.track_id)
-    out = Tracklets(rows.relabeled(track_id), new_bounds, ids, window, min_len)
-    if (tracklets.window, tracklets.min_len) != (window, min_len):
-        # the untouched tracklets' summaries came with them
-        ends, kept = out.ends, ~fragment
-        for column in fields(EndpointArrays):
-            getattr(ends, column.name)[kept] = getattr(tracklets.ends, column.name)[run_owner[kept]]
-    return out
+    return Tracklets(rows.relabeled(track_id), new_bounds, ids, window, min_len)

@@ -25,7 +25,7 @@ from trackstitch.mot_io import Detection, SequenceMeta, load_tracks
 from trackstitch.pipeline import refine_detections
 from trackstitch.scoring import ConstraintKind, ConstraintParams, ScoreConfig, gaussian_score, marginals
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
-from trackstitch.tracklets import cut_tracklets, group_tracklets, make_tracklet
+from trackstitch.tracklets import cut_tracklets, group_tracklets
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
@@ -34,9 +34,8 @@ def ok(name):
     print(f"[PASS] {name}")
 
 
-def simple_tracklet(tid, first, last, x0=0.0, vx=1.0, y0=0.0):
-    dets = [Detection(f, tid, x0 + vx * (f - first), y0, 10.0, 10.0, 1.0) for f in range(first, last + 1)]
-    return make_tracklet(tid, dets)
+def simple_run(tid, first, last, x0=0.0, vx=1.0, y0=0.0):
+    return [Detection(f, tid, x0 + vx * (f - first), y0, 10.0, 10.0, 1.0) for f in range(first, last + 1)]
 
 
 def test_score_calibration():
@@ -84,18 +83,16 @@ def test_marginal_normalization():
 
 def random_tracklets(rng, n_max):
     n = int(rng.integers(1, n_max + 1))
-    out = []
+    detections = []
     for tid in range(1, n + 1):
         first = int(rng.integers(1, 300))
         last = first + int(rng.integers(0, 15))
-        out.append(
-            simple_tracklet(
-                tid, first, last,
-                x0=float(rng.uniform(0, 1800)), vx=float(rng.uniform(-2, 2)),
-                y0=float(rng.uniform(0, 1000)),
-            )
+        detections += simple_run(
+            tid, first, last,
+            x0=float(rng.uniform(0, 1800)), vx=float(rng.uniform(-2, 2)),
+            y0=float(rng.uniform(0, 1000)),
         )
-    return out
+    return group_tracklets(detections)
 
 
 def test_hard_constraints():

@@ -16,7 +16,7 @@ from trackstitch.associator import (
     stitch,
     validate_assignment,
 )
-from trackstitch.mot_io import Detection, SequenceMeta
+from trackstitch.mot_io import Detection, DetectionTable, SequenceMeta
 from trackstitch.scoring import (
     ConstraintKind,
     PairScores,
@@ -24,14 +24,14 @@ from trackstitch.scoring import (
     gaussian_score,
     marginals,
 )
-from trackstitch.tracklets import iou, make_tracklet
+from trackstitch.tracklets import group_tracklets, iou, make_tracklet, make_tracklets
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
 
-def tracklet(tid, first, last, x0=0.0, vx=1.0, y0=0.0):
-    dets = [Detection(f, tid, x0 + vx * (f - first), y0, 10.0, 10.0, 1.0) for f in range(first, last + 1)]
-    return make_tracklet(tid, dets)
+def run(tid, first, last, x0=0.0, vx=1.0, y0=0.0):
+    """Track ``tid``'s detections in frames ``first`` to ``last``, moving ``vx`` pixels per frame."""
+    return [Detection(f, tid, x0 + vx * (f - first), y0, 10.0, 10.0, 1.0) for f in range(first, last + 1)]
 
 
 def greedy_oracle(succ_vars):
@@ -70,36 +70,34 @@ def greedy_oracle(succ_vars):
 
 def random_instance(rng, n_max=8):
     n = int(rng.integers(1, n_max + 1))
-    tracklets = []
+    detections = []
     for tid in range(1, n + 1):
         first = int(rng.integers(1, 200))
         length = int(rng.integers(1, 20))
-        tracklets.append(
-            tracklet(tid, first, first + length, x0=float(rng.uniform(0, 1800)), vx=float(rng.uniform(-2, 2)))
-        )
-    return tracklets
+        detections += run(tid, first, first + length, x0=float(rng.uniform(0, 1800)), vx=float(rng.uniform(-2, 2)))
+    return group_tracklets(detections)
 
 
 class TestBuildDomains:
     def test_temporal_overlap_leaves_only_stop(self):
-        tls = [tracklet(1, 1, 10), tracklet(2, 5, 15)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 5, 15))
         for var in build_domains(tls, ScoreConfig(), META):
             assert var.domain == (STOP,)
 
     def test_enumerates_strictly_later_starters(self):
-        tls = [tracklet(1, 1, 5), tracklet(2, 7, 9), tracklet(3, 8, 12)]
+        tls = group_tracklets(run(1, 1, 5) + run(2, 7, 9) + run(3, 8, 12))
         domains = {v.tracklet_id: set(v.domain) for v in build_domains(tls, ScoreConfig(), META)}
         assert domains[1] == {2, 3, STOP}
         assert domains[2] == {STOP}  # 3 starts at 8 <= 9
         assert domains[3] == {STOP}
 
     def test_equal_end_start_frame_excluded(self):
-        tls = [tracklet(1, 1, 10), tracklet(2, 10, 20)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 10, 20))
         domains = {v.tracklet_id: set(v.domain) for v in build_domains(tls, ScoreConfig(), META)}
         assert domains[1] == {STOP}
 
     def test_marginals_are_normalized(self):
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 22), tracklet(3, 25, 30)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 22) + run(3, 25, 30))
         for var in build_domains(tls, ScoreConfig(), META):
             assert sum(var.marginals.values()) == pytest.approx(1.0, abs=1e-9)
             assert all(0 < m <= 1 for m in var.marginals.values())
@@ -109,19 +107,19 @@ class TestBuildDomains:
         p = cfg.params[ConstraintKind.TIME_DISTANCE]
         p.t50 = 1e-9
         p.t0 = 2e-9  # any real gap scores 0: all candidates filtered
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 22)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 22))
         domains = {v.tracklet_id: v.domain for v in build_domains(tls, cfg, META)}
         assert domains[1] == (STOP,)
 
     def test_duplicate_ids_rejected(self):
-        tls = [tracklet(1, 1, 10), tracklet(1, 12, 22)]
+        rows = DetectionTable.of(run(1, 1, 10) + run(1, 12, 22))
         with pytest.raises(ValueError, match="duplicate"):
-            build_domains(tls, ScoreConfig(), META)
+            build_domains(make_tracklets(rows, [0, 10, 21]), ScoreConfig(), META)
 
 
 class TestSolve:
     def test_single_tracklet_stops(self):
-        tls = [tracklet(1, 1, 10)]
+        tls = group_tracklets(run(1, 1, 10))
         assignment, _ = solve_with_stats(build_domains(tls, ScoreConfig(), META))
         assert assignment == {1: STOP}
 
@@ -130,7 +128,7 @@ class TestSolve:
         cfg = ScoreConfig()
         for kind in ConstraintKind:
             cfg.params[kind].enabled = kind is ConstraintKind.TIME_DISTANCE
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 22)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 22))
         assignment, _ = solve_with_stats(build_domains(tls, cfg, META))
         assert assignment == {1: 2, 2: STOP}
 
@@ -138,7 +136,7 @@ class TestSolve:
         cfg = ScoreConfig()
         for kind in ConstraintKind:
             cfg.params[kind].enabled = kind is ConstraintKind.TIME_DISTANCE
-        tls = [tracklet(1, 1, 10), tracklet(2, 16, 26)]  # td = 5 > tend = 3
+        tls = group_tracklets(run(1, 1, 10) + run(2, 16, 26))  # td = 5 > tend = 3
         assignment, _ = solve_with_stats(build_domains(tls, cfg, META))
         assert assignment == {1: STOP, 2: STOP}
 
@@ -210,19 +208,19 @@ class TestSolve:
 
 class TestStitch:
     def test_chain_walk(self):
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20), tracklet(3, 1, 8, y0=50.0)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20) + run(3, 1, 8, y0=50.0))
         out = stitch({1: 2, 2: STOP, 3: STOP}, tls)
         spans = sorted((t.start.frame, t.end.frame) for t in out)
         assert spans == [(1, 8), (1, 20)]
         assert [t.id for t in out] == [1, 2]
 
     def test_all_stop_is_identity_modulo_ids(self):
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20))
         out = stitch({1: STOP, 2: STOP}, tls)
         assert [(t.start.frame, t.end.frame) for t in out] == [(1, 10), (12, 20)]
 
     def test_four_chain_has_monotone_frames(self):
-        tls = [tracklet(i, 10 * i, 10 * i + 8) for i in range(1, 5)]
+        tls = group_tracklets([d for i in range(1, 5) for d in run(i, 10 * i, 10 * i + 8)])
         out = stitch({1: 2, 2: 3, 3: 4, 4: STOP}, tls)
         assert len(out) == 1
         frames = [d.frame for d in out[0].detections]
@@ -230,14 +228,14 @@ class TestStitch:
         assert len(set(frames)) == len(frames)
 
     def test_preserves_detection_multiset(self):
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20))
         out = stitch({1: 2, 2: STOP}, tls)
         before = sorted((d.frame, d.x, d.y) for t in tls for d in t.detections)
         after = sorted((d.frame, d.x, d.y) for t in out for d in t.detections)
         assert before == after
 
     def test_relabels_detections_with_fresh_ids(self):
-        tls = [tracklet(5, 1, 10), tracklet(9, 12, 20)]
+        tls = group_tracklets(run(5, 1, 10) + run(9, 12, 20))
         out = stitch({5: 9, 9: STOP}, tls)
         assert out[0].id == 1
         assert {d.track_id for d in out[0].detections} == {1}
@@ -478,7 +476,7 @@ def random_tracklet_set(rng, n):
             w, h = rng.uniform(10, 60, size=2).tolist()
         dets = [Detection(first + k, tid, x0 + vx * k, y0 + vy * k, w, h, 1.0) for k in offsets]
         out.append(make_tracklet(tid, dets))
-    return out
+    return group_tracklets([d for t in out for d in t.detections])
 
 
 class TestColumnarScoring:
@@ -508,13 +506,13 @@ class TestColumnarScoring:
         assert min(seen.values()) >= 100, seen
 
     def test_empty_input(self):
-        assert build_domains([], ScoreConfig(), META) == []
+        assert build_domains(group_tracklets([]), ScoreConfig(), META) == []
 
     def test_dump_matches_scalar_reference(self):
         cfg = ScoreConfig()
         cfg.params[ConstraintKind.TIME_DISTANCE].t0 = 10.0
         # 3 resumes 1 thirty frames later: past t0, so its row is filtered
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20, x0=11.0), tracklet(3, 40, 50, x0=39.0), tracklet(4, 15, 15)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20, x0=11.0) + run(3, 40, 50, x0=39.0) + run(4, 15, 15))
         stream = io.StringIO()
         succ_vars = build_domains(tls, cfg, META)
         dump_candidates(succ_vars, stream)
@@ -549,7 +547,7 @@ class TestColumnarScoring:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(PairScores, "__init__", counting_init)
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20), tracklet(3, 25, 30)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20) + run(3, 25, 30))
         succ_vars = build_domains(tls, ScoreConfig(), META)
         assert built == []
         table = succ_vars[0].pair_scores
@@ -560,7 +558,7 @@ class TestColumnarScoring:
         cfg = ScoreConfig()
         cfg.params[ConstraintKind.TIME_DISTANCE].t0 = 10.0
         # 3 resumes 1 thirty frames later: past t0, so it stays in the row with product 0
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20, x0=11.0), tracklet(3, 40, 50, x0=39.0)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20, x0=11.0) + run(3, 40, 50, x0=39.0))
         domains = build_domains(tls, cfg, META)
         assert domains.edge_count == 3 and len(domains.products) == 6
         assert list(domains[0].pair_scores) == [2, 3, STOP] and domains[0].pair_scores[3].product == 0.0
@@ -673,7 +671,7 @@ def object_search(succ_vars):
 def crossing_scene(seed):
     """The cut tracklets of a crossing scene, with crossings, swaps and fragments as in the bench's crossing workload."""
     from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
-    from trackstitch.tracklets import cut_tracklets, group_tracklets
+    from trackstitch.tracklets import cut_tracklets
 
     gt, meta = generate(ScenarioConfig(num_objects=20, num_frames=300, crossings=6, seed=seed))
     tracker, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, fragment_prob=0.5, dropout=0.02, seed=seed))
@@ -734,7 +732,7 @@ class TestColumnSolver:
         assert (stats.nodes, stats.backtracks) == (5, 0)
 
     def test_domains_read_as_successor_vars(self):
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 22), tracklet(3, 25, 30)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 22) + run(3, 25, 30))
         domains = build_domains(tls, ScoreConfig(), META)
         assert len(domains) == 3 and domains.edge_count == 3
         assert [var.tracklet_id for var in domains] == [1, 2, 3]
@@ -752,17 +750,17 @@ class TestColumnSolver:
 
 class TestUnknownIds:
     def test_validate_assignment_names_an_unknown_successor(self):
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20))
         with pytest.raises(ValueError, match="^assignment names unknown tracklet 99$"):
             validate_assignment({1: 99, 2: None}, tls)
 
     def test_validate_assignment_names_an_unknown_predecessor(self):
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20))
         with pytest.raises(ValueError, match="^assignment names unknown tracklet 7$"):
             validate_assignment({1: STOP, 7: STOP}, tls)
 
     def test_stitch_names_an_unknown_successor(self):
-        tls = [tracklet(1, 1, 10), tracklet(2, 12, 20)]
+        tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20))
         with pytest.raises(ValueError, match="^assignment names unknown tracklet 99$"):
             stitch({1: 99, 2: STOP}, tls)
 
@@ -770,7 +768,7 @@ class TestUnknownIds:
 def test_stitch_rejects_a_chain_that_goes_back_in_time():
     # 2 starts at frame 5, before 1 ends, and 3 in the frame where 2 ends;
     # the trajectories are numbered by chain, from 1
-    tls = [tracklet(1, 1, 10), tracklet(2, 5, 20), tracklet(3, 20, 25)]
+    tls = group_tracklets(run(1, 1, 10) + run(2, 5, 20) + run(3, 20, 25))
     with pytest.raises(ValueError, match=r"^track 1 goes back in time: frame 5 follows frame 10$"):
         stitch({1: 2, 2: STOP, 3: STOP}, tls)
     with pytest.raises(ValueError, match=r"^\(2,20\) duplicated: track 2 has two detections in frame 20$"):

@@ -172,3 +172,16 @@ def test_scenario_with_negative_random_cuts_names_the_file_and_the_value(tmp_pat
     message = f"{path}: random_cuts_per_track must be nonnegative, got -1"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "line, error, message",
+    [
+        ("scene.fps = 0", ScenarioError, "fps must be finite and positive, got 0.0"),
+        ("corrupt.seed = -3", ValueError, "seed must be nonnegative, got -3"),
+    ],
+)
+def test_scenario_with_a_bad_frame_rate_or_seed_names_the_file(tmp_path, line, error, message):
+    path = write_scenario(tmp_path, line)
+    with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_scenario(path)

@@ -5,7 +5,7 @@ import pytest
 
 import trackstitch.scoring as scoring_module
 from trackstitch.associator import STOP, build_domains
-from trackstitch.mot_io import Detection, SequenceMeta
+from trackstitch.mot_io import Detection, DetectionTable, SequenceMeta
 from trackstitch.scoring import (
     ConstraintKind,
     ConstraintParams,
@@ -19,14 +19,14 @@ from trackstitch.scoring import (
     score_columns,
     stop_scores,
 )
-from trackstitch.tracklets import EndpointArrays, make_tracklet
+from trackstitch.tracklets import EndpointArrays, group_tracklets, make_tracklets
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
 
-def tracklet(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
-    dets = [Detection(f, tid, x0 + vx * (f - frames[0]), y0 + vy * (f - frames[0]), w, h, 1.0) for f in frames]
-    return make_tracklet(tid, dets)
+def run(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
+    """Track ``tid``'s detections in ``frames``, moving (``vx``, ``vy``) pixels per frame."""
+    return [Detection(f, tid, x0 + vx * (f - frames[0]), y0 + vy * (f - frames[0]), w, h, 1.0) for f in frames]
 
 
 class TestGaussianScore:
@@ -147,40 +147,41 @@ class TestStopScore:
 
 
 def pair_distance(kind, t, s, meta):
-    """The distance of one pair, predecessor t and successor s, through :func:`pair_distances`."""
+    """The distance of one pair, predecessor run t and successor run s, through :func:`pair_distances`."""
     return pair_distances(kind, one_pair(t, s), meta).item()
 
 
 def one_pair(t, s):
-    return EndpointPairs(EndpointArrays.of([t, s]), np.array([0]), np.array([1]))
+    ends = make_tracklets(DetectionTable.of(t + s), [0, len(t), len(t) + len(s)]).ends
+    return EndpointPairs(ends, np.array([0]), np.array([1]))
 
 
 class TestPairDistance:
     def test_time_distance_at_reference_fps(self):
-        t = tracklet(1, range(1, 11))
-        s = tracklet(2, range(12, 22))
+        t = run(1, range(1, 11))
+        s = run(2, range(12, 22))
         assert pair_distance(ConstraintKind.TIME_DISTANCE, t, s, META) == 2.0
 
     def test_time_distance_scales_with_fps(self):
-        t = tracklet(1, range(1, 11))
-        s = tracklet(2, range(12, 22))
+        t = run(1, range(1, 11))
+        s = run(2, range(12, 22))
         meta15 = SequenceMeta(fps=15, img_width=1920, img_height=1080, num_frames=100)
         assert pair_distance(ConstraintKind.TIME_DISTANCE, t, s, meta15) == 4.0
 
     def test_identical_dynamics(self):
-        t = tracklet(1, range(1, 11), vx=3.0)
-        s = tracklet(2, range(12, 22), x0=33.0, vx=3.0)
+        t = run(1, range(1, 11), vx=3.0)
+        s = run(2, range(12, 22), x0=33.0, vx=3.0)
         assert pair_distance(ConstraintKind.ANGLE_DIFFERENCE, t, s, META) == 0.0
         assert pair_distance(ConstraintKind.SPEED_NORM_DIFFERENCE, t, s, META) == 0.0
 
     def test_angle_opposite_directions(self):
-        t = tracklet(1, range(1, 11), vx=2.0)
-        s = tracklet(2, range(12, 22), vx=-2.0)
+        t = run(1, range(1, 11), vx=2.0)
+        s = run(2, range(12, 22), vx=-2.0)
         assert pair_distance(ConstraintKind.ANGLE_DIFFERENCE, t, s, META) == pytest.approx(math.pi, abs=1e-12)
 
     def test_angle_zero_velocity_scores_zero(self):
-        t = tracklet(1, [1])  # single detection: zero velocity
-        s = tracklet(2, range(3, 13), vx=2.0)
+        t = run(1, [1])  # single detection: zero velocity
+        s = run(2, range(3, 13), vx=2.0)
         assert pair_distance(ConstraintKind.ANGLE_DIFFERENCE, t, s, META) == 0.0
 
     def test_angle_symmetric_under_swap(self):
@@ -194,32 +195,32 @@ class TestPairDistance:
             assert 0.0 <= _angle_between(u, v) <= math.pi
 
     def test_speed_norm_difference_normalization(self):
-        t = tracklet(1, range(1, 11), vx=3.0)
-        s = tracklet(2, range(12, 22), vx=1.0)
+        t = run(1, range(1, 11), vx=3.0)
+        s = run(2, range(12, 22), vx=1.0)
         expected = 2.0 * (30.0 / 30.0) / META.diagonal
         assert pair_distance(ConstraintKind.SPEED_NORM_DIFFERENCE, t, s, META) == pytest.approx(expected, abs=1e-15)
 
     def test_exact_projection_hits_successor(self):
         # end box (0,0,10,10) moving (5,0); successor starts 2 frames later at (10,0)
-        t = tracklet(1, [1, 2], vx=5.0)
-        s = tracklet(2, [4, 5], x0=20.0, vx=5.0)
+        t = run(1, [1, 2], vx=5.0)
+        s = run(2, [4, 5], x0=20.0, vx=5.0)
         assert one_pair(t, s).projected[:, 0].tolist() == [15.0, 0.0, 10.0, 10.0]
-        t2 = tracklet(1, [1, 2, 3], vx=5.0)  # ends at frame 3, box (10,0)
-        s2 = tracklet(2, [5, 6], x0=20.0, vx=5.0)
+        t2 = run(1, [1, 2, 3], vx=5.0)  # ends at frame 3, box (10,0)
+        s2 = run(2, [5, 6], x0=20.0, vx=5.0)
         assert pair_distance(ConstraintKind.PREDICTED_IOU, t2, s2, META) == 0.0
         assert pair_distance(ConstraintKind.PREDICTED_CENTER_DISTANCE, t2, s2, META) == 0.0
 
     def test_piou_distance_of_identical_float_boxes_is_zero(self):
         # the raw IoU of this box with itself rounds a few ulps above 1
-        t = tracklet(1, [1], x0=10.1, y0=20.3, w=30.7, h=40.9)
-        s = tracklet(2, [3], x0=10.1, y0=20.3, w=30.7, h=40.9)
+        t = run(1, [1], x0=10.1, y0=20.3, w=30.7, h=40.9)
+        s = run(2, [3], x0=10.1, y0=20.3, w=30.7, h=40.9)
         assert pair_distance(ConstraintKind.PREDICTED_IOU, t, s, META) == 0.0
 
     def test_piou_distance_in_unit_range(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            t = tracklet(1, range(1, 5), x0=rng.uniform(0, 500), vx=rng.uniform(-3, 3))
-            s = tracklet(2, range(8, 12), x0=rng.uniform(0, 500), vx=rng.uniform(-3, 3))
+            t = run(1, range(1, 5), x0=rng.uniform(0, 500), vx=rng.uniform(-3, 3))
+            s = run(2, range(8, 12), x0=rng.uniform(0, 500), vx=rng.uniform(-3, 3))
             d = pair_distance(ConstraintKind.PREDICTED_IOU, t, s, META)
             assert 0.0 <= d <= 1.0
             assert pair_distance(ConstraintKind.PREDICTED_CENTER_DISTANCE, t, s, META) >= 0.0
@@ -227,15 +228,15 @@ class TestPairDistance:
     # pair_distances does not check that a successor starts after its
     # predecessor ends; build_domains scores only such pairs
     def test_requires_temporal_order(self):
-        t = tracklet(1, range(1, 11))
-        s = tracklet(2, range(5, 15))
-        assert [list(var.pair_scores) for var in build_domains([t, s], ScoreConfig(), META)] == [[STOP], [STOP]]
+        t = run(1, range(1, 11))
+        s = run(2, range(5, 15))
+        assert [list(var.pair_scores) for var in build_domains(group_tracklets(t + s), ScoreConfig(), META)] == [[STOP], [STOP]]
 
     def test_equal_end_and_start_frame_rejected(self):
-        t = tracklet(1, range(1, 11))
-        s = tracklet(2, range(10, 20))
-        u = tracklet(3, range(11, 20))
-        assert [list(var.pair_scores) for var in build_domains([t, s, u], ScoreConfig(), META)] == [[3, STOP], [STOP], [STOP]]
+        t = run(1, range(1, 11))
+        s = run(2, range(10, 20))
+        u = run(3, range(11, 20))
+        assert [list(var.pair_scores) for var in build_domains(group_tracklets(t + s + u), ScoreConfig(), META)] == [[3, STOP], [STOP], [STOP]]
 
 
 class TestMarginals:
@@ -329,8 +330,8 @@ def test_score_columns_gathers_each_pair_part_once(monkeypatch):
     cfg = ScoreConfig()
     for params in cfg.params.values():
         params.enabled = True
-    tls = [tracklet(1, range(1, 11), vx=2.0), tracklet(2, range(12, 22), x0=24.0, vx=2.0), tracklet(3, range(25, 30), vy=1.0)]
-    ends = EndpointArrays.of(tls)
+    tls = group_tracklets(run(1, range(1, 11), vx=2.0) + run(2, range(12, 22), x0=24.0, vx=2.0) + run(3, range(25, 30), vy=1.0))
+    ends = tls.ends
     pred, succ = np.array([0, 0, 1]), np.array([1, 2, 2])
     scores, products = score_columns(ends, pred, succ, cfg, META, cfg.enabled_kinds)
     assert sorted(gathered) == [2, 2, 4, 4]

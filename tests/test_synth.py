@@ -72,10 +72,13 @@ class TestGenerate:
             ({"turn_rate": float("nan")}, r"^turn_rate must be finite, got nan$"),
             ({"turn_rate": float("-inf")}, r"^turn_rate must be finite, got -inf$"),
             ({"crossings": -1}, r"^crossings must lie in \[0, 2\] for 4 objects, got -1$"),
+            ({"fps": 0.0}, r"^fps must be finite and positive, got 0\.0$"),
+            ({"fps": float("nan")}, r"^fps must be finite and positive, got nan$"),
+            ({"seed": -1}, r"^seed must be nonnegative, got -1$"),
         ],
     )
     def test_invalid_motion_rejected(self, kw, message):
-        cfg = ScenarioConfig(num_objects=4, num_frames=10, seed=1, **kw)
+        cfg = ScenarioConfig(**{"num_objects": 4, "num_frames": 10, "seed": 1, **kw})
         with pytest.raises(ScenarioError, match=message):
             cfg.validate()
         with pytest.raises(ScenarioError, match=message):

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackstitch.tracklets as tracklets_module
-from trackstitch.associator import STOP, stitch
+from trackstitch.associator import STOP, build_domains, solve_with_stats, stitch
 from trackstitch.mot_io import Detection
+from trackstitch.scoring import ScoreConfig
+from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
 from trackstitch.tracklets import cut_tracklets, group_tracklets, iou, iou_matrix, iou_pairs, make_tracklet
 from trackstitch.mot_io import DetectionTable
-from trackstitch.tracklets import Tracklet, Tracklets, make_tracklets, run_bounds
+from trackstitch.tracklets import EndpointArrays, Tracklets, make_tracklets, run_bounds
 
 
 def boxes_track(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
@@ -406,14 +409,14 @@ def _grid_tracklets(tracks, grid, window, min_len):
     here.
     """
     offset, unit, y_unit = _GRIDS[grid]
-    out = []
-    for tid, rows in tracks:
-        dets = [
+    runs = [
+        DetectionTable.of([
             Detection(f, tid, offset + gx * unit + nudge * 5e-324, gy * y_unit, gw * unit, gh * y_unit, 1.0)
             for f, gx, gy, gw, gh, nudge in sorted(rows)
-        ]
-        out.append(make_tracklet(tid, dets, window, min_len))
-    return out
+        ])
+        for tid, rows in tracks
+    ]
+    return make_tracklets(DetectionTable.concat(runs), np.cumsum([0, *map(len, runs)]), window, min_len)
 
 
 def _random_tracks(rng):
@@ -585,18 +588,6 @@ def test_cut_rejects_threshold_outside_unit_interval(threshold):
         cut_tracklets(tracklets, threshold)
 
 
-def test_cut_rejects_a_hand_built_tracklet_that_repeats_a_frame():
-    # a tracklet holds one row per frame, so a pair of tracklets overlaps at
-    # most once in a frame; one built by hand with a repeated frame is
-    # rejected where the tracklets become columns
-    box = (0.0, 0.0, 5.0, 5.0, 1.0)
-    a = make_tracklet(1, [Detection(1, 1, *box), Detection(2, 1, *box)])
-    b = make_tracklet(2, [Detection(1, 2, *box), Detection(2, 2, *box)])
-    b = Tracklet(2, DetectionTable.of([*b.detections, Detection(2, 2, *box)]), b.start, b.end)
-    with pytest.raises(ValueError, match=r"^\(2,2\) duplicated: track 2 has two detections in frame 2$"):
-        cut_tracklets([a, b], 0.5)
-
-
 @pytest.mark.parametrize(
     "frames, message",
     [
@@ -613,6 +604,19 @@ def test_tracklet_frames_must_increase_strictly(frames, message):
     rows = DetectionTable.of(boxes_track(1, [1, 2]) + dets + boxes_track(3, [1]))
     with pytest.raises(ValueError, match=message):
         make_tracklets(rows, [0, 2, 2 + len(dets), 3 + len(dets)])
+
+
+def test_tracklets_name_each_run_exactly_once():
+    # ten rows of track 1 split in two runs would make two tracklets named 1,
+    # and one id for two runs would leave the second run unnamed
+    rows = DetectionTable.of(boxes_track(1, range(1, 11)))
+    with pytest.raises(ValueError, match="^duplicate tracklet id 1$"):
+        make_tracklets(rows, [0, 5, 10])
+    with pytest.raises(ValueError, match="^1 ids for 2 runs$"):
+        Tracklets(rows, [0, 5, 10], [1], 6, 10)
+    with pytest.raises(ValueError, match="^3 ids for 2 runs$"):
+        Tracklets(rows, [0, 5, 10], [1, 2, 3], 6, 10)
+    assert make_tracklets(rows, [0, 10]).ids.tolist() == [1]
 
 
 # the summaries of a repeated frame divide by its zero frame step
@@ -671,17 +675,20 @@ class TestTrackletColumns:
         assert tracklets != as_list[:2]
         with pytest.raises(IndexError):
             tracklets[3]
-        assert Tracklets.of(tracklets) is tracklets
-        assert Tracklets.of(as_list) == as_list
 
-    def test_cut_keeps_the_summaries_of_untouched_tracklets(self):
-        # tracklets summarized over a window of 2 and cut with a window of 6:
-        # the fragments get the cut's summaries, the untouched tracklet keeps its own
-        a = boxes_track(1, range(1, 21), vx=1.0)
-        b = [Detection(f, 2, 20.0 - f, 0.0, 10.0, 10.0, 1.0) for f in range(1, 21)]
-        c = boxes_track(3, range(1, 21), vx=0.5, y0=100.0)
-        for tracklets in (group_tracklets(a + b + c, 2, 3), [make_tracklet(t, d, 2, 3) for t, d in ((1, a), (2, b), (3, c))]):
-            out = cut_tracklets(tracklets, 0.5, 6, 10)
-            assert [t.id for t in out] == [4, 5, 6, 7, 3]
-            assert out[4] == list(tracklets)[2]
-            assert [out[k] for k in range(4)] == list(make_tracklets(out.rows, out.bounds[:5], 6, 10))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_summaries_are_a_function_of_the_rows(self, seed):
+        # tracklets grouped over a window of 2, then cut and stitched over a
+        # window of 6: every output is summarized from its own rows with its
+        # own window, the tracklets the cutter leaves whole included
+        gt, meta = generate(ScenarioConfig(num_objects=12, num_frames=200, crossings=4, seed=seed))
+        tracker, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, random_cuts_per_track=2, gap_frames=(1, 3), seed=seed))
+        grouped = group_tracklets(tracker, 2, 3)
+        cut = cut_tracklets(grouped, 0.5, 6, 10)
+        assert len(cut) > len(grouped) and np.isin(cut.ids, grouped.ids).any()
+        assignment, _ = solve_with_stats(build_domains(cut, ScoreConfig(), meta))
+        stitched = stitch(assignment, cut, 6, 10)
+        for out, window, min_len in ((grouped, 2, 3), (cut, 6, 10), (stitched, 6, 10)):
+            want = make_tracklets(out.rows, out.bounds, window, min_len).ends
+            for column in fields(EndpointArrays):
+                assert np.array_equal(getattr(out.ends, column.name), getattr(want, column.name)), column.name
