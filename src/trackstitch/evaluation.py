@@ -3,13 +3,19 @@
 Both metrics start from the same *hits*: every pair of a ground-truth row and
 a predicted row of one frame whose boxes reach ``iou >= iou_threshold``. Each
 side is one :class:`~trackstitch.mot_io.DetectionTable` sorted by frame, a
-frame's rows in input order. One sweep across the two tables
-(:func:`~trackstitch.tracklets.cross_overlaps`) finds every hit with its IoU,
-bit-identical to its :func:`~trackstitch.tracklets.iou_matrix` entry; it
-scores no pair of two ground-truth or two predicted rows.
+frame's rows in input order; a table already in strict (frame, id) order is
+checked in one pass and used as it is, and only other input is sorted. One
+sweep across the two tables (:func:`~trackstitch.tracklets.cross_overlaps`)
+finds every hit with its IoU, bit-identical to its
+:func:`~trackstitch.tracklets.iou_matrix` entry; it scores no pair of two
+ground-truth or two predicted rows.
 
-MOTA follows the CLEAR protocol (Bernardin & Stiefelhagen, 2008). The frames
-that hold a ground-truth or a predicted row are numbered ``0..K-1``. Each
+The frames that hold a ground-truth or a predicted row are numbered
+``0..K-1``: one stable sort of the two sides' frames ranks each row's frame
+(:func:`~trackstitch.tracklets.ranks`). This frame index, built once per
+call, serves the sweep, the per-frame row bounds and each hit's frame.
+
+MOTA follows the CLEAR protocol (Bernardin & Stiefelhagen, 2008). Each
 frame keeps the previous frame's pairs while they still hit, completes the
 matching on the rows left over with the Hungarian step, and counts false
 positives, misses and identity switches. A kept pair therefore stays matched
@@ -35,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .mot_io import Detection, DetectionTable
-from .tracklets import aranges, cross_overlaps, iou_matrix, run_bounds
+from .tracklets import aranges, cross_overlaps, iou_pairs, ranks
 
 
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -67,8 +73,14 @@ def _check_iou_threshold(iou_threshold: float) -> None:
 
 
 def _by_frame(detections: Sequence[Detection]) -> DetectionTable:
-    """The detections as a table sorted by frame, a frame's rows in input order; ValueError if an id repeats in a frame."""
+    """The detections as a table sorted by frame, a frame's rows in input order; ValueError if an id repeats in a frame.
+
+    A table already in strict (frame, id) order is returned as it is, after one check.
+    """
     rows = DetectionTable.of(detections)
+    step = np.diff(rows.frame)
+    if ((step > 0) | ((step == 0) & (np.diff(rows.track_id) > 0))).all():
+        return rows
     by_key = np.lexsort((rows.track_id, rows.frame))
     same = (np.diff(rows.frame[by_key]) == 0) & (np.diff(rows.track_id[by_key]) == 0)
     if same.any():
@@ -80,10 +92,15 @@ def _by_frame(detections: Sequence[Detection]) -> DetectionTable:
 
 @dataclass(frozen=True)
 class _Hits:
-    """The checked ground-truth and predicted rows of one sequence, each sorted by frame, and their hits."""
+    """The checked ground-truth and predicted rows of one sequence, each sorted by frame, and their hits.
+
+    ``rank`` is the frame index: the rank of each row's frame among the
+    frames holding a ground-truth or a predicted row, those of ``gt`` first.
+    """
 
     gt: DetectionTable
     pred: DetectionTable
+    rank: np.ndarray
     g: np.ndarray  # ground-truth row of each hit
     p: np.ndarray  # predicted row of each hit
 
@@ -93,8 +110,10 @@ class _Hits:
         if not gt:
             raise ValueError("ground truth is empty; metrics are undefined")
         gt, pred = _by_frame(gt), _by_frame(pred)
-        g, p, _ = cross_overlaps(gt, pred, iou_threshold)
-        return cls(gt, pred, g, p)
+        # both sides are sorted by frame: one stable sort merges two runs
+        rank = ranks(np.concatenate((gt.frame, pred.frame)))
+        g, p, _ = cross_overlaps(gt, pred, iou_threshold, rank)
+        return cls(gt, pred, rank, g, p)
 
 
 @dataclass(frozen=True)
@@ -135,15 +154,18 @@ def _next_contested(k: int, matched: np.ndarray, n_gt: np.ndarray, n_pred: np.nd
 def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
     """Run the CLEAR matching as match runs (see the module docstring)."""
     gt, pred = hits.gt, hits.pred
-    # each side's distinct frames: the first row of each run of its sorted frames
-    frames = np.union1d(gt.frame[run_bounds(gt.frame)[:-1]], pred.frame[run_bounds(pred.frame)[:-1]])
-    g_lo, g_hi = np.searchsorted(gt.frame, frames), np.searchsorted(gt.frame, frames, side="right")
-    p_lo, p_hi = np.searchsorted(pred.frame, frames), np.searchsorted(pred.frame, frames, side="right")
-    n_gt, n_pred = g_hi - g_lo, p_hi - p_lo
+    g_rank, p_rank = hits.rank[: len(gt)], hits.rank[len(gt) :]
+    n_frames = int(hits.rank.max()) + 1
+    frames = np.empty(n_frames, dtype=np.int64)
+    frames[g_rank], frames[p_rank] = gt.frame, pred.frame
+    # each side's rows of frame f are rows lo[f]..hi[f] - 1 of its sorted table
+    n_gt, n_pred = np.bincount(g_rank, minlength=n_frames), np.bincount(p_rank, minlength=n_frames)
+    g_hi, p_hi = np.cumsum(n_gt), np.cumsum(n_pred)
+    g_lo, p_lo = g_hi - n_gt, p_hi - n_pred
 
     # the hits sorted by (gt id, predicted id, frame): the hits of one id pair
     # in consecutive frames form a run of hits, and each learns where its run ends
-    k = np.searchsorted(frames, gt.frame[hits.g])
+    k = g_rank[hits.g]
     order = np.lexsort((k, pred.track_id[hits.p], gt.track_id[hits.g]))
     g, p, k = hits.g[order], hits.p[order], k[order]
     gid, pid = gt.track_id[g], pred.track_id[p]
@@ -159,13 +181,13 @@ def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
 
     matched = np.zeros(len(frames), dtype=np.int64)
     g_taken, p_taken = np.zeros(len(gt), dtype=bool), np.zeros(len(pred), dtype=bool)
-    g_boxes, p_boxes = gt.boxes, pred.boxes
     opened = [np.empty(0, dtype=np.int64)]  # the hits that open a match run
     f = _next_contested(0, matched, n_gt, n_pred)
     while f < len(frames):
         g_rows = g_lo[f] + np.flatnonzero(~g_taken[g_lo[f]:g_hi[f]])
         p_rows = p_lo[f] + np.flatnonzero(~p_taken[p_lo[f]:p_hi[f]])
-        m = iou_matrix(g_boxes[g_rows], p_boxes[p_rows])
+        # the IoU matrix of the frame's rows left over, as iou_matrix scores it
+        m = iou_pairs([c[g_rows, None] for c in (gt.x, gt.y, gt.w, gt.h)], [c[p_rows] for c in (pred.x, pred.y, pred.w, pred.h)])
         # any allowed pair outweighs the summed IoU of a full matching, so the
         # most matches win, and the summed IoU breaks ties between them
         allowed = m >= iou_threshold
@@ -224,9 +246,8 @@ def _clear_totals(hits: _Hits, iou_threshold: float) -> tuple[float, int, int, i
 def _idf1(hits: _Hits) -> float:
     if not len(hits.pred):
         return 0.0
-    gt_ids, g_index = np.unique(hits.gt.track_id, return_inverse=True)
-    pred_ids, p_index = np.unique(hits.pred.track_id, return_inverse=True)
-    shape = (len(gt_ids), len(pred_ids))
+    g_index, p_index = ranks(hits.gt.track_id, "quicksort"), ranks(hits.pred.track_id, "quicksort")
+    shape = (int(g_index.max()) + 1, int(p_index.max()) + 1)
     overlap = np.bincount(g_index[hits.g] * shape[1] + p_index[hits.p], minlength=shape[0] * shape[1])
     overlap = overlap.reshape(shape).astype(float)
     rows, cols = linear_sum_assignment(-overlap)

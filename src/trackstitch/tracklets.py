@@ -193,9 +193,10 @@ def _endpoints(rows: DetectionTable, bounds: np.ndarray, ids: np.ndarray, window
 class Tracklets(Sequence[Tracklet]):
     """One sequence's tracklets as columns: the runs ``rows[bounds[k]:bounds[k + 1]]`` of one table.
 
-    Tracklet k is named ``ids[k]``, one id per run and no id twice, and its
-    frames must increase strictly (else ValueError: a frame given twice, or
-    one going back). Its endpoint summaries are the row k of :attr:`ends`,
+    Tracklet k is named ``ids[k]``, one id per run and no id twice, which
+    each of its rows must read as its ``track_id``, and its frames must
+    increase strictly (else ValueError: a row of another id, a frame given
+    twice, or one going back). Its endpoint summaries are the row k of :attr:`ends`,
     computed on first read from the rows with ``window`` and ``min_len``
     (see :func:`make_tracklets`).
     Indexing or iterating builds a :class:`Tracklet` only when it is read,
@@ -221,6 +222,11 @@ class Tracklets(Sequence[Tracklet]):
         if (np.diff(self.bounds) < 1).any():
             raise ValueError("tracklet must contain at least one detection")
         lo = self.bounds[0]
+        misnamed = lo + np.flatnonzero(rows.track_id[lo : self.bounds[-1]] != np.repeat(self.ids, np.diff(self.bounds)))
+        if len(misnamed):
+            row = misnamed[0]
+            tid = self.ids[np.searchsorted(self.bounds, row, side="right") - 1]
+            raise ValueError(f"row {row} has track_id {rows.track_id[row]} in the run of tracklet {tid}")
         steps = np.diff(rows.frame[lo : self.bounds[-1]])
         steps[self.bounds[1:-1] - lo - 1] = 1  # a step from one run into the next
         back = lo + np.flatnonzero(steps < 1)
@@ -258,8 +264,8 @@ class Tracklets(Sequence[Tracklet]):
 
 
 def make_tracklet(tid: int, detections: Sequence[Detection], window: int = 6, min_len: int = 10) -> Tracklet:
-    """Build a tracklet from detections in strictly increasing frames, computing its endpoint summaries (see :func:`make_tracklets`)."""
-    rows = DetectionTable.of(detections)
+    """Build tracklet ``tid`` from detections in strictly increasing frames, its rows relabeled ``tid``, computing its endpoint summaries (see :func:`make_tracklets`)."""
+    rows = DetectionTable.of(detections).relabeled(tid)
     return Tracklets(rows, [0, len(rows)], [tid], window, min_len)[0]
 
 
@@ -328,29 +334,48 @@ def _keys(frame_rank: np.ndarray, x: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _sweep(frames: np.ndarray, x: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ranks(values: np.ndarray, kind: str = "stable") -> np.ndarray:
+    """The rank of each value among the distinct values, ``np.unique(values, return_inverse=True)[1]``.
+
+    One ``argsort`` of the given ``kind`` orders the values, and the ranks do
+    not depend on it. A stable sort runs in linear time on presorted runs,
+    such as the frames of two frame-sorted tables one after the other;
+    numpy's default ``"quicksort"`` is faster on values without long runs,
+    such as the ids of a frame-sorted table.
+    """
+    order = np.argsort(values, kind=kind)
+    ordered = values[order]
+    steps = np.zeros(len(values), dtype=np.intp)
+    steps[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[order] = np.cumsum(steps)
+    return rank
+
+
+def _sweep(frame_rank: np.ndarray, x: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort rows by (frame, x) and find, for each, the first row of its frame at or right of its ``right``.
 
-    Returns ``order`` and ``ends``: row ``order[k]`` is the k-th in (frame, x)
+    ``frame_rank`` is each row's frame rank (see :func:`ranks`). Returns
+    ``order`` and ``ends``: row ``order[k]`` is the k-th in (frame, x)
     order, rows of equal keys in input order, and ``ends[k]`` is the position
     of the first row of its frame with ``x >= right[order[k]]``, or the end of
     its frame if there is none. (frame rank, edge) is one exact complex key
     (see :func:`_keys`), so one stable sort orders the rows and one binary
     search finds every end.
     """
-    frame_rank = np.unique(frames, return_inverse=True)[1]
     start_key = _keys(frame_rank, x)
     order = np.argsort(start_key, kind="stable")
     ends = np.searchsorted(start_key[order], _keys(frame_rank, right)[order])
     return order, ends
 
 
-def _range_hits(boxes: np.ndarray, lo: np.ndarray, hi: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs ``(k, j)``, ``lo[k] <= j < hi[k]``, of rows of the (N, 4) array ``boxes`` at ``iou >= threshold``, and their IoUs.
+def _range_hits(boxes: Sequence[np.ndarray], lo: np.ndarray, hi: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs ``(k, j)``, ``lo[k] <= j < hi[k]``, of rows of the box columns ``boxes`` at ``iou >= threshold``, and their IoUs.
 
-    The candidates are gathered as whole rows of ``boxes`` and scored by
-    :func:`iou_pairs` in chunks of at most ``_PAIR_CHUNK`` pairs (or one row's,
-    if more). The formula is symmetric bit for bit, so each IoU is
+    ``boxes`` holds the four 1-D columns (x, y, w, h). The candidates are
+    gathered from each column, row k repeated for its candidates, and scored
+    by :func:`iou_pairs` in chunks of at most ``_PAIR_CHUNK`` pairs (or one
+    row's, if more). The formula is symmetric bit for bit, so each IoU is
     bit-identical to its :func:`iou_matrix` entry, and the result does not
     depend on the chunk size. The pairs come by ``k``, then ``j``.
     """
@@ -363,7 +388,7 @@ def _range_hits(boxes: np.ndarray, lo: np.ndarray, hi: np.ndarray, threshold: fl
         last = max(int(np.searchsorted(totals, done + _PAIR_CHUNK, side="right")), first + 1)
         sizes = counts[first:last]
         j = aranges(lo[first:last], sizes)
-        iou = iou_pairs(np.repeat(boxes[first:last], sizes, axis=0).T, boxes[j].T)
+        iou = iou_pairs([np.repeat(c[first:last], sizes) for c in boxes], [c[j] for c in boxes])
         hit = iou >= threshold
         hits_k.append(np.repeat(np.arange(first, last), sizes)[hit])
         hits_j.append(j[hit])
@@ -378,17 +403,20 @@ def same_frame_overlaps(rows: DetectionTable, threshold: float) -> tuple[np.ndar
     The rows are swept in (frame, x) order (see :func:`_sweep`): a row is
     scored only against the later rows of its frame that start left of its
     right edge, which include every pair with a positive intersection. The
-    swept boxes are scored by :func:`_range_hits`, so each IoU is
-    bit-identical to its :func:`iou_matrix` entry. Returns ``(i, j, iou)``,
-    the pairs in sweep order.
+    box columns, gathered in sweep order, are scored by :func:`_range_hits`,
+    so each IoU is bit-identical to its :func:`iou_matrix` entry. Returns
+    ``(i, j, iou)``, the pairs in sweep order.
     """
-    order, ends = _sweep(rows.frame, rows.x, rows.x + rows.w)
-    k, j, iou = _range_hits(rows.boxes[order], np.arange(1, len(ends) + 1), ends, threshold)
+    order, ends = _sweep(ranks(rows.frame), rows.x, rows.x + rows.w)
+    boxes = [c[order] for c in (rows.x, rows.y, rows.w, rows.h)]
+    k, j, iou = _range_hits(boxes, np.arange(1, len(ends) + 1), ends, threshold)
     i, j = order[k], order[j]
     return np.minimum(i, j), np.maximum(i, j), iou
 
 
-def cross_overlaps(a: DetectionTable, b: DetectionTable, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cross_overlaps(
+    a: DetectionTable, b: DetectionTable, threshold: float, frame_rank: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs of a row ``i`` of ``a`` and a row ``j`` of ``b`` in one frame whose boxes reach ``iou >= threshold`` (> 0), and their IoUs.
 
     The rows of both sides are swept together in (frame, x) order (see
@@ -396,13 +424,17 @@ def cross_overlaps(a: DetectionTable, b: DetectionTable, threshold: float) -> tu
     of ``a`` is scored against the rows of ``b`` of its frame that start in
     ``[x, x + w)``, and a row of ``b`` against the rows of ``a`` that start in
     ``(x, x + w)``: every pair with a positive intersection is scored exactly
-    once, and no pair of one side. The swept boxes of ``a``, then of ``b``,
-    are scored by :func:`_range_hits`, so each IoU is bit-identical to its
-    :func:`iou_matrix` entry. Returns ``(i, j, iou)``.
+    once, and no pair of one side. The box columns of the swept rows of
+    ``a``, then of ``b``, are scored by :func:`_range_hits`, so each IoU is
+    bit-identical to its :func:`iou_matrix` entry. ``frame_rank``, the frame
+    ranks of the rows of ``a`` then ``b`` (see :func:`ranks`), is computed
+    when not given. Returns ``(i, j, iou)``.
     """
     n = len(a)
-    x = np.concatenate((a.x, b.x))
-    order, ends = _sweep(np.concatenate((a.frame, b.frame)), x, x + np.concatenate((a.w, b.w)))
+    if frame_rank is None:
+        frame_rank = ranks(np.concatenate((a.frame, b.frame)))
+    x, y, w, h = (np.concatenate(pair) for pair in ((a.x, b.x), (a.y, b.y), (a.w, b.w), (a.h, b.h)))
+    order, ends = _sweep(frame_rank, x, x + w)
     from_a = order < n
     # the rows of a, and of b, before each position
     a_before = np.concatenate(([0], np.cumsum(from_a)))
@@ -412,7 +444,7 @@ def cross_overlaps(a: DetectionTable, b: DetectionTable, threshold: float) -> tu
     # the sides' swept rows, those of a first
     side = np.concatenate((np.flatnonzero(from_a), np.flatnonzero(~from_a)))
     rows = order[side]
-    k, j, iou = _range_hits(np.concatenate((a.boxes, b.boxes))[rows], lo[side], hi[side], threshold)
+    k, j, iou = _range_hits([c[rows] for c in (x, y, w, h)], lo[side], hi[side], threshold)
     k_in_a = k < n
     return rows[np.where(k_in_a, k, j)], rows[np.where(k_in_a, j, k)] - n, iou
 

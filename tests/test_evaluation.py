@@ -167,6 +167,39 @@ def test_duplicate_message_names_the_first_repeat_in_input_order():
         idf1(bad, GT)
 
 
+def test_a_frame_sorted_table_with_a_repeated_id_names_the_same_row():
+    # a table in (frame, id) order but for one repeat takes the checked sort,
+    # and the message names the repeat as an unsorted input would
+    from trackstitch.mot_io import DetectionTable
+
+    rows = sorted(GT + [Detection(4, 2, 0.0, 0.0, 5.0, 5.0, 1.0)], key=lambda d: (d.frame, d.track_id))
+    with pytest.raises(ValueError, match=r"^id 2 appears twice in frame 4$"):
+        evaluate_sequence(DetectionTable.of(rows), GT)
+    with pytest.raises(ValueError, match=r"^id 2 appears twice in frame 4$"):
+        evaluate_sequence(GT, rows)
+    # of two repeats, the first in input order
+    rows = sorted(rows + [Detection(2, 1, 0.0, 0.0, 5.0, 5.0, 1.0)], key=lambda d: (d.frame, d.track_id))
+    with pytest.raises(ValueError, match=r"^id 1 appears twice in frame 2$"):
+        evaluate_sequence(GT, rows)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_frame_sorted_and_object_ordered_inputs_score_alike(seed):
+    # generate's tables hold each object's rows in turn, corrupt's are sorted
+    # by (frame, id); reordered, each frame's rows keep their relative order
+    from trackstitch import CorruptionConfig, ScenarioConfig, corrupt, generate
+
+    gt, _ = generate(ScenarioConfig(num_objects=12, num_frames=150, crossings=4, seed=seed))
+    pred, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, fragment_prob=0.5, dropout=0.05, seed=seed))
+    gt_sorted = gt.take(np.lexsort((gt.track_id, gt.frame)))
+    pred_by_object = pred.take(np.argsort(pred.track_id, kind="stable"))
+    assert not np.array_equal(gt_sorted.frame, gt.frame)
+    for t in (0.3, 0.5, 0.9):
+        expected = repr((evaluate_sequence(gt_sorted, pred, t), clear_frame_matchings(gt_sorted, pred, t)))
+        for g, p in ((gt, pred), (gt_sorted, pred_by_object), (gt, pred_by_object)):
+            assert repr((evaluate_sequence(g, p, t), clear_frame_matchings(g, p, t))) == expected
+
+
 # --- the CLEAR runs and the shared hits against a per-frame reference ---
 
 THRESHOLDS = [1.0, 0.5, 1e-9]
@@ -366,7 +399,9 @@ def test_matching_is_one_sweep_and_hungarian_only_where_a_frame_needs_it(monkeyp
         return score(*args)
 
     monkeypatch.setattr(evaluation_module, "linear_sum_assignment", counted_solve)
+    # the sweep scores through the tracklets module, the Hungarian step's matrix through evaluation's import
     monkeypatch.setattr(tracklets_module, "iou_pairs", counted_score)
+    monkeypatch.setattr(evaluation_module, "iou_pairs", counted_score)
     gt = track(1, range(1, 201), step=3.0) + track(2, range(1, 201), step=3.0, y0=100.0) + track(3, range(1, 201), step=0.0, y0=200.0)
     assert evaluate_sequence(gt, gt) == SequenceScores(1.0, 1.0, 0, 0, 0, 600, 600)
     # CLEAR's first frame and IDF1's global matching

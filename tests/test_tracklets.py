@@ -519,7 +519,7 @@ def test_sweep_finds_the_first_row_of_the_frame_at_or_past_each_right_edge():
             # 1e308 + 1e308 overflows to inf
             right = x + rng.choice([5.0, 5e-324, 0.125, 1e300, 1e308], n)
         overflowed += int(np.isinf(right).any())
-        order, ends = tracklets_module._sweep(frames, x, right)
+        order, ends = tracklets_module._sweep(tracklets_module.ranks(frames), x, right)
         keys = list(zip(frames[order].tolist(), x[order].tolist()))
         assert keys == sorted(keys)
         for k, row in enumerate(order.tolist()):
@@ -617,6 +617,41 @@ def test_tracklets_name_each_run_exactly_once():
     with pytest.raises(ValueError, match="^3 ids for 2 runs$"):
         Tracklets(rows, [0, 5, 10], [1, 2, 3], 6, 10)
     assert make_tracklets(rows, [0, 10]).ids.tolist() == [1]
+
+
+def test_tracklets_reject_a_run_whose_rows_read_another_id():
+    # a tracklet named 5 over rows of track 1 would reach the cutter and the
+    # writer with two names; make_tracklet names the rows it is given
+    rows = DetectionTable.of(boxes_track(1, range(1, 11)))
+    with pytest.raises(ValueError, match="^row 0 has track_id 1 in the run of tracklet 5$"):
+        Tracklets(rows, [0, 10], [5], 6, 10)
+    two = rows + boxes_track(2, range(1, 6)) + boxes_track(3, range(1, 4))
+    with pytest.raises(ValueError, match="^row 10 has track_id 2 in the run of tracklet 3$"):
+        Tracklets(two, [0, 10, 15, 18], [1, 3, 2], 6, 10)
+    t = make_tracklet(5, boxes_track(1, range(1, 11)))
+    assert t.id == 5 and t.detections.track_id.tolist() == [5] * 10
+    assert t == make_tracklets(rows.relabeled(5), [0, 10])[0]
+
+
+@pytest.mark.parametrize("kind", ["stable", "quicksort"])
+def test_ranks_equal_the_inverse_of_unique(kind):
+    rng = np.random.default_rng(4)
+    a, b = np.sort(rng.integers(1, 50, 300)), np.sort(rng.integers(1, 50, 200))
+    cases = [
+        rng.integers(1, 50, 500),
+        a,
+        np.concatenate((a, b)),
+        a[::-1].copy(),
+        np.empty(0, dtype=np.int64),
+        np.array([7]),
+        # 1 apart, and equal as floats
+        2**62 + rng.integers(0, 4, 100),
+        np.concatenate((2**62 + a, 2**62 + b)),
+    ]
+    for values in cases:
+        rank = tracklets_module.ranks(values, kind)
+        expected = np.unique(values, return_inverse=True)[1].reshape(-1)
+        assert rank.dtype == expected.dtype and np.array_equal(rank, expected)
 
 
 # the summaries of a repeated frame divide by its zero frame step
