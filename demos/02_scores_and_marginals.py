@@ -14,9 +14,9 @@ from trackstitch import (
     ScoreConfig,
     SequenceMeta,
     build_domains,
-    gaussian_score,
     group_tracklets,
 )
+from trackstitch.scoring import gaussian_scores
 
 meta = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=300)
 cfg = ScoreConfig()
@@ -59,7 +59,7 @@ try:
 
     td = cfg.params[ConstraintKind.TIME_DISTANCE]
     grid = np.linspace(0, 5 * td.t50, 400)
-    values = [gaussian_score(float(c), td, cfg.lower, cfg.upper) for c in grid]
+    values = gaussian_scores(grid, td, cfg.lower, cfg.upper)
     fig, ax = plt.subplots(figsize=(6, 3.5))
     ax.plot(grid, values)
     ax.axvline(td.t50, linestyle="--", color="gray")

@@ -29,7 +29,6 @@ from .evaluation import (
     evaluate_sequence,
     format_report,
     idf1,
-    mota,
     report_row,
 )
 from .interpolate import fill_gaps
@@ -51,8 +50,6 @@ from .scoring import (
     ConstraintParams,
     PairScores,
     ScoreConfig,
-    gaussian_score,
-    marginals,
 )
 from .synth import (
     CorruptionConfig,
@@ -60,18 +57,14 @@ from .synth import (
     ScenarioConfig,
     ScenarioError,
     corrupt,
-    find_crossings,
     generate,
 )
 from .tracklets import (
-    EndpointSummary,
     Tracklet,
     Tracklets,
     cut_tracklets,
     group_tracklets,
-    iou,
     iou_matrix,
-    make_tracklet,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +89,6 @@ __all__ = [
     "evaluate_sequence",
     "format_report",
     "idf1",
-    "mota",
     "report_row",
     "fill_gaps",
     "Detection",
@@ -115,21 +107,15 @@ __all__ = [
     "ConstraintParams",
     "PairScores",
     "ScoreConfig",
-    "gaussian_score",
-    "marginals",
     "CorruptionConfig",
     "CorruptionLog",
     "ScenarioConfig",
     "ScenarioError",
     "corrupt",
-    "find_crossings",
     "generate",
-    "EndpointSummary",
     "Tracklet",
     "Tracklets",
     "cut_tracklets",
     "group_tracklets",
-    "iou",
     "iou_matrix",
-    "make_tracklet",
 ]

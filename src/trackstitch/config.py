@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .mot_io import atomic_writer
-from .scoring import ConstraintKind, ScoreConfig, file_form
+from .scoring import ConstraintKind, ScoreConfig, check_flag, file_form
 from .synth import CorruptionConfig, ScenarioConfig
 from .tracklets import check_window
 
@@ -35,6 +35,8 @@ class PipelineConfig:
 
     def validate(self) -> None:
         self.scores.validate()
+        check_flag(self.cutter_enabled, "cutter.enabled")
+        check_flag(self.interp_enabled, "interp.enabled")
         if not (0.0 < self.cut_threshold <= 1.0):
             raise ValueError(f"cutter.t_tc must lie in (0, 1], got {self.cut_threshold}")
         if not isinstance(self.max_gap_size, numbers.Integral):
@@ -61,9 +63,9 @@ def _parse_number(value: str, key: str, cast: type = float) -> int | float:
 
 
 def read_kv(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment."""
+    """Read a flat ``key = value`` file; '#' starts a comment, and a leading UTF-8 byte-order mark is dropped."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -255,11 +255,6 @@ def _idf1(hits: _Hits) -> float:
     return float(2.0 * idtp / (len(hits.gt) + len(hits.pred)))
 
 
-def mota(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float = 0.5) -> float:
-    """Multi-object tracking accuracy: 1 - (FP + FN + IDSW) / total_gt. At most 1."""
-    return _clear_totals(_Hits.of(gt, pred, iou_threshold), iou_threshold)[0]
-
-
 def idf1(gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float = 0.5) -> float:
     """Identity F1: detection matches consistent under the best global id mapping."""
     return _idf1(_Hits.of(gt, pred, iou_threshold))

@@ -302,7 +302,8 @@ def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) 
 
 
 def load_tracks(path: str | Path) -> DetectionTable:
-    with open(path, encoding="utf-8") as f:
+    """Parse the MOTChallenge track file at ``path`` (see :func:`parse_tracks`); a leading UTF-8 byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as f:
         return parse_tracks(f)
 
 
@@ -352,11 +353,11 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
     Section headers (``[Sequence]``), comments and unknown keys are ignored;
     ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required;
     the frame rate must be finite and positive, and the last three must be
-    integers (``1920.0`` is one). Raises :class:`ParseError` naming the line
-    of a bad value.
+    integers (``1920.0`` is one). A leading UTF-8 byte-order mark is dropped.
+    Raises :class:`ParseError` naming the line of a bad value.
     """
     values: dict[str, float | int] = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith(("[", "#", ";")):

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,13 +77,14 @@ class ConstraintParams:
     t0: float | None = None
 
     def validate(self, kind: ConstraintKind | None = None) -> None:
-        """Raise ValueError unless ``t50`` and ``tend`` are positive and ``t0`` exceeds ``t50``; NaN fails each check.
+        """Raise ValueError unless ``enabled`` is a bool, ``t50`` and ``tend`` are positive and ``t0`` exceeds ``t50``; NaN fails each check.
 
         With a ``kind``, the message names the config key, as in ``td.t50``,
         and gives the thresholds in the form the config file writes them (see
         :func:`file_form`).
         """
         key = f"{kind.value}." if kind else ""
+        check_flag(self.enabled, f"{key}enabled")
         iou = kind is ConstraintKind.PREDICTED_IOU
         if not self.t50 > 0:
             raise ValueError(f"{key}t50 must be {'below 1' if iou else 'positive'}, got {file_form(kind, self.t50)}")
@@ -93,6 +94,12 @@ class ConstraintParams:
             t0, t50 = file_form(kind, self.t0), file_form(kind, self.t50)
             rule = f"lie below t50, got t0={t0} >= t50={t50}" if iou else f"exceed t50, got t0={t0} <= t50={t50}"
             raise ValueError(f"{key}t0 must {rule}")
+
+
+def check_flag(value, name: str) -> None:
+    """Raise ValueError, naming the setting ``name``, unless ``value`` is a bool (numpy's included)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
 
 
 def file_form(kind: ConstraintKind | None, value: float) -> float:
@@ -140,11 +147,6 @@ def _clamp_ratio(lower: float) -> float:
     # few ulps by which math.exp and the power can round, so past this ratio
     # the clamped Gaussian is exactly min(lower, upper).
     return math.sqrt(0.01 - math.log2(lower)) if 0.0 < lower < 1.0 else math.inf
-
-
-def gaussian_score(c: float, params: ConstraintParams, lower: float = 1e-6, upper: float = 1.0 - 1e-6) -> float:
-    """The score of one distance ``c >= 0``: one value of :func:`gaussian_scores`."""
-    return gaussian_scores(np.array([c], dtype=float), params, lower, upper)[0].item()
 
 
 def _columns(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -325,24 +327,9 @@ def stop_scores(cfg: ScoreConfig, kinds: Sequence[ConstraintKind]) -> tuple[dict
     product = 1.0
     for kind in kinds:
         params = replace(cfg.params[kind], t0=None)
-        value = gaussian_score(params.tend, params, cfg.lower, cfg.upper)
-        scores[kind] = value
-        product *= value
+        scores[kind] = gaussian_scores(np.array([params.tend]), params, cfg.lower, cfg.upper).item()
+        product *= scores[kind]
     return scores, product
-
-
-def marginals(products: Mapping[Hashable, float]) -> dict[Hashable, float]:
-    """Normalize candidate products into marginals summing to 1.
-
-    Candidates whose product is 0 are dropped before normalizing (they were
-    hard-filtered). At least one positive product must remain; the STOP
-    candidate guarantees this for domains built by the associator.
-    """
-    surviving = {cand: p for cand, p in products.items() if p > 0}
-    if not surviving:
-        raise ValueError("all candidate products are zero; domains must retain STOP")
-    total = left_sums(np.array(list(surviving.values()), dtype=float), (0, len(surviving))).item()
-    return {cand: p / total for cand, p in surviving.items()}
 
 
 def left_sums(values: np.ndarray, offsets: Sequence[int]) -> np.ndarray:

@@ -8,8 +8,8 @@ while logging every event so tests can check that the pipeline undoes them.
 
 Both return a :class:`~trackstitch.mot_io.DetectionTable` and work on
 columns: ``corrupt`` keeps each trajectory as an array of row indices, and
-``find_crossings`` finds every overlapping pair of one frame with the same
-sweep the cutter and the evaluation use.
+finds the crossings (:func:`_crossings`) from every overlapping pair of one
+frame, with the same sweep the cutter and the evaluation use.
 """
 
 from __future__ import annotations
@@ -268,7 +268,16 @@ def _displacements(speed: float, theta: float, turn_rate: float, num_frames: int
 
 
 def _crossings(rows: DetectionTable, owners: np.ndarray, iou_threshold: float) -> list[tuple[int, int, int]]:
-    """The crossing events of rows grouped by owner, owners ascending; see :func:`find_crossings`."""
+    """Peak-overlap frames of every pairwise crossing: (a, b, frame), a < b, sorted by frame, then owners.
+
+    ``rows`` are grouped by their ``owners``, ascending (:func:`corrupt`
+    passes a table sorted by (id, frame) and its ids). A crossing is a run of
+    consecutive rows of b, each of which reaches ``iou >= iou_threshold`` (in
+    (0, 1]) with a's row in its frame; where a repeats a frame, its last row
+    there counts. The event frame is the run's highest IoU, the earliest such
+    frame on a plateau. All same-frame pairs are found by one
+    :func:`~trackstitch.tracklets.same_frame_overlaps` sweep.
+    """
     i, j, iou = same_frame_overlaps(rows, iou_threshold)
     # an owner that repeats a frame is looked up by its last row there
     n = len(rows)
@@ -295,25 +304,6 @@ def _crossings(rows: DetectionTable, owners: np.ndarray, iou_threshold: float) -
     peak = by_peak[first]
     events = peak[np.lexsort((b[peak], a[peak], frame[peak]))]
     return list(zip(a[events].tolist(), b[events].tolist(), frame[events].tolist()))
-
-
-def find_crossings(trajectories: dict[int, Sequence[Detection]], iou_threshold: float) -> list[tuple[int, int, int]]:
-    """Peak-overlap frames of every pairwise crossing: (id_a, id_b, frame), id_a < id_b, sorted by frame, then ids.
-
-    The ids are the keys of ``trajectories``. A crossing is a run of
-    consecutive detections of b, in list order, each of which reaches
-    ``iou >= iou_threshold`` with a's detection in its frame; where a repeats a
-    frame, its last detection there counts. The event frame is the run's
-    highest IoU, the earliest such frame on a plateau. All same-frame pairs are
-    found by one :func:`~trackstitch.tracklets.same_frame_overlaps` sweep.
-    Raises ``ValueError`` unless ``iou_threshold`` lies in (0, 1].
-    """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"crossing IoU threshold must lie in (0, 1], got {iou_threshold}")
-    ids = sorted(trajectories)
-    tables = [DetectionTable.of(trajectories[k]) for k in ids]
-    owners = np.repeat(np.array(ids, dtype=np.int64), [len(t) for t in tables])
-    return _crossings(DetectionTable.concat(tables), owners, iou_threshold)
 
 
 def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[DetectionTable, CorruptionLog]:

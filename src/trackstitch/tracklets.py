@@ -10,7 +10,7 @@ One sequence's tracklets are a :class:`Tracklets`: the runs of one
 :class:`~trackstitch.mot_io.DetectionTable`, with their endpoint summaries as
 columns (:class:`EndpointArrays`), always computed from those rows. It is the
 only form in which functions take tracklets. A :class:`Tracklet` object,
-holding a slice of the table, is a read-side view built only when one is read.
+the id and a slice of the table, is a read-side view built only when one is read.
 """
 
 from __future__ import annotations
@@ -26,26 +26,10 @@ import numpy as np
 
 from .mot_io import Detection, DetectionTable
 
-Box = tuple[float, float, float, float]
-
-
-@dataclass(frozen=True)
-class EndpointSummary:
-    """Representative state of a tracklet at one of its ends."""
-
-    frame: int
-    box: Box
-    velocity: tuple[float, float]  # pixels/frame, center motion
-
-    @property
-    def center(self) -> tuple[float, float]:
-        x, y, w, h = self.box
-        return (x + w / 2.0, y + h / 2.0)
-
 
 @dataclass(frozen=True)
 class Tracklet:
-    """A frame-sorted run of same-id detections plus its two endpoint summaries.
+    """A frame-sorted run of same-id detections.
 
     ``detections`` is a table, usually a slice of a larger one; its rows become
     :class:`Detection` objects only when read.
@@ -53,26 +37,17 @@ class Tracklet:
 
     id: int
     detections: DetectionTable
-    start: EndpointSummary
-    end: EndpointSummary
 
     def __len__(self) -> int:
         return len(self.detections)
-
-
-def iou(box_a: Box, box_b: Box) -> float:
-    """Intersection over union of two (x, y, w, h) boxes with positive sizes, in [0, 1]; 0 when disjoint.
-
-    One pair of :func:`iou_pairs`.
-    """
-    return float(iou_pairs(np.asarray(box_a, dtype=float), np.asarray(box_b, dtype=float)))
 
 
 def iou_pairs(boxes_a, boxes_b) -> np.ndarray:
     """Element-wise IoU of two box stacks ``(x, y, w, h)`` of broadcastable arrays, in [0, 1].
 
     Each stack holds one array per box column (a ``(4, ...)`` array or a
-    4-tuple), and every box must have a positive size. Rounding can push the
+    4-tuple; two box tuples give the IoU of one pair), and every box must have
+    a positive size. Rounding can push the
     raw ratio of two (near-)identical boxes a few ulps past 1, which would
     make the distance ``1 - iou`` negative; it is clamped.
     """
@@ -124,17 +99,6 @@ class EndpointArrays:
     @cached_property
     def end_speed(self) -> np.ndarray:
         return _norms(self.end_velocity)
-
-    def summaries(self, k: int) -> tuple[EndpointSummary, EndpointSummary]:
-        """The start and end summaries of row ``k``."""
-        start, end = (
-            EndpointSummary(frame[k].item(), tuple(box[k].tolist()), tuple(velocity[k].tolist()))
-            for frame, box, velocity in (
-                (self.start_frame, self.start_box, self.start_velocity),
-                (self.end_frame, self.end_box, self.end_velocity),
-            )
-        )
-        return start, end
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -247,12 +211,12 @@ class Tracklets(Sequence[Tracklet]):
         return len(self.ids)
 
     def __iter__(self) -> Iterator[Tracklet]:
-        # Sequence.__iter__ would end at an IndexError raised while summarizing
+        # Sequence.__iter__ would end at an IndexError raised while reading a run
         return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, k: int) -> Tracklet:
         k = range(len(self))[operator.index(k)]
-        return Tracklet(self.ids[k].item(), self.rows[self.bounds[k] : self.bounds[k + 1]], *self.ends.summaries(k))
+        return Tracklet(self.ids[k].item(), self.rows[self.bounds[k] : self.bounds[k + 1]])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Tracklets, list, tuple)):
@@ -261,12 +225,6 @@ class Tracklets(Sequence[Tracklet]):
 
     def __repr__(self) -> str:
         return f"Tracklets({list(self)!r})"
-
-
-def make_tracklet(tid: int, detections: Sequence[Detection], window: int = 6, min_len: int = 10) -> Tracklet:
-    """Build tracklet ``tid`` from detections in strictly increasing frames, its rows relabeled ``tid``, computing its endpoint summaries (see :func:`make_tracklets`)."""
-    rows = DetectionTable.of(detections).relabeled(tid)
-    return Tracklets(rows, [0, len(rows)], [tid], window, min_len)[0]
 
 
 def make_tracklets(rows: DetectionTable, bounds: Sequence[int], window: int = 6, min_len: int = 10) -> Tracklets:
@@ -281,7 +239,7 @@ def make_tracklets(rows: DetectionTable, bounds: Sequence[int], window: int = 6,
     velocity (zero for a single detection). A step is the center displacement
     between consecutive rows over their frame delta, and each mean is
     ``np.mean`` in row order. The summaries of all runs are computed together,
-    on first read, equal to :func:`make_tracklet` on each run.
+    on first read, each equal to that of its run alone.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
     return Tracklets(rows, bounds, rows.track_id[bounds[:-1]], window, min_len)

@@ -19,13 +19,13 @@ from trackstitch.associator import (
     validate_assignment,
 )
 from trackstitch.config import PipelineConfig
-from trackstitch.evaluation import idf1, mota
+from trackstitch.evaluation import evaluate_sequence, idf1
 from trackstitch.interpolate import fill_gaps
 from trackstitch.mot_io import Detection, SequenceMeta, load_tracks
 from trackstitch.pipeline import refine_detections
-from trackstitch.scoring import ConstraintKind, ConstraintParams, ScoreConfig, gaussian_score, marginals
+from trackstitch.scoring import ConstraintKind, ConstraintParams, ScoreConfig, gaussian_scores
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
-from trackstitch.tracklets import cut_tracklets, group_tracklets
+from trackstitch.tracklets import cut_tracklets, group_tracklets, iou_pairs
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
@@ -39,13 +39,13 @@ def simple_run(tid, first, last, x0=0.0, vx=1.0, y0=0.0):
 
 
 def test_score_calibration():
-    """gaussian_score(t50) = 0.5 within 1e-9 for every constraint kind."""
+    """The score of t50 is 0.5 within 1e-9 for every constraint kind."""
     rng = np.random.default_rng(100)
     for kind in ConstraintKind:
         for _ in range(100):
             t50 = float(rng.uniform(1e-3, 10.0))
             params = ConstraintParams(True, t50, 3 * t50)
-            assert abs(gaussian_score(t50, params) - 0.5) <= 1e-9, kind
+            assert abs(gaussian_scores(np.array([t50]), params).item() - 0.5) <= 1e-9, kind
     ok("score calibration: S(t50) = 0.5 within 1e-9, all five constraints x 100 random t50")
 
 
@@ -58,27 +58,30 @@ def test_score_shape():
         with_t0 = trial % 2 == 0
         params = ConstraintParams(True, t50, 3 * t50, t0=4 * t50 if with_t0 else None)
         grid = np.linspace(0.0, 6 * t50, 1000)
-        values = [gaussian_score(float(c), params, lower, upper) for c in grid]
+        values = gaussian_scores(grid, params, lower, upper).tolist()
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(v == 0.0 or lower <= v <= upper for v in values)
         if with_t0:
-            assert gaussian_score(4 * t50, params, lower, upper) == 0.0
+            assert gaussian_scores(np.array([4 * t50]), params, lower, upper).tolist() == [0.0]
     ok("score shape: monotone on 1000-point grid, bounded in {0} u [L,U], exact 0 at t0")
 
 
 def test_marginal_normalization():
-    """1000 random tables: sums within 1e-9, ordering invariant to rescaling."""
+    """1000 random candidate tables: sums within 1e-9, ordering invariant to rescaling."""
     rng = np.random.default_rng(102)
+    rows = 0
     for _ in range(1000):
-        n = int(rng.integers(1, 16))
-        products = {i: float(rng.uniform(1e-12, 1.0)) for i in range(n)}
-        m = marginals(products)
-        assert abs(sum(m.values()) - 1.0) <= 1e-9
-        assert all(0 < v <= 1 for v in m.values())
-        scale = float(rng.uniform(1e-6, 1e6))
-        m2 = marginals({k: v * scale for k, v in products.items()})
-        assert sorted(m, key=m.get) == sorted(m2, key=m2.get)
-    ok("marginal normalization: 1000 random tables sum to 1 within 1e-9, rescale-invariant order")
+        domains = build_domains(random_tracklets(rng, 15), ScoreConfig(), META)
+        bounds = domains.offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            products, m = domains.products[lo:hi], domains.marginals[lo:hi]
+            assert abs(m.sum() - 1.0) <= 1e-9
+            assert all(0 < v <= 1 for v in m.tolist())
+            # the marginals rescale the products by one factor, so they keep their order
+            assert np.argsort(m, kind="stable").tolist() == np.argsort(products, kind="stable").tolist()
+            rows += hi - lo > 1
+    assert rows >= 1000
+    ok(f"marginal normalization: {rows} random candidate rows sum to 1 within 1e-9, rescale-invariant order")
 
 
 def random_tracklets(rng, n_max):
@@ -193,13 +196,11 @@ def test_cutter_correctness():
     # |xA - xB| = |2f - 20|: IoU >= 0.5 iff |dx| <= 10/3, i.e. frames 9, 10, 11
     a = [Detection(f, 1, float(f), 0.0, 10.0, 10.0, 1.0) for f in range(1, 21)]
     b = [Detection(f, 2, 20.0 - f, 0.0, 10.0, 10.0, 1.0) for f in range(1, 21)]
-    from trackstitch.tracklets import iou
-
-    hot = [f for f in range(1, 21) if iou(a[f - 1].box, b[f - 1].box) >= 0.5]
+    hot = [f for f in range(1, 21) if float(iou_pairs(a[f - 1].box, b[f - 1].box)) >= 0.5]
     assert hot == [9, 10, 11]
 
     fragments = cut_tracklets(group_tracklets(a + b), 0.5)
-    spans = sorted((t.start.frame, t.end.frame) for t in fragments)
+    spans = sorted(zip(fragments.ends.start_frame.tolist(), fragments.ends.end_frame.tolist()))
     assert spans == [(1, 8), (1, 8), (9, 20), (9, 20)]  # one cut per tracklet, at frame 9
 
     key = lambda d: (d.frame, d.x, d.y, d.w, d.h, d.conf)
@@ -243,8 +244,8 @@ def test_interpolation():
     for d in corrupted:
         trajectories.setdefault(d.track_id, []).append(d)
     filled = [d for dets in trajectories.values() for d in fill_gaps(sorted(dets, key=lambda d: d.frame), 42)]
-    before = mota(gt, corrupted)
-    after = mota(gt, filled)
+    before = evaluate_sequence(gt, corrupted).mota
+    after = evaluate_sequence(gt, filled).mota
     assert after > before
     ok(f"interpolation: gaps 3/41 filled exactly, 42/60 untouched, MOTA {before:.3f} -> {after:.3f}")
 
@@ -252,10 +253,10 @@ def test_interpolation():
 def test_metric_sanity():
     """Perfect scores on identity; frozen one-switch MOTA and half-split IDF1."""
     gt = [Detection(f, 1, 10.0 * f, 0.0, 10.0, 10.0, 1.0) for f in range(1, 11)]
-    assert mota(gt, gt) == 1.0
+    assert evaluate_sequence(gt, gt).mota == 1.0
     assert idf1(gt, gt) == 1.0
     switched = [Detection(d.frame, 1 if d.frame <= 5 else 2, d.x, d.y, d.w, d.h, d.conf) for d in gt]
-    assert abs(mota(gt, switched) - 0.9) <= 1e-12
+    assert abs(evaluate_sequence(gt, switched).mota - 0.9) <= 1e-12
     assert abs(idf1(gt, switched) - 0.5) <= 1e-12
     ok("metric sanity: identity scores 1.0; one-switch MOTA 0.9 and half-split IDF1 0.5 exact")
 

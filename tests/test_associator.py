@@ -21,10 +21,10 @@ from trackstitch.scoring import (
     ConstraintKind,
     PairScores,
     ScoreConfig,
-    gaussian_score,
-    marginals,
+    gaussian_scores,
+    left_sums,
 )
-from trackstitch.tracklets import group_tracklets, iou, make_tracklet, make_tracklets
+from trackstitch.tracklets import group_tracklets, iou_pairs, make_tracklets
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
@@ -169,7 +169,8 @@ class TestSolve:
         # all of that total: subtracting it would leave 0 for STOP's 1e-20
         v1 = SuccessorVar(1, {11: 1.0})
         v2 = SuccessorVar(2, {10: 1.0})
-        v3 = SuccessorVar(3, marginals({10: 1.0, 11: 0.5, STOP: 1e-20}))
+        # the products 1.0, 0.5 and 1e-20 normalized: their total rounds to 1.5
+        v3 = SuccessorVar(3, {10: 1.0 / 1.5, 11: 0.5 / 1.5, STOP: 1e-20 / 1.5})
         assignment, stats = solve_with_stats([v1, v2, v3])
         assert assignment == {1: 11, 2: 10, 3: STOP}
         assert stats.backtracks == 0
@@ -210,14 +211,14 @@ class TestStitch:
     def test_chain_walk(self):
         tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20) + run(3, 1, 8, y0=50.0))
         out = stitch({1: 2, 2: STOP, 3: STOP}, tls)
-        spans = sorted((t.start.frame, t.end.frame) for t in out)
+        spans = sorted(zip(out.ends.start_frame.tolist(), out.ends.end_frame.tolist()))
         assert spans == [(1, 8), (1, 20)]
         assert [t.id for t in out] == [1, 2]
 
     def test_all_stop_is_identity_modulo_ids(self):
         tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20))
         out = stitch({1: STOP, 2: STOP}, tls)
-        assert [(t.start.frame, t.end.frame) for t in out] == [(1, 10), (12, 20)]
+        assert list(zip(out.ends.start_frame.tolist(), out.ends.end_frame.tolist())) == [(1, 10), (12, 20)]
 
     def test_four_chain_has_monotone_frames(self):
         tls = group_tracklets([d for i in range(1, 5) for d in run(i, 10 * i, 10 * i + 8)])
@@ -315,7 +316,8 @@ def dominant_instance(rng):
         cands = rng.choice(pool, size=int(rng.integers(1, min(len(pool), 3) + 1)), replace=False).tolist()
         weights = {c: 10.0 ** rng.uniform(-20, 0) for c in [*cands, STOP]}
         weights[cands[int(rng.integers(len(cands)))] if rng.random() < 0.9 else STOP] = 1.0
-        succ_vars.append(SuccessorVar(vid, marginals(weights)))
+        total = left_sums(np.array(list(weights.values())), (0, len(weights))).item()
+        succ_vars.append(SuccessorVar(vid, {c: weight / total for c, weight in weights.items()}))
     return succ_vars
 
 
@@ -372,31 +374,31 @@ class TestSearch:
         assert (stats.nodes, stats.backtracks) == (n + 1, 0)
 
 
-def scalar_distance(kind, t, s, meta):
-    """Each constraint's distance written pair by pair on plain floats, as the scoring model defines it."""
-    gap = s.start.frame - t.end.frame
+def scalar_distance(kind, ends, t, s, meta):
+    """Each constraint's distance from row ``t`` to row ``s`` of ``ends``, written pair by pair on plain floats, as the scoring model defines it."""
+    gap = ends.start_frame[s].item() - ends.end_frame[t].item()
     if kind is ConstraintKind.TIME_DISTANCE:
         return gap * (30.0 / meta.fps)
-    u, v = t.end.velocity, s.start.velocity
+    u, v = ends.end_velocity[t].tolist(), ends.start_velocity[s].tolist()
     if kind is ConstraintKind.ANGLE_DIFFERENCE:
         if (u[0] == 0 and u[1] == 0) or (v[0] == 0 and v[1] == 0):
             return 0.0
         return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), u[0] * v[0] + u[1] * v[1])
     if kind is ConstraintKind.SPEED_NORM_DIFFERENCE:
         return abs(math.hypot(*v) - math.hypot(*u)) * (meta.fps / 30.0) / meta.diagonal
-    x, y, w, h = t.end.box
+    x, y, w, h = ends.end_box[t].tolist()
     px, py = x + u[0] * gap, y + u[1] * gap
+    sx, sy, sw, sh = ends.start_box[s].tolist()
     if kind is ConstraintKind.PREDICTED_IOU:
-        return 1.0 - iou((px, py, w, h), s.start.box)
-    sx, sy = s.start.center
-    return math.hypot(px + w / 2.0 - sx, py + h / 2.0 - sy) / meta.diagonal
+        return 1.0 - float(iou_pairs((px, py, w, h), (sx, sy, sw, sh)))
+    return math.hypot(px + w / 2.0 - (sx + sw / 2.0), py + h / 2.0 - (sy + sh / 2.0)) / meta.diagonal
 
 
 def scalar_scores(distances, cfg, kinds):
     """Each constraint's score of its distance and, in ``kinds`` order, their product."""
     scores, product = {}, 1.0
     for kind, c in zip(kinds, distances):
-        scores[kind] = gaussian_score(c, cfg.params[kind], cfg.lower, cfg.upper)
+        scores[kind] = gaussian_scores(np.array([c]), cfg.params[kind], cfg.lower, cfg.upper).item()
         product *= scores[kind]
     return scores, product
 
@@ -409,16 +411,22 @@ def scalar_domains(tracklets, cfg, meta):
     kinds = cfg.enabled_kinds
     stop_cfg = replace(cfg, params={k: replace(p, t0=None) for k, p in cfg.params.items()})
     stop = scalar_scores([cfg.params[k].tend for k in kinds], stop_cfg, kinds)
-    ordered = sorted(tracklets, key=lambda t: t.id)
+    ends = tracklets.ends
+    ordered = sorted(range(len(tracklets)), key=lambda k: ends.ids[k])
     out = []
     for t in ordered:
         table = {
-            s.id: scalar_scores([scalar_distance(k, t, s, meta) for k in kinds], cfg, kinds)
+            ends.ids[s].item(): scalar_scores([scalar_distance(k, ends, t, s, meta) for k in kinds], cfg, kinds)
             for s in ordered
-            if t.end.frame < s.start.frame
+            if ends.end_frame[t] < ends.start_frame[s]
         }
         table[STOP] = stop
-        out.append((t.id, marginals({cand: product for cand, (_, product) in table.items()}), table))
+        # the candidates with a positive product, over their total added left to right
+        total = 0.0
+        for _, product in table.values():
+            total += product
+        marg = {cand: product / total for cand, (_, product) in table.items() if product > 0}
+        out.append((ends.ids[t].item(), marg, table))
     return out
 
 
@@ -457,7 +465,7 @@ def random_score_config(rng):
 
 def random_tracklet_set(rng, n):
     """Tracklets with single detections, standing and moving objects, frame gaps and resumed paths."""
-    out = []
+    out = []  # the detections of each tracklet
     for tid in rng.permutation(np.arange(1, n + 1)).tolist():
         length = int(rng.choice([1, 1, 2, 3, 6, 12]))
         offsets = np.concatenate([[0], np.cumsum(rng.integers(1, 3, size=length - 1))]).tolist()
@@ -466,17 +474,18 @@ def random_tracklet_set(rng, n):
         if out and rng.random() < 0.4:
             # resume a tracklet's predicted path: small predicted-box distances
             prev = out[int(rng.integers(len(out)))]
-            first = prev.end.frame + int(rng.integers(1, 5))
+            ends = make_tracklets(DetectionTable.of(prev), [0, len(prev)]).ends
+            last, box, velocity = ends.end_frame[0].item(), ends.end_box[0].tolist(), ends.end_velocity[0].tolist()
+            first = last + int(rng.integers(1, 5))
             # the end box moved by the end velocity, as the predicted-box constraints project it
-            gap = first - prev.end.frame
-            x0, y0 = (p + v * gap for p, v in zip(prev.end.box, prev.end.velocity))
-            w, h = prev.end.box[2:]
+            x0, y0 = (p + v * (first - last) for p, v in zip(box, velocity))
+            w, h = box[2:]
         else:
             x0, y0 = rng.uniform(0, 300, size=2).tolist()
             w, h = rng.uniform(10, 60, size=2).tolist()
         dets = [Detection(first + k, tid, x0 + vx * k, y0 + vy * k, w, h, 1.0) for k in offsets]
-        out.append(make_tracklet(tid, dets))
-    return group_tracklets([d for t in out for d in t.detections])
+        out.append(dets)
+    return group_tracklets([d for dets in out for d in dets])
 
 
 class TestColumnarScoring:
@@ -534,9 +543,10 @@ class TestColumnarScoring:
         rng = np.random.default_rng(44)
         for _ in range(20):
             tls = random_tracklet_set(rng, int(rng.integers(1, 20)))
+            ends = tls.ends
             for var in build_domains(tls, ScoreConfig(), META):
-                t = next(t for t in tls if t.id == var.tracklet_id)
-                assert len(var.pair_scores) - 1 == sum(t.end.frame < s.start.frame for s in tls)
+                (t,) = np.flatnonzero(ends.ids == var.tracklet_id)
+                assert len(var.pair_scores) - 1 == np.count_nonzero(ends.end_frame[t] < ends.start_frame)
 
     def test_pair_scores_built_only_when_read(self, monkeypatch):
         built = []

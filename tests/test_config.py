@@ -152,6 +152,43 @@ def test_endpoint_window_outside_the_rule_rejected(window, min_len):
         refine_detections([], SequenceMeta(30.0, 100, 100, 1), cfg)
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (dict(interp_enabled="no"), "interp.enabled must be a boolean, got 'no'"),
+        (dict(cutter_enabled=1), "cutter.enabled must be a boolean, got 1"),
+        (dict(interp_enabled=None), "interp.enabled must be a boolean, got None"),
+    ],
+)
+def test_flags_must_be_booleans(settings, message):
+    cfg = PipelineConfig(**settings)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cfg.validate()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refine_detections([], SequenceMeta(30.0, 100, 100, 1), cfg)
+    PipelineConfig(cutter_enabled=np.bool_(False), interp_enabled=np.bool_(True)).validate()
+
+
+def test_constraint_flags_must_be_booleans():
+    cfg = PipelineConfig()
+    cfg.scores.params[ConstraintKind.TIME_DISTANCE].enabled = "yes"
+    with pytest.raises(ValueError, match=r"^td\.enabled must be a boolean, got 'yes'$"):
+        cfg.validate()
+    with pytest.raises(ValueError, match=r"^enabled must be a boolean, got 0$"):
+        ConstraintParams(0, 1.0, 3.0).validate()
+    ConstraintParams(np.bool_(True), 1.0, 3.0).validate(ConstraintKind.TIME_DISTANCE)
+
+
+def test_config_and_scenario_files_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_text("\ufeffcutter.t_tc = 0.7\ninterp.enabled = false\n", encoding="utf-8")
+    cfg = load_pipeline_config(path)
+    assert cfg.cut_threshold == 0.7 and cfg.interp_enabled is False
+    path.write_text("\ufeffscene.num_objects = 2\nscene.num_frames = 10\n", encoding="utf-8")
+    scenario, _ = load_scenario(path)
+    assert (scenario.num_objects, scenario.num_frames) == (2, 10)
+
+
 def test_piou_thresholds_reported_in_iou_form():
     with pytest.raises(ValueError, match=r"^piou\.t0 must lie below t50, got t0=0\.8 >= t50=0\.75$"):
         ConstraintParams(True, 0.25, 2.0, 1.0 - 0.8).validate(ConstraintKind.PREDICTED_IOU)

@@ -19,7 +19,6 @@ from trackstitch.evaluation import (
     evaluate_sequence,
     format_report,
     idf1,
-    mota,
     report_row,
 )
 from trackstitch.mot_io import Detection
@@ -38,18 +37,18 @@ GT = track(1, range(1, 11)) + track(2, range(1, 11), y0=100.0)
 
 
 def test_perfect_prediction_scores_one():
-    assert mota(GT, GT) == 1.0
+    assert evaluate_sequence(GT, GT).mota == 1.0
     assert idf1(GT, GT) == 1.0
 
 
 def test_empty_prediction():
-    assert mota(GT, []) == 0.0
+    assert evaluate_sequence(GT, []).mota == 0.0
     assert idf1(GT, []) == 0.0
 
 
 def test_empty_ground_truth_is_an_error():
     with pytest.raises(ValueError):
-        mota([], GT)
+        evaluate_sequence([], GT)
     with pytest.raises(ValueError):
         idf1([], GT)
 
@@ -57,7 +56,7 @@ def test_empty_ground_truth_is_an_error():
 def test_one_id_switch_costs_one():
     gt = track(1, range(1, 11))
     pred = [Detection(d.frame, 1 if d.frame <= 5 else 2, d.x, d.y, d.w, d.h, d.conf) for d in gt]
-    assert mota(gt, pred) == pytest.approx(0.9, abs=1e-12)
+    assert evaluate_sequence(gt, pred).mota == pytest.approx(0.9, abs=1e-12)
 
 
 def test_idf1_half_split():
@@ -69,22 +68,22 @@ def test_idf1_half_split():
 def test_idf1_invariant_under_renaming():
     pred = relabel(GT, {1: 77, 2: 13})
     assert idf1(GT, pred) == 1.0
-    assert mota(GT, pred) == 1.0
+    assert evaluate_sequence(GT, pred).mota == 1.0
 
 
 def test_mota_counts_fp_and_fn():
     pred = GT + track(9, range(1, 6), y0=400.0)  # 5 spurious detections
-    assert mota(GT, pred) == pytest.approx(1.0 - 5 / len(GT), abs=1e-12)
+    assert evaluate_sequence(GT, pred).mota == pytest.approx(1.0 - 5 / len(GT), abs=1e-12)
     missing = [d for d in GT if not (d.track_id == 2 and d.frame > 7)]  # 3 misses
-    assert mota(GT, missing) == pytest.approx(1.0 - 3 / len(GT), abs=1e-12)
+    assert evaluate_sequence(GT, missing).mota == pytest.approx(1.0 - 3 / len(GT), abs=1e-12)
 
 
 def test_deleting_detections_never_helps():
     rng = np.random.default_rng(41)
-    full = mota(GT, GT)
+    full = evaluate_sequence(GT, GT).mota
     for _ in range(20):
         keep = [d for d in GT if rng.random() > 0.2]
-        assert mota(GT, keep) <= full
+        assert evaluate_sequence(GT, keep).mota <= full
 
 
 def test_carry_over_beats_flicker():
@@ -93,7 +92,7 @@ def test_carry_over_beats_flicker():
     pred = relabel(gt, {1: 11, 2: 22})
     records = clear_frame_matchings(gt, pred)
     assert sum(r.id_switches for r in records) == 0
-    assert mota(gt, pred) == 1.0
+    assert evaluate_sequence(gt, pred).mota == 1.0
 
 
 def test_frame_matching_records():
@@ -107,7 +106,7 @@ def test_frame_matching_records():
 def test_low_iou_does_not_match():
     gt = track(1, range(1, 4))
     shifted = [Detection(d.frame, 1, d.x + 8.0, d.y, d.w, d.h, d.conf) for d in gt]  # IoU ~ 0.11
-    assert mota(gt, shifted) == pytest.approx(1.0 - 2 * len(gt) / len(gt), abs=1e-12)  # all FP + FN
+    assert evaluate_sequence(gt, shifted).mota == pytest.approx(1.0 - 2 * len(gt) / len(gt), abs=1e-12)  # all FP + FN
 
 
 def test_report_formats():
@@ -120,13 +119,13 @@ def test_report_formats():
 def test_rejects_duplicate_ids_in_frame():
     bad = GT + [Detection(1, 1, 50.0, 50.0, 10.0, 10.0, 1.0)]
     with pytest.raises(ValueError, match="twice"):
-        mota(bad, GT)
+        evaluate_sequence(bad, GT)
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
 def test_rejects_iou_threshold_outside_unit_interval(threshold):
     far = [Detection(d.frame, d.track_id, d.x + 700.0, d.y, d.w, d.h, d.conf) for d in GT]
-    for metric in (clear_frame_matchings, idf1, mota, evaluate_sequence):
+    for metric in (clear_frame_matchings, idf1, evaluate_sequence):
         with pytest.raises(ValueError, match=r"iou_threshold must lie in \(0, 1\]"):
             metric(GT, far, threshold)
 
@@ -273,7 +272,7 @@ def assert_like_reference(gt, pred, threshold):
     assert all(type(v) is int for r in records for v in (r.frame, *(i for pair in r.matches for i in pair)))
     scores = reference_scores(gt, pred, threshold)
     assert evaluate_sequence(gt, pred, threshold) == scores
-    assert mota(gt, pred, threshold) == scores.mota
+    assert evaluate_sequence(gt, pred, threshold).mota == scores.mota
     assert idf1(gt, pred, threshold) == scores.idf1
 
 

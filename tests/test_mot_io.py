@@ -15,6 +15,7 @@ from trackstitch.mot_io import (
     Detection,
     ParseError,
     SequenceMeta,
+    load_tracks,
     parse_tracks,
     read_seqinfo,
     write_tracks,
@@ -232,6 +233,24 @@ def test_read_seqinfo(tmp_path):
     path.write_text("[Sequence]\nname=demo\nframeRate=25\nseqLength=600\nimWidth=1280\nimHeight=720\n")
     meta = read_seqinfo(path)
     assert (meta.fps, meta.img_width, meta.img_height, meta.num_frames) == (25, 1280, 720, 600)
+
+
+def test_read_seqinfo_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "seqinfo.ini"
+    path.write_text("\ufeff[Sequence]\nframeRate=25\nseqLength=600\nimWidth=1280\nimHeight=720\n", encoding="utf-8")
+    meta = read_seqinfo(path)
+    assert (meta.fps, meta.img_width, meta.img_height, meta.num_frames) == (25, 1280, 720, 600)
+
+
+def test_load_tracks_drops_a_byte_order_mark(tmp_path):
+    text = "1,1,10,20,30,40,0.9,-1,-1,-1\n2,1,11,20,30,40,0.8,-1,-1,-1\n"
+    path = tmp_path / "tracks.txt"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_tracks(path) == parse_tracks(text)
+    # a mark anywhere but at the start is still an error
+    path.write_text(text + "\ufeff3,1,12,20,30,40,0.7,-1,-1,-1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 3: "):
+        load_tracks(path)
 
 
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), 0.0, -5.0])

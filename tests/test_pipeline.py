@@ -129,7 +129,8 @@ def test_summary_counts_match_the_tracklets_refined():
         cfg.endpoint_min_len,
     )
     assert summary.tracklets_associated == len(tracklets)
-    assert summary.candidate_edges == sum(t.end.frame < s.start.frame for t in tracklets for s in tracklets)
+    ends = tracklets.ends
+    assert summary.candidate_edges == np.count_nonzero(ends.end_frame[:, None] < ends.start_frame[None, :])
     assert summary.candidate_edges > 0
     assert summary.solver_nodes == 1 + len(tracklets)
     assert summary.solver_backtracks == 0
@@ -171,7 +172,7 @@ def test_parsed_tables_build_no_tracklet_or_domain_objects(monkeypatch):
     from trackstitch.associator import SuccessorVar
     from trackstitch.mot_io import parse_tracks, write_tracks
     from trackstitch.scoring import PairScores
-    from trackstitch.tracklets import EndpointSummary, Tracklet
+    from trackstitch.tracklets import Tracklet
 
     gt, meta = generate(ScenarioConfig(num_objects=8, num_frames=150, crossings=3, seed=1))
     corrupted, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, random_cuts_per_track=1, gap_frames=(1, 3), seed=1))
@@ -185,7 +186,7 @@ def test_parsed_tables_build_no_tracklet_or_domain_objects(monkeypatch):
 
         return counted
 
-    for cls in (Tracklet, EndpointSummary, SuccessorVar, PairScores):
+    for cls in (Tracklet, SuccessorVar, PairScores):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__, built, lambda self, *_: type(self).__name__))
     # _endpoints(rows, bounds, ...) summarizes len(bounds) - 1 runs
     monkeypatch.setattr(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,8 @@ from trackstitch.scoring import (
     ConstraintParams,
     EndpointPairs,
     ScoreConfig,
-    gaussian_score,
     gaussian_scores,
     left_sums,
-    marginals,
     pair_distances,
     score_columns,
     stop_scores,
@@ -32,43 +31,43 @@ def run(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
 class TestGaussianScore:
     def test_half_at_t50(self):
         p = ConstraintParams(True, 2.5, 5.0)
-        assert gaussian_score(2.5, p) == pytest.approx(0.5, abs=1e-12)
+        assert gaussian_scores(np.array([2.5]), p).item() == pytest.approx(0.5, abs=1e-12)
 
     def test_upper_clamp_at_zero(self):
         p = ConstraintParams(True, 1.0, 3.0)
-        assert gaussian_score(0.0, p, 1e-6, 1 - 1e-6) == 1 - 1e-6
+        assert gaussian_scores(np.array([0.0]), p, 1e-6, 1 - 1e-6).tolist() == [1 - 1e-6]
 
     def test_zero_at_t0(self):
         p = ConstraintParams(True, 1.0, 3.0, t0=4.0)
-        assert gaussian_score(4.0, p) == 0.0
-        assert gaussian_score(17.5, p) == 0.0
-        assert gaussian_score(3.999, p) > 0.0
+        at_t0, beyond, below = gaussian_scores(np.array([4.0, 17.5, 3.999]), p).tolist()
+        assert at_t0 == 0.0
+        assert beyond == 0.0
+        assert below > 0.0
 
     def test_double_t50(self):
         # exp(-4 ln 2) = 2^-4
         p = ConstraintParams(True, 1.0, 3.0)
-        assert gaussian_score(2.0, p, 1e-6, 1 - 1e-6) == pytest.approx(0.0625, abs=1e-15)
+        assert gaussian_scores(np.array([2.0]), p, 1e-6, 1 - 1e-6).item() == pytest.approx(0.0625, abs=1e-15)
 
     def test_lower_clamp(self):
         p = ConstraintParams(True, 1.0, 3.0)
-        assert gaussian_score(100.0, p, 1e-6, 1 - 1e-6) == 1e-6
+        assert gaussian_scores(np.array([100.0]), p, 1e-6, 1 - 1e-6).tolist() == [1e-6]
 
     def test_non_increasing(self):
         p = ConstraintParams(True, 0.7, 3.0, t0=5.0)
         grid = np.linspace(0, 6, 500)
-        values = [gaussian_score(float(c), p) for c in grid]
+        values = gaussian_scores(grid, p).tolist()
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_range_is_zero_or_bounded(self):
         rng = np.random.default_rng(11)
         p = ConstraintParams(True, 1.3, 3.0, t0=4.0)
-        for _ in range(500):
-            v = gaussian_score(float(rng.uniform(0, 8)), p, 0.01, 0.99)
+        for v in gaussian_scores(rng.uniform(0, 8, size=500), p, 0.01, 0.99).tolist():
             assert v == 0.0 or 0.01 <= v <= 0.99
 
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
-            gaussian_score(-0.1, ConstraintParams(True, 1.0, 3.0))
+            gaussian_scores(np.array([-0.1]), ConstraintParams(True, 1.0, 3.0))
 
 
 def plain_score(c, p, lower, upper):
@@ -93,12 +92,12 @@ class TestGaussianScores:
                     [0.0, p.t50, t0 or 1.0, np.nextafter(t0 or 1.0, 0.0), 1e100],
                 ])
                 expected = [plain_score(v, p, lower, 0.9) for v in c.tolist()]
-                assert [gaussian_score(v, p, lower, 0.9) for v in c.tolist()] == expected
+                # one distance at a time, as stop_scores scores them, and all at once
+                assert [gaussian_scores(np.array([v]), p, lower, 0.9).item() for v in c.tolist()] == expected
                 assert gaussian_scores(c, p, lower, 0.9).tolist() == expected
 
     def test_clamps_where_the_square_would_overflow(self):
         p = ConstraintParams(True, 1.0, 3.0)
-        assert gaussian_score(1e200, p, 1e-6) == 1e-6
         assert gaussian_scores(np.array([1e200]), p, 1e-6).tolist() == [1e-6]
 
     def test_rejects_negative_distance(self):
@@ -239,50 +238,93 @@ class TestPairDistance:
         assert [list(var.pair_scores) for var in build_domains(group_tracklets(t + s + u), ScoreConfig(), META)] == [[3, STOP], [STOP], [STOP]]
 
 
+def rows(domains):
+    """Each variable's (products, marginals) columns."""
+    bounds = domains.offsets.tolist()
+    return [(domains.products[lo:hi], domains.marginals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def random_scene(rng, n):
+    """n tracklets of 1 to 14 detections at random places, frames and speeds."""
+    dets = []
+    for tid in range(1, n + 1):
+        first = int(rng.integers(1, 200))
+        dets += run(tid, range(first, first + int(rng.integers(1, 15))), x0=float(rng.uniform(0, 1800)),
+                    vx=float(rng.uniform(-2, 2)), y0=float(rng.uniform(0, 1000)))
+    return group_tracklets(dets)
+
+
 class TestMarginals:
+    """build_domains' marginals: each row's products over the row's total."""
+
     def test_single_candidate(self):
-        assert marginals({None: 0.123}) == {None: 1.0}
+        domains = build_domains(group_tracklets(run(1, range(1, 11))), ScoreConfig(), META)
+        assert domains.marginals.tolist() == [1.0]
+        assert domains[0].marginals == {STOP: 1.0}
 
     def test_equal_products_split_evenly(self):
-        m = marginals({1: 0.4, 2: 0.4})
-        assert m[1] == pytest.approx(0.5, abs=0) and m[2] == pytest.approx(0.5, abs=0)
+        # 2 and 3 start alike, so 1 scores them alike
+        tls = group_tracklets(run(1, range(1, 11), vx=1.0) + run(2, range(12, 22), x0=11.0) + run(3, range(12, 22), x0=11.0))
+        products, marginals = rows(build_domains(tls, ScoreConfig(), META))[0]
+        assert products[0] == products[1] and marginals[0] == marginals[1]
+        assert marginals.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_three_way_example(self):
-        m = marginals({1: 0.4, 2: 0.1, None: 0.0005})
-        assert m[1] == pytest.approx(0.4 / 0.5005, abs=1e-9)
-        assert m[2] == pytest.approx(0.1 / 0.5005, abs=1e-9)
-        assert m[None] == pytest.approx(0.0005 / 0.5005, abs=1e-9)
-        assert sum(m.values()) == pytest.approx(1.0, abs=1e-9)
+        tls = group_tracklets(run(1, range(1, 11), vx=1.0) + run(2, range(12, 22), x0=11.0, vx=1.0) + run(3, range(13, 22), x0=30.0))
+        products, marginals = rows(build_domains(tls, ScoreConfig(), META))[0]
+        assert len(products) == 3 and len(set(products.tolist())) == 3
+        total = products[0] + products[1] + products[2]
+        assert marginals.tolist() == pytest.approx((products / total).tolist(), abs=1e-9)
+        assert marginals.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_products_are_dropped(self):
-        m = marginals({1: 0.0, 2: 0.3, None: 0.1})
-        assert 1 not in m
-        assert sum(m.values()) == pytest.approx(1.0, abs=1e-9)
+        cfg = ScoreConfig()
+        cfg.params[ConstraintKind.TIME_DISTANCE].t0 = 10.0
+        # 3 resumes 1 thirty frames later: past t0, so its product is 0
+        tls = group_tracklets(run(1, range(1, 11)) + run(2, range(12, 21)) + run(3, range(40, 51)))
+        domains = build_domains(tls, cfg, META)
+        products, marginals = rows(domains)[0]
+        assert products[1] == 0.0 and marginals[1] == 0.0
+        assert 3 not in domains[0].marginals and 2 in domains[0].marginals
+        assert sum(domains[0].marginals.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_all_zero_raises(self):
-        with pytest.raises(ValueError):
-            marginals({1: 0.0, 2: 0.0})
+        # every enabled constraint scores STOP at L = 1e-200, and the product underflows to 0
+        cfg = ScoreConfig(lower=1e-200)
+        for kind in cfg.enabled_kinds:
+            cfg.params[kind].tend = 1e6
+        with pytest.raises(ValueError, match="^all candidate products are zero; domains must retain STOP$"):
+            build_domains(group_tracklets(run(1, range(1, 11))), cfg, META)
 
     def test_ordering_invariant_under_rescale(self):
+        # a speed constraint that scores every entry, STOP included, at U
+        # multiplies every product by U
         rng = np.random.default_rng(14)
-        for _ in range(200):
-            products = {i: float(rng.uniform(1e-9, 1.0)) for i in range(int(rng.integers(2, 12)))}
-            scale = float(rng.uniform(1e-6, 1e6))
-            base = marginals(products)
-            scaled = marginals({k: v * scale for k, v in products.items()})
-            order = sorted(base, key=base.get)
-            assert order == sorted(scaled, key=scaled.get)
-            for k in base:
-                assert scaled[k] == pytest.approx(base[k], rel=1e-9)
+        for _ in range(40):
+            tls = random_scene(rng, int(rng.integers(2, 12)))
+            cfg = ScoreConfig(upper=float(rng.uniform(0.51, 0.999)))
+            scaled = replace(cfg, params={kind: replace(p) for kind, p in cfg.params.items()})
+            scaled.params[ConstraintKind.SPEED_NORM_DIFFERENCE] = ConstraintParams(True, 1e300, 1e-300)
+            for (products, base), (scaled_products, rescaled) in zip(rows(build_domains(tls, cfg, META)), rows(build_domains(tls, scaled, META))):
+                assert scaled_products.tolist() == pytest.approx((products * cfg.upper).tolist(), rel=1e-12)
+                assert np.argsort(base, kind="stable").tolist() == np.argsort(rescaled, kind="stable").tolist()
+                assert rescaled.tolist() == pytest.approx(base.tolist(), rel=1e-9)
 
     def test_total_is_summed_left_to_right(self):
         # ten products of 0.1 add up to 0.9999999999999999 left to right, but to
         # 1.0 in a compensated sum (the builtin sum from Python 3.12 on) and in
         # numpy's pairwise np.sum
         assert math.fsum([0.1] * 10) == np.sum(np.full(10, 0.1)) == 1.0
-        m = marginals({k: 0.1 for k in range(10)})
-        assert list(m.values()) == [0.1 / 0.9999999999999999] * 10
-        assert m[0] != 0.1
+        rng = np.random.default_rng(15)
+        compensated_differs = 0
+        for _ in range(10):
+            for products, marginals in rows(build_domains(random_scene(rng, 40), ScoreConfig(), META)):
+                total = 0.0
+                for product in products.tolist():
+                    total += product
+                assert marginals.tolist() == (products / total).tolist()
+                compensated_differs += marginals.tolist() != (products / math.fsum(products.tolist())).tolist()
+        assert compensated_differs > 0
 
     def test_left_sums_add_each_segment_in_order(self):
         rng = np.random.default_rng(16)

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from trackstitch.mot_io import Detection
+from trackstitch.mot_io import Detection, DetectionTable
 from trackstitch.synth import (
     CorruptionConfig,
     ScenarioConfig,
     ScenarioError,
+    _crossings,
     corrupt,
-    find_crossings,
     generate,
 )
-from trackstitch.tracklets import iou
+from trackstitch.tracklets import iou_pairs
 
 
 def group(dets):
@@ -49,7 +49,7 @@ class TestGenerate:
         by_id = group(gt)
         a = {d.frame: d for d in by_id[1]}
         b = {d.frame: d for d in by_id[2]}
-        curve = [(iou(a[f].box, b[f].box), f) for f in sorted(a)]
+        curve = [(float(iou_pairs(a[f].box, b[f].box)), f) for f in sorted(a)]
         peak, frame = max(curve)
         assert peak > 0.5
         assert sum(1 for v, _ in curve if v == peak) == 1
@@ -148,7 +148,7 @@ class TestCorrupt:
 
     def test_fragment_prob_cuts_at_crossing(self):
         gt, _ = generate(ScenarioConfig(num_objects=2, num_frames=100, crossings=1, seed=3))
-        events = find_crossings(group(gt), 0.3)
+        events = _crossings(gt, gt.track_id, 0.3)  # generate's rows run object by object
         assert events
         out, log = corrupt(gt, CorruptionConfig(fragment_prob=1.0, seed=7))
         assert len(log.cuts) == 2 * len(events)
@@ -165,7 +165,8 @@ class TestFindCrossings:
     def test_detects_constructed_crossing(self):
         a = [Detection(f, 1, float(f), 0.0, 10.0, 10.0, 1.0) for f in range(1, 21)]
         b = [Detection(f, 2, 20.0 - f, 0.0, 10.0, 10.0, 1.0) for f in range(1, 21)]
-        events = find_crossings({1: a, 2: b}, 0.3)
+        rows = DetectionTable.of(a + b)
+        events = _crossings(rows, rows.track_id, 0.3)
         assert len(events) == 1
         assert events[0][:2] == (1, 2)
         assert events[0][2] == 10  # coincident boxes at frame 10
@@ -173,4 +174,5 @@ class TestFindCrossings:
     def test_no_events_when_apart(self):
         a = [Detection(f, 1, 0.0, 0.0, 10.0, 10.0, 1.0) for f in range(1, 11)]
         b = [Detection(f, 2, 500.0, 0.0, 10.0, 10.0, 1.0) for f in range(1, 11)]
-        assert find_crossings({1: a, 2: b}, 0.3) == []
+        rows = DetectionTable.of(a + b)
+        assert _crossings(rows, rows.track_id, 0.3) == []

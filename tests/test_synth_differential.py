@@ -1,11 +1,11 @@
 """The columnar synth against per-detection reference copies of itself.
 
-``reference_generate``, ``reference_find_crossings`` and ``reference_corrupt``
-build one ``Detection`` at a time, score one box pair at a time with the scalar
-``iou`` and walk each trajectory in Python. ``generate``, ``find_crossings``
-and ``corrupt`` must give the same rows and the same log records, draw for
-draw, on generated scenarios and on small hand-built ones with plateaus,
-missing and repeated frames and lists out of frame order.
+``reference_generate``, ``reference_crossings`` and ``reference_corrupt``
+build one ``Detection`` at a time, score one box pair at a time and walk each
+trajectory in Python. ``generate``, ``_crossings`` and ``corrupt`` must give
+the same rows and the same log records, draw for draw, on generated scenarios
+and on small hand-built ones with plateaus, missing and repeated frames and
+rows out of frame order.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from trackstitch.mot_io import Detection
+from trackstitch.mot_io import Detection, DetectionTable
 from trackstitch.synth import (
     CorruptionConfig,
     CorruptionLog,
@@ -26,12 +26,12 @@ from trackstitch.synth import (
     ScenarioConfig,
     ScenarioError,
     SwapRecord,
+    _crossings,
     _plan_paths,
     corrupt,
-    find_crossings,
     generate,
 )
-from trackstitch.tracklets import iou
+from trackstitch.tracklets import iou_pairs
 
 
 def reference_generate(cfg):
@@ -46,7 +46,8 @@ def reference_generate(cfg):
     return detections
 
 
-def reference_find_crossings(trajectories, iou_threshold):
+def reference_crossings(trajectories, iou_threshold):
+    """The crossing events of a dict of id -> detections, one box pair and one run at a time."""
     events = []
     ids = sorted(trajectories)
     for i, a in enumerate(ids):
@@ -55,7 +56,7 @@ def reference_find_crossings(trajectories, iou_threshold):
             run = []
             for d in trajectories[b]:
                 da = frames_a.get(d.frame)
-                value = iou(da.box, d.box) if da else 0.0
+                value = float(iou_pairs(da.box, d.box)) if da else 0.0
                 if value >= iou_threshold:
                     run.append((value, d.frame))
                 elif run:
@@ -76,7 +77,7 @@ def reference_corrupt(gt, cfg):
     for det in sorted(gt, key=attrgetter("track_id", "frame")):
         containers.setdefault(det.track_id, []).append(det)
 
-    events = reference_find_crossings(containers, cfg.crossing_iou)
+    events = reference_crossings(containers, cfg.crossing_iou)
 
     for a, b, frame in events:
         if cfg.swap_prob > 0 and rng.random() < cfg.swap_prob:
@@ -197,55 +198,65 @@ def test_generate_matches_the_per_detection_loop(cfg):
     assert meta.num_frames == cfg.num_frames and len(gt) == cfg.num_objects * cfg.num_frames
 
 
-# --- find_crossings ---------------------------------------------------------
+# --- _crossings -------------------------------------------------------------
 
 
 def test_plateau_peak_is_the_earliest_frame_of_the_run():
     a = box_track(1, range(1, 11), [20, 15, 10, 5, 5, 5, 5, 10, 15, 20])
     b = box_track(2, range(1, 11), [5] * 10)
-    assert find_crossings({1: a, 2: b}, 0.3) == reference_find_crossings({1: a, 2: b}, 0.3) == [(1, 2, 4)]
+    rows = DetectionTable.of(a + b)
+    assert _crossings(rows, rows.track_id, 0.3) == reference_crossings({1: a, 2: b}, 0.3) == [(1, 2, 4)]
 
 
 def test_a_missing_frame_splits_a_run():
     a = box_track(1, [1, 2, 3, 5, 6], [0, 1, 0, 0, 1])
     b = box_track(2, range(1, 7), [0] * 6)
-    assert find_crossings({1: a, 2: b}, 0.5) == reference_find_crossings({1: a, 2: b}, 0.5) == [(1, 2, 1), (1, 2, 5)]
+    rows = DetectionTable.of(a + b)
+    assert _crossings(rows, rows.track_id, 0.5) == reference_crossings({1: a, 2: b}, 0.5) == [(1, 2, 1), (1, 2, 5)]
 
 
 def test_runs_follow_list_order_not_frame_order():
     a = box_track(1, range(1, 7), [0] * 6)
     b = box_track(2, [4, 1, 2, 6, 3, 5], [0, 2, 30, 1, 1, 30])
-    # runs: list positions 0-1 (frames 4, 1) and 3-4 (frames 6, 3, equal IoU: the earlier frame wins)
-    events = find_crossings({1: a, 2: b}, 0.5)
-    assert events == reference_find_crossings({1: a, 2: b}, 0.5) == [(1, 2, 3), (1, 2, 4)]
+    # runs: row positions 0-1 (frames 4, 1) and 3-4 (frames 6, 3, equal IoU: the earlier frame wins)
+    rows = DetectionTable.of(a + b)
+    events = _crossings(rows, rows.track_id, 0.5)
+    assert events == reference_crossings({1: a, 2: b}, 0.5) == [(1, 2, 3), (1, 2, 4)]
 
 
 def test_a_repeated_frame_of_the_lower_id_is_looked_up_by_its_last_row():
     a = box_track(1, [1, 2, 2, 3], [0, 0, 50, 0])  # the second row of frame 2 is far away
     b = box_track(2, [1, 2, 3], [0, 0, 0])
-    events = find_crossings({1: a, 2: b}, 0.5)
-    assert events == reference_find_crossings({1: a, 2: b}, 0.5) == [(1, 2, 1), (1, 2, 3)]
+    rows = DetectionTable.of(a + b)
+    events = _crossings(rows, rows.track_id, 0.5)
+    assert events == reference_crossings({1: a, 2: b}, 0.5) == [(1, 2, 1), (1, 2, 3)]
     # a repeated frame of the higher id scores each of its rows
-    assert find_crossings({1: b, 2: a}, 0.5) == reference_find_crossings({1: b, 2: a}, 0.5) == [(1, 2, 1), (1, 2, 3)]
+    rows = DetectionTable.of(b + a)
+    owners = np.repeat([1, 2], [len(b), len(a)])
+    assert _crossings(rows, owners, 0.5) == reference_crossings({1: b, 2: a}, 0.5) == [(1, 2, 1), (1, 2, 3)]
 
 
 def test_dict_keys_name_the_trajectories():
+    # the owners, not the rows' track ids, name the trajectories
     a = box_track(7, range(1, 4), [0, 0, 0])
     b = box_track(7, range(1, 4), [0, 1, 2])
-    assert find_crossings({9: a, 3: b}, 0.5) == reference_find_crossings({9: a, 3: b}, 0.5) == [(3, 9, 1)]
+    rows = DetectionTable.of(b + a)
+    owners = np.repeat([3, 9], [len(b), len(a)])
+    assert _crossings(rows, owners, 0.5) == reference_crossings({9: a, 3: b}, 0.5) == [(3, 9, 1)]
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
 def test_find_crossings_rejects_a_threshold_outside_the_unit_interval(threshold):
-    a = box_track(1, [1], [0])
-    with pytest.raises(ValueError, match=r"crossing IoU threshold must lie in \(0, 1\]"):
-        find_crossings({1: a, 2: a}, threshold)
+    a = box_track(1, [1], [0]) + box_track(2, [1], [0])
+    with pytest.raises(ValueError, match=r"^crossing_iou must lie in \(0, 1\], got "):
+        corrupt(a, CorruptionConfig(crossing_iou=threshold))
 
 
 @st.composite
-def trajectory_dicts(draw):
-    ids = draw(st.lists(st.integers(-3, 9), min_size=0, max_size=5, unique=True))
-    out = {}
+def owned_rows(draw):
+    """Detections grouped by owner, owners ascending, each owner's rows in drawn frame order, and their owners."""
+    ids = sorted(draw(st.lists(st.integers(-3, 9), min_size=0, max_size=5, unique=True)))
+    detections, owners = [], []
     for tid in ids:
         rows = draw(
             st.lists(
@@ -253,14 +264,20 @@ def trajectory_dicts(draw):
                 max_size=12,
             )
         )
-        out[tid] = [Detection(f, draw(st.integers(1, 3)), x, 0.0, w, 10.0, 1.0) for f, x, w in rows]
-    return out
+        detections += [Detection(f, draw(st.integers(1, 3)), x, 0.0, w, 10.0, 1.0) for f, x, w in rows]
+        owners += [tid] * len(rows)
+    return detections, owners
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(trajectories=trajectory_dicts(), threshold=st.one_of(st.sampled_from([0.3, 0.5, 0.6, 1.0]), st.floats(0.01, 1.0)))
-def test_find_crossings_matches_the_pairwise_loop(trajectories, threshold):
-    assert find_crossings(trajectories, threshold) == reference_find_crossings(trajectories, threshold)
+@given(owned=owned_rows(), threshold=st.one_of(st.sampled_from([0.3, 0.5, 0.6, 1.0]), st.floats(0.01, 1.0)))
+def test_find_crossings_matches_the_pairwise_loop(owned, threshold):
+    detections, owners = owned
+    trajectories = {}
+    for owner, d in zip(owners, detections):
+        trajectories.setdefault(owner, []).append(d)
+    events = _crossings(DetectionTable.of(detections), np.array(owners, dtype=np.int64), threshold)
+    assert events == reference_crossings(trajectories, threshold)
 
 
 # --- corrupt ----------------------------------------------------------------
@@ -297,7 +314,8 @@ def test_coinciding_cuts_collapse_to_the_widest_gap():
     cfg = CorruptionConfig(fragment_prob=1.0, gap_frames=(0, 4), seed=12)
     log = assert_same_corruption(gt, cfg)
     assert [(c.source, c.frame) for c in log.cuts] == [(1, 10), (2, 10), (3, 10)]
-    assert len(find_crossings({1: gt[:20], 2: gt[20:40], 3: gt[40:]}, cfg.crossing_iou)) == 3
+    rows = DetectionTable.of(gt)
+    assert len(_crossings(rows, rows.track_id, cfg.crossing_iou)) == 3
 
 
 def test_corrupt_of_nothing_is_an_empty_table():

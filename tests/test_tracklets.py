@@ -12,9 +12,9 @@ from trackstitch.associator import STOP, build_domains, solve_with_stats, stitch
 from trackstitch.mot_io import Detection
 from trackstitch.scoring import ScoreConfig
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
-from trackstitch.tracklets import cut_tracklets, group_tracklets, iou, iou_matrix, iou_pairs, make_tracklet
+from trackstitch.tracklets import cut_tracklets, group_tracklets, iou_matrix, iou_pairs
 from trackstitch.mot_io import DetectionTable
-from trackstitch.tracklets import EndpointArrays, Tracklets, make_tracklets, run_bounds
+from trackstitch.tracklets import EndpointArrays, Tracklet, Tracklets, make_tracklets, run_bounds
 
 
 def boxes_track(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
@@ -35,30 +35,30 @@ def _scalar_iou(box_a, box_b):
 
 class TestIou:
     def test_identical(self):
-        assert iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
+        assert float(iou_pairs((0, 0, 10, 10), (0, 0, 10, 10))) == 1.0
 
     def test_disjoint(self):
-        assert iou((0, 0, 10, 10), (20, 20, 5, 5)) == 0.0
+        assert float(iou_pairs((0, 0, 10, 10), (20, 20, 5, 5))) == 0.0
 
     def test_half_overlap(self):
         # intersection 5x10 = 50, union 100 + 100 - 50 = 150
-        assert iou((0, 0, 10, 10), (5, 0, 10, 10)) == pytest.approx(1 / 3, abs=1e-12)
+        assert float(iou_pairs((0, 0, 10, 10), (5, 0, 10, 10))) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             a = tuple(rng.uniform(0.1, 50, size=4))
             b = tuple(rng.uniform(0.1, 50, size=4))
-            assert iou(a, b) == pytest.approx(iou(b, a), abs=0)
-            assert 0.0 <= iou(a, b) <= 1.0
+            assert float(iou_pairs(a, b)) == pytest.approx(float(iou_pairs(b, a)), abs=0)
+            assert 0.0 <= float(iou_pairs(a, b)) <= 1.0
 
     def test_identical_float_boxes_never_exceed_one(self):
         # unclamped, rounding puts the IoU of each of these boxes with itself above 1
         for box in [(10.1, 20.3, 30.7, 40.9), (617.3, 201.9, 41.7, 88.3)]:
-            assert iou(box, box) == 1.0
+            assert float(iou_pairs(box, box)) == 1.0
             assert iou_matrix([box], [box])[0, 0] == 1.0
         boxes = np.random.default_rng(5).uniform(0.5, 60, size=(500, 4))
-        assert max(iou(tuple(b), tuple(b)) for b in boxes) <= 1.0
+        assert iou_pairs(boxes.T, boxes.T).max() <= 1.0
         assert iou_matrix(boxes, boxes).max() <= 1.0
 
     def test_pairs_equal_plain_python_formula_bit_for_bit(self):
@@ -71,7 +71,7 @@ class TestIou:
         b[0, 1::7] = a[0, 1::7] + a[2, 1::7]  # touching edges
         expected = [_scalar_iou(p, q) for p, q in zip(a.T.tolist(), b.T.tolist())]
         assert iou_pairs(a, b).tolist() == expected
-        assert [iou(p, q) for p, q in zip(a.T[:500].tolist(), b.T[:500].tolist())] == expected[:500]
+        assert [float(iou_pairs(p, q)) for p, q in zip(a.T[:500].tolist(), b.T[:500].tolist())] == expected[:500]
         assert 0.0 in expected and 1.0 in expected
 
     def test_matrix_agrees_with_scalar(self):
@@ -81,7 +81,7 @@ class TestIou:
         m = iou_matrix(A, B)
         for i in range(6):
             for j in range(5):
-                assert m[i, j] == pytest.approx(iou(tuple(A[i]), tuple(B[j])), abs=1e-12)
+                assert m[i, j] == pytest.approx(float(iou_pairs(tuple(A[i]), tuple(B[j]))), abs=1e-12)
 
 
 def test_group_partitions_by_id():
@@ -108,39 +108,39 @@ def test_group_rejects_duplicate_frame():
 
 
 def _ends(detections, window=6, min_len=10):
-    t = make_tracklet(1, detections, window, min_len)
-    return t.start, t.end
+    """The endpoint columns of one run of detections, one row."""
+    return make_tracklets(DetectionTable.of(detections), [0, len(detections)], window, min_len).ends
 
 
 class TestEndpoints:
     def test_single_detection(self):
-        start, end = _ends([Detection(5, 1, 0, 0, 10, 10, 1)])
-        assert start.frame == 5 and end.frame == 5
-        assert start.box == (0, 0, 10, 10)
-        assert start.velocity == (0.0, 0.0) and end.velocity == (0.0, 0.0)
+        ends = _ends([Detection(5, 1, 0, 0, 10, 10, 1)])
+        assert ends.start_frame.tolist() == [5] and ends.end_frame.tolist() == [5]
+        assert ends.start_box.tolist() == [[0, 0, 10, 10]]
+        assert ends.start_velocity.tolist() == [[0.0, 0.0]] and ends.end_velocity.tolist() == [[0.0, 0.0]]
 
     def test_two_detections_velocity(self):
         dets = [Detection(1, 1, 0, 0, 10, 10, 1), Detection(2, 1, 3, 0, 10, 10, 1)]
-        start, end = _ends(dets)
-        assert start.velocity == (3.0, 0.0)
-        assert end.velocity == (3.0, 0.0)
-        assert start.box == (0, 0, 10, 10) and end.box == (3, 0, 10, 10)
+        ends = _ends(dets)
+        assert ends.start_velocity.tolist() == [[3.0, 0.0]]
+        assert ends.end_velocity.tolist() == [[3.0, 0.0]]
+        assert ends.start_box.tolist() == [[0, 0, 10, 10]] and ends.end_box.tolist() == [[3, 0, 10, 10]]
 
     def test_short_track_uses_edge_boxes(self):
         dets = boxes_track(1, range(1, 9), vx=2.0)  # 8 < 10: no averaging
-        start, end = _ends(dets)
-        assert start.box == dets[0].box
-        assert end.box == dets[-1].box
+        ends = _ends(dets)
+        assert ends.start_box.tolist() == [list(dets[0].box)]
+        assert ends.end_box.tolist() == [list(dets[-1].box)]
 
     def test_long_track_averages_window(self):
         dets = boxes_track(1, range(1, 13), vx=2.0)  # 12 detections
-        start, end = _ends(dets)
+        ends = _ends(dets)
         # positions 2..7 have x = 2..12, mean 7 (the box "at position 4.5")
-        assert start.box == pytest.approx((7.0, 0.0, 10.0, 10.0), abs=1e-12)
-        assert start.velocity == pytest.approx((2.0, 0.0), abs=0)
+        assert ends.start_box[0].tolist() == pytest.approx([7.0, 0.0, 10.0, 10.0], abs=1e-12)
+        assert ends.start_velocity[0].tolist() == pytest.approx([2.0, 0.0], abs=0)
         # positions 6..11 have x = 10..20, mean 15
-        assert end.box == pytest.approx((15.0, 0.0, 10.0, 10.0), abs=1e-12)
-        assert end.velocity == pytest.approx((2.0, 0.0), abs=0)
+        assert ends.end_box[0].tolist() == pytest.approx([15.0, 0.0, 10.0, 10.0], abs=1e-12)
+        assert ends.end_velocity[0].tolist() == pytest.approx([2.0, 0.0], abs=0)
 
     def test_constant_velocity_exact_with_gaps(self):
         rng = np.random.default_rng(5)
@@ -150,14 +150,19 @@ class TestEndpoints:
             if len(frames) < 10:
                 continue
             dets = [Detection(int(f), 1, 100 + vx * f, 100 + vy * f, 8, 8, 1) for f in frames]
-            start, end = _ends(dets)
-            assert start.velocity == pytest.approx((vx, vy), abs=1e-9)
-            assert end.velocity == pytest.approx((vx, vy), abs=1e-9)
+            ends = _ends(dets)
+            assert ends.start_velocity[0].tolist() == pytest.approx([vx, vy], abs=1e-9)
+            assert ends.end_velocity[0].tolist() == pytest.approx([vx, vy], abs=1e-9)
 
     def test_frames_always_outermost(self):
         dets = boxes_track(1, range(4, 30), vx=1.0)
-        t = make_tracklet(1, dets)
-        assert t.start.frame == 4 and t.end.frame == 29
+        ends = _ends(dets)
+        assert ends.start_frame.tolist() == [4] and ends.end_frame.tolist() == [29]
+
+
+def _spans(tracklets):
+    """The sorted (first frame, last frame) of every tracklet."""
+    return sorted(zip(tracklets.ends.start_frame.tolist(), tracklets.ends.end_frame.tolist()))
 
 
 class TestCutter:
@@ -172,19 +177,19 @@ class TestCutter:
             boxes_track(1, range(1, 21)) + boxes_track(2, range(1, 21), y0=100.0)
         )
         out = cut_tracklets(tls, 0.5)
-        assert sorted((t.start.frame, t.end.frame) for t in out) == [(1, 20), (1, 20)]
+        assert _spans(out) == [(1, 20), (1, 20)]
 
     def test_single_frame_coincidence_cuts_both(self):
         a = boxes_track(1, range(1, 21), x0=0.0)
         b = boxes_track(2, range(1, 21), y0=100.0)
         b[9] = Detection(10, 2, 0.0, 0.0, 10.0, 10.0, 1.0)  # coincide at frame 10 only
         out = cut_tracklets(group_tracklets(a + b), 0.5)
-        assert sorted((t.start.frame, t.end.frame) for t in out) == [(1, 9), (1, 9), (10, 20), (10, 20)]
+        assert _spans(out) == [(1, 9), (1, 9), (10, 20), (10, 20)]
 
     def test_sustained_overlap_cuts_once_on_rising_edge(self):
         out = cut_tracklets(self.crossing_tracklets(), 0.5)
         # overlap >= 0.5 during frames 9-11; one cut per tracklet at frame 9
-        assert sorted((t.start.frame, t.end.frame) for t in out) == [(1, 8), (1, 8), (9, 20), (9, 20)]
+        assert _spans(out) == [(1, 8), (1, 8), (9, 20), (9, 20)]
 
     def test_preserves_detection_multiset(self):
         tls = self.crossing_tracklets()
@@ -215,7 +220,7 @@ class TestCutter:
 
 
 def _reference_endpoints(dets, window, min_len):
-    """Endpoint summaries computed from a list of Detection objects, one np.mean per value list."""
+    """The endpoint columns of one run, as lists of one row, computed from Detection objects, one np.mean per value list."""
 
     def mean_box(part):
         return tuple(float(np.mean([getattr(d, k) for d in part])) for k in "xywh")
@@ -232,20 +237,16 @@ def _reference_endpoints(dets, window, min_len):
     first, last = dets[0], dets[-1]
     if n >= min_len:
         head, tail = dets[1 : 1 + window], dets[n - 1 - window : n - 1]
-        return (
-            (first.frame, mean_box(head), mean_velocity(head)),
-            (last.frame, mean_box(tail), mean_velocity(tail)),
-        )
-    if n >= 2:
-        return (
-            (first.frame, first.box, mean_velocity(dets[:2])),
-            (last.frame, last.box, mean_velocity(dets[-2:])),
-        )
-    return ((first.frame, first.box, (0.0, 0.0)), (last.frame, last.box, (0.0, 0.0)))
-
-
-def _summary(end):
-    return (end.frame, end.box, end.velocity)
+        start, end = (mean_box(head), mean_velocity(head)), (mean_box(tail), mean_velocity(tail))
+    elif n >= 2:
+        start, end = (first.box, mean_velocity(dets[:2])), (last.box, mean_velocity(dets[-2:]))
+    else:
+        start, end = (first.box, (0.0, 0.0)), (last.box, (0.0, 0.0))
+    return {
+        "start_frame": [first.frame], "end_frame": [last.frame],
+        "start_box": [list(start[0])], "end_box": [list(end[0])],
+        "start_velocity": [list(start[1])], "end_velocity": [list(end[1])],
+    }
 
 
 def test_endpoints_of_table_slices_equal_detection_list_endpoints():
@@ -266,10 +267,12 @@ def test_endpoints_of_table_slices_equal_detection_list_endpoints():
             ])
         tracklets = group_tracklets([d for run in runs for d in run], window, min_len)
         assert len(tracklets) == len(runs)
-        for t, run in zip(tracklets, runs):
+        for k, (t, run) in enumerate(zip(tracklets, runs)):
             expected = _reference_endpoints(run, window, min_len)
-            assert repr((_summary(t.start), _summary(t.end))) == repr(expected), (trial, window, min_len, len(run))
-            assert repr(tuple(map(_summary, _ends(run, window, min_len)))) == repr(expected)
+            alone = _ends(run, window, min_len)
+            for name, want in expected.items():
+                assert repr(getattr(tracklets.ends, name)[k : k + 1].tolist()) == repr(want), (trial, window, min_len, len(run), name)
+                assert repr(getattr(alone, name).tolist()) == repr(want)
             assert t.detections == run
 
 
@@ -289,11 +292,11 @@ def test_make_tracklets_accepts_exactly_the_windows_from_2_below_min_len():
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                tracklets = list(make_tracklets(rows, bounds, window, min_len))  # summaries are computed on read
+                ends = make_tracklets(rows, bounds, window, min_len).ends  # summaries are computed on read
             # every window holds a step, so every run that moves has the velocity of its steps
-            for t in tracklets:
-                expected = (2.0, 0.0) if len(t) > 1 else (0.0, 0.0)
-                assert t.start.velocity == expected and t.end.velocity == expected, (window, min_len, len(t))
+            for n, start, end in zip(np.diff(bounds).tolist(), ends.start_velocity.tolist(), ends.end_velocity.tolist()):
+                expected = [2.0, 0.0] if n > 1 else [0.0, 0.0]
+                assert start == expected and end == expected, (window, min_len, n)
 
 
 @pytest.mark.parametrize("window, min_len", [(1, 10), (0, 10), (10, 10), (12, 10), (6, 2), (2, 2)])
@@ -302,7 +305,6 @@ def test_every_tracklet_builder_rejects_a_window_outside_the_rule(window, min_le
     rows, bounds = _runs([20, 20])
     tracklets = group_tracklets(dets)
     builders = [
-        lambda: make_tracklet(1, dets[:20], window, min_len),
         lambda: make_tracklets(rows, bounds, window, min_len),
         lambda: group_tracklets(dets, window, min_len),
         lambda: cut_tracklets(tracklets, 0.5, window, min_len),  # no overlap, so nothing is cut
@@ -319,7 +321,6 @@ def test_every_tracklet_builder_rejects_a_window_that_is_not_an_integer(window, 
     rows, bounds = _runs([20, 20])
     tracklets = group_tracklets(dets)
     builders = [
-        lambda: make_tracklet(1, dets[:20], window, min_len),
         lambda: make_tracklets(rows, bounds, window, min_len),
         lambda: group_tracklets(dets, window, min_len),
         lambda: cut_tracklets(tracklets, 0.5, window, min_len),
@@ -338,13 +339,17 @@ def test_make_tracklets_equals_make_tracklet_per_run():
     )
     bounds = [0, 29, 30, 33]
     together = make_tracklets(rows, bounds, 4, 5)
-    assert together == [make_tracklet(tid, rows[lo:hi], 4, 5) for tid, lo, hi in zip((1, 2, 3), bounds, bounds[1:])]
+    alone = [make_tracklets(rows[lo:hi], [0, hi - lo], 4, 5) for lo, hi in zip(bounds, bounds[1:])]
+    assert together == [t for one in alone for t in one]
+    for column in fields(EndpointArrays):
+        want = np.concatenate([getattr(one.ends, column.name) for one in alone])
+        assert repr(getattr(together.ends, column.name).tolist()) == repr(want.tolist()), column.name
     assert make_tracklets(rows[:0], [0]) == []
 
 
 def _reference_cut(tracklets, cut_threshold, window=6, min_len=10):
     """The per-frame cutter: one IoU matrix per frame, and the last overlapping frame of each pair in a dict."""
-    tracklets = list(tracklets)
+    whole, tracklets = tracklets, list(tracklets)
     rows = DetectionTable.concat(t.detections for t in tracklets)
     order = np.argsort(rows.frame, kind="stable")
     frames = rows.frame[order]
@@ -370,14 +375,14 @@ def _reference_cut(tracklets, cut_threshold, window=6, min_len=10):
 
     pieces, sizes, piece_count = [], [], {}
     for idx, t in enumerate(tracklets):
-        cuts = sorted(f for f in cut_frames.get(idx, ()) if f > t.start.frame)
+        cuts = sorted(f for f in cut_frames.get(idx, ()) if f > t.detections.frame[0])
         if cuts:
             splits = [0, *np.searchsorted(t.detections.frame, cuts).tolist(), len(t)]
             pieces.append(t.detections)
             sizes += np.diff(splits).tolist()
             piece_count[idx] = len(splits) - 1
     if not pieces:
-        return tracklets
+        return whole
     first_id = max(t.id for t in tracklets) + 1
     piece_ids = np.repeat(np.arange(first_id, first_id + len(sizes)), sizes)
     piece_rows = DetectionTable.concat(pieces).relabeled(piece_ids)
@@ -388,12 +393,14 @@ def _reference_cut(tracklets, cut_threshold, window=6, min_len=10):
             out.extend(next(fragments) for _ in range(piece_count[idx]))
         else:
             out.append(t)
-    return out
+    # every tracklet, untouched ones included, summarized from its own rows
+    return make_tracklets(DetectionTable.concat(t.detections for t in out), np.cumsum([0, *map(len, out)]), window, min_len)
 
 
 def _assert_same_cut(got, want):
-    assert [t.id for t in got] == [t.id for t in want]
-    assert [repr((t.start, t.end)) for t in got] == [repr((t.start, t.end)) for t in want]
+    assert got.ids.tolist() == want.ids.tolist()
+    for column in fields(EndpointArrays):
+        assert repr(getattr(got.ends, column.name).tolist()) == repr(getattr(want.ends, column.name).tolist()), column.name
     assert all(a.detections == b.detections for a, b in zip(got, want))
 
 
@@ -600,7 +607,7 @@ def test_cut_rejects_threshold_outside_unit_interval(threshold):
 def test_tracklet_frames_must_increase_strictly(frames, message):
     dets = [Detection(f, 7, 0.0, 0.0, 5.0, 5.0, 1.0) for f in frames]
     with pytest.raises(ValueError, match=message):
-        make_tracklet(7, dets)
+        make_tracklets(DetectionTable.of(dets), [0, len(dets)])
     rows = DetectionTable.of(boxes_track(1, [1, 2]) + dets + boxes_track(3, [1]))
     with pytest.raises(ValueError, match=message):
         make_tracklets(rows, [0, 2, 2 + len(dets), 3 + len(dets)])
@@ -621,16 +628,15 @@ def test_tracklets_name_each_run_exactly_once():
 
 def test_tracklets_reject_a_run_whose_rows_read_another_id():
     # a tracklet named 5 over rows of track 1 would reach the cutter and the
-    # writer with two names; make_tracklet names the rows it is given
+    # writer with two names
     rows = DetectionTable.of(boxes_track(1, range(1, 11)))
     with pytest.raises(ValueError, match="^row 0 has track_id 1 in the run of tracklet 5$"):
         Tracklets(rows, [0, 10], [5], 6, 10)
     two = rows + boxes_track(2, range(1, 6)) + boxes_track(3, range(1, 4))
     with pytest.raises(ValueError, match="^row 10 has track_id 2 in the run of tracklet 3$"):
         Tracklets(two, [0, 10, 15, 18], [1, 3, 2], 6, 10)
-    t = make_tracklet(5, boxes_track(1, range(1, 11)))
+    (t,) = make_tracklets(rows.relabeled(5), [0, 10])
     assert t.id == 5 and t.detections.track_id.tolist() == [5] * 10
-    assert t == make_tracklets(rows.relabeled(5), [0, 10])[0]
 
 
 @pytest.mark.parametrize("kind", ["stable", "quicksort"])
@@ -654,8 +660,6 @@ def test_ranks_equal_the_inverse_of_unique(kind):
         assert rank.dtype == expected.dtype and np.array_equal(rank, expected)
 
 
-# the summaries of a repeated frame divide by its zero frame step
-@quiet
 @pytest.mark.parametrize("frames, window", [([1, 2], 1), ([1, 2, 2], 6), ([5, 2], 6)], ids=["window", "repeated", "going back"])
 def test_repr_of_tracklets_whose_checks_raised_returns(frames, window):
     rows = DetectionTable.of([Detection(f, 7, 0.0, 0.0, 5.0, 5.0, 1.0) for f in frames])
@@ -665,13 +669,13 @@ def test_repr_of_tracklets_whose_checks_raised_returns(frames, window):
     assert repr(tracklets).startswith("Tracklets([Tracklet(id=7, detections=DetectionTable([Detection(frame=")
 
 
-def test_iteration_surfaces_an_index_error_from_the_summaries():
-    # the empty second run fails the check, and summarizing it raises
+def test_iteration_surfaces_an_index_error_from_a_missing_run():
+    # two ids for one run fail the check, and reading the second run raises
     # IndexError, which must not read as the end of the sequence
     rows = DetectionTable.of(boxes_track(1, [1, 2, 3]))
     tracklets = Tracklets.__new__(Tracklets)
-    with pytest.raises(ValueError, match="^tracklet must contain at least one detection$"):
-        tracklets.__init__(rows, [0, 3, 3], [1, 2], 2, 3)
+    with pytest.raises(ValueError, match="^2 ids for 1 runs$"):
+        tracklets.__init__(rows, [0, 3], [1, 2], 2, 3)
     assert len(tracklets) == 2
     with pytest.raises(IndexError):
         list(tracklets)
@@ -704,7 +708,7 @@ class TestTrackletColumns:
     def test_reads_like_a_list_of_tracklets(self):
         rows, bounds = _runs([3, 12, 1])
         tracklets = make_tracklets(rows, bounds, 4, 5)
-        as_list = [make_tracklet(tid, rows[lo:hi], 4, 5) for tid, lo, hi in zip((1, 2, 3), bounds, bounds[1:])]
+        as_list = [Tracklet(tid, rows[lo:hi]) for tid, lo, hi in zip((1, 2, 3), bounds, bounds[1:])]
         assert len(tracklets) == 3 and tracklets == as_list and tracklets == tuple(as_list)
         assert tracklets[-1] == tracklets[2] == as_list[2]
         assert tracklets != as_list[:2]
