@@ -34,7 +34,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .mot_io import SequenceMeta, _column_tokens
+from .mot_io import SequenceMeta, _format_rows
 from .scoring import PairScores, ScoreConfig, left_sums, score_columns, stop_scores
 from .tracklets import Tracklets, run_bounds
 
@@ -410,8 +410,12 @@ def dump_candidates(domains: Domains, stream: TextIO) -> None:
 
     A row holds the predecessor, the candidate (``STOP`` for STOP), each
     enabled constraint's score, the product and the marginal (0 if
-    hard-filtered), each distinct value of a column formatted once by its
-    repr. Raises ValueError for hand-built domains, which carry no scores.
+    hard-filtered), every value as its own repr (``-0.0`` stays ``-0.0``).
+    Integral values below 1e15 and non-integral ones from 1e-4 up to 1e15
+    are printed from digits computed in numpy for whole columns; ``repr``
+    formats each distinct other value once (below 1e-4, from 1e15 up,
+    subnormals). Raises ValueError for hand-built domains, which carry no
+    scores.
     """
     if domains.kinds is None:
         raise ValueError("hand-built domains carry no scores to dump")
@@ -419,9 +423,5 @@ def dump_candidates(domains: Domains, stream: TextIO) -> None:
     stream.write("\t".join(header) + "\n")
     predecessors = np.repeat(domains.ids, np.diff(domains.offsets))
     columns = [predecessors, domains.candidates, *domains.scores, domains.products, domains.marginals]
-    tokens: list[str | None] = [None] * (len(columns) * len(domains.stop))
-    for k, column in enumerate(columns):
-        tokens[k :: len(columns)] = _column_tokens(column, "\n" if k == len(columns) - 1 else "\t", whole_as_int=False)
-    for entry in np.flatnonzero(domains.stop).tolist():
-        tokens[entry * len(columns) + 1] = "STOP\t"
-    stream.write("".join(tokens))
+    separators = ["\t"] * (len(columns) - 1) + ["\n"]
+    stream.write(_format_rows(columns, separators, whole_as_int=False, words=(1, domains.stop, "STOP")))

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mot_io import Detection, DetectionTable
+from .mot_io import Detection, DetectionTable, _strictly_ordered
 from .tracklets import aranges, cross_overlaps, iou_pairs, ranks
 
 
@@ -78,8 +78,7 @@ def _by_frame(detections: Sequence[Detection]) -> DetectionTable:
     A table already in strict (frame, id) order is returned as it is, after one check.
     """
     rows = DetectionTable.of(detections)
-    step = np.diff(rows.frame)
-    if ((step > 0) | ((step == 0) & (np.diff(rows.track_id) > 0))).all():
+    if _strictly_ordered(rows):
         return rows
     by_key = np.lexsort((rows.track_id, rows.frame))
     same = (np.diff(rows.frame[by_key]) == 0) & (np.diff(rows.track_id[by_key]) == 0)

@@ -13,6 +13,7 @@ field. Sequence metadata comes from a seqinfo-style ``key=value`` file
 
 from __future__ import annotations
 
+import functools
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -237,7 +238,7 @@ def _read_columns(text: str) -> DetectionTable | None:
     float64 still holds every integer. A line that breaks any rule sends the
     whole file to the line parser, which accepts or names it.
     """
-    if not text.strip():
+    if not text or text.isspace():  # no stripped copy of the text
         return DetectionTable.of(())  # loadtxt warns on empty input
     try:
         values = np.loadtxt(text.split("\n"), delimiter=",", usecols=range(7), comments=None, ndmin=2)
@@ -264,19 +265,220 @@ def parse_tracks(stream: TextIO | str) -> DetectionTable:
     return table if table is not None else DetectionTable.of(_parse_lines(text))
 
 
+# Number text. Track files, candidate dumps and the seqinfo frame rate print
+# their numbers through _format_rows, which prints whole columns at once: a
+# value's text is right-aligned in a fixed-width, NUL-padded field of a byte
+# matrix that holds a chunk of rows, separators included, and one
+# bytes.translate drops the NULs.
+
+_U = np.uint64
+_CHUNK_ROWS = 1 << 14  # rows per byte matrix: bounds the memory of a write
+_VECTOR_RANGE = (1e-4, 1e15)  # non-integral magnitudes whose repr _shortest_digits computes
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(quads, pow10, pow5)``, built on first use with array operations only.
+
+    ``quads[k * 10000 + r]`` holds, as one uint32, the four ASCII digits of
+    ``r`` zero-padded with all but the last ``k`` (0 to 4) replaced by NUL;
+    ``pow10[k]`` is ``10**k`` for k < 20 and ``pow5[k]`` is ``5**k`` for k < 23,
+    both uint64.
+    """
+    digits = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    kept = np.arange(4) >= 4 - np.arange(5)[:, None, None]  # (k, 1, position)
+    quads = np.where(kept, digits, np.uint8(0)).view(np.uint32).reshape(-1)
+    pow10 = np.cumprod(np.array([1] + [10] * 19, dtype=np.uint64))
+    pow5 = np.cumprod(np.array([1] + [5] * 22, dtype=np.uint64))
+    return quads, pow10, pow5
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact products ``a * b`` of uint64 ``a < 2**55`` and ``b < 2**53`` as (high, low) uint64 halves."""
+    m32, s32 = _U(0xFFFFFFFF), _U(32)
+    a0, a1, b0, b1 = a & m32, a >> s32, b & m32, b >> s32
+    mid = a0 * b1 + a1 * b0  # < 2**56: no overflow
+    low = a0 * b0
+    high = a1 * b1 + (mid >> s32)
+    total = low + (mid << s32)  # wraps at 2**64 ...
+    high += total < low  # ... and carries
+    return high, total
+
+
+def _shift(high: np.ndarray, low: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``(high * 2**64 + low) >> s`` for 0 < s < 64, where the result is below 2**64."""
+    return (high << (_U(64) - s)) | (low >> s)
+
+
+def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """repr's digits of each float64 in ``a``, all positive, non-integral and in ``_VECTOR_RANGE``.
+
+    Returns ``(digits, fraction)``, uint64 and int64: ``repr(v)`` is
+    ``digits / 10**fraction`` in positional notation with ``fraction`` >= 1
+    digits after the point.
+
+    This is Ryu's shortest-digit search (Adams, PLDI 2018) on exact integers.
+    For ``v = m * 2**e``, the 128-bit products ``(4m + {0, 2, -2}) * 5**q``
+    shifted right by ``2 - q - e`` bits are the floors of ``v * 10**q`` and of
+    the ends of the interval ``v ± 2**(e - 1)`` of reals that round to ``v``,
+    scaled alike; ``q`` gives ``v * 10**q`` 18 or 19 digits before the point,
+    more than repr's 17. The digits are those of ``v * 10**q`` without its
+    last ``K`` digits, for the largest ``K`` whose truncation still separates
+    the upper end from the lower one, rounded to nearest with ties to even.
+
+    Three branches of Ryu are left out. Below 1e15, ``e <= -3``, so an
+    interval end is an odd multiple of ``2**(e - 1)`` with at least 19
+    significant digits: it is never a candidate of at most 18 digits, so its
+    inclusion needs no handling and the floors decide the search as the exact
+    ends would. Ryu raises a truncation that is not above the lower end; here
+    such a truncation ``c`` lies below ``v`` by more than the half-width ``h``
+    of the interval and by at least ``10**K - h``, since ``c + 10**K`` is
+    inside it, so more than half a unit: rounding to nearest raises it
+    already. The narrower lower interval of a power of two is not modelled:
+    every power of two in the range prints as repr does (tested).
+    """
+    _, pow10, pow5 = _tables()
+    bits = a.view(np.uint64)
+    m4 = ((bits & _U(2**52 - 1)) | _U(2**52)) << _U(2)
+    e = (bits >> _U(52)).astype(np.int64) - 1075
+    # the decade of v or the one below, however log10 rounds: 18 or 19 digits
+    q = 17 - np.floor(np.log10(a) - 1e-9).astype(np.int64)
+    s = (2 - q - e).astype(np.uint64)
+    five = pow5[q]
+    high, low = _product(m4, five)
+    gap = five << _U(1)  # the product's change from 4m to 4m ± 2
+    upper = low + gap
+    vr = _shift(high, low, s)
+    vp = _shift(high + (upper < low), upper, s)
+    vm = _shift(high - (low < gap), low - gap, s)
+    # K is at least 1 (repr has at most 17 digits) and at most 18; search the rest bit by bit
+    k = np.ones(len(a), np.int64)
+    for step in (16, 8, 4, 2, 1):
+        trial = np.minimum(k + step, 18)
+        p = pow10[trial]
+        k = np.where(vp // p > vm // p, trial, k)
+    p = pow10[k - 1]
+    kept = vr // p  # the digits and the last removed one
+    digits = kept // _U(10)
+    last = kept - digits * _U(10)
+    exact = ((low << (_U(64) - s)) == 0) & (vr - kept * p == 0)  # nothing nonzero below the last removed digit
+    tie = (last == 5) & exact & ((digits & _U(1)) == 0)
+    digits += (last >= 5) & ~tie
+    return digits, q - k
+
+
+def _digits(values: np.ndarray, count: np.ndarray, groups: int) -> np.ndarray:
+    """The last ``count`` decimal digits of each uint64 value, zero-padded, right-aligned in ``4 * groups`` NUL-padded bytes."""
+    quads = _tables()[0]
+    index = np.empty((len(values), groups), np.int64)
+    for g in range(groups - 1, -1, -1):  # the last group holds the lowest four digits
+        higher = values // _U(10000)
+        index[:, g] = (values - higher * _U(10000)).astype(np.int64)
+        values = higher
+    index += np.clip(count[:, None] - 4 * np.arange(groups - 1, -1, -1), 0, 4) * 10000
+    return quads[index].view(np.uint8)
+
+
+def _number_block(values: np.ndarray, sep: bytes, whole_as_int: bool) -> np.ndarray:
+    """Each value, then ``sep``, as one NUL-padded row of an (N, width) ASCII byte matrix.
+
+    An int64 prints its digits. A float64 prints as ``repr`` does, except that
+    with ``whole_as_int`` an integral value below 1e15 in magnitude prints
+    without its ``.0`` (``-0.0`` as ``0``). Integral values below 1e15 and
+    non-integral ones in ``_VECTOR_RANGE`` are printed from their digits;
+    ``repr`` prints the others: subnormals, magnitudes below 1e-4 or from 1e15
+    up, and non-finite values.
+    """
+    _, pow10, _ = _tables()
+    n = len(values)
+    if values.dtype.kind == "f":
+        a = np.abs(values)
+        a[np.isnan(a)] = np.inf  # no ordered comparison meets a nan (some numpy versions warn)
+        small = a < _VECTOR_RANGE[1]
+        whole = np.trunc(np.where(small, a, 0.0))
+        integral = small & (whole == a)
+        vector = small & ~integral & (a >= _VECTOR_RANGE[0])
+        by_repr = ~(integral | vector)
+        whole = whole.astype(np.uint64)
+        fraction = np.zeros(n, np.uint64)
+        count = np.zeros(n, np.int64) if whole_as_int else integral.astype(np.int64)  # the ".0" of repr
+        if vector.any():
+            digits, count[vector] = _shortest_digits(a[vector])
+            p = pow10[np.minimum(count[vector], 19)]  # a fraction of 19 or 20 digits has no whole part
+            whole[vector] = digits // p
+            fraction[vector] = digits - whole[vector] * p
+        sign = np.signbit(values) & ~by_repr
+        if whole_as_int:
+            sign &= values != 0  # -0.0 prints as 0
+    else:
+        sign = values < 0
+        whole = values.astype(np.uint64)
+        whole[sign] = -whole[sign]  # modulo 2**64: exact for int64's minimum too
+        count = by_repr = None
+    length = np.maximum(np.searchsorted(pow10, whole, "right"), 1)
+    int_width = 4 * -(-int(length.max(initial=1)) // 4)
+    frac_width = 4 * -(-int(count.max(initial=0)) // 4) if count is not None else 0
+    width = 1 + int_width + (frac_width and 1 + frac_width) + len(sep)
+    texts = None
+    if by_repr is not None and by_repr.any():
+        texts = np.array([repr(v).encode() + sep for v in values[by_repr].tolist()])
+        width = max(width, texts.itemsize)
+    block = np.zeros((n, width), np.uint8)
+    block[:, 0] = np.where(sign, np.uint8(ord("-")), np.uint8(0))
+    block[:, 1 : 1 + int_width] = _digits(whole, length, int_width // 4)
+    if frac_width:
+        block[:, 1 + int_width] = np.where(count > 0, np.uint8(ord(".")), np.uint8(0))
+        block[:, 2 + int_width : 2 + int_width + frac_width] = _digits(fraction, count, frac_width // 4)
+    block[:, width - len(sep) :] = np.frombuffer(sep, np.uint8)
+    if texts is not None:
+        block[by_repr] = 0
+        block[by_repr, : texts.itemsize] = texts.view(np.uint8).reshape(len(texts), -1)
+    return block
+
+
+def _format_rows(
+    columns: Sequence[np.ndarray],
+    separators: Sequence[str],
+    whole_as_int: bool = True,
+    words: tuple[int, np.ndarray, str] | None = None,
+) -> str:
+    """Rows of text, row k holding each column's value k followed by that column's separator.
+
+    Numbers print by the rule of :func:`_number_block`. A float64 column is
+    printed once per distinct bit pattern of a chunk and gathered back by row.
+    ``words``, when given, is ``(column, mask, word)``: the rows that ``mask``
+    selects print ``word`` in that column instead of their value.
+    """
+    separators = [s.encode() for s in separators]
+    text = []
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        blocks = []
+        for column, sep in zip(columns, separators):
+            values = column[rows]
+            if values.dtype.kind == "f":
+                bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+                blocks.append(np.take(_number_block(bits.view(np.float64), sep, whole_as_int), inverse, axis=0))
+            else:
+                blocks.append(_number_block(values, sep, whole_as_int))
+        if words is not None:
+            k, mask, word = words
+            word = np.frombuffer(word.encode() + separators[k], np.uint8)
+            block = blocks[k] = np.pad(blocks[k], ((0, 0), (0, max(len(word) - blocks[k].shape[1], 0))))
+            block[mask[rows]] = 0
+            block[mask[rows], : len(word)] = word
+        text.append(np.concatenate(blocks, axis=1).tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)
+
+
 # what follows each of the seven columns on a line
 _SEPARATORS = (",",) * 6 + (",-1,-1,-1\n",)
 
 
-def _column_tokens(column: np.ndarray, sep: str, whole_as_int: bool = True) -> list[str]:
-    """Every value of ``column`` as printed, then ``sep``; each distinct value is formatted once, by repr alone unless ``whole_as_int``."""
-    values, inverse = np.unique(column, return_inverse=True)  # -0.0 and 0.0 fall together and both print 0
-    text = list(map(repr, values.tolist()))
-    if whole_as_int and column.dtype.kind == "f":
-        whole = np.flatnonzero((values == np.trunc(values)) & (np.abs(values) < 1e15))
-        for k, value in zip(whole.tolist(), values[whole].astype(np.int64).tolist()):
-            text[k] = repr(value)
-    return np.array([t + sep for t in text], dtype=object)[inverse].tolist()
+def _strictly_ordered(table: DetectionTable) -> bool:
+    """Whether the rows run in strictly increasing (frame, id) order: one O(N) pass."""
+    step = np.diff(table.frame)
+    return bool(((step > 0) | ((step == 0) & (np.diff(table.track_id) > 0))).all())
 
 
 def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) -> str:
@@ -285,17 +487,18 @@ def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) 
     The detections are written as the columns of ``DetectionTable.of``, so
     every value field prints its float64 value by one rule: an integral value
     below 1e15 in magnitude prints without a decimal point (``-0.0`` as
-    ``0``), any other value as its shortest round-trip repr. Each distinct
-    value of a column is formatted once, and the tokens are gathered back by
-    row. Returns the text; also writes it to ``stream`` when given.
-    ``parse_tracks(write_tracks(D))`` reproduces D up to ordering.
+    ``0``), any other value as its shortest round-trip repr. Integral values
+    below 1e15 and non-integral ones from 1e-4 up to 1e15 are printed from
+    digits computed in numpy for whole columns; ``repr`` formats each distinct
+    other value once (below 1e-4, from 1e15 up, subnormals). Rows already in
+    strict (frame, id) order are written as they are. Returns the text; also
+    writes it to ``stream`` when given. ``parse_tracks(write_tracks(D))``
+    reproduces D up to ordering.
     """
     table = DetectionTable.of(detections)
-    order = np.lexsort((table.track_id, table.frame))
-    tokens: list[str | None] = [None] * (len(_FIELDS) * len(table))
-    for k, (column, sep) in enumerate(zip(table.columns, _SEPARATORS)):
-        tokens[k :: len(_FIELDS)] = _column_tokens(column[order], sep)
-    text = "".join(tokens)
+    if not _strictly_ordered(table):
+        table = table.take(np.lexsort((table.track_id, table.frame)))
+    text = _format_rows(table.columns, _SEPARATORS)
     if stream is not None:
         stream.write(text)
     return text
@@ -379,11 +582,10 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
 
 
 def write_seqinfo(meta: SequenceMeta, path: str | Path, name: str = "synthetic") -> None:
-    (frame_rate,) = _column_tokens(np.array([meta.fps], dtype=np.float64), "")  # the number rule of write_tracks
     text = (
         "[Sequence]\n"
         f"name={name}\n"
-        f"frameRate={frame_rate}\n"
+        f"frameRate={_format_rows([np.array([meta.fps], dtype=np.float64)], [''])}\n"  # the number rule of write_tracks
         f"seqLength={meta.num_frames}\n"
         f"imWidth={meta.img_width}\n"
         f"imHeight={meta.img_height}\n"

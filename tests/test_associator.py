@@ -595,6 +595,23 @@ class TestColumnarScoring:
         dump_candidates(domains, stream)
         assert hashlib.sha256(stream.getvalue().encode()).hexdigest() == digest
 
+    def test_dump_prints_each_value_as_its_own_repr(self):
+        # 0.0 and -0.0 are equal but print differently, in either order
+        scores = np.array([[0.0, -0.0, 1e-5, 0.25], [-0.0, 0.0, 3.0, 1e16]])
+        domains = Domains(
+            np.array([7]), np.array([0, 4]), np.array([8, 9, 10, 0]), np.array([False, False, False, True]),
+            np.array([0.5, -0.0, 0.0, 0.5]), np.array([1.0, 0.0, -0.0, 2.0**-1074]),
+            [ConstraintKind.TIME_DISTANCE, ConstraintKind.ANGLE_DIFFERENCE], scores,
+        )
+        stream = io.StringIO()
+        dump_candidates(domains, stream)
+        assert stream.getvalue().splitlines()[1:] == [
+            "7\t8\t0.0\t-0.0\t1.0\t0.5",
+            "7\t9\t-0.0\t0.0\t0.0\t-0.0",
+            "7\t10\t1e-05\t3.0\t-0.0\t0.0",
+            "7\tSTOP\t0.25\t1e+16\t5e-324\t0.5",
+        ]
+
     def test_dump_rejects_hand_built_domains(self):
         with pytest.raises(ValueError, match="^hand-built domains carry no scores to dump$"):
             dump_candidates(Domains.of([SuccessorVar(1, {STOP: 1.0})]), io.StringIO())

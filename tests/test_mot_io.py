@@ -401,7 +401,7 @@ def test_parse_fast_path_matches_line_parser(text):
 def test_parse_empty_input_emits_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for text in ("", "\n", " \n\t\r\n"):
+        for text in ("", "\n", " \n\t\r\n", " ", "\x1c"):
             assert len(parse_tracks(text)) == 0
 
 
