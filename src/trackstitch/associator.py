@@ -36,7 +36,7 @@ import numpy as np
 
 from .mot_io import SequenceMeta, _format_rows
 from .scoring import PairScores, ScoreConfig, left_sums, score_columns, stop_scores
-from .tracklets import Tracklets, run_bounds
+from .tracklets import Tracklets, aranges, run_bounds
 
 # STOP sentinel: None in domains and assignments means "trajectory ends here".
 STOP = None
@@ -396,13 +396,10 @@ def stitch(
     if sum(map(len, chains)) != len(position):
         raise ValueError("assignment does not partition the tracklets into chains")
     order = np.array([k for chain in chains for k in chain], dtype=np.int64)
-    lo, sizes = tracklets.bounds[order], np.diff(tracklets.bounds)[order]
-    placed = np.concatenate(([0], np.cumsum(sizes)))
-    rows = tracklets.rows.take(np.arange(placed[-1]) + np.repeat(lo - placed[:-1], sizes))
-    bounds = placed[np.cumsum([0, *map(len, chains)])]
-    traj_ids = np.arange(1, len(chains) + 1)
-    rows = rows.relabeled(np.repeat(traj_ids, np.diff(bounds)))
-    return Tracklets(rows, bounds, traj_ids, endpoint_window, endpoint_min_len)
+    traj_ids = np.repeat(np.arange(1, len(chains) + 1), np.array(list(map(len, chains)), dtype=np.intp))
+    sizes = np.diff(tracklets.bounds)[order]
+    rows = tracklets.rows.take(aranges(tracklets.bounds[order], sizes)).relabeled(np.repeat(traj_ids, sizes))
+    return Tracklets(rows, endpoint_window, endpoint_min_len)
 
 
 def dump_candidates(domains: Domains, stream: TextIO) -> None:

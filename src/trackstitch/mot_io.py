@@ -5,7 +5,8 @@ A track file is plain text, one detection per line:
     frame,id,x,y,w,h,conf,x3d,y3d,z3d
 
 (x, y) is the top-left corner in pixels, (w, h) the box size. Fields past
-``conf`` are ignored on input and written as ``-1``; non-finite values are
+``conf`` are ignored on input and written as ``-1``; non-finite values, and
+boxes without extent in float arithmetic (see :class:`Detection`), are
 rejected. A parsed file is a :class:`DetectionTable`, one numpy column per
 field. Sequence metadata comes from a seqinfo-style ``key=value`` file
 (``frameRate``, ``imWidth``, ``imHeight``, ``seqLength``).
@@ -17,9 +18,10 @@ import functools
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 from operator import attrgetter
 from pathlib import Path
+from sys import float_info
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -31,7 +33,12 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """One bounding-box observation at one frame, with an identity label."""
+    """One bounding-box observation at one frame, with an identity label.
+
+    The box must have a positive, finite size that float arithmetic can
+    represent: ``x + w`` and ``y + h`` differ from ``x`` and ``y``, and the
+    area ``w * h`` is a normal finite float.
+    """
 
     frame: int
     track_id: int
@@ -54,6 +61,10 @@ class Detection:
             raise ValueError(
                 f"box and conf must be finite, got x={self.x}, y={self.y}, w={self.w}, h={self.h}, conf={self.conf}"
             )
+        if self.x + self.w == self.x or self.y + self.h == self.y:
+            raise ValueError(f"box has no extent in float arithmetic, got x={self.x}, y={self.y}, w={self.w}, h={self.h}")
+        if not float_info.min <= self.w * self.h < inf:
+            raise ValueError(f"box area must be a normal finite float, got w={self.w}, h={self.h}, w*h={self.w * self.h}")
 
     @property
     def box(self) -> tuple[float, float, float, float]:
@@ -89,7 +100,10 @@ class DetectionTable(Sequence[Detection]):
         if len({len(c) for c in columns}) > 1:
             raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
         frame, track_id, x, y, w, h, conf = columns
-        bad = (frame < 1) | (track_id < 1) | ~(w > 0) | ~(h > 0) | ~np.isfinite(np.stack(columns[2:])).all(axis=0)
+        with np.errstate(all="ignore"):  # inf - inf, or an area that overflows, marks its row instead of warning
+            bad = (frame < 1) | (track_id < 1) | ~(w > 0) | ~(h > 0) | ~np.isfinite(np.stack(columns[2:])).all(axis=0)
+            area = w * h
+            bad |= (x + w == x) | (y + h == y) | ~((area >= float_info.min) & (area < np.inf))
         if bad.any():
             row = int(np.argmax(bad))
             try:
@@ -258,7 +272,7 @@ def parse_tracks(stream: TextIO | str) -> DetectionTable:
 
     Accepts an open text stream or the file content as a string. Raises
     :class:`ParseError` naming the offending line on malformed input, on a
-    non-positive box size or on a non-finite value.
+    non-finite value or on a box that :class:`Detection` rejects.
     """
     text = stream if isinstance(stream, str) else stream.read()
     table = _read_columns(text)

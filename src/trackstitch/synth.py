@@ -327,7 +327,8 @@ def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[DetectionTa
     containers = {
         cid: np.arange(lo, hi) for cid, lo, hi in zip(rows.track_id[bounds[:-1]].tolist(), bounds, bounds[1:])
     }
-    events = _crossings(rows, rows.track_id, cfg.crossing_iou)
+    # only swaps and fragment cuts read the crossings
+    events = _crossings(rows, rows.track_id, cfg.crossing_iou) if cfg.swap_prob > 0 or cfg.fragment_prob > 0 else []
 
     # identity swaps: exchange the tails of the two participants
     if cfg.swap_prob > 0:

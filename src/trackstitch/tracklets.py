@@ -3,14 +3,17 @@
 A tracklet is a frame-sorted run of detections sharing one id, and is
 summarized at both ends by a representative box and a center velocity. The
 first and last boxes of a tracklet tend to be the least trustworthy (the track
-usually broke there), so for long tracklets the summaries average a window of
-boxes just inside each end instead of using the end box itself.
+usually broke there), so a tracklet of at least ``min_len`` detections
+averages the ``window`` boxes just inside each end, and the steps between
+them, instead of using the end box itself. A shorter one keeps its end boxes,
+with the step at each edge as velocity (zero for a single detection).
 
-One sequence's tracklets are a :class:`Tracklets`: the runs of one
-:class:`~trackstitch.mot_io.DetectionTable`, with their endpoint summaries as
-columns (:class:`EndpointArrays`), always computed from those rows. It is the
-only form in which functions take tracklets. A :class:`Tracklet` object,
-the id and a slice of the table, is a read-side view built only when one is read.
+One sequence's tracklets are a :class:`Tracklets`: one
+:class:`~trackstitch.mot_io.DetectionTable` grouped by track id, where each
+run of one id is a tracklet, with their endpoint summaries as columns
+(:class:`EndpointArrays`), always computed from those rows. It is the only
+form in which functions take tracklets. A :class:`Tracklet` object, the id
+and a slice of the table, is a read-side view built only when one is read.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,7 +70,7 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
 
 
 def check_window(window: int, min_len: int, names: tuple[str, str] = ("window", "min_len")) -> None:
-    """Raise ValueError, naming both values by ``names``, unless both are integers and ``2 <= window < min_len`` (see :func:`make_tracklets`)."""
+    """Raise ValueError, naming both values by ``names``, unless both are integers and ``2 <= window < min_len`` (see :class:`Tracklets`)."""
     w, m = names
     for name, value in zip(names, (window, min_len)):
         if not isinstance(value, numbers.Integral):
@@ -118,7 +121,7 @@ def _window_means(columns: Sequence[np.ndarray], starts: np.ndarray, length: int
 
 
 def _endpoints(rows: DetectionTable, bounds: np.ndarray, ids: np.ndarray, window: int, min_len: int) -> EndpointArrays:
-    """The endpoint columns of every run ``rows[bounds[k]:bounds[k + 1]]`` (see :func:`make_tracklets`)."""
+    """The endpoint columns of every run ``rows[bounds[k]:bounds[k + 1]]`` (see :class:`Tracklets`)."""
     lo = bounds[:-1]
     n = np.diff(bounds)
     last = lo + n - 1
@@ -154,15 +157,34 @@ def _endpoints(rows: DetectionTable, bounds: np.ndarray, ids: np.ndarray, window
     )
 
 
-class Tracklets(Sequence[Tracklet]):
-    """One sequence's tracklets as columns: the runs ``rows[bounds[k]:bounds[k + 1]]`` of one table.
+def run_bounds(keys: np.ndarray) -> list[int]:
+    """The row bounds of the runs of equal values in ``keys``: run k is ``[bounds[k], bounds[k + 1])``."""
+    if not len(keys):
+        return [0]
+    return [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
 
-    Tracklet k is named ``ids[k]``, one id per run and no id twice, which
-    each of its rows must read as its ``track_id``, and its frames must
-    increase strictly (else ValueError: a row of another id, a frame given
-    twice, or one going back). Its endpoint summaries are the row k of :attr:`ends`,
-    computed on first read from the rows with ``window`` and ``min_len``
-    (see :func:`make_tracklets`).
+
+class Tracklets(Sequence[Tracklet]):
+    """One sequence's tracklets as columns: the runs of one table grouped by track id.
+
+    Each run of rows that read one ``track_id`` is a tracklet, named by that
+    id: run k is ``rows[bounds[k]:bounds[k + 1]]`` and its id ``ids[k]``. No
+    id may reappear after another, and the frames of a run must increase
+    strictly (else ValueError: an id given to two runs, a frame given twice,
+    or one going back). Its endpoint summaries are the row k of :attr:`ends`,
+    computed on first read from the rows with ``window`` and ``min_len``.
+
+    The window must satisfy ``2 <= window < min_len`` (else ``ValueError``),
+    so that a run of at least ``min_len`` detections holds its window plus the
+    end detection, and the window holds a step. Such a run's start summary
+    averages the ``window`` boxes following the first one, and the steps
+    between them; the end summary mirrors this with the ``window`` boxes
+    preceding the last. Shorter runs keep their end boxes, with the single
+    step at each edge as velocity (zero for a single detection). A step is the
+    center displacement between consecutive rows over their frame delta, and
+    each mean is ``np.mean`` in row order. The summaries of all runs are
+    computed together, each equal to that of its run alone.
+
     Indexing or iterating builds a :class:`Tracklet` only when it is read,
     as a :class:`DetectionTable` does for :class:`Detection`; like a list,
     the sequence compares equal to a list or tuple of the same tracklets.
@@ -170,32 +192,21 @@ class Tracklets(Sequence[Tracklet]):
 
     __slots__ = ("rows", "bounds", "ids", "window", "min_len", "_ends")
 
-    def __init__(self, rows: DetectionTable, bounds, ids, window: int, min_len: int):
+    def __init__(self, rows: DetectionTable, window: int = 6, min_len: int = 10):
         # the slots are set first, so that an instance whose checks raised has a repr
-        self.rows = rows
-        self.bounds = np.asarray(bounds, dtype=np.int64)
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.window, self.min_len, self._ends = window, min_len, None
+        self.rows, self.window, self.min_len, self._ends = rows, window, min_len, None
+        self.bounds = np.asarray(run_bounds(rows.track_id), dtype=np.int64)
+        self.ids = rows.track_id[self.bounds[:-1]]
         check_window(window, min_len)
-        if len(self.ids) != len(self.bounds) - 1:
-            raise ValueError(f"{len(self.ids)} ids for {len(self.bounds) - 1} runs")
         by_id = np.sort(self.ids)
         repeated = np.flatnonzero(by_id[1:] == by_id[:-1])
         if len(repeated):
             raise ValueError(f"duplicate tracklet id {by_id[repeated[0]]}")
-        if (np.diff(self.bounds) < 1).any():
-            raise ValueError("tracklet must contain at least one detection")
-        lo = self.bounds[0]
-        misnamed = lo + np.flatnonzero(rows.track_id[lo : self.bounds[-1]] != np.repeat(self.ids, np.diff(self.bounds)))
-        if len(misnamed):
-            row = misnamed[0]
-            tid = self.ids[np.searchsorted(self.bounds, row, side="right") - 1]
-            raise ValueError(f"row {row} has track_id {rows.track_id[row]} in the run of tracklet {tid}")
-        steps = np.diff(rows.frame[lo : self.bounds[-1]])
-        steps[self.bounds[1:-1] - lo - 1] = 1  # a step from one run into the next
-        back = lo + np.flatnonzero(steps < 1)
+        steps = np.diff(rows.frame)
+        steps[self.bounds[1:-1] - 1] = 1  # a step from one run into the next
+        back = np.flatnonzero(steps < 1)
         if len(back):
-            tid = self.ids[np.searchsorted(self.bounds, back[0], side="right") - 1].item()
+            tid = rows.track_id[back[0]].item()
             prev, frame = rows.frame[back[0] : back[0] + 2].tolist()
             if frame == prev:
                 raise ValueError(f"({tid},{frame}) duplicated: track {tid} has two detections in frame {frame}")
@@ -210,10 +221,6 @@ class Tracklets(Sequence[Tracklet]):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[Tracklet]:
-        # Sequence.__iter__ would end at an IndexError raised while reading a run
-        return map(self.__getitem__, range(len(self)))
-
     def __getitem__(self, k: int) -> Tracklet:
         k = range(len(self))[operator.index(k)]
         return Tracklet(self.ids[k].item(), self.rows[self.bounds[k] : self.bounds[k + 1]])
@@ -227,31 +234,6 @@ class Tracklets(Sequence[Tracklet]):
         return f"Tracklets({list(self)!r})"
 
 
-def make_tracklets(rows: DetectionTable, bounds: Sequence[int], window: int = 6, min_len: int = 10) -> Tracklets:
-    """One tracklet per frame-sorted run ``rows[bounds[k]:bounds[k + 1]]``, named by the run's track id.
-
-    The window must satisfy ``2 <= window < min_len`` (else ``ValueError``),
-    so that a run of at least ``min_len`` detections holds its window plus the
-    end detection, and the window holds a step. Such a run's start summary averages the
-    ``window`` boxes following the first one, and the steps between them; the
-    end summary mirrors this with the ``window`` boxes preceding the last.
-    Shorter runs keep their end boxes, with the single step at each edge as
-    velocity (zero for a single detection). A step is the center displacement
-    between consecutive rows over their frame delta, and each mean is
-    ``np.mean`` in row order. The summaries of all runs are computed together,
-    on first read, each equal to that of its run alone.
-    """
-    bounds = np.asarray(bounds, dtype=np.int64)
-    return Tracklets(rows, bounds, rows.track_id[bounds[:-1]], window, min_len)
-
-
-def run_bounds(keys: np.ndarray) -> list[int]:
-    """The row bounds of the runs of equal values in ``keys``: run k is ``[bounds[k], bounds[k + 1])``."""
-    if not len(keys):
-        return [0]
-    return [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
-
-
 def group_tracklets(
     detections: Iterable[Detection],
     endpoint_window: int = 6,
@@ -261,12 +243,12 @@ def group_tracklets(
 
     A track id observed twice in the same frame is a data error (see
     :class:`Tracklets`). Endpoint summaries are computed with the given
-    averaging window (see :func:`make_tracklets`). The tracklets are the runs
-    of one table sorted by (id, frame).
+    averaging window. The tracklets are the runs of one table sorted by
+    (id, frame).
     """
     table = DetectionTable.of(detections)
     rows = table.take(np.lexsort((table.frame, table.track_id)))
-    return make_tracklets(rows, run_bounds(rows.track_id), endpoint_window, endpoint_min_len)
+    return Tracklets(rows, endpoint_window, endpoint_min_len)
 
 
 # most candidate pairs scored at once: the temporaries take about 100 bytes
@@ -426,8 +408,8 @@ def cut_tracklets(
     from its rows with ``window`` and ``min_len``.
 
     The overlapping pairs are found by :func:`same_frame_overlaps` in one
-    sweep over all detections. The rows stay as they are: a cut only adds a
-    run bound and relabels the fragments' rows.
+    sweep over all detections. The rows stay where they are: a cut only
+    relabels the fragments' rows, whose new ids make new runs.
     """
     if not (0.0 < cut_threshold <= 1.0):
         raise ValueError(f"cutter threshold must lie in (0, 1], got {cut_threshold}")
@@ -452,15 +434,11 @@ def cut_tracklets(
     # first row splits nothing
     cuts = np.setdiff1d(np.concatenate((i[rising], j[rising])), bounds)
     if not len(cuts):
-        return Tracklets(rows, bounds, tracklets.ids, window, min_len)
+        return Tracklets(rows, window, min_len)
 
     new_bounds = np.union1d(bounds, cuts)
     run_owner = owners[new_bounds[:-1]]
-    cut = np.zeros(len(tracklets), dtype=bool)
-    cut[owners[cuts]] = True
-    fragment = cut[run_owner]
+    fragment = np.isin(run_owner, owners[cuts])
     ids = tracklets.ids[run_owner]
     ids[fragment] = np.arange(fragment.sum()) + tracklets.ids.max() + 1
-    sizes = np.diff(new_bounds)
-    track_id = np.where(np.repeat(fragment, sizes), np.repeat(ids, sizes), rows.track_id)
-    return Tracklets(rows.relabeled(track_id), new_bounds, ids, window, min_len)
+    return Tracklets(rows.relabeled(np.repeat(ids, np.diff(new_bounds))), window, min_len)

@@ -24,7 +24,7 @@ from trackstitch.scoring import (
     gaussian_scores,
     left_sums,
 )
-from trackstitch.tracklets import group_tracklets, iou_pairs, make_tracklets
+from trackstitch.tracklets import Tracklets, group_tracklets, iou_pairs
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
@@ -112,9 +112,9 @@ class TestBuildDomains:
         assert domains[1] == (STOP,)
 
     def test_duplicate_ids_rejected(self):
-        rows = DetectionTable.of(run(1, 1, 10) + run(1, 12, 22))
+        rows = DetectionTable.of(run(1, 1, 10) + run(2, 12, 22) + run(1, 24, 30))
         with pytest.raises(ValueError, match="duplicate"):
-            build_domains(make_tracklets(rows, [0, 10, 21]), ScoreConfig(), META)
+            build_domains(Tracklets(rows), ScoreConfig(), META)
 
 
 class TestSolve:
@@ -474,7 +474,7 @@ def random_tracklet_set(rng, n):
         if out and rng.random() < 0.4:
             # resume a tracklet's predicted path: small predicted-box distances
             prev = out[int(rng.integers(len(out)))]
-            ends = make_tracklets(DetectionTable.of(prev), [0, len(prev)]).ends
+            ends = Tracklets(DetectionTable.of(prev)).ends
             last, box, velocity = ends.end_frame[0].item(), ends.end_box[0].tolist(), ends.end_velocity[0].tolist()
             first = last + int(rng.integers(1, 5))
             # the end box moved by the end velocity, as the predicted-box constraints project it

@@ -132,6 +132,17 @@ def test_refine_non_finite_value_is_a_line_error(tmp_path, capsys, line):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
 
 
+@pytest.mark.parametrize("side", [1e-200, 1e160, 1e-150])
+def test_refine_rejects_a_box_without_extent_or_normal_area(tmp_path, capsys, side):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join(f"{f},{t},{70 + 30 * t},50,{side!r},{side!r},1,-1,-1,-1\n" for t in (1, 2) for f in range(1, 11)))
+    out = tmp_path / "out.txt"
+    code = main(["refine", str(bad), str(out), "--fps", "30", "--width", "100", "--height", "100"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 1: box ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
+
 def test_eval_gt_against_itself(tmp_path, capsys):
     out_dir = run_synth(tmp_path, capsys)
     code = main(["eval", str(out_dir / "gt.txt"), str(out_dir / "gt.txt"), "--seq-name", "demo"])

@@ -4,6 +4,7 @@ import io
 import pickle
 import warnings
 from collections import Counter
+from sys import float_info
 
 import numpy as np
 import pytest
@@ -36,6 +37,38 @@ def test_parse_empty_input():
 def test_parse_rejects_zero_width():
     with pytest.raises(ParseError, match="line 1"):
         parse_tracks("1,2,10,20,0,40,1,-1,-1,-1")
+
+
+def two_tracks(side):
+    """Two tracks of ten frames, square boxes of the given side at x = 100 and 130."""
+    return "".join(f"{f},{t},{70 + 30 * t},50,{side!r},{side!r},1,-1,-1,-1\n" for t in (1, 2) for f in range(1, 11))
+
+
+# sides the arithmetic cannot represent: the area underflows to 0 (1e-200) or
+# overflows to inf (1e160), or x + w rounds to x (1e-200 and 1e-150)
+@pytest.mark.parametrize("side, message", [
+    (1e-200, "box has no extent in float arithmetic"),
+    (1e160, "box area must be a normal finite float"),
+    (1e-150, "box has no extent in float arithmetic"),
+])
+def test_parse_rejects_a_box_without_extent_or_normal_area(side, message):
+    with pytest.raises(ParseError, match=f"^line 1: {message}, got "):
+        parse_tracks(two_tracks(side))
+    good = "1,3,100,50,10,10,1,-1,-1,-1\n"
+    with pytest.raises(ParseError, match=f"^line 2: {message}, got "):
+        parse_tracks(good + two_tracks(side))
+
+
+def test_box_domain_edges():
+    tiny, huge = float_info.min, 2.0**512
+    for x, y, w, h in [(0.0, 0.0, tiny, 1.0), (0.0, 0.0, huge, 2.0**511), (2.0**52, 0.0, 1.0, 1.0), (5e-324, 0.0, 5e-324, 2.0**1000)]:
+        Detection(1, 1, x, y, w, h)
+        DetectionTable([1], [1], [x], [y], [w], [h], [1.0])
+    for x, y, w, h in [(0.0, 0.0, tiny / 2, 1.0), (0.0, 0.0, huge, huge), (2.0**53, 0.0, 1.0, 1.0), (0.0, 1e17, 1.0, 1.0)]:
+        with pytest.raises(ValueError, match="^box "):
+            Detection(1, 1, x, y, w, h)
+        with pytest.raises(ValueError, match="^row 1: box "):
+            DetectionTable([1, 1], [1, 2], [0.0, x], [0.0, y], [1.0, w], [1.0, h], [1.0, 1.0])
 
 
 def test_parse_rejects_short_line():
@@ -112,6 +145,25 @@ def test_detection_contract():
         dataclasses.replace(d, track_id=0)
 
 
+def _accepted_boxes(x, y, w, h):
+    """The boxes ``(x, y, w, h)``, sides positive, moved into those :class:`Detection` accepts, for tests that draw values anywhere.
+
+    A side too small to move its corner takes the corner's magnitude; where
+    the area then leaves the normal floats, y becomes 0 and h the power of two
+    that brings the area near 1. Boxes already accepted are returned as they
+    are.
+    """
+    x, y, w, h = (np.asarray(c, dtype=float) for c in (x, y, w, h))
+    with np.errstate(over="ignore"):
+        w = np.where(x + w == x, np.abs(x), w)
+        h = np.where(y + h == y, np.abs(y), h)
+        area = w * h
+    off = ~((area >= float_info.min) & (area < np.inf))
+    y = np.where(off, 0.0, y)
+    h = np.where(off, np.ldexp(1.0, np.clip(-np.frexp(w)[1], -1022, 1023)), h)
+    return x, y, w, h
+
+
 def _fmt(value):
     # the track writer's number format: integral values below 1e15 without a
     # decimal point, everything else as repr
@@ -134,15 +186,14 @@ def test_write_matches_number_format():
     mags = 10.0 ** rng.uniform(-20, 20, size=(2000, 5))
     values = mags * rng.choice([-1.0, 1.0], size=mags.shape)
     values[::3] = np.round(values[::3])  # integral values at every magnitude
+    # positive, nonzero sizes: the magnitude survives, only the sign changes
+    values[:, 2:4] = np.where(values[:, 2:4] == 0, 1.0, np.abs(values[:, 2:4]))
+    values[:, :4] = np.stack(_accepted_boxes(*values[:, :4].T), axis=1)
     edges = [-0.0, 0.0, 1e15 - 1, 1e15, -1e15, 5e15, -5e15, 1e16, float(2**53), 1e-5, 9999999999999998.0, 0.5]
     rows = [[float(v) for v in row] for row in values]
     rows += [[e, -e, abs(e) or 1.0, abs(e) or 2.0, e] for e in edges]
     rows += [[3, -4, 5, 6, 1], [0, 0, 2**53, 10**16, -1]]  # int fields print their float64 value
-    dets = []
-    for k, (x, y, w, h, conf) in enumerate(rows):
-        # positive, nonzero sizes: the magnitude survives, only the sign changes
-        w, h = abs(w) or 1.0, abs(h) or 1.0
-        dets.append(Detection(k + 1, 1 + k % 3, x, y, w, h, conf))
+    dets = [Detection(k + 1, 1 + k % 3, *row) for k, row in enumerate(rows)]
     text = write_tracks(dets)
     assert text == _reference_write(dets)
     assert text.splitlines()[-1].endswith(",0,0,9007199254740992.0,1e+16,-1,-1,-1,-1")
@@ -151,7 +202,8 @@ def test_write_matches_number_format():
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 detections = st.builds(
-    Detection, st.integers(1, 10**6), st.integers(1, 10**6), finite, finite, positive, positive, finite
+    lambda frame, tid, box, conf: Detection(frame, tid, *(v.item() for v in _accepted_boxes(*box)), conf),
+    st.integers(1, 10**6), st.integers(1, 10**6), st.tuples(finite, finite, positive, positive), finite,
 )
 
 
@@ -423,6 +475,11 @@ def test_parse_fast_path_rounds_like_float(detections_built):
     sizes = np.where(np.char.startswith(rows[:, 2:4], "-"), np.char.lstrip(rows[:, 2:4], "-"), rows[:, 2:4])
     sizes[np.array([[float(s) == 0.0 for s in row] for row in sizes])] = "1"
     rows[:, 2:4] = sizes
+    # a box Detection rejects takes the repr of each value that makes it accepted
+    boxes = np.array([[float(s) for s in row] for row in rows[:, :4].tolist()])
+    accepted = np.stack(_accepted_boxes(*boxes.T), axis=1)
+    moved = accepted != boxes
+    rows[:, :4][moved] = [repr(v) for v in accepted[moved].tolist()]
     text = "".join(f"{k + 1},7,{','.join(row)},-1,-1,-1\n" for k, row in enumerate(rows.tolist()))
     table = parse_tracks(text)
     assert not detections_built  # read in one pass, no Detection built
@@ -512,7 +569,8 @@ def test_write_table_matches_rows_on_random_bit_patterns():
     n = 3000
     x, y, w, h, conf = (_finite_bit_patterns(rng, n) for _ in range(5))
     w, h = (np.where(v == 0, 1.0, np.abs(v)) for v in (w, h))
-    _assert_writes_like_its_rows(DetectionTable(rng.integers(1, 200, n), rng.integers(1, 20, n), x, y, w, h, conf))
+    boxes = _accepted_boxes(x, y, w, h)
+    _assert_writes_like_its_rows(DetectionTable(rng.integers(1, 200, n), rng.integers(1, 20, n), *boxes, conf))
 
 
 def test_write_table_prints_signed_zeros_as_zero():
@@ -524,16 +582,17 @@ def test_write_table_prints_signed_zeros_as_zero():
 
 
 def test_write_table_integral_values_around_1e15():
-    edges = [1e15 - 1, 1e15, 1e15 + 1, 1e16, 2.0**53, 2.0**53 + 2, 999999999999999.5, 123.0, 1e300]
+    edges = [1e15 - 1, 1e15, 1e15 + 1, 1e16, 2.0**53, 2.0**53 + 2, 999999999999999.5, 123.0, 1e290]
     values = edges + [-v for v in edges]
     n = len(values)
-    table = DetectionTable(range(1, n + 1), [1] * n, values, values[::-1], [abs(v) for v in values], [1.0] * n, values)
+    sides = [abs(v) for v in values]
+    table = DetectionTable(range(1, n + 1), [1] * n, values, values[::-1], sides, sides[::-1], values)
     text = _assert_writes_like_its_rows(table)
     assert text.splitlines()[:4] == [
-        "1,1,999999999999999,-1e+300,999999999999999,1,999999999999999,-1,-1,-1",
-        "2,1,1000000000000000.0,-123,1000000000000000.0,1,1000000000000000.0,-1,-1,-1",
-        "3,1,1000000000000001.0,-999999999999999.5,1000000000000001.0,1,1000000000000001.0,-1,-1,-1",
-        "4,1,1e+16,-9007199254740994.0,1e+16,1,1e+16,-1,-1,-1",
+        "1,1,999999999999999,-1e+290,999999999999999,1e+290,999999999999999,-1,-1,-1",
+        "2,1,1000000000000000.0,-123,1000000000000000.0,123,1000000000000000.0,-1,-1,-1",
+        "3,1,1000000000000001.0,-999999999999999.5,1000000000000001.0,999999999999999.5,1000000000000001.0,-1,-1,-1",
+        "4,1,1e+16,-9007199254740994.0,1e+16,9007199254740994.0,1e+16,-1,-1,-1",
     ]
 
 
@@ -541,10 +600,16 @@ def test_write_table_matches_rows_on_subnormals():
     tiny = np.nextafter(0.0, 1.0)
     values = [tiny, -tiny, tiny * 3, 2.2250738585072e-308, -1e-310, 5e-324]
     n = len(values)
+    # a subnormal side needs a large other side for a normal area
+    large = [2.0**1000] * n
     text = _assert_writes_like_its_rows(
-        DetectionTable(range(1, n + 1), [1] * n, values, values, np.abs(values), np.abs(values), values)
+        DetectionTable(range(1, n + 1), [1] * n, values, values, np.abs(values), large, values)
     )
-    assert text.splitlines()[0] == "1,1,5e-324,5e-324,5e-324,5e-324,5e-324,-1,-1,-1"
+    assert text.splitlines()[0] == "1,1,5e-324,5e-324,5e-324,1.0715086071862673e+301,5e-324,-1,-1,-1"
+    text = _assert_writes_like_its_rows(
+        DetectionTable(range(1, n + 1), [1] * n, values, values, large, np.abs(values), values)
+    )
+    assert text.splitlines()[0] == "1,1,5e-324,5e-324,1.0715086071862673e+301,5e-324,5e-324,-1,-1,-1"
 
 
 def test_write_table_matches_rows_with_many_repeated_values():
@@ -553,7 +618,8 @@ def test_write_table_matches_rows_with_many_repeated_values():
     pool = np.array([0.5, 1.0, -0.0, 0.1, 1e15, 7.0, 2.0**60, 1 / 3])
     x, y, w, h, conf = (rng.choice(pool, n) for _ in range(5))
     w, h = np.where(w > 0, w, 2.0), np.where(h > 0, h, 3.0)
-    _assert_writes_like_its_rows(DetectionTable(rng.integers(1, 4, n), rng.integers(1, 3, n), x, y, w, h, conf))
+    boxes = _accepted_boxes(x, y, w, h)
+    _assert_writes_like_its_rows(DetectionTable(rng.integers(1, 4, n), rng.integers(1, 3, n), *boxes, conf))
 
 
 def test_write_table_matches_rows_with_ids_up_to_int64_max():
@@ -574,7 +640,8 @@ def tables(draw):
     ids = hnp.arrays(np.int64, n, elements=st.integers(1, 2**63 - 1))
     values = hnp.arrays(np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False))
     sizes = hnp.arrays(np.float64, n, elements=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-    return DetectionTable(draw(ids), draw(ids), draw(values), draw(values), draw(sizes), draw(sizes), draw(values))
+    frame, tid, x, y, w, h, conf = (draw(s) for s in (ids, ids, values, values, sizes, sizes, values))
+    return DetectionTable(frame, tid, *_accepted_boxes(x, y, w, h), conf)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -18,7 +18,7 @@ from trackstitch.scoring import (
     score_columns,
     stop_scores,
 )
-from trackstitch.tracklets import EndpointArrays, group_tracklets, make_tracklets
+from trackstitch.tracklets import EndpointArrays, Tracklets, group_tracklets
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
@@ -151,7 +151,7 @@ def pair_distance(kind, t, s, meta):
 
 
 def one_pair(t, s):
-    ends = make_tracklets(DetectionTable.of(t + s), [0, len(t), len(t) + len(s)]).ends
+    ends = Tracklets(DetectionTable.of(t + s)).ends
     return EndpointPairs(ends, np.array([0]), np.array([1]))
 
 

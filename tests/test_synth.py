@@ -161,7 +161,7 @@ class TestCorrupt:
             CorruptionConfig(gap_frames=(3, 1)).validate()
 
 
-class TestFindCrossings:
+class TestCrossings:
     def test_detects_constructed_crossing(self):
         a = [Detection(f, 1, float(f), 0.0, 10.0, 10.0, 1.0) for f in range(1, 21)]
         b = [Detection(f, 2, 20.0 - f, 0.0, 10.0, 10.0, 1.0) for f in range(1, 21)]

@@ -271,7 +271,7 @@ def owned_rows(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(owned=owned_rows(), threshold=st.one_of(st.sampled_from([0.3, 0.5, 0.6, 1.0]), st.floats(0.01, 1.0)))
-def test_find_crossings_matches_the_pairwise_loop(owned, threshold):
+def test_crossings_match_the_pairwise_loop(owned, threshold):
     detections, owners = owned
     trajectories = {}
     for owner, d in zip(owners, detections):

@@ -14,7 +14,7 @@ from trackstitch.scoring import ScoreConfig
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
 from trackstitch.tracklets import cut_tracklets, group_tracklets, iou_matrix, iou_pairs
 from trackstitch.mot_io import DetectionTable
-from trackstitch.tracklets import EndpointArrays, Tracklet, Tracklets, make_tracklets, run_bounds
+from trackstitch.tracklets import EndpointArrays, Tracklet, Tracklets, run_bounds
 
 
 def boxes_track(tid, frames, x0=0.0, vx=0.0, y0=0.0, vy=0.0, w=10.0, h=10.0):
@@ -109,7 +109,7 @@ def test_group_rejects_duplicate_frame():
 
 def _ends(detections, window=6, min_len=10):
     """The endpoint columns of one run of detections, one row."""
-    return make_tracklets(DetectionTable.of(detections), [0, len(detections)], window, min_len).ends
+    return Tracklets(DetectionTable.of(detections), window, min_len).ends
 
 
 class TestEndpoints:
@@ -282,17 +282,17 @@ def _runs(lengths):
     return DetectionTable.of(dets), np.cumsum([0, *lengths]).tolist()
 
 
-def test_make_tracklets_accepts_exactly_the_windows_from_2_below_min_len():
+def test_tracklets_accept_exactly_the_windows_from_2_below_min_len():
     for window in range(-1, 14):
         for min_len in range(0, 16):
             rows, bounds = _runs([1, 2, 3, max(min_len - 1, 1), max(min_len, 1), min_len + 1, 20])
             if not 2 <= window < min_len:
                 with pytest.raises(ValueError, match=rf"^window must satisfy 2 <= window < min_len, got window={window}, min_len={min_len}$"):
-                    make_tracklets(rows, bounds, window, min_len)
+                    Tracklets(rows, window, min_len)
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ends = make_tracklets(rows, bounds, window, min_len).ends  # summaries are computed on read
+                ends = Tracklets(rows, window, min_len).ends  # summaries are computed on read
             # every window holds a step, so every run that moves has the velocity of its steps
             for n, start, end in zip(np.diff(bounds).tolist(), ends.start_velocity.tolist(), ends.end_velocity.tolist()):
                 expected = [2.0, 0.0] if n > 1 else [0.0, 0.0]
@@ -302,10 +302,10 @@ def test_make_tracklets_accepts_exactly_the_windows_from_2_below_min_len():
 @pytest.mark.parametrize("window, min_len", [(1, 10), (0, 10), (10, 10), (12, 10), (6, 2), (2, 2)])
 def test_every_tracklet_builder_rejects_a_window_outside_the_rule(window, min_len):
     dets = boxes_track(1, range(1, 21)) + boxes_track(2, range(1, 21), y0=100.0)
-    rows, bounds = _runs([20, 20])
+    rows, _ = _runs([20, 20])
     tracklets = group_tracklets(dets)
     builders = [
-        lambda: make_tracklets(rows, bounds, window, min_len),
+        lambda: Tracklets(rows, window, min_len),
         lambda: group_tracklets(dets, window, min_len),
         lambda: cut_tracklets(tracklets, 0.5, window, min_len),  # no overlap, so nothing is cut
         lambda: stitch({1: STOP, 2: STOP}, tracklets, window, min_len),
@@ -318,10 +318,10 @@ def test_every_tracklet_builder_rejects_a_window_outside_the_rule(window, min_le
 @pytest.mark.parametrize("window, min_len, name", [(3.0, 10, "window"), (3, float("nan"), "min_len")])
 def test_every_tracklet_builder_rejects_a_window_that_is_not_an_integer(window, min_len, name):
     dets = boxes_track(1, range(1, 21)) + boxes_track(2, range(1, 21), y0=100.0)
-    rows, bounds = _runs([20, 20])
+    rows, _ = _runs([20, 20])
     tracklets = group_tracklets(dets)
     builders = [
-        lambda: make_tracklets(rows, bounds, window, min_len),
+        lambda: Tracklets(rows, window, min_len),
         lambda: group_tracklets(dets, window, min_len),
         lambda: cut_tracklets(tracklets, 0.5, window, min_len),
         lambda: stitch({1: STOP, 2: STOP}, tracklets, window, min_len),
@@ -330,21 +330,22 @@ def test_every_tracklet_builder_rejects_a_window_that_is_not_an_integer(window, 
     for build in builders:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
             build()
-    assert len(make_tracklets(rows, bounds, np.int64(3), np.int64(10))) == 2
+    assert len(Tracklets(rows, np.int64(3), np.int64(10))) == 2
 
 
-def test_make_tracklets_equals_make_tracklet_per_run():
+def test_tracklets_summarize_each_run_as_if_alone():
     rows = DetectionTable.of(
         boxes_track(1, range(1, 30), vx=1.5) + boxes_track(2, [3]) + boxes_track(3, [5, 9, 10], vy=-2.0)
     )
     bounds = [0, 29, 30, 33]
-    together = make_tracklets(rows, bounds, 4, 5)
-    alone = [make_tracklets(rows[lo:hi], [0, hi - lo], 4, 5) for lo, hi in zip(bounds, bounds[1:])]
+    together = Tracklets(rows, 4, 5)
+    assert together.bounds.tolist() == bounds and together.ids.tolist() == [1, 2, 3]
+    alone = [Tracklets(rows[lo:hi], 4, 5) for lo, hi in zip(bounds, bounds[1:])]
     assert together == [t for one in alone for t in one]
     for column in fields(EndpointArrays):
         want = np.concatenate([getattr(one.ends, column.name) for one in alone])
         assert repr(getattr(together.ends, column.name).tolist()) == repr(want.tolist()), column.name
-    assert make_tracklets(rows[:0], [0]) == []
+    assert Tracklets(rows[:0]) == []
 
 
 def _reference_cut(tracklets, cut_threshold, window=6, min_len=10):
@@ -386,7 +387,7 @@ def _reference_cut(tracklets, cut_threshold, window=6, min_len=10):
     first_id = max(t.id for t in tracklets) + 1
     piece_ids = np.repeat(np.arange(first_id, first_id + len(sizes)), sizes)
     piece_rows = DetectionTable.concat(pieces).relabeled(piece_ids)
-    fragments = iter(make_tracklets(piece_rows, np.cumsum([0, *sizes]).tolist(), window, min_len))
+    fragments = iter(Tracklets(piece_rows, window, min_len))
     out = []
     for idx, t in enumerate(tracklets):
         if idx in piece_count:
@@ -394,7 +395,7 @@ def _reference_cut(tracklets, cut_threshold, window=6, min_len=10):
         else:
             out.append(t)
     # every tracklet, untouched ones included, summarized from its own rows
-    return make_tracklets(DetectionTable.concat(t.detections for t in out), np.cumsum([0, *map(len, out)]), window, min_len)
+    return Tracklets(DetectionTable.concat(t.detections for t in out), window, min_len)
 
 
 def _assert_same_cut(got, want):
@@ -404,8 +405,9 @@ def _assert_same_cut(got, want):
     assert all(a.detections == b.detections for a, b in zip(got, want))
 
 
-# (x offset, x unit, y unit): small integers, far from zero, and subnormal multiples
-_GRIDS = [(0.0, 1.0, 1.0), (0.0, 0.1, 0.1), (1e15, 1.0, 1.0), (0.0, 5e-324, 1.0), (-3.5e15, 0.5, 7.0)]
+# (x offset, x unit, y unit): small integers, far from zero, and subnormal
+# multiples in x (with a y unit that keeps every area a normal float)
+_GRIDS = [(0.0, 1.0, 1.0), (0.0, 0.1, 0.1), (1e15, 1.0, 1.0), (0.0, 5e-324, 2.0**1000), (-3.5e15, 0.5, 7.0)]
 
 
 def _grid_tracklets(tracks, grid, window, min_len):
@@ -423,7 +425,7 @@ def _grid_tracklets(tracks, grid, window, min_len):
         ])
         for tid, rows in tracks
     ]
-    return make_tracklets(DetectionTable.concat(runs), np.cumsum([0, *map(len, runs)]), window, min_len)
+    return Tracklets(DetectionTable.concat(runs), window, min_len)
 
 
 def _random_tracks(rng):
@@ -443,11 +445,6 @@ def _cut_both(tracklets, threshold, window, min_len):
     return cut_tracklets(tracklets, threshold, window, min_len), _reference_cut(tracklets, threshold, window, min_len)
 
 
-# 0/0 areas of subnormal boxes warn
-quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
-
-@quiet
 @pytest.mark.parametrize("threshold", [1.0, 0.5, 1e-12])
 def test_cut_matches_per_frame_loop(threshold):
     rng = np.random.default_rng(int(threshold * 1000) + 5)
@@ -462,7 +459,6 @@ def test_cut_matches_per_frame_loop(threshold):
     assert cuts > 0
 
 
-@quiet
 def test_cut_on_continuous_coordinates_matches_per_frame_loop():
     rng = np.random.default_rng(41)
     for trial in range(60):
@@ -475,7 +471,6 @@ def test_cut_on_continuous_coordinates_matches_per_frame_loop():
         _assert_same_cut(*_cut_both(tracklets, float(rng.choice([1.0, 0.5, 1e-12, 0.3])), 3, 5))
 
 
-@quiet
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
 def test_cut_does_not_depend_on_chunk_size(monkeypatch, chunk):
     rng = np.random.default_rng(8)
@@ -497,11 +492,10 @@ def grid_tracks(draw):
     return tracks
 
 
-# the (window, min_len) pairs that make_tracklets accepts, up to a min_len of 6
+# the (window, min_len) pairs that Tracklets accepts, up to a min_len of 6
 valid_windows = st.integers(2, 5).flatmap(lambda window: st.tuples(st.just(window), st.integers(window + 1, 6)))
 
 
-@quiet
 @given(grid_tracks(), st.integers(0, len(_GRIDS) - 1), st.sampled_from([1.0, 0.5, 1e-12]), valid_windows)
 @settings(max_examples=150, deadline=None)
 def test_cut_matches_per_frame_loop_property(tracks, grid, threshold, windows):
@@ -607,36 +601,39 @@ def test_cut_rejects_threshold_outside_unit_interval(threshold):
 def test_tracklet_frames_must_increase_strictly(frames, message):
     dets = [Detection(f, 7, 0.0, 0.0, 5.0, 5.0, 1.0) for f in frames]
     with pytest.raises(ValueError, match=message):
-        make_tracklets(DetectionTable.of(dets), [0, len(dets)])
+        Tracklets(DetectionTable.of(dets))
     rows = DetectionTable.of(boxes_track(1, [1, 2]) + dets + boxes_track(3, [1]))
     with pytest.raises(ValueError, match=message):
-        make_tracklets(rows, [0, 2, 2 + len(dets), 3 + len(dets)])
+        Tracklets(rows)
 
 
 def test_tracklets_name_each_run_exactly_once():
-    # ten rows of track 1 split in two runs would make two tracklets named 1,
-    # and one id for two runs would leave the second run unnamed
+    # ids that run 1, 2, 1 would make two tracklets named 1
     rows = DetectionTable.of(boxes_track(1, range(1, 11)))
     with pytest.raises(ValueError, match="^duplicate tracklet id 1$"):
-        make_tracklets(rows, [0, 5, 10])
-    with pytest.raises(ValueError, match="^1 ids for 2 runs$"):
-        Tracklets(rows, [0, 5, 10], [1], 6, 10)
-    with pytest.raises(ValueError, match="^3 ids for 2 runs$"):
-        Tracklets(rows, [0, 5, 10], [1, 2, 3], 6, 10)
-    assert make_tracklets(rows, [0, 10]).ids.tolist() == [1]
-
-
-def test_tracklets_reject_a_run_whose_rows_read_another_id():
-    # a tracklet named 5 over rows of track 1 would reach the cutter and the
-    # writer with two names
-    rows = DetectionTable.of(boxes_track(1, range(1, 11)))
-    with pytest.raises(ValueError, match="^row 0 has track_id 1 in the run of tracklet 5$"):
-        Tracklets(rows, [0, 10], [5], 6, 10)
-    two = rows + boxes_track(2, range(1, 6)) + boxes_track(3, range(1, 4))
-    with pytest.raises(ValueError, match="^row 10 has track_id 2 in the run of tracklet 3$"):
-        Tracklets(two, [0, 10, 15, 18], [1, 3, 2], 6, 10)
-    (t,) = make_tracklets(rows.relabeled(5), [0, 10])
+        Tracklets(rows[:5] + boxes_track(2, range(1, 4)) + rows[5:])
+    assert Tracklets(rows).ids.tolist() == [1]
+    # a tracklet is named by its rows' track id
+    (t,) = Tracklets(rows.relabeled(5))
     assert t.id == 5 and t.detections.track_id.tolist() == [5] * 10
+
+
+def test_tracklets_of_grouped_rows_equal_group_tracklets():
+    gt, _ = generate(ScenarioConfig(num_objects=8, num_frames=120, crossings=3, seed=4))
+    tracker, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, random_cuts_per_track=2, gap_frames=(1, 3), seed=4))
+    rows = tracker.take(np.lexsort((tracker.frame, tracker.track_id)))
+    for window, min_len in ((2, 3), (6, 10)):
+        got, want = Tracklets(rows, window, min_len), group_tracklets(tracker, window, min_len)
+        assert got.bounds.tolist() == want.bounds.tolist() and got.ids.tolist() == want.ids.tolist()
+        for column in fields(EndpointArrays):
+            assert repr(getattr(got.ends, column.name).tolist()) == repr(getattr(want.ends, column.name).tolist()), column.name
+
+
+def test_an_empty_table_has_no_tracklets():
+    tracklets = Tracklets(DetectionTable.of(()))
+    assert len(tracklets) == 0 and tracklets == [] and list(tracklets) == []
+    assert tracklets.bounds.tolist() == [0] and tracklets.ids.tolist() == []
+    assert tracklets.ends.start_box.shape == (0, 4) and tracklets.ends.end_velocity.shape == (0, 2)
 
 
 @pytest.mark.parametrize("kind", ["stable", "quicksort"])
@@ -665,22 +662,8 @@ def test_repr_of_tracklets_whose_checks_raised_returns(frames, window):
     rows = DetectionTable.of([Detection(f, 7, 0.0, 0.0, 5.0, 5.0, 1.0) for f in frames])
     tracklets = Tracklets.__new__(Tracklets)
     with pytest.raises(ValueError):
-        tracklets.__init__(rows, [0, len(rows)], [7], window, 10)
+        tracklets.__init__(rows, window, 10)
     assert repr(tracklets).startswith("Tracklets([Tracklet(id=7, detections=DetectionTable([Detection(frame=")
-
-
-def test_iteration_surfaces_an_index_error_from_a_missing_run():
-    # two ids for one run fail the check, and reading the second run raises
-    # IndexError, which must not read as the end of the sequence
-    rows = DetectionTable.of(boxes_track(1, [1, 2, 3]))
-    tracklets = Tracklets.__new__(Tracklets)
-    with pytest.raises(ValueError, match="^2 ids for 1 runs$"):
-        tracklets.__init__(rows, [0, 3], [1, 2], 2, 3)
-    assert len(tracklets) == 2
-    with pytest.raises(IndexError):
-        list(tracklets)
-    with pytest.raises(IndexError):
-        repr(tracklets)
 
 
 def test_cut_memory_is_bounded_on_a_frame_stack():
@@ -692,7 +675,8 @@ def test_cut_memory_is_bounded_on_a_frame_stack():
     spacing = np.where((frames - 1) // 20 % 2 == 0, 12.0, 3.0)
     n = len(frames)
     table = DetectionTable(frames, ids, np.full(n, 50.0), (ids - 1) * spacing, np.full(n, 10.0), np.full(n, 10.0), np.ones(n))
-    tracklets = make_tracklets(table, list(range(0, n + 1, 200)))
+    tracklets = Tracklets(table)
+    assert tracklets.bounds.tolist() == list(range(0, n + 1, 200))
     tracemalloc.start()
     try:
         out = cut_tracklets(tracklets, 0.5)
@@ -707,7 +691,7 @@ def test_cut_memory_is_bounded_on_a_frame_stack():
 class TestTrackletColumns:
     def test_reads_like_a_list_of_tracklets(self):
         rows, bounds = _runs([3, 12, 1])
-        tracklets = make_tracklets(rows, bounds, 4, 5)
+        tracklets = Tracklets(rows, 4, 5)
         as_list = [Tracklet(tid, rows[lo:hi]) for tid, lo, hi in zip((1, 2, 3), bounds, bounds[1:])]
         assert len(tracklets) == 3 and tracklets == as_list and tracklets == tuple(as_list)
         assert tracklets[-1] == tracklets[2] == as_list[2]
@@ -728,6 +712,6 @@ class TestTrackletColumns:
         assignment, _ = solve_with_stats(build_domains(cut, ScoreConfig(), meta))
         stitched = stitch(assignment, cut, 6, 10)
         for out, window, min_len in ((grouped, 2, 3), (cut, 6, 10), (stitched, 6, 10)):
-            want = make_tracklets(out.rows, out.bounds, window, min_len).ends
+            want = Tracklets(out.rows, window, min_len).ends
             for column in fields(EndpointArrays):
                 assert np.array_equal(getattr(out.ends, column.name), getattr(want, column.name)), column.name
