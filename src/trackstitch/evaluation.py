@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .mot_io import Detection, DetectionTable, _strictly_ordered
-from .tracklets import aranges, cross_overlaps, iou_pairs, ranks
+from .tracklets import aranges, cross_overlaps, iou_pairs, pair_runs, ranks
 
 
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -162,17 +162,13 @@ def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
     g_hi, p_hi = np.cumsum(n_gt), np.cumsum(n_pred)
     g_lo, p_lo = g_hi - n_gt, p_hi - n_pred
 
-    # the hits sorted by (gt id, predicted id, frame): the hits of one id pair
-    # in consecutive frames form a run of hits, and each learns where its run ends
+    # the hits of one id pair in consecutive numbered frames form a run of
+    # hits, and each learns where its run ends
     k = g_rank[hits.g]
-    order = np.lexsort((k, pred.track_id[hits.p], gt.track_id[hits.g]))
+    order, bounds = pair_runs(gt.track_id[hits.g], pred.track_id[hits.p], k)
     g, p, k = hits.g[order], hits.p[order], k[order]
     gid, pid = gt.track_id[g], pred.track_id[p]
-    opens = np.ones(len(k), dtype=bool)
-    opens[1:] = (gid[1:] != gid[:-1]) | (pid[1:] != pid[:-1]) | (k[1:] != k[:-1] + 1)
-    starts = np.flatnonzero(opens)
-    sizes = np.diff(np.append(starts, len(k)))
-    run_end = np.repeat(starts + sizes - 1, sizes)
+    run_end = np.repeat(bounds[1:] - 1, np.diff(bounds))
     # a hit is found by its (gt row, predicted row) key
     key = g * len(pred) + p
     by_key = np.argsort(key)

@@ -198,12 +198,26 @@ class SequenceMeta:
     num_frames: int
 
     def __post_init__(self):
+        # every number and the diagonal must fit in a float; an integer of 309
+        # digits or more does not, and float() and isfinite() overflow on it
+        for name in ("fps", "img_width", "img_height", "num_frames"):
+            value = getattr(self, name)
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float, got {value}") from None
         if not (isfinite(self.fps) and self.fps > 0):
             raise ValueError(f"fps must be finite and positive, got {self.fps}")
         for name in ("img_width", "img_height", "num_frames"):
             value = getattr(self, name)
             if not (value >= 1 and float(value).is_integer()):  # NaN fails the first test, inf the second
                 raise ValueError(f"{name} must be a positive integer, got {value}")
+        try:
+            diagonal = self.diagonal
+        except OverflowError:  # a squared size too large for a float
+            diagonal = inf
+        if not isfinite(diagonal):
+            raise ValueError(f"the image diagonal must be finite, got a {self.img_width} x {self.img_height} image")
 
     @property
     def diagonal(self) -> float:

@@ -8,8 +8,8 @@ while logging every event so tests can check that the pipeline undoes them.
 
 Both return a :class:`~trackstitch.mot_io.DetectionTable` and work on
 columns: ``corrupt`` keeps each trajectory as an array of row indices, and
-finds the crossings (:func:`_crossings`) from every overlapping pair of one
-frame, with the same sweep the cutter and the evaluation use.
+a crossing is an overlap run of two tracks as the cutter finds it
+(:func:`~trackstitch.tracklets.overlap_runs`), placed at its peak.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .mot_io import Detection, DetectionTable, SequenceMeta, atomic_writer
-from .tracklets import run_bounds, same_frame_overlaps
+from .tracklets import group_tracklets, overlap_runs
 
 
 class ScenarioError(ValueError):
@@ -267,68 +267,31 @@ def _displacements(speed: float, theta: float, turn_rate: float, num_frames: int
     return disp
 
 
-def _crossings(rows: DetectionTable, owners: np.ndarray, iou_threshold: float) -> list[tuple[int, int, int]]:
-    """Peak-overlap frames of every pairwise crossing: (a, b, frame), a < b, sorted by frame, then owners.
-
-    ``rows`` are grouped by their ``owners``, ascending (:func:`corrupt`
-    passes a table sorted by (id, frame) and its ids). A crossing is a run of
-    consecutive rows of b, each of which reaches ``iou >= iou_threshold`` (in
-    (0, 1]) with a's row in its frame; where a repeats a frame, its last row
-    there counts. The event frame is the run's highest IoU, the earliest such
-    frame on a plateau. All same-frame pairs are found by one
-    :func:`~trackstitch.tracklets.same_frame_overlaps` sweep.
-    """
-    i, j, iou = same_frame_overlaps(rows, iou_threshold)
-    # an owner that repeats a frame is looked up by its last row there
-    n = len(rows)
-    by_frame = np.lexsort((np.arange(n), rows.frame, owners))
-    last = np.ones(n, dtype=bool)
-    last[by_frame[:-1]] = (owners[by_frame[1:]] != owners[by_frame[:-1]]) | (
-        rows.frame[by_frame[1:]] != rows.frame[by_frame[:-1]]
-    )
-    # owners ascend with the rows, so i < j makes owner a = owners[i] the lower id and j a row of b
-    keep = (owners[i] != owners[j]) & last[i]
-    j, iou = j[keep], iou[keep]
-    a, b = owners[i[keep]], owners[j]
-    by_run = np.lexsort((j, a))
-    j, iou, a, b = j[by_run], iou[by_run], a[by_run], b[by_run]
-    # a run is a stretch of consecutive rows of b that hit the same a
-    starts = np.ones(len(j), dtype=bool)
-    starts[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (j[1:] != j[:-1] + 1)
-    run = np.cumsum(starts) - 1
-    # the peak of a run: the highest IoU, the earliest frame among equals
-    frame = rows.frame[j]
-    by_peak = np.lexsort((frame, -iou, run))
-    first = np.ones(len(run), dtype=bool)
-    first[1:] = run[by_peak[1:]] != run[by_peak[:-1]]
-    peak = by_peak[first]
-    events = peak[np.lexsort((b[peak], a[peak], frame[peak]))]
-    return list(zip(a[events].tolist(), b[events].tolist(), frame[events].tolist()))
-
-
 def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[DetectionTable, CorruptionLog]:
     """Degrade a ground truth into tracker-like output, logging every event.
 
     Output track ids are always fresh (1..n, one per final fragment), so even
     an uncorrupted pass looks like a tracker run rather than the ground truth.
-    The output is a table sorted by (frame, track_id). Each ground-truth track
-    becomes a container, an array of row indices in frame order: swaps
-    exchange the tails of two containers, and cuts split a container into
-    pieces. The random draws come in a fixed order, so the result is
-    deterministic per seed.
+    The output is a table sorted by (frame, track_id). Each ground-truth track,
+    grouped by :func:`~trackstitch.tracklets.group_tracklets` (which rejects
+    two rows of a track in one frame), becomes a container, an array of row
+    indices in frame order: swaps exchange the tails of two containers, and
+    cuts split a container into pieces. The random draws come in a fixed
+    order, so the result is deterministic per seed.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     log = CorruptionLog()
 
-    table = DetectionTable.of(gt)
-    rows = table.take(np.lexsort((table.frame, table.track_id)))
-    bounds = run_bounds(rows.track_id)
-    containers = {
-        cid: np.arange(lo, hi) for cid, lo, hi in zip(rows.track_id[bounds[:-1]].tolist(), bounds, bounds[1:])
-    }
-    # only swaps and fragment cuts read the crossings
-    events = _crossings(rows, rows.track_id, cfg.crossing_iou) if cfg.swap_prob > 0 or cfg.fragment_prob > 0 else []
+    tracks = group_tracklets(gt)
+    rows, bounds = tracks.rows, tracks.bounds.tolist()
+    containers = {cid: np.arange(lo, hi) for cid, lo, hi in zip(tracks.ids.tolist(), bounds, bounds[1:])}
+    events = []  # the crossings' peaks (a, b, frame), a < b, by frame; only swaps and fragment cuts read them
+    if cfg.swap_prob > 0 or cfg.fragment_prob > 0:
+        i, j, _, peak = overlap_runs(tracks, cfg.crossing_iou)
+        a, b, frame = rows.track_id[i[peak]], rows.track_id[j[peak]], rows.frame[i[peak]]
+        by_frame = np.lexsort((b, a, frame))
+        events = list(zip(a[by_frame].tolist(), b[by_frame].tolist(), frame[by_frame].tolist()))
 
     # identity swaps: exchange the tails of the two participants
     if cfg.swap_prob > 0:

@@ -389,6 +389,42 @@ def cross_overlaps(
     return rows[np.where(k_in_a, k, j)], rows[np.where(k_in_a, j, k)] - n, iou
 
 
+def pair_runs(a: np.ndarray, b: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort hits by (a, b, step) and split them into runs: hit ``order[k]`` is the k-th, and run r holds ``order[bounds[r]:bounds[r + 1]]``.
+
+    A run continues while the pair (a, b) stays the same and ``step`` goes up
+    by exactly one. No hits make no runs (``bounds`` is ``[0]``).
+    """
+    order = np.lexsort((step, b, a))
+    a, b, step = a[order], b[order], step[order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (step[1:] - 1 != step[:-1])
+    return order, np.append(np.flatnonzero(opens), len(order))
+
+
+def overlap_runs(tracklets: Tracklets, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of frames in which two tracklets overlap at ``iou >= threshold`` (> 0): ``(i, j, first, peak)``.
+
+    One :func:`same_frame_overlaps` sweep finds the row pairs ``(i, j)``,
+    ``i < j``, of one frame; the pairs of two rows of distinct tracklets are
+    the hits, grouped by :func:`pair_runs` over (tracklet of i, tracklet of
+    j, frame) and returned in that order. ``first`` and ``peak`` index the
+    hits: each run's first hit, and its peak, the hit of highest IoU (the
+    earliest frame among equal IoUs).
+    """
+    rows = tracklets.rows
+    i, j, iou = same_frame_overlaps(rows, threshold)
+    owners = np.repeat(np.arange(len(tracklets)), np.diff(tracklets.bounds))
+    other = owners[i] != owners[j]
+    i, j, iou = i[other], j[other], iou[other]
+    order, bounds = pair_runs(owners[i], owners[j], rows.frame[i])
+    i, j, iou = i[order], j[order], iou[order]
+    first = bounds[:-1]
+    # a stable sort keeps a run's equal IoUs in frame order
+    run = np.repeat(np.arange(len(first)), np.diff(bounds))
+    return i, j, first, np.lexsort((-iou, run))[first]
+
+
 def cut_tracklets(
     tracklets: Tracklets,
     cut_threshold: float,
@@ -397,48 +433,32 @@ def cut_tracklets(
 ) -> Tracklets:
     """Cut tracklets wherever two of them start overlapping strongly.
 
-    Whenever two detections from distinct tracklets in one frame reach
-    ``iou >= cut_threshold`` (which must lie in (0, 1]) the two tracklets are
-    cut so that the overlapping detections begin new fragments. A pair that
-    was already overlapping in the immediately preceding frame does not
-    trigger again: one sustained overlap event means one cut per tracklet, at
-    the frame where the overlap first appears. Fragments of a cut tracklet get
-    fresh ids above the existing maximum, in order; untouched tracklets keep
-    their ids. Every output tracklet, untouched ones included, is summarized
-    from its rows with ``window`` and ``min_len``.
+    Each run of frames in which two tracklets overlap at ``iou >= cut_threshold``
+    (which must lie in (0, 1]), as :func:`overlap_runs` finds them, cuts both
+    tracklets at the run's first frame, so that the overlapping detections
+    begin new fragments: one sustained overlap means one cut per tracklet, and
+    a run ends where either tracklet skips a frame. Fragments of a cut
+    tracklet get fresh ids above the existing maximum, in order; untouched
+    tracklets keep their ids. Every output tracklet, untouched ones included,
+    is summarized from its rows with ``window`` and ``min_len``.
 
-    The overlapping pairs are found by :func:`same_frame_overlaps` in one
-    sweep over all detections. The rows stay where they are: a cut only
-    relabels the fragments' rows, whose new ids make new runs.
+    The rows stay where they are: a cut only relabels the fragments' rows,
+    whose new ids make new runs.
     """
     if not (0.0 < cut_threshold <= 1.0):
         raise ValueError(f"cutter threshold must lie in (0, 1], got {cut_threshold}")
-    check_window(window, min_len)
     rows, bounds = tracklets.rows, tracklets.bounds
-    i, j, _ = same_frame_overlaps(rows, cut_threshold)
-    owners = np.repeat(np.arange(len(tracklets)), np.diff(bounds))
-
-    # one hit per (tracklet pair, frame), as a tracklet holds one row per
-    # frame; sorted, a hit is a rising edge unless the same pair also had one
-    # in the frame before. The owners ascend with the rows, so i < j gives
-    # ti <= tj.
-    ti, tj = owners[i], owners[j]
-    other = ti != tj
-    i, j = i[other], j[other]
-    hits, first = np.unique(np.stack([ti[other], tj[other], rows.frame[i]], axis=1), axis=0, return_index=True)
-    continued = np.zeros(len(hits), dtype=bool)
-    continued[1:] = (hits[1:, 0] == hits[:-1, 0]) & (hits[1:, 1] == hits[:-1, 1]) & (hits[1:, 2] - 1 == hits[:-1, 2])
-    rising = first[~continued]
-
-    # a tracklet is cut before its row in the hit's frame; a cut at its own
-    # first row splits nothing
-    cuts = np.setdiff1d(np.concatenate((i[rising], j[rising])), bounds)
+    i, j, first, _ = overlap_runs(tracklets, cut_threshold)
+    # a tracklet is cut before its row in the run's first frame; a cut at its
+    # own first row splits nothing
+    cuts = np.setdiff1d(np.concatenate((i[first], j[first])), bounds)
     if not len(cuts):
         return Tracklets(rows, window, min_len)
 
     new_bounds = np.union1d(bounds, cuts)
-    run_owner = owners[new_bounds[:-1]]
-    fragment = np.isin(run_owner, owners[cuts])
+    run_owner = np.searchsorted(bounds, new_bounds[:-1], side="right") - 1
+    # a cut tracklet holds more than one run
+    fragment = np.bincount(run_owner)[run_owner] > 1
     ids = tracklets.ids[run_owner]
     ids[fragment] = np.arange(fragment.sum()) + tracklets.ids.max() + 1
     return Tracklets(rows.relabeled(np.repeat(ids, np.diff(new_bounds))), window, min_len)

@@ -251,6 +251,17 @@ def test_refine_rejects_bad_seqinfo_values(tmp_path, capsys, line, expected):
     assert_one_line_error(tmp_path, capsys, argv, expected)
 
 
+def test_refine_rejects_sizes_too_large_for_float_arithmetic(tmp_path, capsys):
+    tracks = tmp_path / "tracks.txt"
+    tracks.write_text(THREE_ROWS)
+    seqinfo = tmp_path / "seqinfo.ini"
+    seqinfo.write_text(f"frameRate=30\nimWidth={10**400}\nimHeight=100\nseqLength=10\n")
+    argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
+    assert_one_line_error(tmp_path, capsys, argv, f"img_width is too large for a float, got {10**400}")
+    argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--fps", "30", "--width", str(10**200), "--height", "100"]
+    assert_one_line_error(tmp_path, capsys, argv, f"the image diagonal must be finite, got a {10**200} x 100 image")
+
+
 def test_refine_accepts_integral_seqinfo_spellings(tmp_path, capsys):
     tracks = tmp_path / "tracks.txt"
     tracks.write_text(THREE_ROWS)

@@ -320,6 +320,22 @@ def test_sequence_meta_rejects_a_size_that_is_not_a_positive_integer(field, valu
     SequenceMeta(fps=30, **{**sizes, field: 7.0})  # an integral float is an integer
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"img_width": 10**400}, r"^img_width is too large for a float, got 10{400}$"),
+        ({"fps": 10**400}, r"^fps is too large for a float, got 10{400}$"),
+        # each size fits, and its square does not
+        ({"img_height": 10**200}, r"^the image diagonal must be finite, got a 10 x 10{200} image$"),
+        # each square fits, and their sum does not
+        ({"img_width": 1e154, "img_height": 1e154}, r"^the image diagonal must be finite, got a 1e\+154 x 1e\+154 image$"),
+    ],
+)
+def test_sequence_meta_rejects_numbers_too_large_for_float_arithmetic(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SequenceMeta(**{"fps": 30, "img_width": 10, "img_height": 10, "num_frames": 10, **fields})
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "0", "-5"])
 def test_read_seqinfo_rejects_non_finite_frame_rate(tmp_path, value):
     path = tmp_path / "seqinfo.ini"

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
 from trackstitch.config import PipelineConfig
-from trackstitch.mot_io import Detection, SequenceMeta
+from trackstitch.evaluation import evaluate_sequence
+from trackstitch.interpolate import fill_gaps
+from trackstitch.mot_io import Detection, DetectionTable, SequenceMeta
 from trackstitch.pipeline import refine_detections
 from trackstitch.scoring import ConstraintKind
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
@@ -203,3 +206,24 @@ def test_parsed_tables_build_no_tracklet_or_domain_objects(monkeypatch):
         # neither the grouped tracklets the cutter splits nor the trajectories pay for them
         assert summaries == [summary.tracklets_associated]
         assert summary.links > 0 and (summary.cuts_made > 0) == cutter
+
+
+# track 7 holds two rows in frame 3
+TWO_IN_FRAME_3 = DetectionTable.of([Detection(f, 7, x, 0.0, 10.0, 10.0, 1.0) for f, x in [(1, 0.0), (2, 1.0), (3, 2.0), (3, 40.0), (4, 3.0)]])
+CLEAN = DetectionTable.of([Detection(f, 7, f - 1.0, 0.0, 10.0, 10.0, 1.0) for f in range(1, 5)])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda table: refine_detections(table, META),
+        lambda table: evaluate_sequence(table, CLEAN),
+        lambda table: evaluate_sequence(CLEAN, table),
+        lambda table: corrupt(table, CorruptionConfig()),
+        lambda table: fill_gaps(table, 5),
+    ],
+    ids=["refine", "eval-gt", "eval-pred", "corrupt", "fill_gaps"],
+)
+def test_every_entry_point_rejects_two_rows_of_a_track_in_one_frame(entry):
+    with pytest.raises(ValueError, match=r"\bframe 3$"):
+        entry(TWO_IN_FRAME_3)

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
-from trackstitch.mot_io import Detection, DetectionTable
+from trackstitch.mot_io import Detection
 from trackstitch.synth import (
     CorruptionConfig,
     ScenarioConfig,
     ScenarioError,
-    _crossings,
+    SwapRecord,
     corrupt,
     generate,
 )
 from trackstitch.tracklets import iou_pairs
+
+
+def crossings(gt):
+    """The crossings ``corrupt`` finds at the default ``crossing_iou``, as the swaps it logs when it swaps at every one."""
+    return corrupt(gt, CorruptionConfig(swap_prob=1.0))[1].swaps
 
 
 def group(dets):
@@ -148,11 +153,11 @@ class TestCorrupt:
 
     def test_fragment_prob_cuts_at_crossing(self):
         gt, _ = generate(ScenarioConfig(num_objects=2, num_frames=100, crossings=1, seed=3))
-        events = _crossings(gt, gt.track_id, 0.3)  # generate's rows run object by object
+        events = crossings(gt)
         assert events
         out, log = corrupt(gt, CorruptionConfig(fragment_prob=1.0, seed=7))
         assert len(log.cuts) == 2 * len(events)
-        assert {c.frame for c in log.cuts} == {e[2] for e in events}
+        assert {c.frame for c in log.cuts} == {e.frame for e in events}
 
     def test_validates_probabilities(self):
         with pytest.raises(ValueError):
@@ -165,14 +170,10 @@ class TestCrossings:
     def test_detects_constructed_crossing(self):
         a = [Detection(f, 1, float(f), 0.0, 10.0, 10.0, 1.0) for f in range(1, 21)]
         b = [Detection(f, 2, 20.0 - f, 0.0, 10.0, 10.0, 1.0) for f in range(1, 21)]
-        rows = DetectionTable.of(a + b)
-        events = _crossings(rows, rows.track_id, 0.3)
-        assert len(events) == 1
-        assert events[0][:2] == (1, 2)
-        assert events[0][2] == 10  # coincident boxes at frame 10
+        # coincident boxes at frame 10
+        assert crossings(a + b) == [SwapRecord(1, 2, 10)]
 
     def test_no_events_when_apart(self):
         a = [Detection(f, 1, 0.0, 0.0, 10.0, 10.0, 1.0) for f in range(1, 11)]
         b = [Detection(f, 2, 500.0, 0.0, 10.0, 10.0, 1.0) for f in range(1, 11)]
-        rows = DetectionTable.of(a + b)
-        assert _crossings(rows, rows.track_id, 0.3) == []
+        assert crossings(a + b) == []

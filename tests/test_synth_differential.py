@@ -2,10 +2,11 @@
 
 ``reference_generate``, ``reference_crossings`` and ``reference_corrupt``
 build one ``Detection`` at a time, score one box pair at a time and walk each
-trajectory in Python. ``generate``, ``_crossings`` and ``corrupt`` must give
-the same rows and the same log records, draw for draw, on generated scenarios
-and on small hand-built ones with plateaus, missing and repeated frames and
-rows out of frame order.
+trajectory in Python. ``generate``, the crossings (the peaks of
+:func:`~trackstitch.tracklets.overlap_runs`) and ``corrupt`` must give the
+same rows and the same log records, draw for draw, on generated scenarios and
+on small hand-built ones with plateaus, missing frames and rows out of frame
+order.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from trackstitch.mot_io import Detection, DetectionTable
+from trackstitch.mot_io import Detection
 from trackstitch.synth import (
     CorruptionConfig,
     CorruptionLog,
@@ -26,12 +27,11 @@ from trackstitch.synth import (
     ScenarioConfig,
     ScenarioError,
     SwapRecord,
-    _crossings,
     _plan_paths,
     corrupt,
     generate,
 )
-from trackstitch.tracklets import iou_pairs
+from trackstitch.tracklets import group_tracklets, iou_pairs, overlap_runs
 
 
 def reference_generate(cfg):
@@ -47,7 +47,10 @@ def reference_generate(cfg):
 
 
 def reference_crossings(trajectories, iou_threshold):
-    """The crossing events of a dict of id -> detections, one box pair and one run at a time."""
+    """The crossing events of a dict of id -> frame-sorted detections, one box pair and one run at a time.
+
+    A run of b's detections hitting a's box in their frame ends at a miss or where b skips a frame.
+    """
     events = []
     ids = sorted(trajectories)
     for i, a in enumerate(ids):
@@ -57,11 +60,11 @@ def reference_crossings(trajectories, iou_threshold):
             for d in trajectories[b]:
                 da = frames_a.get(d.frame)
                 value = float(iou_pairs(da.box, d.box)) if da else 0.0
-                if value >= iou_threshold:
-                    run.append((value, d.frame))
-                elif run:
+                if run and (value < iou_threshold or d.frame != run[-1][1] + 1):
                     events.append((a, b, max(run, key=lambda e: (e[0], -e[1]))[1]))
                     run = []
+                if value >= iou_threshold:
+                    run.append((value, d.frame))
             if run:
                 events.append((a, b, max(run, key=lambda e: (e[0], -e[1]))[1]))
     events.sort(key=lambda e: (e[2], e[0], e[1]))
@@ -179,6 +182,21 @@ def box_track(track_id, frames, xs, w=10.0):
     return [Detection(f, track_id, float(x), 0.0, w, 10.0, 1.0) for f, x in zip(frames, xs)]
 
 
+def crossings(detections, iou_threshold):
+    """The peaks of the overlap runs of the tracks of ``detections``, as ``corrupt`` logs them: (a, b, frame) by frame, then ids."""
+    tracks = group_tracklets(detections)
+    i, j, _, peak = overlap_runs(tracks, iou_threshold)
+    ids, frames = tracks.rows.track_id, tracks.rows.frame
+    events = zip(ids[i[peak]].tolist(), ids[j[peak]].tolist(), frames[i[peak]].tolist())
+    return sorted(events, key=lambda e: (e[2], e[0], e[1]))
+
+
+def swaps(detections, iou_threshold):
+    """The (a, b, frame) of every crossing that ``corrupt`` swaps at ``swap_prob=1``: all of them."""
+    _, log = corrupt(detections, CorruptionConfig(swap_prob=1.0, crossing_iou=iou_threshold))
+    return [(s.source_a, s.source_b, s.frame) for s in log.swaps]
+
+
 # --- generate ---------------------------------------------------------------
 
 
@@ -198,86 +216,68 @@ def test_generate_matches_the_per_detection_loop(cfg):
     assert meta.num_frames == cfg.num_frames and len(gt) == cfg.num_objects * cfg.num_frames
 
 
-# --- _crossings -------------------------------------------------------------
+# --- crossings --------------------------------------------------------------
 
 
 def test_plateau_peak_is_the_earliest_frame_of_the_run():
     a = box_track(1, range(1, 11), [20, 15, 10, 5, 5, 5, 5, 10, 15, 20])
     b = box_track(2, range(1, 11), [5] * 10)
-    rows = DetectionTable.of(a + b)
-    assert _crossings(rows, rows.track_id, 0.3) == reference_crossings({1: a, 2: b}, 0.3) == [(1, 2, 4)]
+    assert crossings(a + b, 0.3) == reference_crossings({1: a, 2: b}, 0.3) == swaps(a + b, 0.3) == [(1, 2, 4)]
 
 
 def test_a_missing_frame_splits_a_run():
     a = box_track(1, [1, 2, 3, 5, 6], [0, 1, 0, 0, 1])
     b = box_track(2, range(1, 7), [0] * 6)
-    rows = DetectionTable.of(a + b)
-    assert _crossings(rows, rows.track_id, 0.5) == reference_crossings({1: a, 2: b}, 0.5) == [(1, 2, 1), (1, 2, 5)]
+    expected = [(1, 2, 1), (1, 2, 5)]
+    assert crossings(a + b, 0.5) == reference_crossings({1: a, 2: b}, 0.5) == swaps(a + b, 0.5) == expected
 
 
-def test_runs_follow_list_order_not_frame_order():
+def test_a_frame_gap_of_the_higher_id_splits_a_run():
+    # b skips frame 4 while a stays on it: frames 1-3 and 5-6 are two runs
     a = box_track(1, range(1, 7), [0] * 6)
-    b = box_track(2, [4, 1, 2, 6, 3, 5], [0, 2, 30, 1, 1, 30])
-    # runs: row positions 0-1 (frames 4, 1) and 3-4 (frames 6, 3, equal IoU: the earlier frame wins)
-    rows = DetectionTable.of(a + b)
-    events = _crossings(rows, rows.track_id, 0.5)
-    assert events == reference_crossings({1: a, 2: b}, 0.5) == [(1, 2, 3), (1, 2, 4)]
+    b = box_track(2, [1, 2, 3, 5, 6], [0, 1, 0, 0, 1])
+    expected = [(1, 2, 1), (1, 2, 5)]
+    assert crossings(a + b, 0.5) == reference_crossings({1: a, 2: b}, 0.5) == swaps(a + b, 0.5) == expected
 
 
-def test_a_repeated_frame_of_the_lower_id_is_looked_up_by_its_last_row():
-    a = box_track(1, [1, 2, 2, 3], [0, 0, 50, 0])  # the second row of frame 2 is far away
+def test_corrupt_rejects_a_repeated_id_and_frame():
+    a = box_track(1, [1, 2, 2, 3], [0, 0, 50, 0])
     b = box_track(2, [1, 2, 3], [0, 0, 0])
-    rows = DetectionTable.of(a + b)
-    events = _crossings(rows, rows.track_id, 0.5)
-    assert events == reference_crossings({1: a, 2: b}, 0.5) == [(1, 2, 1), (1, 2, 3)]
-    # a repeated frame of the higher id scores each of its rows
-    rows = DetectionTable.of(b + a)
-    owners = np.repeat([1, 2], [len(b), len(a)])
-    assert _crossings(rows, owners, 0.5) == reference_crossings({1: b, 2: a}, 0.5) == [(1, 2, 1), (1, 2, 3)]
-
-
-def test_dict_keys_name_the_trajectories():
-    # the owners, not the rows' track ids, name the trajectories
-    a = box_track(7, range(1, 4), [0, 0, 0])
-    b = box_track(7, range(1, 4), [0, 1, 2])
-    rows = DetectionTable.of(b + a)
-    owners = np.repeat([3, 9], [len(b), len(a)])
-    assert _crossings(rows, owners, 0.5) == reference_crossings({9: a, 3: b}, 0.5) == [(3, 9, 1)]
+    with pytest.raises(ValueError, match=r"^\(1,2\) duplicated: track 1 has two detections in frame 2$"):
+        corrupt(a + b, CorruptionConfig())
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
-def test_find_crossings_rejects_a_threshold_outside_the_unit_interval(threshold):
+def test_corrupt_rejects_a_crossing_iou_outside_the_unit_interval(threshold):
     a = box_track(1, [1], [0]) + box_track(2, [1], [0])
     with pytest.raises(ValueError, match=r"^crossing_iou must lie in \(0, 1\], got "):
         corrupt(a, CorruptionConfig(crossing_iou=threshold))
 
 
 @st.composite
-def owned_rows(draw):
-    """Detections grouped by owner, owners ascending, each owner's rows in drawn frame order, and their owners."""
-    ids = sorted(draw(st.lists(st.integers(-3, 9), min_size=0, max_size=5, unique=True)))
-    detections, owners = [], []
+def drawn_tracks(draw):
+    """Detections of up to five tracks, each holding one row per frame, in drawn order."""
+    ids = draw(st.lists(st.integers(1, 9), max_size=5, unique=True))
+    detections = []
     for tid in ids:
         rows = draw(
             st.lists(
                 st.tuples(st.integers(1, 10), st.sampled_from([0.0, 2.0, 4.0, 5.0, 10.0, 0.1]), st.sampled_from([10.0, 8.0])),
-                max_size=12,
+                max_size=10,
+                unique_by=lambda r: r[0],
             )
         )
-        detections += [Detection(f, draw(st.integers(1, 3)), x, 0.0, w, 10.0, 1.0) for f, x, w in rows]
-        owners += [tid] * len(rows)
-    return detections, owners
+        detections += [Detection(f, tid, x, 0.0, w, 10.0, 1.0) for f, x, w in rows]
+    return draw(st.permutations(detections))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(owned=owned_rows(), threshold=st.one_of(st.sampled_from([0.3, 0.5, 0.6, 1.0]), st.floats(0.01, 1.0)))
-def test_crossings_match_the_pairwise_loop(owned, threshold):
-    detections, owners = owned
+@given(detections=drawn_tracks(), threshold=st.one_of(st.sampled_from([0.3, 0.5, 0.6, 1.0]), st.floats(0.01, 1.0)))
+def test_crossings_match_the_pairwise_loop(detections, threshold):
     trajectories = {}
-    for owner, d in zip(owners, detections):
-        trajectories.setdefault(owner, []).append(d)
-    events = _crossings(DetectionTable.of(detections), np.array(owners, dtype=np.int64), threshold)
-    assert events == reference_crossings(trajectories, threshold)
+    for d in sorted(detections, key=lambda d: (d.track_id, d.frame)):
+        trajectories.setdefault(d.track_id, []).append(d)
+    assert crossings(detections, threshold) == reference_crossings(trajectories, threshold)
 
 
 # --- corrupt ----------------------------------------------------------------
@@ -314,8 +314,7 @@ def test_coinciding_cuts_collapse_to_the_widest_gap():
     cfg = CorruptionConfig(fragment_prob=1.0, gap_frames=(0, 4), seed=12)
     log = assert_same_corruption(gt, cfg)
     assert [(c.source, c.frame) for c in log.cuts] == [(1, 10), (2, 10), (3, 10)]
-    rows = DetectionTable.of(gt)
-    assert len(_crossings(rows, rows.track_id, cfg.crossing_iou)) == 3
+    assert len(crossings(gt, cfg.crossing_iou)) == 3
 
 
 def test_corrupt_of_nothing_is_an_empty_table():
@@ -344,11 +343,12 @@ def scenarios(draw):
 
 @st.composite
 def hand_built(draw):
-    """Up to four tracks on a few boxes of one row, so crossings, plateaus and repeated frames are common."""
+    """Up to four tracks, one row per (frame, id), on a few boxes of one row, so crossings, plateaus and frame gaps are common."""
     rows = draw(
         st.lists(
             st.tuples(st.integers(1, 30), st.integers(1, 4), st.sampled_from([0.0, 3.0, 5.0, 10.0, 40.0])),
             max_size=60,
+            unique_by=lambda r: r[:2],
         )
     )
     return [Detection(f, tid, x, 0.0, 10.0, 10.0, 1.0) for f, tid, x in rows]

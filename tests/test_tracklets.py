@@ -12,7 +12,7 @@ from trackstitch.associator import STOP, build_domains, solve_with_stats, stitch
 from trackstitch.mot_io import Detection
 from trackstitch.scoring import ScoreConfig
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
-from trackstitch.tracklets import cut_tracklets, group_tracklets, iou_matrix, iou_pairs
+from trackstitch.tracklets import cut_tracklets, group_tracklets, iou_matrix, iou_pairs, pair_runs
 from trackstitch.mot_io import DetectionTable
 from trackstitch.tracklets import EndpointArrays, Tracklet, Tracklets, run_bounds
 
@@ -580,6 +580,19 @@ def test_cross_overlaps_finds_every_pair_of_the_two_sides_once(monkeypatch, chun
         assert len(found) == len(i)
         # repr compares every float exactly
         assert repr(sorted(found.items())) == repr(sorted(expected.items()))
+
+
+def test_pair_runs_end_where_the_pair_changes_or_the_step_skips():
+    a = np.array([2, 1, 1, 1, 1, 1])
+    b = np.array([3, 2, 2, 2, 3, 2])
+    step = np.array([5, 4, 1, 2, 3, 7])
+    order, bounds = pair_runs(a, b, step)
+    hits = list(zip(a[order].tolist(), b[order].tolist(), step[order].tolist()))
+    runs = [hits[lo:hi] for lo, hi in zip(bounds.tolist(), bounds[1:].tolist())]
+    assert runs == [[(1, 2, 1), (1, 2, 2)], [(1, 2, 4)], [(1, 2, 7)], [(1, 3, 3)], [(2, 3, 5)]]
+    # no hits make no runs
+    order, bounds = pair_runs(*[np.empty(0, dtype=np.int64)] * 3)
+    assert len(order) == 0 and bounds.tolist() == [0]
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan"), float("inf")])
