@@ -10,6 +10,19 @@ boxes without extent in float arithmetic (see :class:`Detection`), are
 rejected. A parsed file is a :class:`DetectionTable`, one numpy column per
 field. Sequence metadata comes from a seqinfo-style ``key=value`` file
 (``frameRate``, ``imWidth``, ``imHeight``, ``seqLength``).
+
+Track text is read in numpy when it is canonical decimal text, as
+:func:`write_tracks` writes frames and ids below 1e8 and values from 1 up to
+1e8 in magnitude (and shorter values below 1): ASCII lines with one field
+count, at least seven, each of the first seven fields ``-?D{1,8}(.D{1,16})?``
+with at most 19 digits, lines ending in ``\\n`` or ``\\r\\n``. The reader
+takes the text in line-aligned chunks of about 256 KiB and gives each number
+the value ``float()`` gives it. Any other text goes to the line parser whole:
+exponents, ``+`` signs, spaces, ``10.``, ``.25``, ``1_0``, longer numbers, a
+blank line inside, non-ASCII text, lines of unequal field counts, a rounding
+next to a power of two that the reader leaves open, and a row
+:class:`Detection` rejects. The line parser gives the same detections, or
+names the bad line.
 """
 
 from __future__ import annotations
@@ -257,23 +270,58 @@ def _parse_lines(text: str) -> Iterator[Detection]:
         yield det
 
 
-def _read_columns(text: str) -> DetectionTable | None:
-    """All of ``text`` in one ``np.loadtxt`` pass, or None where only the line parser can tell what it holds.
+def _read_values(text: str) -> np.ndarray | None:
+    """The first seven fields of every line of non-blank canonical decimal track text, as an (N, 7) float64 array; None for other text.
 
-    ``np.loadtxt`` converts a number exactly as ``float()`` does, but rejects
-    some spellings ``float()`` accepts (``1_0``) and every malformed line; frames
-    and ids are read as floats and must be integral and below 2**53, where a
-    float64 still holds every integer. A line that breaks any rule sends the
-    whole file to the line parser, which accepts or names it.
+    Canonical text is ASCII lines that all have the same number of
+    comma-separated fields, at least seven, each of the first seven spelled
+    ``-?D{1,8}(.D{1,16})?`` with at most 19 digits. Lines may end in ``\\n``
+    or ``\\r\\n``; the last may lack its newline, and blank lines may follow
+    it. Fields past the seventh are not read. The text is read in
+    line-aligned chunks of about ``_CHUNK_BYTES`` by :func:`_read_chunk`,
+    and each value is the one ``float()`` gives for its field.
+    """
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if b"\r" in data:
+        if data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
+    end = len(data)
+    while data[end - 1] == 10:  # the text is not blank, so a line with content ends the loop
+        end -= 1
+    buf = b"".join((_PAD, data, b"" if end < len(data) else b"\n"))
+    stop = len(_PAD) + end + 1  # after the last line's newline
+    chunks, widths = [], set()
+    lo = len(_PAD)
+    while lo < stop:
+        hi = buf.find(b"\n", lo + _CHUNK_BYTES, stop) + 1 or stop
+        chunk = _read_chunk(buf, lo, hi)
+        if chunk is None:
+            return None
+        widths.add(chunk[0])
+        chunks.append(chunk[1])
+        lo = hi
+    return np.concatenate(chunks) if len(widths) == 1 else None
+
+
+def _read_columns(text: str) -> DetectionTable | None:
+    """All of ``text`` read by :func:`_read_values`, or None where only the line parser can tell what it holds.
+
+    Frames and ids are read as floats and must be integral and below 2**53,
+    where a float64 still holds every integer. Text outside the grammar, and
+    a row :class:`DetectionTable` rejects, send the whole text to the line
+    parser, which accepts or names it.
     """
     if not text or text.isspace():  # no stripped copy of the text
-        return DetectionTable.of(())  # loadtxt warns on empty input
-    try:
-        values = np.loadtxt(text.split("\n"), delimiter=",", usecols=range(7), comments=None, ndmin=2)
-    except ValueError:
+        return DetectionTable.of(())
+    values = _read_values(text)
+    if values is None:
         return None
     ids = values[:, :2]
-    if not (np.isfinite(values).all() and (ids == np.floor(ids)).all() and (ids < 2**53).all()):
+    if not ((ids == np.floor(ids)).all() and (ids < 2**53).all()):
         return None
     try:
         return DetectionTable(*ids.T.astype(np.int64), *values[:, 2:].T)
@@ -284,9 +332,13 @@ def _read_columns(text: str) -> DetectionTable | None:
 def parse_tracks(stream: TextIO | str) -> DetectionTable:
     """Parse a MOTChallenge track file into a detection table, rows in file order.
 
-    Accepts an open text stream or the file content as a string. Raises
-    :class:`ParseError` naming the offending line on malformed input, on a
-    non-finite value or on a box that :class:`Detection` rejects.
+    Accepts an open text stream or the file content as a string. Canonical
+    decimal text (see the module docstring) is read in numpy, in chunks;
+    other text goes line by line through ``float()`` and ``int()``, which
+    accept any spelling Python does. Both give every value the bits
+    ``float()`` gives it. Raises :class:`ParseError` naming the offending
+    line on malformed input, on a non-finite value or on a box that
+    :class:`Detection` rejects.
     """
     text = stream if isinstance(stream, str) else stream.read()
     table = _read_columns(text)
@@ -297,11 +349,18 @@ def parse_tracks(stream: TextIO | str) -> DetectionTable:
 # their numbers through _format_rows, which prints whole columns at once: a
 # value's text is right-aligned in a fixed-width, NUL-padded field of a byte
 # matrix that holds a chunk of rows, separators included, and one
-# bytes.translate drops the NULs.
+# bytes.translate drops the NULs. Track files are read back by _read_chunk,
+# which reads the digits of each field as little-endian 8-byte words.
 
 _U = np.uint64
 _CHUNK_ROWS = 1 << 14  # rows per byte matrix: bounds the memory of a write
 _VECTOR_RANGE = (1e-4, 1e15)  # non-integral magnitudes whose repr _shortest_digits computes
+_CHUNK_BYTES = 1 << 18  # text per read chunk: whole-text arrays read slower
+_PAD = b"0" * 15 + b"\n"  # before the text: every word read lies in the buffer, and a line starts after a newline
+_TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)  # [k]: the top k bytes of a word
+# [k]: where a field with k fraction digits holds them, in the word that ends 8
+# bytes before the field does and in the word that ends with it
+_MID_BYTES, _LOW_BYTES = _TOP_BYTES[np.clip(np.arange(17) - 8, 0, 8)], _TOP_BYTES[np.minimum(np.arange(17), 8)]
 
 
 @functools.cache
@@ -497,6 +556,114 @@ def _format_rows(
             block[mask[rows], : len(word)] = word
         text.append(np.concatenate(blocks, axis=1).tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(text)
+
+
+def _eight_digits(x: np.ndarray) -> np.ndarray:
+    """The number each uint64 of ``x`` spells in its eight bytes, digit values 0-9, the first digit in the lowest byte.
+
+    Digits combine into pairs, quads and all eight by one multiplication
+    each (Lemire, "Number Parsing at a Gigabyte per Second", SP&E 2021).
+    """
+    x = (x * _U(10 * 256 + 1)) >> _U(8)  # byte 2k: pair k; what overflows 2**64 would reach only byte 7
+    x = ((x & _U(0x00FF00FF00FF00FF)) * _U(100 * 2**16 + 1)) >> _U(16)  # 16 bits at 32k: quad k
+    return ((x & _U(0x0000FFFF0000FFFF)) * _U(10000 * 2**32 + 1)) >> _U(32)
+
+
+def _nearest(w: np.ndarray, fraction: np.ndarray) -> np.ndarray | None:
+    """``w / 10**fraction`` rounded to the nearest float64, as ``float()`` rounds its decimal spelling.
+
+    ``w`` is uint64 below 10**19 and ``fraction`` from 0 to 16. Returns None
+    when a value's rounding is not settled here, which happens only next to
+    a power of two.
+
+    Below 2**53, ``w`` and ``10**fraction`` are exact doubles and one
+    correctly rounded division gives the result (Clinger, "How to Read
+    Floating Point Numbers Accurately", PLDI 1990). From 2**53 up there are
+    at least 16 digits, so ``fraction >= 8``, and the value ``v`` lies in
+    [0.9, 1e11). There ``d0 = float(w) / 10**fraction`` carries two
+    roundings and lies within 1.5 units of the last place ``u = 2**E`` of
+    ``d0 = M * 2**E``, M in [2**52, 2**53). With ``a = -(E + fraction)``,
+    the residual ``r = w * 2**a - M * 5**fraction`` is an integer and
+    ``(v - d0) / u == r / 5**fraction`` exactly, so ``d0`` moves by ``k``
+    units, ``r / 5**fraction`` rounded to nearest. ``a`` stays in [7, 38]
+    (the ranges of ``M``, ``v`` and ``fraction``), so ``w << a`` is a
+    uint64 shift; it and ``M * 5**fraction`` wrap at 2**64, but their
+    difference is below 2 * 5**16 < 2**39 in magnitude, so the wrapping
+    difference read as int64 is ``r`` itself. ``k`` is never a tie: a
+    decimal halfway between two doubles is an odd multiple of 2**(E - 1)
+    with at least 54 significant bits, so ``w`` would be that multiple
+    times ``5**fraction`` times a power of two, and ``w < 2**64`` allows
+    only ``fraction <= 4``. A result that leaves ``d0``'s binade, or that
+    lands on the binade's power of two from above it, where the spacing
+    below is half a unit, returns None.
+    """
+    _, pow10, pow5 = _tables()
+    v = w.astype(np.float64) / pow10.astype(np.float64)[fraction]
+    big = np.flatnonzero(w >= _U(2**53))
+    if len(big):
+        bits, places = v[big].view(np.uint64), fraction[big]
+        five = pow5[places]
+        significand = (bits & _U(2**52 - 1)) | _U(2**52)
+        shift = _U(1075) - (bits >> _U(52)) - places.astype(np.uint64)  # a = -(E + fraction)
+        r = ((w[big] << shift) - significand * five).view(np.int64)
+        five = five.view(np.int64)
+        k = (2 * r + five) // (2 * five)
+        fixed = bits + k.view(np.uint64)
+        below = ((fixed & _U(2**52 - 1)) == 0) & (r < k * five)  # v below the power of two fixed lands on
+        if ((((fixed ^ bits) >> _U(52)) != 0) | below).any():
+            return None
+        v[big] = fixed.view(np.float64)
+    return v
+
+
+def _read_chunk(buf: bytes, lo: int, hi: int) -> tuple[int, np.ndarray] | None:
+    """The lines of ``buf[lo:hi]``: their field count and their first seven fields as an (n, 7) float64 array.
+
+    ``buf[lo - 1]`` and ``buf[hi - 1]`` are newlines and ``lo >= 16``. Every
+    line must have the same number of fields, at least seven, and each of the
+    first seven must read ``-?D{1,8}(.D{1,16})?`` with at most 19 digits;
+    returns None otherwise. One ``<= 46`` pass finds the separators, minus
+    signs and dots; the digits of a field are the top bytes of an 8-byte word
+    that ends at its dot (the whole part) and of two words that end at its
+    end (the fraction).
+    """
+    arr = np.frombuffer(buf, np.uint8)
+    at = np.flatnonzero(arr[lo - 1 : hi] <= 46)  # at[0] is the newline before the chunk
+    at += lo - 1
+    char = arr[at]
+    sep = np.flatnonzero((char == 44) | (char == 10))  # commas and newlines, indexes into at
+    newline = char[sep[1:]] == 10
+    width = int(np.argmax(newline)) + 1
+    n = len(newline) // width
+    if width < 7 or n * width != len(newline) or not (newline.reshape(n, width) == (np.arange(width) == width - 1)).all():
+        return None
+    cur = sep[1:].reshape(n, width)[:, :7].ravel()  # each field's closing separator
+    end = at[cur]
+    start = at[sep[:-1].reshape(n, width)[:, :7].ravel()] + 1
+    last = cur - 1  # the last special before the separator: the dot, if the field has one
+    dot = (char[last] == 46).view(np.int8)
+    minus = (arr[start] == 45).view(np.int8)
+    point = end + (at[last] - end) * dot  # the dot, or the end of a field without one
+    fraction = end - point - dot
+    whole = point - start - minus
+    # the minus sign, the dot and the digit bytes checked below cover the field: nothing else fits in it
+    if not (((whole - 1).view(np.uint64) < _U(8)) & ((fraction - dot).view(np.uint64) < _U(16)) & (whole + fraction <= 19)).all():
+        return None
+    zeros = _U(0x3030303030303030)  # digit bytes XOR "0" are their values
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    high = (words[point - 8] ^ zeros) & _TOP_BYTES[whole]
+    mid = (words[end - 16] ^ zeros) & _MID_BYTES[fraction]
+    low = (words[end - 8] ^ zeros) & _LOW_BYTES[fraction]
+    # a byte above 9 sets its top bit when 0x76 is added; the text is ASCII, so no byte carries
+    nines = _U(0x7676767676767676)
+    if (((high + nines) | (mid + nines) | (low + nines)) & _U(0x8080808080808080)).any():
+        return None
+    _, pow10, _ = _tables()
+    values = _nearest(_eight_digits(high) * pow10[fraction] + _eight_digits(mid) * _U(10**8) + _eight_digits(low), fraction)
+    if values is None:
+        return None
+    values.view(np.uint64)[...] |= minus.astype(np.uint64) << _U(63)
+    return width, values.reshape(n, 7)
 
 
 # what follows each of the seven columns on a line

@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import io
 import pickle
+import re
 import warnings
 from collections import Counter
+from fractions import Fraction
 from sys import float_info
 
 import numpy as np
@@ -21,7 +23,8 @@ from trackstitch.mot_io import (
     read_seqinfo,
     write_tracks,
 )
-from trackstitch.mot_io import DetectionTable
+from trackstitch import mot_io
+from trackstitch.mot_io import DetectionTable, _format_rows, _read_values
 
 
 def test_parse_single_line():
@@ -450,6 +453,38 @@ FAST_PATH_CORPUS = [
     "",
     "\n",
     " \r\n\t\n",
+    "1,2,1.05e1,20,30,40,1\n",
+    "1,2,+10.5,20,30,40,1\n",
+    "1,2,10.,20,30,40,1\n",
+    "1,2,.25,20,30,40,1\n",
+    "1,2,-0,20,30,40,1\n",
+    "007,0002,0010.50,020,30.000,40,01\n",
+    "1,2,-,20,30,40,1\n",
+    "1,2,-.5,20,30,40,1\n",
+    "1,2,--1,20,30,40,1\n",
+    "1,2,1-0,20,30,40,1\n",
+    "1,2,1.0.0,20,30,40,1\n",
+    "1,2,1..0,20,30,40,1\n",
+    "1,2,1/2,20,30,40,1\n",
+    "1,2,1:2,20,30,40,1\n",
+    "1,2,123456789,20,30,40,1\n",
+    "1,2,10.12345678901234567,20,30,40,1\n",
+    "1,2,12345.12345678901234,20,30,40,1\n",
+    "1,2,123456.12345678901234,20,30,40,1\n",
+    "1,2,0.9999999999999999,20,30,40,1\n",
+    "123456789,2,10,20,30,40,1\n",
+    "-1,2,10,20,30,40,1\n",
+    "1,2,10,20,30,40,1 \n",
+    "1,2,1\r0,20,30,40,1\n",
+    "1,2,10,20,30,40,1\r",
+    "1,2,10,20,30,40,1\n\n\n",
+    "1,2,10,20,30,40,1\r\n\r\n\r\n",
+    "1,2,10,20,30,40,1,-1,-1,-1\r\n2,2,10,20,30,40,1,-1,-1,-1",
+    "1,2,10,20,30,40,1,-1,-1\n2,2,10,20,30,40,1,-1,-1\n",
+    "1,2,10,20,30,40,1,-1,-1,-1\n2,2,10,20,30,40,1,-1,-1\n",
+    "1,2,10,20,30,40,1\n\n2,2,10,20,30,40,1\n",
+    "1,2,10,20,30,40,1,é\n",
+    "1,2,10,20,30,40,1,\x00,x\n",
 ]
 FAST_PATH_CORPUS += [
     ",".join(value if k == column else f for k, f in enumerate("4,5,10,20,30,40,1".split(","))) + "\n"
@@ -478,14 +513,62 @@ def test_parse_rejects_frame_and_id_beyond_int64():
         parse_tracks(GOOD + f"{2**63},1,10,20,30,40,1\n")
 
 
-def test_parse_fast_path_rounds_like_float(detections_built):
-    # 100k numbers: random bit patterns (every magnitude, subnormals), short
-    # decimals and 20-digit spellings that are not shortest reprs
-    rng = np.random.default_rng(23)
-    bits = rng.integers(0, 2**64, size=61_000, dtype=np.uint64).view(np.float64)
-    pool = [repr(v) for v in bits[np.isfinite(bits)].tolist()]
-    pool += [repr(round(v, int(d))) for v, d in zip(rng.uniform(-1e4, 1e4, 25_000).tolist(), rng.integers(0, 8, 25_000))]
-    pool += [f"{v:.20e}" for v in rng.uniform(-1e3, 1e3, 15_000).tolist()]
+CANONICAL = re.compile(r"-?(\d{1,8})(?:\.(\d{1,16}))?")
+
+
+def canonical(field):
+    """Whether ``field`` is in the reader's grammar: ``-?D{1,8}(.D{1,16})?`` with at most 19 digits."""
+    match = CANONICAL.fullmatch(field)
+    return bool(match) and len(match[1]) + len(match[2] or "") <= 19
+
+
+def spell(negative, mantissa, fraction, zeros=0):
+    """``±mantissa / 10**fraction`` as a field with ``zeros`` more leading zeros, or None past the grammar."""
+    digits = "0" * zeros + str(mantissa).zfill(fraction + 1)
+    field = ("-" if negative else "") + digits[: len(digits) - fraction] + ("." + digits[-fraction:] if fraction else "")
+    return field if canonical(field) else None
+
+
+def digit_strings(rng, n):
+    """``n`` random fields of the grammar: both signs, 1-8 whole digits with leading zeros, 0-16 fraction digits, at most 19 digits."""
+    rows = (rng.integers(0, 10, (n, 24)) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    whole, fraction, sign = (rng.integers(lo, hi, n).tolist() for lo, hi in ((1, 9), (0, 17), (0, 2)))
+    out = []
+    for k in range(n):
+        row, f = rows[24 * k : 24 * k + 24], min(fraction[k], 19 - whole[k])
+        out.append("-" * sign[k] + row[: whole[k]] + ("." + row[8 : 8 + f] if f else ""))
+    return out
+
+
+def canonical_spellings(rng, n):
+    """About ``4 * n`` fields of the grammar: the writer's shortest digits, ``%.kf`` spellings and random digit strings."""
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4, 8, n)
+    pool = _format_rows([values], ["\n"]).split()
+    pool += [f"{v:.{k}f}" for v, k in zip(rng.uniform(-1e4, 1e4, n).tolist(), rng.integers(0, 17, n).tolist())]
+    pool += digit_strings(rng, 2 * n)
+    return [f for f in pool if canonical(f)]
+
+
+def near_powers_of_two(powers=range(-13, 27)):
+    """Every spelling in the grammar of the decimals within one unit in the last digit of the doubles next to 2**k, k in ``powers``."""
+    out = []
+    for k in powers:
+        for j in range(-3, 4):
+            value = Fraction(2) ** k * (1 + Fraction(j, 2**53))
+            for fraction in range(17):
+                mantissa = round(value * 10**fraction)
+                out += [spell(False, m, fraction) for m in (mantissa - 1, mantissa, mantissa + 1) if m > 0]
+    return [f for f in out if f is not None]
+
+
+def next_to_power_of_two(values):
+    """Which values lie within two units in the last place of a power of two."""
+    m = np.abs(np.frexp(values)[0]) * 2.0**53
+    return (m <= 2**52 + 2) | (m >= 2**53 - 2)
+
+
+def _rounding_text(pool):
+    """Lines ``k,7,x,y,w,h,conf,-1,-1,-1`` from ``pool``, five values a line, sizes made positive and boxes accepted; returns the text and the value rows."""
     pool = pool[: len(pool) - len(pool) % 5]
     rows = np.array(pool).reshape(-1, 5)
     sizes = np.where(np.char.startswith(rows[:, 2:4], "-"), np.char.lstrip(rows[:, 2:4], "-"), rows[:, 2:4])
@@ -496,13 +579,131 @@ def test_parse_fast_path_rounds_like_float(detections_built):
     accepted = np.stack(_accepted_boxes(*boxes.T), axis=1)
     moved = accepted != boxes
     rows[:, :4][moved] = [repr(v) for v in accepted[moved].tolist()]
-    text = "".join(f"{k + 1},7,{','.join(row)},-1,-1,-1\n" for k, row in enumerate(rows.tolist()))
-    table = parse_tracks(text)
-    assert not detections_built  # read in one pass, no Detection built
-    assert len(rows) * 5 >= 100_000
+    return "".join(f"{k + 1},7,{','.join(row)},-1,-1,-1\n" for k, row in enumerate(rows.tolist())), rows
+
+
+def _assert_rounds_like_float(table, rows):
     for k, column in enumerate((table.x, table.y, table.w, table.h, table.conf)):
         expected = np.array([float(s) for s in rows[:, k].tolist()])
         assert np.array_equal(column.view(np.int64), expected.view(np.int64))
+
+
+def test_parse_fast_path_rounds_like_float(detections_built):
+    # 100k fields of the reader's grammar: the writer's shortest digits,
+    # %.kf spellings and random digit strings, none next to a power of two
+    pool = [f for f in canonical_spellings(np.random.default_rng(23), 28_000) if not next_to_power_of_two(float(f))]
+    text, rows = _rounding_text(pool)
+    table = parse_tracks(text)
+    assert not detections_built  # read in one pass, no Detection built
+    assert len(rows) * 5 >= 100_000
+    _assert_rounds_like_float(table, rows)
+
+
+def test_parse_rounds_other_spellings_like_float():
+    # 100k numbers the reader's grammar leaves to the line parser, and
+    # others: random bit patterns (every magnitude, subnormals), short
+    # decimals and 20-digit spellings that are not shortest reprs
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2**64, size=61_000, dtype=np.uint64).view(np.float64)
+    pool = [repr(v) for v in bits[np.isfinite(bits)].tolist()]
+    pool += [repr(round(v, int(d))) for v, d in zip(rng.uniform(-1e4, 1e4, 25_000).tolist(), rng.integers(0, 8, 25_000))]
+    pool += [f"{v:.20e}" for v in rng.uniform(-1e3, 1e3, 15_000).tolist()]
+    text, rows = _rounding_text(pool)
+    assert len(rows) * 5 >= 100_000
+    _assert_rounds_like_float(parse_tracks(text), rows)
+
+
+@st.composite
+def canonical_fields(draw):
+    """A field of the reader's grammar, its mantissa anywhere, next to 2**53, or within a few ulps of a power of two."""
+    fraction = draw(st.integers(0, 16))
+    top = 10 ** min(19, fraction + 8)
+    kind = draw(st.sampled_from(["any", "2**53", "power of two"]))
+    if kind == "any":
+        mantissa = draw(st.integers(0, top - 1))
+    elif kind == "2**53":
+        mantissa = 2**53 + draw(st.integers(-1000, 1000))
+    else:
+        power = Fraction(2) ** draw(st.integers(-14, 26)) * (1 + Fraction(draw(st.integers(-4, 4)), 2**53))
+        mantissa = round(power * 10**fraction) + draw(st.integers(-2, 2))
+    mantissa = min(max(mantissa, 0), top - 1)
+    digits = len(str(mantissa).zfill(fraction + 1))
+    zeros = draw(st.integers(0, min(8 - (digits - fraction), 19 - digits)))
+    return spell(draw(st.booleans()), mantissa, fraction, zeros)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(canonical_fields(), min_size=7, max_size=7), min_size=1, max_size=4), st.sampled_from(["\n", "\r\n"]))
+def test_reader_rounds_canonical_fields_like_float(lines, newline):
+    expected = np.array([[float(f) for f in line] for line in lines])
+    values = _read_values("".join(",".join(line) + newline for line in lines))
+    if values is None:  # a rounding next to a power of two is left to the line parser
+        assert next_to_power_of_two(expected[expected != 0]).any()
+    else:
+        assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+
+
+def test_reader_leaves_roundings_next_to_a_power_of_two_to_the_line_parser():
+    # float(9999999999999999) / 1e16 is 1.0, but the decimal lies below it,
+    # where the doubles are twice as dense
+    text = "1,1,0.9999999999999999,1,1,1,1\n"
+    assert _read_values(text) is None
+    assert parse_tracks(text)[0].x == float("0.9999999999999999") < 1.0
+    for field in near_powers_of_two((-13, -1, 0, 1, 2, 13, 26)):  # the parse sweep reads every power
+        values = _read_values(f"1,1,{field},1,1,1,1\n")
+        assert values is None or values[0, 2] == float(field)
+
+
+def test_reader_chunks_agree(monkeypatch):
+    text = write_tracks([Detection(k // 3 + 1, k % 3 + 1, k * 1.25, -k / 8, 1 + k / 3, 2.5, 0.9) for k in range(300)])
+    whole = _read_values(text)
+    monkeypatch.setattr(mot_io, "_CHUNK_BYTES", 50)  # about one line a chunk
+    assert np.array_equal(_read_values(text).view(np.int64), whole.view(np.int64))
+    # a line of another field count, read in a later chunk
+    assert _read_values(text + "1,2,10,20,30,40,1\n") is None
+
+
+@st.composite
+def mutated_text(draw):
+    """Lines of 7 to 9 fields of the reader's grammar, and in half the draws one character replaced or inserted."""
+    whole, tail = st.text("0123456789", min_size=1, max_size=8), st.text("0123456789", max_size=11)
+    fields = st.builds(lambda sign, w, t: sign + w + ("." + t if t else ""), st.sampled_from(["", "-"]), whole, tail)
+    lines = draw(st.lists(st.lists(fields, min_size=7, max_size=9).map(",".join), min_size=1, max_size=5))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from(list("0123456789,-.\n\r +e_é"))) + text[k + draw(st.integers(0, 1)) :]
+    return text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mutated_text())
+def test_reader_reads_what_it_takes_as_float_does(text):
+    values = _read_values(text)
+    if values is not None:
+        rows = [[float(f) for f in raw.split(",")[:7]] for raw in io.StringIO(text) if raw.strip()]
+        assert np.array_equal(values.view(np.int64), np.array(rows).view(np.int64))
+
+
+READER_TEXT = [
+    ("LF", "1,2,10.5,20,30,40,1,-1,-1,-1\n2,3,-4.25,0.5,30,40,0.9,-1,-1,-1\n"),
+    ("CRLF", "1,2,10.5,20,30,40,1,-1,-1,-1\r\n2,3,-4.25,0.5,30,40,0.9,-1,-1,-1\r\n"),
+    ("no final newline", "1,2,10.5,20,30,40,1,-1,-1,-1\r\n2,3,-4.25,0.5,30,40,0.9,-1,-1,-1"),
+    ("trailing blank lines", "1,2,10.5,20,30,40,1,-1,-1,-1\n2,3,-4.25,0.5,30,40,0.9,-1,-1,-1\n\n\r\n\n"),
+    ("seven fields", "1,2,10,20,30,40,1\n2,2,10,20,30,40,1\n"),
+    ("nine fields", "1,2,10,20,30,40,1,-1,-1\n2,2,10,20,30,40,1,-1,-1\n"),
+    ("garbage past the seventh field", "1,2,10,20,30,40,1,x y,+z,\t\n2,2,10,20,30,40,1,1e5,.,\x00\n"),
+    ("leading and signed zeros", "007,02,-0,-0.0,0030.500,40,00\n"),
+    ("integral frames", "1.0,2.000,10,20,30,40,1\n"),
+    ("widest fields", "99999999,99999999,-12345678.12345678901,0.1234567890123456,1,2,3\n"),
+]
+
+
+@pytest.mark.parametrize("text", [c[1] for c in READER_TEXT], ids=[c[0] for c in READER_TEXT])
+def test_reader_takes_canonical_text(text, detections_built):
+    table = parse_tracks(text)
+    assert not detections_built
+    assert [tuple(map(repr, dataclasses.astuple(d))) for d in table] == _outcome(_reference_parse, text)
 
 
 def test_detection_table_contract():

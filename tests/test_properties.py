@@ -6,15 +6,22 @@ constraints and with all five enabled. Whatever the scenario, refining must
 not raise, the association must satisfy its hard constraints, every input
 detection must come out exactly once (plus the interpolated ones) in
 (frame, id) order, and a rerun must give byte-identical output.
+
+Metamorphic tests on crossing scenes check that refining commutes with a
+shift of every frame and with scaling every box and the canvas by two.
 """
 
+import dataclasses
 from collections import Counter
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from trackstitch import (
     CorruptionConfig,
+    DetectionTable,
     PipelineConfig,
     ScenarioConfig,
     ScenarioError,
@@ -81,3 +88,38 @@ def test_refine_invariants(seq, cutter, every_constraint):
 
     again, _ = refine_detections(detections, meta, cfg)
     assert write_tracks(again) == write_tracks(refined)
+
+
+def crossing_scene(seed):
+    """Tracker output on a crossing scene: 30 objects, 600 frames, 10 crossings, swaps, fragments and dropout."""
+    gt, meta = generate(ScenarioConfig(num_objects=30, num_frames=600, crossings=10, seed=seed))
+    tracker, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, fragment_prob=0.5, dropout=0.02, seed=seed))
+    return tracker, meta
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_refine_moves_with_a_frame_shift(seed):
+    tracker, meta = crossing_scene(seed)
+    refined, summary = refine_detections(tracker, meta)
+    frame, *rest = tracker.columns
+    later = dataclasses.replace(meta, num_frames=meta.num_frames + 1000)
+    shifted, shifted_summary = refine_detections(DetectionTable(frame + 1000, *rest), later)
+    assert same_bits(shifted.frame, refined.frame + 1000)
+    assert all(same_bits(a, b) for a, b in zip(shifted.columns[1:], refined.columns[1:]))
+    assert dataclasses.replace(shifted_summary, wall_time_s=0) == dataclasses.replace(summary, wall_time_s=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_refine_scales_with_boxes_and_canvas(seed):
+    tracker, meta = crossing_scene(seed)
+    refined, _ = refine_detections(tracker, meta)
+    frame, track_id, x, y, w, h, conf = tracker.columns
+    larger = dataclasses.replace(meta, img_width=2 * meta.img_width, img_height=2 * meta.img_height)
+    scaled, _ = refine_detections(DetectionTable(frame, track_id, 2 * x, 2 * y, 2 * w, 2 * h, conf), larger)
+    assert same_bits(scaled.frame, refined.frame) and same_bits(scaled.track_id, refined.track_id)
+    assert all(same_bits(getattr(scaled, k), 2 * getattr(refined, k)) for k in "xywh")
+    assert same_bits(scaled.conf, refined.conf)
