@@ -11,24 +11,29 @@ rejected. A parsed file is a :class:`DetectionTable`, one numpy column per
 field. Sequence metadata comes from a seqinfo-style ``key=value`` file
 (``frameRate``, ``imWidth``, ``imHeight``, ``seqLength``).
 
-Track text is read in numpy when it is canonical decimal text, as
-:func:`write_tracks` writes frames and ids below 1e8 and values from 1 up to
-1e8 in magnitude (and shorter values below 1): ASCII lines with one field
-count, at least seven, each of the first seven fields ``-?D{1,8}(.D{1,16})?``
-with at most 19 digits, lines ending in ``\\n`` or ``\\r\\n``. The reader
-takes the text in line-aligned chunks of about 256 KiB and gives each number
-the value ``float()`` gives it. Any other text goes to the line parser whole:
-exponents, ``+`` signs, spaces, ``10.``, ``.25``, ``1_0``, longer numbers, a
-blank line inside, non-ASCII text, lines of unequal field counts, a rounding
-next to a power of two that the reader leaves open, and a row
-:class:`Detection` rejects. The line parser gives the same detections, or
-names the bad line.
+Track text is read in numpy when its lines are regular: ASCII lines of at
+least seven fields, ending in ``\\n`` or ``\\r\\n``; empty lines are
+skipped, as the line parser skips them. The reader takes the text in
+line-aligned chunks of about 256 KiB. It reads a field
+``-?D{1,16}(.D{1,22})?`` of at most 19 digits, leading zeros not counted
+where the whole part is zero, with integer arithmetic. That covers every
+number :func:`write_tracks` prints from digits: integral values below 1e15
+and others from 1e-4 up to 1e15 at full precision. It reads any other
+field, and a rounding next to a power of two that the integer arithmetic
+leaves open, with ``float()`` on that field alone: exponents, ``+`` signs,
+spaces, ``10.``, ``.25``, ``1_0``, longer numbers. Every field gets the value
+the line parser gives it. Other text goes to the line parser whole: a line
+of only spaces, non-ASCII text, a line of fewer than seven fields, a field
+``float()`` rejects, frames and ids that are not integers below 2**53, and a
+row :class:`Detection` rejects. The line parser gives the same detections,
+or names the bad line.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
@@ -271,15 +276,13 @@ def _parse_lines(text: str) -> Iterator[Detection]:
 
 
 def _read_values(text: str) -> np.ndarray | None:
-    """The first seven fields of every line of non-blank canonical decimal track text, as an (N, 7) float64 array; None for other text.
+    """The first seven fields of every line of non-blank track text with regular lines, as an (N, 7) float64 array; None for other text.
 
-    Canonical text is ASCII lines that all have the same number of
-    comma-separated fields, at least seven, each of the first seven spelled
-    ``-?D{1,8}(.D{1,16})?`` with at most 19 digits. Lines may end in ``\\n``
-    or ``\\r\\n``; the last may lack its newline, and blank lines may follow
-    it. Fields past the seventh are not read. The text is read in
-    line-aligned chunks of about ``_CHUNK_BYTES`` by :func:`_read_chunk`,
-    and each value is the one ``float()`` gives for its field.
+    Regular lines are ASCII lines of at least seven comma-separated fields,
+    of which ``float()`` takes the first seven. Lines may end in ``\\n`` or
+    ``\\r\\n``, and empty lines, which the line parser skips, are skipped.
+    Fields past the seventh are not read. Each value is the one ``float()``
+    gives for its field, stripped.
     """
     try:
         data = text.encode("ascii")
@@ -289,31 +292,42 @@ def _read_values(text: str) -> np.ndarray | None:
         if data.count(b"\r") != data.count(b"\r\n"):
             return None
         data = data.replace(b"\r\n", b"\n")
+    values = _read_lines(data)
+    if values is None and (data.startswith(b"\n") or b"\n\n" in data):  # looked for only here: the search is slow
+        values = _read_lines(re.sub(b"\n\n+", b"\n", data).lstrip(b"\n"))
+    return values
+
+
+def _read_lines(data: bytes) -> np.ndarray | None:
+    """:func:`_read_values` of non-blank ASCII ``data`` whose lines end in ``\\n``, with no empty line before the last line with content.
+
+    The text is read in line-aligned chunks of about ``_CHUNK_BYTES`` by
+    :func:`_read_chunk`.
+    """
     end = len(data)
     while data[end - 1] == 10:  # the text is not blank, so a line with content ends the loop
         end -= 1
     buf = b"".join((_PAD, data, b"" if end < len(data) else b"\n"))
     stop = len(_PAD) + end + 1  # after the last line's newline
-    chunks, widths = [], set()
+    chunks = []
     lo = len(_PAD)
     while lo < stop:
         hi = buf.find(b"\n", lo + _CHUNK_BYTES, stop) + 1 or stop
-        chunk = _read_chunk(buf, lo, hi)
-        if chunk is None:
+        chunks.append(_read_chunk(buf, lo, hi))
+        if chunks[-1] is None:
             return None
-        widths.add(chunk[0])
-        chunks.append(chunk[1])
         lo = hi
-    return np.concatenate(chunks) if len(widths) == 1 else None
+    return np.concatenate(chunks)
 
 
 def _read_columns(text: str) -> DetectionTable | None:
     """All of ``text`` read by :func:`_read_values`, or None where only the line parser can tell what it holds.
 
-    Frames and ids are read as floats and must be integral and below 2**53,
-    where a float64 still holds every integer. Text outside the grammar, and
-    a row :class:`DetectionTable` rejects, send the whole text to the line
-    parser, which accepts or names it.
+    Frames and ids are read as floats and must be integral and below 2**53
+    in magnitude, where a float64 still holds every integer: a frame of 16
+    digits, or one spelled ``1e20`` or ``-inf``, is read as a float first.
+    Text without regular lines, and a row :class:`DetectionTable` rejects,
+    send the whole text to the line parser, which accepts or names it.
     """
     if not text or text.isspace():  # no stripped copy of the text
         return DetectionTable.of(())
@@ -321,7 +335,7 @@ def _read_columns(text: str) -> DetectionTable | None:
     if values is None:
         return None
     ids = values[:, :2]
-    if not ((ids == np.floor(ids)).all() and (ids < 2**53).all()):
+    if not ((ids == np.floor(ids)).all() and (np.abs(ids) < 2**53).all()):
         return None
     try:
         return DetectionTable(*ids.T.astype(np.int64), *values[:, 2:].T)
@@ -332,8 +346,8 @@ def _read_columns(text: str) -> DetectionTable | None:
 def parse_tracks(stream: TextIO | str) -> DetectionTable:
     """Parse a MOTChallenge track file into a detection table, rows in file order.
 
-    Accepts an open text stream or the file content as a string. Canonical
-    decimal text (see the module docstring) is read in numpy, in chunks;
+    Accepts an open text stream or the file content as a string. Text with
+    regular lines (see the module docstring) is read in numpy, in chunks;
     other text goes line by line through ``float()`` and ``int()``, which
     accept any spelling Python does. Both give every value the bits
     ``float()`` gives it. Raises :class:`ParseError` naming the offending
@@ -356,11 +370,12 @@ _U = np.uint64
 _CHUNK_ROWS = 1 << 14  # rows per byte matrix: bounds the memory of a write
 _VECTOR_RANGE = (1e-4, 1e15)  # non-integral magnitudes whose repr _shortest_digits computes
 _CHUNK_BYTES = 1 << 18  # text per read chunk: whole-text arrays read slower
-_PAD = b"0" * 15 + b"\n"  # before the text: every word read lies in the buffer, and a line starts after a newline
+_PAD = b"0" * 23 + b"\n"  # before the text: every word read lies in the buffer, and a line starts after a newline
 _TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)  # [k]: the top k bytes of a word
-# [k]: where a field with k fraction digits holds them, in the word that ends 8
-# bytes before the field does and in the word that ends with it
-_MID_BYTES, _LOW_BYTES = _TOP_BYTES[np.clip(np.arange(17) - 8, 0, 8)], _TOP_BYTES[np.minimum(np.arange(17), 8)]
+# [j][k]: the bytes that hold digits of a part of k digits in the word that
+# ends 8 * j bytes before the part does
+_PART_BYTES = _TOP_BYTES[np.clip(np.arange(25) - 8 * np.arange(3)[:, None], 0, 8)]
+_TENS = np.cumprod(np.array([1.0] + [10.0] * 22))  # [k]: 10.0**k, exact for k < 23
 
 
 @functools.cache
@@ -569,101 +584,126 @@ def _eight_digits(x: np.ndarray) -> np.ndarray:
     return ((x & _U(0x0000FFFF0000FFFF)) * _U(10000 * 2**32 + 1)) >> _U(32)
 
 
-def _nearest(w: np.ndarray, fraction: np.ndarray) -> np.ndarray | None:
-    """``w / 10**fraction`` rounded to the nearest float64, as ``float()`` rounds its decimal spelling.
+def _nearest(w: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``w / 10**fraction`` rounded to the nearest float64 as ``float()`` rounds its decimal spelling, and the roundings left open.
 
-    ``w`` is uint64 below 10**19 and ``fraction`` from 0 to 16. Returns None
-    when a value's rounding is not settled here, which happens only next to
-    a power of two.
+    ``w`` is uint64 below 10**19 and ``fraction`` from 0 to 22. Returns
+    ``(values, left)``: ``left`` indexes the values not settled here. They
+    lie next to a power of two, or at ``v >= 2**(53 - fraction)``, which
+    needs ``w >= 2**53 * 5**fraction`` and so ``fraction <= 4``: never a
+    number ``_format_rows`` prints from digits.
 
     Below 2**53, ``w`` and ``10**fraction`` are exact doubles and one
     correctly rounded division gives the result (Clinger, "How to Read
-    Floating Point Numbers Accurately", PLDI 1990). From 2**53 up there are
-    at least 16 digits, so ``fraction >= 8``, and the value ``v`` lies in
-    [0.9, 1e11). There ``d0 = float(w) / 10**fraction`` carries two
-    roundings and lies within 1.5 units of the last place ``u = 2**E`` of
-    ``d0 = M * 2**E``, M in [2**52, 2**53). With ``a = -(E + fraction)``,
-    the residual ``r = w * 2**a - M * 5**fraction`` is an integer and
+    Floating Point Numbers Accurately", PLDI 1990). From 2**53 up,
+    ``d0 = float(w) / 10**fraction`` carries two roundings and lies within
+    two units of the last place ``u = 2**E`` of ``d0 = M * 2**E``, M in
+    [2**52, 2**53). Where ``a = -(E + fraction)`` is in [0, 63], the
+    residual ``r = w * 2**a - M * 5**fraction`` is an integer and
     ``(v - d0) / u == r / 5**fraction`` exactly, so ``d0`` moves by ``k``
-    units, ``r / 5**fraction`` rounded to nearest. ``a`` stays in [7, 38]
-    (the ranges of ``M``, ``v`` and ``fraction``), so ``w << a`` is a
-    uint64 shift; it and ``M * 5**fraction`` wrap at 2**64, but their
-    difference is below 2 * 5**16 < 2**39 in magnitude, so the wrapping
-    difference read as int64 is ``r`` itself. ``k`` is never a tie: a
-    decimal halfway between two doubles is an odd multiple of 2**(E - 1)
-    with at least 54 significant bits, so ``w`` would be that multiple
-    times ``5**fraction`` times a power of two, and ``w < 2**64`` allows
-    only ``fraction <= 4``. A result that leaves ``d0``'s binade, or that
-    lands on the binade's power of two from above it, where the spacing
-    below is half a unit, returns None.
+    units, ``r / 5**fraction`` rounded to nearest. ``w << a`` and
+    ``M * 5**fraction`` wrap at 2**64, but ``|r|`` is below
+    ``2 * 5**22 < 2**53``, so their wrapping difference read as int64 is
+    ``r`` itself. ``k`` is never a tie: ``r / 5**fraction == j + 1/2`` would
+    make the even ``2 * r`` equal the odd ``(2 * j + 1) * 5**fraction``.
+    ``a`` is at most 52 for ``w < 10**19``, and below 0 only where
+    ``v >= 2**(53 - fraction)``, which is left open. A result that leaves ``d0``'s binade, or that lands on the binade's power of two
+    from above it, where the spacing below is half a unit, is left open.
     """
-    _, pow10, pow5 = _tables()
-    v = w.astype(np.float64) / pow10.astype(np.float64)[fraction]
+    pow5 = _tables()[2]
+    v = w.astype(np.float64) / _TENS[fraction]
     big = np.flatnonzero(w >= _U(2**53))
     if len(big):
         bits, places = v[big].view(np.uint64), fraction[big]
+        a = 1075 - (bits >> _U(52)).astype(np.int64) - places
+        inside = (a >= 0) & (a < 64)
         five = pow5[places]
         significand = (bits & _U(2**52 - 1)) | _U(2**52)
-        shift = _U(1075) - (bits >> _U(52)) - places.astype(np.uint64)  # a = -(E + fraction)
-        r = ((w[big] << shift) - significand * five).view(np.int64)
+        r = ((w[big] << (a * inside).astype(np.uint64)) - significand * five).view(np.int64)
         five = five.view(np.int64)
         k = (2 * r + five) // (2 * five)
         fixed = bits + k.view(np.uint64)
         below = ((fixed & _U(2**52 - 1)) == 0) & (r < k * five)  # v below the power of two fixed lands on
-        if ((((fixed ^ bits) >> _U(52)) != 0) | below).any():
-            return None
         v[big] = fixed.view(np.float64)
-    return v
+        big = big[~inside | (((fixed ^ bits) >> _U(52)) != 0) | below]
+    return v, big
 
 
-def _read_chunk(buf: bytes, lo: int, hi: int) -> tuple[int, np.ndarray] | None:
-    """The lines of ``buf[lo:hi]``: their field count and their first seven fields as an (n, 7) float64 array.
+def _settle(buf: bytes, start: np.ndarray, end: np.ndarray) -> list[float]:
+    """``float()`` of each field ``buf[start:end]``, stripped as the line parser strips it; raises ValueError on one it rejects."""
+    return [float(buf[s:e].decode().strip()) for s, e in zip(start.tolist(), end.tolist())]
 
-    ``buf[lo - 1]`` and ``buf[hi - 1]`` are newlines and ``lo >= 16``. Every
-    line must have the same number of fields, at least seven, and each of the
-    first seven must read ``-?D{1,8}(.D{1,16})?`` with at most 19 digits;
-    returns None otherwise. One ``<= 46`` pass finds the separators, minus
-    signs and dots; the digits of a field are the top bytes of an 8-byte word
-    that ends at its dot (the whole part) and of two words that end at its
-    end (the fraction).
+
+def _read_chunk(buf: bytes, lo: int, hi: int) -> np.ndarray | None:
+    """The first seven fields of the lines of ``buf[lo:hi]`` as an (n, 7) float64 array.
+
+    ``buf[lo - 1]`` and ``buf[hi - 1]`` are newlines and ``lo >= 24``. Every
+    line must have at least seven fields, and ``float()`` must take each of
+    the first seven; returns None otherwise. One ``<= 46`` pass finds the
+    separators, minus signs and dots. A field ``-?D{1,16}(.D{1,22})?`` of at
+    most 19 digits, leading zeros not counted where the whole part is zero,
+    is read in numpy: its whole part is the top bytes of the two 8-byte
+    words that end at its dot (or its end), its fraction those of the three
+    words that end at its end, and :func:`_nearest` rounds it. The words 16
+    bytes before the dot and 24 before the end are read only for the fields
+    that reach into them. :func:`_settle` reads the other fields, and those whose rounding
+    ``_nearest`` leaves open.
     """
     arr = np.frombuffer(buf, np.uint8)
     at = np.flatnonzero(arr[lo - 1 : hi] <= 46)  # at[0] is the newline before the chunk
     at += lo - 1
     char = arr[at]
     sep = np.flatnonzero((char == 44) | (char == 10))  # commas and newlines, indexes into at
-    newline = char[sep[1:]] == 10
-    width = int(np.argmax(newline)) + 1
-    n = len(newline) // width
-    if width < 7 or n * width != len(newline) or not (newline.reshape(n, width) == (np.arange(width) == width - 1)).all():
+    lines = np.flatnonzero(char[sep] == 10)  # indexes into sep: the newline before each line, then the last line's own
+    if (np.diff(lines) < 7).any():
         return None
-    cur = sep[1:].reshape(n, width)[:, :7].ravel()  # each field's closing separator
+    opening = (lines[:-1, None] + np.arange(7)).ravel()  # the separator before each of the first seven fields
+    start = at[sep[opening]] + 1
+    cur = sep[opening + 1]  # each field's closing separator, an index into at
     end = at[cur]
-    start = at[sep[:-1].reshape(n, width)[:, :7].ravel()] + 1
     last = cur - 1  # the last special before the separator: the dot, if the field has one
     dot = (char[last] == 46).view(np.int8)
     minus = (arr[start] == 45).view(np.int8)
     point = end + (at[last] - end) * dot  # the dot, or the end of a field without one
     fraction = end - point - dot
     whole = point - start - minus
-    # the minus sign, the dot and the digit bytes checked below cover the field: nothing else fits in it
-    if not (((whole - 1).view(np.uint64) < _U(8)) & ((fraction - dot).view(np.uint64) < _U(16)) & (whole + fraction <= 19)).all():
-        return None
+    # the minus sign, the dot and the digit bytes checked below cover a field of this shape: nothing else fits in it
+    shaped = ((whole - 1).view(np.uint64) < _U(16)) & ((fraction - dot).view(np.uint64) < _U(22))
+    whole *= shaped
+    fraction *= shaped
     zeros = _U(0x3030303030303030)  # digit bytes XOR "0" are their values
     words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
-    high = (words[point - 8] ^ zeros) & _TOP_BYTES[whole]
-    mid = (words[end - 16] ^ zeros) & _MID_BYTES[fraction]
-    low = (words[end - 8] ^ zeros) & _LOW_BYTES[fraction]
+    high = (words[point - 8] ^ zeros) & _PART_BYTES[0][whole]
+    mid = (words[end - 16] ^ zeros) & _PART_BYTES[1][fraction]
+    low = (words[end - 8] ^ zeros) & _PART_BYTES[0][fraction]
     # a byte above 9 sets its top bit when 0x76 is added; the text is ASCII, so no byte carries
     nines = _U(0x7676767676767676)
-    if (((high + nines) | (mid + nines) | (low + nines)) & _U(0x8080808080808080)).any():
-        return None
-    _, pow10, _ = _tables()
-    values = _nearest(_eight_digits(high) * pow10[fraction] + _eight_digits(mid) * _U(10**8) + _eight_digits(low), fraction)
-    if values is None:
-        return None
+    flags = (high + nines) | (mid + nines) | (low + nines)
+    integer, decimals = _eight_digits(high), _eight_digits(mid) * _U(10**8) + _eight_digits(low)
+    # the digits spell an integer below 10**19: at most 19 of them, or a zero whole part and at most 16 fraction digits ...
+    fits = (whole + fraction <= 19) | (integer == 0)
+    wide = np.flatnonzero((whole > 8) | (fraction > 16))  # with digits in the word 16 bytes before the point or 24 before the end
+    if len(wide):
+        more = (words[point[wide] - 16] ^ zeros) & _PART_BYTES[1][whole[wide]]
+        most = (words[end[wide] - 24] ^ zeros) & _PART_BYTES[2][fraction[wide]]
+        flags[wide] |= (more + nines) | (most + nines)
+        integer[wide] += _eight_digits(more) * _U(10**8)
+        top = _eight_digits(most)
+        decimals[wide] += top * _U(10**16)
+        # ... or more, where those before the last 16 spell a number below 1000
+        fits[wide] = (whole[wide] + fraction[wide] <= 19) | ((integer[wide] == 0) & (top < _U(1000)))
+    read = shaped & fits & ((flags & _U(0x8080808080808080)) == 0)
+    w = integer * _tables()[1][np.minimum(fraction, 19)] + decimals
+    values, left = _nearest(w, fraction)
     values.view(np.uint64)[...] |= minus.astype(np.uint64) << _U(63)
-    return width, values.reshape(n, 7)
+    read[left] = False
+    loose = np.flatnonzero(~read)
+    if len(loose):
+        try:
+            values[loose] = _settle(buf, start[loose], end[loose])
+        except ValueError:
+            return None
+    return values.reshape(-1, 7)
 
 
 # what follows each of the seven columns on a line

@@ -1,17 +1,19 @@
-"""Compare the numbers ``mot_io._read_values`` reads with ``float()`` on about 3M seeded fields.
+"""Compare the numbers ``mot_io._read_values`` reads with ``float()`` on about 3.6M seeded fields.
 
     PYTHONPATH=src python tests/parse_sweep.py [--seed 0] [--batches 10]
 
-Each batch reads, both signs, the formatter sweep's values in the reader's
-grammar as ``_format_rows`` writes them, ``%.kf`` spellings for k = 0 to 16,
-and random digit strings of up to 19 digits; the first batch also takes every
-spelling next to the powers of two from 2**-13 to 2**26. Fields next to a power
-of two are read one line each, since the reader may leave such a rounding to
-the line parser; all others are read seven to a line and must all be read.
-pytest does not collect this file: it runs more values than tier-1 should,
-once per CI job, so that every numpy version the package supports checks the
-reader's uint64 arithmetic and byte-strided views. Exits non-zero on the first
-mismatch.
+Each batch reads, both signs, the formatter sweep's values as ``_format_rows``
+writes them, integral values below 1e15, ``%.kf`` spellings for k = 0 to 22,
+random digit strings of the reader's grammar and the reprs of random bit
+patterns; the first batch also takes every spelling in the grammar next to
+the powers of two from 2**-14 to 2**49. Every field must read as ``float()``
+reads it. The reader may settle a field with ``float()`` only where it lies
+outside the grammar, or where ``mot_io._nearest`` may leave its rounding
+open; it must read every other field, and so everything ``_format_rows``
+prints from digits, in numpy. pytest does not collect this file: it runs
+more values than tier-1 should, once per CI job, so that every numpy version
+the package supports checks the reader's uint64 arithmetic and byte-strided
+views. Exits non-zero on the first mismatch.
 """
 
 import argparse
@@ -19,49 +21,53 @@ import sys
 import time
 
 import numpy as np
-from test_mot_io import canonical, digit_strings, near_powers_of_two, next_to_power_of_two
+from test_mot_io import canonical, digit_strings, left_open, near_powers_of_two
 from test_number_format import carry_cases, neighbours, powers_of_ten, samples, ties, vectorized
 
+from trackstitch import mot_io
 from trackstitch.mot_io import _format_rows, _read_values
 
 
 def fields(rng, first):
-    """One batch of fields in the reader's grammar."""
-    values = vectorized(np.concatenate([samples(rng, 35_000), ties(rng, 20_000)]))
+    """One batch of fields: the writer's, ``%.kf`` spellings, digit strings and reprs of random bit patterns."""
+    values = vectorized(np.concatenate([samples(rng, 25_000), ties(rng, 20_000)]))
     if first:
         values = np.concatenate([values, vectorized(neighbours(powers_of_ten(), 3000)), carry_cases()])
-    values = values[values < 1e8]
+    values = np.concatenate([values, np.trunc(10.0 ** rng.uniform(0, 15, 20_000))])
     values *= rng.choice([-1.0, 1.0], len(values))
-    scales = 10.0 ** rng.uniform(-4, 8, 6_000) * rng.choice([-1.0, 1.0], 6_000)
-    out = _format_rows([values], ["\n"]).split() + [f"{v:.{k}f}" for k in range(17) for v in scales.tolist()]
-    out = [f for f in out if canonical(f)] + digit_strings(rng, 100_000)
-    return out + near_powers_of_two() if first else out
+    written = _format_rows([values], ["\n"]).split()
+    scales = 10.0 ** rng.uniform(-4, 15, 4_000) * rng.choice([-1.0, 1.0], 4_000)
+    out = [f"{v:.{k}f}" for k in range(23) for v in scales.tolist()] + digit_strings(rng, 60_000)
+    bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
+    out += [repr(v) for v in bits[np.isfinite(bits)].tolist()]
+    return written, out + near_powers_of_two() if first else out
 
 
-def same(values, fields) -> bool:
-    return np.array_equal(values.view(np.int64), np.array([float(f) for f in fields]).view(np.int64))
+def check(written, others) -> int:
+    """Read the fields; returns how many of the grammar's the reader settled with ``float()``."""
+    batch = written + others
+    batch += ["0"] * (-len(batch) % 7)
+    settled = []
+    settle = mot_io._settle
 
+    def counting(buf, start, end):
+        settled.extend(buf[s:e].decode() for s, e in zip(start.tolist(), end.tolist()))
+        return settle(buf, start, end)
 
-def read_alone(fields) -> int:
-    """Read ``fields`` one a line, halving the text wherever the reader leaves it to the line parser; returns how many fields it left."""
-    got = _read_values("".join(f + ",0,0,0,0,0,0\n" for f in fields))
-    if got is None:
-        half = len(fields) // 2
-        return 1 if len(fields) == 1 else read_alone(fields[:half]) + read_alone(fields[half:])
-    if not same(got[:, 0], fields):
-        raise SystemExit(f"the reader does not read one of {fields[:3]}... as float() does")
-    return 0
-
-
-def check(batch) -> int:
-    """Read ``batch``; returns the number of fields left to the line parser, all next to a power of two."""
-    near = next_to_power_of_two(np.array([float(f) for f in batch]))
-    rest = [f for f, n in zip(batch, near.tolist()) if not n]
-    rest += ["0"] * (-len(rest) % 7)
-    got = _read_values("".join(",".join(rest[k : k + 7]) + "\n" for k in range(0, len(rest), 7)))
-    if got is None or not same(got.reshape(-1), rest):
-        raise SystemExit("the reader does not read every field float() reads")
-    return read_alone([f for f, n in zip(batch, near.tolist()) if n])
+    mot_io._settle = counting
+    try:
+        got = _read_values("".join(",".join(batch[k : k + 7]) + "\n" for k in range(0, len(batch), 7)))
+    finally:
+        mot_io._settle = settle
+    expected = np.array([float(f) for f in batch])
+    if got is None or not np.array_equal(got.reshape(-1).view(np.int64), expected.view(np.int64)):
+        raise SystemExit("the reader does not read every field as float() reads it")
+    if not all(canonical(f) for f in written):
+        raise SystemExit(f"_format_rows writes a field outside the reader's grammar: {[f for f in written if not canonical(f)][:3]}")
+    left = [f for f in settled if canonical(f)]
+    if not all(left_open(f) for f in left):
+        raise SystemExit(f"the reader settles fields of its grammar with float(): {[f for f in left if not left_open(f)][:3]}")
+    return len(left)
 
 
 def main(argv=None) -> int:
@@ -73,12 +79,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     total = left = 0
     for k in range(args.batches):
-        batch = fields(rng, k == 0)
-        total += len(batch)
-        left += check(batch)
+        written, others = fields(rng, k == 0)
+        total += len(written) + len(others)
+        left += check(written, others)
     print(
-        f"{total} fields read as float() reads them, {left} next to a power of two left to the line parser"
-        f" ({time.perf_counter() - started:.1f} s, numpy {np.__version__})"
+        f"{total} fields read as float() reads them; {left} of the grammar settled by float(), each next to a power of two"
+        f" or of 16 digits or more with at most 4 after the point ({time.perf_counter() - started:.1f} s, numpy {np.__version__})"
     )
     return 0
 

@@ -513,13 +513,16 @@ def test_parse_rejects_frame_and_id_beyond_int64():
         parse_tracks(GOOD + f"{2**63},1,10,20,30,40,1\n")
 
 
-CANONICAL = re.compile(r"-?(\d{1,8})(?:\.(\d{1,16}))?")
+CANONICAL = re.compile(r"-?(\d{1,16})(?:\.(\d{1,22}))?")
 
 
 def canonical(field):
-    """Whether ``field`` is in the reader's grammar: ``-?D{1,8}(.D{1,16})?`` with at most 19 digits."""
+    """Whether the reader reads ``field`` in numpy: ``-?D{1,16}(.D{1,22})?``, 19 digits at most, leading zeros aside where the whole part is zero."""
     match = CANONICAL.fullmatch(field)
-    return bool(match) and len(match[1]) + len(match[2] or "") <= 19
+    if not match:
+        return False
+    digits = match[1] + (match[2] or "")
+    return len(digits) <= 19 or (int(match[1]) == 0 and int(digits) < 10**19)
 
 
 def spell(negative, mantissa, fraction, zeros=0):
@@ -530,32 +533,34 @@ def spell(negative, mantissa, fraction, zeros=0):
 
 
 def digit_strings(rng, n):
-    """``n`` random fields of the grammar: both signs, 1-8 whole digits with leading zeros, 0-16 fraction digits, at most 19 digits."""
-    rows = (rng.integers(0, 10, (n, 24)) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-    whole, fraction, sign = (rng.integers(lo, hi, n).tolist() for lo, hi in ((1, 9), (0, 17), (0, 2)))
+    """``n`` random fields of the grammar: both signs, 1-16 whole digits, 0-22 fraction digits; past 19 digits, all but the last 19 are zeros."""
+    rows = (rng.integers(0, 10, (n, 38)) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    whole, fraction, sign = (rng.integers(lo, hi, n).tolist() for lo, hi in ((1, 17), (0, 23), (0, 2)))
     out = []
     for k in range(n):
-        row, f = rows[24 * k : 24 * k + 24], min(fraction[k], 19 - whole[k])
-        out.append("-" * sign[k] + row[: whole[k]] + ("." + row[8 : 8 + f] if f else ""))
+        count = whole[k] + fraction[k]
+        zeros = max(count - 19, whole[k]) if count > 19 else 0
+        row = "0" * zeros + rows[38 * k : 38 * k + count - zeros]
+        out.append("-" * sign[k] + row[: whole[k]] + ("." + row[whole[k] :] if fraction[k] else ""))
     return out
 
 
 def canonical_spellings(rng, n):
     """About ``4 * n`` fields of the grammar: the writer's shortest digits, ``%.kf`` spellings and random digit strings."""
-    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4, 8, n)
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4, 15, n)
     pool = _format_rows([values], ["\n"]).split()
-    pool += [f"{v:.{k}f}" for v, k in zip(rng.uniform(-1e4, 1e4, n).tolist(), rng.integers(0, 17, n).tolist())]
+    pool += [f"{v:.{k}f}" for v, k in zip(rng.uniform(-1e4, 1e4, n).tolist(), rng.integers(0, 19, n).tolist())]
     pool += digit_strings(rng, 2 * n)
     return [f for f in pool if canonical(f)]
 
 
-def near_powers_of_two(powers=range(-13, 27)):
+def near_powers_of_two(powers=range(-14, 50)):
     """Every spelling in the grammar of the decimals within one unit in the last digit of the doubles next to 2**k, k in ``powers``."""
     out = []
     for k in powers:
         for j in range(-3, 4):
             value = Fraction(2) ** k * (1 + Fraction(j, 2**53))
-            for fraction in range(17):
+            for fraction in range(23):
                 mantissa = round(value * 10**fraction)
                 out += [spell(False, m, fraction) for m in (mantissa - 1, mantissa, mantissa + 1) if m > 0]
     return [f for f in out if f is not None]
@@ -565,6 +570,26 @@ def next_to_power_of_two(values):
     """Which values lie within two units in the last place of a power of two."""
     m = np.abs(np.frexp(values)[0]) * 2.0**53
     return (m <= 2**52 + 2) | (m >= 2**53 - 2)
+
+
+def left_open(field):
+    """Whether the reader may leave the rounding of ``field``, of the grammar, to ``float()``; see ``mot_io._nearest``."""
+    whole, _, fraction = field.lstrip("-").partition(".")
+    return bool(next_to_power_of_two(float(field))) or (int(whole + fraction) >= 2**53 and len(fraction) <= 4)
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """A list that grows by the text of each field the reader reads with ``float()`` while the test runs."""
+    fields = []
+    settle = mot_io._settle
+
+    def counting(buf, start, end):
+        fields.extend(buf[s:e].decode() for s, e in zip(start.tolist(), end.tolist()))
+        return settle(buf, start, end)
+
+    monkeypatch.setattr(mot_io, "_settle", counting)
+    return fields
 
 
 def _rounding_text(pool):
@@ -588,47 +613,70 @@ def _assert_rounds_like_float(table, rows):
         assert np.array_equal(column.view(np.int64), expected.view(np.int64))
 
 
-def test_parse_fast_path_rounds_like_float(detections_built):
-    # 100k fields of the reader's grammar: the writer's shortest digits,
-    # %.kf spellings and random digit strings, none next to a power of two
-    pool = [f for f in canonical_spellings(np.random.default_rng(23), 28_000) if not next_to_power_of_two(float(f))]
-    text, rows = _rounding_text(pool)
-    table = parse_tracks(text)
-    assert not detections_built  # read in one pass, no Detection built
-    assert len(rows) * 5 >= 100_000
-    _assert_rounds_like_float(table, rows)
-
-
-def test_parse_rounds_other_spellings_like_float():
-    # 100k numbers the reader's grammar leaves to the line parser, and
-    # others: random bit patterns (every magnitude, subnormals), short
-    # decimals and 20-digit spellings that are not shortest reprs
+def test_parse_fast_path_rounds_like_float(detections_built, settled):
+    # 100k fields of the reader's grammar (the writer's shortest digits, %.kf
+    # spellings and random digit strings) and 100k others: random bit
+    # patterns (every magnitude, subnormals), short decimals and 20-digit
+    # spellings that are not shortest reprs. The reader takes them all; it
+    # reads the grammar's fields in numpy except next to a power of two
     rng = np.random.default_rng(23)
+    pool = canonical_spellings(rng, 28_000)
     bits = rng.integers(0, 2**64, size=61_000, dtype=np.uint64).view(np.float64)
-    pool = [repr(v) for v in bits[np.isfinite(bits)].tolist()]
+    pool += [repr(v) for v in bits[np.isfinite(bits)].tolist()]
     pool += [repr(round(v, int(d))) for v, d in zip(rng.uniform(-1e4, 1e4, 25_000).tolist(), rng.integers(0, 8, 25_000))]
     pool += [f"{v:.20e}" for v in rng.uniform(-1e3, 1e3, 15_000).tolist()]
     text, rows = _rounding_text(pool)
-    assert len(rows) * 5 >= 100_000
-    _assert_rounds_like_float(parse_tracks(text), rows)
+    table = parse_tracks(text)
+    assert not detections_built  # read in one pass, no Detection built
+    assert len(rows) * 5 >= 200_000
+    _assert_rounds_like_float(table, rows)
+    assert all(left_open(f) for f in settled if canonical(f))
+
+
+def test_reader_reads_what_the_writer_prints_in_numpy(settled):
+    # every number _format_rows prints from digits, full precision included,
+    # is read without float(); the others it prints by repr are settled by it
+    rng = np.random.default_rng(5)
+    values = rng.choice([-1.0, 1.0], 70_000) * rng.uniform(0, 1, 70_000) * 10.0 ** rng.uniform(-4, 15, 70_000)
+    values[::7] = np.trunc(values[::7])
+    values[3::70] = rng.choice([1e-5, 3e-300, 5e-324, 1e15, 1.5e15, 2.0**60, 1e300], 1000)
+    text = _format_rows([values[k::7] for k in range(7)], [","] * 6 + ["\n"])
+    assert np.array_equal(_read_values(text).reshape(-1).view(np.int64), (values + 0.0).view(np.int64))  # -0.0 prints as 0
+    fields = np.array(text.replace(",", "\n").split())
+    a = np.abs(values)
+    from_digits = (a < 1e15) & ((a >= 1e-4) | (values == np.trunc(values)))
+    assert from_digits.sum() > 60_000 and not set(settled) & set(fields[from_digits].tolist())
+    assert sorted(settled) == sorted(f for f in fields.tolist() if not canonical(f))
+
+
+def test_reader_reads_full_precision_confidences_without_a_detection(detections_built, settled):
+    # the writer prints 17 digits for a quarter of the doubles in [0.1, 1)
+    rng = np.random.default_rng(3)
+    n = 3000
+    confidences = rng.uniform(0.01, 1, n)
+    table = DetectionTable(np.arange(n) // 10 + 1, np.arange(n) % 10 + 1, *rng.uniform(1, 500, (4, n)), confidences)
+    text = write_tracks(table)
+    assert max(len(line.split(",")[6]) for line in text.splitlines()) >= 19
+    assert parse_tracks(text) == table
+    assert not detections_built and not settled
 
 
 @st.composite
 def canonical_fields(draw):
     """A field of the reader's grammar, its mantissa anywhere, next to 2**53, or within a few ulps of a power of two."""
-    fraction = draw(st.integers(0, 16))
-    top = 10 ** min(19, fraction + 8)
+    fraction = draw(st.integers(0, 22))
+    top = 10 ** min(19, fraction + 16)
     kind = draw(st.sampled_from(["any", "2**53", "power of two"]))
     if kind == "any":
         mantissa = draw(st.integers(0, top - 1))
     elif kind == "2**53":
         mantissa = 2**53 + draw(st.integers(-1000, 1000))
     else:
-        power = Fraction(2) ** draw(st.integers(-14, 26)) * (1 + Fraction(draw(st.integers(-4, 4)), 2**53))
+        power = Fraction(2) ** draw(st.integers(-14, 49)) * (1 + Fraction(draw(st.integers(-4, 4)), 2**53))
         mantissa = round(power * 10**fraction) + draw(st.integers(-2, 2))
     mantissa = min(max(mantissa, 0), top - 1)
     digits = len(str(mantissa).zfill(fraction + 1))
-    zeros = draw(st.integers(0, min(8 - (digits - fraction), 19 - digits)))
+    zeros = draw(st.integers(0, 16 - (digits - fraction) if mantissa < 10**fraction else min(16, 19 - fraction) - (digits - fraction)))
     return spell(draw(st.booleans()), mantissa, fraction, zeros)
 
 
@@ -637,21 +685,32 @@ def canonical_fields(draw):
 def test_reader_rounds_canonical_fields_like_float(lines, newline):
     expected = np.array([[float(f) for f in line] for line in lines])
     values = _read_values("".join(",".join(line) + newline for line in lines))
-    if values is None:  # a rounding next to a power of two is left to the line parser
-        assert next_to_power_of_two(expected[expected != 0]).any()
-    else:
-        assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))
 
 
-def test_reader_leaves_roundings_next_to_a_power_of_two_to_the_line_parser():
+def test_reader_settles_roundings_next_to_a_power_of_two_alone(detections_built, settled):
     # float(9999999999999999) / 1e16 is 1.0, but the decimal lies below it,
-    # where the doubles are twice as dense
-    text = "1,1,0.9999999999999999,1,1,1,1\n"
-    assert _read_values(text) is None
-    assert parse_tracks(text)[0].x == float("0.9999999999999999") < 1.0
-    for field in near_powers_of_two((-13, -1, 0, 1, 2, 13, 26)):  # the parse sweep reads every power
-        values = _read_values(f"1,1,{field},1,1,1,1\n")
-        assert values is None or values[0, 2] == float(field)
+    # where the doubles are twice as dense: float() reads that field alone,
+    # and the rest of a large file stays in numpy
+    k = np.arange(5000)
+    text = write_tracks(DetectionTable(k // 10 + 1, k % 10 + 1, k / 7, k / 3, 1 + k / 9, 2.5 + 0 * k, 0.875 + 0 * k))
+    lines = text.splitlines(keepends=True)
+    lines[2500] = lines[2500].replace(",0.875,", ",0.9999999999999999,")
+    table = parse_tracks("".join(lines))
+    assert table.conf[2500] == float("0.9999999999999999") < 1.0
+    assert not detections_built and settled == ["0.9999999999999999"]
+    for field in near_powers_of_two((-14, -1, 0, 1, 2, 13, 26, 49)):  # the parse sweep reads every power
+        assert _read_values(f"1,1,{field},1,1,1,1\n")[0, 2] == float(field)
+
+
+def test_reader_settles_long_whole_parts_with_few_fraction_digits_alone(settled):
+    # at v >= 2**(53 - fraction) the residual is not an integer; the first
+    # two are exact ties, which float() rounds to even
+    left = ["562949953421312.0625", "18014398509481986", "-1234567890123456.125", "9999999999999999999"]
+    fields = left + ["123456789012345.6789", "562949953421312.125"]  # below that bound: read in numpy
+    values = _read_values(",".join(["1"] + fields) + "\n")
+    assert np.array_equal(values[0, 1:].view(np.int64), np.array([float(f) for f in fields]).view(np.int64))
+    assert settled == left
 
 
 def test_reader_chunks_agree(monkeypatch):
@@ -659,20 +718,21 @@ def test_reader_chunks_agree(monkeypatch):
     whole = _read_values(text)
     monkeypatch.setattr(mot_io, "_CHUNK_BYTES", 50)  # about one line a chunk
     assert np.array_equal(_read_values(text).view(np.int64), whole.view(np.int64))
-    # a line of another field count, read in a later chunk
-    assert _read_values(text + "1,2,10,20,30,40,1\n") is None
+    # a line of another field count in a later chunk is read; one of six fields is left to the line parser
+    assert np.array_equal(_read_values(text + "1,2,10,20,30,40,1\n")[-1], [1, 2, 10, 20, 30, 40, 1])
+    assert _read_values(text + "1,2,10,20,30,40\n") is None
 
 
 @st.composite
 def mutated_text(draw):
     """Lines of 7 to 9 fields of the reader's grammar, and in half the draws one character replaced or inserted."""
-    whole, tail = st.text("0123456789", min_size=1, max_size=8), st.text("0123456789", max_size=11)
+    whole, tail = st.text("0123456789", min_size=1, max_size=16), st.text("0123456789", max_size=23)
     fields = st.builds(lambda sign, w, t: sign + w + ("." + t if t else ""), st.sampled_from(["", "-"]), whole, tail)
     lines = draw(st.lists(st.lists(fields, min_size=7, max_size=9).map(",".join), min_size=1, max_size=5))
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"]))
     if draw(st.booleans()):
         k = draw(st.integers(0, len(text)))
-        text = text[:k] + draw(st.sampled_from(list("0123456789,-.\n\r +e_é"))) + text[k + draw(st.integers(0, 1)) :]
+        text = text[:k] + draw(st.sampled_from(list("0123456789,-.\n\r +e_é\x1c"))) + text[k + draw(st.integers(0, 1)) :]
     return text
 
 
@@ -681,7 +741,7 @@ def mutated_text(draw):
 def test_reader_reads_what_it_takes_as_float_does(text):
     values = _read_values(text)
     if values is not None:
-        rows = [[float(f) for f in raw.split(",")[:7]] for raw in io.StringIO(text) if raw.strip()]
+        rows = [[float(f.strip()) for f in raw.split(",")[:7]] for raw in io.StringIO(text) if raw.strip()]
         assert np.array_equal(values.view(np.int64), np.array(rows).view(np.int64))
 
 
@@ -690,17 +750,21 @@ READER_TEXT = [
     ("CRLF", "1,2,10.5,20,30,40,1,-1,-1,-1\r\n2,3,-4.25,0.5,30,40,0.9,-1,-1,-1\r\n"),
     ("no final newline", "1,2,10.5,20,30,40,1,-1,-1,-1\r\n2,3,-4.25,0.5,30,40,0.9,-1,-1,-1"),
     ("trailing blank lines", "1,2,10.5,20,30,40,1,-1,-1,-1\n2,3,-4.25,0.5,30,40,0.9,-1,-1,-1\n\n\r\n\n"),
+    ("empty lines inside", "\n\r\n1,2,10.5,20,30,40,1,-1,-1,-1\n\n\n2,3,-4.25,0.5,30,40,0.9,-1,-1,-1\r\n\r\n3,3,1,2,3,4,1,-1,-1,-1"),
     ("seven fields", "1,2,10,20,30,40,1\n2,2,10,20,30,40,1\n"),
     ("nine fields", "1,2,10,20,30,40,1,-1,-1\n2,2,10,20,30,40,1,-1,-1\n"),
+    ("mixed field counts", "1,2,10,20,30,40,1,-1,-1\n2,2,10,20,30,40,1\n3,2,10,20,30,40,1,-1,-1,-1,x\n"),
     ("garbage past the seventh field", "1,2,10,20,30,40,1,x y,+z,\t\n2,2,10,20,30,40,1,1e5,.,\x00\n"),
     ("leading and signed zeros", "007,02,-0,-0.0,0030.500,40,00\n"),
     ("integral frames", "1.0,2.000,10,20,30,40,1\n"),
-    ("widest fields", "99999999,99999999,-12345678.12345678901,0.1234567890123456,1,2,3\n"),
+    ("widest fields", "9007199254740991,99999999,-1234567890123456.125,0.0001234567890123456789,1,2,0.3000000000000000444089\n"),
+    ("full precision", "1,2,0.30000000000000004,0.00012345678901234567,123456789012.34567,1e-05,0.9999999999999999\n"),
+    ("other spellings", "1e3,+2,1.05e1, 20 ,\t30.,.25,1_0\n2,2,-1e-320,1E+2,1.5e15,0.5,\x1c1\x1c\n"),
 ]
 
 
 @pytest.mark.parametrize("text", [c[1] for c in READER_TEXT], ids=[c[0] for c in READER_TEXT])
-def test_reader_takes_canonical_text(text, detections_built):
+def test_reader_takes_text_with_regular_lines(text, detections_built):
     table = parse_tracks(text)
     assert not detections_built
     assert [tuple(map(repr, dataclasses.astuple(d))) for d in table] == _outcome(_reference_parse, text)
