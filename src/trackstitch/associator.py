@@ -186,9 +186,7 @@ def build_domains(
     rows_end = np.searchsorted(pred, np.arange(1, len(ids) + 1))  # each variable's STOP goes after its last edge
     offsets = np.concatenate(([0], rows_end)) + np.arange(len(ids) + 1)
     products = np.insert(products, rows_end, stop_product)
-    totals = left_sums(products, offsets)
-    if not (totals > 0).all():
-        raise ValueError("all candidate products are zero; domains must retain STOP")
+    totals = left_sums(products, offsets)  # > 0: STOP's product is at least L**k, a normal float
     return Domains(
         ids,
         offsets,

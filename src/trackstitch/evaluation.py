@@ -2,9 +2,11 @@
 
 Both metrics start from the same *hits*: every pair of a ground-truth row and
 a predicted row of one frame whose boxes reach ``iou >= iou_threshold``. Each
-side is one :class:`~trackstitch.mot_io.DetectionTable` sorted by frame, a
-frame's rows in input order; a table already in strict (frame, id) order is
-checked in one pass and used as it is, and only other input is sorted. One
+side is one :class:`~trackstitch.mot_io.DetectionTable` in (frame, id) order
+(:meth:`~trackstitch.mot_io.DetectionTable.by_frame`: a table already in that
+order is checked in one pass and used as it is), and a repeated (frame, id)
+is rejected (:meth:`~trackstitch.mot_io.DetectionTable.check_tracks`). The
+scores therefore depend only on the set of rows, not on their order. One
 sweep across the two tables (:func:`~trackstitch.tracklets.cross_overlaps`)
 finds every hit with its IoU, bit-identical to its
 :func:`~trackstitch.tracklets.iou_matrix` entry; it scores no pair of two
@@ -40,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mot_io import Detection, DetectionTable, _strictly_ordered
+from .mot_io import Detection, DetectionTable
 from .tracklets import aranges, cross_overlaps, iou_pairs, pair_runs, ranks
 
 
@@ -72,26 +74,9 @@ def _check_iou_threshold(iou_threshold: float) -> None:
         raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
 
 
-def _by_frame(detections: Sequence[Detection]) -> DetectionTable:
-    """The detections as a table sorted by frame, a frame's rows in input order; ValueError if an id repeats in a frame.
-
-    A table already in strict (frame, id) order is returned as it is, after one check.
-    """
-    rows = DetectionTable.of(detections)
-    if _strictly_ordered(rows):
-        return rows
-    by_key = np.lexsort((rows.track_id, rows.frame))
-    same = (np.diff(rows.frame[by_key]) == 0) & (np.diff(rows.track_id[by_key]) == 0)
-    if same.any():
-        # the first row, in input order, whose (frame, id) came before
-        row = by_key[1:][same].min()
-        raise ValueError(f"id {rows.track_id[row]} appears twice in frame {rows.frame[row]}")
-    return rows.take(np.argsort(rows.frame, kind="stable"))
-
-
 @dataclass(frozen=True)
 class _Hits:
-    """The checked ground-truth and predicted rows of one sequence, each sorted by frame, and their hits.
+    """The checked ground-truth and predicted rows of one sequence, each in (frame, id) order, and their hits.
 
     ``rank`` is the frame index: the rank of each row's frame among the
     frames holding a ground-truth or a predicted row, those of ``gt`` first.
@@ -108,7 +93,9 @@ class _Hits:
         _check_iou_threshold(iou_threshold)
         if not gt:
             raise ValueError("ground truth is empty; metrics are undefined")
-        gt, pred = _by_frame(gt), _by_frame(pred)
+        gt, pred = DetectionTable.of(gt).by_frame(), DetectionTable.of(pred).by_frame()
+        gt.check_tracks()
+        pred.check_tracks()
         # both sides are sorted by frame: one stable sort merges two runs
         rank = ranks(np.concatenate((gt.frame, pred.frame)))
         g, p, _ = cross_overlaps(gt, pred, iou_threshold, rank)

@@ -22,21 +22,20 @@ def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> DetectionTa
 
     ``trajectory`` holds one trajectory, or several one after the other: each
     run of rows with one track id is a trajectory, and its frames must
-    strictly increase. Inserted rows follow the left edge of their gap, and
-    every value is computed with the same float operations, in the same order,
-    as one scalar formula per inserted detection.
+    strictly increase (see :meth:`DetectionTable.check_tracks`). Inserted rows
+    follow the left edge of their gap, and every value is computed with the
+    same float operations, in the same order, as one scalar formula per
+    inserted detection.
     """
     if not isinstance(max_gap_size, numbers.Integral):
         raise ValueError(f"max_gap_size must be an integer, got {max_gap_size}")
     if max_gap_size < 1:
         raise ValueError(f"max_gap_size must be positive, got {max_gap_size}")
     rows = DetectionTable.of(trajectory)
+    rows.check_tracks()
     frame, track_id, x, y, w, h, _ = rows.columns
     same = track_id[1:] == track_id[:-1]
     span = np.diff(frame)
-    backwards = np.flatnonzero(same & (span <= 0))
-    if len(backwards):
-        raise ValueError(f"trajectory frames must be strictly increasing at frame {frame[backwards[0]]}")
     gaps = np.flatnonzero(same & (span >= 2) & (span <= max_gap_size))  # 1 <= span - 1 < max_gap_size
     if not len(gaps):
         return rows

@@ -11,9 +11,9 @@ rejected. A parsed file is a :class:`DetectionTable`, one numpy column per
 field. Sequence metadata comes from a seqinfo-style ``key=value`` file
 (``frameRate``, ``imWidth``, ``imHeight``, ``seqLength``).
 
-Track text is read in numpy when its lines are regular: ASCII lines of at
-least seven fields, ending in ``\\n`` or ``\\r\\n``; empty lines are
-skipped, as the line parser skips them. The reader takes the text in
+Track text is read in numpy when its lines are regular: lines of at least
+seven fields, ending in ``\\n`` or ``\\r\\n``; empty lines are skipped, as
+the line parser skips them. The reader takes the text as UTF-8 in
 line-aligned chunks of about 256 KiB. It reads a field
 ``-?D{1,16}(.D{1,22})?`` of at most 19 digits, leading zeros not counted
 where the whole part is zero, with integer arithmetic. That covers every
@@ -21,9 +21,10 @@ number :func:`write_tracks` prints from digits: integral values below 1e15
 and others from 1e-4 up to 1e15 at full precision. It reads any other
 field, and a rounding next to a power of two that the integer arithmetic
 leaves open, with ``float()`` on that field alone: exponents, ``+`` signs,
-spaces, ``10.``, ``.25``, ``1_0``, longer numbers. Every field gets the value
-the line parser gives it. Other text goes to the line parser whole: a line
-of only spaces, non-ASCII text, a line of fewer than seven fields, a field
+spaces, non-ASCII characters, ``10.``, ``.25``, ``1_0``, longer numbers.
+Every field gets the value the line parser gives it. Other text goes to the
+line parser whole: a line of only spaces, text UTF-8 cannot encode (a lone
+surrogate), a line of fewer than seven fields, a field
 ``float()`` rejects, frames and ids that are not integers below 2**53, and a
 row :class:`Detection` rejects. The line parser gives the same detections,
 or names the bad line.
@@ -172,6 +173,34 @@ class DetectionTable(Sequence[Detection]):
         """The rows selected by an integer array or boolean mask, in its order."""
         return DetectionTable._wrap([c[index] for c in self.columns])
 
+    def by_frame(self) -> DetectionTable:
+        """The rows in (frame, id) order, rows of equal key in table order.
+
+        A table already in strictly increasing (frame, id) order is returned
+        as it is, after one O(N) check; any other takes one ``lexsort``.
+        Repeated keys are kept (see :meth:`check_tracks`).
+        """
+        step = np.diff(self.frame)
+        if ((step > 0) | ((step == 0) & (np.diff(self.track_id) > 0))).all():
+            return self
+        return self.take(np.lexsort((self.track_id, self.frame)))
+
+    def check_tracks(self) -> None:
+        """Raise ValueError where two adjacent rows of one id repeat a frame or go back in time.
+
+        In a table grouped by id, or sorted by (frame, id), these are the
+        consecutive rows of one track. One O(N) pass; the message names the
+        first such pair.
+        """
+        same = self.track_id[1:] == self.track_id[:-1]
+        back = np.flatnonzero(same & (self.frame[1:] <= self.frame[:-1]))
+        if len(back):
+            tid = self.track_id[back[0]].item()
+            prev, frame = self.frame[back[0] : back[0] + 2].tolist()
+            if frame == prev:
+                raise ValueError(f"({tid},{frame}) duplicated: track {tid} has two detections in frame {frame}")
+            raise ValueError(f"track {tid} goes back in time: frame {frame} follows frame {prev}")
+
     def relabeled(self, track_id) -> DetectionTable:
         """The same rows under other identity labels: one id for every row, or an array with one per row."""
         ids = np.empty(len(self), dtype=np.int64)
@@ -278,31 +307,33 @@ def _parse_lines(text: str) -> Iterator[Detection]:
 def _read_values(text: str) -> np.ndarray | None:
     """The first seven fields of every line of non-blank track text with regular lines, as an (N, 7) float64 array; None for other text.
 
-    Regular lines are ASCII lines of at least seven comma-separated fields,
-    of which ``float()`` takes the first seven. Lines may end in ``\\n`` or
+    Regular lines are lines of at least seven comma-separated fields, of
+    which ``float()`` takes the first seven. Lines may end in ``\\n`` or
     ``\\r\\n``, and empty lines, which the line parser skips, are skipped.
     Fields past the seventh are not read. Each value is the one ``float()``
-    gives for its field, stripped.
+    gives for its field, stripped. The text is read as UTF-8; text that
+    UTF-8 cannot encode (a lone surrogate) is not regular.
     """
     try:
-        data = text.encode("ascii")
+        data = text.encode()
     except UnicodeEncodeError:
         return None
+    ascii_only = len(data) == len(text)
     if b"\r" in data:
         if data.count(b"\r") != data.count(b"\r\n"):
             return None
         data = data.replace(b"\r\n", b"\n")
-    values = _read_lines(data)
+    values = _read_lines(data, ascii_only)
     if values is None and (data.startswith(b"\n") or b"\n\n" in data):  # looked for only here: the search is slow
-        values = _read_lines(re.sub(b"\n\n+", b"\n", data).lstrip(b"\n"))
+        values = _read_lines(re.sub(b"\n\n+", b"\n", data).lstrip(b"\n"), ascii_only)
     return values
 
 
-def _read_lines(data: bytes) -> np.ndarray | None:
-    """:func:`_read_values` of non-blank ASCII ``data`` whose lines end in ``\\n``, with no empty line before the last line with content.
+def _read_lines(data: bytes, ascii_only: bool) -> np.ndarray | None:
+    """:func:`_read_values` of non-blank UTF-8 ``data`` whose lines end in ``\\n``, with no empty line before the last line with content.
 
     The text is read in line-aligned chunks of about ``_CHUNK_BYTES`` by
-    :func:`_read_chunk`.
+    :func:`_read_chunk`; ``ascii_only`` tells whether every byte is below 0x80.
     """
     end = len(data)
     while data[end - 1] == 10:  # the text is not blank, so a line with content ends the loop
@@ -313,7 +344,7 @@ def _read_lines(data: bytes) -> np.ndarray | None:
     lo = len(_PAD)
     while lo < stop:
         hi = buf.find(b"\n", lo + _CHUNK_BYTES, stop) + 1 or stop
-        chunks.append(_read_chunk(buf, lo, hi))
+        chunks.append(_read_chunk(buf, lo, hi, ascii_only))
         if chunks[-1] is None:
             return None
         lo = hi
@@ -634,7 +665,7 @@ def _settle(buf: bytes, start: np.ndarray, end: np.ndarray) -> list[float]:
     return [float(buf[s:e].decode().strip()) for s, e in zip(start.tolist(), end.tolist())]
 
 
-def _read_chunk(buf: bytes, lo: int, hi: int) -> np.ndarray | None:
+def _read_chunk(buf: bytes, lo: int, hi: int, ascii_only: bool) -> np.ndarray | None:
     """The first seven fields of the lines of ``buf[lo:hi]`` as an (n, 7) float64 array.
 
     ``buf[lo - 1]`` and ``buf[hi - 1]`` are newlines and ``lo >= 24``. Every
@@ -646,8 +677,9 @@ def _read_chunk(buf: bytes, lo: int, hi: int) -> np.ndarray | None:
     words that end at its dot (or its end), its fraction those of the three
     words that end at its end, and :func:`_nearest` rounds it. The words 16
     bytes before the dot and 24 before the end are read only for the fields
-    that reach into them. :func:`_settle` reads the other fields, and those whose rounding
-    ``_nearest`` leaves open.
+    that reach into them. :func:`_settle` reads the other fields, those whose
+    rounding ``_nearest`` leaves open and, unless the text is ``ascii_only``,
+    those that hold a byte from 0x80 up.
     """
     arr = np.frombuffer(buf, np.uint8)
     at = np.flatnonzero(arr[lo - 1 : hi] <= 46)  # at[0] is the newline before the chunk
@@ -676,7 +708,7 @@ def _read_chunk(buf: bytes, lo: int, hi: int) -> np.ndarray | None:
     high = (words[point - 8] ^ zeros) & _PART_BYTES[0][whole]
     mid = (words[end - 16] ^ zeros) & _PART_BYTES[1][fraction]
     low = (words[end - 8] ^ zeros) & _PART_BYTES[0][fraction]
-    # a byte above 9 sets its top bit when 0x76 is added; the text is ASCII, so no byte carries
+    # a byte above 9 sets its top bit when 0x76 is added; an ASCII byte does not carry, and fields with others are settled below
     nines = _U(0x7676767676767676)
     flags = (high + nines) | (mid + nines) | (low + nines)
     integer, decimals = _eight_digits(high), _eight_digits(mid) * _U(10**8) + _eight_digits(low)
@@ -697,6 +729,10 @@ def _read_chunk(buf: bytes, lo: int, hi: int) -> np.ndarray | None:
     values, left = _nearest(w, fraction)
     values.view(np.uint64)[...] |= minus.astype(np.uint64) << _U(63)
     read[left] = False
+    if not ascii_only:
+        high = np.flatnonzero(arr[lo:hi] >= 0x80) + lo
+        field = np.searchsorted(start, high, "right") - 1  # the last field starting at or before the byte
+        read[field[high < end[field]]] = False
     loose = np.flatnonzero(~read)
     if len(loose):
         try:
@@ -710,14 +746,8 @@ def _read_chunk(buf: bytes, lo: int, hi: int) -> np.ndarray | None:
 _SEPARATORS = (",",) * 6 + (",-1,-1,-1\n",)
 
 
-def _strictly_ordered(table: DetectionTable) -> bool:
-    """Whether the rows run in strictly increasing (frame, id) order: one O(N) pass."""
-    step = np.diff(table.frame)
-    return bool(((step > 0) | ((step == 0) & (np.diff(table.track_id) > 0))).all())
-
-
 def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) -> str:
-    """Write detections in MOTChallenge format, sorted by (frame, id).
+    """Write detections in MOTChallenge format, sorted by (frame, id) by :meth:`DetectionTable.by_frame`.
 
     The detections are written as the columns of ``DetectionTable.of``, so
     every value field prints its float64 value by one rule: an integral value
@@ -725,15 +755,12 @@ def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) 
     ``0``), any other value as its shortest round-trip repr. Integral values
     below 1e15 and non-integral ones from 1e-4 up to 1e15 are printed from
     digits computed in numpy for whole columns; ``repr`` formats each distinct
-    other value once (below 1e-4, from 1e15 up, subnormals). Rows already in
-    strict (frame, id) order are written as they are. Returns the text; also
-    writes it to ``stream`` when given. ``parse_tracks(write_tracks(D))``
-    reproduces D up to ordering.
+    other value once (below 1e-4, from 1e15 up, subnormals). A repeated
+    (frame, id) is written, its rows in input order, as :func:`parse_tracks`
+    reads it. Returns the text; also writes it to ``stream`` when given.
+    ``parse_tracks(write_tracks(D))`` reproduces D up to ordering.
     """
-    table = DetectionTable.of(detections)
-    if not _strictly_ordered(table):
-        table = table.take(np.lexsort((table.track_id, table.frame)))
-    text = _format_rows(table.columns, _SEPARATORS)
+    text = _format_rows(DetectionTable.of(detections).by_frame().columns, _SEPARATORS)
     if stream is not None:
         stream.write(text)
     return text

@@ -11,8 +11,6 @@ import time
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-import numpy as np
-
 from .associator import build_domains, dump_candidates, solve_with_stats, stitch
 from .config import PipelineConfig
 from .interpolate import fill_gaps
@@ -90,8 +88,6 @@ def refine_detections(
         filled = fill_gaps(out, cfg.max_gap_size)
         summary.detections_interpolated = len(filled) - len(out)
         out = filled
-    # stitch numbers trajectories in list order and keeps each frame-sorted,
-    # so a stable sort by frame orders the whole output by (frame, id)
-    out = out.take(np.argsort(out.frame, kind="stable"))
+    out = out.by_frame()
     summary.wall_time_s = time.perf_counter() - started
     return out, summary

@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from sys import float_info
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,6 +136,11 @@ class ScoreConfig:
             if kind not in self.params:
                 raise ValueError(f"missing parameters for {kind.value}")
             self.params[kind].validate(kind)
+        # a product of k scores clamped at L, multiplied as stop_scores does,
+        # must stay a normal float: else STOP's product may underflow to 0
+        k = len(self.enabled_kinds)
+        if math.prod([self.lower] * k) < float_info.min:
+            raise ValueError(f"bounds.L**{k} must be a normal float with {k} constraints enabled, got bounds.L={self.lower}")
 
     @property
     def enabled_kinds(self) -> list[ConstraintKind]:

@@ -387,4 +387,4 @@ def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[DetectionTa
         if id_of[left] and id_of[left + 1]
     ]
     out = rows.take(picked).relabeled(ids[piece_of])
-    return out.take(np.lexsort((out.track_id, out.frame))), log
+    return out.by_frame(), log

@@ -169,10 +169,12 @@ class Tracklets(Sequence[Tracklet]):
 
     Each run of rows that read one ``track_id`` is a tracklet, named by that
     id: run k is ``rows[bounds[k]:bounds[k + 1]]`` and its id ``ids[k]``. No
-    id may reappear after another, and the frames of a run must increase
-    strictly (else ValueError: an id given to two runs, a frame given twice,
-    or one going back). Its endpoint summaries are the row k of :attr:`ends`,
-    computed on first read from the rows with ``window`` and ``min_len``.
+    id may reappear after another (else ValueError), and the frames of a run
+    must increase strictly (else the ValueError of
+    :meth:`~trackstitch.mot_io.DetectionTable.check_tracks`: a frame given
+    twice, or one going back). Its endpoint summaries are the row k of
+    :attr:`ends`, computed on first read from the rows with ``window`` and
+    ``min_len``.
 
     The window must satisfy ``2 <= window < min_len`` (else ``ValueError``),
     so that a run of at least ``min_len`` detections holds its window plus the
@@ -202,15 +204,7 @@ class Tracklets(Sequence[Tracklet]):
         repeated = np.flatnonzero(by_id[1:] == by_id[:-1])
         if len(repeated):
             raise ValueError(f"duplicate tracklet id {by_id[repeated[0]]}")
-        steps = np.diff(rows.frame)
-        steps[self.bounds[1:-1] - 1] = 1  # a step from one run into the next
-        back = np.flatnonzero(steps < 1)
-        if len(back):
-            tid = rows.track_id[back[0]].item()
-            prev, frame = rows.frame[back[0] : back[0] + 2].tolist()
-            if frame == prev:
-                raise ValueError(f"({tid},{frame}) duplicated: track {tid} has two detections in frame {frame}")
-            raise ValueError(f"track {tid} goes back in time: frame {frame} follows frame {prev}")
+        rows.check_tracks()
 
     @property
     def ends(self) -> EndpointArrays:

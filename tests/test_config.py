@@ -88,6 +88,24 @@ def test_invalid_values_rejected(tmp_path):
         load_pipeline_config(path)
 
 
+def test_a_lower_bound_whose_products_underflow_is_rejected(tmp_path):
+    # five scores at a clamp of 1e-300 multiply to 0, and STOP's product may be such a product
+    cfg = PipelineConfig()
+    for params in cfg.scores.params.values():
+        params.enabled = True
+    cfg.scores.lower = 1e-300
+    message = r"bounds.L\*\*5 must be a normal float with 5 constraints enabled, got bounds.L=1e-300$"
+    with pytest.raises(ValueError, match="^" + message):
+        cfg.validate()
+    path = tmp_path / "pipeline.cfg"
+    path.write_text("".join(f"{k.value}.enabled = true\n" for k in ConstraintKind) + "bounds.L = 1e-300\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        load_pipeline_config(path)
+    # three constraints at 1e-100 keep a normal product
+    path.write_text("bounds.L = 1e-100\n")
+    assert load_pipeline_config(path).scores.lower == 1e-100
+
+
 def test_format_is_a_flat_kv_file():
     text = format_pipeline_config(PipelineConfig())
     for line in text.splitlines():

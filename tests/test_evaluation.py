@@ -118,7 +118,7 @@ def test_report_formats():
 
 def test_rejects_duplicate_ids_in_frame():
     bad = GT + [Detection(1, 1, 50.0, 50.0, 10.0, 10.0, 1.0)]
-    with pytest.raises(ValueError, match="twice"):
+    with pytest.raises(ValueError, match=r"^\(1,1\) duplicated: track 1 has two detections in frame 1$"):
         evaluate_sequence(bad, GT)
 
 
@@ -140,13 +140,13 @@ def test_idf1_is_a_python_float():
     assert type(evaluate_sequence(GT, relabel(GT, {1: 5})).idf1) is float
 
 
-def test_rows_of_a_frame_keep_their_input_order():
+def test_rows_of_a_frame_are_read_in_id_order():
     # two gt and two predicted boxes coincide: every IoU is 1, so the matching
-    # pairs them in the order the rows were given
+    # pairs them in id order, whatever order the rows were given in
     gt = [Detection(1, 2, 0.0, 0.0, 10.0, 10.0, 1.0), Detection(1, 1, 0.0, 0.0, 10.0, 10.0, 1.0)]
     pred = [Detection(1, 5, 0.0, 0.0, 10.0, 10.0, 1.0), Detection(1, 6, 0.0, 0.0, 10.0, 10.0, 1.0)]
-    assert clear_frame_matchings(gt, pred)[0].matches == [(1, 6), (2, 5)]
-    assert clear_frame_matchings(gt, pred[::-1])[0].matches == [(1, 5), (2, 6)]
+    for g, p in ((gt, pred), (gt, pred[::-1]), (gt[::-1], pred), (gt[::-1], pred[::-1])):
+        assert clear_frame_matchings(g, p)[0].matches == [(1, 5), (2, 6)]
 
 
 def test_tables_score_like_lists():
@@ -160,32 +160,33 @@ def test_tables_score_like_lists():
     assert clear_frame_matchings(DetectionTable.of(GT), DetectionTable.of(pred)) == clear_frame_matchings(GT, pred)
 
 
-def test_duplicate_message_names_the_first_repeat_in_input_order():
+def test_duplicate_message_names_the_first_repeat_in_frame_order():
     bad = GT + [Detection(4, 2, 0.0, 0.0, 5.0, 5.0, 1.0), Detection(2, 1, 0.0, 0.0, 5.0, 5.0, 1.0)]
-    with pytest.raises(ValueError, match=r"^id 2 appears twice in frame 4$"):
-        idf1(bad, GT)
+    for rows in (bad, bad[::-1]):
+        with pytest.raises(ValueError, match=r"^\(1,2\) duplicated: track 1 has two detections in frame 2$"):
+            idf1(rows, GT)
 
 
 def test_a_frame_sorted_table_with_a_repeated_id_names_the_same_row():
-    # a table in (frame, id) order but for one repeat takes the checked sort,
-    # and the message names the repeat as an unsorted input would
+    # a table in (frame, id) order but for one repeat takes the sort, and the
+    # message names the repeat as an unsorted input would
     from trackstitch.mot_io import DetectionTable
 
     rows = sorted(GT + [Detection(4, 2, 0.0, 0.0, 5.0, 5.0, 1.0)], key=lambda d: (d.frame, d.track_id))
-    with pytest.raises(ValueError, match=r"^id 2 appears twice in frame 4$"):
+    with pytest.raises(ValueError, match=r"^\(2,4\) duplicated: track 2 has two detections in frame 4$"):
         evaluate_sequence(DetectionTable.of(rows), GT)
-    with pytest.raises(ValueError, match=r"^id 2 appears twice in frame 4$"):
+    with pytest.raises(ValueError, match=r"^\(2,4\) duplicated: track 2 has two detections in frame 4$"):
         evaluate_sequence(GT, rows)
-    # of two repeats, the first in input order
+    # of two repeats, the first in (frame, id) order
     rows = sorted(rows + [Detection(2, 1, 0.0, 0.0, 5.0, 5.0, 1.0)], key=lambda d: (d.frame, d.track_id))
-    with pytest.raises(ValueError, match=r"^id 1 appears twice in frame 2$"):
+    with pytest.raises(ValueError, match=r"^\(1,2\) duplicated: track 1 has two detections in frame 2$"):
         evaluate_sequence(GT, rows)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_frame_sorted_and_object_ordered_inputs_score_alike(seed):
     # generate's tables hold each object's rows in turn, corrupt's are sorted
-    # by (frame, id); reordered, each frame's rows keep their relative order
+    # by (frame, id); the scores depend only on the set of rows
     from trackstitch import CorruptionConfig, ScenarioConfig, corrupt, generate
 
     gt, _ = generate(ScenarioConfig(num_objects=12, num_frames=150, crossings=4, seed=seed))
@@ -205,9 +206,10 @@ THRESHOLDS = [1.0, 0.5, 1e-9]
 
 
 def _by_frame(gt, pred):
+    """Each frame's gt and predicted rows, each side in id order."""
     frames = {}
     for side, rows in enumerate((gt, pred)):
-        for d in rows:
+        for d in sorted(rows, key=lambda d: d.track_id):
             frames.setdefault(d.frame, ([], []))[side].append(d)
     return {f: frames[f] for f in sorted(frames)}
 
@@ -315,7 +317,7 @@ def random_scene(rng):
         pred = []
     if rng.random() < 0.25:
         gt, pred = contest_every_frame(gt, pred)
-    # input order decides ties, so shuffle it
+    # the scores must not depend on the input order, so shuffle it
     return [gt[i] for i in rng.permutation(len(gt))], [pred[i] for i in rng.permutation(len(pred))]
 
 
@@ -381,7 +383,7 @@ def test_a_gt_id_back_under_its_old_prediction_is_no_switch():
 
 def test_idf1_checks_the_ground_truth_before_an_empty_prediction():
     bad = GT + [Detection(1, 1, 50.0, 50.0, 10.0, 10.0, 1.0)]
-    with pytest.raises(ValueError, match=r"^id 1 appears twice in frame 1$"):
+    with pytest.raises(ValueError, match=r"^\(1,1\) duplicated: track 1 has two detections in frame 1$"):
         idf1(bad, [])
 
 

@@ -73,8 +73,10 @@ def test_single_detection_and_empty():
 
 
 def test_rejects_duplicate_frames():
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match=r"^\(1,3\) duplicated: track 1 has two detections in frame 3$"):
         fill_gaps([det(3), det(3, x=5.0)], 10)
+    with pytest.raises(ValueError, match=r"^track 1 goes back in time: frame 3 follows frame 5$"):
+        fill_gaps([det(5), det(3)], 10)
 
 
 def test_rejects_nonpositive_max_gap():
@@ -132,5 +134,5 @@ def test_fills_each_track_id_run_of_a_table_separately():
     together = fill_gaps(a + b + c, 10)
     assert together == [*fill_gaps(a, 10), *fill_gaps(b, 10), *fill_gaps(c, 10)]
     assert len(together) == 6 + 2 + 2 + 1  # nothing is filled between runs
-    with pytest.raises(ValueError, match="strictly increasing at frame 5"):
+    with pytest.raises(ValueError, match=r"^\(2,5\) duplicated: track 2 has two detections in frame 5$"):
         fill_gaps(a + [det(5, tid=2), det(5, tid=2)], 10)

@@ -484,6 +484,9 @@ FAST_PATH_CORPUS = [
     "1,2,10,20,30,40,1,-1,-1,-1\n2,2,10,20,30,40,1,-1,-1\n",
     "1,2,10,20,30,40,1\n\n2,2,10,20,30,40,1\n",
     "1,2,10,20,30,40,1,é\n",
+    "1,2,10,20,30,40,1,\ud800\n",
+    "1,\u20072,10,20,30,40,1\n",
+    "1,2,10,20,30,40,１\n",
     "1,2,10,20,30,40,1,\x00,x\n",
 ]
 FAST_PATH_CORPUS += [
@@ -703,6 +706,19 @@ def test_reader_settles_roundings_next_to_a_power_of_two_alone(detections_built,
         assert _read_values(f"1,1,{field},1,1,1,1\n")[0, 2] == float(field)
 
 
+def test_reader_settles_fields_with_non_ascii_text_alone(detections_built, settled):
+    # a non-ASCII character past the seventh field is not read, and one inside
+    # a field sends only that field to float(); the rest stays in numpy
+    k = np.arange(5000)
+    lines = write_tracks(DetectionTable(k // 10 + 1, k % 10 + 1, k / 7, k / 3, 1 + k / 9, 2.5 + 0 * k, 0.875 + 0 * k)).splitlines(keepends=True)
+    lines[100] = lines[100].replace(",-1,-1,-1", ",é,-1,-1")
+    lines[2500] = lines[2500].replace(",", ",\xa0", 1)  # a no-break space before the id
+    text = "".join(lines)
+    table = parse_tracks(text)
+    assert not detections_built and settled == ["\xa01"]
+    assert table == DetectionTable.of(_reference_parse(text))
+
+
 def test_reader_settles_long_whole_parts_with_few_fraction_digits_alone(settled):
     # at v >= 2**(53 - fraction) the residual is not an integer; the first
     # two are exact ties, which float() rounds to even
@@ -760,6 +776,8 @@ READER_TEXT = [
     ("widest fields", "9007199254740991,99999999,-1234567890123456.125,0.0001234567890123456789,1,2,0.3000000000000000444089\n"),
     ("full precision", "1,2,0.30000000000000004,0.00012345678901234567,123456789012.34567,1e-05,0.9999999999999999\n"),
     ("other spellings", "1e3,+2,1.05e1, 20 ,\t30.,.25,1_0\n2,2,-1e-320,1E+2,1.5e15,0.5,\x1c1\x1c\n"),
+    ("non-ASCII past the seventh field", "1,2,10.5,20,30,40,1,é,-1,-1\n2,3,-4.25,0.5,30,40,0.9,-1,-1,-1\n"),
+    ("no-break space in an id", "1,2,10.5,20,30,40,1,-1,-1,-1\n2,\xa03,-4.25,0.5,30,40,0.9\u2003,-1,-1,-1\n"),
 ]
 
 

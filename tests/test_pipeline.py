@@ -8,7 +8,7 @@ from trackstitch.mot_io import Detection, DetectionTable, SequenceMeta
 from trackstitch.pipeline import refine_detections
 from trackstitch.scoring import ConstraintKind
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
-from trackstitch.tracklets import cut_tracklets, group_tracklets
+from trackstitch.tracklets import Tracklets, cut_tracklets, group_tracklets
 
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=200)
 
@@ -221,9 +221,10 @@ CLEAN = DetectionTable.of([Detection(f, 7, f - 1.0, 0.0, 10.0, 10.0, 1.0) for f 
         lambda table: evaluate_sequence(CLEAN, table),
         lambda table: corrupt(table, CorruptionConfig()),
         lambda table: fill_gaps(table, 5),
+        lambda table: Tracklets(table),
     ],
-    ids=["refine", "eval-gt", "eval-pred", "corrupt", "fill_gaps"],
+    ids=["refine", "eval-gt", "eval-pred", "corrupt", "fill_gaps", "Tracklets"],
 )
 def test_every_entry_point_rejects_two_rows_of_a_track_in_one_frame(entry):
-    with pytest.raises(ValueError, match=r"\bframe 3$"):
+    with pytest.raises(ValueError, match=r"^\(7,3\) duplicated: track 7 has two detections in frame 3$"):
         entry(TWO_IN_FRAME_3)

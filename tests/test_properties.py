@@ -8,7 +8,8 @@ detection must come out exactly once (plus the interpolated ones) in
 (frame, id) order, and a rerun must give byte-identical output.
 
 Metamorphic tests on crossing scenes check that refining commutes with a
-shift of every frame and with scaling every box and the canvas by two.
+shift of every frame and with scaling every box and the canvas by two, and
+that neither refining nor scoring depends on the order of the input rows.
 """
 
 import dataclasses
@@ -26,8 +27,10 @@ from trackstitch import (
     ScenarioConfig,
     ScenarioError,
     build_domains,
+    clear_frame_matchings,
     corrupt,
     cut_tracklets,
+    evaluate_sequence,
     generate,
     group_tracklets,
     refine_detections,
@@ -91,10 +94,10 @@ def test_refine_invariants(seq, cutter, every_constraint):
 
 
 def crossing_scene(seed):
-    """Tracker output on a crossing scene: 30 objects, 600 frames, 10 crossings, swaps, fragments and dropout."""
+    """Ground truth and tracker output on a crossing scene: 30 objects, 600 frames, 10 crossings, swaps, fragments and dropout."""
     gt, meta = generate(ScenarioConfig(num_objects=30, num_frames=600, crossings=10, seed=seed))
     tracker, _ = corrupt(gt, CorruptionConfig(swap_prob=0.5, fragment_prob=0.5, dropout=0.02, seed=seed))
-    return tracker, meta
+    return gt, tracker, meta
 
 
 def same_bits(a, b):
@@ -103,7 +106,7 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_refine_moves_with_a_frame_shift(seed):
-    tracker, meta = crossing_scene(seed)
+    _, tracker, meta = crossing_scene(seed)
     refined, summary = refine_detections(tracker, meta)
     frame, *rest = tracker.columns
     later = dataclasses.replace(meta, num_frames=meta.num_frames + 1000)
@@ -115,7 +118,7 @@ def test_refine_moves_with_a_frame_shift(seed):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_refine_scales_with_boxes_and_canvas(seed):
-    tracker, meta = crossing_scene(seed)
+    _, tracker, meta = crossing_scene(seed)
     refined, _ = refine_detections(tracker, meta)
     frame, track_id, x, y, w, h, conf = tracker.columns
     larger = dataclasses.replace(meta, img_width=2 * meta.img_width, img_height=2 * meta.img_height)
@@ -123,3 +126,28 @@ def test_refine_scales_with_boxes_and_canvas(seed):
     assert same_bits(scaled.frame, refined.frame) and same_bits(scaled.track_id, refined.track_id)
     assert all(same_bits(getattr(scaled, k), 2 * getattr(refined, k)) for k in "xywh")
     assert same_bits(scaled.conf, refined.conf)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_refine_does_not_depend_on_row_order(seed):
+    _, tracker, meta = crossing_scene(seed)
+    refined, summary = refine_detections(tracker, meta)
+    shuffled = tracker.take(np.random.default_rng(seed).permutation(len(tracker)))
+    again, again_summary = refine_detections(shuffled, meta)
+    assert write_tracks(again) == write_tracks(refined)
+    assert dataclasses.replace(again_summary, wall_time_s=0) == dataclasses.replace(summary, wall_time_s=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scores_depend_only_on_the_set_of_rows(seed):
+    # CLEAR and IDF1 are defined per frame over sets of boxes
+    gt, tracker, _ = crossing_scene(seed)
+    rng = np.random.default_rng(seed)
+
+    def scores(g, p):
+        # a list of reprs: a failure reports the first record that differs
+        return [repr(evaluate_sequence(g, p)), *map(repr, clear_frame_matchings(g, p))]
+
+    expected = scores(gt, tracker)
+    for _ in range(3):
+        assert scores(gt.take(rng.permutation(len(gt))), tracker.take(rng.permutation(len(tracker)))) == expected

@@ -289,12 +289,18 @@ class TestMarginals:
         assert sum(domains[0].marginals.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_all_zero_raises(self):
-        # every enabled constraint scores STOP at L = 1e-200, and the product underflows to 0
+        # every enabled constraint would score STOP at L = 1e-200, and the
+        # product would underflow to 0: validation rejects that L up front
         cfg = ScoreConfig(lower=1e-200)
         for kind in cfg.enabled_kinds:
             cfg.params[kind].tend = 1e6
-        with pytest.raises(ValueError, match="^all candidate products are zero; domains must retain STOP$"):
+        message = r"^bounds.L\*\*3 must be a normal float with 3 constraints enabled, got bounds.L=1e-200$"
+        with pytest.raises(ValueError, match=message):
             build_domains(group_tracklets(run(1, range(1, 11))), cfg, META)
+        # at L = 1e-100 the product is a normal float, and STOP keeps it
+        cfg.lower = 1e-100
+        products, marginals = rows(build_domains(group_tracklets(run(1, range(1, 11))), cfg, META))[0]
+        assert products.tolist() == [1e-100 * 1e-100 * 1e-100] and marginals.tolist() == [1.0]
 
     def test_ordering_invariant_under_rescale(self):
         # a speed constraint that scores every entry, STOP included, at U
