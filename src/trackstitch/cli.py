@@ -57,6 +57,10 @@ def _sequence_meta(args, detections: mot_io.DetectionTable) -> mot_io.SequenceMe
 
 
 def _cmd_refine(args) -> int:
+    # a dump on the output would share its atomic writer's temporary file, and one on the input would replace it
+    for role, path in (("input", args.input), ("output", args.output)):
+        if args.dump_candidates and Path(args.dump_candidates).resolve() == Path(path).resolve():
+            raise ValueError(f"--dump-candidates must not name the {role} file, got {args.dump_candidates}")
     detections = mot_io.load_tracks(args.input)
     meta = _sequence_meta(args, detections)
     cfg = load_pipeline_config(args.config) if args.config else PipelineConfig()

@@ -11,14 +11,13 @@ Scenario files (``scene.*`` and ``corrupt.*`` keys) configure ``synth``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .mot_io import atomic_writer
 from .scoring import ConstraintKind, ScoreConfig, check_flag, file_form
 from .synth import CorruptionConfig, ScenarioConfig
-from .tracklets import check_window
+from .tracklets import check_integer, check_window
 
 
 @dataclass
@@ -39,8 +38,7 @@ class PipelineConfig:
         check_flag(self.interp_enabled, "interp.enabled")
         if not (0.0 < self.cut_threshold <= 1.0):
             raise ValueError(f"cutter.t_tc must lie in (0, 1], got {self.cut_threshold}")
-        if not isinstance(self.max_gap_size, numbers.Integral):
-            raise ValueError(f"interp.max_gap must be an integer, got {self.max_gap_size}")
+        check_integer(self.max_gap_size, "interp.max_gap")
         if self.max_gap_size < 1:
             raise ValueError(f"interp.max_gap must be positive, got {self.max_gap_size}")
         check_window(self.endpoint_window, self.endpoint_min_len, ("endpoints.window", "endpoints.min_len"))
@@ -76,76 +74,69 @@ def read_kv(path: str | Path) -> dict[str, str]:
     return values
 
 
+# Every pipeline key once, in file order: the object it sets, that object's
+# attribute, the kind of value, and the constraint whose file form a threshold
+# takes (see scoring.file_form: predicted-IOU t50/t0 are written as IOU values).
+_PIPELINE_KEYS = {
+    "bounds.L": (lambda cfg: cfg.scores, "lower", "number", None),
+    "bounds.U": (lambda cfg: cfg.scores, "upper", "number", None),
+    **{
+        f"{kind.value}.{attr}": (lambda cfg, kind=kind: cfg.scores.params[kind], attr, value_kind, form)
+        for kind in ConstraintKind
+        for attr, value_kind, form in (
+            ("enabled", "flag", None),
+            ("t50", "number", kind),
+            ("tend", "number", None),
+            ("t0", "number or none", kind),
+        )
+    },
+    "cutter.enabled": (lambda cfg: cfg, "cutter_enabled", "flag", None),
+    "cutter.t_tc": (lambda cfg: cfg, "cut_threshold", "number", None),
+    "interp.enabled": (lambda cfg: cfg, "interp_enabled", "flag", None),
+    "interp.max_gap": (lambda cfg: cfg, "max_gap_size", "integer", None),
+    "endpoints.window": (lambda cfg: cfg, "endpoint_window", "integer", None),
+    "endpoints.min_len": (lambda cfg: cfg, "endpoint_min_len", "integer", None),
+}
+
+
+def _parse_value(value: str, key: str, value_kind: str, form: ConstraintKind | None):
+    if value_kind == "flag":
+        return _parse_bool(value, key)
+    if value_kind == "integer":
+        return _parse_number(value, key, int)
+    if value_kind == "number or none" and value.lower() == "none":
+        return None
+    return file_form(form, _parse_number(value, key))
+
+
+def _format_value(value, value_kind: str, form: ConstraintKind | None) -> str:
+    if value_kind == "flag":
+        return "true" if value else "false"
+    if value_kind == "integer":
+        return f"{value}"
+    return "none" if value is None else repr(file_form(form, value))
+
+
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
     """Load a config file over the defaults; an unknown key or an invalid value is an error naming the file."""
     cfg = PipelineConfig()
     values = read_kv(path)
     try:
         for key, value in values.items():
-            _apply(cfg, key, value)
+            if key not in _PIPELINE_KEYS:
+                raise ValueError(f"unknown key {key!r}")
+            target, attr, value_kind, form = _PIPELINE_KEYS[key]
+            setattr(target(cfg), attr, _parse_value(value, key, value_kind, form))
         cfg.validate()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return cfg
 
 
-def _apply(cfg: PipelineConfig, key: str, value: str) -> None:
-    prefix, _, name = key.partition(".")
-    kinds = {k.value: k for k in ConstraintKind}
-    if prefix in kinds:
-        kind = kinds[prefix]
-        params = cfg.scores.params[kind]
-        if name == "enabled":
-            params.enabled = _parse_bool(value, key)
-        elif name == "t50":
-            params.t50 = file_form(kind, _parse_number(value, key))
-        elif name == "tend":
-            params.tend = _parse_number(value, key)
-        elif name == "t0":
-            params.t0 = None if value.lower() == "none" else file_form(kind, _parse_number(value, key))
-        else:
-            raise ValueError(f"unknown key {key!r}")
-    elif key == "bounds.L":
-        cfg.scores.lower = _parse_number(value, key)
-    elif key == "bounds.U":
-        cfg.scores.upper = _parse_number(value, key)
-    elif key == "cutter.enabled":
-        cfg.cutter_enabled = _parse_bool(value, key)
-    elif key == "cutter.t_tc":
-        cfg.cut_threshold = _parse_number(value, key)
-    elif key == "interp.enabled":
-        cfg.interp_enabled = _parse_bool(value, key)
-    elif key == "interp.max_gap":
-        cfg.max_gap_size = _parse_number(value, key, int)
-    elif key == "endpoints.window":
-        cfg.endpoint_window = _parse_number(value, key, int)
-    elif key == "endpoints.min_len":
-        cfg.endpoint_min_len = _parse_number(value, key, int)
-    else:
-        raise ValueError(f"unknown key {key!r}")
-
-
 def format_pipeline_config(cfg: PipelineConfig) -> str:
-    lines = [
-        "# trackstitch pipeline configuration",
-        f"bounds.L = {cfg.scores.lower!r}",
-        f"bounds.U = {cfg.scores.upper!r}",
-    ]
-    for kind in ConstraintKind:
-        p = cfg.scores.params[kind]
-        key = kind.value
-        lines.append(f"{key}.enabled = {'true' if p.enabled else 'false'}")
-        lines.append(f"{key}.t50 = {file_form(kind, p.t50)!r}")
-        lines.append(f"{key}.tend = {p.tend!r}")
-        lines.append(f"{key}.t0 = {'none' if p.t0 is None else repr(file_form(kind, p.t0))}")
-    lines += [
-        f"cutter.enabled = {'true' if cfg.cutter_enabled else 'false'}",
-        f"cutter.t_tc = {cfg.cut_threshold!r}",
-        f"interp.enabled = {'true' if cfg.interp_enabled else 'false'}",
-        f"interp.max_gap = {cfg.max_gap_size}",
-        f"endpoints.window = {cfg.endpoint_window}",
-        f"endpoints.min_len = {cfg.endpoint_min_len}",
-    ]
+    lines = ["# trackstitch pipeline configuration"]
+    for key, (target, attr, value_kind, form) in _PIPELINE_KEYS.items():
+        lines.append(f"{key} = {_format_value(getattr(target(cfg), attr), value_kind, form)}")
     return "\n".join(lines) + "\n"
 
 

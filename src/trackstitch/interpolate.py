@@ -9,12 +9,12 @@ conf = 1.
 
 from __future__ import annotations
 
-import numbers
 from typing import Sequence
 
 import numpy as np
 
 from .mot_io import Detection, DetectionTable
+from .tracklets import check_integer
 
 
 def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> DetectionTable:
@@ -27,8 +27,7 @@ def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> DetectionTa
     same float operations, in the same order, as one scalar formula per
     inserted detection.
     """
-    if not isinstance(max_gap_size, numbers.Integral):
-        raise ValueError(f"max_gap_size must be an integer, got {max_gap_size}")
+    check_integer(max_gap_size, "max_gap_size")
     if max_gap_size < 1:
         raise ValueError(f"max_gap_size must be positive, got {max_gap_size}")
     rows = DetectionTable.of(trajectory)

@@ -69,12 +69,17 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     return iou_pairs(boxes_a.T[:, :, None], boxes_b.T[:, None, :])
 
 
+def check_integer(value, name: str) -> None:
+    """Raise ValueError, naming the setting ``name``, unless ``value`` is an integer (numpy's included) other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def check_window(window: int, min_len: int, names: tuple[str, str] = ("window", "min_len")) -> None:
     """Raise ValueError, naming both values by ``names``, unless both are integers and ``2 <= window < min_len`` (see :class:`Tracklets`)."""
     w, m = names
     for name, value in zip(names, (window, min_len)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value}")
+        check_integer(value, name)
     if not 2 <= window < min_len:
         raise ValueError(f"{w} must satisfy 2 <= {w} < {m}, got {w}={window}, {m}={min_len}")
 

@@ -200,6 +200,21 @@ def test_refine_duplicate_frame_id_leaves_no_dump(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.txt"]
 
 
+@pytest.mark.parametrize("role", ["input", "output"])
+def test_refine_rejects_a_dump_naming_the_input_or_the_output(tmp_path, capsys, monkeypatch, role):
+    out_dir = run_synth(tmp_path, capsys)
+    files = {"input": out_dir / "tracker.txt", "output": out_dir / "refined.txt"}
+    files["output"].write_text("an earlier output\n")
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    # the dump spells the same file relative to the working directory
+    monkeypatch.chdir(out_dir)
+    dump = files[role].name
+    code = main(["refine", str(files["input"]), str(files["output"]), "--seqinfo", "seqinfo.ini", "--dump-candidates", dump])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --dump-candidates must not name the {role} file, got {dump}\n"
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
 @pytest.mark.parametrize("threshold", ["0", "1.5"])
 def test_eval_rejects_iou_threshold_outside_unit_interval(tmp_path, capsys, threshold):
     out_dir = run_synth(tmp_path, capsys)

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,78 @@ def test_round_trip_through_file(tmp_path):
     save_pipeline_config(cfg, path)
     back = load_pipeline_config(path)
     assert back == cfg
+
+
+DEFAULT_FILE = """\
+# trackstitch pipeline configuration
+bounds.L = 1e-06
+bounds.U = 0.999999
+td.enabled = true
+td.t50 = 1.0
+td.tend = 3.0
+td.t0 = none
+ad.enabled = false
+ad.t50 = 0.5
+ad.tend = 1.5
+ad.t0 = none
+sd.enabled = false
+sd.t50 = 0.01
+sd.tend = 0.05
+sd.t0 = none
+piou.enabled = true
+piou.t50 = 0.75
+piou.tend = 2.0
+piou.t0 = none
+pcd.enabled = true
+pcd.t50 = 0.02
+pcd.tend = 2.0
+pcd.t0 = none
+cutter.enabled = true
+cutter.t_tc = 0.5
+interp.enabled = true
+interp.max_gap = 42
+endpoints.window = 6
+endpoints.min_len = 10
+"""
+
+
+def test_default_file_is_pinned_byte_for_byte():
+    assert format_pipeline_config(PipelineConfig()) == DEFAULT_FILE
+
+
+def test_every_key_round_trips_through_a_file(tmp_path):
+    cfg = PipelineConfig()
+    cfg.scores.lower, cfg.scores.upper = 1e-5, 0.9999
+    for params in cfg.scores.params.values():
+        # halves and doubles of the defaults; predicted IOU's come back exactly from 1 - IOU
+        params.enabled = not params.enabled
+        params.t50, params.tend, params.t0 = params.t50 / 2, params.tend * 2, params.t50 * 3
+    cfg.cutter_enabled, cfg.cut_threshold = False, 0.25
+    cfg.interp_enabled, cfg.max_gap_size = False, 7
+    cfg.endpoint_window, cfg.endpoint_min_len = 4, 12
+    lines = format_pipeline_config(cfg).splitlines()
+    default_lines = DEFAULT_FILE.splitlines()
+    assert len(lines) == len(default_lines) == 29
+    moved = [line for line, default in zip(lines[1:], default_lines[1:]) if line != default]
+    assert len(moved) == 28  # every key off its default
+    path = tmp_path / "pipeline.cfg"
+    save_pipeline_config(cfg, path)
+    back = load_pipeline_config(path)
+    assert back == cfg
+    assert format_pipeline_config(back) == path.read_text()
+
+
+def test_readme_table_names_every_key_with_its_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Pipeline configuration", 1)[1].split("| --- | --- | --- |\n", 1)[1]
+    documented = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        key_cell, default_cell = row.split("|")[1:3]
+        keys, defaults = re.findall(r"`([^`]*)`", key_cell), re.findall(r"`([^`]*)`", default_cell)
+        assert len(keys) == len(defaults), row
+        documented.update(zip(keys, defaults))
+    written = dict(line.split(" = ") for line in DEFAULT_FILE.splitlines()[1:])
+    assert documented == written
 
 
 def test_piou_written_in_iou_form(tmp_path):
@@ -146,6 +219,8 @@ def test_scenario_gap_bounds(tmp_path):
         (dict(max_gap_size=5.0), "interp.max_gap must be an integer, got 5.0"),
         (dict(endpoint_window=3.0), "endpoints.window must be an integer, got 3.0"),
         (dict(endpoint_min_len=10.0), "endpoints.min_len must be an integer, got 10.0"),
+        (dict(max_gap_size=True), "interp.max_gap must be an integer, got True"),
+        (dict(endpoint_window=True), "endpoints.window must be an integer, got True"),
     ],
 )
 def test_integer_settings_reject_other_values(settings, message):
