@@ -228,8 +228,9 @@ class _Search:
         self.marginals = marginals = domains.marginals
         counts = np.diff(offsets)
         self.var = np.repeat(np.arange(len(domains)), counts)
-        last = np.iinfo(np.int64).max
-        self.tie = np.where(domains.stop, last, domains.candidates)
+        last = np.iinfo(np.uint64).max  # above every candidate id, which is an int64
+        self.tie = domains.candidates.astype(np.uint64)
+        self.tie[domains.stop] = last
         self.alive = domains.products > 0
         self.total = np.full(len(domains), -1.0)
         # each domain's one entry with its largest marginal and, among those, the smallest tie

@@ -12,9 +12,9 @@ field. Sequence metadata comes from a seqinfo-style ``key=value`` file
 (``frameRate``, ``imWidth``, ``imHeight``, ``seqLength``).
 
 Track text is read in numpy when its lines are regular: lines of at least
-seven fields, ending in ``\\n`` or ``\\r\\n``; empty lines are skipped, as
-the line parser skips them. The reader takes the text as UTF-8 in
-line-aligned chunks of about 256 KiB. It reads a field
+seven fields, ending in ``\\n`` or ``\\r\\n``. The reader reads the text as
+UTF-8 in one pass of line-aligned chunks of about 256 KiB, each of which
+drops its empty lines, as the line parser skips them. It reads a field
 ``-?D{1,16}(.D{1,22})?`` of at most 19 digits, leading zeros not counted
 where the whole part is zero, with integer arithmetic. That covers every
 number :func:`write_tracks` prints from digits: integral values below 1e15
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import io
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
@@ -305,46 +304,30 @@ def _parse_lines(text: str) -> Iterator[Detection]:
 
 
 def _read_values(text: str) -> np.ndarray | None:
-    """The first seven fields of every line of non-blank track text with regular lines, as an (N, 7) float64 array; None for other text.
+    """The first seven fields of every line of track text with regular lines, as an (N, 7) float64 array; None for other text.
 
     Regular lines are lines of at least seven comma-separated fields, of
     which ``float()`` takes the first seven. Lines may end in ``\\n`` or
-    ``\\r\\n``, and empty lines, which the line parser skips, are skipped.
-    Fields past the seventh are not read. Each value is the one ``float()``
-    gives for its field, stripped. The text is read as UTF-8; text that
-    UTF-8 cannot encode (a lone surrogate) is not regular.
+    ``\\r\\n``; empty lines, which the line parser skips, are skipped, so text
+    of empty lines alone gives no rows. Fields past the seventh are not read.
+    Each value is the one ``float()`` gives for its field, stripped. The text
+    is read as UTF-8 in one pass of chunks (see :func:`_read_chunk`); text
+    that UTF-8 cannot encode (a lone surrogate) is not regular.
     """
     try:
         data = text.encode()
     except UnicodeEncodeError:
         return None
-    ascii_only = len(data) == len(text)
     if b"\r" in data:
         if data.count(b"\r") != data.count(b"\r\n"):
             return None
         data = data.replace(b"\r\n", b"\n")
-    values = _read_lines(data, ascii_only)
-    if values is None and (data.startswith(b"\n") or b"\n\n" in data):  # looked for only here: the search is slow
-        values = _read_lines(re.sub(b"\n\n+", b"\n", data).lstrip(b"\n"), ascii_only)
-    return values
-
-
-def _read_lines(data: bytes, ascii_only: bool) -> np.ndarray | None:
-    """:func:`_read_values` of non-blank UTF-8 ``data`` whose lines end in ``\\n``, with no empty line before the last line with content.
-
-    The text is read in line-aligned chunks of about ``_CHUNK_BYTES`` by
-    :func:`_read_chunk`; ``ascii_only`` tells whether every byte is below 0x80.
-    """
-    end = len(data)
-    while data[end - 1] == 10:  # the text is not blank, so a line with content ends the loop
-        end -= 1
-    buf = b"".join((_PAD, data, b"" if end < len(data) else b"\n"))
-    stop = len(_PAD) + end + 1  # after the last line's newline
+    buf = b"".join((_PAD, data, b"\n"))  # a last line without a newline gets one; an extra empty line is skipped
     chunks = []
     lo = len(_PAD)
-    while lo < stop:
-        hi = buf.find(b"\n", lo + _CHUNK_BYTES, stop) + 1 or stop
-        chunks.append(_read_chunk(buf, lo, hi, ascii_only))
+    while lo < len(buf):
+        hi = buf.find(b"\n", lo + _CHUNK_BYTES) + 1 or len(buf)
+        chunks.append(_read_chunk(buf, lo, hi))
         if chunks[-1] is None:
             return None
         lo = hi
@@ -360,8 +343,6 @@ def _read_columns(text: str) -> DetectionTable | None:
     Text without regular lines, and a row :class:`DetectionTable` rejects,
     send the whole text to the line parser, which accepts or names it.
     """
-    if not text or text.isspace():  # no stripped copy of the text
-        return DetectionTable.of(())
     values = _read_values(text)
     if values is None:
         return None
@@ -665,21 +646,21 @@ def _settle(buf: bytes, start: np.ndarray, end: np.ndarray) -> list[float]:
     return [float(buf[s:e].decode().strip()) for s, e in zip(start.tolist(), end.tolist())]
 
 
-def _read_chunk(buf: bytes, lo: int, hi: int, ascii_only: bool) -> np.ndarray | None:
+def _read_chunk(buf: bytes, lo: int, hi: int) -> np.ndarray | None:
     """The first seven fields of the lines of ``buf[lo:hi]`` as an (n, 7) float64 array.
 
-    ``buf[lo - 1]`` and ``buf[hi - 1]`` are newlines and ``lo >= 24``. Every
-    line must have at least seven fields, and ``float()`` must take each of
-    the first seven; returns None otherwise. One ``<= 46`` pass finds the
-    separators, minus signs and dots. A field ``-?D{1,16}(.D{1,22})?`` of at
-    most 19 digits, leading zeros not counted where the whole part is zero,
-    is read in numpy: its whole part is the top bytes of the two 8-byte
+    ``buf[lo - 1]`` and ``buf[hi - 1]`` are newlines and ``lo >= 24``. Empty
+    lines are dropped; every other line must have at least seven fields, and
+    ``float()`` must take each of the first seven; returns None otherwise.
+    One ``<= 46`` pass finds the separators, minus signs and dots. A field
+    ``-?D{1,16}(.D{1,22})?`` of at most 19 digits, leading zeros not counted
+    where the whole part is zero, is read in numpy: its whole part is the top bytes of the two 8-byte
     words that end at its dot (or its end), its fraction those of the three
     words that end at its end, and :func:`_nearest` rounds it. The words 16
     bytes before the dot and 24 before the end are read only for the fields
     that reach into them. :func:`_settle` reads the other fields, those whose
-    rounding ``_nearest`` leaves open and, unless the text is ``ascii_only``,
-    those that hold a byte from 0x80 up.
+    rounding ``_nearest`` leaves open and, where the chunk has any, those
+    that hold a byte from 0x80 up.
     """
     arr = np.frombuffer(buf, np.uint8)
     at = np.flatnonzero(arr[lo - 1 : hi] <= 46)  # at[0] is the newline before the chunk
@@ -687,10 +668,20 @@ def _read_chunk(buf: bytes, lo: int, hi: int, ascii_only: bool) -> np.ndarray | 
     char = arr[at]
     sep = np.flatnonzero((char == 44) | (char == 10))  # commas and newlines, indexes into at
     lines = np.flatnonzero(char[sep] == 10)  # indexes into sep: the newline before each line, then the last line's own
+    heads = None
     if (np.diff(lines) < 7).any():
-        return None
+        # a run of newlines stays in sep as its first one, which ends the line before; the line after starts after its last
+        newline = at[sep[lines]]
+        content = np.diff(newline) > 1  # the line before each newline but the first holds a byte
+        sep = np.delete(sep, lines[1:][~content])
+        lines = np.flatnonzero(char[sep] == 10)
+        if (np.diff(lines) < 7).any():
+            return None
+        heads = newline[:-1][content] + 1
     opening = (lines[:-1, None] + np.arange(7)).ravel()  # the separator before each of the first seven fields
     start = at[sep[opening]] + 1
+    if heads is not None:
+        start[::7] = heads
     cur = sep[opening + 1]  # each field's closing separator, an index into at
     end = at[cur]
     last = cur - 1  # the last special before the separator: the dot, if the field has one
@@ -729,7 +720,7 @@ def _read_chunk(buf: bytes, lo: int, hi: int, ascii_only: bool) -> np.ndarray | 
     values, left = _nearest(w, fraction)
     values.view(np.uint64)[...] |= minus.astype(np.uint64) << _U(63)
     read[left] = False
-    if not ascii_only:
+    if arr[lo:hi].max() >= 0x80:
         high = np.flatnonzero(arr[lo:hi] >= 0x80) + lo
         field = np.searchsorted(start, high, "right") - 1  # the last field starting at or before the byte
         read[field[high < end[field]]] = False
@@ -803,12 +794,18 @@ def _parse_fps(text: str) -> float:
     return value
 
 
+def _parse_size(text: str) -> int:
+    if (value := _parse_int(text)) < 1:
+        raise ValueError(f"not a positive integer: {text!r}")
+    return value
+
+
 # seqinfo key -> (SequenceMeta field, parser of its value)
 _SEQINFO_KEYS = {
     "frameRate": ("fps", _parse_fps),
-    "imWidth": ("img_width", _parse_int),
-    "imHeight": ("img_height", _parse_int),
-    "seqLength": ("num_frames", _parse_int),
+    "imWidth": ("img_width", _parse_size),
+    "imHeight": ("img_height", _parse_size),
+    "seqLength": ("num_frames", _parse_size),
 }
 
 
@@ -818,8 +815,9 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
     Section headers (``[Sequence]``), comments and unknown keys are ignored;
     ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required;
     the frame rate must be finite and positive, and the last three must be
-    integers (``1920.0`` is one). A leading UTF-8 byte-order mark is dropped.
-    Raises :class:`ParseError` naming the line of a bad value.
+    positive integers (``1920.0`` is one). A leading UTF-8 byte-order mark is
+    dropped. Raises :class:`ParseError` naming the line of a bad value, and
+    the file where the image diagonal is too large for a float.
     """
     values: dict[str, float | int] = {}
     with open(path, encoding="utf-8-sig") as f:
@@ -835,12 +833,17 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
                 field, parse = _SEQINFO_KEYS[key]
                 try:
                     values[field] = parse(value.strip())
-                except ValueError:  # also a non-finite or fractional integer, or a rate <= 0
+                except ValueError:  # also a non-finite or fractional integer, a size < 1 or a rate <= 0
                     raise ParseError(f"line {lineno}: bad value for {key}: {value.strip()!r}") from None
     missing = [k for k, (field, _) in _SEQINFO_KEYS.items() if field not in values]
     if missing:
         raise ParseError(f"seqinfo file {path} is missing keys: {', '.join(missing)}")
-    return SequenceMeta(**values)
+    try:
+        return SequenceMeta(**values)
+    except ValueError as exc:  # every value passed its parser: a size too large for a float names its field, the diagonal no key
+        if not str(exc).startswith("the image diagonal"):
+            raise
+        raise ParseError(f"seqinfo file {path}: {exc}") from None
 
 
 def write_seqinfo(meta: SequenceMeta, path: str | Path, name: str = "synthetic") -> None:

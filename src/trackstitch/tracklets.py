@@ -438,8 +438,11 @@ def cut_tracklets(
     begin new fragments: one sustained overlap means one cut per tracklet, and
     a run ends where either tracklet skips a frame. Fragments of a cut
     tracklet get fresh ids above the existing maximum, in order; untouched
-    tracklets keep their ids. Every output tracklet, untouched ones included,
-    is summarized from its rows with ``window`` and ``min_len``.
+    tracklets keep their ids. Where the fresh ids would pass 2**63 - 1, the
+    untouched tracklets take their ids' ranks from 1 instead and the fresh
+    ids follow, so every id keeps its place in the order of the ids. Every
+    output tracklet, untouched ones included, is summarized from its rows
+    with ``window`` and ``min_len``.
 
     The rows stay where they are: a cut only relabels the fragments' rows,
     whose new ids make new runs.
@@ -459,5 +462,10 @@ def cut_tracklets(
     # a cut tracklet holds more than one run
     fragment = np.bincount(run_owner)[run_owner] > 1
     ids = tracklets.ids[run_owner]
-    ids[fragment] = np.arange(fragment.sum()) + tracklets.ids.max() + 1
+    top = tracklets.ids.max()
+    if top > np.iinfo(np.int64).max - fragment.sum():
+        ranks = np.unique(ids[~fragment], return_inverse=True)[1]
+        ids[~fragment] = ranks + 1
+        top = ranks.max(initial=-1) + 1
+    ids[fragment] = np.arange(fragment.sum()) + top + 1
     return Tracklets(rows.relabeled(np.repeat(ids, np.diff(new_bounds))), window, min_len)

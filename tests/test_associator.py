@@ -744,6 +744,11 @@ class TestColumnSolver:
         for _ in range(1000):
             self.assert_same_search(dominant_instance(rng))
             self.assert_same_search(hand_built_instance(rng))
+        # the largest int64 id ties with STOP in variable 1, and still comes before it
+        largest = [SuccessorVar(1, {2**63 - 1: 0.5, STOP: 0.5}), SuccessorVar(2, {5: 0.9, STOP: 0.1})]
+        self.assert_same_search(largest)
+        got, stats = solve_with_stats(largest)
+        assert list(got.items()) == [(2, 5), (1, 2**63 - 1)] and stats.nodes == 3
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_object_search_on_crossing_scenes(self, seed):

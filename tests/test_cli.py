@@ -252,6 +252,9 @@ def test_refine_rejects_non_finite_fps_flag(tmp_path, capsys, fps):
         ("imWidth=inf", "line 2: bad value for imWidth: 'inf'"),
         ("imWidth=1920.7", "line 2: bad value for imWidth: '1920.7'"),
         ("seqLength=1.5", "line 2: bad value for seqLength: '1.5'"),
+        ("imWidth=0", "line 2: bad value for imWidth: '0'"),
+        ("imHeight=0.0", "line 2: bad value for imHeight: '0.0'"),
+        ("seqLength=-5", "line 2: bad value for seqLength: '-5'"),
     ],
 )
 def test_refine_rejects_bad_seqinfo_values(tmp_path, capsys, line, expected):
@@ -275,6 +278,27 @@ def test_refine_rejects_sizes_too_large_for_float_arithmetic(tmp_path, capsys):
     assert_one_line_error(tmp_path, capsys, argv, f"img_width is too large for a float, got {10**400}")
     argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--fps", "30", "--width", str(10**200), "--height", "100"]
     assert_one_line_error(tmp_path, capsys, argv, f"the image diagonal must be finite, got a {10**200} x 100 image")
+    # from a seqinfo file, where no one key is at fault, the error names the file
+    seqinfo.write_text("frameRate=30\nimWidth=1e200\nimHeight=1e200\nseqLength=10\n")
+    argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
+    side = int(1e200)
+    assert_one_line_error(tmp_path, capsys, argv, f"seqinfo file {seqinfo}: the image diagonal must be finite, got a {side} x {side} image")
+
+
+def test_refine_cuts_tracks_with_ids_up_to_int64_max(tmp_path, capsys):
+    # fresh fragment ids above 2**63 - 1 would wrap: the tracklets are numbered by rank instead, in the same order
+    outputs = []
+    for big in (2**63 - 1, 9):
+        tracks = tmp_path / f"cross{big}.txt"
+        tracks.write_text(
+            "".join(f"{f},7,{3 * f},0,10,10,1,-1,-1,-1\n" for f in range(1, 31))
+            + "".join(f"{f},{big},{90 - 3 * f},0,10,10,1,-1,-1,-1\n" for f in range(1, 31))
+        )
+        out = tmp_path / f"out{big}.txt"
+        assert main(["refine", str(tracks), str(out), "--fps", "30", "--width", "1920", "--height", "1080"]) == 0
+        assert "cuts made: 2" in capsys.readouterr().out
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_refine_accepts_integral_seqinfo_spellings(tmp_path, capsys):

@@ -739,6 +739,68 @@ def test_reader_chunks_agree(monkeypatch):
     assert _read_values(text + "1,2,10,20,30,40\n") is None
 
 
+def test_reader_reads_blank_text_as_no_rows():
+    for text in ("", "\n", "\n\n\r\n"):
+        values = _read_values(text)
+        assert values.shape == (0, 7) and values.dtype == np.float64
+
+
+def empty_runs_at_chunk_edges(lines):
+    """``lines`` laid out with runs of empty lines at both ends and on every edge of the reader's chunks, on both sides of it.
+
+    Positions are counted as the reader counts them: in UTF-8 bytes, after
+    each ``\\r\\n`` became ``\\n``.
+    """
+    chunk = mot_io._CHUNK_BYTES
+    out, size, lo = ["\n\n\n"], 3, 0  # lo: where the reader's current chunk starts
+    for line in lines:
+        length = len(line.encode()) - line.count("\r\n")
+        if size + length > lo + chunk:  # the line's newline would be the first at or past lo + chunk, and end the chunk
+            out.append("\n" * (lo + chunk + 3 - size))  # instead, an empty line's newline there does
+            size, lo = lo + chunk + 3, lo + chunk + 1
+        out.append(line)
+        size += length
+    return "".join(out) + "\n\n\n"
+
+
+def test_reader_reads_each_chunk_once_across_empty_lines(monkeypatch, detections_built):
+    k = np.arange(12_000)
+    table = DetectionTable(k // 10 + 1, k % 10 + 1, k / 7, k / 3, 1 + k / 9, 2.5 + 0 * k, 0.875 + 0 * k)
+    text = empty_runs_at_chunk_edges(write_tracks(table).splitlines(keepends=True))
+    calls = []
+    read_chunk = mot_io._read_chunk
+
+    def spy(*args):
+        calls.append(args[:3])  # buf, lo, hi
+        return read_chunk(*args)
+
+    monkeypatch.setattr(mot_io, "_read_chunk", spy)
+    assert parse_tracks(text) == table
+    assert not detections_built
+    assert len(text) > 2 * mot_io._CHUNK_BYTES and len(calls) >= 3
+    assert [lo for _, lo, _ in calls[1:]] == [hi for _, _, hi in calls[:-1]]  # one call per chunk, in text order
+    for buf, _, hi in calls[:-1]:
+        assert buf[hi - 2 : hi + 2] == b"\n\n\n\n"  # empty lines end just before and after the edge
+
+
+def test_reader_settles_a_non_ascii_field_in_the_last_chunk_alone(detections_built, settled):
+    k = np.arange(12_000)
+    table = DetectionTable(k // 10 + 1, k % 10 + 1, k / 7, k / 3, 1 + k / 9, 2.5 + 0 * k, 0.875 + 0 * k)
+    lines = write_tracks(table).splitlines(keepends=True)
+    lines[-1] = lines[-1].replace(",", ",\xa0", 1)  # a no-break space before the last id
+    text = "".join(lines)
+    assert len(text) - len(lines[-1]) > 2 * mot_io._CHUNK_BYTES
+    assert parse_tracks(text) == table
+    assert not detections_built and settled == ["\xa010"]
+
+
+def test_reader_does_not_count_an_empty_line_as_a_field():
+    for text in ("1,2,10,20,30,40\n\n", "1,2,10,20,30,40\n\n" + GOOD, "1,2,10,20,30,40\r\n\r\n\r\n" + GOOD):
+        assert _read_values(text) is None
+        with pytest.raises(ParseError, match="^line 1: expected at least 7 fields, got 6$"):
+            parse_tracks(text)
+
+
 @st.composite
 def mutated_text(draw):
     """Lines of 7 to 9 fields of the reader's grammar, and in half the draws one character replaced or inserted."""
