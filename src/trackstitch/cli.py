@@ -57,6 +57,8 @@ def _sequence_meta(args, detections: mot_io.DetectionTable) -> mot_io.SequenceMe
 
 
 def _cmd_refine(args) -> int:
+    if args.seqinfo and (args.fps, args.width, args.height) != (None, None, None):
+        raise ValueError("provide --seqinfo or --fps/--width/--height, not both")
     # a dump on the output would share its atomic writer's temporary file, and one on the input would replace it
     for role, path in (("input", args.input), ("output", args.output)):
         if args.dump_candidates and Path(args.dump_candidates).resolve() == Path(path).resolve():

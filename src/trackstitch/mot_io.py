@@ -11,10 +11,10 @@ rejected. A parsed file is a :class:`DetectionTable`, one numpy column per
 field. Sequence metadata comes from a seqinfo-style ``key=value`` file
 (``frameRate``, ``imWidth``, ``imHeight``, ``seqLength``).
 
-Track text is read in numpy when its lines are regular: lines of at least
-seven fields, ending in ``\\n`` or ``\\r\\n``. The reader reads the text as
-UTF-8 in one pass of line-aligned chunks of about 256 KiB, each of which
-drops its empty lines, as the line parser skips them. It reads a field
+Track text is read in numpy, in one pass of line-aligned chunks of about
+256 KiB: the text is encoded as UTF-8 (a lone surrogate as its three
+bytes), each ``\\r\\n`` becomes ``\\n``, and every line of at least seven
+fields gives one row. The reader reads a field
 ``-?D{1,16}(.D{1,22})?`` of at most 19 digits, leading zeros not counted
 where the whole part is zero, with integer arithmetic. That covers every
 number :func:`write_tracks` prints from digits: integral values below 1e15
@@ -22,21 +22,20 @@ and others from 1e-4 up to 1e15 at full precision. It reads any other
 field, and a rounding next to a power of two that the integer arithmetic
 leaves open, with ``float()`` on that field alone: exponents, ``+`` signs,
 spaces, non-ASCII characters, ``10.``, ``.25``, ``1_0``, longer numbers.
-Every field gets the value the line parser gives it. Other text goes to the
-line parser whole: a line of only spaces, text UTF-8 cannot encode (a lone
-surrogate), a line of fewer than seven fields, a field
-``float()`` rejects, frames and ids that are not integers below 2**53, and a
-row :class:`Detection` rejects. The line parser gives the same detections,
-or names the bad line.
+Every field gets the value the line parser gives it; one ``float()``
+rejects reads as NaN. Empty lines are skipped. The line parser takes the
+other lines one at a time, in file order: a line of fewer than seven fields
+that holds a byte, and a row whose frame or id is not an integer below
+2**53, or that :class:`Detection` rejects. It skips a blank line, names a
+bad one, and gives any other row its exact frame and id.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import inf, isfinite, sqrt
+from math import inf, isfinite, nan, sqrt
 from operator import attrgetter
 from pathlib import Path
 from sys import float_info
@@ -97,6 +96,14 @@ _FIELDS = ("frame", "track_id", "x", "y", "w", "h", "conf")
 _DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, np.float64, np.float64)
 
 
+def _rejected(frame, track_id, x, y, w, h, conf) -> np.ndarray:
+    """A mask of the rows, given as columns, that :class:`Detection` rejects."""
+    with np.errstate(all="ignore"):  # inf - inf, or an area that overflows, marks its row instead of warning
+        bad = (frame < 1) | (track_id < 1) | ~(w > 0) | ~(h > 0) | ~np.isfinite(np.stack((x, y, w, h, conf))).all(axis=0)
+        area = w * h
+        return bad | (x + w == x) | (y + h == y) | ~((area >= float_info.min) & (area < np.inf))
+
+
 class DetectionTable(Sequence[Detection]):
     """Detections as seven numpy columns, one row per detection.
 
@@ -117,11 +124,7 @@ class DetectionTable(Sequence[Detection]):
         columns = [np.array(c, dtype=t).reshape(-1) for c, t in zip((frame, track_id, x, y, w, h, conf), _DTYPES)]
         if len({len(c) for c in columns}) > 1:
             raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-        frame, track_id, x, y, w, h, conf = columns
-        with np.errstate(all="ignore"):  # inf - inf, or an area that overflows, marks its row instead of warning
-            bad = (frame < 1) | (track_id < 1) | ~(w > 0) | ~(h > 0) | ~np.isfinite(np.stack(columns[2:])).all(axis=0)
-            area = w * h
-            bad |= (x + w == x) | (y + h == y) | ~((area >= float_info.min) & (area < np.inf))
+        bad = _rejected(*columns)
         if bad.any():
             row = int(np.argmax(bad))
             try:
@@ -281,46 +284,37 @@ def _parse_int(text: str) -> int:
         return int(value)
 
 
-def _parse_fields(fields: list[str], lineno: int) -> Detection:
-    """Parse one line from its stripped fields; raises the line's ParseError."""
+def _parse_line(line: str, lineno: int) -> Detection | None:
+    """The detection on one line of track text, None for a blank line; raises the line's ParseError."""
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) < 7:
+        if not line.strip():
+            return None
+        raise ParseError(f"line {lineno}: expected at least 7 fields, got {len(fields)}")
     try:
-        return Detection(_parse_int(fields[0]), _parse_int(fields[1]), *map(float, fields[2:7]))
+        det = Detection(_parse_int(fields[0]), _parse_int(fields[1]), *map(float, fields[2:7]))
     except ValueError as exc:
         raise ParseError(f"line {lineno}: {exc}") from None
+    if max(det.frame, det.track_id) >= 2**63:
+        raise ParseError(f"line {lineno}: frame and track_id must be below 2**63, got {det.frame}, {det.track_id}")
+    return det
 
 
-def _parse_lines(text: str) -> Iterator[Detection]:
-    """The detections of ``text`` line by line; raises the first bad line's ParseError."""
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
-        fields = [f.strip() for f in raw.split(",")]
-        if len(fields) < 7:
-            if not raw.strip():
-                continue
-            raise ParseError(f"line {lineno}: expected at least 7 fields, got {len(fields)}")
-        det = _parse_fields(fields, lineno)
-        if max(det.frame, det.track_id) >= 2**63:
-            raise ParseError(f"line {lineno}: frame and track_id must be below 2**63, got {det.frame}, {det.track_id}")
-        yield det
+def _read_values(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:
+    """The first seven fields of each line of track text that has seven or more, as an (N, 7) float64 array, and where its lines are.
 
-
-def _read_values(text: str) -> np.ndarray | None:
-    """The first seven fields of every line of track text with regular lines, as an (N, 7) float64 array; None for other text.
-
-    Regular lines are lines of at least seven comma-separated fields, of
-    which ``float()`` takes the first seven. Lines may end in ``\\n`` or
-    ``\\r\\n``; empty lines, which the line parser skips, are skipped, so text
-    of empty lines alone gives no rows. Fields past the seventh are not read.
-    Each value is the one ``float()`` gives for its field, stripped. The text
-    is read as UTF-8 in one pass of chunks (see :func:`_read_chunk`); text
-    that UTF-8 cannot encode (a lone surrogate) is not regular.
+    Returns ``(values, starts, unread, buf)``. ``buf`` is the text as read:
+    UTF-8, a lone surrogate as its three bytes, each ``\\r\\n`` as ``\\n``,
+    with a newline at its end and bytes before its first line. ``starts[k]``
+    is the offset in ``buf`` of the line of row k, and ``unread`` holds the
+    offsets of the lines of fewer than seven fields that hold a byte, which
+    give no row. Empty lines are skipped, and fields past the seventh are
+    not read. Each value is the one ``float()`` gives for its field,
+    stripped, or NaN where ``float()`` rejects it. The text is read in one
+    pass of chunks (see :func:`_read_chunk`).
     """
-    try:
-        data = text.encode()
-    except UnicodeEncodeError:
-        return None
+    data = text.encode("utf-8", "surrogatepass")
     if b"\r" in data:
-        if data.count(b"\r") != data.count(b"\r\n"):
-            return None
         data = data.replace(b"\r\n", b"\n")
     buf = b"".join((_PAD, data, b"\n"))  # a last line without a newline gets one; an extra empty line is skipped
     chunks = []
@@ -328,47 +322,40 @@ def _read_values(text: str) -> np.ndarray | None:
     while lo < len(buf):
         hi = buf.find(b"\n", lo + _CHUNK_BYTES) + 1 or len(buf)
         chunks.append(_read_chunk(buf, lo, hi))
-        if chunks[-1] is None:
-            return None
         lo = hi
-    return np.concatenate(chunks)
-
-
-def _read_columns(text: str) -> DetectionTable | None:
-    """All of ``text`` read by :func:`_read_values`, or None where only the line parser can tell what it holds.
-
-    Frames and ids are read as floats and must be integral and below 2**53
-    in magnitude, where a float64 still holds every integer: a frame of 16
-    digits, or one spelled ``1e20`` or ``-inf``, is read as a float first.
-    Text without regular lines, and a row :class:`DetectionTable` rejects,
-    send the whole text to the line parser, which accepts or names it.
-    """
-    values = _read_values(text)
-    if values is None:
-        return None
-    ids = values[:, :2]
-    if not ((ids == np.floor(ids)).all() and (np.abs(ids) < 2**53).all()):
-        return None
-    try:
-        return DetectionTable(*ids.T.astype(np.int64), *values[:, 2:].T)
-    except ValueError:
-        return None
+    values, starts, unread = map(np.concatenate, zip(*chunks))
+    return values, starts, unread, buf
 
 
 def parse_tracks(stream: TextIO | str) -> DetectionTable:
     """Parse a MOTChallenge track file into a detection table, rows in file order.
 
-    Accepts an open text stream or the file content as a string. Text with
-    regular lines (see the module docstring) is read in numpy, in chunks;
-    other text goes line by line through ``float()`` and ``int()``, which
-    accept any spelling Python does. Both give every value the bits
-    ``float()`` gives it. Raises :class:`ParseError` naming the offending
-    line on malformed input, on a non-finite value or on a box that
-    :class:`Detection` rejects.
+    Accepts an open text stream or the file content as a string. The text is
+    read in numpy, in chunks (see the module docstring). The lines the reader
+    cannot settle go one at a time, in file order, through ``float()`` and
+    ``int()``, which accept any spelling Python does: a line of fewer than
+    seven fields that holds a byte, and a row whose frame or id is not an
+    integer below 2**53, or that :class:`Detection` rejects. Every value gets
+    the bits ``float()`` gives it, and every frame and id its exact integer.
+    Raises :class:`ParseError` naming the first offending line on malformed
+    input, on a non-finite value or on a box that :class:`Detection` rejects.
     """
     text = stream if isinstance(stream, str) else stream.read()
-    table = _read_columns(text)
-    return table if table is not None else DetectionTable.of(_parse_lines(text))
+    values, starts, unread, buf = _read_values(text)
+    ids, boxes = values[:, :2].T.copy(), values[:, 2:].T.copy()  # one contiguous column per field
+    # a float64 holds every integer below 2**53; a frame of 16 digits, or one spelled 1e20 or -inf, is read as a float first
+    odd = ~((ids == np.floor(ids)) & (np.abs(ids) < 2**53)).all(axis=0) | _rejected(*ids, *boxes)
+    ids[:, odd] = 1  # set below from the row's line
+    frame, track_id = ids.astype(np.int64)
+    lines = sorted(zip(starts[odd].tolist() + unread.tolist(), np.flatnonzero(odd).tolist() + [None] * len(unread)))
+    lineno = seen = 0
+    for start, row in lines:
+        lineno += buf.count(b"\n", seen, start)  # _PAD's newline counts as the one before line 1
+        seen = start
+        det = _parse_line(buf[start : buf.index(b"\n", start)].decode("utf-8", "surrogatepass"), lineno)
+        if det is not None:  # a row's line: an unread one is blank or raises
+            frame[row], track_id[row] = det.frame, det.track_id
+    return DetectionTable._wrap([frame, track_id, *boxes])
 
 
 # Number text. Track files, candidate dumps and the seqinfo frame rate print
@@ -641,17 +628,26 @@ def _nearest(w: np.ndarray, fraction: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return v, big
 
 
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return nan
+
+
 def _settle(buf: bytes, start: np.ndarray, end: np.ndarray) -> list[float]:
-    """``float()`` of each field ``buf[start:end]``, stripped as the line parser strips it; raises ValueError on one it rejects."""
-    return [float(buf[s:e].decode().strip()) for s, e in zip(start.tolist(), end.tolist())]
+    """``float()`` of each field ``buf[start:end]``, stripped as the line parser strips it; NaN for one it rejects."""
+    return [_float_or_nan(buf[s:e].decode("utf-8", "surrogatepass").strip()) for s, e in zip(start.tolist(), end.tolist())]
 
 
-def _read_chunk(buf: bytes, lo: int, hi: int) -> np.ndarray | None:
-    """The first seven fields of the lines of ``buf[lo:hi]`` as an (n, 7) float64 array.
+def _read_chunk(buf: bytes, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first seven fields of the lines of ``buf[lo:hi]`` that have seven or more, and where those lines and the others start.
 
-    ``buf[lo - 1]`` and ``buf[hi - 1]`` are newlines and ``lo >= 24``. Empty
-    lines are dropped; every other line must have at least seven fields, and
-    ``float()`` must take each of the first seven; returns None otherwise.
+    Returns ``(values, starts, unread)``: an (n, 7) float64 array, the
+    offsets of the n lines in ``buf``, and those of the lines of fewer than
+    seven fields that hold a byte. ``buf[lo - 1]`` and ``buf[hi - 1]`` are
+    newlines and ``lo >= 24``. A line of fewer than seven fields, empty or
+    not, gives no row. A field ``float()`` rejects reads as NaN.
     One ``<= 46`` pass finds the separators, minus signs and dots. A field
     ``-?D{1,16}(.D{1,22})?`` of at most 19 digits, leading zeros not counted
     where the whole part is zero, is read in numpy: its whole part is the top bytes of the two 8-byte
@@ -668,16 +664,17 @@ def _read_chunk(buf: bytes, lo: int, hi: int) -> np.ndarray | None:
     char = arr[at]
     sep = np.flatnonzero((char == 44) | (char == 10))  # commas and newlines, indexes into at
     lines = np.flatnonzero(char[sep] == 10)  # indexes into sep: the newline before each line, then the last line's own
+    fields = np.diff(lines)
     heads = None
-    if (np.diff(lines) < 7).any():
-        # a run of newlines stays in sep as its first one, which ends the line before; the line after starts after its last
+    unread = np.empty(0, np.int64)
+    if (fields < 7).any():
+        # a short line leaves sep with its separators: the newline before it ends the line before, and the line after starts after its own
         newline = at[sep[lines]]
-        content = np.diff(newline) > 1  # the line before each newline but the first holds a byte
-        sep = np.delete(sep, lines[1:][~content])
+        kept = fields >= 7
+        unread = newline[:-1][~kept & (np.diff(newline) > 1)] + 1
+        sep = sep[np.concatenate(([True], np.repeat(kept, fields)))]  # sep[0], then each line's separators
         lines = np.flatnonzero(char[sep] == 10)
-        if (np.diff(lines) < 7).any():
-            return None
-        heads = newline[:-1][content] + 1
+        heads = newline[:-1][kept] + 1
     opening = (lines[:-1, None] + np.arange(7)).ravel()  # the separator before each of the first seven fields
     start = at[sep[opening]] + 1
     if heads is not None:
@@ -723,14 +720,13 @@ def _read_chunk(buf: bytes, lo: int, hi: int) -> np.ndarray | None:
     if arr[lo:hi].max() >= 0x80:
         high = np.flatnonzero(arr[lo:hi] >= 0x80) + lo
         field = np.searchsorted(start, high, "right") - 1  # the last field starting at or before the byte
+        inside = field >= 0  # a byte on a short line before the chunk's first row is in no field
+        field, high = field[inside], high[inside]
         read[field[high < end[field]]] = False
     loose = np.flatnonzero(~read)
     if len(loose):
-        try:
-            values[loose] = _settle(buf, start[loose], end[loose])
-        except ValueError:
-            return None
-    return values.reshape(-1, 7)
+        values[loose] = _settle(buf, start[loose], end[loose])
+    return values.reshape(-1, 7), start[::7], unread
 
 
 # what follows each of the seven columns on a line
@@ -795,7 +791,7 @@ def _parse_fps(text: str) -> float:
 
 
 def _parse_size(text: str) -> int:
-    if (value := _parse_int(text)) < 1:
+    if not 1 <= (value := _parse_int(text)) <= float_info.max:  # float() of a larger integer overflows
         raise ValueError(f"not a positive integer: {text!r}")
     return value
 
@@ -815,9 +811,10 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
     Section headers (``[Sequence]``), comments and unknown keys are ignored;
     ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required;
     the frame rate must be finite and positive, and the last three must be
-    positive integers (``1920.0`` is one). A leading UTF-8 byte-order mark is
-    dropped. Raises :class:`ParseError` naming the line of a bad value, and
-    the file where the image diagonal is too large for a float.
+    positive integers (``1920.0`` is one) no larger than a float holds. A
+    leading UTF-8 byte-order mark is dropped. Raises :class:`ParseError`
+    naming the line of a bad value, and the file where the image diagonal is
+    too large for a float.
     """
     values: dict[str, float | int] = {}
     with open(path, encoding="utf-8-sig") as f:
@@ -840,9 +837,7 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
         raise ParseError(f"seqinfo file {path} is missing keys: {', '.join(missing)}")
     try:
         return SequenceMeta(**values)
-    except ValueError as exc:  # every value passed its parser: a size too large for a float names its field, the diagonal no key
-        if not str(exc).startswith("the image diagonal"):
-            raise
+    except ValueError as exc:  # every value passed its parser, so no one key is at fault
         raise ParseError(f"seqinfo file {path}: {exc}") from None
 
 

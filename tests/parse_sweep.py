@@ -9,11 +9,14 @@ patterns; the first batch also takes every spelling in the grammar next to
 the powers of two from 2**-14 to 2**49. Each batch is read as lines ending
 in ``\\n``; every fourth of its lines is read again, laid out with
 ``\\r\\n`` on half the lines, runs of empty lines at random and on both
-sides of every chunk edge, and no final newline. Every field must read as
-``float()`` reads it. The reader may settle a field with ``float()`` only
-where it lies outside the grammar, or where ``mot_io._nearest`` may leave
-its rounding open; it must read every other field, and so everything
-``_format_rows`` prints from digits, in numpy. pytest does not collect this
+sides of every chunk edge, lines of only spaces and control characters, a
+lone surrogate or ``\\r`` past the seventh field, and no final newline.
+Every field must read as ``float()`` reads it, and the laid-out text as a
+line-by-line reference reads it, its blank lines reported unread. The
+reader may settle a field with ``float()`` only where it lies outside the
+grammar, or where ``mot_io._nearest`` may leave its rounding open; it must
+read every other field, and so everything ``_format_rows`` prints from
+digits, in numpy. pytest does not collect this
 file: it runs more values than tier-1 should, once per CI job, so that every
 numpy version the package supports checks the reader's uint64 arithmetic
 and byte-strided views. Exits non-zero on the first mismatch.
@@ -24,7 +27,7 @@ import sys
 import time
 
 import numpy as np
-from test_mot_io import canonical, digit_strings, empty_runs_at_chunk_edges, left_open, near_powers_of_two
+from test_mot_io import canonical, digit_strings, empty_runs_at_chunk_edges, left_open, near_powers_of_two, read_lines, reference_lines
 from test_number_format import carry_cases, neighbours, powers_of_ten, samples, ties, vectorized
 
 from trackstitch import mot_io
@@ -47,9 +50,12 @@ def fields(rng, first):
 
 
 def laid_out(lines, rng) -> str:
-    """``lines``, each without its newline, ended by ``\\n`` or ``\\r\\n`` at random, among runs of empty lines, the last without a newline."""
-    ends = rng.choice(["\n", "\r\n"], len(lines)).tolist()
-    runs = rng.choice(["", "", "", "\n", "\r\n\n\n"], len(lines)).tolist()  # empty lines before each line
+    """``lines``, each without its newline, ended by ``\\n`` or ``\\r\\n`` at random, among runs of empty and blank lines, the last without a newline.
+
+    Some lines gain an eighth field that holds a lone surrogate or a lone ``\\r``: neither is read.
+    """
+    ends = rng.choice(["\n", "\r\n", "\n", "\r\n", ",\ud800\n", ",-1\r\r\n"], len(lines)).tolist()
+    runs = rng.choice(["", "", "", "\n", "\r\n\n\n", " \n", "\t\x1c \r\n"], len(lines)).tolist()  # lines before each line
     return empty_runs_at_chunk_edges([r + line + e for r, line, e in zip(runs, lines, ends)]).rstrip("\r\n")
 
 
@@ -65,17 +71,22 @@ def check(written, others, rng) -> int:
         settled.extend(buf[s:e].decode() for s, e in zip(start.tolist(), end.tolist()))
         return settle(buf, start, end)
 
+    text = laid_out(lines[::4], rng)
     mot_io._settle = counting
     try:
-        got = [_read_values("".join(line + "\n" for line in lines))]
+        got = [_read_values("".join(line + "\n" for line in lines))[0]]
         plain = len(settled)
-        got.append(_read_values(laid_out(lines[::4], rng)))
+        values, unread = read_lines(text)
+        got.append(values)
     finally:
         mot_io._settle = settle
     expected = np.array([float(f) for f in batch]).reshape(-1, 7)
     for values, rows, layout in zip(got, (expected, expected[::4]), ("plain", "laid-out")):
-        if values is None or not np.array_equal(values.view(np.int64), rows.view(np.int64)):
+        if not np.array_equal(values.view(np.int64), rows.view(np.int64)):
             raise SystemExit(f"the reader does not read every field of the {layout} text as float() reads it")
+    rows, blank = reference_lines(text)
+    if not np.array_equal(got[1].view(np.int64), rows.view(np.int64)) or unread != blank:
+        raise SystemExit("the reader does not read the laid-out text as the line-by-line reference does")
     if not all(canonical(f) for f in written):
         raise SystemExit(f"_format_rows writes a field outside the reader's grammar: {[f for f in written if not canonical(f)][:3]}")
     left = [f for f in settled[:plain] if canonical(f)]

@@ -275,7 +275,7 @@ def test_refine_rejects_sizes_too_large_for_float_arithmetic(tmp_path, capsys):
     seqinfo = tmp_path / "seqinfo.ini"
     seqinfo.write_text(f"frameRate=30\nimWidth={10**400}\nimHeight=100\nseqLength=10\n")
     argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
-    assert_one_line_error(tmp_path, capsys, argv, f"img_width is too large for a float, got {10**400}")
+    assert_one_line_error(tmp_path, capsys, argv, f"line 2: bad value for imWidth: '{10**400}'")
     argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--fps", "30", "--width", str(10**200), "--height", "100"]
     assert_one_line_error(tmp_path, capsys, argv, f"the image diagonal must be finite, got a {10**200} x 100 image")
     # from a seqinfo file, where no one key is at fault, the error names the file
@@ -283,6 +283,13 @@ def test_refine_rejects_sizes_too_large_for_float_arithmetic(tmp_path, capsys):
     argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
     side = int(1e200)
     assert_one_line_error(tmp_path, capsys, argv, f"seqinfo file {seqinfo}: the image diagonal must be finite, got a {side} x {side} image")
+
+
+@pytest.mark.parametrize("flag, value", [("--fps", "30"), ("--width", "100"), ("--height", "100")])
+def test_refine_rejects_seqinfo_with_size_flags_before_reading_a_file(tmp_path, capsys, flag, value):
+    # neither file exists: the conflict is reported before either is opened
+    argv = ["refine", str(tmp_path / "tracks.txt"), str(tmp_path / "out.txt"), "--seqinfo", str(tmp_path / "seqinfo.ini"), flag, value]
+    assert_one_line_error(tmp_path, capsys, argv, "provide --seqinfo or --fps/--width/--height, not both")
 
 
 def test_refine_cuts_tracks_with_ids_up_to_int64_max(tmp_path, capsys):

@@ -494,14 +494,39 @@ FAST_PATH_CORPUS += [
     for column in range(7)
     for value in ("nan", "NaN", "inf", "infinity", "-Infinity")
 ]
+# the lines the line parser reads alone, in both orders: the first bad line wins, and valid ones are read
+FAST_PATH_CORPUS += [
+    "1,2,10,20,0,40,1\n1,2,3\n",
+    "1,2,3\n1,2,10,20,0,40,1\n",
+    "0,2,10,20,30,40,1\n \n1,2,10,20,30,40\n",
+    "1,2,10,20,30,40\n \n0,2,10,20,30,40,1\n",
+    "1,2,10,20,30,40,x\n1,2\n",
+    "1,2\n1,2,10,20,30,40,x\n",
+    "1e400,2,10,20,30,40,1\n1,2,3\n",
+    "1,2,3\n1e400,2,10,20,30,40,1\n",
+    f"1,{2**53 + 1},10,20,30,40,1\n1,2,10,20,30,40\n",
+    f"1,2,10,20,30,40\n1,{2**53 + 1},10,20,30,40,1\n",
+    f"1,{2**53 + 1},10,20,30,40,1\n   \n1,2,10,20,30,40,1,\ud800\n\t\r\n1,2,10,20,30,40,1\r",
+    "x\n",
+    # a byte from 0x80 up on a short line, alone, after fields and before a row
+    "é\n",
+    "1,2,3,é\n",
+    "é\n1,2,10,20,30,40,1\n",
+    "\ud800\n1,2,10,20,30,40,1,é\n",
+]
 
 
 @pytest.mark.parametrize("text", FAST_PATH_CORPUS)
-def test_parse_fast_path_matches_line_parser(text):
+def test_parse_fast_path_matches_line_parser(text, monkeypatch):
     # alone, and between well-formed lines so that line numbers shift
     for whole in (text, GOOD + text + ("" if text.endswith("\n") or not text else "\n") + GOOD):
         assert _outcome(parse_tracks, whole) == _outcome(_reference_parse, whole)
         assert _outcome(parse_tracks, io.StringIO(whole)) == _outcome(_reference_parse, whole)
+    # in chunks of about two good lines, where the case starts a chunk, ends one or straddles an edge
+    monkeypatch.setattr(mot_io, "_CHUNK_BYTES", 64)
+    for lead in range(4):
+        whole = GOOD * lead + text + ("" if text.endswith("\n") or not text else "\n") + GOOD * 3
+        assert _outcome(parse_tracks, whole) == _outcome(_reference_parse, whole)
 
 
 def test_parse_empty_input_emits_no_warning():
@@ -644,7 +669,7 @@ def test_reader_reads_what_the_writer_prints_in_numpy(settled):
     values[::7] = np.trunc(values[::7])
     values[3::70] = rng.choice([1e-5, 3e-300, 5e-324, 1e15, 1.5e15, 2.0**60, 1e300], 1000)
     text = _format_rows([values[k::7] for k in range(7)], [","] * 6 + ["\n"])
-    assert np.array_equal(_read_values(text).reshape(-1).view(np.int64), (values + 0.0).view(np.int64))  # -0.0 prints as 0
+    assert np.array_equal(_read_values(text)[0].reshape(-1).view(np.int64), (values + 0.0).view(np.int64))  # -0.0 prints as 0
     fields = np.array(text.replace(",", "\n").split())
     a = np.abs(values)
     from_digits = (a < 1e15) & ((a >= 1e-4) | (values == np.trunc(values)))
@@ -687,7 +712,7 @@ def canonical_fields(draw):
 @given(st.lists(st.lists(canonical_fields(), min_size=7, max_size=7), min_size=1, max_size=4), st.sampled_from(["\n", "\r\n"]))
 def test_reader_rounds_canonical_fields_like_float(lines, newline):
     expected = np.array([[float(f) for f in line] for line in lines])
-    values = _read_values("".join(",".join(line) + newline for line in lines))
+    values = _read_values("".join(",".join(line) + newline for line in lines))[0]
     assert np.array_equal(values.view(np.int64), expected.view(np.int64))
 
 
@@ -703,7 +728,7 @@ def test_reader_settles_roundings_next_to_a_power_of_two_alone(detections_built,
     assert table.conf[2500] == float("0.9999999999999999") < 1.0
     assert not detections_built and settled == ["0.9999999999999999"]
     for field in near_powers_of_two((-14, -1, 0, 1, 2, 13, 26, 49)):  # the parse sweep reads every power
-        assert _read_values(f"1,1,{field},1,1,1,1\n")[0, 2] == float(field)
+        assert _read_values(f"1,1,{field},1,1,1,1\n")[0][0, 2] == float(field)
 
 
 def test_reader_settles_fields_with_non_ascii_text_alone(detections_built, settled):
@@ -724,24 +749,45 @@ def test_reader_settles_long_whole_parts_with_few_fraction_digits_alone(settled)
     # two are exact ties, which float() rounds to even
     left = ["562949953421312.0625", "18014398509481986", "-1234567890123456.125", "9999999999999999999"]
     fields = left + ["123456789012345.6789", "562949953421312.125"]  # below that bound: read in numpy
-    values = _read_values(",".join(["1"] + fields) + "\n")
+    values = _read_values(",".join(["1"] + fields) + "\n")[0]
     assert np.array_equal(values[0, 1:].view(np.int64), np.array([float(f) for f in fields]).view(np.int64))
     assert settled == left
 
 
+def float_or_nan(field):
+    try:
+        return float(field)
+    except ValueError:
+        return float("nan")
+
+
+def read_lines(text):
+    """``_read_values(text)``'s values, and the lines it reports as unread, without their newlines."""
+    values, _, unread, buf = _read_values(text)
+    return values, [buf[s : buf.index(b"\n", s)].decode("utf-8", "surrogatepass") for s in unread.tolist()]
+
+
+def reference_lines(text):
+    """Line by line, what ``read_lines`` should give: the first seven fields of each line of seven or more, read by float() or NaN, and the shorter lines that hold a character."""
+    lines = [raw.removesuffix("\n") for raw in io.StringIO(text.replace("\r\n", "\n"))]
+    rows = [[float_or_nan(f.strip()) for f in line.split(",")[:7]] for line in lines if line.count(",") >= 6]
+    return np.array(rows).reshape(-1, 7), [line for line in lines if line and line.count(",") < 6]
+
+
 def test_reader_chunks_agree(monkeypatch):
     text = write_tracks([Detection(k // 3 + 1, k % 3 + 1, k * 1.25, -k / 8, 1 + k / 3, 2.5, 0.9) for k in range(300)])
-    whole = _read_values(text)
+    whole = _read_values(text)[0]
     monkeypatch.setattr(mot_io, "_CHUNK_BYTES", 50)  # about one line a chunk
-    assert np.array_equal(_read_values(text).view(np.int64), whole.view(np.int64))
+    assert np.array_equal(_read_values(text)[0].view(np.int64), whole.view(np.int64))
     # a line of another field count in a later chunk is read; one of six fields is left to the line parser
-    assert np.array_equal(_read_values(text + "1,2,10,20,30,40,1\n")[-1], [1, 2, 10, 20, 30, 40, 1])
-    assert _read_values(text + "1,2,10,20,30,40\n") is None
+    assert np.array_equal(_read_values(text + "1,2,10,20,30,40,1\n")[0][-1], [1, 2, 10, 20, 30, 40, 1])
+    values, unread = read_lines(text + "1,2,10,20,30,40\n")
+    assert np.array_equal(values.view(np.int64), whole.view(np.int64)) and unread == ["1,2,10,20,30,40"]
 
 
 def test_reader_reads_blank_text_as_no_rows():
     for text in ("", "\n", "\n\n\r\n"):
-        values = _read_values(text)
+        values = _read_values(text)[0]
         assert values.shape == (0, 7) and values.dtype == np.float64
 
 
@@ -754,7 +800,7 @@ def empty_runs_at_chunk_edges(lines):
     chunk = mot_io._CHUNK_BYTES
     out, size, lo = ["\n\n\n"], 3, 0  # lo: where the reader's current chunk starts
     for line in lines:
-        length = len(line.encode()) - line.count("\r\n")
+        length = len(line.encode("utf-8", "surrogatepass")) - line.count("\r\n")
         if size + length > lo + chunk:  # the line's newline would be the first at or past lo + chunk, and end the chunk
             out.append("\n" * (lo + chunk + 3 - size))  # instead, an empty line's newline there does
             size, lo = lo + chunk + 3, lo + chunk + 1
@@ -794,9 +840,33 @@ def test_reader_settles_a_non_ascii_field_in_the_last_chunk_alone(detections_bui
     assert not detections_built and settled == ["\xa010"]
 
 
+def test_reader_settles_no_field_for_a_non_ascii_short_line(settled):
+    # the byte of a short line before a chunk's first row lies in no field
+    text = "é\n1,2,é\n" + write_tracks(DetectionTable.of([Detection(1, 2, 10, 20, 30, 40, 1)]))
+    with pytest.raises(ParseError, match="^line 1: expected at least 7 fields, got 1$"):
+        parse_tracks(text)
+    assert settled == []
+
+
+def test_reader_reads_odd_lines_alone(detections_built):
+    # a line of only spaces, an id past 2**53, a lone surrogate past the seventh field and a lone \r at the end:
+    # the line parser reads the first two lines alone, and only the id's line builds a Detection
+    k = np.arange(12_000)
+    table = DetectionTable(k // 10 + 1, k % 10 + 1, k / 7, k / 3, 1 + k / 9, 2.5 + 0 * k, 0.875 + 0 * k)
+    lines = write_tracks(table).splitlines(keepends=True)
+    lines[3000] += "    \n"
+    lines[6000] = f"601,{2**53 + 1},1.5,2,3,4,0.5,-1,-1,-1\n"
+    lines[9000] = lines[9000].replace(",-1,-1,-1", ",\ud800,-1,-1")
+    text = "".join(lines) + "1,1,1,1,1,1,1\r"
+    parsed = parse_tracks(text)
+    assert len(detections_built) == 1
+    assert parsed == DetectionTable.of(_reference_parse(text))
+    assert parsed.track_id[6000] == 2**53 + 1 and len(parsed) == 12_001
+
+
 def test_reader_does_not_count_an_empty_line_as_a_field():
     for text in ("1,2,10,20,30,40\n\n", "1,2,10,20,30,40\n\n" + GOOD, "1,2,10,20,30,40\r\n\r\n\r\n" + GOOD):
-        assert _read_values(text) is None
+        assert read_lines(text)[1] == ["1,2,10,20,30,40"]
         with pytest.raises(ParseError, match="^line 1: expected at least 7 fields, got 6$"):
             parse_tracks(text)
 
@@ -817,10 +887,9 @@ def mutated_text(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(mutated_text())
 def test_reader_reads_what_it_takes_as_float_does(text):
-    values = _read_values(text)
-    if values is not None:
-        rows = [[float(f.strip()) for f in raw.split(",")[:7]] for raw in io.StringIO(text) if raw.strip()]
-        assert np.array_equal(values.view(np.int64), np.array(rows).view(np.int64))
+    (values, unread), (rows, short) = read_lines(text), reference_lines(text)
+    assert np.array_equal(values.view(np.int64), rows.view(np.int64)) and unread == short
+    assert _outcome(parse_tracks, text) == _outcome(_reference_parse, text)
 
 
 READER_TEXT = [
