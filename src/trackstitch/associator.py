@@ -109,8 +109,9 @@ class Domains(Sequence[SuccessorVar]):
     def of(cls, succ_vars: Iterable[SuccessorVar]) -> Domains:
         """``succ_vars`` itself if it is a Domains, else the variables' domains as columns.
 
-        Raises ValueError for a repeated variable, an empty domain or a
-        marginal that is not finite and positive, on the first such variable.
+        Raises ValueError for a repeated variable, a variable or candidate
+        id below 1 (tracklet ids start at 1), an empty domain or a marginal
+        that is not finite and positive, on the first such variable.
         """
         if isinstance(succ_vars, Domains):
             return succ_vars
@@ -119,6 +120,8 @@ class Domains(Sequence[SuccessorVar]):
         for var in succ_vars:
             if var.tracklet_id in seen:
                 raise ValueError(f"duplicate variable for tracklet {var.tracklet_id}")
+            if any(tid < 1 for tid in (var.tracklet_id, *var.marginals) if tid is not STOP):
+                raise ValueError(f"variable {var.tracklet_id} names a tracklet id below 1")
             values = np.array(list(var.marginals.values()), dtype=float)
             if not len(values):
                 raise ValueError(f"variable {var.tracklet_id} has an empty domain")

@@ -145,26 +145,28 @@ def save_pipeline_config(cfg: PipelineConfig, path: str | Path) -> None:
         f.write(format_pipeline_config(cfg))
 
 
+# Every scenario key once: the config class it sets, that config's field and
+# the type of its value. corrupt.gap_min and corrupt.gap_max are collected
+# under their own names and become the two ends of gap_frames.
 _SCENARIO_KEYS = {
-    "scene.num_objects": ("num_objects", int),
-    "scene.num_frames": ("num_frames", int),
-    "scene.fps": ("fps", float),
-    "scene.width": ("img_width", int),
-    "scene.height": ("img_height", int),
-    "scene.crossings": ("crossings", int),
-    "scene.turn_rate": ("turn_rate", float),
-    "scene.min_speed": ("min_speed", float),
-    "scene.max_speed": ("max_speed", float),
-    "scene.seed": ("seed", int),
-}
-
-_CORRUPTION_KEYS = {
-    "corrupt.fragment_prob": ("fragment_prob", float),
-    "corrupt.swap_prob": ("swap_prob", float),
-    "corrupt.dropout": ("dropout", float),
-    "corrupt.random_cuts": ("random_cuts_per_track", int),
-    "corrupt.crossing_iou": ("crossing_iou", float),
-    "corrupt.seed": ("seed", int),
+    "scene.num_objects": (ScenarioConfig, "num_objects", int),
+    "scene.num_frames": (ScenarioConfig, "num_frames", int),
+    "scene.fps": (ScenarioConfig, "fps", float),
+    "scene.width": (ScenarioConfig, "img_width", int),
+    "scene.height": (ScenarioConfig, "img_height", int),
+    "scene.crossings": (ScenarioConfig, "crossings", int),
+    "scene.turn_rate": (ScenarioConfig, "turn_rate", float),
+    "scene.min_speed": (ScenarioConfig, "min_speed", float),
+    "scene.max_speed": (ScenarioConfig, "max_speed", float),
+    "scene.seed": (ScenarioConfig, "seed", int),
+    "corrupt.fragment_prob": (CorruptionConfig, "fragment_prob", float),
+    "corrupt.swap_prob": (CorruptionConfig, "swap_prob", float),
+    "corrupt.dropout": (CorruptionConfig, "dropout", float),
+    "corrupt.random_cuts": (CorruptionConfig, "random_cuts_per_track", int),
+    "corrupt.gap_min": (CorruptionConfig, "gap_min", int),
+    "corrupt.gap_max": (CorruptionConfig, "gap_max", int),
+    "corrupt.crossing_iou": (CorruptionConfig, "crossing_iou", float),
+    "corrupt.seed": (CorruptionConfig, "seed", int),
 }
 
 
@@ -178,29 +180,21 @@ def load_scenario(path: str | Path) -> tuple[ScenarioConfig, CorruptionConfig]:
     for an invalid scene).
     """
     values = read_kv(path)
-    scene_kwargs = {}
-    corrupt_kwargs = {}
-    gap_lo, gap_hi = 0, None
+    kwargs: dict[type, dict] = {ScenarioConfig: {}, CorruptionConfig: {}}
     try:
         for key, value in values.items():
-            if key in _SCENARIO_KEYS:
-                name, cast = _SCENARIO_KEYS[key]
-                scene_kwargs[name] = _parse_number(value, key, cast)
-            elif key in _CORRUPTION_KEYS:
-                name, cast = _CORRUPTION_KEYS[key]
-                corrupt_kwargs[name] = _parse_number(value, key, cast)
-            elif key == "corrupt.gap_min":
-                gap_lo = _parse_number(value, key, int)
-            elif key == "corrupt.gap_max":
-                gap_hi = _parse_number(value, key, int)
-            else:
+            if key not in _SCENARIO_KEYS:
                 raise ValueError(f"unknown key {key!r}")
+            config, name, cast = _SCENARIO_KEYS[key]
+            kwargs[config][name] = _parse_number(value, key, cast)
+        scene, corrupt = kwargs[ScenarioConfig], kwargs[CorruptionConfig]
         for required in ("num_objects", "num_frames"):
-            if required not in scene_kwargs:
+            if required not in scene:
                 raise ValueError(f"missing scene.{required}")
-        scenario = ScenarioConfig(**scene_kwargs)
+        scenario = ScenarioConfig(**scene)
         scenario.validate()
-        corruption = CorruptionConfig(gap_frames=(gap_lo, gap_lo if gap_hi is None else gap_hi), **corrupt_kwargs)
+        gap_min = corrupt.pop("gap_min", 0)
+        corruption = CorruptionConfig(gap_frames=(gap_min, corrupt.pop("gap_max", gap_min)), **corrupt)
         corruption.validate()
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None

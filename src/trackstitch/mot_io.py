@@ -754,9 +754,15 @@ def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) 
 
 
 def load_tracks(path: str | Path) -> DetectionTable:
-    """Parse the MOTChallenge track file at ``path`` (see :func:`parse_tracks`); a leading UTF-8 byte-order mark is dropped."""
+    """Parse the MOTChallenge track file at ``path`` (see :func:`parse_tracks`); a leading UTF-8 byte-order mark is dropped.
+
+    A :class:`ParseError` names the file before the line: ``{path}: line {n}: ...``.
+    """
     with open(path, encoding="utf-8-sig") as f:
-        return parse_tracks(f)
+        try:
+            return parse_tracks(f)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 @contextmanager
@@ -813,8 +819,7 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
     the frame rate must be finite and positive, and the last three must be
     positive integers (``1920.0`` is one) no larger than a float holds. A
     leading UTF-8 byte-order mark is dropped. Raises :class:`ParseError`
-    naming the line of a bad value, and the file where the image diagonal is
-    too large for a float.
+    naming the file, and the line of a bad value.
     """
     values: dict[str, float | int] = {}
     with open(path, encoding="utf-8-sig") as f:
@@ -823,7 +828,7 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
             if not line or line.startswith(("[", "#", ";")):
                 continue
             if "=" not in line:
-                raise ParseError(f"line {lineno}: expected key=value, got {line!r}")
+                raise ParseError(f"{path}: line {lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
             if key in _SEQINFO_KEYS:
@@ -831,7 +836,7 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
                 try:
                     values[field] = parse(value.strip())
                 except ValueError:  # also a non-finite or fractional integer, a size < 1 or a rate <= 0
-                    raise ParseError(f"line {lineno}: bad value for {key}: {value.strip()!r}") from None
+                    raise ParseError(f"{path}: line {lineno}: bad value for {key}: {value.strip()!r}") from None
     missing = [k for k, (field, _) in _SEQINFO_KEYS.items() if field not in values]
     if missing:
         raise ParseError(f"seqinfo file {path} is missing keys: {', '.join(missing)}")

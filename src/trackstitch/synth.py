@@ -152,55 +152,44 @@ class CorruptionLog:
 
 
 def _feasible_start(extent: float, size: float, disp: np.ndarray) -> tuple[float, float]:
-    # band of start centers keeping box >= 1 px inside [0, extent] for the
-    # whole displacement path; empty band -> (nan, nan)
-    lo = 1 + size / 2.0 - disp.min()
-    hi = extent - 1 - size / 2.0 - disp.max()
-    if hi < lo:
-        return (math.nan, math.nan)
-    return (lo, hi)
+    # band (lo, hi) of start centers keeping box >= 1 px inside [0, extent]
+    # for the whole displacement path; empty where hi < lo
+    return 1 + size / 2.0 - disp.min(), extent - 1 - size / 2.0 - disp.max()
 
 
 def _plan_paths(cfg: ScenarioConfig, rng: np.random.Generator) -> list[tuple[float, float, float, float, np.ndarray]]:
-    """Size, start center and displacement path of every object, in object order: (w, h, cx, cy, disp)."""
-    W, H, T = cfg.img_width, cfg.img_height, cfg.num_frames
-    pending_cross = []  # (object index, partner index) scheduling
-    for k in range(cfg.crossings):
-        pending_cross.append((2 * k, 2 * k + 1))
-    crossing_member = {i for pair in pending_cross for i in pair}
+    """Size, start center and displacement path of every object, in object order: (w, h, cx, cy, disp).
 
-    # (w, h, start center, displacement path) per object
-    plans: dict[int, tuple] = {}
-    for obj in range(cfg.num_objects):
-        if obj in crossing_member:
-            continue  # planned with its partner below
+    The free objects are planned first, then the crossing pairs (objects
+    2k and 2k + 1), which are aimed at a common point.
+    """
+    W, H, T = cfg.img_width, cfg.img_height, cfg.num_frames
+    plans: list = [None] * cfg.num_objects
+    for obj in range(2 * cfg.crossings, cfg.num_objects):
         w = float(rng.uniform(_MIN_W, _MAX_W))
         h = float(rng.uniform(_MIN_H, _MAX_H))
-        placed = False
         for _ in range(25):
             speed = rng.uniform(cfg.min_speed, cfg.max_speed)
             theta = rng.uniform(0, 2 * math.pi)
             disp = _displacements(speed, theta, cfg.turn_rate, T)
             band_x = _feasible_start(W, w, disp[:, 0])
             band_y = _feasible_start(H, h, disp[:, 1])
-            if not (math.isnan(band_x[0]) or math.isnan(band_y[0])):
+            if band_x[0] <= band_x[1] and band_y[0] <= band_y[1]:
                 cx = float(rng.uniform(*band_x))
                 cy = float(rng.uniform(*band_y))
                 plans[obj] = (w, h, cx, cy, disp)
-                placed = True
                 break
-        if not placed:
+        else:
             # slowest speed, clamped path
             disp = _displacements(cfg.min_speed, rng.uniform(0, 2 * math.pi), cfg.turn_rate, T)
             cx = float(rng.uniform(1 + w / 2, W - 1 - w / 2))
             cy = float(rng.uniform(1 + h / 2, H - 1 - h / 2))
             plans[obj] = (w, h, cx, cy, disp)
 
-    for a, b in pending_cross:
+    for a in range(0, 2 * cfg.crossings, 2):
         # same size for both: boxes coincide exactly at the crossing frame
-        wa = wb = float(rng.uniform(_MIN_W, _MAX_W))
-        ha = hb = float(rng.uniform(_MIN_H, _MAX_H))
-        placed = False
+        w = float(rng.uniform(_MIN_W, _MAX_W))
+        h = float(rng.uniform(_MIN_H, _MAX_H))
         for _ in range(50):
             fc = int(rng.integers(int(0.35 * T) + 1, max(int(0.65 * T), int(0.35 * T) + 2)))
             px = float(rng.uniform(0.3 * W, 0.7 * W))
@@ -209,27 +198,20 @@ def _plan_paths(cfg: ScenarioConfig, rng: np.random.Generator) -> list[tuple[flo
             theta_b = theta_a + float(rng.uniform(math.pi / 3, 2 * math.pi / 3))
             speed_a = float(rng.uniform(cfg.min_speed, cfg.max_speed))
             speed_b = float(rng.uniform(cfg.min_speed, cfg.max_speed))
-            ok = True
-            candidate = []
-            for obj, w, h, theta, speed in ((a, wa, ha, theta_a, speed_a), (b, wb, hb, theta_b, speed_b)):
+            for obj, theta, speed in ((a, theta_a, speed_a), (a + 1, theta_b, speed_b)):
                 disp = _displacements(speed, theta, 0.0, T)
                 cx = px - disp[fc - 1, 0]
                 cy = py - disp[fc - 1, 1]
                 band_x = _feasible_start(W, w, disp[:, 0])
                 band_y = _feasible_start(H, h, disp[:, 1])
-                if math.isnan(band_x[0]) or not (band_x[0] <= cx <= band_x[1]) or not (band_y[0] <= cy <= band_y[1]):
-                    ok = False
-                    break
-                candidate.append((obj, (w, h, cx, cy, disp)))
-            if ok:
-                for obj, plan in candidate:
-                    plans[obj] = plan
-                placed = True
+                if not (band_x[0] <= cx <= band_x[1] and band_y[0] <= cy <= band_y[1]):
+                    break  # object a's plan from this attempt is overwritten by a later one or never read
+                plans[obj] = (w, h, cx, cy, disp)
+            else:
                 break
-        if not placed:
-            raise ScenarioError(f"could not construct a crossing for objects {a + 1} and {b + 1}")
-
-    return [plans[obj] for obj in range(cfg.num_objects)]
+        else:
+            raise ScenarioError(f"could not construct a crossing for objects {a + 1} and {a + 2}")
+    return plans
 
 
 def generate(cfg: ScenarioConfig) -> tuple[DetectionTable, SequenceMeta]:
@@ -304,14 +286,17 @@ def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[DetectionTa
                 containers[b] = np.concatenate((rows_b[:at_b], rows_a[at_a:]))
                 log.swaps.append(SwapRecord(a, b, frame))
 
-    # collect cut points per container
-    cut_points: dict[int, list[tuple[int, int]]] = {cid: [] for cid in containers}
+    widest: dict[int, dict[int, int]] = {cid: {} for cid in containers}  # per container: cut frame -> widest gap cut there
+
+    def cut(cid: int, frame: int) -> None:
+        gap = int(rng.integers(cfg.gap_frames[0], cfg.gap_frames[1] + 1))
+        widest[cid][frame] = max(gap, widest[cid].get(frame, 0))
+
     if cfg.fragment_prob > 0:
         for a, b, frame in events:
             for cid in (a, b):
                 if rng.random() < cfg.fragment_prob:
-                    gap = int(rng.integers(cfg.gap_frames[0], cfg.gap_frames[1] + 1))
-                    cut_points[cid].append((frame, gap))
+                    cut(cid, frame)
     order = sorted(containers)
     for cid in order:
         frames = rows.frame[containers[cid]]
@@ -329,8 +314,7 @@ def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[DetectionTa
                     chosen.append(f)
                     break
         for f in sorted(chosen):
-            gap = int(rng.integers(cfg.gap_frames[0], cfg.gap_frames[1] + 1))
-            cut_points[cid].append((f, gap))
+            cut(cid, f)
 
     # split every container into pieces at its cuts and delete the gap rows
     # after each cut; the pieces of all containers are numbered in order
@@ -338,11 +322,7 @@ def corrupt(gt: Sequence[Detection], cfg: CorruptionConfig) -> tuple[DetectionTa
     piece_owner: list[int] = []  # the container of each piece
     splits: list[tuple[int, int, int, int]] = []  # (container, frame, gap, piece left of it) per splitting cut
     for cid in order:
-        widest: dict[int, int] = {}  # coinciding cuts collapse to the widest gap
-        for f, gap in cut_points[cid]:
-            widest[f] = max(gap, widest.get(f, 0))
-        cut_frames = np.array(sorted(widest), dtype=np.int64)
-        gaps = np.array([widest[f] for f in cut_frames.tolist()], dtype=np.int64)
+        cut_frames, gaps = np.array(sorted(widest[cid].items()), dtype=np.int64).reshape(-1, 2).T
         idx = containers[cid]
         frames = rows.frame[idx]
         # a row's piece counts the cuts at or before its frame, and the row is

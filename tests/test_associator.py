@@ -779,6 +779,19 @@ class TestColumnSolver:
         with pytest.raises(ValueError, match="^variable 1 has an empty domain$"):
             solve_with_stats([SuccessorVar(2, {STOP: 1.0}), SuccessorVar(1, {}), SuccessorVar(3, {STOP: -1.0})])
 
+    @pytest.mark.parametrize(
+        "succ_vars, vid",
+        [
+            # a candidate id of -1 cast to uint64 would tie with STOP
+            ([SuccessorVar(1, {-1: 0.5, STOP: 0.5}), SuccessorVar(2, {3: 1.0})], 1),
+            ([SuccessorVar(2, {STOP: 1.0}), SuccessorVar(0, {STOP: 1.0})], 0),
+            ([SuccessorVar(1, {STOP: 1.0}), SuccessorVar(3, {0: 0.5, STOP: 0.5})], 3),
+        ],
+    )
+    def test_conversion_rejects_ids_below_one(self, succ_vars, vid):
+        with pytest.raises(ValueError, match=f"^variable {vid} names a tracklet id below 1$"):
+            solve_with_stats(succ_vars)
+
 
 class TestUnknownIds:
     def test_validate_assignment_names_an_unknown_successor(self):
@@ -795,6 +808,33 @@ class TestUnknownIds:
         tls = group_tracklets(run(1, 1, 10) + run(2, 12, 20))
         with pytest.raises(ValueError, match="^assignment names unknown tracklet 99$"):
             stitch({1: 99, 2: STOP}, tls)
+
+
+class TestInvalidAssignments:
+    TLS = group_tracklets(run(1, 1, 10) + run(2, 12, 20) + run(3, 22, 30))
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ({1: 3, 2: 3, 3: STOP}, "successor 3 assigned to two tracklets"),
+            ({1: STOP, 2: 1, 3: STOP}, "successor 1 does not start after tracklet 2 ends"),
+        ],
+    )
+    def test_validate_assignment_rejects_a_broken_constraint(self, assignment, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_assignment(assignment, self.TLS)
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ({1: 2, 2: 3, 3: 2}, "assignment contains a cycle through tracklet 2"),
+            ({1: 2, 2: 3, 3: 1}, "assignment does not partition the tracklets into chains"),
+            ({1: 3, 2: 3, 3: STOP}, "assignment does not partition the tracklets into chains"),
+        ],
+    )
+    def test_stitch_rejects_an_assignment_that_is_not_chains(self, assignment, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            stitch(assignment, self.TLS)
 
 
 def test_stitch_rejects_a_chain_that_goes_back_in_time():

@@ -127,7 +127,7 @@ def test_refine_non_finite_value_is_a_line_error(tmp_path, capsys, line):
     code = main(["refine", str(bad), str(out), "--fps", "30", "--width", "100", "--height", "100"])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 3: ")
+    assert err.startswith(f"error: {bad}: line 3: ")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
 
@@ -139,7 +139,7 @@ def test_refine_rejects_a_box_without_extent_or_normal_area(tmp_path, capsys, si
     out = tmp_path / "out.txt"
     code = main(["refine", str(bad), str(out), "--fps", "30", "--width", "100", "--height", "100"])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: line 1: box ")
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: box ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
 
 
@@ -266,7 +266,7 @@ def test_refine_rejects_bad_seqinfo_values(tmp_path, capsys, line, expected):
     seqinfo = tmp_path / "seqinfo.ini"
     seqinfo.write_text("[Sequence]\n" + f"{line}\n" + "".join(f"{k}={v}\n" for k, v in fields.items() if k != key))
     argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
-    assert_one_line_error(tmp_path, capsys, argv, expected)
+    assert_one_line_error(tmp_path, capsys, argv, f"{seqinfo}: {expected}")
 
 
 def test_refine_rejects_sizes_too_large_for_float_arithmetic(tmp_path, capsys):
@@ -275,7 +275,7 @@ def test_refine_rejects_sizes_too_large_for_float_arithmetic(tmp_path, capsys):
     seqinfo = tmp_path / "seqinfo.ini"
     seqinfo.write_text(f"frameRate=30\nimWidth={10**400}\nimHeight=100\nseqLength=10\n")
     argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
-    assert_one_line_error(tmp_path, capsys, argv, f"line 2: bad value for imWidth: '{10**400}'")
+    assert_one_line_error(tmp_path, capsys, argv, f"{seqinfo}: line 2: bad value for imWidth: '{10**400}'")
     argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--fps", "30", "--width", str(10**200), "--height", "100"]
     assert_one_line_error(tmp_path, capsys, argv, f"the image diagonal must be finite, got a {10**200} x 100 image")
     # from a seqinfo file, where no one key is at fault, the error names the file
@@ -436,3 +436,52 @@ def test_synth_scenario_errors_name_the_file(tmp_path, capsys, line, expected):
     captured = capsys.readouterr()
     assert captured.err == f"error: {scenario}: {expected}\n"
     assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (SCENARIO + "scene.num_objects = 0\n", "{path}: need at least one object and one frame"),
+        ("scene.num_frames = 10\n", "{path}: missing scene.num_objects"),
+        ("scene.num_objects 3\n", "{path}:1: expected key = value, got 'scene.num_objects 3'"),
+        # generate raises this one, after the file has been read
+        (
+            "scene.num_objects = 2\nscene.num_frames = 100\nscene.crossings = 1\nscene.min_speed = 60\nscene.max_speed = 60\n",
+            "could not construct a crossing for objects 1 and 2",
+        ),
+    ],
+)
+def test_synth_errors_write_nothing(tmp_path, capsys, text, expected):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(text)
+    assert main(["synth", str(scenario), "--out-dir", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {expected.format(path=scenario)}\n"
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+def test_refine_rejects_a_flag_that_is_not_a_boolean(tmp_path, capsys):
+    tracks = tmp_path / "tracks.txt"
+    tracks.write_text(THREE_ROWS)
+    config = tmp_path / "pipeline.cfg"
+    config.write_text("cutter.enabled = maybe\n")
+    argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--fps", "30", "--width", "100", "--height", "100", "--config", str(config)]
+    assert_one_line_error(tmp_path, capsys, argv, f"{config}: cutter.enabled: expected a boolean, got 'maybe'")
+
+
+def test_refine_rejects_a_seqinfo_line_without_a_value(tmp_path, capsys):
+    tracks = tmp_path / "tracks.txt"
+    tracks.write_text(THREE_ROWS)
+    seqinfo = tmp_path / "seqinfo.ini"
+    seqinfo.write_text("[Sequence]\nframeRate 30\nimWidth=100\nimHeight=100\nseqLength=10\n")
+    argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
+    assert_one_line_error(tmp_path, capsys, argv, f"{seqinfo}: line 2: expected key=value, got 'frameRate 30'")
+
+
+def test_eval_parse_errors_name_the_file(tmp_path, capsys):
+    gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+    gt.write_text(THREE_ROWS)
+    pred.write_text("1,1,10,20\n")
+    assert main(["eval", str(gt), str(pred)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {pred}: line 1: expected at least 7 fields, got 4\n" and captured.out == ""

@@ -304,7 +304,7 @@ def test_load_tracks_drops_a_byte_order_mark(tmp_path):
     assert load_tracks(path) == parse_tracks(text)
     # a mark anywhere but at the start is still an error
     path.write_text(text + "\ufeff3,1,12,20,30,40,0.7,-1,-1,-1\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="^line 3: "):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: "):
         load_tracks(path)
 
 
@@ -343,7 +343,7 @@ def test_sequence_meta_rejects_numbers_too_large_for_float_arithmetic(fields, me
 def test_read_seqinfo_rejects_non_finite_frame_rate(tmp_path, value):
     path = tmp_path / "seqinfo.ini"
     path.write_text(f"seqLength=600\nframeRate={value}\nimWidth=1280\nimHeight=720\n")
-    with pytest.raises(ParseError, match=f"^line 2: bad value for frameRate: '{value}'$"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: bad value for frameRate: '{value}'$"):
         read_seqinfo(path)
 
 
@@ -355,7 +355,7 @@ def test_read_seqinfo_rejects_non_integer_sizes(tmp_path, key, value, lineno):
     fields = {"frameRate": "25", "seqLength": "600", "imWidth": "1280", "imHeight": "720", key: value}
     path = tmp_path / "seqinfo.ini"
     path.write_text("[Sequence]\n" + "".join(f"{k}={v}\n" for k, v in fields.items()))
-    with pytest.raises(ParseError, match=f"^line {lineno}: bad value for {key}: '{value}'$"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {lineno}: bad value for {key}: '{value}'$"):
         read_seqinfo(path)
 
 
