@@ -36,7 +36,7 @@ import numpy as np
 
 from .mot_io import SequenceMeta, _format_rows
 from .scoring import PairScores, ScoreConfig, left_sums, score_columns, stop_scores
-from .tracklets import Tracklets, aranges, run_bounds
+from .tracklets import Tracklets, aranges, check_integer, run_bounds
 
 # STOP sentinel: None in domains and assignments means "trajectory ends here".
 STOP = None
@@ -109,9 +109,10 @@ class Domains(Sequence[SuccessorVar]):
     def of(cls, succ_vars: Iterable[SuccessorVar]) -> Domains:
         """``succ_vars`` itself if it is a Domains, else the variables' domains as columns.
 
-        Raises ValueError for a repeated variable, a variable or candidate
-        id below 1 (tracklet ids start at 1), an empty domain or a marginal
-        that is not finite and positive, on the first such variable.
+        Raises ValueError for a repeated variable, a variable or candidate id
+        that is not an integer in [1, 2**63) (a bool is not one), an empty
+        domain or a marginal that is not finite and positive, on the first
+        such variable.
         """
         if isinstance(succ_vars, Domains):
             return succ_vars
@@ -120,8 +121,10 @@ class Domains(Sequence[SuccessorVar]):
         for var in succ_vars:
             if var.tracklet_id in seen:
                 raise ValueError(f"duplicate variable for tracklet {var.tracklet_id}")
-            if any(tid < 1 for tid in (var.tracklet_id, *var.marginals) if tid is not STOP):
-                raise ValueError(f"variable {var.tracklet_id} names a tracklet id below 1")
+            for tid in (var.tracklet_id, *(cand for cand in var.marginals if cand is not STOP)):
+                check_integer(tid, f"a tracklet id of variable {var.tracklet_id}")
+                if not 1 <= tid < 2**63:
+                    raise ValueError(f"variable {var.tracklet_id} names tracklet id {tid}, outside [1, 2**63)")
             values = np.array(list(var.marginals.values()), dtype=float)
             if not len(values):
                 raise ValueError(f"variable {var.tracklet_id} has an empty domain")
@@ -409,12 +412,11 @@ def dump_candidates(domains: Domains, stream: TextIO) -> None:
 
     A row holds the predecessor, the candidate (``STOP`` for STOP), each
     enabled constraint's score, the product and the marginal (0 if
-    hard-filtered), every value as its own repr (``-0.0`` stays ``-0.0``).
-    Integral values below 1e15 and non-integral ones from 1e-4 up to 1e15
-    are printed from digits computed in numpy for whole columns; ``repr``
-    formats each distinct other value once (below 1e-4, from 1e15 up,
-    subnormals). Raises ValueError for hand-built domains, which carry no
-    scores.
+    hard-filtered). Every number prints by the rule of :func:`write_tracks`:
+    an integral value below 1e15 without a decimal point (``1.0`` as ``1``),
+    any other as its shortest round-trip repr, so ``float()`` reads each
+    back bit for bit. Raises ValueError for hand-built domains, which carry
+    no scores.
     """
     if domains.kinds is None:
         raise ValueError("hand-built domains carry no scores to dump")
@@ -423,4 +425,4 @@ def dump_candidates(domains: Domains, stream: TextIO) -> None:
     predecessors = np.repeat(domains.ids, np.diff(domains.offsets))
     columns = [predecessors, domains.candidates, *domains.scores, domains.products, domains.marginals]
     separators = ["\t"] * (len(columns) - 1) + ["\n"]
-    stream.write(_format_rows(columns, separators, whole_as_int=False, words=(1, domains.stop, "STOP")))
+    stream.write(_format_rows(columns, separators, words=(1, domains.stop, "STOP")))

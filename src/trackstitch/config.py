@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .mot_io import atomic_writer
+from .mot_io import atomic_writer, read_text
 from .scoring import ConstraintKind, ScoreConfig, check_flag, file_form
 from .synth import CorruptionConfig, ScenarioConfig
-from .tracklets import check_integer, check_window
+from .tracklets import check_integer, check_iou_threshold, check_window
 
 
 @dataclass
@@ -36,8 +36,7 @@ class PipelineConfig:
         self.scores.validate()
         check_flag(self.cutter_enabled, "cutter.enabled")
         check_flag(self.interp_enabled, "interp.enabled")
-        if not (0.0 < self.cut_threshold <= 1.0):
-            raise ValueError(f"cutter.t_tc must lie in (0, 1], got {self.cut_threshold}")
+        check_iou_threshold(self.cut_threshold, "cutter.t_tc")
         check_integer(self.max_gap_size, "interp.max_gap")
         if self.max_gap_size < 1:
             raise ValueError(f"interp.max_gap must be positive, got {self.max_gap_size}")
@@ -61,14 +60,14 @@ def _parse_number(value: str, key: str, cast: type = float) -> int | float:
 
 
 def read_kv(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment, and a leading UTF-8 byte-order mark is dropped."""
+    """Read a flat ``key = value`` file (see :func:`mot_io.read_text`); '#' starts a comment."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+            raise ValueError(f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values

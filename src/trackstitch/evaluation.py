@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .mot_io import Detection, DetectionTable
-from .tracklets import aranges, cross_overlaps, iou_pairs, pair_runs, ranks
+from .tracklets import aranges, check_iou_threshold, cross_overlaps, iou_pairs, pair_runs, ranks
 
 
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -68,12 +68,6 @@ class FrameMatching:
     id_switches: int
 
 
-def _check_iou_threshold(iou_threshold: float) -> None:
-    # a threshold of 0 or less would match boxes that do not overlap at all
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
-
-
 @dataclass(frozen=True)
 class _Hits:
     """The checked ground-truth and predicted rows of one sequence, each in (frame, id) order, and their hits.
@@ -90,7 +84,7 @@ class _Hits:
 
     @classmethod
     def of(cls, gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float) -> _Hits:
-        _check_iou_threshold(iou_threshold)
+        check_iou_threshold(iou_threshold, "iou_threshold")
         if not gt:
             raise ValueError("ground truth is empty; metrics are undefined")
         gt, pred = DetectionTable.of(gt).by_frame(), DetectionTable.of(pred).by_frame()

@@ -32,6 +32,7 @@ bad one, and gives any other row its exact frame and id.
 
 from __future__ import annotations
 
+import codecs
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -480,18 +481,20 @@ def _digits(values: np.ndarray, count: np.ndarray, groups: int) -> np.ndarray:
     return quads[index].view(np.uint8)
 
 
-def _number_block(values: np.ndarray, sep: bytes, whole_as_int: bool) -> np.ndarray:
+def _number_block(values: np.ndarray, sep: bytes) -> np.ndarray:
     """Each value, then ``sep``, as one NUL-padded row of an (N, width) ASCII byte matrix.
 
-    An int64 prints its digits. A float64 prints as ``repr`` does, except that
-    with ``whole_as_int`` an integral value below 1e15 in magnitude prints
-    without its ``.0`` (``-0.0`` as ``0``). Integral values below 1e15 and
-    non-integral ones in ``_VECTOR_RANGE`` are printed from their digits;
-    ``repr`` prints the others: subnormals, magnitudes below 1e-4 or from 1e15
-    up, and non-finite values.
+    An int64 prints its digits. A float64 integral value below 1e15 in
+    magnitude prints without a decimal point (``-0.0`` as ``0``), any other
+    float64 as ``repr`` does. Integral values below 1e15 and non-integral ones
+    in ``_VECTOR_RANGE`` are printed from their digits; ``repr`` prints the
+    others: subnormals, magnitudes below 1e-4 or from 1e15 up, and non-finite
+    values.
     """
     _, pow10, _ = _tables()
     n = len(values)
+    count = np.zeros(n, np.int64)  # fraction digits
+    by_repr = np.zeros(n, bool)
     if values.dtype.kind == "f":
         a = np.abs(values)
         a[np.isnan(a)] = np.inf  # no ordered comparison meets a nan (some numpy versions warn)
@@ -502,28 +505,21 @@ def _number_block(values: np.ndarray, sep: bytes, whole_as_int: bool) -> np.ndar
         by_repr = ~(integral | vector)
         whole = whole.astype(np.uint64)
         fraction = np.zeros(n, np.uint64)
-        count = np.zeros(n, np.int64) if whole_as_int else integral.astype(np.int64)  # the ".0" of repr
         if vector.any():
             digits, count[vector] = _shortest_digits(a[vector])
             p = pow10[np.minimum(count[vector], 19)]  # a fraction of 19 or 20 digits has no whole part
             whole[vector] = digits // p
             fraction[vector] = digits - whole[vector] * p
-        sign = np.signbit(values) & ~by_repr
-        if whole_as_int:
-            sign &= values != 0  # -0.0 prints as 0
+        sign = np.signbit(values) & ~by_repr & (values != 0)  # -0.0 prints as 0
     else:
         sign = values < 0
         whole = values.astype(np.uint64)
         whole[sign] = -whole[sign]  # modulo 2**64: exact for int64's minimum too
-        count = by_repr = None
     length = np.maximum(np.searchsorted(pow10, whole, "right"), 1)
     int_width = 4 * -(-int(length.max(initial=1)) // 4)
-    frac_width = 4 * -(-int(count.max(initial=0)) // 4) if count is not None else 0
-    width = 1 + int_width + (frac_width and 1 + frac_width) + len(sep)
-    texts = None
-    if by_repr is not None and by_repr.any():
-        texts = np.array([repr(v).encode() + sep for v in values[by_repr].tolist()])
-        width = max(width, texts.itemsize)
+    frac_width = 4 * -(-int(count.max(initial=0)) // 4)
+    texts = np.array([repr(v).encode() + sep for v in values[by_repr].tolist()], dtype=bytes)
+    width = max(1 + int_width + (frac_width and 1 + frac_width) + len(sep), texts.itemsize)
     block = np.zeros((n, width), np.uint8)
     block[:, 0] = np.where(sign, np.uint8(ord("-")), np.uint8(0))
     block[:, 1 : 1 + int_width] = _digits(whole, length, int_width // 4)
@@ -531,24 +527,22 @@ def _number_block(values: np.ndarray, sep: bytes, whole_as_int: bool) -> np.ndar
         block[:, 1 + int_width] = np.where(count > 0, np.uint8(ord(".")), np.uint8(0))
         block[:, 2 + int_width : 2 + int_width + frac_width] = _digits(fraction, count, frac_width // 4)
     block[:, width - len(sep) :] = np.frombuffer(sep, np.uint8)
-    if texts is not None:
-        block[by_repr] = 0
-        block[by_repr, : texts.itemsize] = texts.view(np.uint8).reshape(len(texts), -1)
+    block[by_repr] = 0
+    block[by_repr, : texts.itemsize] = texts.view(np.uint8).reshape(-1, texts.itemsize)
     return block
 
 
 def _format_rows(
     columns: Sequence[np.ndarray],
     separators: Sequence[str],
-    whole_as_int: bool = True,
     words: tuple[int, np.ndarray, str] | None = None,
 ) -> str:
     """Rows of text, row k holding each column's value k followed by that column's separator.
 
-    Numbers print by the rule of :func:`_number_block`. A float64 column is
-    printed once per distinct bit pattern of a chunk and gathered back by row.
-    ``words``, when given, is ``(column, mask, word)``: the rows that ``mask``
-    selects print ``word`` in that column instead of their value.
+    Numbers print by the rule of :func:`_number_block`, each column of a chunk
+    once per distinct value and gathered back by row. ``words``, when given,
+    is ``(column, mask, word)``: the rows that ``mask`` selects print ``word``
+    in that column instead of their value.
     """
     separators = [s.encode() for s in separators]
     text = []
@@ -556,12 +550,8 @@ def _format_rows(
         rows = slice(start, start + _CHUNK_ROWS)
         blocks = []
         for column, sep in zip(columns, separators):
-            values = column[rows]
-            if values.dtype.kind == "f":
-                bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-                blocks.append(np.take(_number_block(bits.view(np.float64), sep, whole_as_int), inverse, axis=0))
-            else:
-                blocks.append(_number_block(values, sep, whole_as_int))
+            distinct, inverse = np.unique(column[rows], return_inverse=True)  # 0.0 and -0.0 print alike
+            blocks.append(np.take(_number_block(distinct, sep), inverse, axis=0))
         if words is not None:
             k, mask, word = words
             word = np.frombuffer(word.encode() + separators[k], np.uint8)
@@ -739,10 +729,7 @@ def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) 
     The detections are written as the columns of ``DetectionTable.of``, so
     every value field prints its float64 value by one rule: an integral value
     below 1e15 in magnitude prints without a decimal point (``-0.0`` as
-    ``0``), any other value as its shortest round-trip repr. Integral values
-    below 1e15 and non-integral ones from 1e-4 up to 1e15 are printed from
-    digits computed in numpy for whole columns; ``repr`` formats each distinct
-    other value once (below 1e-4, from 1e15 up, subnormals). A repeated
+    ``0``), any other value as its shortest round-trip repr. A repeated
     (frame, id) is written, its rows in input order, as :func:`parse_tracks`
     reads it. Returns the text; also writes it to ``stream`` when given.
     ``parse_tracks(write_tracks(D))`` reproduces D up to ordering.
@@ -753,16 +740,29 @@ def write_tracks(detections: Iterable[Detection], stream: TextIO | None = None) 
     return text
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file at ``path`` as text-mode ``open`` reads it, without a leading byte-order mark.
+
+    A byte that is not UTF-8 raises :class:`ParseError` ``{path}: line {n}: ...``.
+    """
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start] + b"x").splitlines())  # bytes split at \r\n, \r and \n, as text mode does
+        raise ParseError(f"{path}: line {lineno}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
+
+
 def load_tracks(path: str | Path) -> DetectionTable:
-    """Parse the MOTChallenge track file at ``path`` (see :func:`parse_tracks`); a leading UTF-8 byte-order mark is dropped.
+    """Parse the MOTChallenge track file at ``path`` (see :func:`parse_tracks`), read by :func:`read_text`.
 
     A :class:`ParseError` names the file before the line: ``{path}: line {n}: ...``.
     """
-    with open(path, encoding="utf-8-sig") as f:
-        try:
-            return parse_tracks(f)
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    text = read_text(path)
+    try:
+        return parse_tracks(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 @contextmanager
@@ -817,26 +817,24 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
     Section headers (``[Sequence]``), comments and unknown keys are ignored;
     ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required;
     the frame rate must be finite and positive, and the last three must be
-    positive integers (``1920.0`` is one) no larger than a float holds. A
-    leading UTF-8 byte-order mark is dropped. Raises :class:`ParseError`
-    naming the file, and the line of a bad value.
+    positive integers (``1920.0`` is one) no larger than a float holds. The
+    file is read by :func:`read_text`. Raises :class:`ParseError` naming the
+    file, and the line of a bad value.
     """
     values: dict[str, float | int] = {}
-    with open(path, encoding="utf-8-sig") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith(("[", "#", ";")):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in _SEQINFO_KEYS:
-                field, parse = _SEQINFO_KEYS[key]
-                try:
-                    values[field] = parse(value.strip())
-                except ValueError:  # also a non-finite or fractional integer, a size < 1 or a rate <= 0
-                    raise ParseError(f"{path}: line {lineno}: bad value for {key}: {value.strip()!r}") from None
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith(("[", "#", ";")):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}: line {lineno}: expected key=value, got {line!r}")
+        key, _, value = map(str.strip, line.partition("="))
+        if key in _SEQINFO_KEYS:
+            field, parse = _SEQINFO_KEYS[key]
+            try:
+                values[field] = parse(value)
+            except ValueError:  # also a non-finite or fractional integer, a size < 1 or a rate <= 0
+                raise ParseError(f"{path}: line {lineno}: bad value for {key}: {value!r}") from None
     missing = [k for k, (field, _) in _SEQINFO_KEYS.items() if field not in values]
     if missing:
         raise ParseError(f"seqinfo file {path} is missing keys: {', '.join(missing)}")

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .mot_io import Detection, DetectionTable, SequenceMeta, atomic_writer
-from .tracklets import group_tracklets, overlap_runs
+from .tracklets import check_iou_threshold, group_tracklets, overlap_runs
 
 
 class ScenarioError(ValueError):
@@ -92,8 +92,7 @@ class CorruptionConfig:
             raise ValueError(f"gap_frames must satisfy 0 <= lo <= hi, got {self.gap_frames}")
         if self.random_cuts_per_track < 0:
             raise ValueError(f"random_cuts_per_track must be nonnegative, got {self.random_cuts_per_track}")
-        if not 0.0 < self.crossing_iou <= 1.0:
-            raise ValueError(f"crossing_iou must lie in (0, 1], got {self.crossing_iou}")
+        check_iou_threshold(self.crossing_iou, "crossing_iou")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

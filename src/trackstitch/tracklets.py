@@ -75,6 +75,12 @@ def check_integer(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value}")
 
 
+def check_iou_threshold(value, name: str) -> None:
+    """Raise ValueError, naming the setting ``name``, unless the IoU threshold ``value`` lies in (0, 1]; NaN does not."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+
+
 def check_window(window: int, min_len: int, names: tuple[str, str] = ("window", "min_len")) -> None:
     """Raise ValueError, naming both values by ``names``, unless both are integers and ``2 <= window < min_len`` (see :class:`Tracklets`)."""
     w, m = names
@@ -447,8 +453,7 @@ def cut_tracklets(
     The rows stay where they are: a cut only relabels the fragments' rows,
     whose new ids make new runs.
     """
-    if not (0.0 < cut_threshold <= 1.0):
-        raise ValueError(f"cutter threshold must lie in (0, 1], got {cut_threshold}")
+    check_iou_threshold(cut_threshold, "cut_threshold")
     rows, bounds = tracklets.rows, tracklets.bounds
     i, j, first, _ = overlap_runs(tracklets, cut_threshold)
     # a tracklet is cut before its row in the run's first frame; a cut at its

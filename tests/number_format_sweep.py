@@ -1,13 +1,15 @@
-"""Compare the number text of ``mot_io._format_rows`` with ``repr`` on about 3M seeded values.
+"""Compare the number text of ``mot_io._format_rows`` with ``repr`` on about 3M seeded non-integral values.
 
     PYTHONPATH=src python tests/number_format_sweep.py [--seed 0] [--batches 12]
 
 Each batch draws the samples of ``test_number_format`` afresh (about 250k
 values in the digit kernel's range) and adds the ties near 1e15; the first
 batch also takes the doubles within 3,000 ulps of every power of ten and the
-constructed carry cases. pytest does not collect this file: it runs more
-values than tier-1 should, once per CI job, so that every numpy version the
-package supports checks the kernel. Exits non-zero on the first mismatch.
+constructed carry cases. Every value is non-integral, so the track rule
+that ``assert_like_repr`` checks is ``repr``. pytest does not collect this
+file: it runs more values than tier-1 should, once per CI job, so that every
+numpy version the package supports checks the kernel. Exits non-zero on the
+first mismatch.
 """
 
 import argparse

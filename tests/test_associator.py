@@ -26,6 +26,8 @@ from trackstitch.scoring import (
 )
 from trackstitch.tracklets import Tracklets, group_tracklets, iou_pairs
 
+from test_number_format import track_text
+
 META = SequenceMeta(fps=30, img_width=1920, img_height=1080, num_frames=1000)
 
 
@@ -431,14 +433,14 @@ def scalar_domains(tracklets, cfg, meta):
 
 
 def scalar_dump(reference, kinds):
-    """The candidate TSV of ``dump_candidates``, written from the scalar reference."""
+    """The candidate TSV of ``dump_candidates``, written from the scalar reference by the track rule."""
     rows = [["predecessor", "candidate"] + [k.value for k in kinds] + ["product", "marginal"]]
     for tid, marg, table in reference:
         for cand, (scores, product) in table.items():
             rows.append(
                 [str(tid), "STOP" if cand is STOP else str(cand)]
-                + [repr(scores[k]) for k in kinds]
-                + [repr(product), repr(marg.get(cand, 0.0))]
+                + [track_text(scores[k]) for k in kinds]
+                + [track_text(product), track_text(marg.get(cand, 0.0))]
             )
     return "".join("\t".join(row) + "\n" for row in rows)
 
@@ -528,7 +530,7 @@ class TestColumnarScoring:
         text = stream.getvalue()
         assert text == scalar_dump(scalar_domains(tls, cfg, META), cfg.enabled_kinds)
         rows = [line.split("\t") for line in text.splitlines()[1:]]
-        assert ["1", "3"] in [row[:2] for row in rows if row[-1] == "0.0" and row[-2] == "0.0"]
+        assert ["1", "3"] in [row[:2] for row in rows if row[-1] == "0" and row[-2] == "0"]
         assert sum(row[1] == "STOP" for row in rows) == len(tls)
 
         rng = np.random.default_rng(43)
@@ -577,8 +579,8 @@ class TestColumnarScoring:
     @pytest.mark.parametrize(
         "seed, t0, digest",
         [
-            (1, False, "970d52b2c8cd0e58ef9027ff1a1397947d04abbbd23f3209001d51a86e6c0db8"),
-            (2, True, "d96792050964a914954fcbdb0372e3a22de54da5663caada3f6a4f4af12dc5aa"),
+            (1, False, "57fa4da0d07320be8eefe7c24411054bd6804ced5f7b6f285564989589ba1355"),
+            (2, True, "b8a1a90908840c2b01f32cf83dc5049a8b19c29fe188ec3dcd89b0e5e9526e38"),
         ],
         ids=["default", "t0"],
     )
@@ -595,8 +597,26 @@ class TestColumnarScoring:
         dump_candidates(domains, stream)
         assert hashlib.sha256(stream.getvalue().encode()).hexdigest() == digest
 
-    def test_dump_prints_each_value_as_its_own_repr(self):
-        # 0.0 and -0.0 are equal but print differently, in either order
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dump_numbers_read_back_bit_for_bit(self, seed):
+        # integral values print without ".0"; every number parses back to its column
+        tracklets, meta = crossing_scene(seed)
+        cfg = ScoreConfig()
+        if seed == 2:
+            cfg.params[ConstraintKind.TIME_DISTANCE].t0 = 20.0
+        domains = build_domains(tracklets, cfg, meta)
+        stream = io.StringIO()
+        dump_candidates(domains, stream)
+        rows = [line.split("\t") for line in stream.getvalue().splitlines()[1:]]
+        numbers = np.array([[float(f) for f in row[2:]] for row in rows])
+        columns = np.stack([*domains.scores, domains.products, domains.marginals], axis=1)
+        assert numbers.view(np.uint64).tolist() == columns.view(np.uint64).tolist()
+        assert not any(f.endswith(".0") for row in rows for f in row)
+        assert {"1"} <= {row[-1] for row in rows}
+        assert ({"0"} <= {row[-2] for row in rows}) == (seed == 2)
+
+    def test_dump_prints_each_value_by_the_track_rule(self):
+        # 0.0 and -0.0 are equal and print alike, as 0
         scores = np.array([[0.0, -0.0, 1e-5, 0.25], [-0.0, 0.0, 3.0, 1e16]])
         domains = Domains(
             np.array([7]), np.array([0, 4]), np.array([8, 9, 10, 0]), np.array([False, False, False, True]),
@@ -606,9 +626,9 @@ class TestColumnarScoring:
         stream = io.StringIO()
         dump_candidates(domains, stream)
         assert stream.getvalue().splitlines()[1:] == [
-            "7\t8\t0.0\t-0.0\t1.0\t0.5",
-            "7\t9\t-0.0\t0.0\t0.0\t-0.0",
-            "7\t10\t1e-05\t3.0\t-0.0\t0.0",
+            "7\t8\t0\t0\t1\t0.5",
+            "7\t9\t0\t0\t0\t0",
+            "7\t10\t1e-05\t3\t0\t0",
             "7\tSTOP\t0.25\t1e+16\t5e-324\t0.5",
         ]
 
@@ -789,8 +809,30 @@ class TestColumnSolver:
         ],
     )
     def test_conversion_rejects_ids_below_one(self, succ_vars, vid):
-        with pytest.raises(ValueError, match=f"^variable {vid} names a tracklet id below 1$"):
+        with pytest.raises(ValueError, match=rf"^variable {vid} names tracklet id (-1|0), outside \[1, 2\*\*63\)$"):
             solve_with_stats(succ_vars)
+
+    @pytest.mark.parametrize(
+        "succ_vars, message",
+        [
+            # an int64 column would truncate 2.5 to 2 and bind 1.5 and True as variable 1
+            (
+                [SuccessorVar(1, {2.5: 0.9, STOP: 0.1}), SuccessorVar(2, {STOP: 1.0})],
+                "a tracklet id of variable 1 must be an integer, got 2.5",
+            ),
+            ([SuccessorVar(1.5, {STOP: 1.0})], "a tracklet id of variable 1.5 must be an integer, got 1.5"),
+            ([SuccessorVar(True, {STOP: 1.0})], "a tracklet id of variable True must be an integer, got True"),
+            # 2**63 does not fit an int64 column
+            ([SuccessorVar(1, {2**63: 1.0})], f"variable 1 names tracklet id {2**63}, outside [1, 2**63)"),
+            ([SuccessorVar(2**63, {STOP: 1.0})], f"variable {2**63} names tracklet id {2**63}, outside [1, 2**63)"),
+        ],
+        ids=["candidate 2.5", "variable 1.5", "variable True", "candidate 2**63", "variable 2**63"],
+    )
+    def test_conversion_rejects_ids_that_are_not_int64_integers(self, succ_vars, message):
+        with pytest.raises(ValueError) as raised:
+            solve_with_stats(succ_vars)
+        assert str(raised.value) == message
+        assert solve_with_stats([SuccessorVar(2**63 - 1, {STOP: 1.0})])[0] == {2**63 - 1: None}
 
 
 class TestUnknownIds:

@@ -388,6 +388,8 @@ def test_refine_rejects_nan_thresholds_in_the_config(tmp_path, capsys, line, exp
         ("interp.max_gap = 0", "interp.max_gap must be positive, got 0"),
         ("bounds.L = 0.7", "bounds.L must lie in (0, 0.5), got 0.7"),
         ("bounds.U = 0.2", "bounds.U must lie in (0.5, 1), got 0.2"),
+        # the line error form of track and seqinfo files
+        ("bogus line", "line 1: expected key = value, got 'bogus line'"),
     ],
 )
 def test_refine_config_errors_name_the_file_and_the_key(tmp_path, capsys, line, expected):
@@ -443,7 +445,7 @@ def test_synth_scenario_errors_name_the_file(tmp_path, capsys, line, expected):
     [
         (SCENARIO + "scene.num_objects = 0\n", "{path}: need at least one object and one frame"),
         ("scene.num_frames = 10\n", "{path}: missing scene.num_objects"),
-        ("scene.num_objects 3\n", "{path}:1: expected key = value, got 'scene.num_objects 3'"),
+        ("scene.num_objects 3\n", "{path}: line 1: expected key = value, got 'scene.num_objects 3'"),
         # generate raises this one, after the file has been read
         (
             "scene.num_objects = 2\nscene.num_frames = 100\nscene.crossings = 1\nscene.min_speed = 60\nscene.max_speed = 60\n",
@@ -485,3 +487,25 @@ def test_eval_parse_errors_name_the_file(tmp_path, capsys):
     assert main(["eval", str(gt), str(pred)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {pred}: line 1: expected at least 7 fields, got 4\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["track", "seqinfo", "config", "scenario"])
+def test_a_byte_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys, kind):
+    tracks, seqinfo, config = tmp_path / "tracks.txt", tmp_path / "seqinfo.ini", tmp_path / "pipeline.cfg"
+    tracks.write_text(THREE_ROWS)
+    seqinfo.write_text("[Sequence]\nframeRate=30\nimWidth=100\nimHeight=100\nseqLength=10\n")
+    config.write_text("cutter.t_tc = 0.5\ninterp.enabled = true\n")
+    scenario = write_scenario(tmp_path)
+    bad = {"track": tracks, "seqinfo": seqinfo, "config": config, "scenario": scenario}[kind]
+    bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff", 1))  # at the start of line 2
+    expected = f"{bad}: line 2: not UTF-8: byte 0xff (invalid start byte)"
+    if kind == "scenario":
+        assert main(["synth", str(scenario), "--out-dir", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {expected}\n" and captured.out == "" and not (tmp_path / "o").exists()
+    else:
+        argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo), "--config", str(config)]
+        assert_one_line_error(tmp_path, capsys, argv, expected)
+        if kind == "track":
+            assert main(["eval", str(tracks), str(tracks)]) == 1
+            assert capsys.readouterr().err == f"error: {expected}\n"

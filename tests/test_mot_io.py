@@ -308,6 +308,21 @@ def test_load_tracks_drops_a_byte_order_mark(tmp_path):
         load_tracks(path)
 
 
+def test_read_text_names_the_line_of_the_first_byte_that_is_not_utf8(tmp_path):
+    # lines end in \r\n, a lone \r and \n, as text-mode open reads them
+    path = tmp_path / "text.txt"
+    path.write_bytes(b"\xef\xbb\xbfa\r\nb\rc\n\xc3\xa9")
+    assert mot_io.read_text(path) == "a\nb\nc\n\u00e9"
+    path.write_bytes(b"\xef\xbb\xbfa\r\nb\rc\n\xc3\xa9\xc3")
+    with pytest.raises(ParseError) as raised:
+        mot_io.read_text(path)
+    assert str(raised.value) == f"{path}: line 4: not UTF-8: byte 0xc3 (unexpected end of data)"
+    path.write_bytes(b"1,1,10,20,30,40,0.9,-1,-1,-1\n\xff\n")
+    with pytest.raises(ParseError) as raised:
+        load_tracks(path)
+    assert str(raised.value) == f"{path}: line 2: not UTF-8: byte 0xff (invalid start byte)"
+
+
 @pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), 0.0, -5.0])
 def test_sequence_meta_rejects_non_finite_or_non_positive_fps(fps):
     with pytest.raises(ValueError, match="^fps must be finite and positive, got "):

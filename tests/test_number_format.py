@@ -1,5 +1,7 @@
-"""The number text of ``mot_io._format_rows`` against ``repr``, value by value.
+"""The number text of ``mot_io._format_rows`` against the track rule, value by value.
 
+Every file the package writes prints its numbers by one rule: an integral
+value below 1e15 in magnitude without a decimal point, any other as ``repr``.
 Non-integral magnitudes in [1e-4, 1e15) print from the digits of
 ``mot_io._shortest_digits``. These tests compare them with ``repr`` on random
 samples, on every power of two and of ten in that range with their
@@ -103,20 +105,20 @@ def carry_cases():
     return np.array(found)
 
 
-def assert_like_repr(values):
-    """The candidate-dump text of ``values``, one per line, is repr's."""
-    values = np.asarray(values, dtype=np.float64)
-    got = _format_rows([values], ["\n"], whole_as_int=False).splitlines()
-    want = list(map(repr, values.tolist()))
-    bad = [(w, g) for w, g in zip(want, got) if w != g]
-    assert len(got) == len(want) and not bad, f"{len(bad)} of {len(want)} differ from repr, first {bad[:5]}"
-
-
 def track_text(v):
-    """The track writer's rule: integral values below 1e15 without a decimal point, other values as repr."""
+    """The track rule: integral values below 1e15 without a decimal point, other values as repr."""
     if math.isfinite(v) and v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)
+
+
+def assert_like_repr(values):
+    """The text of ``values``, one per line, is the track rule's: repr's for every non-integral value."""
+    values = np.asarray(values, dtype=np.float64)
+    got = _format_rows([values], ["\n"]).splitlines()
+    want = list(map(track_text, values.tolist()))
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, f"{len(bad)} of {len(want)} differ from the track rule, first {bad[:5]}"
 
 
 def test_samples_match_repr():
@@ -164,14 +166,12 @@ def test_each_side_of_every_switch_to_repr():
         tiny, 3 * tiny, 0.5, 5.0, 0.0, math.inf, math.nan,
     ]
     values = np.array(edges + [-v for v in edges])
-    assert _format_rows([values], ["\n"]).splitlines() == [track_text(v) for v in values.tolist()]
     assert_like_repr(values)
 
 
 def test_integer_columns_print_their_digits():
     values = np.array([np.iinfo(np.int64).min, -(10**18), -1, 0, 1, 9999, 10000, 10**15, np.iinfo(np.int64).max])
-    for whole_as_int in (True, False):
-        assert _format_rows([values], [","], whole_as_int) == "".join(f"{v}," for v in values.tolist())
+    assert _format_rows([values], [","]) == "".join(f"{v}," for v in values.tolist())
 
 
 def test_rows_across_chunks_with_words():
@@ -180,7 +180,7 @@ def test_rows_across_chunks_with_words():
     ids = rng.integers(-5, 10**6, n)
     values = rng.choice([0.5, -0.0, 1e-7, 3.0, 1 / 3, 1e20], n)
     stop = rng.random(n) < 0.3
-    text = _format_rows([ids, values], ["\t", "\n"], whole_as_int=False, words=(0, stop, "STOPPED"))
+    text = _format_rows([ids, values], ["\t", "\n"], words=(0, stop, "STOPPED"))
     assert text.splitlines() == [
-        f"{'STOPPED' if s else i}\t{v!r}" for i, v, s in zip(ids.tolist(), values.tolist(), stop.tolist())
+        f"{'STOPPED' if s else i}\t{track_text(v)}" for i, v, s in zip(ids.tolist(), values.tolist(), stop.tolist())
     ]

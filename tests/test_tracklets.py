@@ -598,7 +598,7 @@ def test_pair_runs_end_where_the_pair_changes_or_the_step_skips():
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan"), float("inf")])
 def test_cut_rejects_threshold_outside_unit_interval(threshold):
     tracklets = group_tracklets(boxes_track(1, range(1, 5)) + boxes_track(2, range(1, 5)))
-    with pytest.raises(ValueError, match=r"^cutter threshold must lie in \(0, 1\], got "):
+    with pytest.raises(ValueError, match=r"^cut_threshold must lie in \(0, 1\], got "):
         cut_tracklets(tracklets, threshold)
 
 
