@@ -90,7 +90,7 @@ class Domains(Sequence[SuccessorVar]):
 
     Variable k is tracklet ``ids[k]``; its row is the entries
     ``[offsets[k], offsets[k + 1])`` in domain order, each a candidate id
-    (``stop`` marks STOP, whose id entry is 0), its product and its marginal.
+    (STOP is candidate 0; tracklet ids start at 1), its product and its marginal.
     :func:`build_domains` keeps a hard-filtered pair at product 0 and adds the
     ``kinds`` and their ``(len(kinds), entries)`` ``scores``; a hand-built
     table (:meth:`of`) has its marginals for products. Indexing or iterating
@@ -99,10 +99,10 @@ class Domains(Sequence[SuccessorVar]):
     or tuple of the same variables.
     """
 
-    __slots__ = ("ids", "offsets", "candidates", "stop", "marginals", "products", "kinds", "scores")
+    __slots__ = ("ids", "offsets", "candidates", "marginals", "products", "kinds", "scores")
 
-    def __init__(self, ids, offsets, candidates, stop, marginals, products=None, kinds=None, scores=None):
-        self.ids, self.offsets, self.candidates, self.stop, self.marginals = ids, offsets, candidates, stop, marginals
+    def __init__(self, ids, offsets, candidates, marginals, products=None, kinds=None, scores=None):
+        self.ids, self.offsets, self.candidates, self.marginals = ids, offsets, candidates, marginals
         self.products, self.kinds, self.scores = marginals if products is None else products, kinds, scores
 
     @classmethod
@@ -138,17 +138,16 @@ class Domains(Sequence[SuccessorVar]):
             np.array([var.tracklet_id for var in succ_vars], dtype=np.int64),
             np.cumsum([0, *(len(var.marginals) for var in succ_vars)]),
             np.array([0 if cand is STOP else cand for cand in cands], dtype=np.int64),
-            np.array([cand is STOP for cand in cands], dtype=bool),
             np.array([m for var in succ_vars for m in var.marginals.values()], dtype=float),
         )
 
     @property
     def edge_count(self) -> int:
         """The number of scored (tracklet, later tracklet) pairs; 0 for hand-built domains."""
-        return 0 if self.kinds is None else len(self.stop) - len(self)
+        return 0 if self.kinds is None else len(self.candidates) - len(self)
 
     def _candidates(self, entries: np.ndarray) -> list[Candidate]:
-        return [STOP if stop else cand for cand, stop in zip(self.candidates[entries].tolist(), self.stop[entries].tolist())]
+        return [cand or STOP for cand in self.candidates[entries].tolist()]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -197,7 +196,6 @@ def build_domains(
         ids,
         offsets,
         np.insert(ids[succ], rows_end, 0),
-        np.insert(np.zeros(len(pred), dtype=bool), rows_end, True),
         products / np.repeat(totals, np.diff(offsets)),
         products,
         kinds,
@@ -234,9 +232,9 @@ class _Search:
         self.marginals = marginals = domains.marginals
         counts = np.diff(offsets)
         self.var = np.repeat(np.arange(len(domains)), counts)
-        last = np.iinfo(np.uint64).max  # above every candidate id, which is an int64
-        self.tie = domains.candidates.astype(np.uint64)
-        self.tie[domains.stop] = last
+        # candidate id - 1 as unsigned: ids from 1 keep their order, and STOP (0) wraps to the largest value
+        self.tie = (domains.candidates - 1).view(np.uint64)
+        last = np.iinfo(np.uint64).max
         self.alive = domains.products > 0
         self.total = np.full(len(domains), -1.0)
         # each domain's one entry with its largest marginal and, among those, the smallest tie
@@ -247,12 +245,12 @@ class _Search:
         self.key = self.best_value.copy()
         self.bound = np.zeros(len(domains), dtype=bool)
         # the live non-STOP entries grouped by candidate, for forward checking
-        held = np.flatnonzero(self.alive & ~domains.stop)
+        held = np.flatnonzero(self.alive & (domains.candidates != 0))
         self.holders = held[np.argsort(domains.candidates[held])]
         by_candidate = domains.candidates[self.holders]
         bounds = run_bounds(by_candidate)
         self.holder_range = dict(zip(by_candidate[bounds[:-1]].tolist(), zip(bounds, bounds[1:])))
-        self.ids, self.candidates, self.stop = domains.ids.tolist(), domains.candidates, domains.stop
+        self.ids, self.candidates = domains.ids.tolist(), domains.candidates
         self.trail: list = []  # removals, one batch per forward check or retraction
 
     def next_best(self, v: int) -> None:
@@ -317,7 +315,7 @@ class _Search:
                 continue
             entry = self.best[v].item()
             choices.append((v, entry, len(self.trail)))
-            cand = STOP if self.stop[entry] else self.candidates[entry].item()
+            cand = self.candidates[entry].item() or STOP
             assignment[ids[v]] = cand
             self.bound[v] = True
             self.key[v] = -np.inf
@@ -425,4 +423,4 @@ def dump_candidates(domains: Domains, stream: TextIO) -> None:
     predecessors = np.repeat(domains.ids, np.diff(domains.offsets))
     columns = [predecessors, domains.candidates, *domains.scores, domains.products, domains.marginals]
     separators = ["\t"] * (len(columns) - 1) + ["\n"]
-    stream.write(_format_rows(columns, separators, words=(1, domains.stop, "STOP")))
+    stream.write(_format_rows(columns, separators, words=(1, domains.candidates == 0, "STOP")))

@@ -248,20 +248,8 @@ class SequenceMeta:
     num_frames: int
 
     def __post_init__(self):
-        # every number and the diagonal must fit in a float; an integer of 309
-        # digits or more does not, and float() and isfinite() overflow on it
         for name in ("fps", "img_width", "img_height", "num_frames"):
-            value = getattr(self, name)
-            try:
-                float(value)
-            except OverflowError:
-                raise ValueError(f"{name} is too large for a float, got {value}") from None
-        if not (isfinite(self.fps) and self.fps > 0):
-            raise ValueError(f"fps must be finite and positive, got {self.fps}")
-        for name in ("img_width", "img_height", "num_frames"):
-            value = getattr(self, name)
-            if not (value >= 1 and float(value).is_integer()):  # NaN fails the first test, inf the second
-                raise ValueError(f"{name} must be a positive integer, got {value}")
+            _check_meta(name, getattr(self, name))
         try:
             diagonal = self.diagonal
         except OverflowError:  # a squared size too large for a float
@@ -273,6 +261,24 @@ class SequenceMeta:
     def diagonal(self) -> float:
         """Image diagonal in pixels."""
         return sqrt(self.img_width**2 + self.img_height**2)
+
+
+def _check_meta(name: str, value) -> None:
+    """Raise ValueError unless ``value`` suits the :class:`SequenceMeta` field ``name``.
+
+    Every value must fit in a float (``float()`` overflows on an integer of
+    309 digits or more), ``fps`` must be finite and positive, and a size or
+    frame count must be an integer in [1, ``float_info.max``] (``7.0`` is one).
+    """
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float, got {value}") from None
+    if name == "fps":
+        if not (isfinite(number) and number > 0):
+            raise ValueError(f"fps must be finite and positive, got {value}")
+    elif not (1 <= value <= float_info.max and number.is_integer()):  # NaN and inf fail here
+        raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 def _parse_int(text: str) -> int:
@@ -789,25 +795,12 @@ def save_tracks(detections: Iterable[Detection], path: str | Path) -> None:
         write_tracks(detections, f)
 
 
-def _parse_fps(text: str) -> float:
-    value = float(text)
-    if not (isfinite(value) and value > 0):
-        raise ValueError(f"not a finite positive rate: {text!r}")
-    return value
-
-
-def _parse_size(text: str) -> int:
-    if not 1 <= (value := _parse_int(text)) <= float_info.max:  # float() of a larger integer overflows
-        raise ValueError(f"not a positive integer: {text!r}")
-    return value
-
-
 # seqinfo key -> (SequenceMeta field, parser of its value)
 _SEQINFO_KEYS = {
-    "frameRate": ("fps", _parse_fps),
-    "imWidth": ("img_width", _parse_size),
-    "imHeight": ("img_height", _parse_size),
-    "seqLength": ("num_frames", _parse_size),
+    "frameRate": ("fps", float),
+    "imWidth": ("img_width", _parse_int),
+    "imHeight": ("img_height", _parse_int),
+    "seqLength": ("num_frames", _parse_int),
 }
 
 
@@ -833,14 +826,15 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
             field, parse = _SEQINFO_KEYS[key]
             try:
                 values[field] = parse(value)
-            except ValueError:  # also a non-finite or fractional integer, a size < 1 or a rate <= 0
+                _check_meta(field, values[field])
+            except ValueError:
                 raise ParseError(f"{path}: line {lineno}: bad value for {key}: {value!r}") from None
     missing = [k for k, (field, _) in _SEQINFO_KEYS.items() if field not in values]
     if missing:
         raise ParseError(f"seqinfo file {path} is missing keys: {', '.join(missing)}")
     try:
         return SequenceMeta(**values)
-    except ValueError as exc:  # every value passed its parser, so no one key is at fault
+    except ValueError as exc:  # every value passed its check, so no one key is at fault
         raise ParseError(f"seqinfo file {path}: {exc}") from None
 
 

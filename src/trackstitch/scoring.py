@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mot_io import SequenceMeta
-from .tracklets import EndpointArrays, iou_pairs
+from .tracklets import EndpointArrays, check_number, iou_pairs
 
 REFERENCE_FPS = 30.0
 
@@ -78,7 +78,7 @@ class ConstraintParams:
     t0: float | None = None
 
     def validate(self, kind: ConstraintKind | None = None) -> None:
-        """Raise ValueError unless ``enabled`` is a bool, ``t50`` and ``tend`` are positive and ``t0`` exceeds ``t50``; NaN fails each check.
+        """Raise ValueError unless ``enabled`` is a bool, ``t50`` and ``tend`` are positive numbers and ``t0`` is None or a number above ``t50``; NaN fails each check.
 
         With a ``kind``, the message names the config key, as in ``td.t50``,
         and gives the thresholds in the form the config file writes them (see
@@ -87,11 +87,16 @@ class ConstraintParams:
         key = f"{kind.value}." if kind else ""
         check_flag(self.enabled, f"{key}enabled")
         iou = kind is ConstraintKind.PREDICTED_IOU
+        check_number(self.t50, f"{key}t50")
         if not self.t50 > 0:
             raise ValueError(f"{key}t50 must be {'below 1' if iou else 'positive'}, got {file_form(kind, self.t50)}")
+        check_number(self.tend, f"{key}tend")
         if not self.tend > 0:
             raise ValueError(f"{key}tend must be positive, got {self.tend}")
-        if self.t0 is not None and not self.t0 > self.t50:
+        if self.t0 is None:
+            return
+        check_number(self.t0, f"{key}t0")
+        if not self.t0 > self.t50:
             t0, t50 = file_form(kind, self.t0), file_form(kind, self.t50)
             rule = f"lie below t50, got t0={t0} >= t50={t50}" if iou else f"exceed t50, got t0={t0} <= t50={t50}"
             raise ValueError(f"{key}t0 must {rule}")
@@ -128,6 +133,8 @@ class ScoreConfig:
     upper: float = 1.0 - 1e-6
 
     def validate(self) -> None:
+        check_number(self.lower, "bounds.L")
+        check_number(self.upper, "bounds.U")
         if not (0.0 < self.lower < 0.5):
             raise ValueError(f"bounds.L must lie in (0, 0.5), got {self.lower}")
         if not (0.5 < self.upper < 1.0):

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .mot_io import Detection, DetectionTable, SequenceMeta, atomic_writer
-from .tracklets import check_iou_threshold, group_tracklets, overlap_runs
+from .tracklets import check_integer, check_iou_threshold, group_tracklets, overlap_runs
 
 
 class ScenarioError(ValueError):
@@ -50,7 +50,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """Raise :class:`ScenarioError` unless the objects fit the canvas, the motion and frame rate are finite and the seed is nonnegative; NaN fails each check."""
+        """Raise :class:`ScenarioError` unless the counts and the seed are integers, the objects fit the canvas, the motion and frame rate are finite and the seed is nonnegative; NaN fails each check."""
+        try:
+            for name in ("num_objects", "num_frames", "crossings", "seed"):
+                check_integer(getattr(self, name), name)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         n, W, H = self.num_objects, self.img_width, self.img_height
         if n < 1 or self.num_frames < 1:
             raise ScenarioError("need at least one object and one frame")
@@ -83,6 +88,10 @@ class CorruptionConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("random_cuts_per_track", "seed"):
+            check_integer(getattr(self, name), name)
+        for k, bound in enumerate(self.gap_frames):
+            check_integer(bound, f"gap_frames[{k}]")
         for name in ("fragment_prob", "swap_prob", "dropout"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

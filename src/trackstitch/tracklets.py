@@ -75,8 +75,15 @@ def check_integer(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value}")
 
 
+def check_number(value, name: str) -> None:
+    """Raise ValueError, naming the setting ``name``, unless ``value`` is a real number (numpy's included) other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value}")
+
+
 def check_iou_threshold(value, name: str) -> None:
-    """Raise ValueError, naming the setting ``name``, unless the IoU threshold ``value`` lies in (0, 1]; NaN does not."""
+    """Raise ValueError, naming the setting ``name``, unless the IoU threshold ``value`` is a number in (0, 1]; NaN is not."""
+    check_number(value, name)
     if not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 

@@ -619,7 +619,7 @@ class TestColumnarScoring:
         # 0.0 and -0.0 are equal and print alike, as 0
         scores = np.array([[0.0, -0.0, 1e-5, 0.25], [-0.0, 0.0, 3.0, 1e16]])
         domains = Domains(
-            np.array([7]), np.array([0, 4]), np.array([8, 9, 10, 0]), np.array([False, False, False, True]),
+            np.array([7]), np.array([0, 4]), np.array([8, 9, 10, 0]),
             np.array([0.5, -0.0, 0.0, 0.5]), np.array([1.0, 0.0, -0.0, 2.0**-1074]),
             [ConstraintKind.TIME_DISTANCE, ConstraintKind.ANGLE_DIFFERENCE], scores,
         )
@@ -792,6 +792,22 @@ class TestColumnSolver:
         assert domains == list(domains) and domains != list(domains)[:2]
         with pytest.raises(IndexError):
             domains[3]
+
+    @staticmethod
+    def assert_each_row_ends_in_stop(domains):
+        # STOP is candidate 0, each row's last entry; tracklet ids start at 1
+        assert np.flatnonzero(domains.candidates == 0).tolist() == (domains.offsets[1:] - 1).tolist()
+        assert all(list(var.marginals)[-1] is STOP for var in domains)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_built_rows_end_in_one_stop(self, seed):
+        self.assert_each_row_ends_in_stop(crossing_domains(seed))
+
+    def test_hand_built_rows_end_in_one_stop(self):
+        succ_vars = [SuccessorVar(3, {5: 0.5, STOP: 0.5}), SuccessorVar(1, {STOP: 1.0}), SuccessorVar(2, {9: 0.2, 4: 0.3, STOP: 0.5})]
+        domains = Domains.of(succ_vars)
+        self.assert_each_row_ends_in_stop(domains)
+        assert domains.candidates.tolist() == [0, 9, 4, 0, 5, 0]
 
     def test_conversion_checks_variables_in_input_order(self):
         with pytest.raises(ValueError, match="^duplicate variable for tracklet 2$"):

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from trackstitch.config import (
+    _PIPELINE_KEYS,
     PipelineConfig,
     format_pipeline_config,
     load_pipeline_config,
     load_scenario,
     save_pipeline_config,
 )
+from trackstitch.evaluation import evaluate_sequence
 from trackstitch.mot_io import SequenceMeta
 from trackstitch.pipeline import refine_detections
 from trackstitch.scoring import ConstraintKind, ConstraintParams
-from trackstitch.synth import ScenarioError
+from trackstitch.synth import CorruptionConfig, ScenarioError
 
 
 def test_defaults_match_shipped_table():
@@ -260,6 +262,33 @@ def test_flags_must_be_booleans(settings, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         refine_detections([], SequenceMeta(30.0, 100, 100, 1), cfg)
     PipelineConfig(cutter_enabled=np.bool_(False), interp_enabled=np.bool_(True)).validate()
+
+
+def pipeline_with(key, value):
+    """The default pipeline config with the setting of config key ``key`` set to ``value``."""
+    cfg = PipelineConfig()
+    target, attr, _, _ = _PIPELINE_KEYS[key]
+    setattr(target(cfg), attr, value)
+    return cfg
+
+
+# every number setting, by the name its message gives, and a call that checks it set to True
+NUMBER_SETTINGS = {
+    **{
+        key: lambda key=key: refine_detections([], SequenceMeta(30.0, 100, 100, 1), pipeline_with(key, True))
+        for key, (_, _, value_kind, _) in _PIPELINE_KEYS.items()
+        if value_kind.startswith("number")
+    },
+    "crossing_iou": lambda: CorruptionConfig(crossing_iou=True).validate(),
+    "iou_threshold": lambda: evaluate_sequence([], [], True),
+}
+
+
+@pytest.mark.parametrize("name", NUMBER_SETTINGS)
+def test_number_settings_reject_a_bool(name):
+    # True == 1 lies in every range a threshold may take; a saved config would then write "True"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a number, got True$"):
+        NUMBER_SETTINGS[name]()
 
 
 def test_constraint_flags_must_be_booleans():

@@ -329,9 +329,18 @@ def test_sequence_meta_rejects_non_finite_or_non_positive_fps(fps):
         SequenceMeta(fps=fps, img_width=10, img_height=10, num_frames=10)
 
 
+# Size texts that are not positive integers a float holds, by test id; both
+# SequenceMeta and read_seqinfo reject each. The last lies between
+# float_info.max and 2**1024: float() rounds it down to float_info.max, so only
+# its comparison with float_info.max rejects it.
+BAD_SIZES = {text: text for text in ["nan", "inf", "-inf", "0", "-3", "2.5", "1920.7", "1.5", "1e400"]}
+BAD_SIZES["float_info.max+1"] = str(int(float_info.max) + 1)
+
+
 @pytest.mark.parametrize("field", ["img_width", "img_height", "num_frames"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0, -3, 2.5])
-def test_sequence_meta_rejects_a_size_that_is_not_a_positive_integer(field, value):
+@pytest.mark.parametrize("text", BAD_SIZES.values(), ids=BAD_SIZES)
+def test_sequence_meta_rejects_a_size_that_is_not_a_positive_integer(field, text):
+    value = int(text) if text.lstrip("-").isdigit() else float(text)
     sizes = {"img_width": 10, "img_height": 10, "num_frames": 10, field: value}
     with pytest.raises(ValueError, match=rf"^{field} must be a positive integer, got {value}$"):
         SequenceMeta(fps=30, **sizes)
@@ -364,7 +373,11 @@ def test_read_seqinfo_rejects_non_finite_frame_rate(tmp_path, value):
 
 @pytest.mark.parametrize(
     "key, value, lineno",
-    [("imWidth", "inf", 4), ("imWidth", "1920.7", 4), ("seqLength", "1.5", 3), ("imHeight", "nan", 5), ("imHeight", "1e400", 5)],
+    [
+        pytest.param(key, text, lineno, id=f"{key}-{name}-{lineno}")
+        for key, lineno in [("seqLength", 3), ("imWidth", 4), ("imHeight", 5)]
+        for name, text in BAD_SIZES.items()
+    ],
 )
 def test_read_seqinfo_rejects_non_integer_sizes(tmp_path, key, value, lineno):
     fields = {"frameRate": "25", "seqLength": "600", "imWidth": "1280", "imHeight": "720", key: value}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,11 @@ class TestGenerate:
             ({"fps": 0.0}, r"^fps must be finite and positive, got 0\.0$"),
             ({"fps": float("nan")}, r"^fps must be finite and positive, got nan$"),
             ({"seed": -1}, r"^seed must be nonnegative, got -1$"),
+            ({"num_objects": 2.5}, r"^num_objects must be an integer, got 2\.5$"),
+            ({"num_objects": True}, r"^num_objects must be an integer, got True$"),
+            ({"num_frames": 10.0}, r"^num_frames must be an integer, got 10\.0$"),
+            ({"crossings": True}, r"^crossings must be an integer, got True$"),
+            ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
         ],
     )
     def test_invalid_motion_rejected(self, kw, message):
@@ -158,6 +165,20 @@ class TestCorrupt:
         out, log = corrupt(gt, CorruptionConfig(fragment_prob=1.0, seed=7))
         assert len(log.cuts) == 2 * len(events)
         assert {c.frame for c in log.cuts} == {e.frame for e in events}
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"random_cuts_per_track": 1.5}, "random_cuts_per_track must be an integer, got 1.5"),
+            ({"random_cuts_per_track": True}, "random_cuts_per_track must be an integer, got True"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"gap_frames": (0.5, 1)}, "gap_frames[0] must be an integer, got 0.5"),
+            ({"gap_frames": (0, 2.0)}, "gap_frames[1] must be an integer, got 2.0"),
+        ],
+    )
+    def test_counts_gap_bounds_and_seed_must_be_integers(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            corrupt(self.make_gt(), CorruptionConfig(**kw))
 
     def test_validates_probabilities(self):
         with pytest.raises(ValueError):
