@@ -140,6 +140,11 @@ def format_pipeline_config(cfg: PipelineConfig) -> str:
 
 
 def save_pipeline_config(cfg: PipelineConfig, path: str | Path) -> None:
+    """Write ``cfg`` to ``path`` as a config file; an invalid config writes nothing and raises the error that loading its file would."""
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with atomic_writer(path) as f:
         f.write(format_pipeline_config(cfg))
 

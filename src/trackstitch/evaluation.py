@@ -15,7 +15,11 @@ ground-truth or two predicted rows.
 The frames that hold a ground-truth or a predicted row are numbered
 ``0..K-1``: one stable sort of the two sides' frames ranks each row's frame
 (:func:`~trackstitch.tracklets.ranks`). This frame index, built once per
-call, serves the sweep, the per-frame row bounds and each hit's frame.
+call, serves the sweep, the per-frame row bounds and each hit's frame. The
+hits are then sorted once, by (ground-truth id, predicted id, numbered
+frame) with :func:`~trackstitch.tracklets.pair_runs`, and both metrics read
+that order: the hits of one id pair are one block, split into runs of
+consecutive numbered frames.
 
 MOTA follows the CLEAR protocol (Bernardin & Stiefelhagen, 2008). Each
 frame keeps the previous frame's pairs while they still hit, completes the
@@ -32,7 +36,10 @@ The true positives are the summed run lengths, and a run is an identity
 switch when the previous run of its ground-truth id had another predicted id.
 
 IDF1 matches ground-truth and predicted trajectory ids globally, maximizing
-identity-consistent detection matches: the hits counted per id pair.
+identity-consistent detection matches: the hits counted per id pair, each
+count the length of that pair's block. Only the ids that hit take part in
+the assignment; an id without hits adds a row or a column of zeros, which
+leaves the optimum as it is, and the sum of integer counts is exact.
 """
 
 from __future__ import annotations
@@ -74,13 +81,22 @@ class _Hits:
 
     ``rank`` is the frame index: the rank of each row's frame among the
     frames holding a ground-truth or a predicted row, those of ``gt`` first.
+    Hit h pairs ground-truth row ``g[h]`` (id ``gid[h]``) with predicted row
+    ``p[h]`` (id ``pid[h]``) in numbered frame ``k[h]``. The hits are in
+    :func:`~trackstitch.tracklets.pair_runs` order, by (gt id, predicted id,
+    frame), and run r, the hits of one id pair in consecutive numbered
+    frames, is ``bounds[r]:bounds[r + 1]``.
     """
 
     gt: DetectionTable
     pred: DetectionTable
     rank: np.ndarray
-    g: np.ndarray  # ground-truth row of each hit
-    p: np.ndarray  # predicted row of each hit
+    g: np.ndarray
+    p: np.ndarray
+    gid: np.ndarray
+    pid: np.ndarray
+    k: np.ndarray
+    bounds: np.ndarray
 
     @classmethod
     def of(cls, gt: Sequence[Detection], pred: Sequence[Detection], iou_threshold: float) -> _Hits:
@@ -93,7 +109,9 @@ class _Hits:
         # both sides are sorted by frame: one stable sort merges two runs
         rank = ranks(np.concatenate((gt.frame, pred.frame)))
         g, p, _ = cross_overlaps(gt, pred, iou_threshold, rank)
-        return cls(gt, pred, rank, g, p)
+        gid, pid, k = gt.track_id[g], pred.track_id[p], rank[g]
+        order, bounds = pair_runs(gid, pid, k)
+        return cls(gt, pred, rank, g[order], p[order], gid[order], pid[order], k[order], bounds)
 
 
 @dataclass(frozen=True)
@@ -143,12 +161,8 @@ def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
     g_hi, p_hi = np.cumsum(n_gt), np.cumsum(n_pred)
     g_lo, p_lo = g_hi - n_gt, p_hi - n_pred
 
-    # the hits of one id pair in consecutive numbered frames form a run of
-    # hits, and each learns where its run ends
-    k = g_rank[hits.g]
-    order, bounds = pair_runs(gt.track_id[hits.g], pred.track_id[hits.p], k)
-    g, p, k = hits.g[order], hits.p[order], k[order]
-    gid, pid = gt.track_id[g], pred.track_id[p]
+    # each hit learns where its run ends
+    g, p, k, bounds = hits.g, hits.p, hits.k, hits.bounds
     run_end = np.repeat(bounds[1:] - 1, np.diff(bounds))
     # a hit is found by its (gt row, predicted row) key
     key = g * len(pred) + p
@@ -180,7 +194,7 @@ def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
         f = _next_contested(f + 1, matched, n_gt, n_pred)
 
     at = np.concatenate(opened)
-    gid, pid, first, last = gid[at], pid[at], k[at], k[run_end[at]]
+    gid, pid, first, last = hits.gid[at], hits.pid[at], k[at], k[run_end[at]]
     # a run switches when the previous run of its gt id had another predicted id
     order = np.lexsort((first, gid))
     switch = np.zeros(len(gid), dtype=bool)
@@ -220,13 +234,18 @@ def _clear_totals(hits: _Hits, iou_threshold: float) -> tuple[float, int, int, i
 
 
 def _idf1(hits: _Hits) -> float:
-    if not len(hits.pred):
+    if not len(hits.g):
         return 0.0
-    g_index, p_index = ranks(hits.gt.track_id, "quicksort"), ranks(hits.pred.track_id, "quicksort")
-    shape = (int(g_index.max()) + 1, int(p_index.max()) + 1)
-    overlap = np.bincount(g_index[hits.g] * shape[1] + p_index[hits.p], minlength=shape[0] * shape[1])
-    overlap = overlap.reshape(shape).astype(float)
-    rows, cols = linear_sum_assignment(-overlap)
+    # the hits of one id pair are one block of runs
+    lo = hits.bounds[:-1]
+    gid, pid = hits.gid[lo], hits.pid[lo]
+    first = np.flatnonzero(np.append(True, (gid[1:] != gid[:-1]) | (pid[1:] != pid[:-1])))
+    counts = np.diff(hits.bounds[np.append(first, len(lo))])
+    # the ids that hit, numbered; gid is sorted, so its stable sort is one pass
+    g_index, p_index = ranks(gid[first]), ranks(pid[first], "quicksort")
+    overlap = np.zeros((int(g_index[-1]) + 1, int(p_index.max()) + 1))
+    overlap[g_index, p_index] = counts
+    rows, cols = linear_sum_assignment(overlap, maximize=True)
     idtp = overlap[rows, cols].sum()
     return float(2.0 * idtp / (len(hits.gt) + len(hits.pred)))
 

@@ -266,10 +266,13 @@ class SequenceMeta:
 def _check_meta(name: str, value) -> None:
     """Raise ValueError unless ``value`` suits the :class:`SequenceMeta` field ``name``.
 
-    Every value must fit in a float (``float()`` overflows on an integer of
-    309 digits or more), ``fps`` must be finite and positive, and a size or
-    frame count must be an integer in [1, ``float_info.max``] (``7.0`` is one).
+    Every value must be a number other than a bool (numpy's included) and
+    fit in a float (``float()`` overflows on an integer of 309 digits or
+    more), ``fps`` must be finite and positive, and a size or frame count
+    must be an integer in [1, ``float_info.max``] (``7.0`` is one).
     """
+    if isinstance(value, (bool, np.bool_)):  # True passes every test below as 1
+        raise ValueError(f"{name} must be a number, got {value}")
     try:
         number = float(value)
     except OverflowError:

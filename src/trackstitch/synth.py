@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .mot_io import Detection, DetectionTable, SequenceMeta, atomic_writer
-from .tracklets import check_integer, check_iou_threshold, group_tracklets, overlap_runs
+from .tracklets import check_integer, check_iou_threshold, check_number, group_tracklets, overlap_runs
 
 
 class ScenarioError(ValueError):
@@ -50,10 +50,12 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """Raise :class:`ScenarioError` unless the counts and the seed are integers, the objects fit the canvas, the motion and frame rate are finite and the seed is nonnegative; NaN fails each check."""
+        """Raise :class:`ScenarioError` unless the counts and the seed are integers and the motion and frame rate numbers (a bool is neither), the objects fit the canvas, the motion and frame rate are finite and the seed is nonnegative; NaN fails each check."""
         try:
             for name in ("num_objects", "num_frames", "crossings", "seed"):
                 check_integer(getattr(self, name), name)
+            for name in ("fps", "turn_rate", "min_speed", "max_speed"):
+                check_number(getattr(self, name), name)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
         n, W, H = self.num_objects, self.img_width, self.img_height
@@ -90,13 +92,17 @@ class CorruptionConfig:
     def validate(self) -> None:
         for name in ("random_cuts_per_track", "seed"):
             check_integer(getattr(self, name), name)
-        for k, bound in enumerate(self.gap_frames):
+        try:
+            lo, hi = self.gap_frames
+        except (TypeError, ValueError):  # not a pair
+            raise ValueError(f"gap_frames must be a pair (lo, hi), got {self.gap_frames!r}") from None
+        for k, bound in enumerate((lo, hi)):
             check_integer(bound, f"gap_frames[{k}]")
         for name in ("fragment_prob", "swap_prob", "dropout"):
             p = getattr(self, name)
+            check_number(p, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        lo, hi = self.gap_frames
         if lo < 0 or hi < lo:
             raise ValueError(f"gap_frames must satisfy 0 <= lo <= hi, got {self.gap_frames}")
         if self.random_cuts_per_track < 0:

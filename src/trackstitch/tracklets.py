@@ -273,19 +273,6 @@ def aranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
-def _keys(frame_rank: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The complex sort keys ``frame_rank + x * 1j`` of rows: numpy orders them by frame rank, then by x.
-
-    The parts are set directly, so an x of ``inf`` keeps its real part (the
-    product ``1j * inf`` has a NaN one). Ranks, not frames, make the real part:
-    a frame of 2**53 or more would round in a float.
-    """
-    keys = np.empty(len(x), dtype=complex)
-    keys.real = frame_rank
-    keys.imag = x
-    return keys
-
-
 def ranks(values: np.ndarray, kind: str = "stable") -> np.ndarray:
     """The rank of each value among the distinct values, ``np.unique(values, return_inverse=True)[1]``.
 
@@ -305,19 +292,31 @@ def ranks(values: np.ndarray, kind: str = "stable") -> np.ndarray:
 
 
 def _sweep(frame_rank: np.ndarray, x: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort rows by (frame, x) and find, for each, the first row of its frame at or right of its ``right``.
+    """Sort rows by one float key each, frame by frame, and find each row's window: the later rows of its frame that may start left of its ``right``.
 
-    ``frame_rank`` is each row's frame rank (see :func:`ranks`). Returns
-    ``order`` and ``ends``: row ``order[k]`` is the k-th in (frame, x)
-    order, rows of equal keys in input order, and ``ends[k]`` is the position
-    of the first row of its frame with ``x >= right[order[k]]``, or the end of
-    its frame if there is none. (frame rank, edge) is one exact complex key
-    (see :func:`_keys`), so one stable sort orders the rows and one binary
-    search finds every end.
+    ``frame_rank`` is each row's frame rank (see :func:`ranks`). The key of a
+    row is ``frame_rank + x * 2**-k``, ``k`` the least integer from 2 up with
+    ``max|x| * 2**-k < 1/4``, so that a frame's keys stay within 1/4 of its
+    rank (ranks, not frames: a frame of 2**53 or more would round). The key
+    of a right edge adds ``right * 2**-k`` capped at 1/2, so that a right
+    edge past every x of its frame, or one that overflowed to inf, reaches
+    the end of its frame and no further. Returns ``order`` and ``ends``: row
+    ``order[k]`` is the k-th in key order, rows of equal keys in input
+    order, and ``ends[k]`` is the position of the first key above the key
+    of its right edge. One stable sort orders the rows and one binary search
+    finds every end.
+
+    Rounding is monotone, so the frames stay grouped in rank order, and a
+    later row of the frame with ``x < right`` has a key at most that of the
+    right edge: it lies in the window, which never leaves the frame. Where
+    the keys are coarse (one far box makes ``k`` large), the window also
+    holds rows that start at or right of the edge; their IoU is 0.
     """
-    start_key = _keys(frame_rank, x)
-    order = np.argsort(start_key, kind="stable")
-    ends = np.searchsorted(start_key[order], _keys(frame_rank, right)[order])
+    scale = math.ldexp(0.25, -max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], 0))
+    key = frame_rank + x * scale
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    ends = np.searchsorted(key, frame_rank[order] + np.minimum(right[order] * scale, 0.5), side="right")
     return order, ends
 
 
@@ -325,7 +324,7 @@ def _range_hits(boxes: Sequence[np.ndarray], lo: np.ndarray, hi: np.ndarray, thr
     """The pairs ``(k, j)``, ``lo[k] <= j < hi[k]``, of rows of the box columns ``boxes`` at ``iou >= threshold``, and their IoUs.
 
     ``boxes`` holds the four 1-D columns (x, y, w, h). The candidates are
-    gathered from each column, row k repeated for its candidates, and scored
+    gathered from each column, row k once for each of its candidates, and scored
     by :func:`iou_pairs` in chunks of at most ``_PAIR_CHUNK`` pairs (or one
     row's, if more). The formula is symmetric bit for bit, so each IoU is
     bit-identical to its :func:`iou_matrix` entry, and the result does not
@@ -339,10 +338,10 @@ def _range_hits(boxes: Sequence[np.ndarray], lo: np.ndarray, hi: np.ndarray, thr
         done = totals[first] - counts[first]
         last = max(int(np.searchsorted(totals, done + _PAIR_CHUNK, side="right")), first + 1)
         sizes = counts[first:last]
-        j = aranges(lo[first:last], sizes)
-        iou = iou_pairs([np.repeat(c[first:last], sizes) for c in boxes], [c[j] for c in boxes])
+        k, j = np.repeat(np.arange(first, last), sizes), aranges(lo[first:last], sizes)
+        iou = iou_pairs([c[k] for c in boxes], [c[j] for c in boxes])
         hit = iou >= threshold
-        hits_k.append(np.repeat(np.arange(first, last), sizes)[hit])
+        hits_k.append(k[hit])
         hits_j.append(j[hit])
         hits_iou.append(iou[hit])
         first = last
@@ -352,11 +351,15 @@ def _range_hits(boxes: Sequence[np.ndarray], lo: np.ndarray, hi: np.ndarray, thr
 def same_frame_overlaps(rows: DetectionTable, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row pairs ``(i, j)``, ``i < j``, of one frame whose boxes reach ``iou >= threshold`` (> 0), and their IoUs.
 
-    The rows are swept in (frame, x) order (see :func:`_sweep`): a row is
-    scored only against the later rows of its frame that start left of its
-    right edge, which include every pair with a positive intersection. The
-    box columns, gathered in sweep order, are scored by :func:`_range_hits`,
-    so each IoU is bit-identical to its :func:`iou_matrix` entry. Returns
+    The rows are swept in key order, by frame and then about by x (see
+    :func:`_sweep`): a row is scored only against the rows of its window,
+    the later rows of its frame whose keys reach no further than its right
+    edge's. Of two rows that intersect, the later one starts left of the
+    earlier one's right edge and lies in its window, so every pair with a
+    positive intersection is scored exactly once, by its earlier row; the
+    other rows of a window score IoU 0 and fail the threshold. The box
+    columns, gathered in sweep order, are scored by :func:`_range_hits`, so
+    each IoU is bit-identical to its :func:`iou_matrix` entry. Returns
     ``(i, j, iou)``, the pairs in sweep order.
     """
     order, ends = _sweep(ranks(rows.frame), rows.x, rows.x + rows.w)
@@ -371,14 +374,17 @@ def cross_overlaps(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs of a row ``i`` of ``a`` and a row ``j`` of ``b`` in one frame whose boxes reach ``iou >= threshold`` (> 0), and their IoUs.
 
-    The rows of both sides are swept together in (frame, x) order (see
-    :func:`_sweep`), a row of ``a`` before the rows of ``b`` at its key. A row
-    of ``a`` is scored against the rows of ``b`` of its frame that start in
-    ``[x, x + w)``, and a row of ``b`` against the rows of ``a`` that start in
-    ``(x, x + w)``: every pair with a positive intersection is scored exactly
-    once, and no pair of one side. The box columns of the swept rows of
-    ``a``, then of ``b``, are scored by :func:`_range_hits`, so each IoU is
-    bit-identical to its :func:`iou_matrix` entry. ``frame_rank``, the frame
+    The rows of both sides are swept together in key order (see
+    :func:`_sweep`), a row of ``a`` before the rows of ``b`` at its key. Each
+    row is scored against the rows of the other side in its window, the
+    later rows of its frame whose keys reach no further than its right
+    edge's: of two rows that intersect, the later one starts left of the
+    earlier one's right edge, so every pair with a positive intersection is
+    scored exactly once, by its earlier row, and no pair of one side. The
+    other rows of a window score IoU 0 and fail the threshold. The box
+    columns of the swept rows of ``a``, then of ``b``, are scored by
+    :func:`_range_hits`, so each IoU is bit-identical to its
+    :func:`iou_matrix` entry. ``frame_rank``, the frame
     ranks of the rows of ``a`` then ``b`` (see :func:`ranks`), is computed
     when not given. Returns ``(i, j, iou)``.
     """

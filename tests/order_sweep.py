@@ -9,8 +9,11 @@ refined output are each shuffled by a seeded random permutation of their
 rows. The ``repr`` of ``evaluate_sequence`` and of ``clear_frame_matchings``,
 for the tracker and for the refined output, and the bytes ``write_tracks``
 gives for a refine of the shuffled tracker output must equal those of the
-unshuffled input. pytest does not collect this file: it runs more scenes
-than tier-1 should, once per CI job. Exits non-zero on the first mismatch.
+unshuffled input. The predicted ids of the tracker and of the refined output
+are also relabeled by a seeded permutation of those ids, which must leave
+IDF1 the same; MOTA may change, since the Hungarian step of CLEAR breaks its
+ties by id. pytest does not collect this file: it runs more scenes than
+tier-1 should, once per CI job. Exits non-zero on the first mismatch.
 """
 
 import argparse
@@ -26,6 +29,7 @@ from trackstitch import (
     corrupt,
     evaluate_sequence,
     generate,
+    idf1,
     refine_detections,
     write_tracks,
 )
@@ -49,6 +53,11 @@ def check(seed: int, shuffles: int) -> None:
                 raise SystemExit(f"seed {seed}: the scores of the {name} output depend on the row order")
         if write_tracks(refine_detections(t, meta)[0]) != written:
             raise SystemExit(f"seed {seed}: refine's output depends on the row order")
+    for name, pred in (("tracker", tracker), ("refined", refined)):
+        ids = np.unique(pred.track_id)
+        relabeled = pred.relabeled(rng.permutation(ids)[np.searchsorted(ids, pred.track_id)])
+        if idf1(gt, relabeled) != idf1(gt, pred):
+            raise SystemExit(f"seed {seed}: the IDF1 of the {name} output depends on its predicted ids")
 
 
 def main(argv=None) -> int:
@@ -60,7 +69,8 @@ def main(argv=None) -> int:
     for seed in range(1, args.seeds + 1):
         check(seed, args.shuffles)
     print(
-        f"{args.seeds} crossing scenes x {args.shuffles} shuffles: scores and refined bytes do not depend on the row order"
+        f"{args.seeds} crossing scenes x {args.shuffles} shuffles: scores and refined bytes do not depend on the row order,"
+        " nor IDF1 on the predicted ids"
         f" ({time.perf_counter() - started:.1f} s, numpy {np.__version__})"
     )
     return 0

@@ -16,7 +16,7 @@ from trackstitch.evaluation import evaluate_sequence
 from trackstitch.mot_io import SequenceMeta
 from trackstitch.pipeline import refine_detections
 from trackstitch.scoring import ConstraintKind, ConstraintParams
-from trackstitch.synth import CorruptionConfig, ScenarioError
+from trackstitch.synth import CorruptionConfig, ScenarioConfig, ScenarioError, generate
 
 
 def test_defaults_match_shipped_table():
@@ -280,6 +280,11 @@ NUMBER_SETTINGS = {
         if value_kind.startswith("number")
     },
     "crossing_iou": lambda: CorruptionConfig(crossing_iou=True).validate(),
+    **{name: lambda name=name: CorruptionConfig(**{name: True}).validate() for name in ("fragment_prob", "swap_prob", "dropout")},
+    **{
+        name: lambda name=name: generate(ScenarioConfig(num_objects=2, num_frames=10, **{name: True}))
+        for name in ("fps", "turn_rate", "min_speed", "max_speed")
+    },
     "iou_threshold": lambda: evaluate_sequence([], [], True),
 }
 
@@ -289,6 +294,19 @@ def test_number_settings_reject_a_bool(name):
     # True == 1 lies in every range a threshold may take; a saved config would then write "True"
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a number, got True$"):
         NUMBER_SETTINGS[name]()
+
+
+def test_save_rejects_an_invalid_config_as_loading_its_file_would(tmp_path):
+    cfg = PipelineConfig(cut_threshold=2.0)
+    path = tmp_path / "bad.cfg"
+    with pytest.raises(ValueError) as saved:
+        save_pipeline_config(cfg, path)
+    # nothing was written, not even a temporary file
+    assert list(tmp_path.iterdir()) == []
+    path.write_text(format_pipeline_config(cfg), encoding="utf-8")
+    with pytest.raises(ValueError) as loaded:
+        load_pipeline_config(path)
+    assert str(saved.value) == str(loaded.value) == f"{path}: cutter.t_tc must lie in (0, 1], got 2.0"
 
 
 def test_constraint_flags_must_be_booleans():

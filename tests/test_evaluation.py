@@ -356,6 +356,20 @@ def test_clear_and_idf1_match_the_per_frame_reference_property(gt_rows, pred_row
     assert_like_reference(gt, pred, threshold)
 
 
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+def test_idf1_counts_only_the_ids_that_hit(threshold):
+    far = track(3, range(1, 11), y0=500.0) + track(9, range(4, 8), y0=700.0)
+    # predictions present, none of which hits
+    assert_like_reference(GT, far, threshold)
+    assert idf1(GT, far, threshold) == 0.0
+    # gt id 1 and predicted ids 3 and 9, on either side of 5 in id order, never hit
+    assert_like_reference(GT, far + track(5, range(1, 11), y0=100.0), threshold)
+    assert idf1(GT, far + track(5, range(1, 11), y0=100.0), threshold) == 2 * 10 / (20 + 24)
+    # a single hit
+    assert_like_reference(GT, track(5, [3], x0=24.0), threshold)
+    assert idf1(GT, track(5, [3], x0=24.0), threshold) == 2 / 21
+
+
 def test_carry_over_spans_frames_that_no_row_holds():
     # frame 1 pairs 1-11 and 2-12; from frame 3 on the crossed pairs overlap
     # more, but the kept pairs still hit, so they stay; frame 2 holds no row

@@ -329,6 +329,15 @@ def test_sequence_meta_rejects_non_finite_or_non_positive_fps(fps):
         SequenceMeta(fps=fps, img_width=10, img_height=10, num_frames=10)
 
 
+@pytest.mark.parametrize("field", ["fps", "img_width", "img_height", "num_frames"])
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_sequence_meta_rejects_a_bool(field, value):
+    # True == 1 is a positive integer, and would write seqLength=True, which read_seqinfo rejects
+    fields = {"fps": 30.0, "img_width": 1920, "img_height": 1080, "num_frames": 10, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be a number, got {value}$"):
+        SequenceMeta(**fields)
+
+
 # Size texts that are not positive integers a float holds, by test id; both
 # SequenceMeta and read_seqinfo reject each. The last lies between
 # float_info.max and 2**1024: float() rounds it down to float_info.max, so only

@@ -180,6 +180,11 @@ class TestCorrupt:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             corrupt(self.make_gt(), CorruptionConfig(**kw))
 
+    @pytest.mark.parametrize("gap_frames", [(1, 2, 3), (1,), 3])
+    def test_gap_frames_must_be_a_pair(self, gap_frames):
+        with pytest.raises(ValueError, match=rf"^gap_frames must be a pair \(lo, hi\), got {re.escape(repr(gap_frames))}$"):
+            CorruptionConfig(gap_frames=gap_frames).validate()
+
     def test_validates_probabilities(self):
         with pytest.raises(ValueError):
             CorruptionConfig(dropout=1.5).validate()

@@ -504,7 +504,7 @@ def test_cut_matches_per_frame_loop_property(tracks, grid, threshold, windows):
     _assert_same_cut(*_cut_both(tracklets, threshold, window, min_len))
 
 
-def test_sweep_finds_the_first_row_of_the_frame_at_or_past_each_right_edge():
+def test_sweep_windows_hold_every_later_row_of_the_frame_left_of_the_right_edge():
     rng = np.random.default_rng(3)
     overflowed = 0
     for trial in range(300):
@@ -521,12 +521,16 @@ def test_sweep_finds_the_first_row_of_the_frame_at_or_past_each_right_edge():
             right = x + rng.choice([5.0, 5e-324, 0.125, 1e300, 1e308], n)
         overflowed += int(np.isinf(right).any())
         order, ends = tracklets_module._sweep(tracklets_module.ranks(frames), x, right)
-        keys = list(zip(frames[order].tolist(), x[order].tolist()))
-        assert keys == sorted(keys)
+        assert sorted(order.tolist()) == list(range(n))
+        swept = frames[order]
+        # the frames stay grouped, in rank order
+        assert (swept[1:] >= swept[:-1]).all()
+        frame_end = np.searchsorted(swept, swept, side="right")
         for k, row in enumerate(order.tolist()):
-            later = [p for p in range(len(order)) if frames[order[p]] == frames[row] and x[order[p]] >= right[row]]
-            same_frame = np.flatnonzero(frames[order] == frames[row])
-            assert ends[k] == (later[0] if later else same_frame[-1] + 1)
+            # the window never leaves the frame
+            assert k < ends[k] <= frame_end[k]
+            left_of_edge = [p for p in range(k + 1, frame_end[k]) if x[order[p]] < right[row]]
+            assert max(left_of_edge, default=k) < ends[k]
     assert overflowed > 10
 
 
@@ -579,6 +583,45 @@ def test_cross_overlaps_finds_every_pair_of_the_two_sides_once(monkeypatch, chun
         found = dict(zip(zip(i.tolist(), j.tolist()), ious.tolist()))
         assert len(found) == len(i)
         # repr compares every float exactly
+        assert repr(sorted(found.items())) == repr(sorted(expected.items()))
+
+
+def _with_far_box(rng, side, far):
+    """``side`` with the x of one random row set to ``far``."""
+    x = side.x.copy()
+    x[rng.integers(len(x))] = far
+    return DetectionTable(side.frame, side.track_id, x, side.y, side.w, side.h, side.conf)
+
+
+@pytest.mark.parametrize("far", [1e15, 1e15 + 2.5, 1e16, -1e16])
+def test_overlaps_match_iou_matrix_when_one_far_box_makes_the_keys_coarse(far):
+    rng = np.random.default_rng(13)
+    for trial in range(150):
+        n_a, n_b = int(rng.integers(1, 25)), int(rng.integers(0, 25))
+        # one box far out on a side, and on the other side too in every other trial
+        a = _with_far_box(rng, _random_side(rng, n_a, [1, 2, 3], trial % 2), far)
+        b = _random_side(rng, n_b, [2, 3, 4], trial % 2)
+        if n_b and trial % 2:
+            b = _with_far_box(rng, b, far + rng.choice([0.0, 2.5]))
+        threshold = [1.0, 0.5, 1e-9][trial % 3]
+        matrix = iou_matrix(a.boxes, b.boxes)
+        expected = {
+            (p, q): matrix[p, q].item()
+            for p in range(n_a) for q in range(n_b) if a.frame[p] == b.frame[q] and matrix[p, q] >= threshold
+        }
+        i, j, ious = tracklets_module.cross_overlaps(a, b, threshold)
+        found = dict(zip(zip(i.tolist(), j.tolist()), ious.tolist()))
+        assert len(found) == len(i)
+        # repr compares every float exactly
+        assert repr(sorted(found.items())) == repr(sorted(expected.items()))
+        matrix = iou_matrix(a.boxes, a.boxes)
+        expected = {
+            (p, q): matrix[p, q].item()
+            for p in range(n_a) for q in range(p + 1, n_a) if a.frame[p] == a.frame[q] and matrix[p, q] >= threshold
+        }
+        i, j, ious = tracklets_module.same_frame_overlaps(a, threshold)
+        found = dict(zip(zip(i.tolist(), j.tolist()), ious.tolist()))
+        assert len(found) == len(i)
         assert repr(sorted(found.items())) == repr(sorted(expected.items()))
 
 
