@@ -60,16 +60,19 @@ def _parse_number(value: str, key: str, cast: type = float) -> int | float:
 
 
 def read_kv(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` file (see :func:`mot_io.read_text`); '#' starts a comment."""
+    """Read a flat ``key = value`` file (see :func:`mot_io.read_text`); '#' starts a comment, and a key may be given once."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = map(str.strip, line.partition("="))
+        if key in lines:
+            raise ValueError(f"{path}: line {lineno}: {key} given twice, first on line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 

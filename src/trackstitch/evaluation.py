@@ -29,7 +29,8 @@ exactly while it hits in consecutive numbered frames: a match made at frame
 ``k0`` lasts to the end of that pair's run of hits, a *match run*. A frame
 takes the Hungarian step only where both a ground-truth row and a predicted
 row are left over by the runs alive there; Python visits only those frames,
-and the runs carry every other one. The Hungarian step matches only pairs at
+and the runs carry every other one. The Hungarian step reads its frame's hits
+between the rows left over, with the sweep's IoUs, so it matches only pairs at
 ``iou >= iou_threshold``: it maximizes the number of matches first and their
 summed IoU second, as the CLEAR MOT definition and py-motmetrics do.
 The true positives are the summed run lengths, and a run is an identity
@@ -50,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .mot_io import Detection, DetectionTable
-from .tracklets import aranges, check_iou_threshold, cross_overlaps, iou_pairs, pair_runs, ranks
+from .tracklets import aranges, check_iou_threshold, cross_overlaps, pair_runs, ranks
 
 
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +82,9 @@ class _Hits:
 
     ``rank`` is the frame index: the rank of each row's frame among the
     frames holding a ground-truth or a predicted row, those of ``gt`` first.
-    Hit h pairs ground-truth row ``g[h]`` (id ``gid[h]``) with predicted row
-    ``p[h]`` (id ``pid[h]``) in numbered frame ``k[h]``. The hits are in
+    Hit h pairs ground-truth row ``g[h]`` with predicted row ``p[h]`` in
+    numbered frame ``k[h]`` at IoU ``iou[h]``, the sweep's score, which the
+    Hungarian step of its frame reads. The hits are in
     :func:`~trackstitch.tracklets.pair_runs` order, by (gt id, predicted id,
     frame), and run r, the hits of one id pair in consecutive numbered
     frames, is ``bounds[r]:bounds[r + 1]``.
@@ -93,9 +95,8 @@ class _Hits:
     rank: np.ndarray
     g: np.ndarray
     p: np.ndarray
-    gid: np.ndarray
-    pid: np.ndarray
     k: np.ndarray
+    iou: np.ndarray
     bounds: np.ndarray
 
     @classmethod
@@ -108,10 +109,10 @@ class _Hits:
         pred.check_tracks()
         # both sides are sorted by frame: one stable sort merges two runs
         rank = ranks(np.concatenate((gt.frame, pred.frame)))
-        g, p, _ = cross_overlaps(gt, pred, iou_threshold, rank)
-        gid, pid, k = gt.track_id[g], pred.track_id[p], rank[g]
-        order, bounds = pair_runs(gid, pid, k)
-        return cls(gt, pred, rank, g[order], p[order], gid[order], pid[order], k[order], bounds)
+        g, p, iou = cross_overlaps(gt, pred, iou_threshold, rank)
+        k = rank[g]
+        order, bounds = pair_runs(gt.track_id[g], pred.track_id[p], k)
+        return cls(gt, pred, rank, g[order], p[order], k[order], iou[order], bounds)
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def _next_contested(k: int, matched: np.ndarray, n_gt: np.ndarray, n_pred: np.nd
     return len(matched)
 
 
-def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
+def _clear_runs(hits: _Hits) -> _Runs:
     """Run the CLEAR matching as match runs (see the module docstring)."""
     gt, pred = hits.gt, hits.pred
     g_rank, p_rank = hits.rank[: len(gt)], hits.rank[len(gt) :]
@@ -164,10 +165,9 @@ def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
     # each hit learns where its run ends
     g, p, k, bounds = hits.g, hits.p, hits.k, hits.bounds
     run_end = np.repeat(bounds[1:] - 1, np.diff(bounds))
-    # a hit is found by its (gt row, predicted row) key
-    key = g * len(pred) + p
-    by_key = np.argsort(key)
-    key = key[by_key]
+    # the hits of frame f are by_frame[h_lo[f]:h_lo[f + 1]]
+    by_frame = np.argsort(k, kind="stable")
+    h_lo = np.searchsorted(k[by_frame], np.arange(n_frames + 1))
 
     matched = np.zeros(len(frames), dtype=np.int64)
     g_taken, p_taken = np.zeros(len(gt), dtype=bool), np.zeros(len(pred), dtype=bool)
@@ -176,14 +176,18 @@ def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
     while f < len(frames):
         g_rows = g_lo[f] + np.flatnonzero(~g_taken[g_lo[f]:g_hi[f]])
         p_rows = p_lo[f] + np.flatnonzero(~p_taken[p_lo[f]:p_hi[f]])
-        # the IoU matrix of the frame's rows left over, as iou_matrix scores it
-        m = iou_pairs([c[g_rows, None] for c in (gt.x, gt.y, gt.w, gt.h)], [c[p_rows] for c in (pred.x, pred.y, pred.w, pred.h)])
-        # any allowed pair outweighs the summed IoU of a full matching, so the
-        # most matches win, and the summed IoU breaks ties between them
-        allowed = m >= iou_threshold
-        rows, cols = linear_sum_assignment(np.where(allowed, m + min(m.shape) + 1, 0.0), maximize=True)
-        keep = allowed[rows, cols]
-        at = by_key[np.searchsorted(key, g_rows[rows[keep]] * len(pred) + p_rows[cols[keep]])]
+        # the frame's hits between rows left over, placed in their matrix
+        h = by_frame[h_lo[f]:h_lo[f + 1]]
+        h = h[~g_taken[g[h]] & ~p_taken[p[h]]]
+        r, c = np.searchsorted(g_rows, g[h]), np.searchsorted(p_rows, p[h])
+        hit_at = np.full((len(g_rows), len(p_rows)), -1)
+        hit_at[r, c] = h
+        # any hit outweighs the summed IoU of a full matching, so the most
+        # matches win, and the summed IoU breaks ties between them
+        weight = np.zeros(hit_at.shape)
+        weight[r, c] = hits.iou[h] + min(weight.shape) + 1
+        at = hit_at[linear_sum_assignment(weight, maximize=True)]
+        at = at[at >= 0]
         # each new match holds to the end of its run of hits
         run = aranges(at, run_end[at] - at + 1)
         g_taken[g[run]] = p_taken[p[run]] = True
@@ -194,7 +198,7 @@ def _clear_runs(hits: _Hits, iou_threshold: float) -> _Runs:
         f = _next_contested(f + 1, matched, n_gt, n_pred)
 
     at = np.concatenate(opened)
-    gid, pid, first, last = hits.gid[at], hits.pid[at], k[at], k[run_end[at]]
+    gid, pid, first, last = gt.track_id[g[at]], pred.track_id[p[at]], k[at], k[run_end[at]]
     # a run switches when the previous run of its gt id had another predicted id
     order = np.lexsort((first, gid))
     switch = np.zeros(len(gid), dtype=bool)
@@ -208,7 +212,7 @@ def clear_frame_matchings(
     iou_threshold: float = 0.5,
 ) -> list[FrameMatching]:
     """Run the CLEAR matching and return one record per frame holding a ground-truth or a predicted row."""
-    runs = _clear_runs(_Hits.of(gt, pred, iou_threshold), iou_threshold)
+    runs = _clear_runs(_Hits.of(gt, pred, iou_threshold))
     length = runs.last - runs.first + 1
     k = aranges(runs.first, length)
     gid, pid = np.repeat(runs.gid, length), np.repeat(runs.pid, length)
@@ -225,20 +229,12 @@ def clear_frame_matchings(
     ]
 
 
-def _clear_totals(hits: _Hits, iou_threshold: float) -> tuple[float, int, int, int]:
-    """MOTA with the FP, FN and IDSW totals it is computed from."""
-    runs = _clear_runs(hits, iou_threshold)
-    tp = int(runs.matched.sum())
-    fp, fn, idsw = len(hits.pred) - tp, len(hits.gt) - tp, int(runs.switch.sum())
-    return 1.0 - (fp + fn + idsw) / len(hits.gt), fp, fn, idsw
-
-
 def _idf1(hits: _Hits) -> float:
     if not len(hits.g):
         return 0.0
     # the hits of one id pair are one block of runs
     lo = hits.bounds[:-1]
-    gid, pid = hits.gid[lo], hits.pid[lo]
+    gid, pid = hits.gt.track_id[hits.g[lo]], hits.pred.track_id[hits.p[lo]]
     first = np.flatnonzero(np.append(True, (gid[1:] != gid[:-1]) | (pid[1:] != pid[:-1])))
     counts = np.diff(hits.bounds[np.append(first, len(lo))])
     # the ids that hit, numbered; gid is sorted, so its stable sort is one pass
@@ -275,9 +271,11 @@ def evaluate_sequence(
 ) -> SequenceScores:
     """MOTA, IDF1 and the CLEAR counts of one sequence; ``iou_threshold`` must lie in (0, 1]."""
     hits = _Hits.of(gt, pred, iou_threshold)
-    mota_value, fp, fn, idsw = _clear_totals(hits, iou_threshold)
+    runs = _clear_runs(hits)
+    tp = int(runs.matched.sum())
+    fp, fn, idsw = len(pred) - tp, len(gt) - tp, int(runs.switch.sum())
     return SequenceScores(
-        mota=mota_value,
+        mota=1.0 - (fp + fn + idsw) / len(gt),
         idf1=_idf1(hits),
         false_positives=fp,
         false_negatives=fn,

@@ -811,13 +811,14 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
     """Read sequence metadata from a seqinfo-style key=value file.
 
     Section headers (``[Sequence]``), comments and unknown keys are ignored;
-    ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required;
-    the frame rate must be finite and positive, and the last three must be
-    positive integers (``1920.0`` is one) no larger than a float holds. The
-    file is read by :func:`read_text`. Raises :class:`ParseError` naming the
-    file, and the line of a bad value.
+    ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required,
+    each once; the frame rate must be finite and positive, and the last three
+    must be positive integers (``1920.0`` is one) no larger than a float
+    holds. The file is read by :func:`read_text`. Raises :class:`ParseError`
+    naming the file, and the line of a bad or repeated value.
     """
     values: dict[str, float | int] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith(("[", "#", ";")):
@@ -825,7 +826,10 @@ def read_seqinfo(path: str | Path) -> SequenceMeta:
         if "=" not in line:
             raise ParseError(f"{path}: line {lineno}: expected key=value, got {line!r}")
         key, _, value = map(str.strip, line.partition("="))
+        if key in lines:
+            raise ParseError(f"{path}: line {lineno}: {key} given twice, first on line {lines[key]}")
         if key in _SEQINFO_KEYS:
+            lines[key] = lineno
             field, parse = _SEQINFO_KEYS[key]
             try:
                 values[field] = parse(value)

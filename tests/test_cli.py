@@ -390,6 +390,7 @@ def test_refine_rejects_nan_thresholds_in_the_config(tmp_path, capsys, line, exp
         ("bounds.U = 0.2", "bounds.U must lie in (0.5, 1), got 0.2"),
         # the line error form of track and seqinfo files
         ("bogus line", "line 1: expected key = value, got 'bogus line'"),
+        ("td.t50 = 0.5\ninterp.enabled = true\ntd.t50 = 0.9", "line 3: td.t50 given twice, first on line 1"),
     ],
 )
 def test_refine_config_errors_name_the_file_and_the_key(tmp_path, capsys, line, expected):
@@ -433,7 +434,9 @@ def test_refine_links_a_broken_track_at_every_valid_window(tmp_path, capsys, win
 )
 def test_synth_scenario_errors_name_the_file(tmp_path, capsys, line, expected):
     scenario = tmp_path / "scenario.cfg"
-    scenario.write_text(SCENARIO + line + "\n")
+    # the line takes the place of its key's line in SCENARIO, since a key may be given once
+    key = line.split("=")[0]
+    scenario.write_text("".join(f"{kept}\n" for kept in SCENARIO.splitlines() if not kept.startswith(key)) + line + "\n")
     assert main(["synth", str(scenario), "--out-dir", str(tmp_path / "o")]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {scenario}: {expected}\n"
@@ -443,9 +446,10 @@ def test_synth_scenario_errors_name_the_file(tmp_path, capsys, line, expected):
 @pytest.mark.parametrize(
     "text, expected",
     [
-        (SCENARIO + "scene.num_objects = 0\n", "{path}: need at least one object and one frame"),
+        (SCENARIO.replace("scene.num_objects = 6", "scene.num_objects = 0"), "{path}: need at least one object and one frame"),
         ("scene.num_frames = 10\n", "{path}: missing scene.num_objects"),
         ("scene.num_objects 3\n", "{path}: line 1: expected key = value, got 'scene.num_objects 3'"),
+        ("scene.num_objects = 4\nscene.num_frames = 50\n# six\nscene.num_objects = 6\n", "{path}: line 4: scene.num_objects given twice, first on line 1"),
         # generate raises this one, after the file has been read
         (
             "scene.num_objects = 2\nscene.num_frames = 100\nscene.crossings = 1\nscene.min_speed = 60\nscene.max_speed = 60\n",
@@ -478,6 +482,15 @@ def test_refine_rejects_a_seqinfo_line_without_a_value(tmp_path, capsys):
     seqinfo.write_text("[Sequence]\nframeRate 30\nimWidth=100\nimHeight=100\nseqLength=10\n")
     argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
     assert_one_line_error(tmp_path, capsys, argv, f"{seqinfo}: line 2: expected key=value, got 'frameRate 30'")
+
+
+def test_refine_rejects_a_seqinfo_key_given_twice(tmp_path, capsys):
+    tracks = tmp_path / "tracks.txt"
+    tracks.write_text(THREE_ROWS)
+    seqinfo = tmp_path / "seqinfo.ini"
+    seqinfo.write_text("[Sequence]\nframeRate=30\nimWidth=100\nimHeight=100\nseqLength=10\nframeRate=25\n")
+    argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
+    assert_one_line_error(tmp_path, capsys, argv, f"{seqinfo}: line 6: frameRate given twice, first on line 2")
 
 
 def test_eval_parse_errors_name_the_file(tmp_path, capsys):

@@ -414,15 +414,13 @@ def test_matching_is_one_sweep_and_hungarian_only_where_a_frame_needs_it(monkeyp
         return score(*args)
 
     monkeypatch.setattr(evaluation_module, "linear_sum_assignment", counted_solve)
-    # the sweep scores through the tracklets module, the Hungarian step's matrix through evaluation's import
     monkeypatch.setattr(tracklets_module, "iou_pairs", counted_score)
-    monkeypatch.setattr(evaluation_module, "iou_pairs", counted_score)
     gt = track(1, range(1, 201), step=3.0) + track(2, range(1, 201), step=3.0, y0=100.0) + track(3, range(1, 201), step=0.0, y0=200.0)
     assert evaluate_sequence(gt, gt) == SequenceScores(1.0, 1.0, 0, 0, 0, 600, 600)
     # CLEAR's first frame and IDF1's global matching
     assert len(hungarian) == 2
-    # one chunk of the sweep and the first frame's matrix
-    assert len(ious) == 2
+    # one chunk of the sweep; the Hungarian step reads the sweep's IoUs
+    assert len(ious) == 1
 
 
 def test_hungarian_step_matches_only_pairs_at_the_threshold():
@@ -435,6 +433,21 @@ def test_hungarian_step_matches_only_pairs_at_the_threshold():
     scores = evaluate_sequence(gt, pred)
     assert (scores.mota, scores.false_positives, scores.false_negatives) == (0.0, 1, 1)
     assert scores.idf1 == 0.5
+
+
+@pytest.mark.parametrize("left", [11, 12])
+def test_equal_ious_match_the_lower_id(left):
+    # gt 1 at x = 0 lies between predictions at x = -2 and x = 2, both at IoU 2/3:
+    # predicted id 11 wins on either side, and a one-row or one-column frame that
+    # skips the Hungarian step must keep this rule
+    def box(tid, x):
+        return Detection(1, tid, x, 0.0, 10.0, 10.0, 1.0)
+
+    gt, pred = [box(1, 0.0)], [box(left, -2.0), box(23 - left, 2.0)]
+    assert clear_frame_matchings(gt, pred) == [FrameMatching(1, [(1, 11)], 1, 0, 0)] == reference_records(gt, pred, 0.5)
+    # mirrored: prediction 11 lies between gt 1 and gt 2, and matches gt 1
+    gt, pred = [box(left - 10, -2.0), box(13 - left, 2.0)], [box(11, 0.0)]
+    assert clear_frame_matchings(gt, pred) == [FrameMatching(1, [(1, 11)], 0, 1, 0)] == reference_records(gt, pred, 0.5)
 
 
 @pytest.mark.parametrize(
