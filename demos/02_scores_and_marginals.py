@@ -3,7 +3,7 @@
 Three fragments: the first two belong to the same object moving at a steady
 2 px/frame; the third sits far away. We print the per-constraint scores of
 every candidate successor of fragment 1 (including STOP) and the marginals
-the search branches on, then plot the score curve itself.
+the greedy pass binds by, then plot the score curve itself.
 """
 
 import numpy as np
@@ -47,7 +47,7 @@ for cand, ps in var.pair_scores.items():
 print(
     "\nFragment 2 resumes fragment 1's path two frames later, so its product of"
     "\nscores towers nine orders of magnitude over the far-away fragment 3 and"
-    "\nover STOP: the marginal the search branches on is effectively 1."
+    "\nover STOP: the marginal the greedy pass binds by is effectively 1."
 )
 
 # the score curve: a Gaussian through (0, U), (t50, 0.5), clamped at L and U

@@ -1,8 +1,9 @@
 """trackstitch: post-processing that improves any multi-object tracker's output.
 
 The pipeline cuts tracklets where they overlap suspiciously, re-associates
-them globally by searching successor assignments in descending marginal
-order, and fills the remaining trajectory gaps by linear interpolation.
+them globally in one greedy pass that binds successors in descending
+marginal order, and fills the remaining trajectory gaps by linear
+interpolation.
 """
 
 from .associator import (

@@ -6,21 +6,16 @@ that start strictly after i ends, plus a per-variable STOP sentinel meaning
 solution: successors are pairwise distinct (STOP excepted, each variable owns
 its own), and a successor must start after its predecessor ends.
 
-The search is one loop that always binds the unbound (variable, value) pair
-with the highest marginal. Binding a non-STOP value removes it from the other
-unbound domains (forward checking), and the affected marginals are
-renormalized over the surviving candidates. Every removal goes onto one trail,
-and every bound pair onto a stack of choices that records where the trail
-stood before its removals. When an unbound domain is wiped out, the search
-backtracks: it pops the latest choice, undoes the trail back to that mark,
-unbinds the pair and forbids it with one more removal on the trail. A wipe-out
-with no choice left to retract means the instance has no solution. Forward
-checking never removes STOP, so domains built here always admit a solution and
-the search in practice never backtracks; the machinery exists for hand-built
-instances.
+The solver is one greedy pass (max-marginal binding with forward checking,
+after the CP-BP search of Pesant, JAIR 2019): it always binds the unbound
+(variable, value) pair with the highest marginal. Binding a non-STOP value
+removes it from the other unbound domains, and the affected marginals are
+renormalized over the surviving candidates. Every domain holds STOP and
+forward checking never removes it, so no domain is ever wiped out and the
+pass never retracts a binding: each variable is bound once.
 
 Domains are columns (:class:`Domains`), one entry per (variable, candidate),
-and the search keeps its state in arrays over those entries: forward checking
+and the pass keeps its state in arrays over those entries: forward checking
 reaches the entries of the bound candidate through an index, and a selection
 is one ``argmax`` over the variables' best marginals.
 """
@@ -76,9 +71,9 @@ class SuccessorVar:
 class SolveStats:
     """Search effort of one solve.
 
-    ``nodes`` is the root plus one per (variable, value) pair bound, retracted
-    pairs included. ``backtracks`` is the number of pairs retracted after a
-    wipe-out and then forbidden.
+    ``nodes`` is the root plus one per variable bound, ``len(domains) + 1``;
+    ``backtracks`` is 0, since the pass never retracts a binding. Both stay
+    for the benchmark's traced replay, which reports them.
     """
 
     nodes: int = 0
@@ -91,6 +86,8 @@ class Domains(Sequence[SuccessorVar]):
     Variable k is tracklet ``ids[k]``; its row is the entries
     ``[offsets[k], offsets[k + 1])`` in domain order, each a candidate id
     (STOP is candidate 0; tracklet ids start at 1), its product and its marginal.
+    Every row holds a STOP entry with a positive product, which the solver
+    relies on.
     :func:`build_domains` keeps a hard-filtered pair at product 0 and adds the
     ``kinds`` and their ``(len(kinds), entries)`` ``scores``; a hand-built
     table (:meth:`of`) has its marginals for products. Indexing or iterating
@@ -110,9 +107,9 @@ class Domains(Sequence[SuccessorVar]):
         """``succ_vars`` itself if it is a Domains, else the variables' domains as columns.
 
         Raises ValueError for a repeated variable, a variable or candidate id
-        that is not an integer in [1, 2**63) (a bool is not one), an empty
-        domain or a marginal that is not finite and positive, on the first
-        such variable.
+        that is not an integer in [1, 2**63) (a bool is not one), a variable
+        that names itself as a candidate, a domain without STOP or a marginal
+        that is not finite and positive, on the first such variable.
         """
         if isinstance(succ_vars, Domains):
             return succ_vars
@@ -125,9 +122,11 @@ class Domains(Sequence[SuccessorVar]):
                 check_integer(tid, f"a tracklet id of variable {var.tracklet_id}")
                 if not 1 <= tid < 2**63:
                     raise ValueError(f"variable {var.tracklet_id} names tracklet id {tid}, outside [1, 2**63)")
+            if var.tracklet_id in var.marginals:
+                raise ValueError(f"variable {var.tracklet_id} names itself as a candidate")
+            if STOP not in var.marginals:
+                raise ValueError(f"variable {var.tracklet_id} has no STOP entry")
             values = np.array(list(var.marginals.values()), dtype=float)
-            if not len(values):
-                raise ValueError(f"variable {var.tracklet_id} has an empty domain")
             # a NaN or an infinity makes the total non-finite
             if not (values.min() > 0 and math.isfinite(left_sums(values, (0, len(values)))[0])):
                 raise ValueError(f"variable {var.tracklet_id} has a marginal that is not finite and positive")
@@ -211,15 +210,14 @@ class _Search:
     by ``tie``: candidate id, STOP after every id. Renormalization rescales all
     survivors of a domain uniformly, so this preference never changes.
     ``best[v]`` is variable v's preferred surviving entry and ``best_value[v]``
-    its attached marginal (+inf once the domain is empty); a removal looks
-    for the next best only when it takes the best, which is rare (6 of 370k
-    removals at 300 objects x 1000 frames), so the domains are never sorted.
+    its attached marginal; a removal looks for the next best only when it
+    takes the best, which is rare (6 of 370k removals at 300 objects x 1000
+    frames), so the domains are never sorted.
     The attached marginals are used verbatim until a domain first shrinks,
     which ``total[v] < 0`` marks; from then on the marginal of a survivor is
     its attached value divided by ``total[v]``. ``key[v]`` is v's best
-    current marginal, -inf once v is bound and +inf once its domain is empty
-    (+inf over any total, 0 included, is +inf and raises no floating-point
-    flag).
+    current marginal, -inf once v is bound. Every domain keeps its STOP, so
+    every unbound variable has a best entry.
 
     A removal subtracts its marginal from the total while that keeps at least
     half of it. A candidate holding more than half of the remaining mass is
@@ -251,15 +249,11 @@ class _Search:
         bounds = run_bounds(by_candidate)
         self.holder_range = dict(zip(by_candidate[bounds[:-1]].tolist(), zip(bounds, bounds[1:])))
         self.ids, self.candidates = domains.ids.tolist(), domains.candidates
-        self.trail: list = []  # removals, one batch per forward check or retraction
 
     def next_best(self, v: int) -> None:
         """Find variable v's preferred surviving entry."""
         lo, hi = self.offsets[v], self.offsets[v + 1]
         live = lo + np.flatnonzero(self.alive[lo:hi])
-        if not len(live):
-            self.best_value[v] = np.inf
-            return
         values = self.marginals[live]
         tied = live[values == values.max()]
         self.best[v] = tied[self.tie[tied].argmin()]
@@ -269,7 +263,6 @@ class _Search:
         """Remove surviving entries, at most one per variable, of unbound variables."""
         vs = self.var[entries]
         total, best = self.total[vs], self.best[vs]
-        self.trail.append((entries, vs, total, best))
         self.alive[entries] = False
         removed = self.marginals[entries]
         new_total = total - removed
@@ -283,59 +276,34 @@ class _Search:
             self.next_best(v)
         self.key[vs] = self.best_value[vs] / new_total
 
-    def undo(self, mark: int) -> None:
-        """Undo the removals recorded after trail position ``mark``, latest first."""
-        while len(self.trail) > mark:
-            entries, vs, total, best = self.trail.pop()
-            self.alive[entries] = True
-            self.total[vs], self.best[vs] = total, best
-            self.best_value[vs] = self.marginals[best]
-            self.key[vs] = self.best_value[vs] / np.where(total < 0, 1.0, total)
-
     def run(self) -> tuple[Assignment, SolveStats]:
         ids = self.ids
         assignment: Assignment = {}
-        stats = SolveStats(nodes=1)
-        choices: list = []  # (variable, entry, trail length before its removals) per bound pair
-        while len(assignment) < len(ids):
+        for _ in ids:
             # highest marginal among unbound variables; ties to the smaller
             # variable id, the first in order (within a variable, best
             # already breaks ties)
             v = self.key.argmax().item()
-            if self.key[v] == np.inf:
-                # an unbound domain is empty: retract the latest choice and forbid it
-                if not choices:
-                    raise RuntimeError("no feasible assignment; domains without STOP are not solvable")
-                v, entry, mark = choices.pop()
-                self.undo(mark)
-                del assignment[ids[v]]
-                self.bound[v] = False
-                self.remove(np.array([entry]))
-                stats.backtracks += 1
-                continue
-            entry = self.best[v].item()
-            choices.append((v, entry, len(self.trail)))
-            cand = self.candidates[entry].item() or STOP
+            cand = self.candidates[self.best[v]].item() or STOP
             assignment[ids[v]] = cand
             self.bound[v] = True
             self.key[v] = -np.inf
-            stats.nodes += 1
             if cand is not STOP:
                 lo, hi = self.holder_range[cand]
                 holders = self.holders[lo:hi]
                 holders = holders[self.alive[holders] & ~self.bound[self.var[holders]]]
                 if len(holders):
                     self.remove(holders)
-        return assignment, stats
+        return assignment, SolveStats(nodes=len(ids) + 1)
 
 
 def solve_with_stats(succ_vars: Sequence[SuccessorVar]) -> tuple[Assignment, SolveStats]:
-    """Find the first feasible assignment under max-marginal depth-first search.
+    """Bind every variable in one greedy max-marginal pass with forward checking.
 
     ``succ_vars`` is a :class:`Domains` or any sequence of variables, which
-    is converted to one (see :meth:`Domains.of`); every marginal must be
-    finite and positive. Also reports the node and backtrack counts of the
-    search.
+    is converted to one (see :meth:`Domains.of`): every domain holds STOP
+    and not its own variable, and every marginal is finite and positive.
+    Also reports the pass's node count and its backtrack count, 0.
     """
     return _Search(Domains.of(succ_vars)).run()
 

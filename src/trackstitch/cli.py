@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     handlers = {"refine": _cmd_refine, "eval": _cmd_eval, "synth": _cmd_synth}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

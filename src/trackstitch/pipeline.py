@@ -24,8 +24,6 @@ class RefineSummary:
     cuts_made: int = 0
     tracklets_associated: int = 0
     candidate_edges: int = 0  # temporally admissible (tracklet, later tracklet) pairs scored
-    solver_nodes: int = 0
-    solver_backtracks: int = 0
     links: int = 0
     trajectories_out: int = 0
     detections_in: int = 0
@@ -38,8 +36,6 @@ class RefineSummary:
             f"cuts made: {self.cuts_made}\n"
             f"tracklets associated: {self.tracklets_associated}\n"
             f"candidate edges: {self.candidate_edges}\n"
-            f"solver nodes: {self.solver_nodes}\n"
-            f"solver backtracks: {self.solver_backtracks}\n"
             f"links formed: {self.links}\n"
             f"trajectories out: {self.trajectories_out}\n"
             f"detections in: {self.detections_in}\n"
@@ -75,8 +71,7 @@ def refine_detections(
 
     domains = build_domains(tracklets, cfg.scores, meta)
     summary.candidate_edges = domains.edge_count
-    assignment, stats = solve_with_stats(domains)
-    summary.solver_nodes, summary.solver_backtracks = stats.nodes, stats.backtracks
+    assignment, _ = solve_with_stats(domains)
     if candidate_dump is not None:
         dump_candidates(domains, candidate_dump)
     summary.links = sum(1 for cand in assignment.values() if cand is not None)

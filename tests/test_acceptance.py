@@ -139,20 +139,19 @@ def greedy_oracle(succ_vars):
 
 
 def test_oracle_equivalence():
-    """Solve matches an independent greedy on 200 random instances; backtracking works."""
+    """Solve matches an independent greedy on 200 random instances; a domain without STOP is refused."""
     rng = np.random.default_rng(104)
     for _ in range(200):
         succ_vars = build_domains(random_tracklets(rng, 8), ScoreConfig(), META)
         got, stats = solve_with_stats(succ_vars)
         assert stats.backtracks == 0  # STOP keeps greedy binding wipe-free
         assert got == greedy_oracle(succ_vars)
-    # engineered wipe-out: X prefers v but Y's only candidate is v
+    # X prefers v but Y's only candidate is v: binding (X, v) would wipe Y out
     x = SuccessorVar(1, {10: 0.9, STOP: 0.05})
     y = SuccessorVar(2, {10: 0.3})
-    assignment, stats = solve_with_stats([x, y])
-    assert stats.backtracks == 1
-    assert assignment == {1: STOP, 2: 10}
-    ok("oracle equivalence: greedy oracle matched on 200 instances; forced backtrack stays feasible")
+    with pytest.raises(ValueError, match="^variable 2 has no STOP entry$"):
+        solve_with_stats([x, y])
+    ok("oracle equivalence: greedy oracle matched on 200 instances; a domain without STOP is refused")
 
 
 def test_end_to_end_repair():

@@ -150,27 +150,21 @@ class TestSolve:
         assignment, _ = solve_with_stats([v1, v2, v3])
         assert assignment == {1: 3, 2: STOP, 3: STOP}
 
-    def test_engineered_backtrack_still_feasible(self):
-        # X's best is v, but Y's only candidate is v: binding (X, v) wipes Y,
-        # the search backtracks once, forbids the pair, and both variables
-        # settle feasibly.
-        x = SuccessorVar(1, {10: 0.9, STOP: 0.05})
-        y = SuccessorVar(2, {10: 0.3})
-        assignment, stats = solve_with_stats([x, y])
-        assert assignment == {1: STOP, 2: 10}
-        assert stats.backtracks == 1
-
     def test_infeasible_instance_raises(self):
+        # x and y cannot both take 10; without STOP one of them would have no
+        # value left, so a domain without STOP is refused before the pass
         x = SuccessorVar(1, {10: 0.9})
         y = SuccessorVar(2, {10: 0.3})
-        with pytest.raises(RuntimeError, match="no feasible"):
+        with pytest.raises(ValueError, match="^variable 1 has no STOP entry$"):
             solve_with_stats([x, y])
 
     def test_removing_the_dominant_candidate_keeps_a_positive_total(self):
         # 3 loses 11 (a re-sum to 1.0 + 1e-20 == 1.0), then 10, which held
-        # all of that total: subtracting it would leave 0 for STOP's 1e-20
-        v1 = SuccessorVar(1, {11: 1.0})
-        v2 = SuccessorVar(2, {10: 1.0})
+        # all of that total: subtracting it would leave 0 for STOP's 1e-20.
+        # Hand-built marginals need not sum to 1: at 1.0, 1 and 2 each bind
+        # before 3, whose shrunk best marginal is 1.0 too
+        v1 = SuccessorVar(1, {11: 1.0, STOP: 1e-20})
+        v2 = SuccessorVar(2, {10: 1.0, STOP: 1e-20})
         # the products 1.0, 0.5 and 1e-20 normalized: their total rounds to 1.5
         v3 = SuccessorVar(3, {10: 1.0 / 1.5, 11: 0.5 / 1.5, STOP: 1e-20 / 1.5})
         assignment, stats = solve_with_stats([v1, v2, v3])
@@ -182,7 +176,7 @@ class TestSolve:
     )
     def test_rejects_marginals_that_are_not_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="^variable 2 has a marginal that is not finite and positive$"):
-            solve_with_stats([SuccessorVar(1, {10: 1.0}), SuccessorVar(2, bad)])
+            solve_with_stats([SuccessorVar(1, {10: 0.5, STOP: 0.5}), SuccessorVar(2, bad)])
 
     def test_matches_greedy_oracle_on_random_instances(self):
         rng = np.random.default_rng(21)
@@ -244,64 +238,16 @@ class TestStitch:
         assert {d.track_id for d in out[0].detections} == {1}
 
 
-def copying_search(succ_vars):
-    """Reference depth-first search that copies the domains at every node.
-
-    It binds the pair with the highest marginal (ties to the smaller variable
-    id, then the within-variable order, STOP last), removes a bound non-STOP
-    value from the other unbound domains, and on a wiped-out domain retracts
-    the latest pair and forbids it. Returns the assignment, or None when there
-    is none, and the number of retracted pairs.
-    """
-    backtracks = 0
-
-    def search(domains, shrunk, assignment):
-        nonlocal backtracks
-        domains = {vid: dict(dom) for vid, dom in domains.items()}
-        shrunk = dict(shrunk)
-        while True:
-            unbound = [vid for vid in domains if vid not in assignment]
-            if any(not domains[vid] for vid in unbound):
-                return None
-            if not unbound:
-                return assignment
-            best = None
-            for vid in unbound:
-                total = sum(domains[vid].values()) if shrunk[vid] else 1.0
-                for cand, weight in domains[vid].items():
-                    key = (-(weight / total), vid, cand is STOP, cand if cand is not STOP else 0)
-                    if best is None or key < best[0]:
-                        best = (key, vid, cand)
-            _, vid, cand = best
-            child = {wid: dict(dom) for wid, dom in domains.items()}
-            child_shrunk = dict(shrunk)
-            if cand is not STOP:
-                for wid in unbound:
-                    if wid != vid and cand in child[wid]:
-                        del child[wid][cand]
-                        child_shrunk[wid] = True
-            found = search(child, child_shrunk, {**assignment, vid: cand})
-            if found is not None:
-                return found
-            backtracks += 1
-            del domains[vid][cand]
-            shrunk[vid] = True
-
-    domains = {v.tracklet_id: dict(v.marginals) for v in succ_vars}
-    return search(domains, dict.fromkeys(domains, False), {}), backtracks
-
-
 def hand_built_instance(rng):
     # marginals are multiples of 1/64, so every total the solver keeps is exact;
-    # candidates share a small pool, and about half the domains lack STOP
+    # candidates share a small pool, and every domain holds STOP
     n = int(rng.integers(2, 7))
     pool = np.arange(100, 101 + n)
     succ_vars = []
     for vid in range(1, n + 1):
         cands = rng.choice(pool, size=int(rng.integers(1, 4)), replace=False)
         dom = {int(c): int(rng.integers(1, 65)) / 64 for c in cands}
-        if rng.random() < 0.5:
-            dom[STOP] = int(rng.integers(1, 65)) / 64
+        dom[STOP] = int(rng.integers(1, 65)) / 64
         succ_vars.append(SuccessorVar(vid, dom))
     return succ_vars
 
@@ -333,23 +279,6 @@ class TestSearch:
             linked = [c for c in assignment.values() if c is not STOP]
             assert len(set(linked)) == len(linked)
             assert all(assignment[v.tracklet_id] in v.marginals for v in succ_vars)
-
-    def test_backtracking_matches_copying_reference(self):
-        rng = np.random.default_rng(31)
-        multi_backtrack = infeasible = 0
-        for _ in range(2000):
-            succ_vars = hand_built_instance(rng)
-            expected, backtracks = copying_search(succ_vars)
-            if expected is None:
-                infeasible += 1
-                with pytest.raises(RuntimeError, match="no feasible"):
-                    solve_with_stats(succ_vars)
-                continue
-            got, stats = solve_with_stats(succ_vars)
-            assert got == expected
-            assert stats.backtracks == backtracks
-            multi_backtrack += backtracks > 1
-        assert multi_backtrack >= 50 and infeasible >= 50
 
     def test_leaves_no_global_state(self, monkeypatch):
         # a chain of 3000 variables, solved under a recursion limit of 100
@@ -656,15 +585,11 @@ class ObjectState:
         self.shrunk = False
         self.best_idx = 0
 
-    def empty(self):
-        return len(self.removed) == len(self.order)
-
     def best_marginal(self):
         value = self.attached[self.order[self.best_idx]]
         return value / self.total if self.shrunk else value
 
-    def remove(self, cand, trail):
-        trail.append((self, cand, self.total, self.shrunk, self.best_idx))
+    def remove(self, cand):
         self.removed.add(cand)
         if self.shrunk and self.attached[cand] <= self.total / 2:
             self.total -= self.attached[cand]
@@ -678,41 +603,24 @@ class ObjectState:
 def object_search(succ_vars):
     """The max-marginal search over ObjectState variables, scanning every variable per bind."""
     states = {var.tracklet_id: ObjectState(var) for var in succ_vars}
-    assignment, trail, choices = {}, [], []
+    assignment = {}
     nodes = 1
-    backtracks = 0
     while len(assignment) < len(states):
         best = None
         for vid, st in states.items():
             if vid in assignment:
                 continue
-            if st.empty():
-                best = None
-                break
             m = st.best_marginal()
             if best is None or m > best[0] or (m == best[0] and vid < best[1]):
                 best = (m, vid, st.order[st.best_idx])
-        if best is None:
-            if not choices:
-                return None, nodes, backtracks
-            vid, cand, mark = choices.pop()
-            while len(trail) > mark:
-                state, removed, total, shrunk, best_idx = trail.pop()
-                state.removed.discard(removed)
-                state.total, state.shrunk, state.best_idx = total, shrunk, best_idx
-            del assignment[vid]
-            states[vid].remove(cand, trail)
-            backtracks += 1
-            continue
         _, vid, cand = best
-        choices.append((vid, cand, len(trail)))
         assignment[vid] = cand
         nodes += 1
         if cand is not STOP:
             for wid, wst in states.items():
                 if wid not in assignment and cand in wst.attached and cand not in wst.removed:
-                    wst.remove(cand, trail)
-    return assignment, nodes, backtracks
+                    wst.remove(cand)
+    return assignment, nodes
 
 
 def crossing_scene(seed):
@@ -735,14 +643,10 @@ def crossing_domains(seed):
 
 class TestColumnSolver:
     def assert_same_search(self, succ_vars):
-        expected, nodes, backtracks = object_search(succ_vars)
-        if expected is None:
-            with pytest.raises(RuntimeError, match="no feasible"):
-                solve_with_stats(succ_vars)
-            return
+        expected, nodes = object_search(succ_vars)
         got, stats = solve_with_stats(succ_vars)
         assert list(got.items()) == list(expected.items())  # bind order too
-        assert (stats.nodes, stats.backtracks) == (nodes, backtracks)
+        assert (stats.nodes, stats.backtracks) == (nodes, 0)
 
     def test_matches_object_search_on_random_instances(self):
         rng = np.random.default_rng(51)
@@ -812,8 +716,23 @@ class TestColumnSolver:
     def test_conversion_checks_variables_in_input_order(self):
         with pytest.raises(ValueError, match="^duplicate variable for tracklet 2$"):
             solve_with_stats([SuccessorVar(2, {STOP: 1.0}), SuccessorVar(2, {STOP: 1.0}), SuccessorVar(1, {})])
-        with pytest.raises(ValueError, match="^variable 1 has an empty domain$"):
+        with pytest.raises(ValueError, match="^variable 1 has no STOP entry$"):
             solve_with_stats([SuccessorVar(2, {STOP: 1.0}), SuccessorVar(1, {}), SuccessorVar(3, {STOP: -1.0})])
+
+    @pytest.mark.parametrize(
+        "succ_vars, message",
+        [
+            # solved, variable 1 would bind itself: a self-loop that stitch rejects as a cycle
+            ([SuccessorVar(1, {1: 0.9, STOP: 0.1})], "variable 1 names itself as a candidate"),
+            ([SuccessorVar(3, {STOP: 1.0}), SuccessorVar(2, {2: 0.5}), SuccessorVar(1, {})], "variable 2 names itself as a candidate"),
+            ([SuccessorVar(1, {2: 0.5, STOP: 0.5}), SuccessorVar(2, {1: 0.5})], "variable 2 has no STOP entry"),
+        ],
+        ids=["self-loop", "self-loop before STOP", "no STOP"],
+    )
+    def test_conversion_rejects_a_domain_the_pass_cannot_use(self, succ_vars, message):
+        with pytest.raises(ValueError) as raised:
+            solve_with_stats(succ_vars)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize(
         "succ_vars, vid",

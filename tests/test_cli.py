@@ -106,7 +106,7 @@ def test_refine_empty_input_dumps_the_candidate_header(tmp_path, capsys):
     assert main(["refine", str(empty), str(out), *flags]) == 0
     assert out.read_text() == ""
     assert dump.read_text() == "predecessor\tcandidate\ttd\tpiou\tpcd\tproduct\tmarginal\n"
-    assert "solver nodes: 1\n" in capsys.readouterr().out  # the root node, as in every solve
+    assert "candidate edges: 0\n" in capsys.readouterr().out
 
 
 def test_refine_parse_error_no_partial_output(tmp_path, capsys):
