@@ -2,9 +2,8 @@
 
 Every tracklet i gets a successor variable whose domain holds the tracklets
 that start strictly after i ends, plus a per-variable STOP sentinel meaning
-"i is the last tracklet of its trajectory". Two hard constraints shape the
-solution: successors are pairwise distinct (STOP excepted, each variable owns
-its own), and a successor must start after its predecessor ends.
+"i is the last tracklet of its trajectory". :class:`Domains` holds the table's
+rules, and :func:`validate_assignment` a solution's two hard constraints.
 
 The solver is one greedy pass (max-marginal binding with forward checking,
 after the CP-BP search of Pesant, JAIR 2019): it always binds the unbound
@@ -22,16 +21,15 @@ is one ``argmax`` over the variables' best marginals.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .mot_io import SequenceMeta, _format_rows
+from .mot_io import SequenceMeta, _format_rows, check_id
 from .scoring import PairScores, ScoreConfig, left_sums, score_columns, stop_scores
-from .tracklets import Tracklets, aranges, check_integer, run_bounds
+from .tracklets import Tracklets, aranges, run_bounds
 
 # STOP sentinel: None in domains and assignments means "trajectory ends here".
 STOP = None
@@ -86,14 +84,17 @@ class Domains(Sequence[SuccessorVar]):
     Variable k is tracklet ``ids[k]``; its row is the entries
     ``[offsets[k], offsets[k + 1])`` in domain order, each a candidate id
     (STOP is candidate 0; tracklet ids start at 1), its product and its marginal.
-    Every row holds a STOP entry with a positive product, which the solver
-    relies on.
     :func:`build_domains` keeps a hard-filtered pair at product 0 and adds the
     ``kinds`` and their ``(len(kinds), entries)`` ``scores``; a hand-built
     table (:meth:`of`) has its marginals for products. Indexing or iterating
     builds a :class:`SuccessorVar` of the entries with a positive product
     only when it is read. Like a list, the sequence compares equal to a list
     or tuple of the same variables.
+
+    :func:`solve_with_stats` refuses, naming the first row's variable and rule, a
+    table whose ids do not increase strictly from 1, or with a row that names its
+    variable, holds no STOP or several, has a STOP product <= 0, a product,
+    marginal or row total not finite and >= 0, or a marginal on a product of 0.
     """
 
     __slots__ = ("ids", "offsets", "candidates", "marginals", "products", "kinds", "scores")
@@ -104,41 +105,47 @@ class Domains(Sequence[SuccessorVar]):
 
     @classmethod
     def of(cls, succ_vars: Iterable[SuccessorVar]) -> Domains:
-        """``succ_vars`` itself if it is a Domains, else the variables' domains as columns.
+        """``succ_vars`` itself if it is a Domains, else the variables' domains as columns, sorted by id.
 
-        Raises ValueError for a repeated variable, a variable or candidate id
-        that is not an integer in [1, 2**63) (a bool is not one), a variable
-        that names itself as a candidate, a domain without STOP or a marginal
-        that is not finite and positive, on the first such variable.
+        Raises the ValueError of :func:`~trackstitch.mot_io.check_id` for the
+        first id, in input order, that an int64 column cannot hold.
         """
         if isinstance(succ_vars, Domains):
             return succ_vars
         succ_vars = list(succ_vars)
-        seen = set()
         for var in succ_vars:
-            if var.tracklet_id in seen:
-                raise ValueError(f"duplicate variable for tracklet {var.tracklet_id}")
             for tid in (var.tracklet_id, *(cand for cand in var.marginals if cand is not STOP)):
-                check_integer(tid, f"a tracklet id of variable {var.tracklet_id}")
-                if not 1 <= tid < 2**63:
-                    raise ValueError(f"variable {var.tracklet_id} names tracklet id {tid}, outside [1, 2**63)")
-            if var.tracklet_id in var.marginals:
-                raise ValueError(f"variable {var.tracklet_id} names itself as a candidate")
-            if STOP not in var.marginals:
-                raise ValueError(f"variable {var.tracklet_id} has no STOP entry")
-            values = np.array(list(var.marginals.values()), dtype=float)
-            # a NaN or an infinity makes the total non-finite
-            if not (values.min() > 0 and math.isfinite(left_sums(values, (0, len(values)))[0])):
-                raise ValueError(f"variable {var.tracklet_id} has a marginal that is not finite and positive")
-            seen.add(var.tracklet_id)
+                check_id(tid, f"a tracklet id of variable {var.tracklet_id}")
         succ_vars.sort(key=lambda var: var.tracklet_id)
-        cands = [cand for var in succ_vars for cand in var.marginals]
         return cls(
             np.array([var.tracklet_id for var in succ_vars], dtype=np.int64),
             np.cumsum([0, *(len(var.marginals) for var in succ_vars)]),
-            np.array([0 if cand is STOP else cand for cand in cands], dtype=np.int64),
+            np.array([0 if cand is STOP else cand for var in succ_vars for cand in var.marginals], dtype=np.int64),
             np.array([m for var in succ_vars for m in var.marginals.values()], dtype=float),
         )
+
+    def _check(self) -> None:
+        """Raise the ValueError of the first row that breaks a rule of the table."""
+        ids, candidates, products, marginals = self.ids, self.candidates, self.products, self.marginals
+        row = np.repeat(np.arange(len(ids)), np.diff(self.offsets))
+        stop = candidates == 0
+        value = np.isfinite(products) & np.isfinite(marginals) & (products >= 0) & (marginals >= 0)
+        counted = (candidates == ids[row], stop, stop & ~(products > 0), ~value | ((products == 0) & (marginals != 0)))
+        selfs, stops, dead_stops, bad_values = (np.bincount(row[entries], minlength=len(ids)) for entries in counted)
+        with np.errstate(all="ignore"):  # a total that overflows marks its row instead of warning
+            totals = left_sums(products, self.offsets)
+        rules = {
+            "is out of order or repeated: ids must increase strictly from 1": np.diff(ids, prepend=0) < 1,
+            "names itself as a candidate": selfs > 0,
+            "has no STOP entry": stops == 0,
+            "has more than one STOP entry": stops > 1,
+            "has a STOP entry whose product is not positive": dead_stops > 0,
+            "has a product or marginal that is not finite and >= 0, or a marginal on a product of 0": bad_values > 0,
+            "has products whose total is not finite": ~np.isfinite(totals),
+        }
+        broken = np.argwhere(np.array(list(rules.values())).T)  # (row, rule) pairs, by row, then by rule
+        if len(broken):
+            raise ValueError(f"variable {ids[broken[0, 0]]} {list(rules)[broken[0, 1]]}")
 
     @property
     def edge_count(self) -> int:
@@ -216,8 +223,7 @@ class _Search:
     The attached marginals are used verbatim until a domain first shrinks,
     which ``total[v] < 0`` marks; from then on the marginal of a survivor is
     its attached value divided by ``total[v]``. ``key[v]`` is v's best
-    current marginal, -inf once v is bound. Every domain keeps its STOP, so
-    every unbound variable has a best entry.
+    current marginal, -inf once v is bound.
 
     A removal subtracts its marginal from the total while that keeps at least
     half of it. A candidate holding more than half of the remaining mass is
@@ -226,6 +232,7 @@ class _Search:
     """
 
     def __init__(self, domains: Domains):
+        domains._check()
         self.offsets = offsets = np.asarray(domains.offsets, dtype=np.int64)
         self.marginals = marginals = domains.marginals
         counts = np.diff(offsets)
@@ -300,27 +307,25 @@ class _Search:
 def solve_with_stats(succ_vars: Sequence[SuccessorVar]) -> tuple[Assignment, SolveStats]:
     """Bind every variable in one greedy max-marginal pass with forward checking.
 
-    ``succ_vars`` is a :class:`Domains` or any sequence of variables, which
-    is converted to one (see :meth:`Domains.of`): every domain holds STOP
-    and not its own variable, and every marginal is finite and positive.
-    Also reports the pass's node count and its backtrack count, 0.
+    ``succ_vars`` is a :class:`Domains` or any sequence of variables, converted
+    to one by :meth:`Domains.of`; a table that breaks a rule of :class:`Domains`
+    raises ValueError. Also reports the pass's node count and backtracks (0).
     """
     return _Search(Domains.of(succ_vars)).run()
 
 
-def _positions(assignment: Assignment, tracklets: Tracklets) -> dict[int, int]:
-    """Each tracklet id's position; raises ValueError if the assignment names another id."""
+def validate_assignment(assignment: Assignment, tracklets: Tracklets) -> dict[int, int]:
+    """Check an assignment against the two hard constraints; return its links, as positions in ``tracklets``.
+
+    Every id named must be a tracklet's (keys checked first), no two links may
+    share a successor, and a successor must start strictly after its
+    predecessor ends; else ValueError, at the first id or link that breaks one.
+    """
     position = {tid: k for k, tid in enumerate(tracklets.ids.tolist())}
     for tid in (*assignment, *assignment.values()):
         if tid is not STOP and tid not in position:
             raise ValueError(f"assignment names unknown tracklet {tid}")
-    return position
-
-
-def validate_assignment(assignment: Assignment, tracklets: Tracklets) -> None:
-    """Check the two hard constraints; raises ValueError on violation or on an unknown tracklet id."""
-    position = _positions(assignment, tracklets)
-    start, end = tracklets.ends.start_frame.tolist(), tracklets.ends.end_frame.tolist()
+    start, end = (tracklets.rows.frame[k].tolist() for k in (tracklets.bounds[:-1], tracklets.bounds[1:] - 1))
     seen = set()
     for vid, cand in assignment.items():
         if cand is STOP:
@@ -330,6 +335,7 @@ def validate_assignment(assignment: Assignment, tracklets: Tracklets) -> None:
         seen.add(cand)
         if not end[position[vid]] < start[position[cand]]:
             raise ValueError(f"successor {cand} does not start after tracklet {vid} ends")
+    return {position[vid]: position[cand] for vid, cand in assignment.items() if cand is not STOP}
 
 
 def stitch(
@@ -344,28 +350,20 @@ def stitch(
     order; each chain's detections get one fresh trajectory id, numbered from 1
     in the order of the returned sequence. The trajectories are the runs of
     one table, each in chain order, and are summarized on first read with
-    ``endpoint_window`` and ``endpoint_min_len``. An id
-    in the assignment that names no tracklet, or a chain whose frames do not
-    increase strictly (see :class:`Tracklets`), raises ValueError.
+    ``endpoint_window`` and ``endpoint_min_len``. An assignment that
+    :func:`validate_assignment` rejects raises its ValueError.
     """
-    position = _positions(assignment, tracklets)
-    claimed = {cand for cand in assignment.values() if cand is not STOP}
+    successor = validate_assignment(assignment, tracklets)
+    # valid successors are distinct and start later: the chains are paths, each walked once from its head
+    claimed = set(successor.values())
     chains = []
-    for head in sorted(position):
+    for head in np.argsort(tracklets.ids).tolist():
         if head in claimed:
             continue
-        chain = [position[head]]
-        cur = head
-        visited = {head}
-        while assignment.get(cur) is not STOP:
-            cur = assignment[cur]
-            if cur in visited:
-                raise ValueError(f"assignment contains a cycle through tracklet {cur}")
-            visited.add(cur)
-            chain.append(position[cur])
+        chain = [head]
+        while chain[-1] in successor:
+            chain.append(successor[chain[-1]])
         chains.append(chain)
-    if sum(map(len, chains)) != len(position):
-        raise ValueError("assignment does not partition the tracklets into chains")
     order = np.array([k for chain in chains for k in chain], dtype=np.int64)
     traj_ids = np.repeat(np.arange(1, len(chains) + 1), np.array(list(map(len, chains)), dtype=np.intp))
     sizes = np.diff(tracklets.bounds)[order]

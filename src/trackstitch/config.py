@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .mot_io import atomic_writer, read_text
+from .mot_io import atomic_writer, check_integer, read_text
 from .scoring import ConstraintKind, ScoreConfig, check_flag, file_form
 from .synth import CorruptionConfig, ScenarioConfig
-from .tracklets import check_integer, check_iou_threshold, check_window
+from .tracklets import check_iou_threshold, check_window
 
 
 @dataclass

@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mot_io import Detection, DetectionTable
-from .tracklets import check_integer
+from .mot_io import Detection, DetectionTable, check_integer
 
 
 def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> DetectionTable:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import codecs
 import functools
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import inf, isfinite, nan, sqrt
@@ -49,13 +50,28 @@ class ParseError(ValueError):
     """A track or seqinfo file could not be parsed; message carries the line number."""
 
 
+def check_integer(value, name: str) -> None:
+    """Raise ValueError, naming the setting ``name``, unless ``value`` is an integer (numpy's included) other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
+def check_id(value, name: str) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is an id: a :func:`check_integer` integer in [1, 2**63)."""
+    if type(value) is not int:  # a plain int passes the type check; it is the common case, and that check is slow
+        check_integer(value, name)
+    if not 1 <= int(value) < 2**63:  # int(): numpy 1's int64 would compare with 2**63 as a float
+        raise ValueError(f"{name} must be in [1, 2**63), got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class Detection:
     """One bounding-box observation at one frame, with an identity label.
 
-    The box must have a positive, finite size that float arithmetic can
-    represent: ``x + w`` and ``y + h`` differ from ``x`` and ``y``, and the
-    area ``w * h`` is a normal finite float.
+    ``frame`` and ``track_id`` must be ids (see :func:`check_id`), so that an
+    int64 column holds them. The box must have a positive, finite size that
+    float arithmetic can represent: ``x + w`` and ``y + h`` differ from ``x``
+    and ``y``, and the area ``w * h`` is a normal finite float.
     """
 
     frame: int
@@ -67,10 +83,8 @@ class Detection:
     conf: float = -1.0
 
     def __post_init__(self):
-        if self.frame < 1:
-            raise ValueError(f"frame must be >= 1, got {self.frame}")
-        if self.track_id < 1:
-            raise ValueError(f"track_id must be >= 1, got {self.track_id}")
+        check_id(self.frame, "frame")
+        check_id(self.track_id, "track_id")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box size must be positive, got w={self.w}, h={self.h}")
         if not (
@@ -105,6 +119,24 @@ def _rejected(frame, track_id, x, y, w, h, conf) -> np.ndarray:
         return bad | (x + w == x) | (y + h == y) | ~((area >= float_info.min) & (area < np.inf))
 
 
+def _id_column(values, name: str) -> np.ndarray:
+    """``values``, one id or an array of ids, as a new 1-d int64 column.
+
+    Raises ValueError at the first value that :func:`check_id` rejects: ``row N:`` and its message.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        column = values.astype(np.int64).reshape(-1)  # a uint64 id of 2**63 or more wraps below 1
+        if not len(column) or column.min() >= 1:
+            return column
+    column = np.asarray(values, dtype=object).reshape(-1)  # each value as given: a bool stays a bool, 1.5 stays 1.5
+    for row, value in enumerate(column.tolist()):
+        try:
+            check_id(value, name)
+        except ValueError as exc:
+            raise ValueError(f"row {row}: {exc}") from None
+    return column.astype(np.int64)
+
+
 class DetectionTable(Sequence[Detection]):
     """Detections as seven numpy columns, one row per detection.
 
@@ -116,13 +148,14 @@ class DetectionTable(Sequence[Detection]):
     the same detections in the same order, and ``+`` concatenates.
 
     The constructor copies its arguments and checks every row the way
-    :class:`Detection` does.
+    :class:`Detection` does, the ids before they become int64.
     """
 
     __slots__ = _FIELDS
 
     def __init__(self, frame, track_id, x, y, w, h, conf):
-        columns = [np.array(c, dtype=t).reshape(-1) for c, t in zip((frame, track_id, x, y, w, h, conf), _DTYPES)]
+        columns = [_id_column(frame, "frame"), _id_column(track_id, "track_id")]
+        columns += [np.array(c, dtype=np.float64).reshape(-1) for c in (x, y, w, h, conf)]
         if len({len(c) for c in columns}) > 1:
             raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
         bad = _rejected(*columns)
@@ -205,11 +238,12 @@ class DetectionTable(Sequence[Detection]):
             raise ValueError(f"track {tid} goes back in time: frame {frame} follows frame {prev}")
 
     def relabeled(self, track_id) -> DetectionTable:
-        """The same rows under other identity labels: one id for every row, or an array with one per row."""
+        """The same rows under other identity labels: one id for every row, or an array with one per row.
+
+        Each id is checked as the constructor checks a ``track_id`` column.
+        """
         ids = np.empty(len(self), dtype=np.int64)
-        ids[:] = track_id
-        if len(ids) and ids.min() < 1:
-            raise ValueError(f"track_id must be >= 1, got {ids.min()}")
+        ids[:] = _id_column(track_id, "track_id")
         return DetectionTable._wrap([self.frame, ids, self.x, self.y, self.w, self.h, self.conf])
 
     def __len__(self) -> int:
@@ -302,12 +336,9 @@ def _parse_line(line: str, lineno: int) -> Detection | None:
             return None
         raise ParseError(f"line {lineno}: expected at least 7 fields, got {len(fields)}")
     try:
-        det = Detection(_parse_int(fields[0]), _parse_int(fields[1]), *map(float, fields[2:7]))
+        return Detection(_parse_int(fields[0]), _parse_int(fields[1]), *map(float, fields[2:7]))
     except ValueError as exc:
         raise ParseError(f"line {lineno}: {exc}") from None
-    if max(det.frame, det.track_id) >= 2**63:
-        raise ParseError(f"line {lineno}: frame and track_id must be below 2**63, got {det.frame}, {det.track_id}")
-    return det
 
 
 def _read_values(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes]:

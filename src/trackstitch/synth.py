@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .mot_io import Detection, DetectionTable, SequenceMeta, atomic_writer
-from .tracklets import check_integer, check_iou_threshold, check_number, group_tracklets, overlap_runs
+from .mot_io import Detection, DetectionTable, SequenceMeta, atomic_writer, check_integer
+from .tracklets import check_iou_threshold, check_number, group_tracklets, overlap_runs
 
 
 class ScenarioError(ValueError):

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mot_io import Detection, DetectionTable
+from .mot_io import Detection, DetectionTable, check_integer
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,6 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     boxes_a = np.asarray(boxes_a, dtype=float).reshape(-1, 4)
     boxes_b = np.asarray(boxes_b, dtype=float).reshape(-1, 4)
     return iou_pairs(boxes_a.T[:, :, None], boxes_b.T[:, None, :])
-
-
-def check_integer(value, name: str) -> None:
-    """Raise ValueError, naming the setting ``name``, unless ``value`` is an integer (numpy's included) other than a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value}")
 
 
 def check_number(value, name: str) -> None:

@@ -24,7 +24,7 @@ from trackstitch.scoring import (
     gaussian_scores,
     left_sums,
 )
-from trackstitch.tracklets import Tracklets, group_tracklets, iou_pairs
+from trackstitch.tracklets import Tracklets, aranges, group_tracklets, iou_pairs
 
 from test_number_format import track_text
 
@@ -175,7 +175,12 @@ class TestSolve:
         "bad", [{10: 0.0, STOP: 0.0}, {10: math.nan, STOP: 1.0}, {10: math.inf, STOP: 1.0}, {10: -0.5, STOP: 1.5}]
     )
     def test_rejects_marginals_that_are_not_finite_and_positive(self, bad):
-        with pytest.raises(ValueError, match="^variable 2 has a marginal that is not finite and positive$"):
+        # hand-built marginals stand in for products: a 0 marks a filtered entry, which STOP may not be
+        if bad[STOP] == 0:
+            message = "variable 2 has a STOP entry whose product is not positive"
+        else:
+            message = "variable 2 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             solve_with_stats([SuccessorVar(1, {10: 0.5, STOP: 0.5}), SuccessorVar(2, bad)])
 
     def test_matches_greedy_oracle_on_random_instances(self):
@@ -713,18 +718,24 @@ class TestColumnSolver:
         self.assert_each_row_ends_in_stop(domains)
         assert domains.candidates.tolist() == [0, 9, 4, 0, 5, 0]
 
-    def test_conversion_checks_variables_in_input_order(self):
-        with pytest.raises(ValueError, match="^duplicate variable for tracklet 2$"):
-            solve_with_stats([SuccessorVar(2, {STOP: 1.0}), SuccessorVar(2, {STOP: 1.0}), SuccessorVar(1, {})])
+    def test_conversion_checks_variables_in_id_order(self):
+        # the table's rules are checked on its rows, which follow the ids, not the input
         with pytest.raises(ValueError, match="^variable 1 has no STOP entry$"):
-            solve_with_stats([SuccessorVar(2, {STOP: 1.0}), SuccessorVar(1, {}), SuccessorVar(3, {STOP: -1.0})])
+            solve_with_stats([SuccessorVar(2, {STOP: 1.0}), SuccessorVar(2, {STOP: 1.0}), SuccessorVar(1, {})])
+        with pytest.raises(ValueError, match="^variable 2 is out of order or repeated: ids must increase strictly from 1$"):
+            solve_with_stats([SuccessorVar(2, {STOP: 1.0}), SuccessorVar(3, {}), SuccessorVar(2, {STOP: 1.0})])
+        with pytest.raises(ValueError, match="^variable 1 has no STOP entry$"):
+            solve_with_stats([SuccessorVar(3, {STOP: -1.0}), SuccessorVar(2, {STOP: 1.0}), SuccessorVar(1, {})])
+        # ids are checked first, as given, since an int64 column cannot hold every bad one
+        with pytest.raises(ValueError, match=r"^a tracklet id of variable 3 must be in \[1, 2\*\*63\), got 0$"):
+            solve_with_stats([SuccessorVar(1, {}), SuccessorVar(3, {0: 1.0}), SuccessorVar(2, {-1: 1.0})])
 
     @pytest.mark.parametrize(
         "succ_vars, message",
         [
-            # solved, variable 1 would bind itself: a self-loop that stitch rejects as a cycle
+            # solved, variable 1 would bind itself: a self-loop that validate_assignment rejects
             ([SuccessorVar(1, {1: 0.9, STOP: 0.1})], "variable 1 names itself as a candidate"),
-            ([SuccessorVar(3, {STOP: 1.0}), SuccessorVar(2, {2: 0.5}), SuccessorVar(1, {})], "variable 2 names itself as a candidate"),
+            ([SuccessorVar(3, {STOP: 1.0}), SuccessorVar(2, {2: 0.5}), SuccessorVar(4, {})], "variable 2 names itself as a candidate"),
             ([SuccessorVar(1, {2: 0.5, STOP: 0.5}), SuccessorVar(2, {1: 0.5})], "variable 2 has no STOP entry"),
         ],
         ids=["self-loop", "self-loop before STOP", "no STOP"],
@@ -744,7 +755,7 @@ class TestColumnSolver:
         ],
     )
     def test_conversion_rejects_ids_below_one(self, succ_vars, vid):
-        with pytest.raises(ValueError, match=rf"^variable {vid} names tracklet id (-1|0), outside \[1, 2\*\*63\)$"):
+        with pytest.raises(ValueError, match=rf"^a tracklet id of variable {vid} must be in \[1, 2\*\*63\), got (-1|0)$"):
             solve_with_stats(succ_vars)
 
     @pytest.mark.parametrize(
@@ -758,8 +769,8 @@ class TestColumnSolver:
             ([SuccessorVar(1.5, {STOP: 1.0})], "a tracklet id of variable 1.5 must be an integer, got 1.5"),
             ([SuccessorVar(True, {STOP: 1.0})], "a tracklet id of variable True must be an integer, got True"),
             # 2**63 does not fit an int64 column
-            ([SuccessorVar(1, {2**63: 1.0})], f"variable 1 names tracklet id {2**63}, outside [1, 2**63)"),
-            ([SuccessorVar(2**63, {STOP: 1.0})], f"variable {2**63} names tracklet id {2**63}, outside [1, 2**63)"),
+            ([SuccessorVar(1, {2**63: 1.0})], f"a tracklet id of variable 1 must be in [1, 2**63), got {2**63}"),
+            ([SuccessorVar(2**63, {STOP: 1.0})], f"a tracklet id of variable {2**63} must be in [1, 2**63), got {2**63}"),
         ],
         ids=["candidate 2.5", "variable 1.5", "variable True", "candidate 2**63", "variable 2**63"],
     )
@@ -768,6 +779,47 @@ class TestColumnSolver:
             solve_with_stats(succ_vars)
         assert str(raised.value) == message
         assert solve_with_stats([SuccessorVar(2**63 - 1, {STOP: 1.0})])[0] == {2**63 - 1: None}
+
+
+def table(ids, offsets, candidates, products, marginals=None):
+    """A :class:`Domains` built from its columns, as given."""
+    arrays = [np.array(ids), np.array(offsets), np.array(candidates), np.array(products, dtype=float)]
+    return Domains(*arrays[:3], arrays[3] if marginals is None else np.array(marginals, dtype=float), arrays[3])
+
+
+class TestTableRules:
+    @pytest.mark.parametrize(
+        "domains, message",
+        [
+            # both candidates are 10: no STOP
+            (table([1, 2], [0, 1, 2], [10, 10], [1.0, 1.0]), "variable 1 has no STOP entry"),
+            # variable 1 also lacks STOP, but naming itself is the earlier rule
+            (table([1, 2], [0, 1, 2], [1, 0], [1.0, 1.0]), "variable 1 names itself as a candidate"),
+            (table([1], [0, 2], [0, 0], [1.0, 1.0]), "variable 1 has more than one STOP entry"),
+            (table([1, 2], [0, 1, 2], [0, 0], [1.0, 0.0]), "variable 2 has a STOP entry whose product is not positive"),
+            (table([1], [0, 2], [5, 0], [1.0, 1.0], [math.nan, 1.0]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
+            (table([1], [0, 2], [5, 0], [-0.5, 1.0]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
+            # a filtered entry that the pass would bind
+            (table([1], [0, 2], [5, 0], [0.0, 1.0], [0.9, 0.1]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
+            (table([1, 2], [0, 1, 4], [0, 5, 6, 0], [1.0, 1e308, 1e308, 1.0]), "variable 2 has products whose total is not finite"),
+            (table([2, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 1 is out of order or repeated: ids must increase strictly from 1"),
+            (table([0, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 0 is out of order or repeated: ids must increase strictly from 1"),
+            (table([1, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 1 is out of order or repeated: ids must increase strictly from 1"),
+        ],
+        ids=["no STOP", "self and no STOP", "two STOPs", "STOP of 0", "NaN marginal", "negative product", "filtered marginal", "total overflows",
+             "ids descend", "id 0", "id twice"],
+    )
+    def test_solve_checks_a_table_built_from_columns(self, domains, message):
+        with pytest.raises(ValueError) as raised:
+            solve_with_stats(domains)
+        assert str(raised.value) == message
+
+    def test_rules_allow_filtered_entries_and_totals_that_only_overflow_across_rows(self):
+        # a product of 0 is a filtered entry, hand-built too; each row's total is finite, though all of them add up to inf
+        assert solve_with_stats([SuccessorVar(1, {5: 0.0, STOP: 1.0})])[0] == {1: STOP}
+        domains = table([1, 2], [0, 2, 4], [2, 0, 3, 0], [1e308, 1.0, 1e308, 1.0])
+        assert solve_with_stats(domains)[0] == {1: 2, 2: 3}
+        assert solve_with_stats(table([], [0], [], []))[0] == {}
 
 
 class TestUnknownIds:
@@ -798,27 +850,78 @@ class TestInvalidAssignments:
         ],
     )
     def test_validate_assignment_rejects_a_broken_constraint(self, assignment, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            validate_assignment(assignment, self.TLS)
+        for check in (validate_assignment, stitch):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check(assignment, self.TLS)
 
     @pytest.mark.parametrize(
         "assignment, message",
         [
-            ({1: 2, 2: 3, 3: 2}, "assignment contains a cycle through tracklet 2"),
-            ({1: 2, 2: 3, 3: 1}, "assignment does not partition the tracklets into chains"),
-            ({1: 3, 2: 3, 3: STOP}, "assignment does not partition the tracklets into chains"),
+            # a cycle: 3 takes 2, which 1 has taken
+            ({1: 2, 2: 3, 3: 2}, "successor 2 assigned to two tracklets"),
+            # a cycle back to the head, 1, which starts before 3 ends
+            ({1: 2, 2: 3, 3: 1}, "successor 1 does not start after tracklet 3 ends"),
+            # two chains that merge
+            ({1: 3, 2: 3, 3: STOP}, "successor 3 assigned to two tracklets"),
         ],
     )
     def test_stitch_rejects_an_assignment_that_is_not_chains(self, assignment, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            stitch(assignment, self.TLS)
+        # stitch raises the message of validate_assignment, its one check
+        for check in (validate_assignment, stitch):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check(assignment, self.TLS)
 
 
 def test_stitch_rejects_a_chain_that_goes_back_in_time():
-    # 2 starts at frame 5, before 1 ends, and 3 in the frame where 2 ends;
-    # the trajectories are numbered by chain, from 1
+    # 2 starts at frame 5, before 1 ends, and 3 in the frame where 2 ends
     tls = group_tracklets(run(1, 1, 10) + run(2, 5, 20) + run(3, 20, 25))
-    with pytest.raises(ValueError, match=r"^track 1 goes back in time: frame 5 follows frame 10$"):
+    with pytest.raises(ValueError, match=r"^successor 2 does not start after tracklet 1 ends$"):
         stitch({1: 2, 2: STOP, 3: STOP}, tls)
-    with pytest.raises(ValueError, match=r"^\(2,20\) duplicated: track 2 has two detections in frame 20$"):
+    with pytest.raises(ValueError, match=r"^successor 3 does not start after tracklet 2 ends$"):
         stitch({1: STOP, 2: 3, 3: STOP}, tls)
+
+
+def random_matching(rng, tracklets):
+    """A random assignment that keeps both hard constraints, with its links in random order and some STOPs left out."""
+    start, end = tracklets.ends.start_frame, tracklets.ends.end_frame
+    pred, succ = np.nonzero(end[:, None] < start[None, :])
+    ids = tracklets.ids.tolist()
+    assignment, taken = {}, set()
+    for k in rng.permutation(len(pred)).tolist():
+        if rng.random() < 0.7 and ids[pred[k]] not in assignment and succ[k] not in taken:
+            assignment[ids[pred[k]]] = ids[succ[k]]
+            taken.add(succ[k])
+    for tid in ids:
+        if tid not in assignment and rng.random() < 0.5:
+            assignment[tid] = STOP  # a tracklet with no key stops too
+    keys = list(assignment)
+    return {keys[k]: assignment[keys[k]] for k in rng.permutation(len(keys)).tolist()}
+
+
+def test_stitch_keeps_every_row_once_on_valid_assignments_the_solver_did_not_make():
+    # stitch walks chains without checks of its own: validate_assignment's rules leave no cycle and no tracklet on two chains
+    rng = np.random.default_rng(61)
+    links = 0
+    for _ in range(150):
+        grouped = random_tracklet_set(rng, int(rng.integers(1, 25)))
+        # runs in random id order, so that positions and ids differ
+        perm = rng.permutation(len(grouped))
+        sizes = np.diff(grouped.bounds)[perm]
+        tls = Tracklets(grouped.rows.take(aranges(grouped.bounds[perm], sizes)))
+        assignment = random_matching(rng, tls)
+        validate_assignment(assignment, tls)
+        out = stitch(assignment, tls)
+        linked = [cand for cand in assignment.values() if cand is not STOP]
+        links += len(linked)
+        heads = sorted(set(tls.ids.tolist()) - set(linked))
+        assert out.ids.tolist() == list(range(1, len(heads) + 1))
+        for traj, head in zip(out, heads):
+            chain, tid = [], head
+            while tid is not STOP:
+                chain.append(tid)
+                tid = assignment.get(tid, STOP)
+            rows = DetectionTable.concat([tls[int(np.flatnonzero(tls.ids == tid)[0])].detections for tid in chain])
+            assert traj.detections == rows.relabeled(traj.id)
+            assert (np.diff(traj.detections.frame) > 0).all()
+        assert len(out.rows) == len(tls.rows)
+    assert links > 500

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import io
+import math
 import pickle
 import re
 import warnings
@@ -97,7 +98,7 @@ PARSE_ERRORS = [
     ("garbage float", "1,2,10,2o,30,40,1\n", "line 1: could not convert string to float: '2o'"),
     ("empty float", "1,2,10,20,30,40,\n", "line 1: could not convert string to float: ''"),
     ("zero width", "1,2,10,20,0,40,1\n", "line 1: box size must be positive, got w=0.0, h=40.0"),
-    ("zero id", "1,0,10,20,30,40,1\n", "line 1: track_id must be >= 1, got 0"),
+    ("zero id", "1,0,10,20,30,40,1\n", "line 1: track_id must be in [1, 2**63), got 0"),
     ("padded frame", " 3.5 ,2,10,20,30,40,1\n", "line 1: not an integer: '3.5'"),
     ("padded float", "1, 2 , 10 , x y ,30,40,1\n", "line 1: could not convert string to float: 'x y'"),
     ("padded height", "1,2,10,20,30, -4 ,1\n", "line 1: box size must be positive, got w=30.0, h=-4.0"),
@@ -276,6 +277,93 @@ def test_detection_invariants():
 def test_detection_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError):
         dataclasses.replace(Detection(1, 1, 0, 0, 5, 5, 1), **{field: value})
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (1.5, "must be an integer, got 1.5"),
+        (1.0, "must be an integer, got 1.0"),
+        (True, "must be an integer, got True"),
+        (np.True_, "must be an integer, got True"),
+        (0, r"must be in \[1, 2\*\*63\), got 0"),
+        (2**63, rf"must be in \[1, 2\*\*63\), got {2**63}"),
+        (np.uint64(2**63), rf"must be in \[1, 2\*\*63\), got {2**63}"),
+    ],
+)
+def test_ids_are_integers_an_int64_column_holds(value, message):
+    # an int64 column would truncate 1.5 and True to frame 1, and overflow on 2**63
+    for field in ("frame", "track_id"):
+        with pytest.raises(ValueError, match=rf"^{field} {message}$"):
+            dataclasses.replace(Detection(1, 1, 0, 0, 5, 5, 1), **{field: value})
+    columns = [[1, 1], [1, 2], [0.0] * 2, [0.0] * 2, [5.0] * 2, [5.0] * 2, [1.0] * 2]
+    for k, field in enumerate(("frame", "track_id")):
+        with pytest.raises(ValueError, match=rf"^row 1: {field} {message}$"):
+            DetectionTable(*columns[:k], [1, value], *columns[k + 1 :])
+    table = DetectionTable(*columns)
+    with pytest.raises(ValueError, match=rf"^row 0: track_id {message}$"):
+        table.relabeled(value)
+    with pytest.raises(ValueError, match=rf"^row 1: track_id {message}$"):
+        table.relabeled([2, value])
+
+
+def test_ids_may_be_numpy_integers_up_to_int64_max():
+    largest = 2**63 - 1
+    det = Detection(np.int64(3), np.uint64(largest), 0, 0, 5, 5, 1)
+    assert (det.frame, det.track_id) == (3, largest)
+    table = DetectionTable(np.array([3], dtype=np.uint64), np.array([largest], dtype=np.uint64), [0], [0], [5], [5], [1])
+    assert table == [det] and table.relabeled(np.array([largest], dtype=np.uint64)).track_id.tolist() == [largest]
+    with pytest.raises(ValueError, match=rf"^row 0: frame must be in \[1, 2\*\*63\), got {2**64 - 1}$"):
+        DetectionTable(np.array([2**64 - 1], dtype=np.uint64), [1], [0], [0], [5], [5], [1])
+
+
+_FLOAT_EDGES = (0.0, -0.0, -1.0, 1.0, 2.0**52, -(2.0**53), 1e17, float_info.min, 5e-324, 2.0**511, 2.0**512)
+_ROW_EDGES = {
+    "frame": st.sampled_from([0, 1, 2**63 - 1]),
+    "track_id": st.sampled_from([0, 1, 2**63 - 1]),
+    **{name: st.one_of(st.sampled_from(_FLOAT_EDGES + (math.nan, math.inf, -math.inf)), st.floats()) for name in "xywh"},
+    "conf": st.sampled_from([1.0, -1.0, math.nan, math.inf]),
+}
+
+
+@st.composite
+def edge_rows(draw):
+    """A valid row with up to three fields moved to the edges of the row rule.
+
+    The edges: ids 0, 1 and 2**63 - 1; sizes that are 0, negative, NaN or
+    infinite; extents within an ulp of x; areas at ``float_info.min`` and at
+    ``float_info.max``.
+    """
+    row = {"frame": 1, "track_id": 1, "x": 10.0, "y": 20.0, "w": 5.0, "h": 5.0, "conf": 1.0}
+    for name in draw(st.lists(st.sampled_from(list(_ROW_EDGES)), max_size=3, unique=True)):
+        row[name] = draw(_ROW_EDGES[name])
+    edge = draw(st.sampled_from(["none", "ulp", "area"]))
+    if edge == "ulp" and math.isfinite(row["x"]):
+        # x + w starts to differ from x at about half an ulp of x
+        row["w"] = math.ulp(row["x"]) * draw(st.sampled_from([0.25, 0.5, 0.75, 1.0, 2.0]))
+    elif edge == "area":
+        # w * h next to the smallest normal float or the largest float (exactly
+        # at it for h = 1); at x = 0 a tiny w still has an extent
+        row["x"] = draw(st.sampled_from([0.0, row["x"]]))
+        row["h"] = draw(st.sampled_from([1.0, 0.75, 3.0, 2.0**-40, 2.0**40]))
+        w = draw(st.sampled_from([float_info.min, float_info.max])) / row["h"]
+        row["w"] = math.nextafter(w, draw(st.sampled_from([-math.inf, w, math.inf])))
+    return tuple(row.values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(edge_rows(), min_size=1, max_size=8))
+def test_rejected_marks_the_rows_detection_rejects(rows):
+    # the row rule is stated twice: per row in Detection, per column in _rejected
+    def rejects(row):
+        try:
+            Detection(*row)
+        except ValueError:
+            return True
+        return False
+
+    columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), mot_io._DTYPES)]
+    assert mot_io._rejected(*columns).tolist() == [rejects(row) for row in rows]
 
 
 def test_sequence_meta_diagonal():
@@ -574,8 +662,11 @@ def test_parse_empty_input_emits_no_warning():
 
 
 def test_parse_rejects_frame_and_id_beyond_int64():
-    with pytest.raises(ParseError, match=r"^line 2: frame and track_id must be below 2\*\*63"):
+    # the message of Detection's id rule
+    with pytest.raises(ParseError, match=rf"^line 2: frame must be in \[1, 2\*\*63\), got {2**63}$"):
         parse_tracks(GOOD + f"{2**63},1,10,20,30,40,1\n")
+    with pytest.raises(ParseError, match=rf"^line 2: track_id must be in \[1, 2\*\*63\), got {10**20}$"):
+        parse_tracks(GOOD + "1,1e20,10,20,30,40,1\n")
 
 
 CANONICAL = re.compile(r"-?(\d{1,16})(?:\.(\d{1,22}))?")
@@ -972,7 +1063,7 @@ def test_detection_table_contract():
             column[0] = 1
     assert table.relabeled(9).track_id.tolist() == [9, 9]
     assert table.relabeled([4, 5]) == [dataclasses.replace(d, track_id=t) for d, t in zip(dets, (4, 5))]
-    with pytest.raises(ValueError, match="track_id must be >= 1"):
+    with pytest.raises(ValueError, match=r"^row 0: track_id must be in \[1, 2\*\*63\), got 0$"):
         table.relabeled(0)
     assert DetectionTable.concat([table, part]) == dets + dets[1:]
     assert len(DetectionTable.concat([])) == 0
@@ -985,7 +1076,7 @@ def test_detection_table_contract():
 def test_detection_table_checks_rows_like_detection():
     with pytest.raises(ValueError, match=r"^row 1: box size must be positive, got w=0.0, h=1.0$"):
         DetectionTable([1, 2], [1, 1], [0, 0], [0, 0], [1, 0], [1, 1], [1, 1])
-    with pytest.raises(ValueError, match=r"^row 0: frame must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match=r"^row 0: frame must be in \[1, 2\*\*63\), got 0$"):
         DetectionTable([0], [1], [0], [0], [1], [1], [1])
     with pytest.raises(ValueError, match=r"^row 0: box and conf must be finite"):
         DetectionTable([1], [1], [0], [0], [1], [1], [float("nan")])
