@@ -93,8 +93,9 @@ class Domains(Sequence[SuccessorVar]):
 
     :func:`solve_with_stats` refuses, naming the first row's variable and rule, a
     table whose ids do not increase strictly from 1, or with a row that names its
-    variable, holds no STOP or several, has a STOP product <= 0, a product,
+    variable, holds no STOP or several, has a STOP product or marginal <= 0, a product,
     marginal or row total not finite and >= 0, or a marginal on a product of 0.
+    Its pass reads marginals only.
     """
 
     __slots__ = ("ids", "offsets", "candidates", "marginals", "products", "kinds", "scores")
@@ -130,8 +131,8 @@ class Domains(Sequence[SuccessorVar]):
         row = np.repeat(np.arange(len(ids)), np.diff(self.offsets))
         stop = candidates == 0
         value = np.isfinite(products) & np.isfinite(marginals) & (products >= 0) & (marginals >= 0)
-        counted = (candidates == ids[row], stop, stop & ~(products > 0), ~value | ((products == 0) & (marginals != 0)))
-        selfs, stops, dead_stops, bad_values = (np.bincount(row[entries], minlength=len(ids)) for entries in counted)
+        counted = (candidates == ids[row], stop, stop & ~(products > 0), stop & ~(marginals > 0), ~value | ((products == 0) & (marginals != 0)))
+        selfs, stops, dead_stops, dead_marginals, bad_values = (np.bincount(row[entries], minlength=len(ids)) for entries in counted)
         with np.errstate(all="ignore"):  # a total that overflows marks its row instead of warning
             totals = left_sums(products, self.offsets)
         rules = {
@@ -140,6 +141,7 @@ class Domains(Sequence[SuccessorVar]):
             "has no STOP entry": stops == 0,
             "has more than one STOP entry": stops > 1,
             "has a STOP entry whose product is not positive": dead_stops > 0,
+            "has a STOP entry whose marginal is not positive": dead_marginals > 0,
             "has a product or marginal that is not finite and >= 0, or a marginal on a product of 0": bad_values > 0,
             "has products whose total is not finite": ~np.isfinite(totals),
         }
@@ -212,10 +214,10 @@ def build_domains(
 class _Search:
     """The state of one solve, as arrays over a :class:`Domains`' variables and entries.
 
-    Hard-filtered entries (product 0) start removed and add an exact 0 to
-    every total. Each variable prefers its surviving entries by marginal, then
-    by ``tie``: candidate id, STOP after every id. Renormalization rescales all
-    survivors of a domain uniformly, so this preference never changes.
+    The pass reads marginals, never products: entries of marginal 0, the hard-filtered ones
+    among them, start removed and add an exact 0 to every total. Each variable prefers its
+    surviving entries by marginal, then by ``tie``: candidate id, STOP after every id.
+    Renormalization rescales all survivors of a domain uniformly, so this preference never changes.
     ``best[v]`` is variable v's preferred surviving entry and ``best_value[v]``
     its attached marginal; a removal looks for the next best only when it
     takes the best, which is rare (6 of 370k removals at 300 objects x 1000
@@ -240,7 +242,7 @@ class _Search:
         # candidate id - 1 as unsigned: ids from 1 keep their order, and STOP (0) wraps to the largest value
         self.tie = (domains.candidates - 1).view(np.uint64)
         last = np.iinfo(np.uint64).max
-        self.alive = domains.products > 0
+        self.alive = marginals > 0
         self.total = np.full(len(domains), -1.0)
         # each domain's one entry with its largest marginal and, among those, the smallest tie
         top = marginals == np.repeat(np.maximum.reduceat(marginals, offsets[:-1]), counts)

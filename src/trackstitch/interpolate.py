@@ -50,15 +50,5 @@ def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> DetectionTa
     fh = h[left] + (h[right] - h[left]) * a
     filled = (frame[left] + k, track_id[left], cx - fw / 2.0, cy - fh / 2.0, fw, fh, np.ones(len(left)))
 
-    # each kept row moves down by the rows inserted before it
-    shift = np.zeros(len(rows), dtype=np.int64)
-    shift[gaps + 1] = sizes
-    kept_at = np.arange(len(rows)) + np.cumsum(shift)
-    filled_at = kept_at[left] + k
-    columns = []
-    for kept, new in zip(rows.columns, filled):
-        column = np.empty(len(rows) + len(left), dtype=kept.dtype)
-        column[kept_at] = kept
-        column[filled_at] = new
-        columns.append(column)
-    return DetectionTable(*columns)
+    # rows inserted before one index keep their given order: each gap's rows in frame order
+    return DetectionTable(*(np.insert(kept, right, new) for kept, new in zip(rows.columns, filled)))

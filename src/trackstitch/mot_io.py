@@ -69,9 +69,8 @@ class Detection:
     """One bounding-box observation at one frame, with an identity label.
 
     ``frame`` and ``track_id`` must be ids (see :func:`check_id`), so that an
-    int64 column holds them. The box must have a positive, finite size that
-    float arithmetic can represent: ``x + w`` and ``y + h`` differ from ``x``
-    and ``y``, and the area ``w * h`` is a normal finite float.
+    int64 column holds them. The ``float()`` of each box value must meet
+    ``_BOX_RULE``; the message names the first rule the box breaks.
     """
 
     frame: int
@@ -85,18 +84,10 @@ class Detection:
     def __post_init__(self):
         check_id(self.frame, "frame")
         check_id(self.track_id, "track_id")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box size must be positive, got w={self.w}, h={self.h}")
-        if not (
-            isfinite(self.x) and isfinite(self.y) and isfinite(self.w) and isfinite(self.h) and isfinite(self.conf)
-        ):
-            raise ValueError(
-                f"box and conf must be finite, got x={self.x}, y={self.y}, w={self.w}, h={self.h}, conf={self.conf}"
-            )
-        if self.x + self.w == self.x or self.y + self.h == self.y:
-            raise ValueError(f"box has no extent in float arithmetic, got x={self.x}, y={self.y}, w={self.w}, h={self.h}")
-        if not float_info.min <= self.w * self.h < inf:
-            raise ValueError(f"box area must be a normal finite float, got w={self.w}, h={self.h}, w*h={self.w * self.h}")
+        values = float(self.x), float(self.y), float(self.w), float(self.h), float(self.conf)
+        for message, holds in _BOX_RULE:
+            if not holds(*values):
+                raise ValueError(message.format(x=self.x, y=self.y, w=self.w, h=self.h, conf=self.conf, area=values[2] * values[3]))
 
     @property
     def box(self) -> tuple[float, float, float, float]:
@@ -110,13 +101,30 @@ class Detection:
 _FIELDS = ("frame", "track_id", "x", "y", "w", "h", "conf")
 _DTYPES = (np.int64, np.int64, np.float64, np.float64, np.float64, np.float64, np.float64)
 
+# The box rule, in the order Detection checks it: (message, predicate true of a box that meets the rule) pairs.
+# A predicate uses only comparisons, arithmetic, abs and &, so it takes floats and float64 columns alike.
+# The first reads "no size is <= 0", so that a NaN size passes it and reads "must be finite".
+_BOX_RULE = (
+    ("box size must be positive, got w={w}, h={h}", lambda x, y, w, h, conf: (w <= 0) + (h <= 0) == 0),
+    ("box and conf must be finite, got x={x}, y={y}, w={w}, h={h}, conf={conf}",
+     lambda x, y, w, h, conf: (abs(x) < inf) & (abs(y) < inf) & (abs(w) < inf) & (abs(h) < inf) & (abs(conf) < inf)),
+    ("box has no extent in float arithmetic, got x={x}, y={y}, w={w}, h={h}", lambda x, y, w, h, conf: (x + w != x) & (y + h != y)),
+    ("box area must be a normal finite float, got w={w}, h={h}, w*h={area}", lambda x, y, w, h, conf: (float_info.min <= w * h) & (w * h < inf)),
+)
+
 
 def _rejected(frame, track_id, x, y, w, h, conf) -> np.ndarray:
-    """A mask of the rows, given as columns, that :class:`Detection` rejects."""
+    """A mask of the rows, given as columns, that :class:`Detection` rejects: ids below 1, or a box that breaks ``_BOX_RULE``."""
     with np.errstate(all="ignore"):  # inf - inf, or an area that overflows, marks its row instead of warning
-        bad = (frame < 1) | (track_id < 1) | ~(w > 0) | ~(h > 0) | ~np.isfinite(np.stack((x, y, w, h, conf))).all(axis=0)
-        area = w * h
-        return bad | (x + w == x) | (y + h == y) | ~((area >= float_info.min) & (area < np.inf))
+        return ~np.logical_and.reduce([frame >= 1, track_id >= 1, *(holds(x, y, w, h, conf) for _, holds in _BOX_RULE)])
+
+
+def _checked_row(*values) -> Detection:
+    """The Detection of a row of a table, which checked its rows when it was built: not checked again."""
+    det = object.__new__(Detection)
+    for name, value in zip(_FIELDS, values):
+        object.__setattr__(det, name, value)
+    return det
 
 
 def _id_column(values, name: str) -> np.ndarray:
@@ -142,10 +150,10 @@ class DetectionTable(Sequence[Detection]):
 
     ``frame`` and ``track_id`` are int64 columns; ``x``, ``y``, ``w``, ``h``
     and ``conf`` are float64 columns. All columns are read-only. The table is a
-    read-only sequence of :class:`Detection`: indexing or iterating builds a
-    Detection only when it is read, and a slice is a table over views of the
-    same columns. Like a list, a table compares equal to a list or tuple of
-    the same detections in the same order, and ``+`` concatenates.
+    read-only sequence of :class:`Detection`: indexing or iterating builds a Detection
+    only when it is read, without checking the row again, and a slice is a table over
+    views of the same columns. Like a list, a table compares equal to a list or tuple
+    of the same detections in the same order, and ``+`` concatenates.
 
     The constructor copies its arguments and checks every row the way
     :class:`Detection` does, the ids before they become int64.
@@ -252,10 +260,10 @@ class DetectionTable(Sequence[Detection]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return DetectionTable._wrap([c[index] for c in self.columns])
-        return Detection(*(c[index].item() for c in self.columns))
+        return _checked_row(*(c[index].item() for c in self.columns))
 
     def __iter__(self) -> Iterator[Detection]:
-        return map(Detection, *(c.tolist() for c in self.columns))
+        return map(_checked_row, *(c.tolist() for c in self.columns))
 
     def __add__(self, other: Iterable[Detection]) -> DetectionTable:
         """The rows of this table followed by those of ``other``, a table or detections."""

@@ -797,6 +797,8 @@ class TestTableRules:
             (table([1, 2], [0, 1, 2], [1, 0], [1.0, 1.0]), "variable 1 names itself as a candidate"),
             (table([1], [0, 2], [0, 0], [1.0, 1.0]), "variable 1 has more than one STOP entry"),
             (table([1, 2], [0, 1, 2], [0, 0], [1.0, 0.0]), "variable 2 has a STOP entry whose product is not positive"),
+            # the pass would divide STOP's 0 by a total of 0
+            (table([1, 2, 3], [0, 2, 4, 5], [3, 0, 3, 0, 0], [1.0] * 5, [1.0, 0.0, 0.9, 0.0, 1.0]), "variable 1 has a STOP entry whose marginal is not positive"),
             (table([1], [0, 2], [5, 0], [1.0, 1.0], [math.nan, 1.0]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
             (table([1], [0, 2], [5, 0], [-0.5, 1.0]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
             # a filtered entry that the pass would bind
@@ -806,7 +808,7 @@ class TestTableRules:
             (table([0, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 0 is out of order or repeated: ids must increase strictly from 1"),
             (table([1, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 1 is out of order or repeated: ids must increase strictly from 1"),
         ],
-        ids=["no STOP", "self and no STOP", "two STOPs", "STOP of 0", "NaN marginal", "negative product", "filtered marginal", "total overflows",
+        ids=["no STOP", "self and no STOP", "two STOPs", "STOP of 0", "STOP marginal of 0", "NaN marginal", "negative product", "filtered marginal", "total overflows",
              "ids descend", "id 0", "id twice"],
     )
     def test_solve_checks_a_table_built_from_columns(self, domains, message):

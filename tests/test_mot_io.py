@@ -354,7 +354,7 @@ def edge_rows(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(edge_rows(), min_size=1, max_size=8))
 def test_rejected_marks_the_rows_detection_rejects(rows):
-    # the row rule is stated twice: per row in Detection, per column in _rejected
+    # the row rule is stated once, in _BOX_RULE and the id checks: Detection reads it per row, _rejected per column
     def rejects(row):
         try:
             Detection(*row)
@@ -364,6 +364,40 @@ def test_rejected_marks_the_rows_detection_rejects(rows):
 
     columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), mot_io._DTYPES)]
     assert mot_io._rejected(*columns).tolist() == [rejects(row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        # a NaN size passes the positive rule and breaks the finite one
+        ((0.0, 0.0, math.nan, 5.0), "box and conf must be finite, got x=0.0, y=0.0, w=nan, h=5.0, conf=1.0"),
+        ((0.0, 0.0, -0.0, 5.0), "box size must be positive, got w=-0.0, h=5.0"),
+        ((1e6, 0.0, math.ulp(1e6) / 4, 5.0), f"box has no extent in float arithmetic, got x=1000000.0, y=0.0, w={math.ulp(1e6) / 4}, h=5.0"),
+        ((0.0, 0.0, 1e200, 1e200), "box area must be a normal finite float, got w=1e+200, h=1e+200, w*h=inf"),
+    ],
+    ids=["NaN size", "-0.0 size", "quarter-ulp width", "area overflows"],
+)
+def test_detection_and_table_raise_each_box_rule_alike(box, message):
+    with pytest.raises(ValueError) as raised:
+        Detection(1, 1, *box, 1.0)
+    assert str(raised.value) == message
+    columns = zip((1, 1, 0.0, 0.0, 5.0, 5.0, 1.0), (2, 1, *box, 1.0))
+    with pytest.raises(ValueError) as raised:
+        DetectionTable(*map(list, columns))
+    assert str(raised.value) == f"row 1: {message}"
+
+
+def test_box_values_are_checked_as_floats():
+    # an int too large for a float has no float to check
+    with pytest.raises(OverflowError):
+        Detection(1, 1, 10**400, 0, 5, 5)
+    # an int box is checked in float arithmetic, as its row in a float64 column is
+    message = "box has no extent in float arithmetic, got x=100000000000000000, y=0, w=1, h=5"
+    with pytest.raises(ValueError) as raised:
+        Detection(1, 1, 10**17, 0, 1, 5)
+    assert str(raised.value) == message
+    row = (1, 1, 10**17, 0, 1, 5, -1)
+    assert mot_io._rejected(*(np.array([v], dtype=t) for v, t in zip(row, mot_io._DTYPES))).tolist() == [True]
 
 
 def test_sequence_meta_diagonal():
