@@ -1,4 +1,4 @@
-"""Pipeline and scenario configuration in the flat key=value file format.
+"""Pipeline and scenario configuration in the settings file format of :func:`~trackstitch.mot_io.read_kv`.
 
 The shipped defaults enable the time-distance, predicted-IOU and
 predicted-center-distance constraints, the cutter at an overlap threshold of
@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .mot_io import atomic_writer, check_integer, read_text
-from .scoring import ConstraintKind, ScoreConfig, check_flag, file_form
+from .mot_io import atomic_writer, check_count, check_flag, check_iou_threshold, check_window, read_kv
+from .scoring import ConstraintKind, ScoreConfig, file_form
 from .synth import CorruptionConfig, ScenarioConfig
-from .tracklets import check_iou_threshold, check_window
 
 
 @dataclass
@@ -37,9 +36,7 @@ class PipelineConfig:
         check_flag(self.cutter_enabled, "cutter.enabled")
         check_flag(self.interp_enabled, "interp.enabled")
         check_iou_threshold(self.cut_threshold, "cutter.t_tc")
-        check_integer(self.max_gap_size, "interp.max_gap")
-        if self.max_gap_size < 1:
-            raise ValueError(f"interp.max_gap must be positive, got {self.max_gap_size}")
+        check_count(self.max_gap_size, "interp.max_gap", 1)
         check_window(self.endpoint_window, self.endpoint_min_len, ("endpoints.window", "endpoints.min_len"))
 
 
@@ -57,23 +54,6 @@ def _parse_number(value: str, key: str, cast: type = float) -> int | float:
         return cast(value)
     except ValueError:
         raise ValueError(f"{key}: expected {'an integer' if cast is int else 'a number'}, got {value!r}") from None
-
-
-def read_kv(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` file (see :func:`mot_io.read_text`); '#' starts a comment, and a key may be given once."""
-    values: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, _, value = map(str.strip, line.partition("="))
-        if key in lines:
-            raise ValueError(f"{path}: line {lineno}: {key} given twice, first on line {lines[key]}")
-        values[key], lines[key] = value, lineno
-    return values
 
 
 # Every pipeline key once, in file order: the object it sets, that object's
@@ -120,11 +100,11 @@ def _format_value(value, value_kind: str, form: ConstraintKind | None) -> str:
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    """Load a config file over the defaults; an unknown key or an invalid value is an error naming the file."""
+    """Load a config file (see :func:`~trackstitch.mot_io.read_kv`) over the defaults; an unknown key or an invalid value is an error naming the file."""
     cfg = PipelineConfig()
-    values = read_kv(path)
+    entries = read_kv(path)
     try:
-        for key, value in values.items():
+        for key, (value, _) in entries.items():
             if key not in _PIPELINE_KEYS:
                 raise ValueError(f"unknown key {key!r}")
             target, attr, value_kind, form = _PIPELINE_KEYS[key]
@@ -178,18 +158,19 @@ _SCENARIO_KEYS = {
 
 
 def load_scenario(path: str | Path) -> tuple[ScenarioConfig, CorruptionConfig]:
-    """Read a scenario file into generation and corruption configs.
+    """Read a scenario file (see :func:`~trackstitch.mot_io.read_kv`) into generation and corruption configs.
 
     ``corrupt.gap_min`` and ``corrupt.gap_max`` bound the gap deleted at each
     cut; without ``gap_max`` every gap is ``gap_min`` frames. Both configs are
     validated. An unknown or missing key, a value that does not parse or an
     invalid config raises ``ValueError`` naming the file (``ScenarioError``
-    for an invalid scene).
+    for an invalid scene, with ``SequenceMeta``'s message for a bad frame
+    rate, canvas or frame count).
     """
-    values = read_kv(path)
+    entries = read_kv(path)
     kwargs: dict[type, dict] = {ScenarioConfig: {}, CorruptionConfig: {}}
     try:
-        for key, value in values.items():
+        for key, (value, _) in entries.items():
             if key not in _SCENARIO_KEYS:
                 raise ValueError(f"unknown key {key!r}")
             config, name, cast = _SCENARIO_KEYS[key]

@@ -50,8 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .mot_io import Detection, DetectionTable
-from .tracklets import aranges, check_iou_threshold, cross_overlaps, pair_runs, ranks
+from .mot_io import Detection, DetectionTable, check_iou_threshold
+from .tracklets import aranges, cross_overlaps, pair_runs, ranks
 
 
 def linear_sum_assignment(cost: np.ndarray, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mot_io import Detection, DetectionTable, check_integer
+from .mot_io import Detection, DetectionTable, check_count
 
 
 def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> DetectionTable:
@@ -26,9 +26,7 @@ def fill_gaps(trajectory: Sequence[Detection], max_gap_size: int) -> DetectionTa
     same float operations, in the same order, as one scalar formula per
     inserted detection.
     """
-    check_integer(max_gap_size, "max_gap_size")
-    if max_gap_size < 1:
-        raise ValueError(f"max_gap_size must be positive, got {max_gap_size}")
+    check_count(max_gap_size, "max_gap_size", 1)
     rows = DetectionTable.of(trajectory)
     rows.check_tracks()
     frame, track_id, x, y, w, h, _ = rows.columns

@@ -1,4 +1,4 @@
-"""Reading and writing MOTChallenge-style track files.
+"""Reading and writing MOTChallenge-style track files, and reading settings files.
 
 A track file is plain text, one detection per line:
 
@@ -8,8 +8,8 @@ A track file is plain text, one detection per line:
 ``conf`` are ignored on input and written as ``-1``; non-finite values, and
 boxes without extent in float arithmetic (see :class:`Detection`), are
 rejected. A parsed file is a :class:`DetectionTable`, one numpy column per
-field. Sequence metadata comes from a seqinfo-style ``key=value`` file
-(``frameRate``, ``imWidth``, ``imHeight``, ``seqLength``).
+field. Seqinfo files, pipeline configs and scenario files share one grammar,
+read by :func:`read_kv`, and the ``check_*`` helpers hold each setting's rule.
 
 Track text is read in numpy, in one pass of line-aligned chunks of about
 256 KiB: the text is encoded as UTF-8 (a lone surrogate as its three
@@ -47,7 +47,7 @@ import numpy as np
 
 
 class ParseError(ValueError):
-    """A track or seqinfo file could not be parsed; message carries the line number."""
+    """A track or settings file could not be parsed; message carries the line number."""
 
 
 def check_integer(value, name: str) -> None:
@@ -62,6 +62,41 @@ def check_id(value, name: str) -> None:
         check_integer(value, name)
     if not 1 <= int(value) < 2**63:  # int(): numpy 1's int64 would compare with 2**63 as a float
         raise ValueError(f"{name} must be in [1, 2**63), got {value}")
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is a :func:`check_integer` integer of at least ``minimum`` (0 or 1)."""
+    check_integer(value, name)
+    if value < minimum:
+        raise ValueError(f"{name} must be {('nonnegative', 'positive')[minimum]}, got {value}")
+
+
+def check_number(value, name: str) -> None:
+    """Raise ValueError, naming the setting ``name``, unless ``value`` is a real number (numpy's included) other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value}")
+
+
+def check_iou_threshold(value, name: str) -> None:
+    """Raise ValueError, naming the setting ``name``, unless the IoU threshold ``value`` is a number in (0, 1]; NaN is not."""
+    check_number(value, name)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+
+
+def check_window(window: int, min_len: int, names: tuple[str, str] = ("window", "min_len")) -> None:
+    """Raise ValueError, naming both values by ``names``, unless both are integers and ``2 <= window < min_len`` (see :class:`~trackstitch.tracklets.Tracklets`)."""
+    w, m = names
+    for name, value in zip(names, (window, min_len)):
+        check_integer(value, name)
+    if not 2 <= window < min_len:
+        raise ValueError(f"{w} must satisfy 2 <= {w} < {m}, got {w}={window}, {m}={min_len}")
+
+
+def check_flag(value, name: str) -> None:
+    """Raise ValueError, naming the setting ``name``, unless ``value`` is a bool (numpy's included)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -801,6 +836,28 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"{path}: line {lineno}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
 
 
+def read_kv(path: str | Path) -> dict[str, tuple[str, int]]:
+    """Each key of the settings file at ``path`` (see :func:`read_text`) with its value and line number, in file order.
+
+    Lines end at ``\\n``, as in a track file. ``#`` starts a comment; blank
+    lines, ``[section]`` headers and lines starting with ``;`` are skipped. A
+    line without ``=`` or a key given twice raises :class:`ParseError`
+    (``{path}: line N: expected key = value, got '...'``, ``... given twice, first on line M``).
+    """
+    entries: dict[str, tuple[str, int]] = {}
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line or line.startswith(("[", ";")):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}: line {lineno}: expected key = value, got {raw.strip()!r}")
+        key, _, value = map(str.strip, line.partition("="))
+        if key in entries:
+            raise ParseError(f"{path}: line {lineno}: {key} given twice, first on line {entries[key][1]}")
+        entries[key] = value, lineno
+    return entries
+
+
 def load_tracks(path: str | Path) -> DetectionTable:
     """Parse the MOTChallenge track file at ``path`` (see :func:`parse_tracks`), read by :func:`read_text`.
 
@@ -847,28 +904,16 @@ _SEQINFO_KEYS = {
 
 
 def read_seqinfo(path: str | Path) -> SequenceMeta:
-    """Read sequence metadata from a seqinfo-style key=value file.
+    """Read sequence metadata from a seqinfo-style settings file (see :func:`read_kv`).
 
-    Section headers (``[Sequence]``), comments and unknown keys are ignored;
-    ``frameRate``, ``imWidth``, ``imHeight`` and ``seqLength`` are required,
-    each once; the frame rate must be finite and positive, and the last three
-    must be positive integers (``1920.0`` is one) no larger than a float
-    holds. The file is read by :func:`read_text`. Raises :class:`ParseError`
-    naming the file, and the line of a bad or repeated value.
+    Unknown keys are ignored; ``frameRate``, ``imWidth``, ``imHeight`` and
+    ``seqLength`` are required, and each value must pass :class:`SequenceMeta`'s
+    rule (``1920.0`` is an integer). Raises :class:`ParseError` naming the
+    file, and the line of a bad value.
     """
     values: dict[str, float | int] = {}
-    lines: dict[str, int] = {}
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("[", "#", ";")):
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-        key, _, value = map(str.strip, line.partition("="))
-        if key in lines:
-            raise ParseError(f"{path}: line {lineno}: {key} given twice, first on line {lines[key]}")
+    for key, (value, lineno) in read_kv(path).items():
         if key in _SEQINFO_KEYS:
-            lines[key] = lineno
             field, parse = _SEQINFO_KEYS[key]
             try:
                 values[field] = parse(value)

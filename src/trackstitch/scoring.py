@@ -45,8 +45,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mot_io import SequenceMeta
-from .tracklets import EndpointArrays, check_number, iou_pairs
+from .mot_io import SequenceMeta, check_flag, check_number
+from .tracklets import EndpointArrays, iou_pairs
 
 REFERENCE_FPS = 30.0
 
@@ -100,12 +100,6 @@ class ConstraintParams:
             t0, t50 = file_form(kind, self.t0), file_form(kind, self.t50)
             rule = f"lie below t50, got t0={t0} >= t50={t50}" if iou else f"exceed t50, got t0={t0} <= t50={t50}"
             raise ValueError(f"{key}t0 must {rule}")
-
-
-def check_flag(value, name: str) -> None:
-    """Raise ValueError, naming the setting ``name``, unless ``value`` is a bool (numpy's included)."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a boolean, got {value!r}")
 
 
 def file_form(kind: ConstraintKind | None, value: float) -> float:

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .mot_io import Detection, DetectionTable, SequenceMeta, atomic_writer, check_integer
-from .tracklets import check_iou_threshold, check_number, group_tracklets, overlap_runs
+from .mot_io import Detection, DetectionTable, SequenceMeta, atomic_writer, check_count, check_integer, check_iou_threshold, check_number
+from .tracklets import group_tracklets, overlap_runs
 
 
 class ScenarioError(ValueError):
@@ -50,17 +50,25 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """Raise :class:`ScenarioError` unless the counts and the seed are integers and the motion and frame rate numbers (a bool is neither), the objects fit the canvas, the motion and frame rate are finite and the seed is nonnegative; NaN fails each check."""
+        """Raise :class:`ScenarioError` unless the counts are integers, the seed nonnegative and the motion and frame rate numbers (a bool is neither), with at least one object and one frame; NaN fails each check.
+
+        The frame rate, canvas and frame count are then checked by building the
+        :class:`~trackstitch.mot_io.SequenceMeta` that :func:`generate` returns,
+        whose message the error carries; last, the objects must fit the canvas
+        and the motion must be finite.
+        """
         try:
-            for name in ("num_objects", "num_frames", "crossings", "seed"):
+            for name in ("num_objects", "num_frames", "crossings"):
                 check_integer(getattr(self, name), name)
+            check_count(self.seed, "seed", 0)
             for name in ("fps", "turn_rate", "min_speed", "max_speed"):
                 check_number(getattr(self, name), name)
+            if self.num_objects < 1 or self.num_frames < 1:
+                raise ValueError("need at least one object and one frame")
+            SequenceMeta(fps=self.fps, img_width=self.img_width, img_height=self.img_height, num_frames=self.num_frames)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
         n, W, H = self.num_objects, self.img_width, self.img_height
-        if n < 1 or self.num_frames < 1:
-            raise ScenarioError("need at least one object and one frame")
         if not 0 <= 2 * self.crossings <= n:
             raise ScenarioError(f"crossings must lie in [0, {n // 2}] for {n} objects, got {self.crossings}")
         if W - 2 <= _MAX_W or H - 2 <= _MAX_H:
@@ -71,10 +79,6 @@ class ScenarioConfig:
             raise ScenarioError(f"speeds must be finite with 0 <= min_speed <= max_speed, got {self.min_speed} and {self.max_speed}")
         if not math.isfinite(self.turn_rate):
             raise ScenarioError(f"turn_rate must be finite, got {self.turn_rate}")
-        if not 0.0 < self.fps < math.inf:
-            raise ScenarioError(f"fps must be finite and positive, got {self.fps}")
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -91,7 +95,7 @@ class CorruptionConfig:
 
     def validate(self) -> None:
         for name in ("random_cuts_per_track", "seed"):
-            check_integer(getattr(self, name), name)
+            check_count(getattr(self, name), name, 0)
         try:
             lo, hi = self.gap_frames
         except (TypeError, ValueError):  # not a pair
@@ -105,11 +109,7 @@ class CorruptionConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if lo < 0 or hi < lo:
             raise ValueError(f"gap_frames must satisfy 0 <= lo <= hi, got {self.gap_frames}")
-        if self.random_cuts_per_track < 0:
-            raise ValueError(f"random_cuts_per_track must be nonnegative, got {self.random_cuts_per_track}")
         check_iou_threshold(self.crossing_iou, "crossing_iou")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

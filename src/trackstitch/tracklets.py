@@ -19,7 +19,6 @@ and a slice of the table, is a read-side view built only when one is read.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mot_io import Detection, DetectionTable, check_integer
+from .mot_io import Detection, DetectionTable, check_iou_threshold, check_window
 
 
 @dataclass(frozen=True)
@@ -67,28 +66,6 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     boxes_a = np.asarray(boxes_a, dtype=float).reshape(-1, 4)
     boxes_b = np.asarray(boxes_b, dtype=float).reshape(-1, 4)
     return iou_pairs(boxes_a.T[:, :, None], boxes_b.T[:, None, :])
-
-
-def check_number(value, name: str) -> None:
-    """Raise ValueError, naming the setting ``name``, unless ``value`` is a real number (numpy's included) other than a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value}")
-
-
-def check_iou_threshold(value, name: str) -> None:
-    """Raise ValueError, naming the setting ``name``, unless the IoU threshold ``value`` is a number in (0, 1]; NaN is not."""
-    check_number(value, name)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{name} must lie in (0, 1], got {value}")
-
-
-def check_window(window: int, min_len: int, names: tuple[str, str] = ("window", "min_len")) -> None:
-    """Raise ValueError, naming both values by ``names``, unless both are integers and ``2 <= window < min_len`` (see :class:`Tracklets`)."""
-    w, m = names
-    for name, value in zip(names, (window, min_len)):
-        check_integer(value, name)
-    if not 2 <= window < min_len:
-        raise ValueError(f"{w} must satisfy 2 <= {w} < {m}, got {w}={window}, {m}={min_len}")
 
 
 @dataclass(frozen=True)

@@ -430,6 +430,7 @@ def test_refine_links_a_broken_track_at_every_valid_window(tmp_path, capsys, win
         ("scene.min_speed = 5", "speeds must be finite with 0 <= min_speed <= max_speed, got 5.0 and 1.5"),
         ("scene.turn_rate = nan", "turn_rate must be finite, got nan"),
         ("scene.crossings = -1", "crossings must lie in [0, 3] for 6 objects, got -1"),
+        pytest.param(f"scene.width = {10**400}", f"img_width is too large for a float, got {10**400}", id="scene.width of 401 digits"),
     ],
 )
 def test_synth_scenario_errors_name_the_file(tmp_path, capsys, line, expected):
@@ -481,7 +482,7 @@ def test_refine_rejects_a_seqinfo_line_without_a_value(tmp_path, capsys):
     seqinfo = tmp_path / "seqinfo.ini"
     seqinfo.write_text("[Sequence]\nframeRate 30\nimWidth=100\nimHeight=100\nseqLength=10\n")
     argv = ["refine", str(tracks), str(tmp_path / "out.txt"), "--seqinfo", str(seqinfo)]
-    assert_one_line_error(tmp_path, capsys, argv, f"{seqinfo}: line 2: expected key=value, got 'frameRate 30'")
+    assert_one_line_error(tmp_path, capsys, argv, f"{seqinfo}: line 2: expected key = value, got 'frameRate 30'")
 
 
 def test_refine_rejects_a_seqinfo_key_given_twice(tmp_path, capsys):

@@ -13,7 +13,7 @@ from trackstitch.config import (
     save_pipeline_config,
 )
 from trackstitch.evaluation import evaluate_sequence
-from trackstitch.mot_io import SequenceMeta
+from trackstitch.mot_io import ParseError, SequenceMeta, read_seqinfo
 from trackstitch.pipeline import refine_detections
 from trackstitch.scoring import ConstraintKind, ConstraintParams
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, ScenarioError, generate
@@ -362,3 +362,23 @@ def test_scenario_with_a_bad_frame_rate_or_seed_names_the_file(tmp_path, line, e
     path = write_scenario(tmp_path, line)
     with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("end", ["\x0c", "\u2028"])
+@pytest.mark.parametrize(
+    "load, first",
+    [(load_pipeline_config, "cutter.t_tc = 0.5"), (load_scenario, "scene.num_objects = 2"), (read_seqinfo, "frameRate=30")],
+    ids=["pipeline", "scenario", "seqinfo"],
+)
+def test_settings_lines_end_at_a_newline_alone(tmp_path, load, first, end):
+    # str.splitlines would also end a line at a form feed or a line separator, and count one line too many
+    path = tmp_path / "settings.cfg"
+    path.write_text(f"{first}{end}\nbogus\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: expected key = value, got 'bogus'$"):
+        load(path)
+
+
+def test_settings_files_skip_section_headers_and_semicolon_lines(tmp_path):
+    path = tmp_path / "pipeline.cfg"
+    path.write_text("[pipeline]\n; note\ncutter.t_tc = 0.7  # cut\n")
+    assert load_pipeline_config(path).cut_threshold == 0.7

@@ -526,6 +526,19 @@ def test_read_seqinfo_accepts_integral_spellings(tmp_path):
     assert all(type(v) is int for v in (meta.img_width, meta.img_height, meta.num_frames))
 
 
+def test_read_seqinfo_ends_a_value_at_a_comment(tmp_path):
+    path = tmp_path / "seqinfo.ini"
+    path.write_text("[Sequence]\nframeRate=30  # fps\nseqLength=600\nimWidth=1280\nimHeight=720\n")
+    assert read_seqinfo(path).fps == 30
+
+
+def test_read_seqinfo_rejects_any_key_given_twice(tmp_path):
+    path = tmp_path / "seqinfo.ini"
+    path.write_text("[Sequence]\nimExt=.jpg\nframeRate=25\nseqLength=600\nimWidth=1280\nimHeight=720\nimExt=.png\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 7: imExt given twice, first on line 2$"):
+        read_seqinfo(path)
+
+
 def test_read_seqinfo_missing_key(tmp_path):
     path = tmp_path / "seqinfo.ini"
     path.write_text("frameRate=25\n")

@@ -87,6 +87,10 @@ class TestGenerate:
             ({"num_frames": 10.0}, r"^num_frames must be an integer, got 10\.0$"),
             ({"crossings": True}, r"^crossings must be an integer, got True$"),
             ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
+            # the canvas is checked by SequenceMeta's rule, the one generate's meta meets
+            ({"img_width": 1920.5}, r"^img_width must be a positive integer, got 1920\.5$"),
+            ({"img_width": 10**400}, r"^img_width is too large for a float, got 10{400}$"),
+            ({"img_width": 10**308}, r"^the image diagonal must be finite, got a 10{308} x 1080 image$"),
         ],
     )
     def test_invalid_motion_rejected(self, kw, message):
