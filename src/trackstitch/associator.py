@@ -91,11 +91,12 @@ class Domains(Sequence[SuccessorVar]):
     only when it is read. Like a list, the sequence compares equal to a list
     or tuple of the same variables.
 
-    :func:`solve_with_stats` refuses, naming the first row's variable and rule, a
-    table whose ids do not increase strictly from 1, or with a row that names its
-    variable, holds no STOP or several, has a STOP product or marginal <= 0, a product,
-    marginal or row total not finite and >= 0, or a marginal on a product of 0.
-    Its pass reads marginals only.
+    The table is checked when it is made: ValueError names the first row's
+    variable and rule of a table whose ids do not increase strictly from 1, or
+    with a row that names its variable, holds no STOP or several, has a STOP
+    product or marginal <= 0, a product, marginal or row total of products not
+    finite and >= 0, a marginal on a product of 0, or marginals that do not
+    sum to 1. The solver's pass reads marginals only.
     """
 
     __slots__ = ("ids", "offsets", "candidates", "marginals", "products", "kinds", "scores")
@@ -103,11 +104,13 @@ class Domains(Sequence[SuccessorVar]):
     def __init__(self, ids, offsets, candidates, marginals, products=None, kinds=None, scores=None):
         self.ids, self.offsets, self.candidates, self.marginals = ids, offsets, candidates, marginals
         self.products, self.kinds, self.scores = marginals if products is None else products, kinds, scores
+        self._check()
 
     @classmethod
     def of(cls, succ_vars: Iterable[SuccessorVar]) -> Domains:
         """``succ_vars`` itself if it is a Domains, else the variables' domains as columns, sorted by id.
 
+        The marginals are used as given, so each variable's must sum to 1.
         Raises the ValueError of :func:`~trackstitch.mot_io.check_id` for the
         first id, in input order, that an int64 column cannot hold.
         """
@@ -126,15 +129,27 @@ class Domains(Sequence[SuccessorVar]):
         )
 
     def _check(self) -> None:
-        """Raise the ValueError of the first row that breaks a rule of the table."""
+        """Raise the ValueError of the first row that breaks a rule of the table.
+
+        A row of n marginals sums to 1 if its left sum (:func:`left_sums`)
+        lies within n * 2**-52 of 1. The bound holds for every row that
+        :func:`build_domains` makes, ``fl(p_i / T)`` with ``T`` the left sum
+        of the row's nonnegative products: ``T`` carries n - 1 roundings,
+        each quotient one more and the left sum of the quotients n - 1 more,
+        so that sum lies within 2n - 1 roundings of 1. On nonnegative terms
+        each rounding errs by at most 2**-53 of the exact sum (a quotient
+        that underflows, by 2**-1075), and (2n - 1) * 2**-53 plus the
+        second-order terms stays below n * 2**-52.
+        """
         ids, candidates, products, marginals = self.ids, self.candidates, self.products, self.marginals
-        row = np.repeat(np.arange(len(ids)), np.diff(self.offsets))
+        counts = np.diff(self.offsets)
+        row = np.repeat(np.arange(len(ids)), counts)
         stop = candidates == 0
         value = np.isfinite(products) & np.isfinite(marginals) & (products >= 0) & (marginals >= 0)
         counted = (candidates == ids[row], stop, stop & ~(products > 0), stop & ~(marginals > 0), ~value | ((products == 0) & (marginals != 0)))
         selfs, stops, dead_stops, dead_marginals, bad_values = (np.bincount(row[entries], minlength=len(ids)) for entries in counted)
         with np.errstate(all="ignore"):  # a total that overflows marks its row instead of warning
-            totals = left_sums(products, self.offsets)
+            totals, sums = left_sums(products, self.offsets), left_sums(marginals, self.offsets)
         rules = {
             "is out of order or repeated: ids must increase strictly from 1": np.diff(ids, prepend=0) < 1,
             "names itself as a candidate": selfs > 0,
@@ -144,6 +159,7 @@ class Domains(Sequence[SuccessorVar]):
             "has a STOP entry whose marginal is not positive": dead_marginals > 0,
             "has a product or marginal that is not finite and >= 0, or a marginal on a product of 0": bad_values > 0,
             "has products whose total is not finite": ~np.isfinite(totals),
+            "has marginals that do not sum to 1": np.abs(sums - 1.0) > counts * 2.0**-52,
         }
         broken = np.argwhere(np.array(list(rules.values())).T)  # (row, rule) pairs, by row, then by rule
         if len(broken):
@@ -218,39 +234,32 @@ class _Search:
     among them, start removed and add an exact 0 to every total. Each variable prefers its
     surviving entries by marginal, then by ``tie``: candidate id, STOP after every id.
     Renormalization rescales all survivors of a domain uniformly, so this preference never changes.
-    ``best[v]`` is variable v's preferred surviving entry and ``best_value[v]``
-    its attached marginal; a removal looks for the next best only when it
-    takes the best, which is rare (6 of 370k removals at 300 objects x 1000
-    frames), so the domains are never sorted.
-    The attached marginals are used verbatim until a domain first shrinks,
-    which ``total[v] < 0`` marks; from then on the marginal of a survivor is
-    its attached value divided by ``total[v]``. ``key[v]`` is v's best
-    current marginal, -inf once v is bound.
+    ``best[v]`` is variable v's preferred surviving entry; :meth:`prefer` finds it at the
+    start and again only when a removal takes it, which is rare (6 of 370k removals at
+    300 objects x 1000 frames), so the domains are never sorted.
+    Each row's marginals sum to 1 (see :class:`Domains`) and are used verbatim until a
+    domain first shrinks, which ``total[v] < 0`` marks; from then on the marginal of a
+    survivor is its attached value divided by ``total[v]``. ``key[v]`` is v's best
+    current marginal, -inf once v is bound. Binding v also removes its whole row, so
+    forward checking reaches only the entries of unbound variables.
 
     A removal subtracts its marginal from the total while that keeps at least
     half of it. A candidate holding more than half of the remaining mass is
-    re-summed away instead, over the survivors in domain order: subtracting
-    it would leave only rounding residue, or 0.
+    re-summed away instead, over the survivors in domain order (:func:`left_sums`):
+    subtracting it would leave only rounding residue, or 0.
     """
 
     def __init__(self, domains: Domains):
-        domains._check()
-        self.offsets = offsets = np.asarray(domains.offsets, dtype=np.int64)
+        self.offsets = np.asarray(domains.offsets, dtype=np.int64)
         self.marginals = marginals = domains.marginals
-        counts = np.diff(offsets)
-        self.var = np.repeat(np.arange(len(domains)), counts)
+        self.var = np.repeat(np.arange(len(domains)), np.diff(self.offsets))
         # candidate id - 1 as unsigned: ids from 1 keep their order, and STOP (0) wraps to the largest value
         self.tie = (domains.candidates - 1).view(np.uint64)
-        last = np.iinfo(np.uint64).max
         self.alive = marginals > 0
         self.total = np.full(len(domains), -1.0)
-        # each domain's one entry with its largest marginal and, among those, the smallest tie
-        top = marginals == np.repeat(np.maximum.reduceat(marginals, offsets[:-1]), counts)
-        first = np.minimum.reduceat(np.where(top, self.tie, last), offsets[:-1])
-        self.best = np.flatnonzero(top & (self.tie == np.repeat(first, counts)))
-        self.best_value = marginals[self.best]
-        self.key = self.best_value.copy()
-        self.bound = np.zeros(len(domains), dtype=bool)
+        self.best = np.zeros(len(domains), dtype=np.int64)
+        self.prefer(np.arange(len(domains)))
+        self.key = marginals[self.best]
         # the live non-STOP entries grouped by candidate, for forward checking
         held = np.flatnonzero(self.alive & (domains.candidates != 0))
         self.holders = held[np.argsort(domains.candidates[held])]
@@ -259,31 +268,38 @@ class _Search:
         self.holder_range = dict(zip(by_candidate[bounds[:-1]].tolist(), zip(bounds, bounds[1:])))
         self.ids, self.candidates = domains.ids.tolist(), domains.candidates
 
-    def next_best(self, v: int) -> None:
-        """Find variable v's preferred surviving entry."""
-        lo, hi = self.offsets[v], self.offsets[v + 1]
-        live = lo + np.flatnonzero(self.alive[lo:hi])
-        values = self.marginals[live]
-        tied = live[values == values.max()]
-        self.best[v] = tied[self.tie[tied].argmin()]
-        self.best_value[v] = self.marginals[self.best[v]]
+    def rows(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of the rows of variables ``vs``, one row after the other, and the offsets of the rows among them."""
+        lo = self.offsets[vs]
+        counts = self.offsets[vs + 1] - lo
+        return aranges(lo, counts), np.concatenate(([0], np.cumsum(counts)))
+
+    def prefer(self, vs: np.ndarray) -> None:
+        """Set ``best[v]`` to the preferred surviving entry of each variable v of ``vs``: its largest marginal, then its smallest tie."""
+        if not len(vs):
+            return
+        entries, offsets = self.rows(vs)
+        counts = np.diff(offsets)
+        values = np.where(self.alive[entries], self.marginals[entries], -1.0)
+        top = values == np.repeat(np.maximum.reduceat(values, offsets[:-1]), counts)
+        tie = np.where(top, self.tie[entries], np.iinfo(np.uint64).max)
+        self.best[vs] = entries[top & (tie == np.repeat(np.minimum.reduceat(tie, offsets[:-1]), counts))]
 
     def remove(self, entries: np.ndarray) -> None:
         """Remove surviving entries, at most one per variable, of unbound variables."""
         vs = self.var[entries]
-        total, best = self.total[vs], self.best[vs]
+        total = self.total[vs]
         self.alive[entries] = False
         removed = self.marginals[entries]
         new_total = total - removed
-        for k in (removed > total / 2).nonzero()[0].tolist():  # every first removal, too
-            # the survivors left to right, as left_sums adds them; a removed
-            # entry adds an exact 0
-            lo, hi = self.offsets[vs[k]], self.offsets[vs[k] + 1]
-            new_total[k] = (self.marginals[lo:hi] * self.alive[lo:hi]).cumsum()[-1]
+        resum = removed > total / 2  # every first removal, too
+        if resum.any():
+            # a removed entry adds an exact 0
+            kept, offsets = self.rows(vs[resum])
+            new_total[resum] = left_sums(self.marginals[kept] * self.alive[kept], offsets)
         self.total[vs] = new_total
-        for v in vs[best == entries].tolist():
-            self.next_best(v)
-        self.key[vs] = self.best_value[vs] / new_total
+        self.prefer(vs[self.best[vs] == entries])
+        self.key[vs] = self.marginals[self.best[vs]] / new_total
 
     def run(self) -> tuple[Assignment, SolveStats]:
         ids = self.ids
@@ -295,12 +311,12 @@ class _Search:
             v = self.key.argmax().item()
             cand = self.candidates[self.best[v]].item() or STOP
             assignment[ids[v]] = cand
-            self.bound[v] = True
+            self.alive[self.offsets[v] : self.offsets[v + 1]] = False
             self.key[v] = -np.inf
             if cand is not STOP:
                 lo, hi = self.holder_range[cand]
                 holders = self.holders[lo:hi]
-                holders = holders[self.alive[holders] & ~self.bound[self.var[holders]]]
+                holders = holders[self.alive[holders]]
                 if len(holders):
                     self.remove(holders)
         return assignment, SolveStats(nodes=len(ids) + 1)

@@ -348,8 +348,7 @@ def _check_meta(name: str, value) -> None:
     more), ``fps`` must be finite and positive, and a size or frame count
     must be an integer in [1, ``float_info.max``] (``7.0`` is one).
     """
-    if isinstance(value, (bool, np.bool_)):  # True passes every test below as 1
-        raise ValueError(f"{name} must be a number, got {value}")
+    check_number(value, name)
     try:
         number = float(value)
     except OverflowError:

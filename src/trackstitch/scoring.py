@@ -189,7 +189,8 @@ class EndpointPairs:
     def projected(self) -> np.ndarray:
         """The end box translated by ``gap`` frames of end velocity, size unchanged; (4, pairs) columns."""
         boxes = _columns(self.ends.end_box, self.pred)
-        boxes[:2] += self.end_velocity * self.gap
+        with np.errstate(over="ignore"):  # a fast box projected far overflows to inf, as Python floats would
+            boxes[:2] += self.end_velocity * self.gap
         return boxes
 
     @cached_property
@@ -340,13 +341,16 @@ def stop_scores(cfg: ScoreConfig, kinds: Sequence[ConstraintKind]) -> tuple[dict
 
 
 def left_sums(values: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
-    """The sum of each segment ``values[offsets[k]:offsets[k + 1]]``, added left to right; 0 for an empty one.
+    """The sum of each segment ``values[offsets[k]:offsets[k + 1]]``, added left to right from 0.0; 0 for an empty one.
 
-    Every total that normalizes marginals is rounded this way, as a plain
+    Every total that normalizes marginals, checks a row of the candidate
+    table or renormalizes a shrunk domain is rounded this way, as a plain
     loop of ``+`` rounds it, so that marginals are the same bits on every
     Python and numpy version: ``np.add.reduce`` sums pairwise, and the
-    builtin ``sum`` is compensated from Python 3.12 on. ``np.cumsum`` adds
-    in order.
+    builtin ``sum`` is compensated from Python 3.12 on. ``np.bincount``
+    adds each weight to its bin in order, starting from 0.0 (so a row of
+    ``-0.0`` sums to ``0.0``, as the loop does).
     """
-    bounds = np.asarray(offsets).tolist()
-    return np.array([values[lo:hi].cumsum()[-1] if hi > lo else 0.0 for lo, hi in zip(bounds, bounds[1:])], dtype=float)
+    counts = np.diff(offsets)
+    row = np.repeat(np.arange(len(counts)), counts)
+    return np.bincount(row, weights=values, minlength=len(counts)).astype(float, copy=False)

@@ -119,7 +119,8 @@ def _endpoints(rows: DetectionTable, bounds: np.ndarray, ids: np.ndarray, window
     # is set to 1 so that it cannot divide by zero
     dt = np.diff(rows.frame)
     dt[lo[1:] - 1] = 1
-    steps = np.stack([np.diff(pos + size / 2.0) / dt for pos, size in ((rows.x, rows.w), (rows.y, rows.h))])
+    with np.errstate(over="ignore"):  # far centers step by inf, as Python floats would
+        steps = np.stack([np.diff(pos + size / 2.0) / dt for pos, size in ((rows.x, rows.w), (rows.y, rows.h))])
 
     boxes = (rows.x, rows.y, rows.w, rows.h)
     start_box = np.stack([c[lo] for c in boxes])

@@ -147,7 +147,7 @@ def test_oracle_equivalence():
         assert stats.backtracks == 0  # STOP keeps greedy binding wipe-free
         assert got == greedy_oracle(succ_vars)
     # X prefers v but Y's only candidate is v: binding (X, v) would wipe Y out
-    x = SuccessorVar(1, {10: 0.9, STOP: 0.05})
+    x = SuccessorVar(1, {10: 0.95, STOP: 0.05})
     y = SuccessorVar(2, {10: 0.3})
     with pytest.raises(ValueError, match="^variable 2 has no STOP entry$"):
         solve_with_stats([x, y])

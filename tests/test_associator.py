@@ -244,16 +244,17 @@ class TestStitch:
 
 
 def hand_built_instance(rng):
-    # marginals are multiples of 1/64, so every total the solver keeps is exact;
-    # candidates share a small pool, and every domain holds STOP
+    # each domain's marginals are positive multiples of 1/64 that sum to 1, so
+    # every total the solver keeps is exact; candidates share a small pool,
+    # and every domain holds STOP
     n = int(rng.integers(2, 7))
     pool = np.arange(100, 101 + n)
     succ_vars = []
     for vid in range(1, n + 1):
-        cands = rng.choice(pool, size=int(rng.integers(1, 4)), replace=False)
-        dom = {int(c): int(rng.integers(1, 65)) / 64 for c in cands}
-        dom[STOP] = int(rng.integers(1, 65)) / 64
-        succ_vars.append(SuccessorVar(vid, dom))
+        cands = [*rng.choice(pool, size=int(rng.integers(1, 4)), replace=False).tolist(), STOP]
+        cuts = np.sort(rng.choice(np.arange(1, 64), size=len(cands) - 1, replace=False))
+        parts = np.diff(np.concatenate(([0], cuts, [64]))) / 64
+        succ_vars.append(SuccessorVar(vid, dict(zip(cands, parts.tolist()))))
     return succ_vars
 
 
@@ -789,37 +790,48 @@ def table(ids, offsets, candidates, products, marginals=None):
 
 class TestTableRules:
     @pytest.mark.parametrize(
-        "domains, message",
+        "columns, message",
         [
             # both candidates are 10: no STOP
-            (table([1, 2], [0, 1, 2], [10, 10], [1.0, 1.0]), "variable 1 has no STOP entry"),
+            (([1, 2], [0, 1, 2], [10, 10], [1.0, 1.0]), "variable 1 has no STOP entry"),
             # variable 1 also lacks STOP, but naming itself is the earlier rule
-            (table([1, 2], [0, 1, 2], [1, 0], [1.0, 1.0]), "variable 1 names itself as a candidate"),
-            (table([1], [0, 2], [0, 0], [1.0, 1.0]), "variable 1 has more than one STOP entry"),
-            (table([1, 2], [0, 1, 2], [0, 0], [1.0, 0.0]), "variable 2 has a STOP entry whose product is not positive"),
+            (([1, 2], [0, 1, 2], [1, 0], [1.0, 1.0]), "variable 1 names itself as a candidate"),
+            (([1], [0, 2], [0, 0], [1.0, 1.0]), "variable 1 has more than one STOP entry"),
+            (([1, 2], [0, 1, 2], [0, 0], [1.0, 0.0]), "variable 2 has a STOP entry whose product is not positive"),
             # the pass would divide STOP's 0 by a total of 0
-            (table([1, 2, 3], [0, 2, 4, 5], [3, 0, 3, 0, 0], [1.0] * 5, [1.0, 0.0, 0.9, 0.0, 1.0]), "variable 1 has a STOP entry whose marginal is not positive"),
-            (table([1], [0, 2], [5, 0], [1.0, 1.0], [math.nan, 1.0]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
-            (table([1], [0, 2], [5, 0], [-0.5, 1.0]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
+            (([1, 2, 3], [0, 2, 4, 5], [3, 0, 3, 0, 0], [1.0] * 5, [1.0, 0.0, 0.9, 0.0, 1.0]), "variable 1 has a STOP entry whose marginal is not positive"),
+            (([1], [0, 2], [5, 0], [1.0, 1.0], [math.nan, 1.0]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
+            (([1], [0, 2], [5, 0], [-0.5, 1.0]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
             # a filtered entry that the pass would bind
-            (table([1], [0, 2], [5, 0], [0.0, 1.0], [0.9, 0.1]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
-            (table([1, 2], [0, 1, 4], [0, 5, 6, 0], [1.0, 1e308, 1e308, 1.0]), "variable 2 has products whose total is not finite"),
-            (table([2, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 1 is out of order or repeated: ids must increase strictly from 1"),
-            (table([0, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 0 is out of order or repeated: ids must increase strictly from 1"),
-            (table([1, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 1 is out of order or repeated: ids must increase strictly from 1"),
+            (([1], [0, 2], [5, 0], [0.0, 1.0], [0.9, 0.1]), "variable 1 has a product or marginal that is not finite and >= 0, or a marginal on a product of 0"),
+            (([1, 2], [0, 1, 4], [0, 5, 6, 0], [1.0, 1e308, 1e308, 1.0]), "variable 2 has products whose total is not finite"),
+            (([2, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 1 is out of order or repeated: ids must increase strictly from 1"),
+            (([0, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 0 is out of order or repeated: ids must increase strictly from 1"),
+            (([1, 1], [0, 1, 2], [0, 0], [1.0, 1.0]), "variable 1 is out of order or repeated: ids must increase strictly from 1"),
         ],
         ids=["no STOP", "self and no STOP", "two STOPs", "STOP of 0", "STOP marginal of 0", "NaN marginal", "negative product", "filtered marginal", "total overflows",
              "ids descend", "id 0", "id twice"],
     )
-    def test_solve_checks_a_table_built_from_columns(self, domains, message):
+    def test_solve_checks_a_table_built_from_columns(self, columns, message):
         with pytest.raises(ValueError) as raised:
-            solve_with_stats(domains)
+            solve_with_stats(table(*columns))
         assert str(raised.value) == message
+
+    def test_a_row_must_sum_to_1(self):
+        # variable 2's marginals sum to 0.6: ranked raw, 0.55 lost to variable 1's 0.6, though 0.55 / 0.6 is 0.917
+        with pytest.raises(ValueError, match="^variable 2 has marginals that do not sum to 1$"):
+            solve_with_stats([SuccessorVar(2, {4: 0.55, STOP: 0.05}), SuccessorVar(1, {4: 0.6, STOP: 0.4})])
+        # a row of 2 may miss 1 by 2 * 2**-52; the next floats beyond that, on either side, are refused
+        assert solve_with_stats(table([1], [0, 2], [5, 0], [0.5 + 2.0**-51, 0.5]))[0] == {1: 5}
+        assert solve_with_stats(table([1], [0, 2], [5, 0], [0.5 - 2.0**-52, 0.5 - 2.0**-52]))[0] == {1: 5}
+        for beyond in ([0.5 + 2.0**-52, 0.5 + 2.0**-51], [0.5, 0.5 - 5 * 2.0**-53]):
+            with pytest.raises(ValueError, match="^variable 1 has marginals that do not sum to 1$"):
+                table([1], [0, 2], [5, 0], beyond)
 
     def test_rules_allow_filtered_entries_and_totals_that_only_overflow_across_rows(self):
         # a product of 0 is a filtered entry, hand-built too; each row's total is finite, though all of them add up to inf
         assert solve_with_stats([SuccessorVar(1, {5: 0.0, STOP: 1.0})])[0] == {1: STOP}
-        domains = table([1, 2], [0, 2, 4], [2, 0, 3, 0], [1e308, 1.0, 1e308, 1.0])
+        domains = table([1, 2], [0, 2, 4], [2, 0, 3, 0], [1e308, 1.0, 1e308, 1.0], [1.0, 1e-308, 1.0, 1e-308])
         assert solve_with_stats(domains)[0] == {1: 2, 2: 3}
         assert solve_with_stats(table([], [0], [], []))[0] == {}
 

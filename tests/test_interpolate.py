@@ -136,3 +136,12 @@ def test_fills_each_track_id_run_of_a_table_separately():
     assert len(together) == 6 + 2 + 2 + 1  # nothing is filled between runs
     with pytest.raises(ValueError, match=r"^\(2,5\) duplicated: track 2 has two detections in frame 5$"):
         fill_gaps(a + [det(5, tid=2), det(5, tid=2)], 10)
+
+
+def test_a_gap_whose_rows_overflow_is_left_unfilled():
+    # the centers 1e308 and -1e308 differ by more than a float holds: every row of
+    # that gap would have x = -inf. The next gap, between equal boxes, is filled
+    far = Detection(1, 1, 1e308, 0.0, 1e293, 5.0, 1.0)
+    near = [Detection(f, 1, -1e308, 0.0, 1e293, 5.0, 1.0) for f in (4, 7)]
+    out = fill_gaps([far, *near], 5)
+    assert out == [far, *fill_gaps(near, 5)] and len(out) == 5

@@ -460,6 +460,14 @@ def test_sequence_meta_rejects_a_bool(field, value):
         SequenceMeta(**fields)
 
 
+@pytest.mark.parametrize("field", ["fps", "img_width", "img_height", "num_frames"])
+def test_sequence_meta_rejects_a_value_that_is_not_a_number(field):
+    # float("30") reads a str frame rate, and a str size would fail its comparison with a TypeError
+    fields = {"fps": 30.0, "img_width": 1920, "img_height": 1080, "num_frames": 10, field: "30"}
+    with pytest.raises(ValueError, match=rf"^{field} must be a number, got 30$"):
+        SequenceMeta(**fields)
+
+
 # Size texts that are not positive integers a float holds, by test id; both
 # SequenceMeta and read_seqinfo reject each. The last lies between
 # float_info.max and 2**1024: float() rounds it down to float_info.max, so only

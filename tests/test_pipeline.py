@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from trackstitch.config import PipelineConfig
 from trackstitch.evaluation import evaluate_sequence
 from trackstitch.interpolate import fill_gaps
-from trackstitch.mot_io import Detection, DetectionTable, SequenceMeta
+from trackstitch.associator import build_domains
+from trackstitch.mot_io import Detection, DetectionTable, SequenceMeta, parse_tracks
 from trackstitch.pipeline import refine_detections
 from trackstitch.scoring import ConstraintKind
 from trackstitch.synth import CorruptionConfig, ScenarioConfig, corrupt, generate
@@ -233,3 +236,25 @@ CLEAN = DetectionTable.of([Detection(f, 7, f - 1.0, 0.0, 10.0, 10.0, 1.0) for f 
 def test_every_entry_point_rejects_two_rows_of_a_track_in_one_frame(entry):
     with pytest.raises(ValueError, match=r"^\(7,3\) duplicated: track 7 has two detections in frame 3$"):
         entry(TWO_IN_FRAME_3)
+
+
+# valid files whose far boxes overflow: in a filled gap, in the endpoint steps, in a projected box
+FAR_BOXES = {
+    "fill_gaps": "1,1,1e308,0,1e293,5,1\n4,1,-1e308,0,1e293,5,1\n",
+    "ends": "1,1,-1.7e308,0,1e293,5,1\n2,1,1.7e308,0,1e293,5,1\n",
+    "projected": "1,1,-1e307,0,1e292,5,1\n2,1,1e307,0,1e292,5,1\n900000,2,1e10,0,5,5,1\n",
+}
+
+
+@pytest.mark.parametrize("text", FAR_BOXES.values(), ids=FAR_BOXES)
+def test_default_refine_runs_on_far_boxes_without_warnings(text):
+    tracks = parse_tracks(text)
+    meta = SequenceMeta(30, 1920, 1080, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        products = build_domains(group_tracklets(tracks), PipelineConfig().scores, meta).products
+        out, summary = refine_detections(tracks, meta)
+    assert not np.isnan(products).any()
+    # no gap was filled: the one gap, of the first file, overflows
+    assert summary.detections_interpolated == 0
+    assert sorted((d.frame, *d.box) for d in out) == sorted((d.frame, *d.box) for d in tracks)

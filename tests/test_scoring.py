@@ -345,6 +345,12 @@ class TestMarginals:
             expected.append(total)
         assert left_sums(values, offsets).tolist() == expected
         assert left_sums(np.full(10, 0.1), [0, 10]).tolist() == [0.9999999999999999]
+        # the loop starts from 0.0, so a row of -0.0 sums to 0.0, not -0.0
+        sums = left_sums(np.array([-0.0, -0.0, 1.0, math.inf, 2.5]), [0, 2, 4, 5])
+        assert sums.tolist() == [0.0, math.inf, 2.5] and not np.signbit(sums[0])
+        empty = left_sums(np.array([]), [0, 0, 0])
+        assert empty.dtype == float and empty.tolist() == [0.0, 0.0]
+        assert left_sums(np.array([]), [0]).dtype == float
 
 
 @pytest.mark.parametrize("kind", [ConstraintKind.ANGLE_DIFFERENCE, ConstraintKind.PREDICTED_CENTER_DISTANCE])

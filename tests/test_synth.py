@@ -91,6 +91,7 @@ class TestGenerate:
             ({"img_width": 1920.5}, r"^img_width must be a positive integer, got 1920\.5$"),
             ({"img_width": 10**400}, r"^img_width is too large for a float, got 10{400}$"),
             ({"img_width": 10**308}, r"^the image diagonal must be finite, got a 10{308} x 1080 image$"),
+            ({"img_width": "1920"}, r"^img_width must be a number, got 1920$"),
         ],
     )
     def test_invalid_motion_rejected(self, kw, message):
